@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use emumap_bench::runner::{run_one, MapperKind};
+use emumap_core::MapCache;
 use emumap_workloads::{instantiate, ClusterSpec, Scenario, WorkloadKind};
 
 fn bench_links_sweep(c: &mut Criterion) {
@@ -38,6 +39,7 @@ fn bench_links_sweep(c: &mut Criterion) {
                         inst.mapper_seed,
                         200,
                         false,
+                        &mut MapCache::new(),
                     )
                     .map(|m| m.routed_links)
                 })

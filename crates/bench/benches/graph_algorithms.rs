@@ -3,7 +3,7 @@
 //! DFS router, and topology generation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use emumap_core::{astar_prune, naive_dfs_route, AStarPruneConfig};
+use emumap_core::{astar_prune, naive_dfs_route, AStarPruneConfig, DfsScratch, RouteScratch};
 use emumap_graph::algo::dijkstra;
 use emumap_graph::generators;
 use emumap_model::{
@@ -41,23 +41,25 @@ fn bench_graph_algorithms(c: &mut Criterion) {
         let residual = ResidualState::new(&phys);
         let src = phys.hosts()[0];
         let dst = *phys.hosts().last().unwrap();
+        let csr = phys.graph().to_csr();
 
         group.bench_with_input(
             BenchmarkId::new("dijkstra_latency", name),
             &phys,
             |b, phys| {
                 b.iter(|| {
-                    dijkstra(phys.graph(), dst, |_, l| l.lat.value())
+                    dijkstra(phys.graph(), &csr, dst, |_, l| l.lat.value())
                         .distances()
                         .len()
                 })
             },
         );
 
-        let ar: Vec<f64> = dijkstra(phys.graph(), dst, |_, l| l.lat.value())
+        let ar: Vec<f64> = dijkstra(phys.graph(), &csr, dst, |_, l| l.lat.value())
             .distances()
             .to_vec();
         group.bench_with_input(BenchmarkId::new("astar_prune", name), &phys, |b, phys| {
+            let mut scratch = RouteScratch::new();
             b.iter(|| {
                 astar_prune(
                     phys,
@@ -68,6 +70,8 @@ fn bench_graph_algorithms(c: &mut Criterion) {
                     Millis(60.0),
                     &ar,
                     &AStarPruneConfig::default(),
+                    &csr,
+                    &mut scratch,
                 )
                 .expect("path exists")
                 .0
@@ -75,12 +79,16 @@ fn bench_graph_algorithms(c: &mut Criterion) {
             })
         });
 
-        let hops = emumap_core::hop_distances(&phys, dst);
+        let hops: Vec<f64> = dijkstra(phys.graph(), &csr, dst, |_, _| 1.0)
+            .distances()
+            .to_vec();
         group.bench_with_input(BenchmarkId::new("naive_dfs", name), &phys, |b, phys| {
             let mut rng = SmallRng::seed_from_u64(1);
+            let mut scratch = DfsScratch::new();
             b.iter(|| {
                 naive_dfs_route(
                     phys,
+                    &csr,
                     &residual,
                     src,
                     dst,
@@ -88,6 +96,7 @@ fn bench_graph_algorithms(c: &mut Criterion) {
                     Millis(1e9),
                     &hops,
                     &mut rng,
+                    &mut scratch,
                 )
                 .expect("path exists at relaxed latency")
                 .len()

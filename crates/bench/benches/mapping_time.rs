@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use emumap_bench::runner::{run_one, MapperKind};
+use emumap_core::MapCache;
 use emumap_workloads::{instantiate, ClusterSpec, ClusterTopology, Scenario, WorkloadKind};
 
 fn bench_mapping_time(c: &mut Criterion) {
@@ -33,8 +34,16 @@ fn bench_mapping_time(c: &mut Criterion) {
                         // The retrying baselines may legitimately fail on a
                         // given draw (Table 2's failure counts); time the
                         // attempt either way.
-                        run_one(&inst.phys, &inst.venv, kind, inst.mapper_seed, 200, false)
-                            .map(|m| m.routed_links)
+                        run_one(
+                            &inst.phys,
+                            &inst.venv,
+                            kind,
+                            inst.mapper_seed,
+                            200,
+                            false,
+                            &mut MapCache::new(),
+                        )
+                        .map(|m| m.routed_links)
                     })
                 },
             );

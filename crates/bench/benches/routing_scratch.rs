@@ -1,20 +1,17 @@
 //! Micro-benchmark for the allocation-free routing hot paths: the same
-//! A*Prune queries through the allocating entry point (`astar_prune`,
-//! which rebuilds the CSR view and scratch buffers per call) vs. the
-//! reusable one (`astar_prune_with` over a shared CSR + warm
-//! `RouteScratch`), plus the end-to-end HMN map with a cold vs. warm
-//! `MapCache` (cross-trial `ar[]` table reuse).
+//! A*Prune queries with a CSR view and scratch buffers built fresh per
+//! call vs. one shared CSR and a warm `RouteScratch`, plus the end-to-end
+//! HMN map with a cold vs. warm `MapCache` (cross-trial `ar[]` table
+//! reuse).
 //!
 //! Uses a hand-written `main` instead of `criterion_main!` so the sample
 //! summaries stay readable afterwards and can be written to
 //! `results/BENCH_routing.json` via `report::write_bench_json`.
 
 use criterion::{BenchmarkId, Criterion};
-use emumap_bench::parallel::ParallelRunner;
 use emumap_bench::report::{write_bench_json, BenchEntry, PhaseBreakdown};
-use emumap_core::{
-    astar_prune, astar_prune_with, AStarPruneConfig, ArTables, Hmn, MapCache, Mapper, RouteScratch,
-};
+use emumap_core::parallel::ParallelRunner;
+use emumap_core::{astar_prune, AStarPruneConfig, ArTables, Hmn, MapCache, Mapper, RouteScratch};
 use emumap_model::{Kbps, Millis, ResidualState};
 use emumap_trace::{NullSink, Tracer};
 use emumap_workloads::{instantiate, ClusterSpec, Scenario, WorkloadKind};
@@ -66,7 +63,16 @@ fn bench_routing_scratch(c: &mut Criterion) {
                 let mut routed = 0usize;
                 for &(i, j) in queries {
                     let found = astar_prune(
-                        phys, &residual, hosts[i], hosts[j], demand, bound, &ar[j], &config,
+                        phys,
+                        &residual,
+                        hosts[i],
+                        hosts[j],
+                        demand,
+                        bound,
+                        &ar[j],
+                        &config,
+                        &phys.graph().to_csr(),
+                        &mut RouteScratch::new(),
                     );
                     routed += usize::from(found.is_some());
                 }
@@ -84,7 +90,7 @@ fn bench_routing_scratch(c: &mut Criterion) {
             b.iter(|| {
                 let mut routed = 0usize;
                 for &(i, j) in queries {
-                    let found = astar_prune_with(
+                    let found = astar_prune(
                         phys,
                         &residual,
                         hosts[i],

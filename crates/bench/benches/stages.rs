@@ -2,10 +2,10 @@
 //! Hosting, Migration, and Networking benchmarked in isolation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use emumap_core::hosting::{hosting_stage, links_by_descending_bw};
+use emumap_core::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
 use emumap_core::migration::migration_stage;
 use emumap_core::networking::networking_stage;
-use emumap_core::PlacementState;
+use emumap_core::{MapCache, PlacementState};
 use emumap_workloads::{instantiate, ClusterSpec, Scenario, WorkloadKind};
 
 fn bench_stages(c: &mut Criterion) {
@@ -26,7 +26,7 @@ fn bench_stages(c: &mut Criterion) {
     group.bench_function("hosting", |b| {
         b.iter(|| {
             let mut st = PlacementState::new(&inst.phys, &inst.venv);
-            hosting_stage(&mut st, &links).expect("hostable");
+            hosting_stage(&mut st, &links, HostingPolicy::Paper).expect("hostable");
             st.assigned_count()
         })
     });
@@ -37,7 +37,7 @@ fn bench_stages(c: &mut Criterion) {
         b.iter_with_setup(
             || {
                 let mut st = PlacementState::new(&inst.phys, &inst.venv);
-                hosting_stage(&mut st, &links).expect("hostable");
+                hosting_stage(&mut st, &links, HostingPolicy::Paper).expect("hostable");
                 st
             },
             |mut st| migration_stage(&mut st).migrations,
@@ -48,12 +48,12 @@ fn bench_stages(c: &mut Criterion) {
         b.iter_with_setup(
             || {
                 let mut st = PlacementState::new(&inst.phys, &inst.venv);
-                hosting_stage(&mut st, &links).expect("hostable");
+                hosting_stage(&mut st, &links, HostingPolicy::Paper).expect("hostable");
                 migration_stage(&mut st);
                 st
             },
             |mut st| {
-                networking_stage(&mut st, &links, &Default::default())
+                networking_stage(&mut st, &links, &Default::default(), &mut MapCache::new())
                     .expect("routable")
                     .1
                     .routed_links

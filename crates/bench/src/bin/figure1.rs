@@ -11,9 +11,9 @@
 //! ```
 
 use emumap_bench::cli::parse_args;
-use emumap_bench::parallel::ParallelRunner;
-use emumap_bench::runner::{run_one_cached, MapperKind};
+use emumap_bench::runner::{run_one, MapperKind};
 use emumap_bench::stats::{mean, sample_stddev};
+use emumap_core::parallel::ParallelRunner;
 use emumap_workloads::{instantiate, ClusterSpec, Scenario, WorkloadKind};
 use serde::Serialize;
 
@@ -67,7 +67,7 @@ fn main() {
                 rep,
                 args.config.seed,
             );
-            let Some(m) = run_one_cached(
+            let Some(m) = run_one(
                 &inst.phys,
                 &inst.venv,
                 MapperKind::HMN,

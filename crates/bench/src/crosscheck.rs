@@ -233,7 +233,7 @@ impl From<&ExactOutcome> for OracleVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::ParallelRunner;
+    use emumap_core::parallel::ParallelRunner;
     use emumap_core::{Hmn, Mapper};
     use emumap_model::Route;
     use emumap_workloads::oracle_smoke;
@@ -379,11 +379,16 @@ mod tests {
         // …and Infeasible from a real certified-infeasible instance (the
         // infinite bound must encode as null, not break the JSON).
         {
-            use emumap_core::solve_exact;
             use emumap_model::{GuestSpec, MemMb, Mips, StorGb};
             let mut huge = VirtualEnvironment::new();
             huge.add_guest(GuestSpec::new(Mips(1.0), MemMb(1 << 40), StorGb(1.0)));
-            let outcome = solve_exact(&phys, &huge, &ExactConfig::default());
+            let outcome = solve_exact_with(
+                &phys,
+                &huge,
+                &ExactConfig::default(),
+                &mut MapCache::new(),
+                &[],
+            );
             assert_eq!(outcome.status, ExactStatus::Infeasible);
             verdicts.push(OracleVerdict::from(&outcome));
         }

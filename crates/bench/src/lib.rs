@@ -20,7 +20,6 @@
 
 pub mod cli;
 pub mod crosscheck;
-pub mod parallel;
 pub mod report;
 pub mod runner;
 pub mod stats;

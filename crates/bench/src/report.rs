@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// Per-phase share of a benchmark's wall-clock, from the pipeline's trace
-/// spans (see [`crate::parallel::PhaseTotals`]).
+/// spans (see [`emumap_core::parallel::PhaseTotals`]).
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct PhaseBreakdown {
     /// Seconds in the Hosting phase.
@@ -19,8 +19,8 @@ pub struct PhaseBreakdown {
     pub networking_s: f64,
 }
 
-impl From<crate::parallel::PhaseTotals> for PhaseBreakdown {
-    fn from(t: crate::parallel::PhaseTotals) -> Self {
+impl From<emumap_core::parallel::PhaseTotals> for PhaseBreakdown {
+    fn from(t: emumap_core::parallel::PhaseTotals) -> Self {
         PhaseBreakdown {
             hosting_s: t.hosting_s(),
             migration_s: t.migration_s(),

@@ -6,8 +6,8 @@
 //! embarrassingly parallel). Each item is a pure function of its seeds, so
 //! results are identical at any thread count.
 
-use crate::parallel::ParallelRunner;
 use crate::stats;
+use emumap_core::parallel::ParallelRunner;
 use emumap_core::{MapCache, Mapper, MapperConfig, MapperEntry};
 use emumap_model::{PhysicalTopology, VirtualEnvironment};
 use emumap_sim::{run_experiment, ExperimentSpec};
@@ -214,31 +214,10 @@ impl Default for RunConfig {
     }
 }
 
-/// Executes one mapper on one instance, measuring everything.
-///
-/// Convenience wrapper over [`run_one_cached`] with a fresh cache.
+/// Executes one mapper on one instance, measuring everything, with a
+/// caller-owned [`MapCache`] — warm in [`ParallelRunner`] workers, fresh
+/// for one-shot callers. Identical results for any cache history.
 pub fn run_one(
-    phys: &PhysicalTopology,
-    venv: &VirtualEnvironment,
-    kind: MapperKind,
-    mapper_seed: u64,
-    max_attempts: usize,
-    simulate: bool,
-) -> Option<Measurement> {
-    run_one_cached(
-        phys,
-        venv,
-        kind,
-        mapper_seed,
-        max_attempts,
-        simulate,
-        &mut MapCache::new(),
-    )
-}
-
-/// [`run_one`] with a caller-owned warm [`MapCache`] — the hot path used
-/// by [`ParallelRunner`] workers. Identical results for any cache history.
-pub fn run_one_cached(
     phys: &PhysicalTopology,
     venv: &VirtualEnvironment,
     kind: MapperKind,
@@ -299,7 +278,7 @@ pub fn run_grid(
             let mut out = Vec::with_capacity(2 * mappers.len());
             for (cluster, inst) in [(Cluster::Torus, &torus), (Cluster::Switched, &switched)] {
                 for (mi, &kind) in mappers.iter().enumerate() {
-                    let m = run_one_cached(
+                    let m = run_one(
                         &inst.phys,
                         &inst.venv,
                         kind,

@@ -7,8 +7,8 @@
 //! all: each trial is a pure function of its seeds, and the per-worker
 //! caches are semantically invisible.
 
-use emumap_bench::parallel::ParallelRunner;
 use emumap_bench::runner::MapperKind;
+use emumap_core::parallel::ParallelRunner;
 use emumap_core::MapCache;
 use emumap_model::{Mapping, PhysicalTopology, VirtualEnvironment};
 use emumap_workloads::{instantiate_both, ClusterSpec, Scenario, WorkloadKind};

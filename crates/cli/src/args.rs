@@ -32,7 +32,7 @@ impl std::error::Error for ArgError {}
 /// Flags that take no value: presence alone means `true`. Everything
 /// else keeps the strict `--key value` grammar (and its `MissingValue`
 /// diagnostics).
-const BOOLEAN_FLAGS: &[&str] = &["quiet"];
+const BOOLEAN_FLAGS: &[&str] = &["quiet", "help"];
 
 /// A parsed command line: subcommand plus `--key value` pairs.
 #[derive(Clone, Debug, Default)]
@@ -113,7 +113,7 @@ impl Parsed {
         self.flags.contains_key(key)
     }
 
-    /// Every flag key, for unknown-flag diagnostics.
+    /// Every flag key; `run` checks them against the subcommand's table.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.flags.keys().map(String::as_str)
     }

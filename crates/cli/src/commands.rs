@@ -2,7 +2,7 @@
 
 use crate::args::Parsed;
 use emumap_bench::crosscheck::{CrossCheck, TrialWitness};
-use emumap_bench::parallel::ParallelRunner;
+use emumap_core::parallel::ParallelRunner;
 use emumap_core::{
     cluster_diagnostics, mapper_keys, mapper_usage, solve_exact_with, BoundKind, ExactConfig,
     ExactStatus, Hmn, MapCache, MapOutcome, Mapper, MapperConfig,
@@ -143,21 +143,63 @@ pub(crate) fn build_mapper(name: &str, attempts: usize) -> Result<Box<dyn Mapper
         .ok_or_else(|| CliError::Usage(format!("unknown mapper '{name}' ({})", mapper_usage())))
 }
 
+/// A subcommand's implementation.
+type Command = fn(&Parsed) -> Result<Vec<String>, CliError>;
+
+/// Every subcommand with the space-separated flags it accepts (`--help`
+/// is accepted by all of them). [`run`] rejects any other flag before
+/// dispatch, so a mistyped flag is never silently ignored.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    ("gen-cluster", gen_cluster, "topology hosts seed out"),
+    ("gen-venv", gen_venv, "workload guests density seed out"),
+    ("map", map_cmd, "phys venv mapper seed attempts out trace"),
+    (
+        "exact",
+        exact_cmd,
+        "phys venv smoke seed max-nodes bound threads epoch-nodes root-iters tree-iters step \
+         damping trace out",
+    ),
+    ("validate", validate_cmd, "phys venv mapping"),
+    (
+        "simulate",
+        simulate_cmd,
+        "phys venv mapping rounds work-factor msg-kbits",
+    ),
+    (
+        "batch",
+        batch_cmd,
+        "phys venv mapper reps seed threads attempts out trace-dir exact-check exact-max-nodes \
+         quiet",
+    ),
+    (
+        "serve",
+        crate::serve::serve_cmd,
+        "phys mapper seed attempts socket trace",
+    ),
+    ("inspect", inspect_cmd, "phys venv mapping dot"),
+];
+
 /// Runs a parsed command line; returns lines to print on success.
 pub fn run(parsed: &Parsed) -> Result<Vec<String>, CliError> {
-    match parsed.subcommand.as_str() {
-        "gen-cluster" => gen_cluster(parsed),
-        "gen-venv" => gen_venv(parsed),
-        "map" => map_cmd(parsed),
-        "exact" => exact_cmd(parsed),
-        "validate" => validate_cmd(parsed),
-        "simulate" => simulate_cmd(parsed),
-        "batch" => batch_cmd(parsed),
-        "serve" => crate::serve::serve_cmd(parsed),
-        "inspect" => inspect_cmd(parsed),
-        "help" | "-h" | "--help" => Ok(vec![USAGE.to_string()]),
-        other => Err(CliError::Usage(format!("unknown subcommand '{other}'"))),
+    let sub = parsed.subcommand.as_str();
+    let Some(&(_, command, accepted)) = COMMANDS.iter().find(|(name, _, _)| *name == sub) else {
+        return match sub {
+            "help" | "-h" | "--help" => Ok(vec![USAGE.to_string()]),
+            other => Err(CliError::Usage(format!("unknown subcommand '{other}'"))),
+        };
+    };
+    if parsed.flag("help") {
+        return Ok(vec![USAGE.to_string()]);
     }
+    if let Some(unknown) = parsed
+        .keys()
+        .find(|k| !accepted.split_whitespace().any(|f| f == *k))
+    {
+        return Err(CliError::Usage(format!(
+            "unknown flag --{unknown} for '{sub}'"
+        )));
+    }
+    command(parsed)
 }
 
 fn gen_cluster(p: &Parsed) -> Result<Vec<String>, CliError> {
@@ -990,6 +1032,40 @@ mod tests {
     fn help_prints_usage() {
         let lines = run_tokens(&["help"]).unwrap();
         assert!(lines[0].contains("subcommands"));
+    }
+
+    #[test]
+    fn help_after_a_subcommand_prints_usage() {
+        let lines = run_tokens(&["exact", "--help"]).unwrap();
+        assert!(lines[0].contains("subcommands"));
+    }
+
+    #[test]
+    fn unknown_flag_is_a_usage_error_naming_it() {
+        let dir = tmpdir();
+        let phys = dir.join("typo.json");
+        let result = run_tokens(&[
+            "gen-cluster",
+            "--topolgy",
+            "ring",
+            "-o",
+            phys.to_str().unwrap(),
+        ]);
+        let Err(CliError::Usage(msg)) = result else {
+            panic!("a mistyped flag must be a usage error");
+        };
+        assert!(msg.contains("--topolgy"), "{msg}");
+        assert!(!phys.exists(), "nothing is written on a usage error");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn serve_rejects_unknown_flags() {
+        let Err(CliError::Usage(msg)) = run_tokens(&["serve", "--phys", "p.json", "--port", "1"])
+        else {
+            panic!("serve must reject a flag it does not read");
+        };
+        assert!(msg.contains("--port"), "{msg}");
     }
 
     #[test]

@@ -15,10 +15,10 @@
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
 use crate::mapper::{MapOutcome, MapStats, Mapper};
 use crate::migration::migration_stage;
-use crate::networking::networking_stage_with;
+use crate::networking::networking_stage;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{GuestId, Mapping, PhysicalTopology, VirtualEnvironment};
@@ -74,15 +74,6 @@ impl Mapper for Annealing {
         "SA"
     }
 
-    fn map(
-        &self,
-        phys: &PhysicalTopology,
-        venv: &VirtualEnvironment,
-        rng: &mut dyn RngCore,
-    ) -> Result<MapOutcome, MapError> {
-        self.map_with_cache(phys, venv, rng, &mut MapCache::new())
-    }
-
     fn map_with_cache(
         &self,
         phys: &PhysicalTopology,
@@ -116,7 +107,7 @@ impl Mapper for Annealing {
         });
         let mut hosting_counters = PhaseCounters::default();
         if cfg.seed_with_hosting {
-            let h = match hosting_stage(&mut state, &links) {
+            let h = match hosting_stage(&mut state, &links, HostingPolicy::Paper) {
                 Ok(h) => h,
                 Err(e) => {
                     // Close the open phase even on failure: trace
@@ -297,7 +288,7 @@ impl Mapper for Annealing {
         cache.trace.emit(|| TraceEvent::PhaseStart {
             phase: Phase::Networking,
         });
-        let (routes, net) = match networking_stage_with(&mut state, &links, &cfg.astar, cache) {
+        let (routes, net) = match networking_stage(&mut state, &links, &cfg.astar, cache) {
             Ok(r) => r,
             Err(e) => {
                 cache.trace.emit(|| TraceEvent::PhaseEnd {

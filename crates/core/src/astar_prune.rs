@@ -147,7 +147,7 @@ fn make_key(metric: PathMetric, bottleneck: f64, latency: f64, hops: u32, seq: u
     }
 }
 
-/// Reusable buffers for [`astar_prune_with`]: the partial-path arena, the
+/// Reusable buffers for [`astar_prune`]: the partial-path arena, the
 /// candidate heap, and the on-path scratch.
 ///
 /// One search of a paper-scale instance pushes thousands of arena nodes and
@@ -209,42 +209,14 @@ impl RouteScratch {
 /// destination. Only consulted when
 /// [`AStarPruneConfig::use_latency_lower_bound`] is set.
 ///
-/// Convenience wrapper over [`astar_prune_with`] that builds a fresh
-/// [`CsrAdjacency`] and [`RouteScratch`] per call; hot paths (the
-/// Networking stage, the parallel runner) hold both in an
-/// [`emumap-core::MapCache`](crate::MapCache) instead.
+/// `csr` is the topology's adjacency snapshot and `scratch` the search
+/// buffers; hot paths (the Networking stage, the parallel runner) hold
+/// both in a [`MapCache`](crate::MapCache). Results are identical for any
+/// scratch state: buffers are cleared on entry, so the search is a pure
+/// function of the other arguments, and it allocates nothing but the
+/// returned edge sequence once the buffers are warm.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's Algorithm 1 signature
 pub fn astar_prune(
-    phys: &PhysicalTopology,
-    residual: &ResidualState,
-    origin: NodeId,
-    destination: NodeId,
-    demand: Kbps,
-    latency_bound: Millis,
-    ar: &[f64],
-    config: &AStarPruneConfig,
-) -> Option<(Vec<EdgeId>, SearchStats)> {
-    let csr = phys.graph().to_csr();
-    astar_prune_with(
-        phys,
-        residual,
-        origin,
-        destination,
-        demand,
-        latency_bound,
-        ar,
-        config,
-        &csr,
-        &mut RouteScratch::new(),
-    )
-}
-
-/// [`astar_prune`] with caller-owned adjacency snapshot and scratch
-/// buffers — the allocation-free entry point. Identical results to the
-/// wrapper for any scratch state: buffers are cleared on entry, so the
-/// search is a pure function of the other arguments.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's Algorithm 1 signature
-pub fn astar_prune_with(
     phys: &PhysicalTopology,
     residual: &ResidualState,
     origin: NodeId,
@@ -413,9 +385,37 @@ mod tests {
     }
 
     fn ar_for(phys: &PhysicalTopology, dest: NodeId) -> Vec<f64> {
-        dijkstra(phys.graph(), dest, |_, l| l.lat.value())
-            .distances()
-            .to_vec()
+        dijkstra(phys.graph(), &phys.graph().to_csr(), dest, |_, l| {
+            l.lat.value()
+        })
+        .distances()
+        .to_vec()
+    }
+
+    /// One search on a fresh adjacency snapshot and fresh scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn search(
+        phys: &PhysicalTopology,
+        residual: &ResidualState,
+        origin: NodeId,
+        destination: NodeId,
+        demand: Kbps,
+        latency_bound: Millis,
+        ar: &[f64],
+        config: &AStarPruneConfig,
+    ) -> Option<(Vec<EdgeId>, SearchStats)> {
+        astar_prune(
+            phys,
+            residual,
+            origin,
+            destination,
+            demand,
+            latency_bound,
+            ar,
+            config,
+            &phys.graph().to_csr(),
+            &mut RouteScratch::new(),
+        )
     }
 
     fn run(
@@ -428,7 +428,7 @@ mod tests {
         let residual = ResidualState::new(phys);
         let dest = phys.hosts()[to];
         let ar = ar_for(phys, dest);
-        astar_prune(
+        search(
             phys,
             &residual,
             phys.hosts()[from],
@@ -443,9 +443,9 @@ mod tests {
 
     #[test]
     fn reused_scratch_matches_fresh_search() {
-        // Run a batch of distinct queries twice: once through the
-        // allocate-per-call wrapper, once through one shared scratch + CSR.
-        // Results must be bit-identical regardless of scratch history.
+        // Run a batch of distinct queries twice: once on fresh scratch,
+        // once through one shared scratch + CSR. Results must be
+        // bit-identical regardless of scratch history.
         let phys = phys_from_edges(
             5,
             &[
@@ -470,7 +470,7 @@ mod tests {
         for &(from, to, demand, bound) in &queries {
             let dest = phys.hosts()[to];
             let ar = ar_for(&phys, dest);
-            let fresh = astar_prune(
+            let fresh = search(
                 &phys,
                 &residual,
                 phys.hosts()[from],
@@ -480,7 +480,7 @@ mod tests {
                 &ar,
                 &config,
             );
-            let reused = astar_prune_with(
+            let reused = astar_prune(
                 &phys,
                 &residual,
                 phys.hosts()[from],
@@ -556,7 +556,7 @@ mod tests {
         let dest = phys.hosts()[1];
         let ar = ar_for(&phys, dest);
         // 50 kbps no longer fits the 40 kbps residual.
-        assert!(astar_prune(
+        assert!(search(
             &phys,
             &residual,
             phys.hosts()[0],
@@ -568,7 +568,7 @@ mod tests {
         )
         .is_none());
         // 30 kbps does.
-        assert!(astar_prune(
+        assert!(search(
             &phys,
             &residual,
             phys.hosts()[0],
@@ -593,7 +593,7 @@ mod tests {
         let residual = ResidualState::new(&phys);
         let (from, to) = (phys.hosts()[0], phys.hosts()[15]);
         let ar = ar_for(&phys, to);
-        let (path, _) = astar_prune(
+        let (path, _) = search(
             &phys,
             &residual,
             from,
@@ -628,7 +628,7 @@ mod tests {
             metric: PathMetric::HopCount,
             ..Default::default()
         };
-        let (path, _) = astar_prune(
+        let (path, _) = search(
             &phys,
             &residual,
             phys.hosts()[0],
@@ -659,7 +659,7 @@ mod tests {
             use_latency_lower_bound: false,
             ..Default::default()
         };
-        let (_, s1) = astar_prune(
+        let (_, s1) = search(
             &phys,
             &residual,
             from,
@@ -670,7 +670,7 @@ mod tests {
             &with_bound,
         )
         .unwrap();
-        let (_, s2) = astar_prune(
+        let (_, s2) = search(
             &phys,
             &residual,
             from,
@@ -705,7 +705,7 @@ mod tests {
             max_expansions: 1,
             ..Default::default()
         };
-        assert!(astar_prune(
+        assert!(search(
             &phys,
             &residual,
             from,
@@ -731,7 +731,7 @@ mod tests {
         let (from, to) = (phys.hosts()[1], phys.hosts()[18]);
         let ar = ar_for(&phys, to);
         let cfg = AStarPruneConfig::default();
-        let a = astar_prune(
+        let a = search(
             &phys,
             &residual,
             from,
@@ -741,7 +741,7 @@ mod tests {
             &ar,
             &cfg,
         );
-        let b = astar_prune(
+        let b = search(
             &phys,
             &residual,
             from,
@@ -786,7 +786,7 @@ mod tests {
             let dest = phys.hosts()[to];
             let ar = ar_for(&phys, dest);
             let origin = phys.hosts()[from];
-            let (full, full_stats) = astar_prune(
+            let (full, full_stats) = search(
                 &phys,
                 &residual,
                 origin,
@@ -797,7 +797,7 @@ mod tests {
                 &exhaustive_cfg,
             )
             .expect("exhaustive search finds a path");
-            let (pruned, pruned_stats) = astar_prune(
+            let (pruned, pruned_stats) = search(
                 &phys,
                 &residual,
                 origin,
@@ -839,7 +839,7 @@ mod tests {
             let dest = phys.hosts()[to];
             let ar = ar_for(&phys, dest);
             let origin = phys.hosts()[from];
-            let fresh = astar_prune(
+            let fresh = search(
                 &phys,
                 &residual,
                 origin,
@@ -849,7 +849,7 @@ mod tests {
                 &ar,
                 &cfg,
             );
-            let reused = astar_prune_with(
+            let reused = astar_prune(
                 &phys,
                 &residual,
                 origin,

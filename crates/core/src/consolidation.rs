@@ -13,8 +13,9 @@
 //! nothing.
 
 use crate::astar_prune::AStarPruneConfig;
+use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
 use crate::mapper::{MapOutcome, MapStats, Mapper};
 use crate::networking::networking_stage;
 use crate::state::PlacementState;
@@ -122,18 +123,19 @@ impl Mapper for ConsolidatingHmn {
         "HMN-consolidate"
     }
 
-    fn map(
+    fn map_with_cache(
         &self,
         phys: &PhysicalTopology,
         venv: &VirtualEnvironment,
         _rng: &mut dyn RngCore,
+        cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
         let start = Instant::now();
         let links = links_by_descending_bw(venv);
         let mut state = PlacementState::new(phys, venv);
 
         let t = Instant::now();
-        hosting_stage(&mut state, &links)?;
+        hosting_stage(&mut state, &links, HostingPolicy::Paper)?;
         let placement_time = t.elapsed();
 
         let t = Instant::now();
@@ -141,7 +143,13 @@ impl Mapper for ConsolidatingHmn {
         let migration_time = t.elapsed();
 
         let t = Instant::now();
-        let (routes, net) = networking_stage(&mut state, &links, &self.astar)?;
+        // This mapper emits no map events of its own, so its link events
+        // stay out of the caller's trace: a stream keeps only complete
+        // MapStart..MapEnd segments.
+        let trace = std::mem::take(&mut cache.trace);
+        let routed = networking_stage(&mut state, &links, &self.astar, cache);
+        cache.trace = trace;
+        let (routes, net) = routed?;
         let networking_time = t.elapsed();
 
         let stats = MapStats {

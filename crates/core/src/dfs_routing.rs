@@ -30,7 +30,6 @@
 //! is ≈ 0.95, which reproduces the paper's R/HS failure thresholds (see
 //! EXPERIMENTS.md).
 
-use emumap_graph::algo::dijkstra;
 use emumap_graph::{CsrAdjacency, EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
 use rand::seq::SliceRandom;
@@ -39,15 +38,6 @@ use rand::{Rng, RngCore};
 /// Probability, per expanded node, that the DFS explores neighbors in
 /// random order instead of closest-to-destination-first.
 pub const WANDER_PROBABILITY: f64 = 0.2;
-
-/// Hop distances from every node to `destination` (BFS via unit-cost
-/// Dijkstra). Baseline routers reuse this per destination the way the
-/// Networking stage caches `ar[]`.
-pub fn hop_distances(phys: &PhysicalTopology, destination: NodeId) -> Vec<f64> {
-    dijkstra(phys.graph(), destination, |_, _| 1.0)
-        .distances()
-        .to_vec()
-}
 
 /// One level of the DFS stack: a node plus its (shuffled, possibly
 /// distance-sorted) neighbor list and a cursor into it.
@@ -58,14 +48,14 @@ struct Frame {
     next: usize,
 }
 
-/// Reusable buffers for [`naive_dfs_route_with`]: the visited bitmap, the
+/// Reusable buffers for [`naive_dfs_route`]: the visited bitmap, the
 /// frame stack, and a pool of recycled neighbor lists.
 ///
 /// The per-call cost of the baseline router is dominated by one neighbor
 /// `Vec` allocation per expanded node; the pool hands frames their list
 /// back from earlier searches instead. Purely an allocation cache — the
-/// search consumes the RNG and visits nodes in exactly the same order as
-/// the scratch-free wrapper, so results are bit-identical.
+/// search consumes the RNG and visits nodes in exactly the same order
+/// whatever the scratch history, so results are bit-identical.
 #[derive(Debug, Default)]
 pub struct DfsScratch {
     on_path: Vec<bool>,
@@ -123,71 +113,12 @@ impl DfsScratch {
 /// fails (`None`) with **no** latency backtracking — the baseline's
 /// defining weakness versus A\*Prune.
 ///
-/// `hops_to_dest` must come from [`hop_distances`] for this destination.
-///
-/// Convenience wrapper over [`naive_dfs_route_with`] allocating a fresh
-/// [`DfsScratch`] per call.
+/// `csr` is the physical graph's adjacency snapshot and `hops_to_dest` the
+/// unit-cost distance table rooted at `destination`; both come from
+/// [`ArTables::hops_and_csr`](crate::ArTables::hops_and_csr).
+/// Bit-identical results (and RNG consumption) for any `scratch` history.
 #[allow(clippy::too_many_arguments)] // mirrors the astar_prune signature
 pub fn naive_dfs_route(
-    phys: &PhysicalTopology,
-    residual: &ResidualState,
-    origin: NodeId,
-    destination: NodeId,
-    demand: Kbps,
-    latency_bound: Millis,
-    hops_to_dest: &[f64],
-    rng: &mut dyn RngCore,
-) -> Option<Vec<EdgeId>> {
-    naive_dfs_route_with(
-        phys,
-        residual,
-        origin,
-        destination,
-        demand,
-        latency_bound,
-        hops_to_dest,
-        rng,
-        &mut DfsScratch::new(),
-    )
-}
-
-/// [`naive_dfs_route`] with caller-owned scratch buffers — the
-/// allocation-free entry point. Bit-identical results (and RNG
-/// consumption) for any scratch history.
-#[allow(clippy::too_many_arguments)] // mirrors the astar_prune signature
-pub fn naive_dfs_route_with(
-    phys: &PhysicalTopology,
-    residual: &ResidualState,
-    origin: NodeId,
-    destination: NodeId,
-    demand: Kbps,
-    latency_bound: Millis,
-    hops_to_dest: &[f64],
-    rng: &mut dyn RngCore,
-    scratch: &mut DfsScratch,
-) -> Option<Vec<EdgeId>> {
-    let graph = phys.graph();
-    dfs_route_impl(
-        phys,
-        residual,
-        origin,
-        destination,
-        demand,
-        latency_bound,
-        hops_to_dest,
-        rng,
-        scratch,
-        |buf, node| buf.extend(graph.neighbors(node).map(|nb| (nb.node, nb.edge))),
-    )
-}
-
-/// [`naive_dfs_route_with`] iterating neighbors through a pre-built
-/// [`CsrAdjacency`] snapshot of the physical graph (e.g. the one cached in
-/// `ArTables`). The snapshot preserves `Graph::neighbors` order, so the
-/// RNG stream and the returned path are bit-identical to the edge-list
-/// entry points — both stay public so the equivalence is property-testable.
-#[allow(clippy::too_many_arguments)] // mirrors the astar_prune signature
-pub fn naive_dfs_route_csr(
     phys: &PhysicalTopology,
     csr: &CsrAdjacency,
     residual: &ResidualState,
@@ -200,37 +131,6 @@ pub fn naive_dfs_route_csr(
     scratch: &mut DfsScratch,
 ) -> Option<Vec<EdgeId>> {
     debug_assert_eq!(csr.node_count(), phys.graph().node_count());
-    dfs_route_impl(
-        phys,
-        residual,
-        origin,
-        destination,
-        demand,
-        latency_bound,
-        hops_to_dest,
-        rng,
-        scratch,
-        |buf, node| buf.extend(csr.neighbors(node).iter().map(|nb| (nb.node, nb.edge))),
-    )
-}
-
-/// Shared walk over a pluggable raw-neighbor source. `fill_raw` appends
-/// `(neighbor, edge)` pairs for a node in the graph's canonical neighbor
-/// order; shuffling and distance-sorting happen here so every source
-/// consumes the RNG identically.
-#[allow(clippy::too_many_arguments)]
-fn dfs_route_impl(
-    phys: &PhysicalTopology,
-    residual: &ResidualState,
-    origin: NodeId,
-    destination: NodeId,
-    demand: Kbps,
-    latency_bound: Millis,
-    hops_to_dest: &[f64],
-    rng: &mut dyn RngCore,
-    scratch: &mut DfsScratch,
-    fill_raw: impl Fn(&mut Vec<(NodeId, EdgeId)>, NodeId),
-) -> Option<Vec<EdgeId>> {
     if origin == destination {
         return Some(Vec::new());
     }
@@ -240,7 +140,7 @@ fn dfs_route_impl(
 
     let fill_neighbors = |buf: &mut Vec<(NodeId, EdgeId)>, node: NodeId, rng: &mut dyn RngCore| {
         buf.clear();
-        fill_raw(buf, node);
+        buf.extend(csr.neighbors(node).iter().map(|nb| (nb.node, nb.edge)));
         buf.shuffle(rng); // random tie-breaking baseline order
         if rng.gen::<f64>() >= WANDER_PROBABILITY {
             // Mostly: head toward the destination (stable sort keeps the
@@ -333,18 +233,47 @@ mod tests {
         bound: f64,
         seed: u64,
     ) -> Option<Vec<EdgeId>> {
-        let dst = p.hosts()[to];
-        let hops = hop_distances(p, dst);
         let mut rng = SmallRng::seed_from_u64(seed);
+        route_on(
+            p,
+            r,
+            from,
+            to,
+            demand,
+            bound,
+            &mut rng,
+            &mut DfsScratch::new(),
+        )
+    }
+
+    /// [`route`] on caller-owned scratch, with the hop table and CSR from a
+    /// fresh [`ArTables`](crate::ArTables).
+    #[allow(clippy::too_many_arguments)]
+    fn route_on(
+        p: &PhysicalTopology,
+        r: &ResidualState,
+        from: usize,
+        to: usize,
+        demand: f64,
+        bound: f64,
+        rng: &mut SmallRng,
+        scratch: &mut DfsScratch,
+    ) -> Option<Vec<EdgeId>> {
+        let dst = p.hosts()[to];
+        let mut tables = crate::ArTables::new();
+        tables.prepare(p);
+        let (hops, csr) = tables.hops_and_csr(p, dst);
         naive_dfs_route(
             p,
+            csr,
             r,
             p.hosts()[from],
             dst,
             Kbps(demand),
             Millis(bound),
-            &hops,
-            &mut rng,
+            hops,
+            rng,
+            scratch,
         )
     }
 
@@ -358,31 +287,19 @@ mod tests {
         for seed in 0..40u64 {
             let from = (seed as usize * 5) % 16;
             let to = (seed as usize * 11 + 3) % 16;
-            let dst = p.hosts()[to];
-            let hops = hop_distances(&p, dst);
             let mut rng_a = SmallRng::seed_from_u64(seed);
             let mut rng_b = SmallRng::seed_from_u64(seed);
-            let fresh = naive_dfs_route(
+            let fresh = route_on(
                 &p,
                 &r,
-                p.hosts()[from],
-                dst,
-                Kbps(10.0),
-                Millis(60.0),
-                &hops,
+                from,
+                to,
+                10.0,
+                60.0,
                 &mut rng_a,
+                &mut DfsScratch::new(),
             );
-            let reused = naive_dfs_route_with(
-                &p,
-                &r,
-                p.hosts()[from],
-                dst,
-                Kbps(10.0),
-                Millis(60.0),
-                &hops,
-                &mut rng_b,
-                &mut scratch,
-            );
+            let reused = route_on(&p, &r, from, to, 10.0, 60.0, &mut rng_b, &mut scratch);
             assert_eq!(fresh, reused, "seed {seed}");
             assert_eq!(
                 rng_a.gen::<u64>(),
@@ -391,52 +308,6 @@ mod tests {
             );
         }
         assert!(scratch.reuses() > 0);
-    }
-
-    #[test]
-    fn csr_variant_matches_edge_list_variant() {
-        let p = phys(&generators::torus2d(4, 4), 1000.0);
-        let r = ResidualState::new(&p);
-        let csr = p.graph().to_csr();
-        let mut scratch_a = DfsScratch::new();
-        let mut scratch_b = DfsScratch::new();
-        for seed in 0..40u64 {
-            let from = (seed as usize * 5) % 16;
-            let to = (seed as usize * 11 + 3) % 16;
-            let dst = p.hosts()[to];
-            let hops = hop_distances(&p, dst);
-            let mut rng_a = SmallRng::seed_from_u64(seed);
-            let mut rng_b = SmallRng::seed_from_u64(seed);
-            let via_list = naive_dfs_route_with(
-                &p,
-                &r,
-                p.hosts()[from],
-                dst,
-                Kbps(10.0),
-                Millis(60.0),
-                &hops,
-                &mut rng_a,
-                &mut scratch_a,
-            );
-            let via_csr = naive_dfs_route_csr(
-                &p,
-                &csr,
-                &r,
-                p.hosts()[from],
-                dst,
-                Kbps(10.0),
-                Millis(60.0),
-                &hops,
-                &mut rng_b,
-                &mut scratch_b,
-            );
-            assert_eq!(via_list, via_csr, "seed {seed}");
-            assert_eq!(
-                rng_a.gen::<u64>(),
-                rng_b.gen::<u64>(),
-                "seed {seed}: RNG streams diverged"
-            );
-        }
     }
 
     #[test]
@@ -537,20 +408,8 @@ mod tests {
         let e12 = p.graph().find_edge(p.hosts()[1], p.hosts()[2]).unwrap();
         r.commit_route(&[e12], Kbps(95.0));
         let mut scratch = DfsScratch::new();
-        let dst = p.hosts()[2];
-        let hops = hop_distances(&p, dst);
         let mut rng = SmallRng::seed_from_u64(7);
-        let res = naive_dfs_route_with(
-            &p,
-            &r,
-            p.hosts()[0],
-            dst,
-            Kbps(50.0),
-            Millis(100.0),
-            &hops,
-            &mut rng,
-            &mut scratch,
-        );
+        let res = route_on(&p, &r, 0, 2, 50.0, 100.0, &mut rng, &mut scratch);
         assert!(res.is_none());
         assert_eq!(
             scratch.backtracks(),

@@ -75,7 +75,9 @@ pub fn diagnose_route(
         return RouteVerdict::PossiblyRoutable; // intra-host always works
     }
     // Latency check on the *uncongested* network (admissible bound).
-    let lat = dijkstra(phys.graph(), to, |_, l| l.lat.value());
+    let lat = dijkstra(phys.graph(), &phys.graph().to_csr(), to, |_, l| {
+        l.lat.value()
+    });
     let best = lat.distance(from).unwrap_or(f64::INFINITY);
     if best > spec.lat.value() + 1e-9 {
         return RouteVerdict::LatencyInfeasible {
@@ -141,9 +143,10 @@ pub fn cluster_diagnostics(
         .map(|&h| phys.effective_proc(h).value())
         .sum();
     // Latency diameter restricted to host pairs.
+    let csr = phys.graph().to_csr();
     let mut diameter = 0.0f64;
     for &h in phys.hosts() {
-        let d = dijkstra(phys.graph(), h, |_, l| l.lat.value());
+        let d = dijkstra(phys.graph(), &csr, h, |_, l| l.lat.value());
         for &g in phys.hosts() {
             diameter = diameter.max(d.distance(g).unwrap_or(f64::INFINITY));
         }

@@ -35,9 +35,9 @@ use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::hmn::elapsed_us;
 use crate::hosting::links_by_descending_bw;
-use crate::ksp_routing::networking_stage_ksp_with;
+use crate::ksp_routing::networking_stage_ksp;
 use crate::lagrangian::{lagrangian_bound, tightest_peer_bounds, LagrangianConfig, NodeView};
-use crate::networking::networking_stage_with;
+use crate::networking::networking_stage;
 use crate::parallel::ParallelRunner;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
@@ -119,7 +119,7 @@ impl Default for ExactConfig {
     }
 }
 
-/// How a [`solve_exact`] run ended.
+/// How a [`solve_exact_with`] run ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExactStatus {
     /// The search completed and `lower_bound == best` (within
@@ -296,16 +296,6 @@ pub fn residual_stddev_lower_bound(residuals: &[f64], demand: f64) -> f64 {
     // Unreachable for finite inputs (k = n always admits a level), but
     // stay safe: zero is always admissible.
     0.0
-}
-
-/// Runs the oracle with a fresh cache and no witnesses. See
-/// [`solve_exact_with`].
-pub fn solve_exact(
-    phys: &PhysicalTopology,
-    venv: &VirtualEnvironment,
-    config: &ExactConfig,
-) -> ExactOutcome {
-    solve_exact_with(phys, venv, config, &mut MapCache::new(), &[])
 }
 
 /// Runs the branch-and-bound oracle.
@@ -660,14 +650,14 @@ impl<'a> SearchBase<'a> {
         let links = links_by_descending_bw(self.venv);
         let astar = self.config.astar;
         let routed = self.with_fresh_state(st, |state| {
-            networking_stage_with(state, &links, &astar, cache).ok()
+            networking_stage(state, &links, &astar, cache).ok()
         })?;
         let routed = match routed {
             Some((routes, _)) => Some(routes),
             None if self.config.ksp_fallback > 0 => {
                 let k = self.config.ksp_fallback;
                 self.with_fresh_state(st, |state| {
-                    networking_stage_ksp_with(state, &links, k, cache).ok()
+                    networking_stage_ksp(state, &links, k, cache).ok()
                 })?
                 .map(|(routes, _)| routes)
             }
@@ -1250,6 +1240,15 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// The oracle on a fresh cache, with no witnesses.
+    fn solve_cold(
+        phys: &PhysicalTopology,
+        venv: &VirtualEnvironment,
+        config: &ExactConfig,
+    ) -> ExactOutcome {
+        solve_exact_with(phys, venv, config, &mut MapCache::new(), &[])
+    }
+
     fn phys_line(n: usize, mips: &[f64]) -> PhysicalTopology {
         PhysicalTopology::from_shape(
             &generators::line(n),
@@ -1320,7 +1319,7 @@ mod tests {
         // residuals equal, objective 0.
         let phys = phys_line(2, &[1000.0, 1000.0]);
         let venv = chain_venv(&[(100.0, 64), (100.0, 64)], 10.0, 60.0);
-        let out = solve_exact(&phys, &venv, &ExactConfig::default());
+        let out = solve_cold(&phys, &venv, &ExactConfig::default());
         assert_eq!(out.status, ExactStatus::Optimal);
         let best = out.best.expect("feasible");
         assert!(best.objective < 1e-9, "objective={}", best.objective);
@@ -1334,7 +1333,7 @@ mod tests {
         // Three guests of 1500 MB against two 2048 MB hosts: no host takes
         // two, and there are only two hosts.
         let venv = chain_venv(&[(10.0, 1500), (10.0, 1500), (10.0, 1500)], 10.0, 60.0);
-        let out = solve_exact(&phys, &venv, &ExactConfig::default());
+        let out = solve_cold(&phys, &venv, &ExactConfig::default());
         assert_eq!(out.status, ExactStatus::Infeasible);
         assert!(out.best.is_none());
         assert!(out.lower_bound.is_infinite());
@@ -1357,7 +1356,7 @@ mod tests {
         );
         let mut rng = SmallRng::seed_from_u64(7);
         let hmn = Hmn::new().map(&phys, &venv, &mut rng).expect("HMN maps");
-        let out = solve_exact(&phys, &venv, &ExactConfig::default());
+        let out = solve_cold(&phys, &venv, &ExactConfig::default());
         let best = out.best.clone().expect("oracle finds a mapping");
         assert_eq!(validate_mapping(&phys, &venv, &best.mapping), Ok(()));
         assert!(
@@ -1403,7 +1402,7 @@ mod tests {
             10.0,
             80.0,
         );
-        let out = solve_exact(
+        let out = solve_cold(
             &phys,
             &venv,
             &ExactConfig {
@@ -1414,7 +1413,7 @@ mod tests {
         assert_eq!(out.status, ExactStatus::Truncated);
         assert!(out.lower_bound.is_finite());
         // The truncated bound must still under-cut the true optimum.
-        let full = solve_exact(&phys, &venv, &ExactConfig::default());
+        let full = solve_cold(&phys, &venv, &ExactConfig::default());
         if let Some(best) = full.best {
             assert!(out.lower_bound <= best.objective + EPSILON);
         }
@@ -1426,8 +1425,8 @@ mod tests {
         // 12 ms bound rules out 3-hop placements (15 ms), so the prune has
         // actual work to do here.
         let venv = chain_venv(&[(300.0, 900), (200.0, 900), (100.0, 900)], 50.0, 12.0);
-        let with = solve_exact(&phys, &venv, &ExactConfig::default());
-        let without = solve_exact(
+        let with = solve_cold(&phys, &venv, &ExactConfig::default());
+        let without = solve_cold(
             &phys,
             &venv,
             &ExactConfig {
@@ -1498,8 +1497,8 @@ mod tests {
             50.0,
             80.0,
         );
-        let lag = solve_exact(&phys, &venv, &ExactConfig::default());
-        let wf = solve_exact(
+        let lag = solve_cold(&phys, &venv, &ExactConfig::default());
+        let wf = solve_cold(
             &phys,
             &venv,
             &ExactConfig {
@@ -1571,7 +1570,7 @@ mod tests {
             10.0,
             80.0,
         );
-        let out = solve_exact(&phys, &venv, &ExactConfig::default());
+        let out = solve_cold(&phys, &venv, &ExactConfig::default());
         assert_eq!(out.status, ExactStatus::Optimal);
         assert!(
             out.stats.bound_improvements > 0,
@@ -1590,7 +1589,7 @@ mod tests {
     fn empty_virtual_environment_is_trivially_optimal() {
         let phys = phys_line(2, &[1000.0, 800.0]);
         let venv = VirtualEnvironment::new();
-        let out = solve_exact(&phys, &venv, &ExactConfig::default());
+        let out = solve_cold(&phys, &venv, &ExactConfig::default());
         assert_eq!(out.status, ExactStatus::Optimal);
         let best = out.best.expect("empty mapping is feasible");
         // Residuals untouched: objective = stddev of (1000, 800) = 100.
@@ -1631,7 +1630,7 @@ mod tests {
         let outs: Vec<ExactOutcome> = [1usize, 2, 4, 8]
             .iter()
             .map(|&threads| {
-                solve_exact(
+                solve_cold(
                     &phys,
                     &venv,
                     &ExactConfig {
@@ -1660,7 +1659,7 @@ mod tests {
         // certified objective and bound (up to EPSILON).
         let (phys, venv) = parallel_fixture();
         for bound in [BoundKind::Lagrangian, BoundKind::Waterfill] {
-            let seq = solve_exact(
+            let seq = solve_cold(
                 &phys,
                 &venv,
                 &ExactConfig {
@@ -1668,7 +1667,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let par = solve_exact(
+            let par = solve_cold(
                 &phys,
                 &venv,
                 &ExactConfig {
@@ -1750,10 +1749,10 @@ mod tests {
     #[test]
     fn parallel_truncation_still_bounds_the_optimum() {
         let (phys, venv) = parallel_fixture();
-        let full = solve_exact(&phys, &venv, &ExactConfig::default());
+        let full = solve_cold(&phys, &venv, &ExactConfig::default());
         let optimum = full.best.expect("fixture is feasible").objective;
         for threads in [1usize, 4] {
-            let out = solve_exact(
+            let out = solve_cold(
                 &phys,
                 &venv,
                 &ExactConfig {
@@ -1798,7 +1797,7 @@ mod tests {
     fn parallel_engine_certifies_infeasibility() {
         let phys = phys_line(2, &[1000.0, 1000.0]);
         let venv = chain_venv(&[(10.0, 1500), (10.0, 1500), (10.0, 1500)], 10.0, 60.0);
-        let out = solve_exact(
+        let out = solve_cold(
             &phys,
             &venv,
             &ExactConfig {
@@ -1817,7 +1816,7 @@ mod tests {
         // placement, not dead-end on an empty frontier.
         let phys = phys_line(2, &[1000.0, 800.0]);
         let venv = VirtualEnvironment::new();
-        let out = solve_exact(
+        let out = solve_cold(
             &phys,
             &venv,
             &ExactConfig {

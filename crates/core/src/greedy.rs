@@ -22,7 +22,7 @@ use crate::cache::MapCache;
 use crate::error::MapError;
 use crate::hosting::links_by_descending_bw;
 use crate::mapper::{MapOutcome, MapStats, Mapper};
-use crate::networking::networking_stage_with;
+use crate::networking::networking_stage;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{FeasBitset, GuestId, Mapping, PhysicalTopology, VirtualEnvironment};
@@ -152,7 +152,7 @@ fn run_greedy_with(
     cache.trace.emit(|| TraceEvent::PhaseStart {
         phase: Phase::Networking,
     });
-    let (routes, net) = match networking_stage_with(&mut state, &links, astar, cache) {
+    let (routes, net) = match networking_stage(&mut state, &links, astar, cache) {
         Ok(r) => r,
         Err(e) => {
             cache.trace.emit(|| TraceEvent::PhaseEnd {
@@ -213,15 +213,6 @@ macro_rules! greedy_mapper {
         impl Mapper for $name {
             fn name(&self) -> &str {
                 $label
-            }
-
-            fn map(
-                &self,
-                phys: &PhysicalTopology,
-                venv: &VirtualEnvironment,
-                rng: &mut dyn RngCore,
-            ) -> Result<MapOutcome, MapError> {
-                self.map_with_cache(phys, venv, rng, &mut MapCache::new())
             }
 
             fn map_with_cache(

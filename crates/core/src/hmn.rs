@@ -14,10 +14,10 @@
 use crate::astar_prune::{AStarPruneConfig, PathMetric};
 use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage_with, links_by_descending_bw, HostingPolicy};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
 use crate::mapper::{MapOutcome, MapStats, Mapper};
 use crate::migration::{migration_stage, migration_stage_exhaustive, MigrationPolicy};
-use crate::networking::networking_stage_with;
+use crate::networking::networking_stage;
 use crate::state::PlacementState;
 use emumap_model::{Mapping, PhysicalTopology, VLinkId, VirtualEnvironment};
 use emumap_trace::{Phase, PhaseCounters, TraceEvent};
@@ -129,15 +129,6 @@ impl Mapper for Hmn {
         "HMN"
     }
 
-    fn map(
-        &self,
-        phys: &PhysicalTopology,
-        venv: &VirtualEnvironment,
-        rng: &mut dyn RngCore,
-    ) -> Result<MapOutcome, MapError> {
-        self.map_with_cache(phys, venv, rng, &mut MapCache::new())
-    }
-
     fn map_with_cache(
         &self,
         phys: &PhysicalTopology,
@@ -163,7 +154,7 @@ impl Mapper for Hmn {
             phase: Phase::Hosting,
         });
         let t = Instant::now();
-        let hosting = match hosting_stage_with(&mut state, &links, self.config.hosting) {
+        let hosting = match hosting_stage(&mut state, &links, self.config.hosting) {
             Ok(h) => h,
             Err(e) => {
                 // Close the open phase even on failure: trace consumers
@@ -235,7 +226,7 @@ impl Mapper for Hmn {
         });
         let t = Instant::now();
         let reuses_before = cache.scratch.reuses();
-        let net_result = networking_stage_with(&mut state, &links, &self.config.astar(), cache);
+        let net_result = networking_stage(&mut state, &links, &self.config.astar(), cache);
         let (routes, net) = match net_result {
             Ok(ok) => ok,
             Err(e) => {

@@ -127,19 +127,11 @@ fn first_fit(state: &PlacementState<'_>, hosts: &[NodeId], guest: GuestId) -> Op
     hosts.iter().copied().find(|&h| state.fits(guest, h))
 }
 
-/// Runs the Hosting stage over `links` with the paper's co-location rule
-/// (see [`hosting_stage_with`] for the policy knob). Mutates `state`; on
+/// Runs the Hosting stage over `links` with the co-location rule of
+/// `policy` ([`HostingPolicy::Paper`] is the paper's). Mutates `state`; on
 /// failure the state is left partially assigned (callers either abort or
 /// reset). Returns co-location/fallback counts.
 pub fn hosting_stage(
-    state: &mut PlacementState<'_>,
-    links: &[VLinkId],
-) -> Result<HostingStats, MapError> {
-    hosting_stage_with(state, links, HostingPolicy::Paper)
-}
-
-/// [`hosting_stage`] with an explicit [`HostingPolicy`].
-pub fn hosting_stage_with(
     state: &mut PlacementState<'_>,
     links: &[VLinkId],
     policy: HostingPolicy,
@@ -267,6 +259,12 @@ mod tests {
         VLinkSpec, VmmOverhead,
     };
 
+    /// The paper's Hosting stage over every link, heaviest first.
+    fn host_paper(st: &mut PlacementState<'_>) -> Result<HostingStats, MapError> {
+        let links = links_by_descending_bw(st.venv());
+        hosting_stage(st, &links, HostingPolicy::Paper)
+    }
+
     fn phys_uniform(n: usize, mem_mb: u64) -> PhysicalTopology {
         PhysicalTopology::from_shape(
             &generators::ring(n),
@@ -304,7 +302,7 @@ mod tests {
         venv.add_link(a, b, link(1000.0)); // heavy: co-locate
         venv.add_link(b, c, link(1.0)); // light
         let mut st = PlacementState::new(&phys, &venv);
-        hosting_stage(&mut st, &links_by_descending_bw(&venv)).unwrap();
+        host_paper(&mut st).unwrap();
         assert_eq!(st.host_of(a), st.host_of(b));
         // c joins b's host too (it fits), per the one-mapped rule.
         assert_eq!(st.host_of(c), st.host_of(b));
@@ -319,7 +317,7 @@ mod tests {
         let b = venv.add_guest(GuestSpec::new(Mips(10.0), MemMb(100), StorGb(1.0)));
         venv.add_link(a, b, link(1000.0));
         let mut st = PlacementState::new(&phys, &venv);
-        hosting_stage(&mut st, &links_by_descending_bw(&venv)).unwrap();
+        host_paper(&mut st).unwrap();
         assert_ne!(st.host_of(a), st.host_of(b));
         assert!(st.is_complete());
     }
@@ -333,7 +331,7 @@ mod tests {
         venv.add_link(g[0], g[1], link(500.0));
         venv.add_link(g[1], g[2], link(400.0));
         let mut st = PlacementState::new(&phys, &venv);
-        hosting_stage(&mut st, &links_by_descending_bw(&venv)).unwrap();
+        host_paper(&mut st).unwrap();
         assert_eq!(st.host_of(g[2]), st.host_of(g[1]));
     }
 
@@ -346,7 +344,7 @@ mod tests {
         venv.add_link(g[0], g[1], link(900.0));
         venv.add_link(g[1], g[2], link(800.0));
         let mut st = PlacementState::new(&phys, &venv);
-        hosting_stage(&mut st, &links_by_descending_bw(&venv)).unwrap();
+        host_paper(&mut st).unwrap();
         assert_eq!(st.host_of(g[0]), st.host_of(g[1]));
         assert_ne!(st.host_of(g[2]), st.host_of(g[1]));
     }
@@ -359,7 +357,7 @@ mod tests {
         venv.add_link(g[0], g[1], link(10.0));
         venv.add_link(g[1], g[2], link(5.0));
         let mut st = PlacementState::new(&phys, &venv);
-        let err = hosting_stage(&mut st, &links_by_descending_bw(&venv)).unwrap_err();
+        let err = host_paper(&mut st).unwrap_err();
         assert!(matches!(err, MapError::HostingFailed { .. }));
     }
 
@@ -372,7 +370,7 @@ mod tests {
         let _isolated = venv.add_guest(guest(100));
         venv.add_link(a, b, link(10.0));
         let mut st = PlacementState::new(&phys, &venv);
-        hosting_stage(&mut st, &links_by_descending_bw(&venv)).unwrap();
+        host_paper(&mut st).unwrap();
         assert!(st.is_complete());
     }
 
@@ -387,7 +385,7 @@ mod tests {
         venv.add_link(a, b, link(1000.0));
         venv.add_link(b, c, link(1.0));
         let mut st = PlacementState::new(&phys, &venv);
-        let stats = hosting_stage(&mut st, &links_by_descending_bw(&venv)).unwrap();
+        let stats = host_paper(&mut st).unwrap();
         assert_eq!(
             stats,
             HostingStats {
@@ -403,7 +401,7 @@ mod tests {
         let b = venv.add_guest(GuestSpec::new(Mips(10.0), MemMb(100), StorGb(1.0)));
         venv.add_link(a, b, link(1000.0));
         let mut st = PlacementState::new(&phys, &venv);
-        let stats = hosting_stage(&mut st, &links_by_descending_bw(&venv)).unwrap();
+        let stats = host_paper(&mut st).unwrap();
         assert_eq!(
             stats,
             HostingStats {
@@ -421,7 +419,7 @@ mod tests {
             venv.add_guest(guest(50));
         }
         let mut st = PlacementState::new(&phys, &venv);
-        hosting_stage(&mut st, &[]).unwrap();
+        hosting_stage(&mut st, &[], HostingPolicy::Paper).unwrap();
         assert!(st.is_complete());
     }
 
@@ -432,7 +430,7 @@ mod tests {
         let a = venv.add_guest(guest(100));
         venv.add_link(a, a, link(999.0));
         let mut st = PlacementState::new(&phys, &venv);
-        hosting_stage(&mut st, &links_by_descending_bw(&venv)).unwrap();
+        host_paper(&mut st).unwrap();
         assert!(st.host_of(a).is_some());
     }
 
@@ -483,7 +481,7 @@ mod tests {
         let b = venv.add_guest(guest(100));
         venv.add_link(a, b, link(100.0));
         let mut st = PlacementState::new(&phys, &venv);
-        hosting_stage(&mut st, &links_by_descending_bw(&venv)).unwrap();
+        host_paper(&mut st).unwrap();
         // Both go to the 3000 MIPS host (most available CPU).
         assert_eq!(st.host_of(a), Some(phys.hosts()[1]));
         assert_eq!(st.host_of(b), Some(phys.hosts()[1]));
@@ -526,7 +524,7 @@ mod policy_tests {
     fn paper_policy_splits_the_pair() {
         let (phys, venv) = adversarial();
         let mut st = PlacementState::new(&phys, &venv);
-        hosting_stage_with(
+        hosting_stage(
             &mut st,
             &links_by_descending_bw(&venv),
             HostingPolicy::Paper,
@@ -545,7 +543,7 @@ mod policy_tests {
     fn first_fit_colocation_keeps_the_pair_together() {
         let (phys, venv) = adversarial();
         let mut st = PlacementState::new(&phys, &venv);
-        hosting_stage_with(
+        hosting_stage(
             &mut st,
             &links_by_descending_bw(&venv),
             HostingPolicy::FirstFitColocation,

@@ -14,12 +14,12 @@
 
 use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
 use crate::mapper::{MapOutcome, MapStats, Mapper};
 use crate::migration::migration_stage;
 use crate::networking::NetworkingStats;
 use crate::state::PlacementState;
-use emumap_graph::algo::k_shortest_paths_csr;
+use emumap_graph::algo::k_shortest_paths;
 use emumap_model::{Mapping, PhysicalTopology, Route, VLinkId, VirtualEnvironment};
 use emumap_trace::{Phase, PhaseCounters, TraceEvent};
 use rand::RngCore;
@@ -28,22 +28,13 @@ use std::time::Instant;
 /// Routes `links` with Yen's K-cheapest-latency paths, committing
 /// bandwidth into `state`. Returns the route table, or the first
 /// unroutable link.
-pub fn networking_stage_ksp(
-    state: &mut PlacementState<'_>,
-    links: &[VLinkId],
-    k: usize,
-) -> Result<(Vec<Route>, NetworkingStats), MapError> {
-    networking_stage_ksp_with(state, links, k, &mut MapCache::new())
-}
-
-/// [`networking_stage_ksp`] with a caller-owned [`MapCache`].
 ///
-/// The cache contributes its `ar[]` latency tables as an early-exit: the
+/// `cache` contributes its `ar[]` latency tables as an early-exit: the
 /// Dijkstra distance is the minimum latency over *all* paths, so when it
 /// already exceeds the link's bound no candidate from Yen's enumeration
 /// can pass the `p.cost <= bound` filter and the (expensive) enumeration
 /// is skipped. The accept/reject outcome per link is unchanged.
-pub fn networking_stage_ksp_with(
+pub fn networking_stage_ksp(
     state: &mut PlacementState<'_>,
     links: &[VLinkId],
     k: usize,
@@ -95,8 +86,7 @@ pub fn networking_stage_ksp_with(
         // residuals, so commitments by earlier links are respected. The
         // cached CSR snapshot spares Yen's algorithm an O(V + E) adjacency
         // rebuild per link.
-        let candidates =
-            k_shortest_paths_csr(phys.graph(), csr, hs, hd, k, |_, link| link.lat.value());
+        let candidates = k_shortest_paths(phys.graph(), csr, hs, hd, k, |_, link| link.lat.value());
         let chosen = candidates.into_iter().find(|p| {
             p.cost <= spec.lat.value() + 1e-9 && state.residual().route_feasible(&p.edges, spec.bw)
         });
@@ -146,15 +136,6 @@ impl Mapper for HmnKsp {
         "HMN-ksp"
     }
 
-    fn map(
-        &self,
-        phys: &PhysicalTopology,
-        venv: &VirtualEnvironment,
-        rng: &mut dyn RngCore,
-    ) -> Result<MapOutcome, MapError> {
-        self.map_with_cache(phys, venv, rng, &mut MapCache::new())
-    }
-
     fn map_with_cache(
         &self,
         phys: &PhysicalTopology,
@@ -175,7 +156,7 @@ impl Mapper for HmnKsp {
         cache.trace.emit(|| TraceEvent::PhaseStart {
             phase: Phase::Hosting,
         });
-        let hosting = match hosting_stage(&mut state, &links) {
+        let hosting = match hosting_stage(&mut state, &links, HostingPolicy::Paper) {
             Ok(h) => h,
             Err(e) => {
                 // Close the open phase even on failure: trace consumers
@@ -222,7 +203,7 @@ impl Mapper for HmnKsp {
         cache.trace.emit(|| TraceEvent::PhaseStart {
             phase: Phase::Networking,
         });
-        let (routes, net) = match networking_stage_ksp_with(&mut state, &links, self.k, cache) {
+        let (routes, net) = match networking_stage_ksp(&mut state, &links, self.k, cache) {
             Ok(r) => r,
             Err(e) => {
                 cache.trace.emit(|| TraceEvent::PhaseEnd {
@@ -395,6 +376,6 @@ mod tests {
         );
         let venv = VirtualEnvironment::new();
         let mut state = PlacementState::new(&phys, &venv);
-        let _ = networking_stage_ksp(&mut state, &[], 0);
+        let _ = networking_stage_ksp(&mut state, &[], 0, &mut MapCache::new());
     }
 }

@@ -84,36 +84,29 @@ mod state;
 pub mod tempering;
 
 pub use annealing::{Annealing, AnnealingConfig};
-pub use astar_prune::{
-    astar_prune, astar_prune_with, AStarPruneConfig, PathMetric, RouteScratch, SearchStats,
-};
+pub use astar_prune::{astar_prune, AStarPruneConfig, PathMetric, RouteScratch, SearchStats};
 pub use cache::{AnnealScratch, ArTables, MapCache, RoundingScratch};
 pub use consolidation::{drain_stage, ConsolidatingHmn, DrainStats};
-pub use dfs_routing::{
-    hop_distances, naive_dfs_route, naive_dfs_route_csr, naive_dfs_route_with, DfsScratch,
-    WANDER_PROBABILITY,
-};
+pub use dfs_routing::{naive_dfs_route, DfsScratch, WANDER_PROBABILITY};
 pub use diagnostics::{
     cluster_diagnostics, diagnose_route, residual_max_flow, ClusterDiagnostics, RouteVerdict,
 };
 pub use error::MapError;
 pub use exact::{
-    residual_stddev_lower_bound, solve_exact, solve_exact_with, BoundKind, ExactConfig,
-    ExactOutcome, ExactSolution, ExactStats, ExactStatus,
+    residual_stddev_lower_bound, solve_exact_with, BoundKind, ExactConfig, ExactOutcome,
+    ExactSolution, ExactStats, ExactStatus,
 };
 pub use greedy::{BestFit, FirstFitDecreasing, WorstFit};
 pub use hmn::{Hmn, HmnConfig, LinkOrder};
-pub use hosting::{
-    hosting_stage, hosting_stage_with, links_by_descending_bw, HostingPolicy, HostingStats,
-};
-pub use ksp_routing::{networking_stage_ksp, networking_stage_ksp_with, HmnKsp};
+pub use hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingStats};
+pub use ksp_routing::{networking_stage_ksp, HmnKsp};
 pub use lagrangian::{
     lagrangian_bound, lagrangian_bound_for_partial, tightest_peer_bounds, LagrangianBound,
     LagrangianConfig, LagrangianScratch, NodeView,
 };
 pub use mapper::{MapOutcome, MapStats, Mapper};
 pub use migration::{migration_stage, migration_stage_exhaustive, MigrationPolicy, MigrationStats};
-pub use networking::{networking_stage, networking_stage_with, NetworkingStats};
+pub use networking::{networking_stage, NetworkingStats};
 pub use parallel::{ParallelRunner, PhaseTotals};
 pub use pool::{HeuristicPool, PoolPolicy};
 pub use random::{HostingDfs, RandomAStar, RandomDfs, DEFAULT_MAX_ATTEMPTS};

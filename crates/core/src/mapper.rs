@@ -128,31 +128,30 @@ pub trait Mapper {
     /// matches the mapper's label in the [registry](crate::MAPPERS).
     fn name(&self) -> &str;
 
-    /// Attempts to map `venv` onto `phys`.
-    fn map(
-        &self,
-        phys: &PhysicalTopology,
-        venv: &VirtualEnvironment,
-        rng: &mut dyn RngCore,
-    ) -> Result<MapOutcome, MapError>;
-
-    /// [`map`](Self::map) with a caller-owned [`MapCache`] of reusable
-    /// topology tables and scratch buffers.
+    /// Attempts to map `venv` onto `phys`, reusing the caller-owned
+    /// [`MapCache`] of topology tables and scratch buffers.
     ///
     /// The cache is strictly an accelerator: implementations must return
     /// bit-identical outcomes (mapping, routes, objective) for any cache
     /// history, so batch harnesses can keep one warm cache per worker
-    /// thread. The default ignores the cache and delegates to `map`;
-    /// mappers with cacheable hot paths override it.
+    /// thread.
     fn map_with_cache(
         &self,
         phys: &PhysicalTopology,
         venv: &VirtualEnvironment,
         rng: &mut dyn RngCore,
         cache: &mut MapCache,
+    ) -> Result<MapOutcome, MapError>;
+
+    /// [`map_with_cache`](Self::map_with_cache) on a fresh [`MapCache`],
+    /// for one-shot callers.
+    fn map(
+        &self,
+        phys: &PhysicalTopology,
+        venv: &VirtualEnvironment,
+        rng: &mut dyn RngCore,
     ) -> Result<MapOutcome, MapError> {
-        let _ = cache;
-        self.map(phys, venv, rng)
+        self.map_with_cache(phys, venv, rng, &mut MapCache::new())
     }
 }
 

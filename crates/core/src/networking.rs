@@ -7,7 +7,7 @@
 //! share a host are "handled inside the host" and never routed — §5.2
 //! credits this for the Figure 1 variance.
 
-use crate::astar_prune::{astar_prune_with, AStarPruneConfig, SearchStats};
+use crate::astar_prune::{astar_prune, AStarPruneConfig, SearchStats};
 use crate::cache::MapCache;
 use crate::diagnostics::diagnose_route;
 use crate::error::MapError;
@@ -36,28 +36,16 @@ pub struct NetworkingStats {
 /// Returns the route table indexed by [`VLinkId::index`] and stats, or the
 /// first unroutable link.
 ///
-/// Convenience wrapper over [`networking_stage_with`] using a fresh
-/// [`MapCache`] — one-shot callers; the bench runner and parallel workers
-/// keep a warm cache instead.
-pub fn networking_stage(
-    state: &mut PlacementState<'_>,
-    links: &[VLinkId],
-    config: &AStarPruneConfig,
-) -> Result<(Vec<Route>, NetworkingStats), MapError> {
-    networking_stage_with(state, links, config, &mut MapCache::new())
-}
-
-/// [`networking_stage`] with a caller-owned [`MapCache`].
-///
 /// `ar[]` tables (Dijkstra latency-to-destination) are cached per
-/// destination host: §5.2 observes that "most part of mapping time is
-/// spend in the Networking stage to calculate the shortest path of each
-/// host to the link destination", and with thousands of links over 40
+/// destination host in `cache`: §5.2 observes that "most part of mapping
+/// time is spend in the Networking stage to calculate the shortest path of
+/// each host to the link destination", and with thousands of links over 40
 /// hosts the cache collapses that cost to at most `hosts` runs — and,
 /// because the tables depend only on topology latencies, a warm cache
 /// carries them across trials on the same cluster, recording those
-/// lookups in [`NetworkingStats::ar_cache_hits`].
-pub fn networking_stage_with(
+/// lookups in [`NetworkingStats::ar_cache_hits`]. One-shot callers pass
+/// [`MapCache::new`].
+pub fn networking_stage(
     state: &mut PlacementState<'_>,
     links: &[VLinkId],
     config: &AStarPruneConfig,
@@ -95,7 +83,7 @@ pub fn networking_stage_with(
         }
         let spec = *venv.link(l);
         let (ar, csr) = topo.ar_and_csr(phys, hd);
-        let Some((edges, search)) = astar_prune_with(
+        let Some((edges, search)) = astar_prune(
             phys,
             state.residual(),
             hs,
@@ -145,6 +133,12 @@ mod tests {
         Mips, PhysicalTopology, StorGb, VLinkSpec, VirtualEnvironment, VmmOverhead,
     };
 
+    /// Routes every link, heaviest first, on a fresh cache.
+    fn route_all(st: &mut PlacementState<'_>) -> Result<(Vec<Route>, NetworkingStats), MapError> {
+        let links = links_by_descending_bw(st.venv());
+        networking_stage(st, &links, &Default::default(), &mut MapCache::new())
+    }
+
     fn phys_line(n: usize, bw: f64) -> PhysicalTopology {
         PhysicalTopology::from_shape(
             &generators::line(n),
@@ -171,8 +165,7 @@ mod tests {
         st.assign(a, phys.hosts()[0]).unwrap();
         st.assign(b, phys.hosts()[0]).unwrap();
         st.assign(c, phys.hosts()[2]).unwrap();
-        let (routes, stats) =
-            networking_stage(&mut st, &links_by_descending_bw(&venv), &Default::default()).unwrap();
+        let (routes, stats) = route_all(&mut st).unwrap();
         assert_eq!(stats.intra_host_links, 1);
         assert_eq!(stats.routed_links, 1);
         assert!(routes[0].is_intra_host());
@@ -199,8 +192,7 @@ mod tests {
         let mut st = PlacementState::new(&phys, &venv);
         st.assign(a, phys.hosts()[0]).unwrap();
         st.assign(b, phys.hosts()[1]).unwrap();
-        let err = networking_stage(&mut st, &links_by_descending_bw(&venv), &Default::default())
-            .unwrap_err();
+        let err = route_all(&mut st).unwrap_err();
         assert!(matches!(err, MapError::NetworkingFailed { .. }));
     }
 
@@ -225,8 +217,7 @@ mod tests {
         let mut st = PlacementState::new(&phys, &venv);
         st.assign(a, phys.hosts()[0]).unwrap();
         st.assign(b, phys.hosts()[2]).unwrap();
-        let (routes, _) =
-            networking_stage(&mut st, &links_by_descending_bw(&venv), &Default::default()).unwrap();
+        let (routes, _) = route_all(&mut st).unwrap();
         // Each side of the ring carries one link (80+60 > 100 rules out
         // sharing).
         let h: std::collections::HashSet<_> = routes[heavy.index()].edges().iter().collect();
@@ -249,8 +240,7 @@ mod tests {
         for (i, &gg) in g.iter().enumerate() {
             st.assign(gg, phys.hosts()[i]).unwrap();
         }
-        let (_, stats) =
-            networking_stage(&mut st, &links_by_descending_bw(&venv), &Default::default()).unwrap();
+        let (_, stats) = route_all(&mut st).unwrap();
         // Destination host is the same for all three links (undirected
         // edges: endpoint order from add_link is preserved, so hd is
         // guest 3's host every time).
@@ -277,14 +267,14 @@ mod tests {
         let mut st = PlacementState::new(&phys, &venv);
         place(&mut st);
         let (routes_cold, cold) =
-            networking_stage_with(&mut st, &links, &Default::default(), &mut cache).unwrap();
+            networking_stage(&mut st, &links, &Default::default(), &mut cache).unwrap();
         assert_eq!(cold.dijkstra_runs, 1);
 
         // Second "trial" on the same topology: the ar[] table survives.
         let mut st = PlacementState::new(&phys, &venv);
         place(&mut st);
         let (routes_warm, warm) =
-            networking_stage_with(&mut st, &links, &Default::default(), &mut cache).unwrap();
+            networking_stage(&mut st, &links, &Default::default(), &mut cache).unwrap();
         assert_eq!(warm.dijkstra_runs, 0, "warm cache recomputes nothing");
         assert_eq!(warm.ar_cache_hits, 3);
         assert_eq!(routes_cold, routes_warm, "cache must not change routes");
@@ -301,7 +291,8 @@ mod tests {
         let mut st = PlacementState::new(&phys, &venv);
         st.assign(a, phys.hosts()[0]).unwrap();
         st.assign(b, phys.hosts()[3]).unwrap();
-        let err = networking_stage(&mut st, &[l], &Default::default()).unwrap_err();
+        let err =
+            networking_stage(&mut st, &[l], &Default::default(), &mut MapCache::new()).unwrap_err();
         assert_eq!(err, MapError::NetworkingFailed { link: l });
     }
 
@@ -313,7 +304,8 @@ mod tests {
         let mut st = PlacementState::new(&phys, &venv);
         st.assign(GuestId::from_index(0), phys.hosts()[0]).unwrap();
         let _ = a;
-        let (routes, stats) = networking_stage(&mut st, &[], &Default::default()).unwrap();
+        let (routes, stats) =
+            networking_stage(&mut st, &[], &Default::default(), &mut MapCache::new()).unwrap();
         assert!(routes.is_empty());
         assert_eq!(stats.routed_links, 0);
     }

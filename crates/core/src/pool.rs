@@ -2,6 +2,7 @@
 //! the emulator a pool of different heuristics that might be selected
 //! according to the emulated scenario."
 
+use crate::cache::MapCache;
 use crate::error::MapError;
 use crate::mapper::{MapOutcome, Mapper};
 use emumap_model::{PhysicalTopology, VirtualEnvironment};
@@ -60,17 +61,18 @@ impl Mapper for HeuristicPool {
         &self.name
     }
 
-    fn map(
+    fn map_with_cache(
         &self,
         phys: &PhysicalTopology,
         venv: &VirtualEnvironment,
         rng: &mut dyn RngCore,
+        cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
         match self.policy {
             PoolPolicy::FirstSuccess => {
                 let mut last_err = None;
                 for m in &self.members {
-                    match m.map(phys, venv, rng) {
+                    match m.map_with_cache(phys, venv, rng, cache) {
                         Ok(out) => return Ok(out),
                         Err(e) => last_err = Some(e),
                     }
@@ -81,7 +83,7 @@ impl Mapper for HeuristicPool {
                 let mut best: Option<MapOutcome> = None;
                 let mut last_err = None;
                 for m in &self.members {
-                    match m.map(phys, venv, rng) {
+                    match m.map_with_cache(phys, venv, rng, cache) {
                         Ok(out) => {
                             let better = best
                                 .as_ref()
@@ -113,11 +115,12 @@ mod tests {
         fn name(&self) -> &str {
             "fail"
         }
-        fn map(
+        fn map_with_cache(
             &self,
             _phys: &PhysicalTopology,
             _venv: &VirtualEnvironment,
             _rng: &mut dyn RngCore,
+            _cache: &mut MapCache,
         ) -> Result<MapOutcome, MapError> {
             Err(MapError::HostingFailed {
                 guest: GuestId::from_index(0),
@@ -131,11 +134,12 @@ mod tests {
         fn name(&self) -> &str {
             "fixed"
         }
-        fn map(
+        fn map_with_cache(
             &self,
             phys: &PhysicalTopology,
             venv: &VirtualEnvironment,
             _rng: &mut dyn RngCore,
+            _cache: &mut MapCache,
         ) -> Result<MapOutcome, MapError> {
             let host = phys.hosts()[self.0];
             let mapping = Mapping::new(

@@ -26,11 +26,11 @@
 
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
-use crate::dfs_routing::naive_dfs_route_csr;
+use crate::dfs_routing::naive_dfs_route;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
 use crate::mapper::{MapOutcome, MapStats, Mapper};
-use crate::networking::networking_stage_with;
+use crate::networking::networking_stage;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{Mapping, PhysicalTopology, Route, VirtualEnvironment};
@@ -109,7 +109,7 @@ fn dfs_routing(
         }
         let spec = *venv.link(l);
         let (hops, csr) = topo.hops_and_csr(phys, hd);
-        match naive_dfs_route_csr(
+        match naive_dfs_route(
             phys,
             csr,
             state.residual(),
@@ -168,15 +168,6 @@ impl Default for RandomDfs {
 impl Mapper for RandomDfs {
     fn name(&self) -> &str {
         "R"
-    }
-
-    fn map(
-        &self,
-        phys: &PhysicalTopology,
-        venv: &VirtualEnvironment,
-        rng: &mut dyn RngCore,
-    ) -> Result<MapOutcome, MapError> {
-        self.map_with_cache(phys, venv, rng, &mut MapCache::new())
     }
 
     fn map_with_cache(
@@ -262,15 +253,6 @@ impl Mapper for RandomAStar {
         "RA"
     }
 
-    fn map(
-        &self,
-        phys: &PhysicalTopology,
-        venv: &VirtualEnvironment,
-        rng: &mut dyn RngCore,
-    ) -> Result<MapOutcome, MapError> {
-        self.map_with_cache(phys, venv, rng, &mut MapCache::new())
-    }
-
     fn map_with_cache(
         &self,
         phys: &PhysicalTopology,
@@ -293,7 +275,7 @@ impl Mapper for RandomAStar {
             }
             let placement_time = t_place.elapsed();
             let t_route = Instant::now();
-            match networking_stage_with(&mut state, &links, &self.astar, cache) {
+            match networking_stage(&mut state, &links, &self.astar, cache) {
                 Ok((routes, net)) => {
                     let stats = MapStats {
                         attempts: attempt,
@@ -352,15 +334,6 @@ impl Mapper for HostingDfs {
         "HS"
     }
 
-    fn map(
-        &self,
-        phys: &PhysicalTopology,
-        venv: &VirtualEnvironment,
-        rng: &mut dyn RngCore,
-    ) -> Result<MapOutcome, MapError> {
-        self.map_with_cache(phys, venv, rng, &mut MapCache::new())
-    }
-
     fn map_with_cache(
         &self,
         phys: &PhysicalTopology,
@@ -380,7 +353,7 @@ impl Mapper for HostingDfs {
             phase: Phase::Hosting,
         });
         let t_place = Instant::now();
-        let hosting = match hosting_stage(&mut state, &links) {
+        let hosting = match hosting_stage(&mut state, &links, HostingPolicy::Paper) {
             Ok(h) => h,
             Err(e) => {
                 // Close the open phase even on failure: trace consumers

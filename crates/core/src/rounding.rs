@@ -46,10 +46,10 @@ use crate::hmn::elapsed_us;
 use crate::hosting::links_by_descending_bw;
 use crate::mapper::{MapOutcome, MapStats, Mapper};
 use crate::migration::{migration_stage, migration_stage_exhaustive, MigrationPolicy};
-use crate::networking::networking_stage_with;
+use crate::networking::networking_stage;
 use crate::random::DEFAULT_MAX_ATTEMPTS;
 use crate::state::PlacementState;
-use emumap_graph::algo::dijkstra_csr;
+use emumap_graph::algo::dijkstra;
 use emumap_model::{Mapping, PhysicalTopology, VirtualEnvironment};
 use emumap_trace::{Phase, PhaseCounters, TraceEvent};
 use rand::{Rng, RngCore};
@@ -220,7 +220,7 @@ fn solve_fractional(
                 continue;
             }
             let prices = &rs.edge_prices;
-            let result = dijkstra_csr(graph, topo.csr(), hosts[hi], |e, link| {
+            let result = dijkstra(graph, topo.csr(), hosts[hi], |e, link| {
                 link.lat.value().max(LAT_EPSILON) * prices[e.index()]
             });
             dmax = result
@@ -394,15 +394,6 @@ impl Mapper for RandomizedRounding {
         "RR"
     }
 
-    fn map(
-        &self,
-        phys: &PhysicalTopology,
-        venv: &VirtualEnvironment,
-        rng: &mut dyn RngCore,
-    ) -> Result<MapOutcome, MapError> {
-        self.map_with_cache(phys, venv, rng, &mut MapCache::new())
-    }
-
     fn map_with_cache(
         &self,
         phys: &PhysicalTopology,
@@ -523,7 +514,7 @@ impl Mapper for RandomizedRounding {
         let t = Instant::now();
         let links = links_by_descending_bw(venv);
         let reuses_before = cache.scratch.reuses();
-        let net_result = networking_stage_with(&mut state, &links, &self.config.astar, cache);
+        let net_result = networking_stage(&mut state, &links, &self.config.astar, cache);
         let (routes, net) = match net_result {
             Ok(ok) => ok,
             Err(e) => {

@@ -13,9 +13,9 @@
 //! An `apply` embeds the incoming venv against a **derived topology**: the
 //! base graph with every host's capacities replaced by its current
 //! residuals and every link's bandwidth by its residual bandwidth, with
-//! latencies untouched. Latency preservation is load-bearing — the
-//! [`ArTables`](crate::ArTables) fingerprint covers endpoints and
-//! latencies but *not* bandwidth, so the warm Dijkstra tables carry over
+//! latencies untouched. It is built by `PhysicalTopology::with_capacities`,
+//! which keeps the base's ids, latencies and generation — the key of the
+//! [`ArTables`](crate::ArTables) — so the warm Dijkstra tables carry over
 //! across admissions and only the Networking stage's residual-bandwidth
 //! checks see the drained links.
 //!
@@ -37,10 +37,9 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use emumap_graph::Graph;
 use emumap_model::{
-    validate_mapping, HostSpec, Kbps, LinkSpec, Mapping, MemMb, Mips, ObjectiveAccumulator,
-    PhysNode, PhysicalTopology, ResidualState, StorGb, VirtualEnvironment, VmmOverhead,
+    validate_mapping, HostSpec, Kbps, Mapping, MemMb, Mips, ObjectiveAccumulator, PhysicalTopology,
+    ResidualState, StorGb, VirtualEnvironment,
 };
 use emumap_trace::{RequestKind, ServeCounters, TraceEvent};
 use rand::rngs::SmallRng;
@@ -510,40 +509,23 @@ impl Session {
         Ok(restored)
     }
 
-    /// Rebuilds the base graph with every capacity replaced by its
-    /// residual (latencies untouched) — what an incoming venv is embedded
-    /// against. Node and edge insertion order mirror the base graph, so
-    /// ids, host slots, and the latency fingerprint all carry over.
+    /// The base topology with every capacity replaced by its residual
+    /// (latencies untouched) — what an incoming venv is embedded against.
+    /// It keeps the base's ids and generation, so the cache's Dijkstra
+    /// tables stay warm across applies.
     fn derived_topology(&self) -> PhysicalTopology {
-        let base = self.phys.graph();
-        let mut g: Graph<PhysNode, LinkSpec> =
-            Graph::with_capacity(base.node_count(), base.edge_count());
-        for (id, node) in base.nodes() {
-            let derived = match node {
-                PhysNode::Host(_) => {
-                    let slot = self
-                        .residual
-                        .slot_of(id)
-                        .expect("every host has a residual slot");
-                    PhysNode::Host(HostSpec::new(
-                        Mips(self.residual.proc_column()[slot]),
-                        MemMb(self.residual.mem_column()[slot]),
-                        StorGb(self.residual.stor_column()[slot].max(0.0)),
-                    ))
-                }
-                PhysNode::Switch => PhysNode::Switch,
-            };
-            let new_id = g.add_node(derived);
-            debug_assert_eq!(new_id, id);
-        }
-        for e in base.edges() {
-            let bw = Kbps(self.residual.bw(e.id).value().max(0.0));
-            let new_id = g.add_edge(e.a, e.b, LinkSpec::new(bw, e.weight.lat));
-            debug_assert_eq!(new_id, e.id);
-        }
-        let derived = PhysicalTopology::from_graph(g, VmmOverhead::NONE);
-        debug_assert_eq!(derived.hosts(), self.phys.hosts());
-        derived
+        let residual = &self.residual;
+        self.phys.with_capacities(
+            |h| {
+                let slot = residual.slot_of(h).expect("every host has a residual slot");
+                HostSpec::new(
+                    Mips(residual.proc_column()[slot]),
+                    MemMb(residual.mem_column()[slot]),
+                    StorGb(residual.stor_column()[slot].max(0.0)),
+                )
+            },
+            |e| Kbps(residual.bw(e).value().max(0.0)),
+        )
     }
 
     /// Adopts the canonical from-scratch residual rebuild (see module
@@ -624,7 +606,7 @@ mod tests {
     use crate::tempering::{ParallelTempering, TemperingConfig};
     use crate::Hmn;
     use emumap_graph::generators;
-    use emumap_model::{GuestSpec, Millis, VLinkSpec};
+    use emumap_model::{GuestSpec, LinkSpec, Millis, VLinkSpec, VmmOverhead};
 
     fn phys() -> PhysicalTopology {
         PhysicalTopology::from_shape(
@@ -680,6 +662,37 @@ mod tests {
         assert_eq!(end.counters.removed, 2);
         assert_eq!(end.counters.active_tenants, 0);
         assert_eq!(end.residual_mem, end.capacity_mem);
+    }
+
+    #[test]
+    fn dijkstra_tables_stay_warm_across_applies() {
+        // Guests too big to share a host, so every link is routed.
+        let mut v = VirtualEnvironment::new();
+        let g: Vec<_> = (0..3)
+            .map(|_| v.add_guest(GuestSpec::new(Mips(100.0), MemMb(1500), StorGb(100.0))))
+            .collect();
+        for pair in g.windows(2) {
+            v.add_link(pair[0], pair[1], VLinkSpec::new(Kbps(500.0), Millis(60.0)));
+        }
+        let mut session = Session::new(phys(), 3);
+        let hmn = Hmn::new();
+        assert!(matches!(
+            session.apply("a", v.clone(), &hmn),
+            ApplyOutcome::Admitted(_)
+        ));
+        let runs = session.cache_mut().topo.dijkstra_runs();
+        assert!(runs > 0, "the first apply builds its tables");
+        // Pristine residuals again, so the same destination hosts come up.
+        session.remove("a").unwrap();
+        assert!(matches!(
+            session.apply("b", v, &hmn),
+            ApplyOutcome::Admitted(_)
+        ));
+        assert_eq!(
+            session.cache_mut().topo.dijkstra_runs(),
+            runs,
+            "a new derived topology must reuse the tabled destinations"
+        );
     }
 
     #[test]

@@ -28,10 +28,10 @@
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
 use crate::mapper::{MapOutcome, MapStats, Mapper};
 use crate::migration::migration_stage;
-use crate::networking::networking_stage_with;
+use crate::networking::networking_stage;
 use crate::parallel::ParallelRunner;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
@@ -183,15 +183,6 @@ impl Mapper for ParallelTempering {
         "PT"
     }
 
-    fn map(
-        &self,
-        phys: &PhysicalTopology,
-        venv: &VirtualEnvironment,
-        rng: &mut dyn RngCore,
-    ) -> Result<MapOutcome, MapError> {
-        self.map_with_cache(phys, venv, rng, &mut MapCache::new())
-    }
-
     fn map_with_cache(
         &self,
         phys: &PhysicalTopology,
@@ -223,7 +214,7 @@ impl Mapper for ParallelTempering {
         let mut hosting_counters = PhaseCounters::default();
         let seed_placement: Option<Vec<NodeId>> = if cfg.seed_with_hosting {
             let mut state = PlacementState::new(phys, venv);
-            let h = match hosting_stage(&mut state, &links) {
+            let h = match hosting_stage(&mut state, &links, HostingPolicy::Paper) {
                 Ok(h) => h,
                 Err(e) => {
                     // Close the open phase even on failure: trace
@@ -429,7 +420,7 @@ impl Mapper for ParallelTempering {
         cache.trace.emit(|| TraceEvent::PhaseStart {
             phase: Phase::Networking,
         });
-        let (routes, net) = match networking_stage_with(&mut state, &links, &cfg.astar, cache) {
+        let (routes, net) = match networking_stage(&mut state, &links, &cfg.astar, cache) {
             Ok(r) => r,
             Err(e) => {
                 cache.trace.emit(|| TraceEvent::PhaseEnd {
@@ -631,7 +622,7 @@ mod tests {
         // with the same machinery the mapper uses.
         let links = links_by_descending_bw(&v);
         let mut state = PlacementState::new(&p, &v);
-        hosting_stage(&mut state, &links).unwrap();
+        hosting_stage(&mut state, &links, HostingPolicy::Paper).unwrap();
         migration_stage(&mut state);
         let seed_placement = state.into_placement();
         let total_bw: f64 = v.link_ids().map(|l| v.link(l).bw.value()).sum();

@@ -2,12 +2,14 @@
 //! enumerate every latency-feasible simple path and verify that the
 //! modified 1-constrained A*Prune returns a path whose bottleneck residual
 //! bandwidth is maximal (the paper's widest-path selection rule), subject
-//! to both constraints.
+//! to both constraints. On larger random clusters, check that scratch
+//! history never reaches a result and that dominance pruning only returns
+//! feasible paths.
 
-use emumap_core::{astar_prune, AStarPruneConfig};
+use emumap_core::{astar_prune, AStarPruneConfig, RouteScratch};
 use emumap_graph::algo::dijkstra;
 use emumap_graph::generators::random_connected;
-use emumap_graph::{EdgeId, Graph, NodeId};
+use emumap_graph::{CsrAdjacency, EdgeId, Graph, NodeId};
 use emumap_model::{
     HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, PhysNode, PhysicalTopology, ResidualState,
     StorGb, VmmOverhead,
@@ -104,6 +106,115 @@ fn random_phys(n: usize, density: f64, seed: u64) -> (PhysicalTopology, Residual
     (phys, residual)
 }
 
+/// A random connected cluster with heterogeneous link bandwidths and
+/// latencies (uniform links would make most checks vacuous — every path
+/// ties). Pure function of the inputs.
+fn build_cluster(hosts: usize, density: f64, seed: u64) -> PhysicalTopology {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let shape = random_connected(hosts, density, &mut rng);
+    let mut g: Graph<PhysNode, LinkSpec> = Graph::with_capacity(shape.node_count(), 0);
+    let ids: Vec<NodeId> = (0..shape.node_count())
+        .map(|_| {
+            g.add_node(PhysNode::Host(HostSpec::new(
+                Mips(2000.0),
+                MemMb::from_gb(2),
+                StorGb(500.0),
+            )))
+        })
+        .collect();
+    for e in shape.edges() {
+        let bw = Kbps(rng.gen_range(100.0..2000.0));
+        let lat = Millis(rng.gen_range(1.0..10.0));
+        g.add_edge(ids[e.a.index()], ids[e.b.index()], LinkSpec::new(bw, lat));
+    }
+    PhysicalTopology::from_graph(g, VmmOverhead::NONE)
+}
+
+fn arb_cluster() -> impl Strategy<Value = (PhysicalTopology, u64)> {
+    (3usize..40, 0.0f64..0.5, any::<u64>())
+        .prop_map(|(hosts, density, seed)| (build_cluster(hosts, density, seed), seed))
+}
+
+/// Picks two distinct hosts, a pure function of (phys, seed).
+fn pick_pair(phys: &PhysicalTopology, seed: u64) -> (NodeId, NodeId) {
+    let hosts = phys.hosts();
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x51f3);
+    let a = hosts[rng.gen_range(0..hosts.len())];
+    let b = loop {
+        let b = hosts[rng.gen_range(0..hosts.len())];
+        if b != a {
+            break b;
+        }
+    };
+    (a, b)
+}
+
+/// The latency `ar[]` table rooted at `dest`.
+fn ar_table(phys: &PhysicalTopology, csr: &CsrAdjacency, dest: NodeId) -> Vec<f64> {
+    dijkstra(phys.graph(), csr, dest, |_, l| l.lat.value())
+        .distances()
+        .to_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A search on a scratch dirtied by earlier searches equals one on
+    /// `RouteScratch::new()`: scratch history must never leak into a
+    /// result.
+    #[test]
+    fn astar_prune_warm_scratch_matches_fresh((phys, seed) in arb_cluster()) {
+        let csr = phys.graph().to_csr();
+        let residual = ResidualState::new(&phys);
+        let config = AStarPruneConfig::default();
+        let mut dirty = RouteScratch::new();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xa5a5);
+        for trial in 0..3u64 {
+            let (origin, dest) = pick_pair(&phys, seed ^ trial);
+            let ar = ar_table(&phys, &csr, dest);
+            let demand = Kbps(rng.gen_range(1.0..300.0));
+            let bound = Millis(rng.gen_range(5.0..60.0));
+            let fresh = astar_prune(
+                &phys, &residual, origin, dest, demand, bound, &ar, &config, &csr,
+                &mut RouteScratch::new(),
+            );
+            let warm = astar_prune(
+                &phys, &residual, origin, dest, demand, bound, &ar, &config, &csr, &mut dirty,
+            );
+            prop_assert_eq!(fresh, warm);
+        }
+    }
+
+    /// Dominance pruning is a heuristic (it may tie-break differently),
+    /// but any path it returns must satisfy the same feasibility
+    /// contract as the exhaustive search: demand fits every edge and the
+    /// latency bound holds.
+    #[test]
+    fn dominance_pruned_paths_are_feasible((phys, seed) in arb_cluster()) {
+        let csr = phys.graph().to_csr();
+        let residual = ResidualState::new(&phys);
+        let (origin, dest) = pick_pair(&phys, seed);
+        let ar = ar_table(&phys, &csr, dest);
+        let config = AStarPruneConfig {
+            prune_dominated: true,
+            ..Default::default()
+        };
+        let demand = Kbps(150.0);
+        let bound = Millis(45.0);
+        if let Some((path, stats)) = astar_prune(
+            &phys, &residual, origin, dest, demand, bound, &ar, &config, &csr,
+            &mut RouteScratch::new(),
+        ) {
+            let lat: f64 = path.iter().map(|&e| phys.link(e).lat.value()).sum();
+            prop_assert!(lat <= bound.value() + 1e-9);
+            for &e in &path {
+                prop_assert!(residual.bw(e).value() >= demand.value());
+            }
+            prop_assert!(stats.expanded > 0);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -130,7 +241,8 @@ proptest! {
             }
         });
 
-        let ar: Vec<f64> = dijkstra(phys.graph(), to, |_, l| l.lat.value())
+        let csr = phys.graph().to_csr();
+        let ar: Vec<f64> = dijkstra(phys.graph(), &csr, to, |_, l| l.lat.value())
             .distances()
             .to_vec();
         let found = astar_prune(
@@ -142,6 +254,8 @@ proptest! {
             Millis(bound),
             &ar,
             &AStarPruneConfig::default(),
+            &csr,
+            &mut RouteScratch::new(),
         );
 
         match (best, found) {

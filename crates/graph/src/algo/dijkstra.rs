@@ -2,10 +2,10 @@
 //!
 //! The Networking stage of HMN needs one-to-all *latency* distances toward
 //! each virtual-link destination (the admissible lower bound `ar[]` in the
-//! paper's Algorithm 1), so the primary entry point computes the full
-//! distance vector; [`dijkstra_path`] additionally reconstructs one path.
+//! paper's Algorithm 1), so the one entry point computes the full distance
+//! vector; [`DijkstraResult::path_to`] reconstructs one path from it.
 
-use crate::{CsrAdjacency, EdgeId, Graph, NeighborRef, NodeId};
+use crate::{CsrAdjacency, EdgeId, Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -75,28 +75,14 @@ impl DijkstraResult {
 }
 
 /// Runs Dijkstra from `source`, with the cost of each edge given by
-/// `cost(edge_id, payload)`.
+/// `cost(edge_id, payload)`, iterating neighbors through `csr`.
 ///
-/// Costs must be non-negative and finite; this is debug-asserted. Undirected
-/// edges are relaxed in both directions.
-pub fn dijkstra<N, E, F>(graph: &Graph<N, E>, source: NodeId, mut cost: F) -> DijkstraResult
-where
-    F: FnMut(EdgeId, &E) -> f64,
-{
-    dijkstra_core(graph.node_count(), source, |v, relax| {
-        for nb in graph.neighbors(v) {
-            relax(nb, cost(nb.edge, graph.edge(nb.edge)));
-        }
-    })
-}
-
-/// [`dijkstra`] iterating neighbors through a pre-built [`CsrAdjacency`]
-/// snapshot instead of the graph's native per-node adjacency vectors — the
-/// hot-path variant used when many runs share one topology (the `ar[]`
-/// tables of HMN's Networking stage).
-///
-/// `csr` must be a snapshot of `graph` (debug-asserted on node count).
-pub fn dijkstra_csr<N, E, F>(
+/// `csr` must be a [`Graph::to_csr`] snapshot of `graph` (debug-asserted on
+/// node count): one-shot callers pass `&graph.to_csr()`, loops build it
+/// once, and the `ar[]` table cache of HMN's Networking stage keeps one
+/// per topology. Costs must be non-negative and finite; this is
+/// debug-asserted. Undirected edges are relaxed in both directions.
+pub fn dijkstra<N, E, F>(
     graph: &Graph<N, E>,
     csr: &CsrAdjacency,
     source: NodeId,
@@ -110,19 +96,7 @@ where
         graph.node_count(),
         "CSR snapshot does not match this graph"
     );
-    dijkstra_core(graph.node_count(), source, |v, relax| {
-        for &nb in csr.neighbors(v) {
-            relax(nb, cost(nb.edge, graph.edge(nb.edge)));
-        }
-    })
-}
-
-/// The shared relaxation loop: `neighbors(v, relax)` must call
-/// `relax(neighbor, edge_cost)` once per incident edge of `v`.
-fn dijkstra_core<G>(n: usize, source: NodeId, mut neighbors: G) -> DijkstraResult
-where
-    G: FnMut(NodeId, &mut dyn FnMut(NeighborRef, f64)),
-{
+    let n = graph.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
     // Max-heap of Reverse(OrderedCost) — f64 is not Ord, so store the bit
@@ -138,7 +112,8 @@ where
         if d > dist[v.index()] {
             continue; // stale entry
         }
-        neighbors(v, &mut |nb, w| {
+        for &nb in csr.neighbors(v) {
+            let w = cost(nb.edge, graph.edge(nb.edge));
             debug_assert!(
                 w >= 0.0 && w.is_finite(),
                 "dijkstra requires non-negative finite edge costs, got {w}"
@@ -149,29 +124,10 @@ where
                 prev[nb.node.index()] = Some((v, nb.edge));
                 heap.push(Reverse((nd.to_bits(), nb.node.index() as u32)));
             }
-        });
+        }
     }
 
     DijkstraResult { source, dist, prev }
-}
-
-/// Convenience: shortest path from `source` to `target` as
-/// `(total_cost, node_path)`, or `None` if unreachable.
-pub fn dijkstra_path<N, E, F>(
-    graph: &Graph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    cost: F,
-) -> Option<(f64, Vec<NodeId>)>
-where
-    F: FnMut(EdgeId, &E) -> f64,
-{
-    let result = dijkstra(graph, source, cost);
-    let d = result.distance(target)?;
-    Some((
-        d,
-        result.path_to(target).expect("reachable target has a path"),
-    ))
 }
 
 #[cfg(test)]
@@ -200,7 +156,7 @@ mod tests {
     #[test]
     fn distances_match_hand_computation() {
         let (g, ids) = weighted();
-        let r = dijkstra(&g, ids[0], |_, w| *w);
+        let r = dijkstra(&g, &g.to_csr(), ids[0], |_, w| *w);
         assert_eq!(r.distance(ids[0]), Some(0.0));
         assert_eq!(r.distance(ids[2]), Some(1.0));
         assert_eq!(r.distance(ids[1]), Some(3.0)); // 0-2-1
@@ -211,15 +167,16 @@ mod tests {
     #[test]
     fn path_reconstruction() {
         let (g, ids) = weighted();
-        let (d, path) = dijkstra_path(&g, ids[0], ids[3], |_, w| *w).unwrap();
-        assert_eq!(d, 4.0);
+        let r = dijkstra(&g, &g.to_csr(), ids[0], |_, w| *w);
+        let path = r.path_to(ids[3]).unwrap();
+        assert_eq!(r.distance(ids[3]), Some(4.0));
         assert_eq!(path, vec![ids[0], ids[2], ids[1], ids[3]]);
     }
 
     #[test]
     fn edge_path_lengths_are_consistent() {
         let (g, ids) = weighted();
-        let r = dijkstra(&g, ids[0], |_, w| *w);
+        let r = dijkstra(&g, &g.to_csr(), ids[0], |_, w| *w);
         let edges = r.edge_path_to(ids[4]).unwrap();
         let total: f64 = edges.iter().map(|&e| *g.edge(e)).sum();
         assert_eq!(total, 7.0);
@@ -231,10 +188,10 @@ mod tests {
         let mut g: Graph<(), f64> = Graph::new();
         let a = g.add_node(());
         let b = g.add_node(());
-        let r = dijkstra(&g, a, |_, w| *w);
+        let r = dijkstra(&g, &g.to_csr(), a, |_, w| *w);
         assert_eq!(r.distance(b), None);
         assert!(r.path_to(b).is_none());
-        assert!(dijkstra_path(&g, a, b, |_, w| *w).is_none());
+        assert!(r.edge_path_to(b).is_none());
     }
 
     #[test]
@@ -245,7 +202,7 @@ mod tests {
         let c = g.add_node(());
         g.add_edge(a, b, 0.0);
         g.add_edge(b, c, 0.0);
-        let r = dijkstra(&g, a, |_, w| *w);
+        let r = dijkstra(&g, &g.to_csr(), a, |_, w| *w);
         assert_eq!(r.distance(c), Some(0.0));
     }
 
@@ -256,19 +213,8 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, b, 5.0);
         g.add_edge(a, b, 2.0);
-        let (d, _) = dijkstra_path(&g, a, b, |_, w| *w).unwrap();
-        assert_eq!(d, 2.0);
-    }
-
-    #[test]
-    fn csr_variant_matches_native_dijkstra() {
-        let (g, ids) = weighted();
-        let csr = g.to_csr();
-        for &src in &ids {
-            let a = dijkstra(&g, src, |_, w| *w);
-            let b = dijkstra_csr(&g, &csr, src, |_, w| *w);
-            assert_eq!(a.distances(), b.distances());
-        }
+        let r = dijkstra(&g, &g.to_csr(), a, |_, w| *w);
+        assert_eq!(r.distance(b), Some(2.0));
     }
 
     #[test]
@@ -278,7 +224,7 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, a, 0.0);
         g.add_edge(a, b, 3.0);
-        let r = dijkstra(&g, a, |_, w| *w);
+        let r = dijkstra(&g, &g.to_csr(), a, |_, w| *w);
         assert_eq!(r.distance(b), Some(3.0));
     }
 }

@@ -94,30 +94,10 @@ where
 }
 
 /// Returns up to `k` cheapest simple paths from `source` to `target` in
-/// ascending cost order (Yen's algorithm). Returns fewer than `k` when the
-/// graph has fewer simple paths. Costs must be non-negative.
-///
-/// Builds a one-shot CSR snapshot internally; callers that already hold a
-/// cached [`CsrAdjacency`] for the graph should use
-/// [`k_shortest_paths_csr`] to skip the O(V + E) rebuild per call.
+/// ascending cost order (Yen's algorithm), iterating neighbors through
+/// `csr`, a [`Graph::to_csr`] snapshot of `graph`. Returns fewer than `k`
+/// when the graph has fewer simple paths. Costs must be non-negative.
 pub fn k_shortest_paths<N, E, F>(
-    graph: &Graph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    k: usize,
-    cost: F,
-) -> Vec<CostedPath>
-where
-    F: FnMut(EdgeId, &E) -> f64,
-{
-    k_shortest_paths_csr(graph, &graph.to_csr(), source, target, k, cost)
-}
-
-/// [`k_shortest_paths`] iterating neighbors through a pre-built
-/// [`CsrAdjacency`] snapshot of `graph`. The snapshot must come from
-/// [`Graph::to_csr`] on this graph (neighbor order matches, so results are
-/// identical to the edge-list path).
-pub fn k_shortest_paths_csr<N, E, F>(
     graph: &Graph<N, E>,
     csr: &CsrAdjacency,
     source: NodeId,
@@ -229,7 +209,7 @@ mod tests {
     fn yen_reference_example() {
         let (g, ids) = yen_graph();
         let (c, h) = (ids[0], ids[5]);
-        let paths = k_shortest_paths(&g, c, h, 3, |_, w| *w);
+        let paths = k_shortest_paths(&g, &g.to_csr(), c, h, 3, |_, w| *w);
         assert_eq!(paths.len(), 3);
         // Undirected version of Yen's example still has C-E-F-H = 5 as the
         // shortest path.
@@ -241,7 +221,7 @@ mod tests {
     #[test]
     fn paths_are_simple_and_connect_endpoints() {
         let (g, ids) = yen_graph();
-        let paths = k_shortest_paths(&g, ids[0], ids[5], 10, |_, w| *w);
+        let paths = k_shortest_paths(&g, &g.to_csr(), ids[0], ids[5], 10, |_, w| *w);
         assert!(paths.len() >= 3);
         for p in &paths {
             assert_eq!(p.nodes.first(), Some(&ids[0]));
@@ -259,7 +239,7 @@ mod tests {
     #[test]
     fn all_paths_distinct() {
         let (g, ids) = yen_graph();
-        let paths = k_shortest_paths(&g, ids[0], ids[5], 20, |_, w| *w);
+        let paths = k_shortest_paths(&g, &g.to_csr(), ids[0], ids[5], 20, |_, w| *w);
         for i in 0..paths.len() {
             for j in (i + 1)..paths.len() {
                 assert_ne!(paths[i].nodes, paths[j].nodes);
@@ -270,11 +250,11 @@ mod tests {
     #[test]
     fn k_zero_and_unreachable() {
         let (g, ids) = yen_graph();
-        assert!(k_shortest_paths(&g, ids[0], ids[5], 0, |_, w| *w).is_empty());
+        assert!(k_shortest_paths(&g, &g.to_csr(), ids[0], ids[5], 0, |_, w| *w).is_empty());
         let mut g2: Graph<(), f64> = Graph::new();
         let a = g2.add_node(());
         let b = g2.add_node(());
-        assert!(k_shortest_paths(&g2, a, b, 3, |_, w| *w).is_empty());
+        assert!(k_shortest_paths(&g2, &g2.to_csr(), a, b, 3, |_, w| *w).is_empty());
     }
 
     #[test]
@@ -287,19 +267,10 @@ mod tests {
         g.add_edge(a, b, 1.0);
         g.add_edge(b, c, 1.0);
         g.add_edge(a, c, 1.0);
-        let paths = k_shortest_paths(&g, a, c, 10, |_, w| *w);
+        let paths = k_shortest_paths(&g, &g.to_csr(), a, c, 10, |_, w| *w);
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].cost, 1.0);
         assert_eq!(paths[1].cost, 2.0);
-    }
-
-    #[test]
-    fn csr_variant_matches_edge_list_entry_point() {
-        let (g, ids) = yen_graph();
-        let csr = g.to_csr();
-        let a = k_shortest_paths(&g, ids[0], ids[5], 10, |_, w| *w);
-        let b = k_shortest_paths_csr(&g, &csr, ids[0], ids[5], 10, |_, w| *w);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -308,6 +279,7 @@ mod tests {
         let g = shape.map_edges(|_, _| 1.0f64);
         let paths = k_shortest_paths(
             &g,
+            &g.to_csr(),
             NodeId::from_index(0),
             NodeId::from_index(2),
             5,

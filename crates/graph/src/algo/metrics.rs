@@ -4,7 +4,7 @@
 //! `diameter x hop latency` can ever be satisfied between worst-case host
 //! pairs") and by tests characterizing the generated topologies.
 
-use crate::algo::dijkstra::dijkstra;
+use crate::algo::dijkstra::{dijkstra, DijkstraResult};
 use crate::{EdgeId, Graph, NodeId};
 
 /// Eccentricity of `node`: the greatest shortest-path cost from it to any
@@ -14,11 +14,15 @@ pub fn eccentricity<N, E, F>(graph: &Graph<N, E>, node: NodeId, cost: F) -> Opti
 where
     F: FnMut(EdgeId, &E) -> f64,
 {
-    let result = dijkstra(graph, node, cost);
+    farthest(graph, &dijkstra(graph, &graph.to_csr(), node, cost))
+}
+
+/// The greatest distance in `result`, or `None` if some node of `graph`
+/// is unreachable.
+fn farthest<N, E>(graph: &Graph<N, E>, result: &DijkstraResult) -> Option<f64> {
     let mut max = 0.0f64;
     for v in graph.node_ids() {
-        let d = result.distance(v)?;
-        max = max.max(d);
+        max = max.max(result.distance(v)?);
     }
     Some(max)
 }
@@ -32,9 +36,10 @@ where
     if graph.node_count() == 0 {
         return None;
     }
+    let csr = graph.to_csr();
     let mut max = 0.0f64;
     for v in graph.node_ids() {
-        max = max.max(eccentricity(graph, v, &mut cost)?);
+        max = max.max(farthest(graph, &dijkstra(graph, &csr, v, &mut cost))?);
     }
     Some(max)
 }
@@ -49,9 +54,10 @@ where
     if n < 2 {
         return None;
     }
+    let csr = graph.to_csr();
     let mut total = 0.0;
     for v in graph.node_ids() {
-        let result = dijkstra(graph, v, &mut cost);
+        let result = dijkstra(graph, &csr, v, &mut cost);
         for u in graph.node_ids() {
             if u != v {
                 total += result.distance(u)?;

@@ -10,8 +10,8 @@ mod traversal;
 mod union_find;
 
 pub use components::{connected_components, is_connected};
-pub use dijkstra::{dijkstra, dijkstra_csr, dijkstra_path, DijkstraResult};
-pub use ksp::{k_shortest_paths, k_shortest_paths_csr, CostedPath};
+pub use dijkstra::{dijkstra, DijkstraResult};
+pub use ksp::{k_shortest_paths, CostedPath};
 pub use maxflow::max_flow;
 pub use metrics::{average_path_cost, diameter, eccentricity};
 pub use traversal::{bfs_order, bfs_path, dfs_order, dfs_path_filtered};

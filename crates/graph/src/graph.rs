@@ -61,8 +61,8 @@ impl<'g, E> EdgeRef<'g, E> {
 /// iteration becomes a contiguous slice scan with no pointer chasing.
 ///
 /// The snapshot is immutable; edges added to the graph afterwards are not
-/// reflected. Callers that cache a `CsrAdjacency` across calls guard it
-/// with a topology fingerprint (see `emumap-core`'s `ArTables`).
+/// reflected. Callers that cache a `CsrAdjacency` across calls key it by
+/// the topology's generation (see `emumap-core`'s `ArTables`).
 #[derive(Clone, Debug, Default)]
 pub struct CsrAdjacency {
     /// `offsets[v]..offsets[v + 1]` indexes `neighbors` for node `v`;

@@ -45,7 +45,7 @@ proptest! {
     fn dijkstra_distances_satisfy_triangle_inequality((g, _) in arb_connected_graph()) {
         // For every edge (u,v): dist(s,v) <= dist(s,u) + w(u,v).
         let s = NodeId::from_index(0);
-        let r = dijkstra(&g, s, |_, w| *w);
+        let r = dijkstra(&g, &g.to_csr(), s, |_, w| *w);
         for e in g.edges() {
             let du = r.distance(e.a).unwrap();
             let dv = r.distance(e.b).unwrap();
@@ -58,7 +58,7 @@ proptest! {
     fn dijkstra_path_cost_equals_reported_distance((g, _) in arb_connected_graph()) {
         let s = NodeId::from_index(0);
         let t = NodeId::from_index(g.node_count() - 1);
-        let r = dijkstra(&g, s, |_, w| *w);
+        let r = dijkstra(&g, &g.to_csr(), s, |_, w| *w);
         let edges = r.edge_path_to(t).unwrap();
         let total: f64 = edges.iter().map(|&e| *g.edge(e)).sum();
         prop_assert!((total - r.distance(t).unwrap()).abs() < 1e-9);
@@ -69,7 +69,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = random_connected(n, d, &mut rng);
         let s = NodeId::from_index(0);
-        let r = dijkstra(&g, s, |_, _| 1.0);
+        let r = dijkstra(&g, &g.to_csr(), s, |_, _| 1.0);
         for t in g.node_ids() {
             let hops = bfs_path(&g, s, t).unwrap().len() - 1;
             prop_assert_eq!(r.distance(t).unwrap() as usize, hops);
@@ -151,7 +151,7 @@ proptest! {
     fn ring_shortest_path_wraps(n in 3usize..40) {
         let g = ring(n);
         let s = NodeId::from_index(0);
-        let r = dijkstra(&g, s, |_, _| 1.0);
+        let r = dijkstra(&g, &g.to_csr(), s, |_, _| 1.0);
         for k in 0..n {
             let t = NodeId::from_index(k);
             let expect = k.min(n - k) as f64;
@@ -168,7 +168,7 @@ fn fat_tree_hosts_reach_each_other_within_six_hops() {
         .filter(|(_, r)| **r == Role::Host)
         .map(|(id, _)| id)
         .collect();
-    let r = dijkstra(&g, hosts[0], |_, _| 1.0);
+    let r = dijkstra(&g, &g.to_csr(), hosts[0], |_, _| 1.0);
     for &h in &hosts {
         assert!(r.distance(h).unwrap() <= 6.0);
     }
@@ -196,10 +196,10 @@ proptest! {
     fn ksp_is_sorted_simple_and_starts_with_dijkstra((g, _) in arb_small_connected_graph()) {
         let s = NodeId::from_index(0);
         let t = NodeId::from_index(g.node_count() - 1);
-        let paths = emumap_graph::algo::k_shortest_paths(&g, s, t, 4, |_, w| *w);
+        let paths = emumap_graph::algo::k_shortest_paths(&g, &g.to_csr(), s, t, 4, |_, w| *w);
         prop_assert!(!paths.is_empty());
         // First path cost equals the Dijkstra distance.
-        let d = dijkstra(&g, s, |_, w| *w).distance(t).unwrap();
+        let d = dijkstra(&g, &g.to_csr(), s, |_, w| *w).distance(t).unwrap();
         prop_assert!((paths[0].cost - d).abs() < 1e-9);
         // Sorted, simple, endpoint-correct, cost-consistent.
         for w in paths.windows(2) {
@@ -242,7 +242,7 @@ proptest! {
     fn diameter_bounds_every_dijkstra_distance((g, _) in arb_small_connected_graph()) {
         let d = emumap_graph::algo::diameter(&g, |_, w| *w).unwrap();
         let s = NodeId::from_index(0);
-        let r = dijkstra(&g, s, |_, w| *w);
+        let r = dijkstra(&g, &g.to_csr(), s, |_, w| *w);
         for v in g.node_ids() {
             prop_assert!(r.distance(v).unwrap() <= d + 1e-9);
         }

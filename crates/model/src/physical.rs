@@ -107,12 +107,13 @@ pub struct PhysicalTopology {
     graph: Graph<PhysNode, LinkSpec>,
     hosts: Vec<NodeId>,
     vmm: VmmOverhead,
-    /// Identity of this topology for cache invalidation. Two values built
-    /// in the same process never share a generation unless one is a clone
-    /// of the other (a clone *is* the same topology: there are no
-    /// mutators). Not serialized — a deserialized topology gets a fresh
-    /// id, so caches warmed on other content can never be mistaken for
-    /// current.
+    /// Identity of this topology's shape, ids and link latencies for cache
+    /// invalidation. Two values built in the same process share a
+    /// generation only if one is a clone of the other or was derived from
+    /// it by [`with_capacities`](Self::with_capacities); neither can change
+    /// the shape, ids or latencies (there are no mutators). Not serialized
+    /// — a deserialized topology gets a fresh id, so caches warmed on
+    /// other content can never be mistaken for current.
     generation: u64,
 }
 
@@ -265,10 +266,36 @@ impl PhysicalTopology {
         self.hosts.iter().map(|&h| self.effective_proc(h)).sum()
     }
 
+    /// A copy of this topology whose hosts have the capacities `host(node)`
+    /// and whose links have the bandwidth `link_bw(edge)`. The shape, the
+    /// node and edge ids, the link latencies and the
+    /// [`generation`](Self::generation) are kept, so caches of
+    /// latency-derived tables stay warm across the copy. The new
+    /// capacities are taken as effective ones: the copy carries no VMM
+    /// overhead.
+    pub fn with_capacities(
+        &self,
+        mut host: impl FnMut(NodeId) -> HostSpec,
+        mut link_bw: impl FnMut(EdgeId) -> Kbps,
+    ) -> PhysicalTopology {
+        let mut graph = self.graph.clone();
+        for &h in &self.hosts {
+            *graph.node_mut(h) = PhysNode::Host(host(h));
+        }
+        for e in self.graph.edge_ids() {
+            graph.edge_mut(e).bw = link_bw(e);
+        }
+        PhysicalTopology {
+            graph,
+            hosts: self.hosts.clone(),
+            vmm: VmmOverhead::NONE,
+            generation: self.generation,
+        }
+    }
+
     /// Cache-invalidation identity (see the field doc). O(1); equal
-    /// generations imply identical topology content, but not vice versa —
-    /// caches that miss on generation should fall back to a content
-    /// fingerprint before rebuilding.
+    /// generations imply identical shape, ids and link latencies, but not
+    /// vice versa. Host capacities and link bandwidths may differ.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -440,6 +467,43 @@ mod tests {
         let back: PhysicalTopology = serde_json::from_str(&json).unwrap();
         assert_ne!(phys.generation(), back.generation());
         assert_eq!(phys.host_count(), back.host_count());
+    }
+
+    #[test]
+    fn with_capacities_keeps_shape_ids_latencies_and_generation() {
+        let phys = PhysicalTopology::from_shape(
+            &generators::switched_cascade(4, 8),
+            std::iter::repeat(uniform_spec()),
+            paper_link(),
+            VmmOverhead {
+                proc: Mips(100.0),
+                mem: MemMb(0),
+                stor: StorGb(0.0),
+            },
+        );
+        let small = HostSpec::new(Mips(7.0), MemMb(8), StorGb(9.0));
+        let copy = phys.with_capacities(|_| small, |e| Kbps(e.index() as f64));
+        assert_eq!(copy.generation(), phys.generation());
+        assert_eq!(copy.hosts(), phys.hosts());
+        assert_eq!(copy.vmm_overhead(), VmmOverhead::NONE);
+        for (id, node) in phys.graph().nodes() {
+            assert_eq!(copy.is_host(id), node.is_host());
+        }
+        for &h in copy.hosts() {
+            assert_eq!(*copy.host_spec(h), small);
+            assert_eq!(copy.effective_proc(h), Mips(7.0));
+        }
+        for e in phys.graph().edge_ids() {
+            assert_eq!(copy.graph().endpoints(e), phys.graph().endpoints(e));
+            assert_eq!(copy.link(e).lat, phys.link(e).lat);
+            assert_eq!(copy.link(e).bw, Kbps(e.index() as f64));
+        }
+        let rebuilt = PhysicalTopology::from_graph(copy.graph().clone(), VmmOverhead::NONE);
+        assert_ne!(
+            rebuilt.generation(),
+            phys.generation(),
+            "from_graph is a fresh build"
+        );
     }
 
     #[test]

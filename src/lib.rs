@@ -57,15 +57,15 @@ pub use emumap_workloads as workloads;
 pub mod prelude {
     pub use emumap_core::{
         build_mapper, cluster_diagnostics, diagnose_route, lagrangian_bound_for_partial,
-        residual_stddev_lower_bound, solve_exact, solve_exact_with, tightest_peer_bounds,
-        AStarPruneConfig, AdmitReport, Annealing, AnnealingConfig, ApplyOutcome, ArTables, BestFit,
-        BoundKind, ClusterDiagnostics, ConsolidatingHmn, ExactConfig, ExactOutcome, ExactSolution,
-        ExactStats, ExactStatus, FirstFitDecreasing, HeuristicPool, Hmn, HmnConfig, HmnKsp,
-        HostingDfs, HostingPolicy, LagrangianBound, LagrangianConfig, LagrangianScratch, LinkOrder,
-        MapCache, MapError, MapOutcome, MapStats, Mapper, MapperConfig, MapperEntry,
-        MigrationPolicy, PathMetric, PoolPolicy, RandomAStar, RandomDfs, RandomizedRounding,
-        RemoveReport, RoundingConfig, RouteVerdict, ServeError, Session, Snapshot, StatusReport,
-        TenantRecord, WorstFit, MAPPERS,
+        residual_stddev_lower_bound, solve_exact_with, tightest_peer_bounds, AStarPruneConfig,
+        AdmitReport, Annealing, AnnealingConfig, ApplyOutcome, ArTables, BestFit, BoundKind,
+        ClusterDiagnostics, ConsolidatingHmn, ExactConfig, ExactOutcome, ExactSolution, ExactStats,
+        ExactStatus, FirstFitDecreasing, HeuristicPool, Hmn, HmnConfig, HmnKsp, HostingDfs,
+        HostingPolicy, LagrangianBound, LagrangianConfig, LagrangianScratch, LinkOrder, MapCache,
+        MapError, MapOutcome, MapStats, Mapper, MapperConfig, MapperEntry, MigrationPolicy,
+        PathMetric, PoolPolicy, RandomAStar, RandomDfs, RandomizedRounding, RemoveReport,
+        RoundingConfig, RouteVerdict, ServeError, Session, Snapshot, StatusReport, TenantRecord,
+        WorstFit, MAPPERS,
     };
     pub use emumap_graph::{generators, EdgeId, Graph, NodeId};
     pub use emumap_model::{

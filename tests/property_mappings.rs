@@ -164,7 +164,7 @@ fn differential_check(phys: &PhysicalTopology, venv: &VirtualEnvironment, seed: 
 fn admissibility_check(phys: &PhysicalTopology, venv: &VirtualEnvironment, seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let hmn = Hmn::new().map(phys, venv, &mut rng);
-    let outcome = solve_exact(phys, venv, &oracle_config());
+    let outcome = solve_exact_with(phys, venv, &oracle_config(), &mut MapCache::new(), &[]);
     match outcome.status {
         ExactStatus::Optimal => {
             let best = outcome.best.as_ref().expect("Optimal implies an incumbent");

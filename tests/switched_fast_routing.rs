@@ -69,7 +69,10 @@ fn switched_dijkstra_cache_needs_at_most_one_run_per_destination_host() {
     // times however many links it routes.
     use emumap::mapping::hosting::links_by_descending_bw;
     use emumap::mapping::networking::networking_stage;
-    use emumap::mapping::{hosting::hosting_stage, PlacementState};
+    use emumap::mapping::{
+        hosting::{hosting_stage, HostingPolicy},
+        PlacementState,
+    };
 
     let cluster = ClusterSpec::paper();
     let scenario = Scenario {
@@ -80,8 +83,9 @@ fn switched_dijkstra_cache_needs_at_most_one_run_per_destination_host() {
     let inst = instantiate(&cluster, ClusterSpec::paper_switched(), &scenario, 0, 5);
     let links = links_by_descending_bw(&inst.venv);
     let mut st = PlacementState::new(&inst.phys, &inst.venv);
-    hosting_stage(&mut st, &links).expect("hostable");
-    let (_, stats) = networking_stage(&mut st, &links, &Default::default()).expect("routable");
+    hosting_stage(&mut st, &links, HostingPolicy::Paper).expect("hostable");
+    let (_, stats) = networking_stage(&mut st, &links, &Default::default(), &mut MapCache::new())
+        .expect("routable");
     assert!(stats.dijkstra_runs <= inst.phys.host_count());
     assert!(
         stats.routed_links > stats.dijkstra_runs,
