@@ -55,9 +55,7 @@ fn bench_graph_algorithms(c: &mut Criterion) {
             },
         );
 
-        let ar: Vec<f64> = dijkstra(phys.graph(), &csr, dst, |_, l| l.lat.value())
-            .distances()
-            .to_vec();
+        let ar: Vec<f64> = dijkstra(phys.graph(), &csr, dst, |_, l| l.lat.value()).into_distances();
         group.bench_with_input(BenchmarkId::new("astar_prune", name), &phys, |b, phys| {
             let mut scratch = RouteScratch::new();
             b.iter(|| {
@@ -79,9 +77,7 @@ fn bench_graph_algorithms(c: &mut Criterion) {
             })
         });
 
-        let hops: Vec<f64> = dijkstra(phys.graph(), &csr, dst, |_, _| 1.0)
-            .distances()
-            .to_vec();
+        let hops: Vec<f64> = dijkstra(phys.graph(), &csr, dst, |_, _| 1.0).into_distances();
         group.bench_with_input(BenchmarkId::new("naive_dfs", name), &phys, |b, phys| {
             let mut rng = SmallRng::seed_from_u64(1);
             let mut scratch = DfsScratch::new();

@@ -20,7 +20,14 @@
 //!   `g + h`-style estimate.)
 //!
 //! Partial paths are stored in an arena (parent-pointer tree) so expanding
-//! a path is O(1) in memory instead of cloning edge vectors.
+//! a path is O(1) in memory instead of cloning edge vectors. The candidate
+//! heap holds 32-byte entries: the arena index plus a key of three `u64`s
+//! that encode the path's bottleneck, latency and hop count so that integer
+//! order is the selection order (ties go to the earlier push), and the
+//! three values are decoded from the key when a candidate is popped. The
+//! loop check (Eq. 7) is O(1) per neighbour: each expansion stamps the
+//! nodes of its partial path into a per-node array and a neighbour is on
+//! the path iff it carries the current stamp.
 
 use emumap_graph::{CsrAdjacency, EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
@@ -103,24 +110,47 @@ struct PathNode {
 
 const ROOT: u32 = u32::MAX;
 
-/// A candidate in the priority queue. `key` is built so that the
-/// lexicographic max-order of `BinaryHeap` pops the best candidate first
-/// under either metric.
-#[derive(Debug)]
+/// A candidate in the priority queue: the partial path's arena slot and a
+/// key of three integers whose lexicographic max-order pops the best
+/// candidate first under either metric.
+///
+/// The key stores the path's bottleneck, latency and hop count in an
+/// order-preserving integer form (see [`ord`]), so comparing two candidates
+/// is three `u64` compares, and the values are decoded back from it on pop
+/// ([`Candidate::unpack`]) instead of being stored twice. Ties on the whole
+/// key go to the smaller arena index, i.e. the earlier push (FIFO): arena
+/// slots are allocated in push order, so the index is the push sequence.
+#[derive(Debug, PartialEq, Eq)]
 struct Candidate {
-    key: [f64; 4],
+    key: [u64; 3],
     arena_index: u32,
-    bottleneck: f64,
-    latency: f64,
-    hops: u32,
 }
 
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+// The heap moves candidates on every push and pop; keep them at 32 bytes.
+const _: () = assert!(std::mem::size_of::<Candidate>() == 32);
+
+impl Candidate {
+    fn new(metric: PathMetric, bottleneck: f64, latency: f64, hops: u32, arena_index: u32) -> Self {
+        let (b, lat, hops) = (ord(bottleneck), !ord(latency), !u64::from(hops));
+        let key = match metric {
+            // Max bottleneck; among equals, min latency, then min hops.
+            PathMetric::BottleneckBandwidth => [b, lat, hops],
+            PathMetric::HopCount => [hops, b, lat],
+        };
+        Candidate { key, arena_index }
+    }
+
+    /// `(bottleneck, latency, hops)` as passed to [`Candidate::new`], bit
+    /// for bit.
+    fn unpack(&self, metric: PathMetric) -> (f64, f64, u32) {
+        let [b, lat, hops] = match metric {
+            PathMetric::BottleneckBandwidth => self.key,
+            PathMetric::HopCount => [self.key[1], self.key[2], self.key[0]],
+        };
+        (unord(b), unord(!lat), !hops as u32)
     }
 }
-impl Eq for Candidate {}
+
 impl PartialOrd for Candidate {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -128,27 +158,31 @@ impl PartialOrd for Candidate {
 }
 impl Ord for Candidate {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        for (a, b) in self.key.iter().zip(other.key.iter()) {
-            match a.total_cmp(b) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        std::cmp::Ordering::Equal
+        self.key
+            .cmp(&other.key)
+            .then_with(|| other.arena_index.cmp(&self.arena_index))
     }
 }
 
-fn make_key(metric: PathMetric, bottleneck: f64, latency: f64, hops: u32, seq: u64) -> [f64; 4] {
-    match metric {
-        // Max bottleneck; among equals, min latency, then min hops, then
-        // FIFO (earlier pushes first) for full determinism.
-        PathMetric::BottleneckBandwidth => [bottleneck, -latency, -f64::from(hops), -(seq as f64)],
-        PathMetric::HopCount => [-f64::from(hops), bottleneck, -latency, -(seq as f64)],
+/// Maps a float to a `u64` whose unsigned order equals [`f64::total_cmp`]:
+/// floats with a clear sign bit get it set, the others are inverted.
+/// `!ord(x) == ord(-x)`, so `!` negates a key field.
+fn ord(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
     }
+}
+
+/// Inverse of [`ord`].
+fn unord(k: u64) -> f64 {
+    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
 }
 
 /// Reusable buffers for [`astar_prune`]: the partial-path arena, the
-/// candidate heap, and the on-path scratch.
+/// candidate heap, and the per-node on-path stamps.
 ///
 /// One search of a paper-scale instance pushes thousands of arena nodes and
 /// heap candidates; a mapping routes thousands of links, so a fresh
@@ -160,7 +194,11 @@ fn make_key(metric: PathMetric, bottleneck: f64, latency: f64, hops: u32, seq: u
 pub struct RouteScratch {
     arena: Vec<PathNode>,
     heap: BinaryHeap<Candidate>,
-    on_path: Vec<NodeId>,
+    /// Loop check (Eq. 7): `on_path[v] == stamp` iff node `v` lies on the
+    /// partial path being expanded. Every expansion takes a fresh stamp,
+    /// so nothing is cleared between expansions or searches.
+    on_path: Vec<u32>,
+    stamp: u32,
     /// Per-node Pareto labels `(bottleneck, latency, hops)` for dominance
     /// pruning; indexed by node, reset lazily via `touched`.
     labels: Vec<Vec<(f64, f64, u32)>>,
@@ -181,15 +219,18 @@ impl RouteScratch {
         self.reuses
     }
 
-    /// Clears the buffers for a new search, keeping their capacity.
-    fn begin(&mut self) {
+    /// Clears the buffers for a new search on a graph of `node_count`
+    /// nodes, keeping their capacity.
+    fn begin(&mut self, node_count: usize) {
         if self.warm {
             self.reuses += 1;
         }
         self.warm = true;
         self.arena.clear();
         self.heap.clear();
-        self.on_path.clear();
+        if self.on_path.len() < node_count {
+            self.on_path.resize(node_count, 0);
+        }
         for &t in &self.touched {
             self.labels[t as usize].clear();
         }
@@ -212,7 +253,8 @@ impl RouteScratch {
 /// `csr` is the topology's adjacency snapshot and `scratch` the search
 /// buffers; hot paths (the Networking stage, the parallel runner) hold
 /// both in a [`MapCache`](crate::MapCache). Results are identical for any
-/// scratch state: buffers are cleared on entry, so the search is a pure
+/// scratch state: buffers are cleared on entry and on-path marks from
+/// earlier expansions never equal the current stamp, so the search is a pure
 /// function of the other arguments, and it allocates nothing but the
 /// returned edge sequence once the buffers are warm.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's Algorithm 1 signature
@@ -236,16 +278,18 @@ pub fn astar_prune(
     let want = demand.value();
 
     // Root admissibility: if even the unconstrained latency from the origin
-    // exceeds the bound, no path can exist.
-    if config.use_latency_lower_bound && ar[origin.index()] > bound {
+    // exceeds the bound (with the inner prune's tolerance), no path can
+    // exist.
+    if config.use_latency_lower_bound && ar[origin.index()] > bound + 1e-9 {
         return None;
     }
 
-    scratch.begin();
+    scratch.begin(csr.node_count());
     let RouteScratch {
         arena,
         heap,
         on_path,
+        stamp,
         labels,
         touched,
         ..
@@ -258,25 +302,18 @@ pub fn astar_prune(
         edge: EdgeId::from_index(0),
         end: origin,
     });
-    let mut seq: u64 = 0;
-    heap.push(Candidate {
-        key: make_key(config.metric, f64::INFINITY, 0.0, 0, seq),
-        arena_index: 0,
-        bottleneck: f64::INFINITY,
-        latency: 0.0,
-        hops: 0,
-    });
+    heap.push(Candidate::new(config.metric, f64::INFINITY, 0.0, 0, 0));
 
     while let Some(best) = heap.pop() {
         stats.expanded += 1;
         if stats.expanded > config.max_expansions {
             return None;
         }
-        let node = &arena[best.arena_index as usize];
-        let d = node.end;
+        let (best_bottleneck, best_latency, best_hops) = best.unpack(config.metric);
+        let d = arena[best.arena_index as usize].end;
         if d == destination {
             // Reconstruct the edge sequence.
-            let mut edges = Vec::with_capacity(best.hops as usize);
+            let mut edges = Vec::with_capacity(best_hops as usize);
             let mut cur = best.arena_index;
             while arena[cur as usize].parent != ROOT {
                 edges.push(arena[cur as usize].edge);
@@ -286,12 +323,18 @@ pub fn astar_prune(
             return Some((edges, stats));
         }
 
-        // Collect the nodes already on this partial path (loop check,
-        // Eq. 7).
-        on_path.clear();
+        // Stamp the nodes already on this partial path (loop check,
+        // Eq. 7). On wrap-around every old stamp is cleared, so a stale
+        // mark can never equal a live one.
+        if *stamp == u32::MAX {
+            on_path.fill(0);
+            *stamp = 0;
+        }
+        *stamp += 1;
+        let mark = *stamp;
         let mut cur = best.arena_index;
         loop {
-            on_path.push(arena[cur as usize].end);
+            on_path[arena[cur as usize].end.index()] = mark;
             let p = arena[cur as usize].parent;
             if p == ROOT {
                 break;
@@ -301,7 +344,7 @@ pub fn astar_prune(
 
         for &nb in csr.neighbors(d) {
             let h = nb.node;
-            if on_path.contains(&h) {
+            if on_path[h.index()] == mark {
                 continue;
             }
             // Bandwidth pruning: "links whose available bandwidth are
@@ -312,7 +355,7 @@ pub fn astar_prune(
             }
             // Latency pruning with the admissible Dijkstra bound.
             let step = phys.link(nb.edge).lat.value();
-            let acc = best.latency + step;
+            let acc = best_latency + step;
             let optimistic = if config.use_latency_lower_bound {
                 ar[h.index()]
             } else {
@@ -321,8 +364,8 @@ pub fn astar_prune(
             if acc + optimistic > bound + 1e-9 {
                 continue;
             }
-            let bottleneck = best.bottleneck.min(avail);
-            let hops = best.hops + 1;
+            let bottleneck = best_bottleneck.min(avail);
+            let hops = best_hops + 1;
             if config.prune_dominated {
                 let slot = &mut labels[h.index()];
                 if slot
@@ -344,15 +387,14 @@ pub fn astar_prune(
                 edge: nb.edge,
                 end: h,
             });
-            seq += 1;
             stats.pushed += 1;
-            heap.push(Candidate {
-                key: make_key(config.metric, bottleneck, acc, hops, seq),
-                arena_index,
+            heap.push(Candidate::new(
+                config.metric,
                 bottleneck,
-                latency: acc,
+                acc,
                 hops,
-            });
+                arena_index,
+            ));
         }
     }
     None
@@ -365,6 +407,154 @@ mod tests {
     use emumap_graph::generators;
     use emumap_graph::Graph;
     use emumap_model::{HostSpec, LinkSpec, MemMb, Mips, PhysNode, StorGb, VmmOverhead};
+    use proptest::prelude::*;
+    use std::cmp::Ordering;
+
+    /// The candidate key before the integer encoding: four floats compared
+    /// lexicographically with `total_cmp`, the push sequence negated last.
+    /// Kept as the reference [`Candidate::cmp`] must agree with.
+    fn reference_key(
+        metric: PathMetric,
+        bottleneck: f64,
+        latency: f64,
+        hops: u32,
+        seq: u32,
+    ) -> [f64; 4] {
+        let (hops, seq) = (f64::from(hops), f64::from(seq));
+        match metric {
+            PathMetric::BottleneckBandwidth => [bottleneck, -latency, -hops, -seq],
+            PathMetric::HopCount => [-hops, bottleneck, -latency, -seq],
+        }
+    }
+
+    fn reference_cmp(a: &[f64; 4], b: &[f64; 4]) -> Ordering {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// Bottleneck or latency values: the root's `INFINITY` and `0.0`,
+    /// `-0.0`, a few repeated values so keys often tie, or any float.
+    fn arb_value() -> impl Strategy<Value = f64> {
+        (0u8..5, 0u32..3, any::<f64>()).prop_map(|(kind, k, x)| match kind {
+            0 => f64::INFINITY,
+            1 => 0.0,
+            2 => -0.0,
+            3 => f64::from(k) * 5.0,
+            _ => x,
+        })
+    }
+
+    fn arb_count() -> impl Strategy<Value = u32> {
+        (any::<bool>(), 0u32..3, any::<u32>()).prop_map(|(small, k, x)| if small { k } else { x })
+    }
+
+    /// `(bottleneck, latency, hops, index)`.
+    fn arb_fields() -> impl Strategy<Value = (f64, f64, u32, u32)> {
+        (arb_value(), arb_value(), arb_count(), arb_count())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The integer key orders candidates exactly as the float key did,
+        /// including ties that only the push order breaks, and decodes
+        /// back to its inputs bit for bit.
+        #[test]
+        fn candidate_order_matches_float_reference(
+            a in arb_fields(),
+            b in arb_fields(),
+            tie in any::<bool>(),
+        ) {
+            // With `tie`, only the index differs.
+            let b = if tie { (a.0, a.1, a.2, b.3) } else { b };
+            for metric in [PathMetric::BottleneckBandwidth, PathMetric::HopCount] {
+                let ca = Candidate::new(metric, a.0, a.1, a.2, a.3);
+                let cb = Candidate::new(metric, b.0, b.1, b.2, b.3);
+                let ra = reference_key(metric, a.0, a.1, a.2, a.3);
+                let rb = reference_key(metric, b.0, b.1, b.2, b.3);
+                prop_assert_eq!(ca.cmp(&cb), reference_cmp(&ra, &rb));
+                let (bottleneck, latency, hops) = ca.unpack(metric);
+                prop_assert_eq!(bottleneck.to_bits(), a.0.to_bits());
+                prop_assert_eq!(latency.to_bits(), a.1.to_bits());
+                prop_assert_eq!(hops, a.2);
+            }
+        }
+    }
+
+    #[test]
+    fn root_admissibility_allows_rounding_slack() {
+        // Three 0.1 ms edges sum to 0.30000000000000004 ms, so `ar[origin]`
+        // exceeds a 0.3 ms bound by one ulp. The root test allows the same
+        // 1e-9 slack as the inner prune and the Eq. 8 validator.
+        let phys = phys_from_edges(
+            4,
+            &[(0, 1, 100.0, 0.1), (1, 2, 100.0, 0.1), (2, 3, 100.0, 0.1)],
+        );
+        assert!(ar_for(&phys, phys.hosts()[3])[0] > 0.3);
+        let path = run(&phys, 0, 3, 1.0, 0.3).expect("path within the bound");
+        assert_eq!(path.len(), 3);
+    }
+
+    #[test]
+    fn stamp_wrap_around_keeps_results() {
+        // A warm scratch whose stamp is about to wrap: its array holds
+        // marks from the warm-up that later stamps reuse, so the wrap must
+        // clear them for the results to match a fresh scratch.
+        let phys = PhysicalTopology::from_shape(
+            &generators::torus2d(5, 5),
+            std::iter::repeat(HostSpec::new(Mips(1000.0), MemMb(1024), StorGb(100.0))),
+            LinkSpec::new(Kbps(1000.0), Millis(5.0)),
+            VmmOverhead::NONE,
+        );
+        let residual = ResidualState::new(&phys);
+        let config = AStarPruneConfig::default();
+        let csr = phys.graph().to_csr();
+        let queries = [
+            (0usize, 12usize, 50.0),
+            (4, 20, 60.0),
+            (2, 17, 45.0),
+            (7, 18, 40.0),
+        ];
+        let mut warm = RouteScratch::new();
+        for (i, &(from, to, bound)) in queries.iter().enumerate() {
+            let dest = phys.hosts()[to];
+            let ar = ar_for(&phys, dest);
+            let origin = phys.hosts()[from];
+            let fresh = search(
+                &phys,
+                &residual,
+                origin,
+                dest,
+                Kbps(5.0),
+                Millis(bound),
+                &ar,
+                &config,
+            );
+            let reused = astar_prune(
+                &phys,
+                &residual,
+                origin,
+                dest,
+                Kbps(5.0),
+                Millis(bound),
+                &ar,
+                &config,
+                &csr,
+                &mut warm,
+            );
+            assert_eq!(fresh, reused);
+            if i == 0 {
+                warm.stamp = u32::MAX - 1;
+            }
+        }
+        assert!(
+            warm.stamp < u32::MAX - 1,
+            "the searches must cross the wrap-around"
+        );
+    }
 
     /// Physical topology from explicit edges `(a, b, bw, lat)`.
     fn phys_from_edges(n: usize, edges: &[(usize, usize, f64, f64)]) -> PhysicalTopology {
@@ -388,8 +578,7 @@ mod tests {
         dijkstra(phys.graph(), &phys.graph().to_csr(), dest, |_, l| {
             l.lat.value()
         })
-        .distances()
-        .to_vec()
+        .into_distances()
     }
 
     /// One search on a fresh adjacency snapshot and fresh scratch.

@@ -89,8 +89,7 @@ impl ArTables {
         if !self.ar.contains_key(&dest) {
             self.dijkstra_runs += 1;
             let table = dijkstra(phys.graph(), &self.csr, dest, |_, link| link.lat.value())
-                .distances()
-                .to_vec();
+                .into_distances();
             self.ar.insert(dest, table);
         } else {
             self.hits += 1;
@@ -113,9 +112,7 @@ impl ArTables {
         );
         if !self.hops.contains_key(&dest) {
             self.dijkstra_runs += 1;
-            let table = dijkstra(phys.graph(), &self.csr, dest, |_, _| 1.0)
-                .distances()
-                .to_vec();
+            let table = dijkstra(phys.graph(), &self.csr, dest, |_, _| 1.0).into_distances();
             self.hops.insert(dest, table);
         } else {
             self.hits += 1;

@@ -4,9 +4,11 @@
 //! bandwidth is maximal (the paper's widest-path selection rule), subject
 //! to both constraints. On larger random clusters, check that scratch
 //! history never reaches a result and that dominance pruning only returns
-//! feasible paths.
+//! feasible paths. On the paper's two 40-host clusters, pin the path and
+//! the search effort of a fixed batch of queries, so a change to the
+//! candidate order shows even where it keeps every path feasible.
 
-use emumap_core::{astar_prune, AStarPruneConfig, RouteScratch};
+use emumap_core::{astar_prune, AStarPruneConfig, PathMetric, RouteScratch};
 use emumap_graph::algo::dijkstra;
 use emumap_graph::generators::random_connected;
 use emumap_graph::{CsrAdjacency, EdgeId, Graph, NodeId};
@@ -14,6 +16,7 @@ use emumap_model::{
     HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, PhysNode, PhysicalTopology, ResidualState,
     StorGb, VmmOverhead,
 };
+use emumap_workloads::ClusterSpec;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -151,9 +154,7 @@ fn pick_pair(phys: &PhysicalTopology, seed: u64) -> (NodeId, NodeId) {
 
 /// The latency `ar[]` table rooted at `dest`.
 fn ar_table(phys: &PhysicalTopology, csr: &CsrAdjacency, dest: NodeId) -> Vec<f64> {
-    dijkstra(phys.graph(), csr, dest, |_, l| l.lat.value())
-        .distances()
-        .to_vec()
+    dijkstra(phys.graph(), csr, dest, |_, l| l.lat.value()).into_distances()
 }
 
 proptest! {
@@ -243,8 +244,7 @@ proptest! {
 
         let csr = phys.graph().to_csr();
         let ar: Vec<f64> = dijkstra(phys.graph(), &csr, to, |_, l| l.lat.value())
-            .distances()
-            .to_vec();
+            .into_distances();
         let found = astar_prune(
             &phys,
             &residual,
@@ -279,4 +279,124 @@ proptest! {
             (None, Some(_)) => prop_assert!(false, "A*Prune invented an infeasible path"),
         }
     }
+}
+
+/// Runs a fixed, seeded batch of searches on both paper 40-host clusters
+/// (the 5x8 torus and the switched cluster, same hosts) under both path
+/// metrics. Every found route is committed to the residual state, so later
+/// searches see uneven bandwidth and the tie-breaks between equal-metric
+/// paths matter. One line per search: cluster, metric, then the edge
+/// path with the `expanded` and `pushed` counts, or `none`.
+fn golden_batch() -> Vec<String> {
+    let (torus, switched) = ClusterSpec::paper().build_both(&mut SmallRng::seed_from_u64(2009));
+    let mut out = Vec::new();
+    for (cluster, phys) in [("torus", &torus), ("switched", &switched)] {
+        let csr = phys.graph().to_csr();
+        let mut scratch = RouteScratch::new();
+        for (metric_name, metric) in [
+            ("bottleneck", PathMetric::BottleneckBandwidth),
+            ("hops", PathMetric::HopCount),
+        ] {
+            let config = AStarPruneConfig {
+                metric,
+                ..Default::default()
+            };
+            let mut residual = ResidualState::new(phys);
+            let mut rng = SmallRng::seed_from_u64(14);
+            for _ in 0..12 {
+                let (origin, dest) = pick_pair(phys, rng.gen());
+                let demand = Kbps(f64::from(rng.gen_range(1..=40u32)) * 25_000.0);
+                let ar = ar_table(phys, &csr, dest);
+                // Zero to three hops of slack over the unconstrained
+                // shortest latency.
+                let bound = Millis(ar[origin.index()] + f64::from(rng.gen_range(0..=3u32)) * 5.0);
+                let found = astar_prune(
+                    phys,
+                    &residual,
+                    origin,
+                    dest,
+                    demand,
+                    bound,
+                    &ar,
+                    &config,
+                    &csr,
+                    &mut scratch,
+                );
+                out.push(match found {
+                    Some((path, stats)) => {
+                        residual.commit_route(&path, demand);
+                        let edges: Vec<usize> = path.iter().map(|e| e.index()).collect();
+                        format!(
+                            "{cluster} {metric_name} {edges:?} expanded={} pushed={}",
+                            stats.expanded, stats.pushed
+                        )
+                    }
+                    None => format!("{cluster} {metric_name} none"),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// The golden values of [`golden_batch`].
+const GOLDEN_EFFORT: &[&str] = &[
+    "torus bottleneck [29, 26, 24, 22, 20] expanded=103 pushed=193",
+    "torus bottleneck [73, 9] expanded=5 pushed=5",
+    "torus bottleneck [4, 2, 67, 51] expanded=36 pushed=84",
+    "torus bottleneck [49, 65, 0] expanded=6 pushed=7",
+    "torus bottleneck [11, 10, 12, 79, 78] expanded=46 pushed=82",
+    "torus bottleneck [58, 56, 54, 55] expanded=38 pushed=63",
+    "torus bottleneck [22, 7, 4, 2, 67, 64] expanded=47 pushed=57",
+    "torus bottleneck [23, 36, 34, 32] expanded=13 pushed=21",
+    "torus bottleneck none",
+    "torus bottleneck [43, 40, 38] expanded=4 pushed=3",
+    "torus bottleneck [27, 42, 44, 47] expanded=6 pushed=6",
+    "torus bottleneck none",
+    "torus hops [29, 26, 24, 22, 20] expanded=103 pushed=193",
+    "torus hops [73, 9] expanded=5 pushed=5",
+    "torus hops [4, 2, 67, 51] expanded=49 pushed=110",
+    "torus hops [49, 65, 0] expanded=7 pushed=8",
+    "torus hops [11, 10, 12, 79, 78] expanded=103 pushed=194",
+    "torus hops [58, 56, 54, 55] expanded=41 pushed=67",
+    "torus hops [22, 7, 4, 2, 67, 64] expanded=47 pushed=57",
+    "torus hops [23, 36, 34, 32] expanded=23 pushed=40",
+    "torus hops none",
+    "torus hops [43, 40, 38] expanded=4 pushed=3",
+    "torus hops [27, 42, 44, 47] expanded=6 pushed=6",
+    "torus hops none",
+    "switched bottleneck [22, 10] expanded=13 pushed=40",
+    "switched bottleneck [36, 12] expanded=3 pushed=2",
+    "switched bottleneck [3, 25] expanded=24 pushed=40",
+    "switched bottleneck [24, 1] expanded=3 pushed=2",
+    "switched bottleneck [13, 32] expanded=27 pushed=40",
+    "switched bottleneck [30, 35] expanded=28 pushed=36",
+    "switched bottleneck none",
+    "switched bottleneck [11, 16] expanded=13 pushed=34",
+    "switched bottleneck [18, 20] expanded=3 pushed=2",
+    "switched bottleneck [29, 19] expanded=3 pushed=2",
+    "switched bottleneck [13, 31] expanded=3 pushed=2",
+    "switched bottleneck none",
+    "switched hops [22, 10] expanded=13 pushed=40",
+    "switched hops [36, 12] expanded=3 pushed=2",
+    "switched hops [3, 25] expanded=24 pushed=40",
+    "switched hops [24, 1] expanded=3 pushed=2",
+    "switched hops [13, 32] expanded=27 pushed=40",
+    "switched hops [30, 35] expanded=28 pushed=36",
+    "switched hops none",
+    "switched hops [11, 16] expanded=13 pushed=34",
+    "switched hops [18, 20] expanded=3 pushed=2",
+    "switched hops [29, 19] expanded=3 pushed=2",
+    "switched hops [13, 31] expanded=3 pushed=2",
+    "switched hops none",
+];
+
+/// Pins which path A*Prune returns and how much it searched to find it on
+/// the paper clusters. Any change to the candidate order, the tie-break
+/// or the pruning tests moves a path or a counter here.
+#[test]
+fn astar_prune_search_effort_is_pinned() {
+    let actual = golden_batch();
+    let table: String = actual.iter().map(|l| format!("    {l:?},\n")).collect();
+    assert_eq!(actual, GOLDEN_EFFORT, "actual table:\n{table}");
 }

@@ -39,6 +39,12 @@ impl DijkstraResult {
         &self.dist
     }
 
+    /// Consumes the result and returns its distance vector, the owned
+    /// form of [`distances`](Self::distances).
+    pub fn into_distances(self) -> Vec<f64> {
+        self.dist
+    }
+
     /// Reconstructs the shortest path from the source to `target` as a node
     /// sequence (source first), or `None` if unreachable.
     pub fn path_to(&self, target: NodeId) -> Option<Vec<NodeId>> {
