@@ -20,21 +20,11 @@
 //!    must be one the water-filling bound leaves Truncated while the
 //!    Lagrangian proves Optimal or reports a strictly tighter gap.
 //!
-//! 3. **Deterministic parallel sweep** — the exhaustive smoke family
-//!    solved under the epoch-parallel engine at 1, 4 and 8 workers
-//!    (override with `EMUMAP_BENCH_THREADS=a,b,…`). The engine's
-//!    epoch-barrier design makes verdicts a pure function of the
-//!    instance, so the per-seed `OracleVerdict` JSON must be
-//!    *byte-identical* across thread counts — always asserted. Wall
-//!    clocks are recorded per leg (best of two passes); the speedup
-//!    floors (≥ 1.8x at 4 workers, ≥ 3x at 8 in full mode) are asserted
-//!    only when the host actually has that many cores, and the core
-//!    count is written into the report so a reader can tell a 1-core
-//!    run's ≈1x apart from a regression. A final scan feeds raw Table-1
-//!    ratio-10 draws (no FFD prescreen, 200 guests) to the parallel
-//!    oracle until one certifies — the suffix-capacity bound proves
-//!    aggregate-overflow draws Infeasible at the root epoch, giving a
-//!    non-Truncated ≥100-guest verdict the report gates.
+//! 3. **A certified ≥100-guest row** — raw Table-1 ratio-10 draws (no
+//!    FFD prescreen, 200 guests) fed to the oracle until one certifies:
+//!    the suffix-capacity bound proves aggregate-overflow draws
+//!    Infeasible at the root, giving a non-Truncated ≥100-guest verdict
+//!    the report gates.
 //!
 //! Writes `results/BENCH_oracle.json`. Quick mode
 //! (`EMUMAP_BENCH_QUICK=1`) shrinks the seed set and node budgets but
@@ -74,26 +64,8 @@ struct PaperRow {
     lagrangian: OracleVerdict,
 }
 
-/// One thread-count leg of the parallel sweep: the whole smoke family
-/// solved to exhaustion `sweep_reps` times under the epoch engine.
-#[derive(Serialize)]
-struct SweepLeg {
-    threads: usize,
-    /// Best-of-two wall clock for the full repetition block.
-    wall_s: f64,
-    /// The per-seed verdicts of one repetition, serialized as one JSON
-    /// array — the byte-equality witness across thread counts.
-    verdicts_json: String,
-    /// Epoch/steal/publish totals over one repetition. `epochs` and
-    /// `incumbent_publishes` are thread-count-invariant; `nodes_stolen`
-    /// tallies the item→worker striping and legitimately varies.
-    epochs: u64,
-    nodes_stolen: u64,
-    incumbent_publishes: u64,
-}
-
-/// The first raw Table-1 draw the parallel oracle certifies
-/// (non-Truncated) in the ≥100-guest scan.
+/// The first raw Table-1 draw the oracle certifies (non-Truncated) in
+/// the ≥100-guest scan.
 #[derive(Serialize)]
 struct CertifiedScanRow {
     scenario: String,
@@ -109,27 +81,6 @@ struct CertifiedScanRow {
     verdict: OracleVerdict,
 }
 
-/// Part-3 report block: thread sweep plus the certified ≥100-guest row.
-#[derive(Serialize)]
-struct ParallelOracleReport {
-    /// Cores the bench host exposed — the speedup floors below are only
-    /// asserted when this is at least the leg's worker count.
-    host_cores: usize,
-    epoch_nodes: u64,
-    sweep_reps: u32,
-    /// Nodes expanded by one repetition of the family (per leg — equal
-    /// across legs by the determinism contract).
-    sweep_nodes: u64,
-    sweep: Vec<SweepLeg>,
-    /// All legs produced byte-identical verdict JSON.
-    verdicts_identical: bool,
-    /// wall(1 thread) / wall(4 threads), when both legs ran.
-    speedup_4t: Option<f64>,
-    /// wall(1 thread) / wall(8 threads), when both legs ran.
-    speedup_8t: Option<f64>,
-    certified: CertifiedScanRow,
-}
-
 #[derive(Serialize)]
 struct OracleGapReport {
     quick: bool,
@@ -143,7 +94,7 @@ struct OracleGapReport {
     strict_superset: bool,
     paper_budget: u64,
     paper_rows: Vec<PaperRow>,
-    parallel: ParallelOracleReport,
+    certified_scan: CertifiedScanRow,
     wall_s: f64,
 }
 
@@ -379,101 +330,8 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    // Part 3: the deterministic epoch-parallel engine. One leg per
-    // thread count solves the smoke family to exhaustion `sweep_reps`
-    // times; verdict JSON must match byte-for-byte across legs.
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let sweep_threads: Vec<usize> = match std::env::var("EMUMAP_BENCH_THREADS") {
-        Ok(list) => list
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .expect("EMUMAP_BENCH_THREADS: comma-separated worker counts")
-            })
-            .collect(),
-        Err(_) => vec![1, 4, 8],
-    };
-    let sweep_reps: u32 = if quick { 50 } else { 20 };
-    let epoch_nodes = ExactConfig::default().epoch_nodes;
-    let mut sweep: Vec<SweepLeg> = Vec::new();
-    let mut sweep_nodes = 0u64;
-    for &threads in &sweep_threads {
-        assert!(
-            threads >= 1,
-            "the sweep exercises the epoch engine; worker counts must be >= 1"
-        );
-        let config = ExactConfig {
-            threads,
-            bound: BoundKind::Lagrangian,
-            ..Default::default()
-        };
-        let mut wall_s = f64::INFINITY;
-        let mut verdicts_json = String::new();
-        let (mut epochs, mut stolen, mut publishes) = (0u64, 0u64, 0u64);
-        for pass in 0..2 {
-            let t0 = Instant::now();
-            let mut verdicts: Vec<OracleVerdict> = Vec::with_capacity(seeds.len());
-            for rep in 0..sweep_reps {
-                for &seed in &seeds {
-                    let (phys, venv) = tight_smoke(seed);
-                    let outcome = solve_exact_with(&phys, &venv, &config, &mut cache, &[]);
-                    if pass == 0 && rep == 0 {
-                        verdicts.push(OracleVerdict::from(&outcome));
-                        sweep_nodes += outcome.stats.nodes_expanded;
-                        epochs += outcome.stats.epochs;
-                        stolen += outcome.stats.nodes_stolen;
-                        publishes += outcome.stats.incumbent_publishes;
-                    }
-                }
-            }
-            wall_s = wall_s.min(t0.elapsed().as_secs_f64());
-            if pass == 0 {
-                verdicts_json = serde_json::to_string(&verdicts).expect("serialize sweep verdicts");
-            }
-        }
-        eprintln!(
-            "[oracle] sweep {threads}t: {} seeds x {sweep_reps} reps in {wall_s:.3}s \
-             ({epochs} epochs, {stolen} stolen, {publishes} publishes per rep)",
-            seeds.len(),
-        );
-        sweep.push(SweepLeg {
-            threads,
-            wall_s,
-            verdicts_json,
-            epochs,
-            nodes_stolen: stolen,
-            incumbent_publishes: publishes,
-        });
-    }
-    sweep_nodes /= sweep_threads.len().max(1) as u64;
-    let verdicts_identical = sweep
-        .windows(2)
-        .all(|w| w[0].verdicts_json == w[1].verdicts_json);
-    assert!(
-        verdicts_identical,
-        "epoch-parallel verdicts must be byte-identical across worker counts"
-    );
-    let wall_at = |t: usize| sweep.iter().find(|l| l.threads == t).map(|l| l.wall_s);
-    let speedup_4t = wall_at(1).zip(wall_at(4)).map(|(a, b)| a / b);
-    let speedup_8t = wall_at(1).zip(wall_at(8)).map(|(a, b)| a / b);
-    if host_cores >= 4 {
-        if let Some(s) = speedup_4t {
-            eprintln!("[oracle] sweep speedup at 4 workers: {s:.2}x ({host_cores} cores)");
-            assert!(s >= 1.8, "4-worker speedup {s:.2}x below the 1.8x floor");
-        }
-    }
-    if host_cores >= 8 && !quick {
-        if let Some(s) = speedup_8t {
-            eprintln!("[oracle] sweep speedup at 8 workers: {s:.2}x ({host_cores} cores)");
-            assert!(s >= 3.0, "8-worker speedup {s:.2}x below the 3x floor");
-        }
-    }
-
-    // The ≥100-guest certified row: raw Table-1 ratio-10 draws (the
-    // paper's generator has no FFD prescreen) fed to the parallel oracle
+    // Part 3: the ≥100-guest certified row. Raw Table-1 ratio-10 draws
+    // (the paper's generator has no FFD prescreen) fed to the oracle
     // until one certifies. Aggregate-overflow draws are proven
     // Infeasible by the root suffix-capacity bound — a real certificate,
     // not a truncation, on a 200-guest instance.
@@ -484,7 +342,6 @@ fn main() {
     };
     let scan_budget: u64 = if quick { 2_000 } else { 20_000 };
     let scan_config = ExactConfig {
-        threads: 4,
         max_nodes: scan_budget,
         ..Default::default()
     };
@@ -520,23 +377,12 @@ fn main() {
             break;
         }
     }
-    let certified = certified
+    let certified_scan = certified
         .expect("no raw ratio-10 draw certified within 32 reps — the scan seeds are fixed, so this is a solver regression");
     assert!(
-        certified.guests >= 100,
+        certified_scan.guests >= 100,
         "certified row must stay a >=100-guest instance"
     );
-    let parallel = ParallelOracleReport {
-        host_cores,
-        epoch_nodes,
-        sweep_reps,
-        sweep_nodes,
-        sweep,
-        verdicts_identical,
-        speedup_4t,
-        speedup_8t,
-        certified,
-    };
 
     let wall_s = t0.elapsed().as_secs_f64();
     let report = OracleGapReport {
@@ -549,7 +395,7 @@ fn main() {
         strict_superset,
         paper_budget,
         paper_rows,
-        parallel,
+        certified_scan,
         wall_s,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");

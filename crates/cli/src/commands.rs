@@ -67,22 +67,21 @@ subcommands:
       run the emulated experiment and print its execution time
   exact --phys phys.json --venv venv.json | exact --smoke SEED
       [--seed S] [--max-nodes N] [--bound waterfill|lagrangian]
-      [--threads T] [--epoch-nodes K] [--root-iters N] [--tree-iters N]
-      [--step F] [--damping F] [--trace events.jsonl] [-o mapping.json]
-      certify the optimal Eq. 10 objective by branch-and-bound (small
-      instances only: the search is exponential in the guest count),
-      seeding HMN's mapping as the incumbent; prints the certified
-      optimum, the admissible lower bound, search counters and HMN's
-      optimality gap; --bound picks the pruning bound (default
-      lagrangian: priced per-guest tables + subgradient ascent, never
-      weaker than waterfill); --threads T >= 1 runs the epoch-parallel
-      engine (verdicts, bounds and counters are bit-identical at every
-      T; 0, the default, is the classic sequential DFS), pulling K
-      frontier nodes per epoch barrier (--epoch-nodes, default 500);
+      [--root-iters N] [--tree-iters N] [--step F] [--damping F]
+      [--trace events.jsonl] [-o mapping.json]
+      certify the optimal Eq. 10 objective by a sequential depth-first
+      branch-and-bound (small instances only: the search is exponential
+      in the guest count), seeding HMN's mapping as the incumbent;
+      prints the certified optimum (or, when TRUNCATED, the best found
+      and the certified lower bound), search counters and HMN's gap;
+      --bound picks the pruning bound (default lagrangian: priced
+      per-guest tables + subgradient ascent, never weaker than
+      waterfill; waterfill is cheaper per node);
       --root-iters/--tree-iters/--step/--damping override the
-      subgradient ascent schedule of the lagrangian bound;
+      subgradient ascent schedule of the lagrangian bound (a usage
+      error under --bound waterfill);
       --smoke SEED uses a built-in 6-host/8-guest instance instead of
-      --phys/--venv
+      --phys/--venv (the two cannot be combined)
   batch --phys phys.json --venv venv.json
       [--mapper NAME[,NAME..]|all] [--reps N] [--seed S] [--threads T]
       [--attempts A] [-o trials.json] [--trace-dir DIR] [--exact-check G]
@@ -156,8 +155,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "exact",
         exact_cmd,
-        "phys venv smoke seed max-nodes bound threads epoch-nodes root-iters tree-iters step \
-         damping trace out",
+        "phys venv smoke seed max-nodes bound root-iters tree-iters step damping trace out",
     ),
     ("validate", validate_cmd, "phys venv mapping"),
     (
@@ -376,6 +374,14 @@ fn exact_status_str(status: ExactStatus) -> &'static str {
 fn exact_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
     let (phys, venv): (PhysicalTopology, VirtualEnvironment) = match p.optional("smoke") {
         Some(raw) => {
+            if let Some(flag) = ["phys", "venv"]
+                .into_iter()
+                .find(|f| p.optional(f).is_some())
+            {
+                return Err(CliError::Usage(format!(
+                    "--{flag} cannot be combined with --smoke, which uses a built-in instance"
+                )));
+            }
             let seed: u64 = raw
                 .parse()
                 .map_err(|_| CliError::Usage(format!("--smoke expects a seed, got '{raw}'")))?;
@@ -388,18 +394,22 @@ fn exact_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
     };
     let seed: u64 = p.parse_or("seed", 2009).map_err(CliError::Usage)?;
     let bound = parse_bound_kind(p)?;
+    if bound == BoundKind::Waterfill {
+        if let Some(flag) = ["root-iters", "tree-iters", "step", "damping"]
+            .into_iter()
+            .find(|f| p.optional(f).is_some())
+        {
+            return Err(CliError::Usage(format!(
+                "--{flag} tunes the lagrangian bound and has no effect under --bound waterfill"
+            )));
+        }
+    }
     let defaults = ExactConfig::default();
     let config = ExactConfig {
         max_nodes: p
             .parse_or("max-nodes", defaults.max_nodes)
             .map_err(CliError::Usage)?,
         bound,
-        threads: p
-            .parse_or("threads", defaults.threads)
-            .map_err(CliError::Usage)?,
-        epoch_nodes: p
-            .parse_or("epoch-nodes", defaults.epoch_nodes)
-            .map_err(CliError::Usage)?,
         lagrangian: emumap_core::LagrangianConfig {
             root_iters: p
                 .parse_or("root-iters", defaults.lagrangian.root_iters)
@@ -470,12 +480,6 @@ fn exact_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
         s.pruned_capacity,
         s.pruned_latency
     ));
-    if config.threads >= 1 {
-        lines.push(format!(
-            "parallel        : {} worker(s), {} epoch(s), {} node(s) stolen, {} incumbent publish(es)",
-            config.threads, s.epochs, s.nodes_stolen, s.incumbent_publishes
-        ));
-    }
     if config.bound == BoundKind::Lagrangian {
         lines.push(format!(
             "lagrangian      : {} dual evaluations, {} bound improvements, {} extra prunes",
@@ -490,14 +494,15 @@ fn exact_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
         Some(o) => {
             lines.push(format!("HMN objective   : {:.3} MIPS stddev", o.objective));
             if let Some(gap) = outcome.gap_from(o.objective) {
-                let optimum = outcome.best.as_ref().map(|b| b.objective).unwrap_or(0.0);
-                let pct = if optimum > 0.0 {
-                    100.0 * gap / optimum
+                let best = outcome.best.as_ref().map(|b| b.objective).unwrap_or(0.0);
+                let pct = if best > 0.0 { 100.0 * gap / best } else { 0.0 };
+                let reference = if outcome.is_certified() {
+                    "the certified optimum"
                 } else {
-                    0.0
+                    "the best found (not certified)"
                 };
                 lines.push(format!(
-                    "HMN gap         : {gap:.3} above the certified optimum ({pct:.1}%)"
+                    "HMN gap         : {gap:.3} above {reference} ({pct:.1}%)"
                 ));
             }
         }
@@ -1500,33 +1505,7 @@ mod tests {
         assert!(text.contains("nodes expanded"), "{text}");
         assert!(text.contains("HMN objective"), "{text}");
         assert!(text.contains("HMN gap"), "{text}");
-        assert!(!text.contains("parallel"), "sequential run: {text}");
-    }
-
-    #[test]
-    fn exact_threads_report_is_identical_across_counts() {
-        // Byte-identical reports modulo the two thread-count-dependent
-        // lines: the "parallel" line names the worker count and the
-        // stolen-node tally, everything else (verdict, objective, bound,
-        // every search counter) must match exactly.
-        let strip = |lines: Vec<String>| -> Vec<String> {
-            lines
-                .into_iter()
-                .filter(|l| !l.starts_with("parallel"))
-                .collect()
-        };
-        let one = run_tokens(&["exact", "--smoke", "2009", "--threads", "1"]).expect("1 thread");
-        assert!(
-            one.iter()
-                .any(|l| l.starts_with("parallel") && l.contains("1 worker(s)")),
-            "{one:?}"
-        );
-        let four = run_tokens(&["exact", "--smoke", "2009", "--threads", "4"]).expect("4 threads");
-        let eight = run_tokens(&["exact", "--smoke", "2009", "--threads", "8"]).expect("8 threads");
-        let one = strip(one);
-        assert_eq!(one, strip(four));
-        assert_eq!(one, strip(eight));
-        assert!(one.iter().any(|l| l.contains("OPTIMAL (certified)")));
+        assert!(text.contains("above the certified optimum"), "{text}");
     }
 
     #[test]
@@ -1626,6 +1605,41 @@ mod tests {
         let lines = run_tokens(&["exact", "--smoke", "2009", "--max-nodes", "2"]).expect("exact");
         let text = lines.join("\n");
         assert!(text.contains("TRUNCATED"), "{text}");
+        // HMN's witness is still the incumbent, so the gap is measured
+        // against it — but it is not an optimum.
+        assert!(
+            text.contains("HMN gap") && text.contains("above the best found (not certified)"),
+            "{text}"
+        );
+        assert!(!text.contains("certified optimum"), "{text}");
+    }
+
+    /// `exact` with `extra` appended to a `--smoke 2009` run must be a
+    /// usage error naming `flag`.
+    fn assert_exact_rejects(extra: &[&str], flag: &str) {
+        let tokens: Vec<&str> = ["exact", "--smoke", "2009"]
+            .iter()
+            .chain(extra)
+            .copied()
+            .collect();
+        let Err(CliError::Usage(msg)) = run_tokens(&tokens) else {
+            panic!("exact {extra:?} must be a usage error");
+        };
+        assert!(msg.contains(flag), "{msg}");
+    }
+
+    #[test]
+    fn exact_rejects_flags_it_would_ignore() {
+        // The oracle is one sequential search; `batch --threads` stays.
+        assert_exact_rejects(&["--threads", "2"], "--threads");
+        // The instance files are named, not read: a missing one must not
+        // matter, the conflict with --smoke must.
+        for flag in ["--phys", "--venv"] {
+            assert_exact_rejects(&[flag, "missing.json"], flag);
+        }
+        for flag in ["--root-iters", "--tree-iters", "--step", "--damping"] {
+            assert_exact_rejects(&["--bound", "waterfill", flag, "2"], flag);
+        }
     }
 
     #[test]

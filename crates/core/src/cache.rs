@@ -245,14 +245,6 @@ impl RoundingScratch {
 /// Pass one per thread to [`Mapper::map_with_cache`](crate::Mapper::
 /// map_with_cache); results are identical to a fresh cache's for any
 /// cache history.
-///
-/// The epoch-parallel exact oracle leans on the same guarantee from the
-/// other side: every worker owns a private `MapCache` (so the Lagrangian
-/// multipliers it warm-starts from are exactly the ones handed to it per
-/// subtree, never another worker's), and *because* caches are
-/// semantically invisible the per-node results cannot depend on which
-/// worker's cache computed them — one half of the engine's
-/// thread-count-invariance argument (DESIGN.md §5.7).
 #[derive(Debug, Default)]
 pub struct MapCache {
     /// Cross-trial Dijkstra tables + CSR adjacency.

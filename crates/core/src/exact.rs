@@ -38,15 +38,12 @@ use crate::hosting::links_by_descending_bw;
 use crate::ksp_routing::networking_stage_ksp;
 use crate::lagrangian::{lagrangian_bound, tightest_peer_bounds, LagrangianConfig, NodeView};
 use crate::networking::networking_stage;
-use crate::parallel::ParallelRunner;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::objective::mapping_objective;
 use emumap_model::{validate_mapping, GuestId, Mapping, PhysicalTopology, VirtualEnvironment};
 use emumap_trace::{Phase, PhaseCounters, TraceEvent};
-use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 /// Tolerance for objective comparisons: two values closer than this are
@@ -88,20 +85,6 @@ pub struct ExactConfig {
     /// Prune branches whose latency bounds (Eq. 8) are already violated
     /// by the partial placement, using the cached Dijkstra tables.
     pub use_latency_pruning: bool,
-    /// Worker threads of the epoch-parallel search engine. `0` (the
-    /// default) runs the classic sequential depth-first search. Any
-    /// value ≥ 1 selects the epoch engine, whose verdicts, bounds and
-    /// counters are **bit-identical for every worker count**: workers
-    /// pull frontier nodes from a shared depth-ordered queue in
-    /// fixed-size epochs, prune only against the incumbent snapshot
-    /// taken at the epoch start, and new incumbents publish only at the
-    /// epoch barrier — so no pruning decision ever depends on which
-    /// worker found what first.
-    pub threads: usize,
-    /// Frontier nodes expanded per epoch by the parallel engine
-    /// (clamped to ≥ 1; ignored at `threads = 0`). Smaller epochs
-    /// publish incumbents sooner; larger epochs amortize the barrier.
-    pub epoch_nodes: u64,
 }
 
 impl Default for ExactConfig {
@@ -113,8 +96,6 @@ impl Default for ExactConfig {
             astar: AStarPruneConfig::default(),
             ksp_fallback: 4,
             use_latency_pruning: true,
-            threads: 0,
-            epoch_nodes: 500,
         }
     }
 }
@@ -161,40 +142,12 @@ pub struct ExactStats {
     /// Bound prunes that *only* the Lagrangian bound fired — the
     /// water-filling bound alone would have kept searching.
     pub pruned_lagrangian: u64,
-    /// Epoch barriers completed by the parallel engine (0 under the
-    /// sequential engine). Thread-count-invariant; in a per-worker
-    /// snapshot every worker reports the same global value.
-    pub epochs: u64,
-    /// Frontier nodes processed by a different worker than the one that
-    /// generated them. The only thread-count-*variant* counter (always 0
-    /// at one worker); excluded from cross-thread-count equality.
-    pub nodes_stolen: u64,
-    /// Incumbent improvements accepted at epoch barriers (0 under the
-    /// sequential engine). The total is thread-count-invariant.
-    pub incumbent_publishes: u64,
 }
 
 impl ExactStats {
     /// Total subtrees pruned, over every pruning rule.
     pub fn pruned_total(&self) -> u64 {
         self.pruned_bound + self.pruned_capacity + self.pruned_latency
-    }
-
-    /// Sums every per-node additive counter of `other` into `self`.
-    /// `epochs` is global (not additive) and `witnesses_accepted` is
-    /// owned by the solve, not a worker — neither is touched.
-    fn absorb(&mut self, other: &ExactStats) {
-        self.nodes_expanded += other.nodes_expanded;
-        self.pruned_bound += other.pruned_bound;
-        self.pruned_capacity += other.pruned_capacity;
-        self.pruned_latency += other.pruned_latency;
-        self.leaf_routings += other.leaf_routings;
-        self.routing_failures += other.routing_failures;
-        self.subgradient_iters += other.subgradient_iters;
-        self.bound_improvements += other.bound_improvements;
-        self.pruned_lagrangian += other.pruned_lagrangian;
-        self.nodes_stolen += other.nodes_stolen;
-        self.incumbent_publishes += other.incumbent_publishes;
     }
 
     /// The trace-facing view of these counters.
@@ -205,9 +158,6 @@ impl ExactStats {
             subgradient_iters: self.subgradient_iters,
             bound_improvements: self.bound_improvements,
             nodes_pruned_lagrangian: self.pruned_lagrangian,
-            epochs: self.epochs,
-            nodes_stolen: self.nodes_stolen,
-            incumbent_publishes: self.incumbent_publishes,
             ..Default::default()
         }
     }
@@ -309,10 +259,7 @@ pub fn residual_stddev_lower_bound(residuals: &[f64], demand: f64) -> f64 {
 ///
 /// Emits a `MapStart → PhaseStart(Exact) → … → PhaseEnd(Exact) → MapEnd`
 /// span through `cache.trace`, with the branch-and-bound counters in the
-/// phase's [`PhaseCounters`]. The epoch-parallel engine
-/// (`config.threads ≥ 1`) additionally emits one
-/// [`TraceEvent::ExactWorker`] snapshot per worker, in worker order,
-/// before the `PhaseEnd`.
+/// phase's [`PhaseCounters`].
 pub fn solve_exact_with(
     phys: &PhysicalTopology,
     venv: &VirtualEnvironment,
@@ -338,23 +285,13 @@ pub fn solve_exact_with(
     });
     let phase_start = Instant::now();
 
-    let (outcome, worker_stats) = if config.threads == 0 {
-        let mut search = Search::new(phys, venv, *config);
-        for w in witnesses {
-            search.offer_witness(w);
-        }
-        search.run(cache);
-        (search.into_outcome(), Vec::new())
-    } else {
-        solve_epoch_parallel(phys, venv, config, witnesses)
-    };
-
-    for (w, stats) in worker_stats.iter().enumerate() {
-        cache.trace.emit(|| TraceEvent::ExactWorker {
-            worker: w as u64,
-            counters: stats.phase_counters(),
-        });
+    let mut search = Search::new(phys, venv, *config);
+    for w in witnesses {
+        search.offer_witness(w);
     }
+    search.run(cache);
+    let outcome = search.into_outcome();
+
     cache.trace.emit(|| TraceEvent::PhaseEnd {
         phase: Phase::Exact,
         elapsed_us: elapsed_us(phase_start),
@@ -368,13 +305,13 @@ pub fn solve_exact_with(
     outcome
 }
 
-/// Immutable per-solve precomputation shared by both search engines:
-/// branch order, suffix demands, peer latency bounds, and the root
-/// residual vectors. Residual bookkeeping mirrors `ResidualState`
-/// semantics exactly (integer memory, `>=` storage fits, CPU
-/// unconstrained) so a leaf re-assigned into a fresh [`PlacementState`]
-/// cannot diverge.
-struct SearchBase<'a> {
+/// The sequential depth-first branch-and-bound: per-solve precomputation
+/// (branch order, suffix demands, peer latency bounds) plus the residual
+/// bookkeeping of the current partial assignment and the incumbent.
+/// Residual bookkeeping mirrors `ResidualState` semantics exactly
+/// (integer memory, `>=` storage fits, CPU unconstrained) so a leaf
+/// re-assigned into a fresh [`PlacementState`] cannot diverge.
+struct Search<'a> {
     phys: &'a PhysicalTopology,
     venv: &'a VirtualEnvironment,
     config: ExactConfig,
@@ -389,30 +326,19 @@ struct SearchBase<'a> {
     suffix_stor: Vec<f64>,
     /// Per guest: `(peer guest, tightest latency bound over their links)`.
     peers: Vec<Vec<(usize, f64)>>,
-    /// Root residuals (full effective capacities). The epoch engine
-    /// re-seeds a worker's [`NodeState`] from these before every path
-    /// replay: IEEE754 gives no `(a − b) + b == a` guarantee, so an
-    /// apply/undo round trip can drift by an ulp — harmless in the
-    /// sequential DFS (one fixed mutation sequence) but fatal for
-    /// thread-count invariance, where a worker's drift would depend on
-    /// *which* items it happened to process.
-    root_proc: Vec<f64>,
-    root_mem: Vec<u64>,
-    root_stor: Vec<f64>,
-}
-
-/// Mutable residual bookkeeping at one partial assignment. The
-/// sequential engine owns one and mutates it along the DFS; each
-/// parallel worker owns one and replays frontier paths into it.
-struct NodeState {
     /// Guest index → assigned host slot.
     slot_of: Vec<Option<usize>>,
     r_proc: Vec<f64>,
     r_mem: Vec<u64>,
     r_stor: Vec<f64>,
+    best: f64,
+    best_mapping: Option<Mapping>,
+    lb_floor: f64,
+    truncated: bool,
+    stats: ExactStats,
 }
 
-impl<'a> SearchBase<'a> {
+impl<'a> Search<'a> {
     fn new(phys: &'a PhysicalTopology, venv: &'a VirtualEnvironment, config: ExactConfig) -> Self {
         let hosts: Vec<NodeId> = phys.hosts().to_vec();
         let mut order: Vec<GuestId> = venv.guest_ids().collect();
@@ -435,19 +361,19 @@ impl<'a> SearchBase<'a> {
             suffix_stor[d] = suffix_stor[d + 1] + g.stor.value();
         }
         let peers = tightest_peer_bounds(venv);
-        let root_proc = hosts
+        let r_proc = hosts
             .iter()
             .map(|&h| phys.effective_proc(h).value())
             .collect();
-        let root_mem = hosts
+        let r_mem = hosts
             .iter()
             .map(|&h| phys.effective_mem(h).value())
             .collect();
-        let root_stor = hosts
+        let r_stor = hosts
             .iter()
             .map(|&h| phys.effective_stor(h).value())
             .collect();
-        SearchBase {
+        Search {
             phys,
             venv,
             config,
@@ -457,68 +383,132 @@ impl<'a> SearchBase<'a> {
             suffix_mem,
             suffix_stor,
             peers,
-            root_proc,
-            root_mem,
-            root_stor,
+            slot_of: vec![None; venv.guest_count()],
+            r_proc,
+            r_mem,
+            r_stor,
+            best: f64::INFINITY,
+            best_mapping: None,
+            lb_floor: f64::INFINITY,
+            truncated: false,
+            stats: ExactStats::default(),
         }
     }
 
-    /// The root node's residual state: full effective capacities, no
-    /// guest assigned.
-    fn root_state(&self) -> NodeState {
-        NodeState {
-            slot_of: vec![None; self.venv.guest_count()],
-            r_proc: self.root_proc.clone(),
-            r_mem: self.root_mem.clone(),
-            r_stor: self.root_stor.clone(),
+    /// Admits a heuristic mapping as an incumbent if it is valid and
+    /// strictly better than the current best.
+    fn offer_witness(&mut self, mapping: &Mapping) {
+        if validate_mapping(self.phys, self.venv, mapping).is_err() {
+            return;
         }
+        let objective = mapping_objective(self.phys, self.venv, mapping);
+        if objective < self.best {
+            self.best = objective;
+            self.best_mapping = Some(mapping.clone());
+        }
+        self.stats.witnesses_accepted += 1;
     }
 
-    /// Restores `st`'s residuals to the root capacities *by copy* from
-    /// the root vectors — never by arithmetic undo; see the `root_proc`
-    /// field docs. Assignments (`slot_of`) are not touched: they are
-    /// integer state, cleared exactly by the caller.
-    fn seed_root_residuals(&self, st: &mut NodeState) {
-        st.r_proc.copy_from_slice(&self.root_proc);
-        st.r_mem.copy_from_slice(&self.root_mem);
-        st.r_stor.copy_from_slice(&self.root_stor);
+    fn run(&mut self, cache: &mut MapCache) {
+        cache.topo.prepare(self.phys);
+        if self.config.bound == BoundKind::Lagrangian {
+            // Also resets the multipliers: the bound must be a pure
+            // function of the instance, whatever the cache history.
+            cache
+                .lagrangian
+                .prepare(self.phys, &self.hosts, self.venv.guest_count());
+        }
+        self.dfs(0, cache);
+    }
+
+    fn dfs(&mut self, depth: usize, cache: &mut MapCache) {
+        if self.stats.nodes_expanded >= self.config.max_nodes {
+            self.truncated = true;
+            return;
+        }
+        self.stats.nodes_expanded += 1;
+
+        let (lb, lb_wf) = self.node_bound(depth, cache);
+        if lb >= self.best - EPSILON {
+            self.stats.pruned_bound += 1;
+            if lb_wf < self.best - EPSILON {
+                self.stats.pruned_lagrangian += 1;
+            }
+            return;
+        }
+        if depth == self.order.len() {
+            // Strictly-improving complete placement: try to route it.
+            self.stats.leaf_routings += 1;
+            match self.route_leaf(cache) {
+                Some((mapping, objective)) => {
+                    self.best = objective;
+                    self.best_mapping = Some(mapping);
+                }
+                None => {
+                    // The placement may still be routable by an exhaustive
+                    // router; keep the bound honest instead of excluding it.
+                    self.stats.routing_failures += 1;
+                    self.lb_floor = self.lb_floor.min(lb);
+                }
+            }
+            return;
+        }
+        if !self.capacity_feasible(depth) {
+            self.stats.pruned_capacity += 1;
+            return;
+        }
+
+        let guest = self.order[depth];
+        let spec = *self.venv.guest(guest);
+        // Fit and latency checks stay lazy (per slot, inside the loop) so
+        // a truncation mid-loop skips the remaining siblings' checks.
+        for slot in self.sorted_slots() {
+            if self.r_mem[slot] < spec.mem.value() || self.r_stor[slot] < spec.stor.value() {
+                continue;
+            }
+            if self.config.use_latency_pruning && !self.latency_admits(guest, slot, cache) {
+                self.stats.pruned_latency += 1;
+                continue;
+            }
+            self.apply(depth, slot);
+            self.dfs(depth + 1, cache);
+            self.undo(depth, slot);
+            if self.truncated {
+                // Unexplored siblings' subtrees all bound below by this
+                // frame's entry lb (bounds only tighten down the tree).
+                self.lb_floor = self.lb_floor.min(lb);
+                return;
+            }
+        }
     }
 
     /// Assigns `order[depth]` to `slot`, debiting the residuals.
-    fn apply(&self, st: &mut NodeState, depth: usize, slot: usize) {
+    fn apply(&mut self, depth: usize, slot: usize) {
         let guest = self.order[depth];
         let spec = self.venv.guest(guest);
-        st.slot_of[guest.index()] = Some(slot);
-        st.r_proc[slot] -= spec.proc.value();
-        st.r_mem[slot] -= spec.mem.value();
-        st.r_stor[slot] -= spec.stor.value();
+        self.slot_of[guest.index()] = Some(slot);
+        self.r_proc[slot] -= spec.proc.value();
+        self.r_mem[slot] -= spec.mem.value();
+        self.r_stor[slot] -= spec.stor.value();
     }
 
-    /// Exact inverse of [`apply`](Self::apply).
-    fn undo(&self, st: &mut NodeState, depth: usize, slot: usize) {
+    /// Inverse of [`apply`](Self::apply).
+    fn undo(&mut self, depth: usize, slot: usize) {
         let guest = self.order[depth];
         let spec = self.venv.guest(guest);
-        st.slot_of[guest.index()] = None;
-        st.r_proc[slot] += spec.proc.value();
-        st.r_mem[slot] += spec.mem.value();
-        st.r_stor[slot] += spec.stor.value();
+        self.slot_of[guest.index()] = None;
+        self.r_proc[slot] += spec.proc.value();
+        self.r_mem[slot] += spec.mem.value();
+        self.r_stor[slot] += spec.stor.value();
     }
 
     /// The admissible lower bound at the current node. Returns the bound
     /// together with the plain water-filling value (for the
     /// improvement/prune attribution counters). The Lagrangian ascent
-    /// warm-starts from whatever multipliers sit in `cache.lagrangian` —
-    /// the previously bounded node's under the sequential engine, the
-    /// parent's handed-off snapshot under the parallel one.
-    fn node_bound(
-        &self,
-        st: &NodeState,
-        depth: usize,
-        incumbent: f64,
-        cache: &mut MapCache,
-        stats: &mut ExactStats,
-    ) -> (f64, f64) {
-        let lb_wf = residual_stddev_lower_bound(&st.r_proc, self.suffix_demand[depth]);
+    /// warm-starts from the previously bounded node's multipliers in
+    /// `cache.lagrangian`.
+    fn node_bound(&mut self, depth: usize, cache: &mut MapCache) -> (f64, f64) {
+        let lb_wf = residual_stddev_lower_bound(&self.r_proc, self.suffix_demand[depth]);
         if self.config.bound != BoundKind::Lagrangian {
             return (lb_wf, lb_wf);
         }
@@ -527,13 +517,13 @@ impl<'a> SearchBase<'a> {
         } = cache;
         let view = NodeView {
             hosts: &self.hosts,
-            r_proc: &st.r_proc,
-            r_mem: &st.r_mem,
-            r_stor: &st.r_stor,
+            r_proc: &self.r_proc,
+            r_mem: &self.r_mem,
+            r_stor: &self.r_stor,
             unassigned: &self.order[depth..],
-            slot_of: &st.slot_of,
+            slot_of: &self.slot_of,
             peers: &self.peers,
-            incumbent,
+            incumbent: self.best,
             at_root: depth == 0,
             use_latency: self.config.use_latency_pruning,
         };
@@ -545,12 +535,12 @@ impl<'a> SearchBase<'a> {
             lagrangian,
             &self.config.lagrangian,
         );
-        stats.subgradient_iters += out.evaluations;
+        self.stats.subgradient_iters += out.evaluations;
         // Dominance is structural (the zero-price evaluation reproduces
         // the water-filling point); the max also absorbs float noise.
         let lb = out.bound.max(lb_wf);
         if lb > lb_wf + EPSILON {
-            stats.bound_improvements += 1;
+            self.stats.bound_improvements += 1;
         }
         (lb, lb_wf)
     }
@@ -558,36 +548,29 @@ impl<'a> SearchBase<'a> {
     /// Exact propagation of the hard constraints (Eqs. 2–3): aggregate
     /// remaining demand must fit the aggregate residuals, and every
     /// unassigned guest must still fit on *some* host individually.
-    fn capacity_feasible(&self, st: &NodeState, depth: usize) -> bool {
-        let total_mem: u64 = st.r_mem.iter().sum();
+    fn capacity_feasible(&self, depth: usize) -> bool {
+        let total_mem: u64 = self.r_mem.iter().sum();
         if total_mem < self.suffix_mem[depth] {
             return false;
         }
-        let total_stor: f64 = st.r_stor.iter().sum();
+        let total_stor: f64 = self.r_stor.iter().sum();
         if total_stor < self.suffix_stor[depth] {
             return false;
         }
         self.order[depth..].iter().all(|&g| {
             let spec = self.venv.guest(g);
             (0..self.hosts.len())
-                .any(|s| st.r_mem[s] >= spec.mem.value() && st.r_stor[s] >= spec.stor.value())
+                .any(|s| self.r_mem[s] >= spec.mem.value() && self.r_stor[s] >= spec.stor.value())
         })
     }
 
     /// Eq. 8 check against already-placed peers: even the latency-shortest
     /// path must respect each link's bound, so a placement violating it
     /// can never be routed — an exact prune.
-    fn latency_admits(
-        &self,
-        st: &NodeState,
-        guest: GuestId,
-        slot: usize,
-        cache: &mut MapCache,
-    ) -> bool {
+    fn latency_admits(&self, guest: GuestId, slot: usize, cache: &mut MapCache) -> bool {
         let host = self.hosts[slot];
-        for i in 0..self.peers[guest.index()].len() {
-            let (peer, bound) = self.peers[guest.index()][i];
-            let Some(peer_slot) = st.slot_of[peer] else {
+        for &(peer, bound) in &self.peers[guest.index()] {
+            let Some(peer_slot) = self.slot_of[peer] else {
                 continue;
             };
             let peer_host = self.hosts[peer_slot];
@@ -605,40 +588,13 @@ impl<'a> SearchBase<'a> {
     /// Host slots in branch order at this node: descending residual CPU
     /// (most-loaded-last spreads load early, so good incumbents arrive
     /// fast), ties broken on slot index for determinism.
-    fn sorted_slots(&self, st: &NodeState) -> Vec<usize> {
+    fn sorted_slots(&self) -> Vec<usize> {
         let mut slots: Vec<usize> = (0..self.hosts.len()).collect();
         slots.sort_by(|&a, &b| {
-            st.r_proc[b]
-                .partial_cmp(&st.r_proc[a])
+            self.r_proc[b]
+                .partial_cmp(&self.r_proc[a])
                 .expect("finite residuals")
                 .then(a.cmp(&b))
-        });
-        slots
-    }
-
-    /// The admissible child slots of an interior node, in branch order:
-    /// [`sorted_slots`](Self::sorted_slots) with memory/storage non-fits
-    /// dropped silently (as the DFS does) and latency-inadmissible slots
-    /// counted as latency prunes.
-    fn child_slots(
-        &self,
-        st: &NodeState,
-        depth: usize,
-        cache: &mut MapCache,
-        stats: &mut ExactStats,
-    ) -> Vec<usize> {
-        let guest = self.order[depth];
-        let spec = *self.venv.guest(guest);
-        let mut slots = self.sorted_slots(st);
-        slots.retain(|&slot| {
-            if st.r_mem[slot] < spec.mem.value() || st.r_stor[slot] < spec.stor.value() {
-                return false;
-            }
-            if self.config.use_latency_pruning && !self.latency_admits(st, guest, slot, cache) {
-                stats.pruned_latency += 1;
-                return false;
-            }
-            true
         });
         slots
     }
@@ -646,25 +602,22 @@ impl<'a> SearchBase<'a> {
     /// Routes a complete placement on a fresh [`PlacementState`] (route
     /// commitments must not leak into the search residuals), trying
     /// A\*Prune first and Yen-KSP as a fallback.
-    fn route_leaf(&self, st: &NodeState, cache: &mut MapCache) -> Option<(Mapping, f64)> {
+    fn route_leaf(&self, cache: &mut MapCache) -> Option<(Mapping, f64)> {
         let links = links_by_descending_bw(self.venv);
         let astar = self.config.astar;
-        let routed = self.with_fresh_state(st, |state| {
-            networking_stage(state, &links, &astar, cache).ok()
-        })?;
+        let routed =
+            self.with_fresh_state(|state| networking_stage(state, &links, &astar, cache).ok())?;
         let routed = match routed {
             Some((routes, _)) => Some(routes),
             None if self.config.ksp_fallback > 0 => {
                 let k = self.config.ksp_fallback;
-                self.with_fresh_state(st, |state| {
-                    networking_stage_ksp(state, &links, k, cache).ok()
-                })?
-                .map(|(routes, _)| routes)
+                self.with_fresh_state(|state| networking_stage_ksp(state, &links, k, cache).ok())?
+                    .map(|(routes, _)| routes)
             }
             None => None,
         };
         let routes = routed?;
-        let placement: Vec<NodeId> = st
+        let placement: Vec<NodeId> = self
             .slot_of
             .iter()
             .map(|s| self.hosts[s.expect("leaf placement is complete")])
@@ -678,553 +631,46 @@ impl<'a> SearchBase<'a> {
     /// `f`. Returns `None` if the replay itself fails (possible only
     /// through float-rounding drift in storage residuals; treated as a
     /// routing failure by the caller).
-    fn with_fresh_state<R>(
-        &self,
-        st: &NodeState,
-        f: impl FnOnce(&mut PlacementState<'_>) -> R,
-    ) -> Option<R> {
+    fn with_fresh_state<R>(&self, f: impl FnOnce(&mut PlacementState<'_>) -> R) -> Option<R> {
         let mut state = PlacementState::new(self.phys, self.venv);
-        for (g, slot) in st.slot_of.iter().enumerate() {
+        for (g, slot) in self.slot_of.iter().enumerate() {
             let host = self.hosts[slot.expect("leaf placement is complete")];
             state.assign(GuestId::from_index(g), host).ok()?;
         }
         Some(f(&mut state))
     }
-}
 
-/// The sequential DFS engine (`config.threads == 0`).
-struct Search<'a> {
-    base: SearchBase<'a>,
-    st: NodeState,
-    best: f64,
-    best_mapping: Option<Mapping>,
-    lb_floor: f64,
-    truncated: bool,
-    stats: ExactStats,
-}
-
-impl<'a> Search<'a> {
-    fn new(phys: &'a PhysicalTopology, venv: &'a VirtualEnvironment, config: ExactConfig) -> Self {
-        let base = SearchBase::new(phys, venv, config);
-        let st = base.root_state();
-        Search {
-            base,
-            st,
-            best: f64::INFINITY,
-            best_mapping: None,
-            lb_floor: f64::INFINITY,
-            truncated: false,
-            stats: ExactStats::default(),
-        }
-    }
-
-    /// Admits a heuristic mapping as an incumbent if it is valid and
-    /// strictly better than the current best.
-    fn offer_witness(&mut self, mapping: &Mapping) {
-        if validate_mapping(self.base.phys, self.base.venv, mapping).is_err() {
-            return;
-        }
-        let objective = mapping_objective(self.base.phys, self.base.venv, mapping);
-        if objective < self.best {
-            self.best = objective;
-            self.best_mapping = Some(mapping.clone());
-        }
-        self.stats.witnesses_accepted += 1;
-    }
-
-    fn run(&mut self, cache: &mut MapCache) {
-        cache.topo.prepare(self.base.phys);
-        if self.base.config.bound == BoundKind::Lagrangian {
-            // Also resets the multipliers: the bound must be a pure
-            // function of the instance, whatever the cache history.
-            cache.lagrangian.prepare(
-                self.base.phys,
-                &self.base.hosts,
-                self.base.venv.guest_count(),
-            );
-        }
-        self.dfs(0, cache);
-    }
-
-    fn dfs(&mut self, depth: usize, cache: &mut MapCache) {
-        if self.stats.nodes_expanded >= self.base.config.max_nodes {
-            self.truncated = true;
-            return;
-        }
-        self.stats.nodes_expanded += 1;
-
-        let (lb, lb_wf) = self
-            .base
-            .node_bound(&self.st, depth, self.best, cache, &mut self.stats);
-        if lb >= self.best - EPSILON {
-            self.stats.pruned_bound += 1;
-            if lb_wf < self.best - EPSILON {
-                self.stats.pruned_lagrangian += 1;
-            }
-            return;
-        }
-        if depth == self.base.order.len() {
-            // Strictly-improving complete placement: try to route it.
-            self.stats.leaf_routings += 1;
-            match self.base.route_leaf(&self.st, cache) {
-                Some((mapping, objective)) => {
-                    self.best = objective;
-                    self.best_mapping = Some(mapping);
-                }
-                None => {
-                    // The placement may still be routable by an exhaustive
-                    // router; keep the bound honest instead of excluding it.
-                    self.stats.routing_failures += 1;
-                    self.lb_floor = self.lb_floor.min(lb);
-                }
-            }
-            return;
-        }
-        if !self.base.capacity_feasible(&self.st, depth) {
-            self.stats.pruned_capacity += 1;
-            return;
-        }
-
-        let guest = self.base.order[depth];
-        let spec = *self.base.venv.guest(guest);
-        // Fit and latency checks stay lazy (per slot, inside the loop) so
-        // a truncation mid-loop skips the remaining siblings' checks —
-        // exactly the pre-refactor counter behavior.
-        for slot in self.base.sorted_slots(&self.st) {
-            if self.st.r_mem[slot] < spec.mem.value() || self.st.r_stor[slot] < spec.stor.value() {
-                continue;
-            }
-            if self.base.config.use_latency_pruning
-                && !self.base.latency_admits(&self.st, guest, slot, cache)
-            {
-                self.stats.pruned_latency += 1;
-                continue;
-            }
-            self.base.apply(&mut self.st, depth, slot);
-            self.dfs(depth + 1, cache);
-            self.base.undo(&mut self.st, depth, slot);
-            if self.truncated {
-                // Unexplored siblings' subtrees all bound below by this
-                // frame's entry lb (bounds only tighten down the tree).
-                self.lb_floor = self.lb_floor.min(lb);
-                return;
-            }
-        }
-    }
-
+    /// The verdict: certifies optimality only when the search completed
+    /// and the bound floor met the incumbent.
     fn into_outcome(self) -> ExactOutcome {
-        finish_outcome(
-            self.base.phys,
-            self.base.venv,
-            self.best,
-            self.best_mapping,
-            self.lb_floor,
-            self.truncated,
-            self.stats,
-        )
-    }
-}
-
-/// Shared verdict assembly: certification logic is identical for both
-/// engines.
-fn finish_outcome(
-    phys: &PhysicalTopology,
-    venv: &VirtualEnvironment,
-    best: f64,
-    best_mapping: Option<Mapping>,
-    lb_floor: f64,
-    truncated: bool,
-    stats: ExactStats,
-) -> ExactOutcome {
-    let lower_bound = best.min(lb_floor);
-    let status = if truncated {
-        ExactStatus::Truncated
-    } else if best_mapping.is_none() {
-        if stats.routing_failures == 0 {
-            ExactStatus::Infeasible
+        let status = if self.truncated {
+            ExactStatus::Truncated
+        } else if self.best_mapping.is_none() {
+            if self.stats.routing_failures == 0 {
+                ExactStatus::Infeasible
+            } else {
+                ExactStatus::Truncated
+            }
+        } else if self.lb_floor >= self.best - EPSILON {
+            ExactStatus::Optimal
         } else {
             ExactStatus::Truncated
-        }
-    } else if lb_floor >= best - EPSILON {
-        ExactStatus::Optimal
-    } else {
-        ExactStatus::Truncated
-    };
-    let lower_bound = match status {
-        ExactStatus::Infeasible => f64::INFINITY,
-        _ => lower_bound,
-    };
-    ExactOutcome {
-        status,
-        best: best_mapping.map(|mapping| {
-            let objective = mapping_objective(phys, venv, &mapping);
-            ExactSolution { mapping, objective }
-        }),
-        lower_bound,
-        stats,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Epoch-parallel engine
-// ---------------------------------------------------------------------------
-
-/// One node of the shared frontier: the assignment path from the root
-/// (in branch order) plus everything a worker needs to bound it as a
-/// pure function of `(node, epoch snapshot)`.
-struct FrontierNode {
-    /// `path[d]` = host slot assigned to `order[d]`, for `d < path.len()`.
-    path: Vec<usize>,
-    /// The generating parent's admissible bound (0 at the root): a valid
-    /// lower bound for the whole subtree, used when truncation leaves
-    /// the node unexpanded.
-    parent_lb: f64,
-    /// The parent's post-ascent multipliers (λ‖ν‖β, packed by
-    /// [`LagrangianScratch::save_multipliers`]); `None` at the root and
-    /// under [`BoundKind::Waterfill`]. Shared by all siblings.
-    warm: Option<Arc<Vec<f64>>>,
-    /// Worker index that expanded the parent — `nodes_stolen` counts
-    /// nodes processed by a different worker than their generator.
-    generator: usize,
-}
-
-/// What one worker concluded about one frontier node.
-enum NodeResult {
-    /// Bound met the snapshot incumbent, or capacity propagation failed:
-    /// the subtree is dead (already counted in the worker's stats).
-    Pruned,
-    /// A complete placement: routed mapping, or a routing failure whose
-    /// admissible bound must fold into the solve's bound floor.
-    Leaf {
-        lb: f64,
-        routed: Option<(Mapping, f64)>,
-    },
-    /// An interior node: admissible child slots in branch order plus the
-    /// post-ascent multipliers its children warm-start from.
-    Expanded {
-        lb: f64,
-        children: Vec<usize>,
-        warm: Option<Arc<Vec<f64>>>,
-    },
-}
-
-/// All shared engine state, behind one `RwLock`. Workers hold the read
-/// lock while processing an epoch (writing results through the per-item
-/// mutexes); worker 0 takes the write lock between epoch barriers to
-/// merge results and publish the next plan. The coordinator-only fields
-/// ride along in the same struct — they are only touched under the
-/// write lock.
-struct EngineState {
-    /// No more epochs: workers exit at the next barrier.
-    done: bool,
-    /// The incumbent objective frozen at the epoch start — the *only*
-    /// upper bound workers may prune against, which is what makes every
-    /// pruning decision thread-count-invariant.
-    snapshot: f64,
-    /// This epoch's nodes, depth-ordered (index 0 = deepest). Item `i`
-    /// is processed by worker `i mod workers`.
-    items: Vec<FrontierNode>,
-    /// One result slot per item.
-    results: Vec<Mutex<Option<NodeResult>>>,
-    /// The LIFO frontier stack (top = deepest = next to expand).
-    frontier: Vec<FrontierNode>,
-    best: f64,
-    best_mapping: Option<Mapping>,
-    lb_floor: f64,
-    truncated: bool,
-    expanded_total: u64,
-    epochs: u64,
-    /// Per-worker incumbent publications (attributed to the worker that
-    /// processed the accepted leaf).
-    publishes: Vec<u64>,
-}
-
-/// Takes up to `epoch_nodes` nodes (budget- and frontier-limited) off
-/// the frontier into the next epoch plan, or marks the engine done —
-/// folding the unexpanded frontier's bounds into `lb_floor` when the
-/// node budget truncates the search.
-fn plan_next_epoch(state: &mut EngineState, config: &ExactConfig) {
-    state.items.clear();
-    state.results.clear();
-    if state.frontier.is_empty() {
-        state.done = true;
-        return;
-    }
-    if state.expanded_total >= config.max_nodes {
-        state.truncated = true;
-        let unexpanded = state
-            .frontier
-            .iter()
-            .fold(f64::INFINITY, |acc, n| acc.min(n.parent_lb));
-        state.lb_floor = state.lb_floor.min(unexpanded);
-        state.frontier.clear();
-        state.done = true;
-        return;
-    }
-    let budget = config.max_nodes - state.expanded_total;
-    let k = config
-        .epoch_nodes
-        .max(1)
-        .min(budget)
-        .min(state.frontier.len() as u64) as usize;
-    state.snapshot = state.best;
-    for _ in 0..k {
-        let node = state.frontier.pop().expect("k <= frontier.len()");
-        state.items.push(node);
-    }
-    state.expanded_total += k as u64;
-    state.results = (0..k).map(|_| Mutex::new(None)).collect();
-}
-
-/// Merges one epoch's results, in deterministic item order. Pass 1 walks
-/// items first-to-last (the depth-first order) accepting strictly
-/// improving routed leaves and folding routing-failure bounds into the
-/// floor; pass 2 walks last-to-first pushing children (each reversed) so
-/// the next epoch pops item 0's first child first — the same exploration
-/// order a depth-first search would take, whatever the worker count.
-fn merge_epoch(state: &mut EngineState, workers: usize) {
-    state.epochs += 1;
-    let slots = std::mem::take(&mut state.results);
-    let mut results: Vec<NodeResult> = slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("worker produced a result"))
-        .collect();
-    for (i, r) in results.iter_mut().enumerate() {
-        if let NodeResult::Leaf { lb, routed } = r {
-            match routed.take() {
-                Some((mapping, objective)) => {
-                    // Workers only reach a leaf when its bound beat the
-                    // snapshot; re-check against intra-epoch improvements
-                    // accepted earlier in this very pass.
-                    if objective < state.best - EPSILON {
-                        state.best = objective;
-                        state.best_mapping = Some(mapping);
-                        state.publishes[i % workers] += 1;
-                    }
-                }
-                None => state.lb_floor = state.lb_floor.min(*lb),
-            }
+        };
+        let lower_bound = match status {
+            ExactStatus::Infeasible => f64::INFINITY,
+            _ => self.best.min(self.lb_floor),
+        };
+        let (phys, venv) = (self.phys, self.venv);
+        ExactOutcome {
+            status,
+            best: self.best_mapping.map(|mapping| {
+                let objective = mapping_objective(phys, venv, &mapping);
+                ExactSolution { mapping, objective }
+            }),
+            lower_bound,
+            stats: self.stats,
         }
     }
-    let items = std::mem::take(&mut state.items);
-    for i in (0..items.len()).rev() {
-        if let NodeResult::Expanded { lb, children, warm } = &results[i] {
-            // The published incumbent may have caught up with this
-            // node's bound mid-epoch: its whole subtree is dead, drop
-            // the children unexpanded (the epoch-barrier analogue of
-            // the DFS bound prune).
-            if *lb >= state.best - EPSILON {
-                continue;
-            }
-            let parent = &items[i];
-            for &slot in children.iter().rev() {
-                let mut path = Vec::with_capacity(parent.path.len() + 1);
-                path.extend_from_slice(&parent.path);
-                path.push(slot);
-                state.frontier.push(FrontierNode {
-                    path,
-                    parent_lb: *lb,
-                    warm: warm.clone(),
-                    generator: i % workers,
-                });
-            }
-        }
-    }
-}
-
-/// Processes one frontier node — a pure function of `(node, snapshot)`:
-/// the worker re-seeds its private residual state from the root vectors
-/// (by copy, so the floats are canonical whatever this worker processed
-/// before), replays the node's path, loads the parent's multipliers,
-/// bounds, and either prunes, routes a leaf, or emits the child list.
-/// Nothing here reads mutable shared state, so *which* worker runs this
-/// (and in what interleaving) cannot affect the result.
-#[allow(clippy::too_many_arguments)]
-fn process_node(
-    base: &SearchBase<'_>,
-    st: &mut NodeState,
-    node: &FrontierNode,
-    snapshot: f64,
-    cache: &mut MapCache,
-    stats: &mut ExactStats,
-    worker: usize,
-) -> NodeResult {
-    if node.generator != worker {
-        stats.nodes_stolen += 1;
-    }
-    base.seed_root_residuals(st);
-    for (d, &slot) in node.path.iter().enumerate() {
-        base.apply(st, d, slot);
-    }
-    let depth = node.path.len();
-    stats.nodes_expanded += 1;
-    if base.config.bound == BoundKind::Lagrangian {
-        match &node.warm {
-            Some(packed) => cache.lagrangian.load_multipliers(packed),
-            None => cache.lagrangian.reset_multipliers(),
-        }
-    }
-    let (lb, lb_wf) = base.node_bound(st, depth, snapshot, cache, stats);
-    let result = if lb >= snapshot - EPSILON {
-        stats.pruned_bound += 1;
-        if lb_wf < snapshot - EPSILON {
-            stats.pruned_lagrangian += 1;
-        }
-        NodeResult::Pruned
-    } else if depth == base.order.len() {
-        stats.leaf_routings += 1;
-        match base.route_leaf(st, cache) {
-            Some(pair) => NodeResult::Leaf {
-                lb,
-                routed: Some(pair),
-            },
-            None => {
-                stats.routing_failures += 1;
-                NodeResult::Leaf { lb, routed: None }
-            }
-        }
-    } else if !base.capacity_feasible(st, depth) {
-        stats.pruned_capacity += 1;
-        NodeResult::Pruned
-    } else {
-        let children = base.child_slots(st, depth, cache, stats);
-        let warm = (base.config.bound == BoundKind::Lagrangian).then(|| {
-            let mut packed = Vec::new();
-            cache.lagrangian.save_multipliers(&mut packed);
-            Arc::new(packed)
-        });
-        NodeResult::Expanded { lb, children, warm }
-    };
-    // Clear the assignments only (integer state, exact); the residual
-    // floats are re-seeded by copy on the next node.
-    for d in 0..node.path.len() {
-        st.slot_of[base.order[d].index()] = None;
-    }
-    result
-}
-
-/// One worker's lifetime: a bulk-synchronous loop over epochs. Barrier A
-/// admits the published plan; barrier B certifies every result slot is
-/// filled; between B and the next A, worker 0 alone merges and plans.
-fn worker_loop(
-    base: &SearchBase<'_>,
-    shared: &RwLock<EngineState>,
-    barrier: &Barrier,
-    worker: usize,
-    workers: usize,
-    cache: &mut MapCache,
-) -> ExactStats {
-    let mut stats = ExactStats::default();
-    let mut st = base.root_state();
-    cache.topo.prepare(base.phys);
-    if base.config.bound == BoundKind::Lagrangian {
-        cache
-            .lagrangian
-            .prepare(base.phys, &base.hosts, base.venv.guest_count());
-    }
-    loop {
-        barrier.wait(); // A: the epoch plan is published.
-        {
-            let state = shared.read();
-            if state.done {
-                break;
-            }
-            let mut i = worker;
-            while i < state.items.len() {
-                let r = process_node(
-                    base,
-                    &mut st,
-                    &state.items[i],
-                    state.snapshot,
-                    cache,
-                    &mut stats,
-                    worker,
-                );
-                *state.results[i].lock() = Some(r);
-                i += workers;
-            }
-        }
-        barrier.wait(); // B: every result slot is filled.
-        if worker == 0 {
-            let mut state = shared.write();
-            merge_epoch(&mut state, workers);
-            plan_next_epoch(&mut state, &base.config);
-        }
-    }
-    stats
-}
-
-/// The epoch-parallel engine (`config.threads ≥ 1`). Returns the outcome
-/// plus the per-worker counter snapshots (with merge-time attribution —
-/// `incumbent_publishes` and the global `epochs` — folded in), in worker
-/// order.
-fn solve_epoch_parallel(
-    phys: &PhysicalTopology,
-    venv: &VirtualEnvironment,
-    config: &ExactConfig,
-    witnesses: &[Mapping],
-) -> (ExactOutcome, Vec<ExactStats>) {
-    let base = SearchBase::new(phys, venv, *config);
-    let workers = config.threads.max(1);
-    let mut state = EngineState {
-        done: false,
-        snapshot: f64::INFINITY,
-        items: Vec::new(),
-        results: Vec::new(),
-        frontier: vec![FrontierNode {
-            path: Vec::new(),
-            parent_lb: 0.0,
-            warm: None,
-            generator: 0,
-        }],
-        best: f64::INFINITY,
-        best_mapping: None,
-        lb_floor: f64::INFINITY,
-        truncated: false,
-        expanded_total: 0,
-        epochs: 0,
-        publishes: vec![0; workers],
-    };
-    let mut witnesses_accepted = 0u64;
-    for w in witnesses {
-        if validate_mapping(phys, venv, w).is_err() {
-            continue;
-        }
-        let objective = mapping_objective(phys, venv, w);
-        if objective < state.best {
-            state.best = objective;
-            state.best_mapping = Some(w.clone());
-        }
-        witnesses_accepted += 1;
-    }
-    plan_next_epoch(&mut state, config);
-
-    let shared = RwLock::new(state);
-    let barrier = Barrier::new(workers);
-    let mut worker_stats = ParallelRunner::new(workers)
-        .run_workers(|w, cache| worker_loop(&base, &shared, &barrier, w, workers, cache));
-
-    let state = shared.into_inner();
-    let mut totals = ExactStats {
-        witnesses_accepted,
-        epochs: state.epochs,
-        ..Default::default()
-    };
-    for (w, stats) in worker_stats.iter_mut().enumerate() {
-        stats.incumbent_publishes = state.publishes[w];
-        stats.epochs = state.epochs;
-        totals.absorb(stats);
-    }
-    let outcome = finish_outcome(
-        phys,
-        venv,
-        state.best,
-        state.best_mapping,
-        state.lb_floor,
-        state.truncated,
-        totals,
-    );
-    (outcome, worker_stats)
 }
 
 #[cfg(test)]
@@ -1593,239 +1039,6 @@ mod tests {
         assert_eq!(out.status, ExactStatus::Optimal);
         let best = out.best.expect("empty mapping is feasible");
         // Residuals untouched: objective = stddev of (1000, 800) = 100.
-        assert!((best.objective - 100.0).abs() < 1e-9);
-    }
-
-    /// A mid-size heterogeneous instance with real pruning work, shared
-    /// by the parallel-engine tests.
-    fn parallel_fixture() -> (PhysicalTopology, VirtualEnvironment) {
-        let phys = phys_line(4, &[3000.0, 2400.0, 1800.0, 1200.0]);
-        let venv = chain_venv(
-            &[
-                (500.0, 900),
-                (400.0, 900),
-                (300.0, 900),
-                (250.0, 128),
-                (200.0, 128),
-                (150.0, 64),
-            ],
-            40.0,
-            80.0,
-        );
-        (phys, venv)
-    }
-
-    /// Everything that must be thread-count-invariant: the full stats
-    /// minus `nodes_stolen` (which depends on the item→worker striping).
-    fn invariant_stats(s: &ExactStats) -> ExactStats {
-        ExactStats {
-            nodes_stolen: 0,
-            ..*s
-        }
-    }
-
-    #[test]
-    fn parallel_engine_is_bit_identical_across_thread_counts() {
-        let (phys, venv) = parallel_fixture();
-        let outs: Vec<ExactOutcome> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&threads| {
-                solve_cold(
-                    &phys,
-                    &venv,
-                    &ExactConfig {
-                        threads,
-                        ..Default::default()
-                    },
-                )
-            })
-            .collect();
-        let first = &outs[0];
-        assert_eq!(first.status, ExactStatus::Optimal);
-        for out in &outs[1..] {
-            assert_eq!(out.status, first.status);
-            assert_eq!(out.lower_bound.to_bits(), first.lower_bound.to_bits());
-            let (a, b) = (first.best.as_ref().unwrap(), out.best.as_ref().unwrap());
-            assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-            assert_eq!(a.mapping.placement(), b.mapping.placement());
-            assert_eq!(invariant_stats(&out.stats), invariant_stats(&first.stats));
-        }
-    }
-
-    #[test]
-    fn parallel_engine_agrees_with_sequential_dfs() {
-        // DFS and the epoch engine explore in different orders, so node
-        // counts may differ — but both are exact: same verdict, same
-        // certified objective and bound (up to EPSILON).
-        let (phys, venv) = parallel_fixture();
-        for bound in [BoundKind::Lagrangian, BoundKind::Waterfill] {
-            let seq = solve_cold(
-                &phys,
-                &venv,
-                &ExactConfig {
-                    bound,
-                    ..Default::default()
-                },
-            );
-            let par = solve_cold(
-                &phys,
-                &venv,
-                &ExactConfig {
-                    bound,
-                    threads: 4,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(seq.status, ExactStatus::Optimal);
-            assert_eq!(par.status, ExactStatus::Optimal);
-            let (a, b) = (seq.best.unwrap(), par.best.unwrap());
-            assert!((a.objective - b.objective).abs() <= EPSILON);
-            assert!((seq.lower_bound - par.lower_bound).abs() <= EPSILON);
-        }
-    }
-
-    #[test]
-    fn parallel_worker_counters_sum_to_totals() {
-        use emumap_trace::{EventSink, Tracer};
-        use std::sync::Mutex as StdMutex;
-
-        struct Capture(std::sync::Arc<StdMutex<Vec<TraceEvent>>>);
-        impl EventSink for Capture {
-            fn record(&mut self, event: TraceEvent) {
-                self.0.lock().unwrap().push(event);
-            }
-        }
-
-        let (phys, venv) = parallel_fixture();
-        let events = std::sync::Arc::new(StdMutex::new(Vec::new()));
-        let mut cache = MapCache::new();
-        cache.trace = Tracer::new(Box::new(Capture(std::sync::Arc::clone(&events))));
-        let config = ExactConfig {
-            threads: 4,
-            ..Default::default()
-        };
-        let out = solve_exact_with(&phys, &venv, &config, &mut cache, &[]);
-        let events = events.lock().unwrap();
-        let workers: Vec<(u64, PhaseCounters)> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::ExactWorker { worker, counters } => Some((*worker, *counters)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            workers.iter().map(|(w, _)| *w).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        let total = events
-            .iter()
-            .find_map(|e| match e {
-                TraceEvent::PhaseEnd {
-                    phase: Phase::Exact,
-                    counters,
-                    ..
-                } => Some(*counters),
-                _ => None,
-            })
-            .expect("an Exact PhaseEnd is emitted");
-        // Additive counters: worker shares sum to the totals.
-        let sum = |f: fn(&PhaseCounters) -> u64| workers.iter().map(|(_, c)| f(c)).sum::<u64>();
-        assert_eq!(sum(|c| c.exact_nodes_expanded), total.exact_nodes_expanded);
-        assert_eq!(sum(|c| c.exact_nodes_pruned), total.exact_nodes_pruned);
-        assert_eq!(sum(|c| c.subgradient_iters), total.subgradient_iters);
-        assert_eq!(sum(|c| c.bound_improvements), total.bound_improvements);
-        assert_eq!(
-            sum(|c| c.nodes_pruned_lagrangian),
-            total.nodes_pruned_lagrangian
-        );
-        assert_eq!(sum(|c| c.incumbent_publishes), total.incumbent_publishes);
-        // `epochs` is a global: every worker reports the same value.
-        assert!(workers.iter().all(|(_, c)| c.epochs == total.epochs));
-        assert!(total.epochs > 0);
-        assert_eq!(total.exact_nodes_expanded, out.stats.nodes_expanded);
-        assert_eq!(out.stats.epochs, total.epochs);
-    }
-
-    #[test]
-    fn parallel_truncation_still_bounds_the_optimum() {
-        let (phys, venv) = parallel_fixture();
-        let full = solve_cold(&phys, &venv, &ExactConfig::default());
-        let optimum = full.best.expect("fixture is feasible").objective;
-        for threads in [1usize, 4] {
-            let out = solve_cold(
-                &phys,
-                &venv,
-                &ExactConfig {
-                    threads,
-                    max_nodes: 7,
-                    epoch_nodes: 3,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(out.status, ExactStatus::Truncated);
-            assert!(out.lower_bound <= optimum + EPSILON);
-            assert!(out.stats.nodes_expanded <= 7 + 3);
-        }
-    }
-
-    #[test]
-    fn parallel_witness_seeds_the_incumbent_once() {
-        // Witness bookkeeping belongs to the solve, not the workers: the
-        // count must not scale with the thread count.
-        let (phys, venv) = parallel_fixture();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let hmn = Hmn::new().map(&phys, &venv, &mut rng).expect("HMN maps");
-        for threads in [1usize, 4] {
-            let mut cache = MapCache::new();
-            let out = solve_exact_with(
-                &phys,
-                &venv,
-                &ExactConfig {
-                    threads,
-                    ..Default::default()
-                },
-                &mut cache,
-                std::slice::from_ref(&hmn.mapping),
-            );
-            assert_eq!(out.stats.witnesses_accepted, 1);
-            let best = out.best.expect("at least the witness");
-            assert!(best.objective <= hmn.objective + EPSILON);
-        }
-    }
-
-    #[test]
-    fn parallel_engine_certifies_infeasibility() {
-        let phys = phys_line(2, &[1000.0, 1000.0]);
-        let venv = chain_venv(&[(10.0, 1500), (10.0, 1500), (10.0, 1500)], 10.0, 60.0);
-        let out = solve_cold(
-            &phys,
-            &venv,
-            &ExactConfig {
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.status, ExactStatus::Infeasible);
-        assert!(out.best.is_none());
-        assert!(out.lower_bound.is_infinite());
-    }
-
-    #[test]
-    fn parallel_empty_virtual_environment_is_trivially_optimal() {
-        // The root is itself a leaf: the engine must route the empty
-        // placement, not dead-end on an empty frontier.
-        let phys = phys_line(2, &[1000.0, 800.0]);
-        let venv = VirtualEnvironment::new();
-        let out = solve_cold(
-            &phys,
-            &venv,
-            &ExactConfig {
-                threads: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.status, ExactStatus::Optimal);
-        let best = out.best.expect("empty mapping is feasible");
         assert!((best.objective - 100.0).abs() < 1e-9);
     }
 }

@@ -56,11 +56,12 @@
 //! admissible; the reported bound is the max over all of them.
 //!
 //! **Multiplier warm-start.** Prices live in [`LagrangianScratch`] inside
-//! `MapCache` and are *warm-started down the search tree*: a child node
-//! starts its subgradient ascent from the parent's prices, which are
-//! usually near-optimal one level deeper. They are reset at the start of
-//! every solve, so results are bit-identical for any cache history and at
-//! any thread count — the `MapCache` purity invariant.
+//! `MapCache` and are *warm-started down the search tree*: each node
+//! starts its subgradient ascent from the prices of the node the
+//! depth-first search bounded just before it (its parent, for a first
+//! child), which are usually near-optimal one level deeper. They are
+//! reset at the start of every solve, so results are bit-identical for
+//! any cache history — the `MapCache` purity invariant.
 
 use crate::cache::ArTables;
 use crate::exact::EPSILON;
@@ -76,7 +77,7 @@ pub struct LagrangianConfig {
     /// Subgradient ascent steps at the root node (depth 0).
     pub root_iters: u32,
     /// Subgradient ascent steps at every deeper node (warm-started from
-    /// the parent's multipliers).
+    /// the previously bounded node's multipliers).
     pub tree_iters: u32,
     /// Step-size scale `θ` of the Polyak rule
     /// `t = θ·(UB − dual)/‖subgradient‖²`, applied per price family.
@@ -244,50 +245,6 @@ impl LagrangianScratch {
         }
         self.uidx_of.clear();
         self.uidx_of.resize(guest_count, usize::MAX);
-    }
-
-    /// Length of a packed multiplier snapshot for the prepared host
-    /// count: three price families (λ, ν, β), one slot each per host.
-    pub fn multiplier_len(&self) -> usize {
-        3 * self.lambda_mem.len()
-    }
-
-    /// Packs the current multipliers (`λ ‖ ν ‖ β`) into `out`. This is
-    /// the per-subtree warm-start handoff of the epoch-parallel oracle:
-    /// captured right after a node's bound computation, a snapshot holds
-    /// that node's post-ascent prices, which its children load before
-    /// their own ascent — so a node's bound is a pure function of
-    /// `(node, snapshot-at-entry)`, independent of which worker computed
-    /// the siblings in between.
-    pub fn save_multipliers(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(&self.lambda_mem);
-        out.extend_from_slice(&self.nu_stor);
-        out.extend_from_slice(&self.beta_bw);
-    }
-
-    /// Restores multipliers packed by
-    /// [`save_multipliers`](Self::save_multipliers). `packed` must match
-    /// the prepared host count ([`multiplier_len`](Self::multiplier_len)).
-    pub fn load_multipliers(&mut self, packed: &[f64]) {
-        let n = self.lambda_mem.len();
-        assert_eq!(packed.len(), 3 * n, "packed multipliers match host count");
-        self.lambda_mem.copy_from_slice(&packed[..n]);
-        self.nu_stor.copy_from_slice(&packed[n..2 * n]);
-        self.beta_bw.copy_from_slice(&packed[2 * n..]);
-    }
-
-    /// Zeroes the multipliers — the warm-start state of a node with no
-    /// parent prices (the search root).
-    pub fn reset_multipliers(&mut self) {
-        for v in self
-            .lambda_mem
-            .iter_mut()
-            .chain(self.nu_stor.iter_mut())
-            .chain(self.beta_bw.iter_mut())
-        {
-            *v = 0.0;
-        }
     }
 }
 
@@ -1093,84 +1050,6 @@ mod tests {
             &mut LagrangianScratch::new(),
         );
         assert!(out.bound.is_infinite());
-    }
-
-    #[test]
-    fn multiplier_handoff_reproduces_warm_started_bounds() {
-        // The epoch-parallel oracle hands a node's post-ascent prices to
-        // its children as a packed snapshot. A child bound computed after
-        // load_multipliers must be bit-identical to one computed on the
-        // scratch that ran the parent directly — whatever other work the
-        // receiving scratch did in between.
-        let phys = phys_line(3, &[3000.0, 500.0, 500.0], 1024);
-        let venv = chain_venv(&[(300.0, 900), (300.0, 900), (300.0, 900)], 10.0, 40.0);
-        let config = LagrangianConfig::default();
-        let hosts: Vec<NodeId> = phys.hosts().to_vec();
-        let peers = tightest_peer_bounds(&venv);
-        let all: Vec<GuestId> = (0..3).map(GuestId::from_index).collect();
-        let root = NodeView {
-            hosts: &hosts,
-            r_proc: &[3000.0, 500.0, 500.0],
-            r_mem: &[1024, 1024, 1024],
-            r_stor: &[1000.0, 1000.0, 1000.0],
-            unassigned: &all,
-            slot_of: &[None, None, None],
-            peers: &peers,
-            incumbent: 100.0,
-            at_root: true,
-            use_latency: true,
-        };
-        // Child node: guest 0 placed on slot 0.
-        let child = NodeView {
-            hosts: &hosts,
-            r_proc: &[2700.0, 500.0, 500.0],
-            r_mem: &[124, 1024, 1024],
-            r_stor: &[990.0, 1000.0, 1000.0],
-            unassigned: &all[1..],
-            slot_of: &[Some(0), None, None],
-            peers: &peers,
-            incumbent: 100.0,
-            at_root: false,
-            use_latency: true,
-        };
-
-        // Scratch A runs parent then child directly (the sequential way).
-        let mut topo_a = ArTables::new();
-        topo_a.prepare(&phys);
-        let mut a = LagrangianScratch::new();
-        a.prepare(&phys, &hosts, venv.guest_count());
-        let _ = lagrangian_bound(&phys, &venv, &root, &mut topo_a, &mut a, &config);
-        let mut packed = Vec::new();
-        a.save_multipliers(&mut packed);
-        assert_eq!(packed.len(), a.multiplier_len());
-        let direct = lagrangian_bound(&phys, &venv, &child, &mut topo_a, &mut a, &config);
-
-        // Scratch B does unrelated work first, then loads the snapshot.
-        let mut topo_b = ArTables::new();
-        topo_b.prepare(&phys);
-        let mut b = LagrangianScratch::new();
-        b.prepare(&phys, &hosts, venv.guest_count());
-        let other = NodeView {
-            incumbent: 50.0,
-            ..root
-        };
-        let _ = lagrangian_bound(&phys, &venv, &other, &mut topo_b, &mut b, &config);
-        b.load_multipliers(&packed);
-        let handed = lagrangian_bound(&phys, &venv, &child, &mut topo_b, &mut b, &config);
-        assert_eq!(direct.bound.to_bits(), handed.bound.to_bits());
-        assert_eq!(direct.evaluations, handed.evaluations);
-
-        // And a save → reset → load cycle restores the exact prices.
-        let mut again = Vec::new();
-        b.save_multipliers(&mut again);
-        b.reset_multipliers();
-        let mut zeros = Vec::new();
-        b.save_multipliers(&mut zeros);
-        assert!(zeros.iter().all(|&v| v == 0.0));
-        b.load_multipliers(&again);
-        let mut back = Vec::new();
-        b.save_multipliers(&mut back);
-        assert_eq!(again, back);
     }
 
     #[test]

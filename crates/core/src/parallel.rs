@@ -148,40 +148,6 @@ impl ParallelRunner {
         (results, totals)
     }
 
-    /// Spawns exactly [`threads`](Self::threads) persistent workers, each
-    /// with a private warm [`MapCache`], runs `f(worker_index, cache)`
-    /// once per worker, and returns the results in worker order.
-    ///
-    /// This is the raw pool the epoch-parallel exact oracle builds its
-    /// barrier engine on: unlike [`run`](Self::run) there is no work
-    /// queue — each worker's closure runs for the whole engine lifetime
-    /// and coordinates through shared state of the caller's choosing
-    /// (barriers, locks). The worker index is stable, so per-worker
-    /// result attribution is deterministic.
-    pub fn run_workers<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut MapCache) -> R + Sync,
-    {
-        let results: Vec<Mutex<Option<R>>> = (0..self.threads).map(|_| Mutex::new(None)).collect();
-        crossbeam::scope(|scope| {
-            for w in 0..self.threads {
-                let results = &results;
-                let f = &f;
-                scope.spawn(move |_| {
-                    let mut cache = MapCache::new();
-                    let r = f(w, &mut cache);
-                    *results[w].lock() = Some(r);
-                });
-            }
-        })
-        .expect("worker thread panicked");
-        results
-            .into_iter()
-            .map(|m| m.into_inner().expect("every worker ran"))
-            .collect()
-    }
-
     fn run_inner<T, R, F>(
         &self,
         items: Vec<T>,
@@ -257,21 +223,6 @@ mod tests {
         let runner = ParallelRunner::new(8);
         let out = runner.run(vec![7], |i, _| i);
         assert_eq!(out, vec![7]);
-    }
-
-    #[test]
-    fn run_workers_returns_results_in_worker_order() {
-        use std::sync::Barrier;
-        let runner = ParallelRunner::new(3);
-        // A barrier inside the closure proves all workers run
-        // concurrently (a sequential fallback would deadlock).
-        let barrier = Barrier::new(3);
-        let out = runner.run_workers(|w, cache| {
-            barrier.wait();
-            assert!(!cache.trace.is_enabled());
-            w * 10
-        });
-        assert_eq!(out, vec![0, 10, 20]);
     }
 
     #[test]

@@ -118,23 +118,6 @@ pub struct PhaseCounters {
     /// fired (the water-filling bound alone would have kept searching).
     /// Always ≤ `exact_nodes_pruned`. Deterministic.
     pub nodes_pruned_lagrangian: u64,
-    /// Exact (epoch-parallel engine): epoch barriers completed. Every
-    /// worker participates in every epoch, so each per-worker snapshot
-    /// reports the same *global* value (an equality contract, not a
-    /// sum), and the value is thread-count-invariant. Zero under the
-    /// sequential engine. Deterministic.
-    pub epochs: u64,
-    /// Exact (epoch-parallel engine): frontier nodes a worker processed
-    /// that were generated by a *different* worker in an earlier epoch.
-    /// The one thread-count-VARIANT Exact counter (always zero at one
-    /// worker) — excluded from cross-thread-count equality checks.
-    /// Deterministic for a fixed thread count.
-    pub nodes_stolen: u64,
-    /// Exact (epoch-parallel engine): incumbent improvements accepted at
-    /// epoch barriers. The sum across workers is thread-count-invariant
-    /// (publication decisions happen in the deterministic merge). Zero
-    /// under the sequential engine. Deterministic.
-    pub incumbent_publishes: u64,
 }
 
 impl PhaseCounters {
@@ -253,18 +236,6 @@ pub enum TraceEvent {
         /// Infeasibility diagnosis, when one was computed.
         verdict: LinkVerdict,
     },
-    /// Per-worker effort counters of one epoch-parallel exact-oracle
-    /// search, emitted inside the Exact span (between `PhaseStart` and
-    /// `PhaseEnd`), one per worker in worker order. Additive counters
-    /// sum to the `PhaseEnd` totals; `epochs` repeats the global epoch
-    /// count in every snapshot. Only the parallel engine emits these —
-    /// a sequential (`threads = 0`) run carries none.
-    ExactWorker {
-        /// Worker index, `0..threads`.
-        worker: u64,
-        /// This worker's share of the Exact counters.
-        counters: PhaseCounters,
-    },
     /// The run finished.
     MapEnd {
         /// Whether a complete mapping was produced.
@@ -327,10 +298,6 @@ impl TraceEvent {
                 ok,
                 elapsed_us: 0,
                 counters,
-            },
-            TraceEvent::ExactWorker { worker, counters } => TraceEvent::ExactWorker {
-                worker,
-                counters: counters.redact_volatile(),
             },
             other => other,
         }
@@ -649,33 +616,6 @@ mod tests {
         );
         let routed = TraceEvent::LinkRouted { link: 3, hops: 2 };
         assert_eq!(routed.redact_volatile(), routed);
-    }
-
-    #[test]
-    fn exact_worker_snapshots_roundtrip_and_redact() {
-        let ev = TraceEvent::ExactWorker {
-            worker: 3,
-            counters: PhaseCounters {
-                exact_nodes_expanded: 17,
-                epochs: 4,
-                nodes_stolen: 2,
-                incumbent_publishes: 1,
-                cache_hits: 9,
-                ..Default::default()
-            },
-        };
-        let back: TraceEvent = serde_json::from_str(&serde_json::to_string(&ev).unwrap()).unwrap();
-        assert_eq!(back, ev);
-        match ev.redact_volatile() {
-            TraceEvent::ExactWorker { worker, counters } => {
-                assert_eq!(worker, 3);
-                assert_eq!(counters.cache_hits, 0, "volatile fields redact");
-                assert_eq!(counters.epochs, 4, "decision counters survive");
-                assert_eq!(counters.nodes_stolen, 2);
-                assert_eq!(counters.incumbent_publishes, 1);
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
     }
 
     #[test]

@@ -33,18 +33,7 @@ file this asserts the structural contract CI relies on:
     subgradient_iters >= max(1, exact_nodes_expanded) (every expanded
     node prices at least one dual evaluation — a run that never touched
     the dual silently fell back to water-filling); a water-filling run
-    (mapper "EXACT-WF") reports all three Lagrangian counters zero;
-  * an epoch-parallel oracle trace (ExactWorker events present) satisfies
-    the per-worker counter contract: ExactWorker events appear only
-    inside an Exact span, one per worker with distinct worker ids
-    0..N-1; the additive search counters (exact_nodes_expanded,
-    exact_nodes_pruned, subgradient_iters, bound_improvements,
-    nodes_pruned_lagrangian, nodes_stolen, incumbent_publishes) summed
-    over the workers equal the Exact PhaseEnd totals; every worker
-    reports the same global `epochs` as the PhaseEnd (the epoch count is
-    a barrier-synchronized property, not a per-worker tally). A
-    sequential oracle trace (PhaseEnd epochs == 0) must carry no
-    ExactWorker events, and vice versa.
+    (mapper "EXACT-WF") reports all three Lagrangian counters zero.
 
 A file containing RequestStart/RequestEnd events is a **serve stream**
 (one span per daemon request) and is held to the session contract
@@ -78,21 +67,8 @@ EVENT_TAGS = {
     "LinkIntraHost",
     "LinkRouted",
     "LinkFailed",
-    "ExactWorker",
     "MapEnd",
 }
-# Per-worker Exact counters that must sum to the PhaseEnd totals. The
-# one non-additive worker counter is `epochs`: every worker observes the
-# same barrier-synchronized epoch count, so it is checked for equality.
-EXACT_WORKER_ADDITIVE = (
-    "exact_nodes_expanded",
-    "exact_nodes_pruned",
-    "subgradient_iters",
-    "bound_improvements",
-    "nodes_pruned_lagrangian",
-    "nodes_stolen",
-    "incumbent_publishes",
-)
 SERVE_TAGS = {"RequestStart", "RequestEnd"}
 PHASE_ORDER = ["Hosting", "Migration", "Networking", "Exact"]
 REQUEST_KINDS = {"Apply", "Remove", "Status", "Save", "Restore"}
@@ -150,24 +126,7 @@ def check_map_stream(path: pathlib.Path, events: list) -> list[str]:
     map_ok = events[-1][2].get("ok") if events[-1][1] == "MapEnd" else None
     open_phase = None
     last_phase_index = -1
-    workers: list = []  # (line, body) of ExactWorker events in the open span
     for i, tag, body in events:
-        if tag == "ExactWorker":
-            if open_phase != "Exact":
-                errors.append(
-                    f"{path}:{i}: ExactWorker outside an Exact span "
-                    f"(open phase: {open_phase})"
-                )
-                continue
-            counters = body.get("counters")
-            if not isinstance(body.get("worker"), int) or not isinstance(counters, dict):
-                errors.append(f"{path}:{i}: malformed ExactWorker {body!r}")
-                continue
-            if any(not isinstance(v, int) or v < 0 for v in counters.values()):
-                errors.append(f"{path}:{i}: bad ExactWorker counters {counters!r}")
-                continue
-            workers.append((i, body))
-            continue
         if tag == "PhaseStart":
             if open_phase is not None:
                 errors.append(f"{path}:{i}: PhaseStart while {open_phase} is open")
@@ -256,50 +215,6 @@ def check_map_stream(path: pathlib.Path, events: list) -> list[str]:
                         f"bound_improvements {improvements}, "
                         f"nodes_pruned_lagrangian {lag_pruned})"
                     )
-                # Epoch-parallel worker contract: ExactWorker events and
-                # a non-zero PhaseEnd epoch count imply each other, the
-                # additive worker counters sum to the totals, and every
-                # worker observed the same barrier-synchronized epoch
-                # count.
-                epochs_total = counters.get("epochs", 0)
-                if workers and epochs_total == 0:
-                    errors.append(
-                        f"{path}:{i}: ExactWorker events in a trace whose "
-                        "Exact PhaseEnd reports no epochs (sequential DFS "
-                        "must not emit worker counters)"
-                    )
-                elif not workers and epochs_total > 0:
-                    errors.append(
-                        f"{path}:{i}: epoch-parallel Exact PhaseEnd "
-                        f"({epochs_total} epoch(s)) carries no ExactWorker "
-                        "events"
-                    )
-                if workers:
-                    ids = sorted(b.get("worker") for _, b in workers)
-                    if ids != list(range(len(workers))):
-                        errors.append(
-                            f"{path}:{i}: ExactWorker ids {ids} are not "
-                            f"0..{len(workers) - 1}"
-                        )
-                    for key in EXACT_WORKER_ADDITIVE:
-                        worker_sum = sum(
-                            b["counters"].get(key, 0) for _, b in workers
-                        )
-                        if worker_sum != counters.get(key, 0):
-                            errors.append(
-                                f"{path}:{i}: worker {key} sums to "
-                                f"{worker_sum}, PhaseEnd total is "
-                                f"{counters.get(key, 0)}"
-                            )
-                    for wi, b in workers:
-                        wepochs = b["counters"].get("epochs", 0)
-                        if wepochs != epochs_total:
-                            errors.append(
-                                f"{path}:{wi}: worker "
-                                f"{b.get('worker')} reports {wepochs} "
-                                f"epoch(s), PhaseEnd reports {epochs_total}"
-                            )
-                workers = []
     if open_phase is not None:
         errors.append(f"{path}: phase {open_phase} never closed")
     return errors
