@@ -55,8 +55,7 @@ fn bench_stages(c: &mut Criterion) {
             |mut st| {
                 networking_stage(&mut st, &links, &Default::default(), &mut MapCache::new())
                     .expect("routable")
-                    .1
-                    .routed_links
+                    .0
             },
         )
     });

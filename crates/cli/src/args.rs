@@ -1,5 +1,6 @@
 //! Tiny dependency-free argument parsing: `--key value` flags after a
-//! subcommand.
+//! subcommand, plus positional operands for the subcommands that take
+//! them.
 
 use std::collections::BTreeMap;
 
@@ -34,12 +35,17 @@ impl std::error::Error for ArgError {}
 /// diagnostics).
 const BOOLEAN_FLAGS: &[&str] = &["quiet", "help"];
 
+/// Subcommands whose non-flag tokens are operands (files to read) rather
+/// than parse errors.
+const OPERAND_SUBCOMMANDS: &[&str] = &["trace-check"];
+
 /// A parsed command line: subcommand plus `--key value` pairs.
 #[derive(Clone, Debug, Default)]
 pub struct Parsed {
     /// The subcommand (first positional token).
     pub subcommand: String,
     flags: BTreeMap<String, String>,
+    operands: Vec<String>,
 }
 
 impl Parsed {
@@ -51,8 +57,13 @@ impl Parsed {
             return Err(ArgError::UnexpectedToken(subcommand));
         }
         let mut flags = BTreeMap::new();
+        let mut operands = Vec::new();
         while let Some(tok) = iter.next() {
             let Some(key) = tok.strip_prefix("--") else {
+                if OPERAND_SUBCOMMANDS.contains(&subcommand.as_str()) {
+                    operands.push(tok);
+                    continue;
+                }
                 return Err(ArgError::UnexpectedToken(tok));
             };
             // `-o` style shorthand: we normalize `--o` too; only `-o` is
@@ -67,7 +78,11 @@ impl Parsed {
                 return Err(ArgError::Duplicate(tok));
             }
         }
-        Ok(Parsed { subcommand, flags })
+        Ok(Parsed {
+            subcommand,
+            flags,
+            operands,
+        })
     }
 
     /// Parses tokens, accepting `-o` as an alias for `--out`.
@@ -111,6 +126,11 @@ impl Parsed {
             "--{key} is not registered as a boolean flag"
         );
         self.flags.contains_key(key)
+    }
+
+    /// Positional operands, in order (only for subcommands that take them).
+    pub fn operands(&self) -> &[String] {
+        &self.operands
     }
 
     /// Every flag key; `run` checks them against the subcommand's table.
@@ -157,6 +177,12 @@ mod tests {
             parse(&["map", "--a", "1", "--a", "2"]),
             Err(ArgError::Duplicate(_))
         ));
+    }
+
+    #[test]
+    fn trace_check_takes_operands() {
+        let p = parse(&["trace-check", "a.jsonl", "dir"]).unwrap();
+        assert_eq!(p.operands(), ["a.jsonl", "dir"]);
     }
 
     #[test]

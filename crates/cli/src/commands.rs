@@ -25,6 +25,8 @@ pub enum CliError {
     Mapping(String),
     /// Validation found violations.
     Invalid(Vec<String>),
+    /// Trace files broke the trace contract (one `FILE:LINE: ...` each).
+    Trace(Vec<String>),
 }
 
 impl std::fmt::Display for CliError {
@@ -37,6 +39,17 @@ impl std::fmt::Display for CliError {
                 writeln!(f, "mapping is INVALID ({} violations):", violations.len())?;
                 for v in violations {
                     writeln!(f, "  - {v}")?;
+                }
+                Ok(())
+            }
+            CliError::Trace(violations) => {
+                writeln!(
+                    f,
+                    "trace contract violated ({} violations):",
+                    violations.len()
+                )?;
+                for v in violations {
+                    writeln!(f, "{v}")?;
                 }
                 Ok(())
             }
@@ -107,6 +120,11 @@ subcommands:
       warm cache; responses carry no volatile fields, so equal request
       streams and seeds yield byte-identical response streams; shutdown
       with {\"shutdown\":{}}
+  trace-check FILE|DIR...
+      hold trace JSONL files (for a directory: every *.jsonl in it) to
+      the trace contract: bracketed spans in pipeline order, per-phase
+      counter invariants, serve request bookkeeping; prints one
+      FILE:LINE line per violation and fails on any
   inspect --phys phys.json [--venv venv.json] [--mapping mapping.json]
       [--dot out.dot]
       summarize a topology / environment / mapping; optionally export the
@@ -175,6 +193,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         "phys mapper seed attempts socket trace",
     ),
     ("inspect", inspect_cmd, "phys venv mapping dot"),
+    ("trace-check", trace_check_cmd, ""),
 ];
 
 /// Runs a parsed command line; returns lines to print on success.
@@ -198,6 +217,76 @@ pub fn run(parsed: &Parsed) -> Result<Vec<String>, CliError> {
         )));
     }
     command(parsed)
+}
+
+/// `trace-check`: holds each trace file (or every `*.jsonl` in a
+/// directory operand) to [`emumap_trace::check`].
+fn trace_check_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
+    let mut files = Vec::new();
+    for operand in p.operands() {
+        let path = Path::new(operand);
+        if !path.is_dir() {
+            files.push(path.to_path_buf());
+            continue;
+        }
+        let entries =
+            std::fs::read_dir(path).map_err(|e| CliError::Io(format!("reading {operand}: {e}")))?;
+        let mut found: Vec<_> = entries
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|f| f.extension().is_some_and(|x| x == "jsonl"))
+            .collect();
+        found.sort();
+        files.extend(found);
+    }
+    if files.is_empty() {
+        return Err(CliError::Usage(format!(
+            "trace-check: no trace files under {:?}",
+            p.operands()
+        )));
+    }
+    let mut violations = Vec::new();
+    for file in &files {
+        violations.extend(check_trace_file(file)?);
+    }
+    if !violations.is_empty() {
+        return Err(CliError::Trace(violations));
+    }
+    Ok(vec![format!(
+        "trace-check: {} trace file(s) OK",
+        files.len()
+    )])
+}
+
+/// One trace file's violations, each located as `FILE:LINE` (or `FILE`
+/// for whole-stream problems).
+fn check_trace_file(path: &Path) -> Result<Vec<String>, CliError> {
+    let name = path.display();
+    let text =
+        std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("reading {name}: {e}")))?;
+    let mut violations = Vec::new();
+    let mut events = Vec::new();
+    let mut line_of = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        match emumap_trace::parse_event(line) {
+            Ok(event) => {
+                events.push(event);
+                line_of.push(n + 1);
+            }
+            Err(e) => violations.push(format!("{name}:{}: {e}", n + 1)),
+        }
+    }
+    if events.is_empty() && !violations.is_empty() {
+        return Ok(violations);
+    }
+    violations.extend(
+        emumap_trace::check(&events)
+            .into_iter()
+            .map(|v| match v.event {
+                Some(i) => format!("{name}:{}: {}", line_of[i], v.message),
+                None => format!("{name}: {}", v.message),
+            }),
+    );
+    Ok(violations)
 }
 
 fn gen_cluster(p: &Parsed) -> Result<Vec<String>, CliError> {
@@ -327,14 +416,12 @@ fn map_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
         format!("attempts        : {}", outcome.stats.attempts),
         format!("map time        : {:?}", outcome.stats.total_time),
         format!(
-            "search          : {} A* expansions, {} heap pushes, {} scratch reuses",
-            outcome.stats.astar_expansions,
-            outcome.stats.astar_pushed,
-            outcome.stats.scratch_reuses
+            "search          : {} A* expansions, {} heap pushes",
+            outcome.stats.astar_expansions, outcome.stats.astar_pushed
         ),
         format!(
-            "tables          : {} Dijkstra runs ({} hop tables), {} warm-cache hits",
-            outcome.stats.dijkstra_runs, outcome.stats.hop_tables, outcome.stats.ar_cache_hits
+            "tables          : {} Dijkstra runs, {} warm-cache hits",
+            outcome.stats.dijkstra_runs, outcome.stats.ar_cache_hits
         ),
         format!(
             "placement       : {} proposals evaluated ({} delta, {} full evals)",
@@ -924,6 +1011,17 @@ mod tests {
         run(&parsed)
     }
 
+    /// Writes a torus cluster (seed 1) and a `gen-venv` environment built
+    /// from `venv_flags` into `dir`; returns their paths.
+    fn gen_instance(dir: &Path, venv_flags: &[&str]) -> (String, String) {
+        let phys = dir.join("phys.json").display().to_string();
+        let venv = dir.join("venv.json").display().to_string();
+        run_tokens(&["gen-cluster", "--seed", "1", "-o", &phys]).expect("gen-cluster");
+        let tokens = [&["gen-venv", "-o", venv.as_str()], venv_flags].concat();
+        run_tokens(&tokens).expect("gen-venv");
+        (phys, venv)
+    }
+
     fn tmpdir() -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "emumap-cli-test-{}-{:?}",
@@ -1100,26 +1198,11 @@ mod tests {
     #[test]
     fn validate_rejects_corrupted_mapping() {
         let dir = tmpdir();
-        let phys = dir.join("phys.json");
-        let venv = dir.join("venv.json");
         let mapping = dir.join("mapping.json");
-        let phys_s = phys.to_str().unwrap();
-        let venv_s = venv.to_str().unwrap();
         let mapping_s = mapping.to_str().unwrap();
 
-        run_tokens(&["gen-cluster", "--seed", "1", "-o", phys_s]).unwrap();
-        run_tokens(&[
-            "gen-venv",
-            "--guests",
-            "10",
-            "--density",
-            "0.2",
-            "--seed",
-            "2",
-            "-o",
-            venv_s,
-        ])
-        .unwrap();
+        let (phys_s, venv_s) =
+            &gen_instance(&dir, &["--guests", "10", "--density", "0.2", "--seed", "2"]);
         run_tokens(&["map", "--phys", phys_s, "--venv", venv_s, "-o", mapping_s]).unwrap();
 
         // Corrupt: drop one route from the mapping JSON.
@@ -1146,34 +1229,12 @@ mod tests {
     #[test]
     fn batch_runs_deterministically_across_thread_counts() {
         let dir = tmpdir();
-        let phys = dir.join("phys.json");
-        let venv = dir.join("venv.json");
-        let phys_s = phys.to_str().unwrap();
-        let venv_s = venv.to_str().unwrap();
-        run_tokens(&[
-            "gen-cluster",
-            "--topology",
-            "torus",
-            "--seed",
-            "1",
-            "-o",
-            phys_s,
-        ])
-        .unwrap();
         // Small instance: `all` now spans the whole registry (SA, PT and
         // RR included), which debug builds must finish quickly.
-        run_tokens(&[
-            "gen-venv",
-            "--guests",
-            "24",
-            "--density",
-            "0.05",
-            "--seed",
-            "2",
-            "-o",
-            venv_s,
-        ])
-        .unwrap();
+        let (phys_s, venv_s) = &gen_instance(
+            &dir,
+            &["--guests", "24", "--density", "0.05", "--seed", "2"],
+        );
 
         let run_at = |threads: &str, out: &str| {
             run_tokens(&[
@@ -1228,23 +1289,8 @@ mod tests {
     #[test]
     fn batch_rejects_unknown_mapper() {
         let dir = tmpdir();
-        let phys = dir.join("phys.json");
-        let venv = dir.join("venv.json");
-        let phys_s = phys.to_str().unwrap();
-        let venv_s = venv.to_str().unwrap();
-        run_tokens(&["gen-cluster", "--seed", "1", "-o", phys_s]).unwrap();
-        run_tokens(&[
-            "gen-venv",
-            "--guests",
-            "10",
-            "--density",
-            "0.1",
-            "--seed",
-            "2",
-            "-o",
-            venv_s,
-        ])
-        .unwrap();
+        let (phys_s, venv_s) =
+            &gen_instance(&dir, &["--guests", "10", "--density", "0.1", "--seed", "2"]);
         let err = run_tokens(&[
             "batch", "--phys", phys_s, "--venv", venv_s, "--mapper", "hmn,nope",
         ])
@@ -1256,32 +1302,10 @@ mod tests {
     #[test]
     fn map_prints_search_and_table_counters() {
         let dir = tmpdir();
-        let phys = dir.join("phys.json");
-        let venv = dir.join("venv.json");
-        let phys_s = phys.to_str().unwrap();
-        let venv_s = venv.to_str().unwrap();
-        run_tokens(&[
-            "gen-cluster",
-            "--topology",
-            "torus",
-            "--seed",
-            "1",
-            "-o",
-            phys_s,
-        ])
-        .unwrap();
-        run_tokens(&[
-            "gen-venv",
-            "--guests",
-            "50",
-            "--density",
-            "0.05",
-            "--seed",
-            "2",
-            "-o",
-            venv_s,
-        ])
-        .unwrap();
+        let (phys_s, venv_s) = &gen_instance(
+            &dir,
+            &["--guests", "50", "--density", "0.05", "--seed", "2"],
+        );
         let lines =
             run_tokens(&["map", "--phys", phys_s, "--venv", venv_s, "--mapper", "hmn"]).unwrap();
         let text = lines.join("\n");
@@ -1362,55 +1386,23 @@ mod tests {
     #[test]
     fn map_trace_contains_all_three_phases_and_map_end() {
         let dir = tmpdir();
-        let phys = dir.join("phys.json");
-        let venv = dir.join("venv.json");
         let trace = dir.join("events.jsonl");
-        let phys_s = phys.to_str().unwrap();
-        let venv_s = venv.to_str().unwrap();
         let trace_s = trace.to_str().unwrap();
-        run_tokens(&[
-            "gen-cluster",
-            "--topology",
-            "torus",
-            "--seed",
-            "1",
-            "-o",
-            phys_s,
-        ])
-        .unwrap();
-        run_tokens(&[
-            "gen-venv",
-            "--guests",
-            "50",
-            "--density",
-            "0.05",
-            "--seed",
-            "2",
-            "-o",
-            venv_s,
-        ])
-        .unwrap();
+        let (phys_s, venv_s) = &gen_instance(
+            &dir,
+            &["--guests", "50", "--density", "0.05", "--seed", "2"],
+        );
         let lines = run_tokens(&[
             "map", "--phys", phys_s, "--venv", venv_s, "--mapper", "hmn", "--trace", trace_s,
         ])
         .unwrap();
         assert!(lines.iter().any(|l| l.contains("wrote trace")), "{lines:?}");
 
-        let text = std::fs::read_to_string(trace_s).unwrap();
-        let events: Vec<emumap_trace::TraceEvent> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).expect("each line parses as an event"))
-            .collect();
-        let phase_ends: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                emumap_trace::TraceEvent::PhaseEnd { phase, .. } => Some(*phase),
-                _ => None,
-            })
-            .collect();
+        let events = read_trace(trace_s);
+        assert_eq!(emumap_trace::check(&events), vec![]);
         use emumap_trace::Phase;
         assert_eq!(
-            phase_ends,
+            phase_ends(&events),
             vec![Phase::Hosting, Phase::Migration, Phase::Networking]
         );
         assert!(matches!(
@@ -1427,33 +1419,11 @@ mod tests {
     #[test]
     fn batch_trace_dir_writes_one_file_per_trial() {
         let dir = tmpdir();
-        let phys = dir.join("phys.json");
-        let venv = dir.join("venv.json");
         let traces = dir.join("traces");
-        let phys_s = phys.to_str().unwrap();
-        let venv_s = venv.to_str().unwrap();
-        run_tokens(&[
-            "gen-cluster",
-            "--topology",
-            "torus",
-            "--seed",
-            "1",
-            "-o",
-            phys_s,
-        ])
-        .unwrap();
-        run_tokens(&[
-            "gen-venv",
-            "--guests",
-            "40",
-            "--density",
-            "0.05",
-            "--seed",
-            "2",
-            "-o",
-            venv_s,
-        ])
-        .unwrap();
+        let (phys_s, venv_s) = &gen_instance(
+            &dir,
+            &["--guests", "40", "--density", "0.05", "--seed", "2"],
+        );
         run_tokens(&[
             "batch",
             "--phys",
@@ -1484,15 +1454,63 @@ mod tests {
                 "trace_hmn_rep001.jsonl",
             ]
         );
-        for f in &files {
-            let text = std::fs::read_to_string(traces.join(f)).unwrap();
-            assert!(!text.is_empty(), "{f} should contain events");
-            for line in text.lines() {
-                let _: emumap_trace::TraceEvent =
-                    serde_json::from_str(line).expect("every line parses");
-            }
-        }
+        let checked = run_tokens(&["trace-check", traces.to_str().unwrap()]).unwrap();
+        assert_eq!(checked, vec!["trace-check: 4 trace file(s) OK"]);
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn trace_check_locates_malformed_lines_and_broken_rules() {
+        let dir = tmpdir().join("trace-check");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad.jsonl");
+        let path_s = path.to_str().unwrap();
+        std::fs::write(
+            &path,
+            [
+                r#"{"MapStart":{"mapper":"HMN","guests":2,"links":1}}"#,
+                r#"{"PhaseStart":{"phase":"Networking"}}"#,
+                r#"{"PhaseEnd":{"phase":"Networking","elapsed_us":-1}}"#,
+                r#"{"LinkRouted":{"link":0,"hops":1,"extra":true}}"#,
+                "not json",
+                r#"{"MapEnd":{"ok":true,"objective":1.0,"elapsed_us":3}}"#,
+            ]
+            .join("\n"),
+        )
+        .unwrap();
+        let Err(CliError::Trace(lines)) = run_tokens(&["trace-check", path_s]) else {
+            panic!("a broken trace must fail");
+        };
+        let located: Vec<&str> = lines
+            .iter()
+            .map(|l| l.strip_prefix(path_s).expect("names the file"))
+            .map(|l| l.split_once(' ').map_or(l, |(at, _)| at))
+            .collect();
+        // Three malformed lines, then the never-closed span they leave.
+        assert_eq!(located, [":3:", ":4:", ":5:", ":"], "{lines:?}");
+
+        std::fs::write(&path, "").unwrap();
+        let Err(CliError::Trace(lines)) = run_tokens(&["trace-check", path_s]) else {
+            panic!("an empty trace must fail");
+        };
+        assert_eq!(lines, [format!("{path_s}: no events")]);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    fn read_trace(path: &str) -> Vec<emumap_trace::TraceEvent> {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .map(|l| emumap_trace::parse_event(l).expect("each line parses as an event"))
+            .collect()
+    }
+
+    fn phase_ends(events: &[emumap_trace::TraceEvent]) -> Vec<emumap_trace::Phase> {
+        events
+            .iter()
+            .filter_map(emumap_trace::TraceEvent::phase_end)
+            .map(|(phase, _, _)| phase)
+            .collect()
     }
 
     #[test]
@@ -1576,23 +1594,13 @@ mod tests {
         let trace = dir.join("exact.jsonl");
         let trace_s = trace.to_str().unwrap();
         run_tokens(&["exact", "--smoke", "2009", "--trace", trace_s]).expect("exact");
-        let text = std::fs::read_to_string(trace_s).unwrap();
-        let events: Vec<emumap_trace::TraceEvent> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).expect("each line parses as an event"))
-            .collect();
+        let events = read_trace(trace_s);
+        assert_eq!(emumap_trace::check(&events), vec![]);
         assert!(matches!(
             events.first(),
             Some(emumap_trace::TraceEvent::MapStart { mapper, .. }) if mapper == "EXACT"
         ));
-        let phase_ends: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                emumap_trace::TraceEvent::PhaseEnd { phase, .. } => Some(*phase),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(phase_ends, vec![emumap_trace::Phase::Exact]);
+        assert_eq!(phase_ends(&events), vec![emumap_trace::Phase::Exact]);
         assert!(matches!(
             events.last(),
             Some(emumap_trace::TraceEvent::MapEnd { ok: true, .. })
@@ -1765,24 +1773,11 @@ mod tests {
     #[test]
     fn map_reports_mapper_failure() {
         let dir = tmpdir();
-        let phys = dir.join("phys.json");
-        let venv = dir.join("venv.json");
-        let phys_s = phys.to_str().unwrap();
-        let venv_s = venv.to_str().unwrap();
-        run_tokens(&["gen-cluster", "--seed", "1", "-o", phys_s]).unwrap();
         // 4000 high-level guests cannot fit 40 hosts (memory).
-        run_tokens(&[
-            "gen-venv",
-            "--guests",
-            "4000",
-            "--density",
-            "0.001",
-            "--seed",
-            "2",
-            "-o",
-            venv_s,
-        ])
-        .unwrap();
+        let (phys_s, venv_s) = &gen_instance(
+            &dir,
+            &["--guests", "4000", "--density", "0.001", "--seed", "2"],
+        );
         let err = run_tokens(&["map", "--phys", phys_s, "--venv", venv_s]).unwrap_err();
         assert!(matches!(err, CliError::Mapping(_)));
         std::fs::remove_dir_all(dir).ok();

@@ -514,4 +514,46 @@ mod tests {
 
         assert_eq!(cold_lines, warm_lines);
     }
+
+    /// The CI soak, replayed in-process: the pinned 500-request churn
+    /// trace on the 40-host torus (cluster seed 1) must reproduce the
+    /// golden responses byte for byte, and its trace must keep the trace
+    /// contract.
+    #[test]
+    fn soak_replay_matches_the_golden_responses_and_keeps_the_trace_contract() {
+        let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data");
+        let dir = std::env::temp_dir().join(format!("emumap_soak_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let phys_path = dir.join("phys.json").display().to_string();
+        let tokens = ["gen-cluster", "--topology", "torus", "--hosts", "40"];
+        let tokens = tokens
+            .into_iter()
+            .chain(["--seed", "1", "--out", &phys_path]);
+        crate::run(&Parsed::parse(tokens.map(str::to_string)).unwrap()).unwrap();
+
+        // The pinned requests save and restore a snapshot at a relative
+        // path; keep it inside the scratch directory.
+        let pinned_snapshot = "soak/snapshot.json";
+        let snapshot = dir.join("snapshot.json").display().to_string();
+        let requests = std::fs::read_to_string(format!("{data}/serve_soak_requests.jsonl"))
+            .unwrap()
+            .replace(pinned_snapshot, &snapshot);
+        let golden = std::fs::read_to_string(format!("{data}/serve_soak_golden.jsonl")).unwrap();
+
+        let mut session = Session::new(read_json(&phys_path).unwrap(), 2009);
+        let sink = emumap_trace::SharedSink::default();
+        session.cache_mut().trace = emumap_trace::Tracer::new(Box::new(sink.clone()));
+        let mapper = build_mapper("hmn", emumap_core::DEFAULT_MAX_ATTEMPTS).unwrap();
+        let mut out = Vec::new();
+        serve_stream(&mut session, mapper.as_ref(), requests.as_bytes(), &mut out).unwrap();
+        let responses = String::from_utf8(out)
+            .unwrap()
+            .replace(&snapshot, pinned_snapshot);
+        for (n, (got, want)) in responses.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(got, want, "response {} differs from the golden file", n + 1);
+        }
+        assert_eq!(responses.lines().count(), golden.lines().count());
+        assert_eq!(emumap_trace::check(&sink.events()), vec![]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

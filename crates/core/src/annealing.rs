@@ -16,15 +16,15 @@ use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::error::MapError;
 use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
-use crate::mapper::{MapOutcome, MapStats, Mapper};
+use crate::mapper::{MapOutcome, Mapper};
 use crate::migration::migration_stage;
 use crate::networking::networking_stage;
+use crate::recorder::record_map;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{GuestId, Mapping, PhysicalTopology, VirtualEnvironment};
-use emumap_trace::{Phase, PhaseCounters, TraceEvent};
+use emumap_trace::{Phase, PhaseCounters};
 use rand::{Rng, RngCore};
-use std::time::Instant;
 
 /// Annealer configuration.
 #[derive(Clone, Copy, Debug)]
@@ -69,6 +69,127 @@ pub struct Annealing {
     pub config: AnnealingConfig,
 }
 
+/// The Metropolis loop over a complete placement, ending on the best
+/// placement visited; returns the Migration span's counters.
+fn anneal(
+    cfg: &AnnealingConfig,
+    state: &mut PlacementState<'_>,
+    hosts: &[NodeId],
+    best_placement: &mut Vec<NodeId>,
+    displaced: &mut Vec<GuestId>,
+    rng: &mut dyn RngCore,
+) -> PhaseCounters {
+    let venv = state.venv();
+    let phys = state.phys();
+    let guest_count = venv.guest_count();
+    let bw_scale = {
+        // Natural scale: average per-host CPU capacity per unit of the
+        // total virtual bandwidth, folded so both terms are O(objective).
+        let total_bw: f64 = venv.link_ids().map(|l| venv.link(l).bw.value()).sum();
+        if total_bw > 0.0 {
+            total_bw / phys.host_count() as f64
+        } else {
+            0.0
+        }
+    };
+    let bw_enabled = cfg.bandwidth_weight != 0.0 && bw_scale != 0.0;
+    let energy_of = |objective: f64, bw_inter: f64| {
+        if bw_enabled {
+            // Normalize the bandwidth term to the objective's scale so
+            // neither dominates by unit choice.
+            objective + cfg.bandwidth_weight * bw_inter / bw_scale
+        } else {
+            objective
+        }
+    };
+    // The inter-host bandwidth is scanned once here and then maintained
+    // as a running value: each proposal contributes an O(degree) delta.
+    let mut bw_inter = if bw_enabled {
+        state.inter_host_bandwidth().value()
+    } else {
+        0.0
+    };
+    let mut current = energy_of(state.objective(), bw_inter);
+    let mut best_energy = current;
+    best_placement.extend(
+        venv.guest_ids()
+            .map(|g| state.host_of(g).expect("complete")),
+    );
+    let mut temperature = (current * cfg.initial_temperature_factor).max(1e-6);
+    let mut accepted = 0usize;
+    let mut rejected = 0usize;
+    let mut proposals = 0usize;
+    let delta_evals_before = state.delta_evaluations();
+    let full_evals_before = state.full_evaluations();
+
+    if guest_count > 0 && hosts.len() > 1 {
+        for _ in 0..cfg.iterations {
+            // Propose: move one random guest to one random other host.
+            let g = GuestId::from_index(rng.gen_range(0..guest_count));
+            let from = state.host_of(g).expect("complete");
+            let to = hosts[rng.gen_range(0..hosts.len())];
+            if to == from || !state.fits(g, to) {
+                temperature *= cfg.cooling;
+                continue;
+            }
+            // Delta evaluation: O(1) objective + O(degree) bandwidth,
+            // with no state mutation. Accept commits the tracked
+            // values; reject costs nothing.
+            let objective_after = state.objective_if_migrated(g, to);
+            let bw_after = if bw_enabled {
+                bw_inter + state.inter_bandwidth_delta(g, to).value()
+            } else {
+                bw_inter
+            };
+            let proposed = energy_of(objective_after, bw_after);
+            proposals += 1;
+            let delta = proposed - current;
+            let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature.max(1e-12)).exp();
+            if accept {
+                state.migrate(g, to).expect("fit checked");
+                current = proposed;
+                bw_inter = bw_after;
+                accepted += 1;
+                if proposed < best_energy {
+                    best_energy = proposed;
+                    for (i, slot) in best_placement.iter_mut().enumerate() {
+                        *slot = state.host_of(GuestId::from_index(i)).expect("complete");
+                    }
+                }
+            } else {
+                rejected += 1;
+            }
+            temperature *= cfg.cooling;
+        }
+    }
+
+    // Restore the best placement visited. One-by-one migration could
+    // transiently violate capacity (a swap needs both slots free at
+    // once), so unassign every displaced guest first, then reassign —
+    // the target state as a whole was feasible when recorded.
+    displaced.extend(
+        (0..guest_count)
+            .map(GuestId::from_index)
+            .filter(|&g| state.host_of(g) != Some(best_placement[g.index()])),
+    );
+    for &g in displaced.iter() {
+        state.unassign(g);
+    }
+    for &g in displaced.iter() {
+        state
+            .assign(g, best_placement[g.index()])
+            .expect("best placement was feasible when recorded");
+    }
+    PhaseCounters {
+        moves_accepted: accepted as u64,
+        moves_rejected: rejected as u64,
+        proposals_evaluated: proposals as u64,
+        delta_evaluations: state.delta_evaluations() - delta_evals_before,
+        full_evaluations: state.full_evaluations() - full_evals_before,
+        ..Default::default()
+    }
+}
+
 impl Mapper for Annealing {
     fn name(&self) -> &str {
         "SA"
@@ -82,266 +203,72 @@ impl Mapper for Annealing {
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
         let cfg = &self.config;
-        let start = Instant::now();
         let links = links_by_descending_bw(venv);
-        let mut state = PlacementState::new(phys, venv);
-        cache.trace.emit(|| TraceEvent::MapStart {
-            mapper: "SA".into(),
-            guests: venv.guest_count() as u64,
-            links: venv.link_count() as u64,
-        });
+        record_map("SA", phys, venv, cache, |rec, cache| {
+            let mut state = PlacementState::new(phys, venv);
 
-        // Borrow the reusable search buffers out of the cache for the run;
-        // they go back before the Networking stage needs the whole cache.
-        let anneal_reuses_before = cache.anneal.reuses();
-        cache.anneal.begin();
-        let mut hosts = std::mem::take(&mut cache.anneal.hosts);
-        let mut best_placement = std::mem::take(&mut cache.anneal.best);
-        let mut displaced = std::mem::take(&mut cache.anneal.displaced);
-        hosts.extend_from_slice(phys.hosts());
+            // Borrow the reusable search buffers out of the cache for the
+            // run; they go back before the Networking stage needs the whole
+            // cache.
+            cache.anneal.begin();
+            let mut hosts = std::mem::take(&mut cache.anneal.hosts);
+            let mut best_placement = std::mem::take(&mut cache.anneal.best);
+            let mut displaced = std::mem::take(&mut cache.anneal.displaced);
+            hosts.extend_from_slice(phys.hosts());
 
-        // --- Initial placement.
-        let t_place = Instant::now();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Hosting,
-        });
-        let mut hosting_counters = PhaseCounters::default();
-        if cfg.seed_with_hosting {
-            let h = match hosting_stage(&mut state, &links, HostingPolicy::Paper) {
-                Ok(h) => h,
-                Err(e) => {
-                    // Close the open phase even on failure: trace
-                    // consumers rely on bracketed PhaseStart/PhaseEnd.
-                    cache.trace.emit(|| TraceEvent::PhaseEnd {
-                        phase: Phase::Hosting,
-                        elapsed_us: crate::hmn::elapsed_us(t_place),
-                        counters: PhaseCounters::default(),
-                    });
-                    cache.trace.emit(|| TraceEvent::MapEnd {
-                        ok: false,
-                        objective: None,
-                        elapsed_us: crate::hmn::elapsed_us(start),
-                    });
-                    return Err(e);
-                }
-            };
-            hosting_counters.colocation_hits = h.colocation_hits as u64;
-            hosting_counters.first_fit_fallbacks = h.first_fit_fallbacks as u64;
-            migration_stage(&mut state);
-        } else {
-            let mut fitting: Vec<NodeId> = Vec::with_capacity(hosts.len());
-            for g in venv.guest_ids() {
-                fitting.clear();
-                fitting.extend(hosts.iter().copied().filter(|&h| state.fits(g, h)));
-                if fitting.is_empty() {
-                    cache.trace.emit(|| TraceEvent::PhaseEnd {
-                        phase: Phase::Hosting,
-                        elapsed_us: crate::hmn::elapsed_us(t_place),
-                        counters: PhaseCounters::default(),
-                    });
-                    cache.trace.emit(|| TraceEvent::MapEnd {
-                        ok: false,
-                        objective: None,
-                        elapsed_us: crate::hmn::elapsed_us(start),
-                    });
-                    return Err(MapError::HostingFailed { guest: g });
-                }
-                let pick = fitting[rng.gen_range(0..fitting.len())];
-                state.assign(g, pick).expect("candidate verified");
-            }
-        }
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Hosting,
-            elapsed_us: crate::hmn::elapsed_us(t_place),
-            counters: hosting_counters,
-        });
-
-        // --- Anneal.
-        let guest_count = venv.guest_count();
-        let bw_scale = {
-            // Natural scale: average per-host CPU capacity per unit of the
-            // total virtual bandwidth, folded so both terms are O(objective).
-            let total_bw: f64 = venv.link_ids().map(|l| venv.link(l).bw.value()).sum();
-            if total_bw > 0.0 {
-                total_bw / phys.host_count() as f64
-            } else {
-                0.0
-            }
-        };
-        let bw_enabled = cfg.bandwidth_weight != 0.0 && bw_scale != 0.0;
-        let energy_of = |objective: f64, bw_inter: f64| {
-            if bw_enabled {
-                // Normalize the bandwidth term to the objective's scale so
-                // neither dominates by unit choice.
-                objective + cfg.bandwidth_weight * bw_inter / bw_scale
-            } else {
-                objective
-            }
-        };
-        // The inter-host bandwidth is scanned once here and then maintained
-        // as a running value: each proposal contributes an O(degree) delta.
-        let mut bw_inter = if bw_enabled {
-            state.inter_host_bandwidth().value()
-        } else {
-            0.0
-        };
-        let mut current = energy_of(state.objective(), bw_inter);
-        let mut best_energy = current;
-        best_placement.extend(
-            venv.guest_ids()
-                .map(|g| state.host_of(g).expect("complete")),
-        );
-        let mut temperature = (current * cfg.initial_temperature_factor).max(1e-6);
-        let mut accepted = 0usize;
-        let mut rejected = 0usize;
-        let mut proposals = 0usize;
-        let delta_evals_before = state.delta_evaluations();
-        let full_evals_before = state.full_evaluations();
-
-        let t_anneal = Instant::now();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Migration,
-        });
-        if guest_count > 0 && hosts.len() > 1 {
-            for _ in 0..cfg.iterations {
-                // Propose: move one random guest to one random other host.
-                let g = GuestId::from_index(rng.gen_range(0..guest_count));
-                let from = state.host_of(g).expect("complete");
-                let to = hosts[rng.gen_range(0..hosts.len())];
-                if to == from || !state.fits(g, to) {
-                    temperature *= cfg.cooling;
-                    continue;
-                }
-                // Delta evaluation: O(1) objective + O(degree) bandwidth,
-                // with no state mutation. Accept commits the tracked
-                // values; reject costs nothing.
-                let objective_after = state.objective_if_migrated(g, to);
-                let bw_after = if bw_enabled {
-                    bw_inter + state.inter_bandwidth_delta(g, to).value()
-                } else {
-                    bw_inter
-                };
-                let proposed = energy_of(objective_after, bw_after);
-                proposals += 1;
-                let delta = proposed - current;
-                let accept =
-                    delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature.max(1e-12)).exp();
-                if accept {
-                    state.migrate(g, to).expect("fit checked");
-                    current = proposed;
-                    bw_inter = bw_after;
-                    accepted += 1;
-                    if proposed < best_energy {
-                        best_energy = proposed;
-                        for (i, slot) in best_placement.iter_mut().enumerate() {
-                            *slot = state.host_of(GuestId::from_index(i)).expect("complete");
-                        }
+            // --- Initial placement.
+            rec.try_phase(
+                cache,
+                Phase::Hosting,
+                |_| {
+                    if cfg.seed_with_hosting {
+                        let h = hosting_stage(&mut state, &links, HostingPolicy::Paper)?;
+                        migration_stage(&mut state);
+                        return Ok(h.counters());
                     }
-                } else {
-                    rejected += 1;
-                }
-                temperature *= cfg.cooling;
-            }
-        }
+                    let mut fitting: Vec<NodeId> = Vec::with_capacity(hosts.len());
+                    for g in venv.guest_ids() {
+                        fitting.clear();
+                        fitting.extend(hosts.iter().copied().filter(|&h| state.fits(g, h)));
+                        if fitting.is_empty() {
+                            return Err(MapError::HostingFailed { guest: g });
+                        }
+                        let pick = fitting[rng.gen_range(0..fitting.len())];
+                        state.assign(g, pick).expect("candidate verified");
+                    }
+                    Ok(PhaseCounters::default())
+                },
+                |counters| *counters,
+            )?;
 
-        // Restore the best placement visited. One-by-one migration could
-        // transiently violate capacity (a swap needs both slots free at
-        // once), so unassign every displaced guest first, then reassign —
-        // the target state as a whole was feasible when recorded.
-        displaced.extend(
-            (0..guest_count)
-                .map(GuestId::from_index)
-                .filter(|&g| state.host_of(g) != Some(best_placement[g.index()])),
-        );
-        for &g in &displaced {
-            state.unassign(g);
-        }
-        for &g in &displaced {
-            state
-                .assign(g, best_placement[g.index()])
-                .expect("best placement was feasible when recorded");
-        }
-        let delta_evaluations = state.delta_evaluations() - delta_evals_before;
-        let full_evaluations = state.full_evaluations() - full_evals_before;
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Migration,
-            elapsed_us: crate::hmn::elapsed_us(t_anneal),
-            counters: PhaseCounters {
-                moves_accepted: accepted as u64,
-                moves_rejected: rejected as u64,
-                proposals_evaluated: proposals as u64,
-                delta_evaluations,
-                full_evaluations,
-                ..Default::default()
-            },
-        });
-        let placement_time = t_place.elapsed();
+            // --- Anneal.
+            rec.phase(cache, Phase::Migration, |_| {
+                let counters = anneal(
+                    cfg,
+                    &mut state,
+                    &hosts,
+                    &mut best_placement,
+                    &mut displaced,
+                    rng,
+                );
+                ((), counters)
+            });
 
-        // Return the (possibly grown) buffers to the cache for the next run.
-        cache.anneal.hosts = hosts;
-        cache.anneal.best = best_placement;
-        cache.anneal.displaced = displaced;
+            // Return the (possibly grown) buffers to the cache for the next
+            // run.
+            cache.anneal.hosts = hosts;
+            cache.anneal.best = best_placement;
+            cache.anneal.displaced = displaced;
 
-        // --- Route.
-        let t_route = Instant::now();
-        let route_reuses_before = cache.scratch.reuses();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Networking,
-        });
-        let (routes, net) = match networking_stage(&mut state, &links, &cfg.astar, cache) {
-            Ok(r) => r,
-            Err(e) => {
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Networking,
-                    elapsed_us: crate::hmn::elapsed_us(t_route),
-                    counters: PhaseCounters::default(),
-                });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: crate::hmn::elapsed_us(start),
-                });
-                return Err(e);
-            }
-        };
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Networking,
-            elapsed_us: crate::hmn::elapsed_us(t_route),
-            counters: PhaseCounters {
-                astar_expansions: net.search.expanded as u64,
-                astar_pushed: net.search.pushed as u64,
-                dijkstra_runs: net.dijkstra_runs as u64,
-                cache_hits: net.ar_cache_hits as u64,
-                ..Default::default()
-            },
-        });
-        let stats = MapStats {
-            attempts: 1,
-            migrations: accepted,
-            migrations_rejected: rejected,
-            routed_links: net.routed_links,
-            intra_host_links: net.intra_host_links,
-            astar_expansions: net.search.expanded,
-            dijkstra_runs: net.dijkstra_runs,
-            ar_cache_hits: net.ar_cache_hits,
-            scratch_reuses: (cache.scratch.reuses() - route_reuses_before)
-                + (cache.anneal.reuses() - anneal_reuses_before),
-            proposals_evaluated: proposals,
-            delta_evaluations: delta_evaluations as usize,
-            full_evaluations: full_evaluations as usize,
-            placement_time,
-            networking_time: t_route.elapsed(),
-            total_time: start.elapsed(),
-            ..Default::default()
-        };
-        let mapping = Mapping::new(state.into_placement(), routes);
-        let outcome = MapOutcome::new(phys, venv, mapping, stats);
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: true,
-            objective: Some(outcome.objective),
-            elapsed_us: crate::hmn::elapsed_us(start),
-        });
-        Ok(outcome)
+            // --- Route.
+            let (routes, _) = rec.try_phase(
+                cache,
+                Phase::Networking,
+                |cache| networking_stage(&mut state, &links, &cfg.astar, cache),
+                |(_, net)| net.counters(),
+            )?;
+            Ok(Mapping::new(state.into_placement(), routes))
+        })
     }
 }
 

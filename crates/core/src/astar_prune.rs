@@ -203,8 +203,6 @@ pub struct RouteScratch {
     /// pruning; indexed by node, reset lazily via `touched`.
     labels: Vec<Vec<(f64, f64, u32)>>,
     touched: Vec<u32>,
-    warm: bool,
-    reuses: usize,
 }
 
 impl RouteScratch {
@@ -213,19 +211,9 @@ impl RouteScratch {
         RouteScratch::default()
     }
 
-    /// Searches that ran on already-warm buffers (every use after the
-    /// first). Surfaced in `MapStats::scratch_reuses`.
-    pub fn reuses(&self) -> usize {
-        self.reuses
-    }
-
     /// Clears the buffers for a new search on a graph of `node_count`
     /// nodes, keeping their capacity.
     fn begin(&mut self, node_count: usize) {
-        if self.warm {
-            self.reuses += 1;
-        }
-        self.warm = true;
         self.arena.clear();
         self.heap.clear();
         if self.on_path.len() < node_count {
@@ -683,7 +671,6 @@ mod tests {
             );
             assert_eq!(fresh, reused);
         }
-        assert_eq!(scratch.reuses(), queries.len() - 1);
     }
 
     #[test]

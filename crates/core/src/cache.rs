@@ -150,8 +150,6 @@ pub struct AnnealScratch {
     pub(crate) best: Vec<NodeId>,
     /// Guests whose final host differs from the best snapshot (restore).
     pub(crate) displaced: Vec<GuestId>,
-    warm: bool,
-    reuses: usize,
 }
 
 impl AnnealScratch {
@@ -160,18 +158,8 @@ impl AnnealScratch {
         AnnealScratch::default()
     }
 
-    /// Annealing runs that started on already-warm buffers (every use
-    /// after the first). Surfaced in `MapStats::scratch_reuses`.
-    pub fn reuses(&self) -> usize {
-        self.reuses
-    }
-
     /// Clears the buffers for a new run, keeping their capacity.
     pub(crate) fn begin(&mut self) {
-        if self.warm {
-            self.reuses += 1;
-        }
-        self.warm = true;
         self.hosts.clear();
         self.best.clear();
         self.displaced.clear();
@@ -206,8 +194,6 @@ pub struct RoundingScratch {
     pub(crate) priced: Vec<(NodeId, emumap_graph::algo::DijkstraResult)>,
     /// Sampled placement of the current rounding attempt, by guest index.
     pub(crate) sampled: Vec<NodeId>,
-    warm: bool,
-    reuses: usize,
 }
 
 impl RoundingScratch {
@@ -216,18 +202,8 @@ impl RoundingScratch {
         RoundingScratch::default()
     }
 
-    /// Rounding runs that started on already-warm buffers (every use
-    /// after the first). Surfaced in `MapStats::scratch_reuses`.
-    pub fn reuses(&self) -> usize {
-        self.reuses
-    }
-
     /// Clears the buffers for a new run, keeping their capacity.
     pub(crate) fn begin(&mut self) {
-        if self.warm {
-            self.reuses += 1;
-        }
-        self.warm = true;
         self.host_prices.clear();
         self.edge_prices.clear();
         self.edge_loads.clear();

@@ -15,14 +15,15 @@
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
-use crate::mapper::{MapOutcome, MapStats, Mapper};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingStats};
+use crate::mapper::{MapOutcome, Mapper};
 use crate::networking::networking_stage;
+use crate::recorder::record_map;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{GuestId, Mapping, PhysicalTopology, VirtualEnvironment};
+use emumap_trace::{Phase, PhaseCounters};
 use rand::RngCore;
-use std::time::Instant;
 
 /// Statistics from a drain pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -130,45 +131,33 @@ impl Mapper for ConsolidatingHmn {
         _rng: &mut dyn RngCore,
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
         let links = links_by_descending_bw(venv);
-        let mut state = PlacementState::new(phys, venv);
-
-        let t = Instant::now();
-        hosting_stage(&mut state, &links, HostingPolicy::Paper)?;
-        let placement_time = t.elapsed();
-
-        let t = Instant::now();
-        let drain = drain_stage(&mut state);
-        let migration_time = t.elapsed();
-
-        let t = Instant::now();
-        // This mapper emits no map events of its own, so its link events
-        // stay out of the caller's trace: a stream keeps only complete
-        // MapStart..MapEnd segments.
-        let trace = std::mem::take(&mut cache.trace);
-        let routed = networking_stage(&mut state, &links, &self.astar, cache);
-        cache.trace = trace;
-        let (routes, net) = routed?;
-        let networking_time = t.elapsed();
-
-        let stats = MapStats {
-            attempts: 1,
-            migrations: drain.guests_moved,
-            routed_links: net.routed_links,
-            intra_host_links: net.intra_host_links,
-            astar_expansions: net.search.expanded,
-            astar_pushed: net.search.pushed,
-            dijkstra_runs: net.dijkstra_runs,
-            ar_cache_hits: net.ar_cache_hits,
-            placement_time,
-            migration_time,
-            networking_time,
-            total_time: start.elapsed(),
-            ..Default::default()
-        };
-        let mapping = Mapping::new(state.into_placement(), routes);
-        Ok(MapOutcome::new(phys, venv, mapping, stats))
+        record_map("HMN-consolidate", phys, venv, cache, |rec, cache| {
+            let mut state = PlacementState::new(phys, venv);
+            rec.try_phase(
+                cache,
+                Phase::Hosting,
+                |_| hosting_stage(&mut state, &links, HostingPolicy::Paper),
+                HostingStats::counters,
+            )?;
+            // The drain pass stands in for Migration: its relocations are
+            // the moves it accepted.
+            rec.phase(cache, Phase::Migration, |_| {
+                let drain = drain_stage(&mut state);
+                let counters = PhaseCounters {
+                    moves_accepted: drain.guests_moved as u64,
+                    ..Default::default()
+                };
+                ((), counters)
+            });
+            let (routes, _) = rec.try_phase(
+                cache,
+                Phase::Networking,
+                |cache| networking_stage(&mut state, &links, &self.astar, cache),
+                |(_, net)| net.counters(),
+            )?;
+            Ok(Mapping::new(state.into_placement(), routes))
+        })
     }
 }
 

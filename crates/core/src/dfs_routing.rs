@@ -61,8 +61,6 @@ pub struct DfsScratch {
     on_path: Vec<bool>,
     frames: Vec<Frame>,
     spare: Vec<Vec<(NodeId, EdgeId)>>,
-    warm: bool,
-    reuses: usize,
     backtracks: usize,
 }
 
@@ -72,15 +70,9 @@ impl DfsScratch {
         DfsScratch::default()
     }
 
-    /// Searches that ran on already-warm buffers (every use after the
-    /// first). Surfaced in `MapStats::scratch_reuses`.
-    pub fn reuses(&self) -> usize {
-        self.reuses
-    }
-
     /// Cumulative backtrack steps (frames popped with no remaining
-    /// neighbor) across every search on this scratch. Surfaced in
-    /// `MapStats::dfs_backtracks` and the trace's Networking counters.
+    /// neighbor) across every search on this scratch. Surfaced once, as
+    /// the `dfs_backtracks` counter of the R and HS Networking spans.
     pub fn backtracks(&self) -> usize {
         self.backtracks
     }
@@ -88,10 +80,6 @@ impl DfsScratch {
     /// Resets the visited bitmap for an `n`-node graph and recycles any
     /// leftover frames into the spare pool.
     fn begin(&mut self, n: usize) {
-        if self.warm {
-            self.reuses += 1;
-        }
-        self.warm = true;
         self.on_path.clear();
         self.on_path.resize(n, false);
         for mut f in self.frames.drain(..) {
@@ -307,7 +295,6 @@ mod tests {
                 "seed {seed}: RNG streams diverged"
             );
         }
-        assert!(scratch.reuses() > 0);
     }
 
     #[test]

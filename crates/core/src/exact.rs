@@ -33,18 +33,17 @@
 
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
-use crate::hmn::elapsed_us;
 use crate::hosting::links_by_descending_bw;
 use crate::ksp_routing::networking_stage_ksp;
 use crate::lagrangian::{lagrangian_bound, tightest_peer_bounds, LagrangianConfig, NodeView};
 use crate::networking::networking_stage;
+use crate::recorder::Recorder;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::objective::mapping_objective;
 use emumap_model::{validate_mapping, GuestId, Mapping, PhysicalTopology, VirtualEnvironment};
-use emumap_trace::{Phase, PhaseCounters, TraceEvent};
+use emumap_trace::{Phase, PhaseCounters};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Tolerance for objective comparisons: two values closer than this are
 /// considered equal, so "optimal" means optimal up to `EPSILON`.
@@ -267,41 +266,25 @@ pub fn solve_exact_with(
     cache: &mut MapCache,
     witnesses: &[Mapping],
 ) -> ExactOutcome {
-    let start = Instant::now();
-    cache.trace.emit(|| TraceEvent::MapStart {
-        // The bound kind is part of the trace contract checked by
-        // scripts/check_traces.py: "EXACT" (Lagrangian, the default) runs
-        // must show subgradient work, "EXACT-WF" runs must show none.
-        mapper: match config.bound {
-            BoundKind::Lagrangian => "EXACT",
-            BoundKind::Waterfill => "EXACT-WF",
+    // The bound kind is part of the trace contract `emumap_trace::check`
+    // enforces: "EXACT" (Lagrangian, the default) runs must show
+    // subgradient work, "EXACT-WF" runs must show none.
+    let mapper = match config.bound {
+        BoundKind::Lagrangian => "EXACT",
+        BoundKind::Waterfill => "EXACT-WF",
+    };
+    let mut rec = Recorder::start(&mut cache.trace, mapper, venv);
+    let outcome = rec.phase(cache, Phase::Exact, |cache| {
+        let mut search = Search::new(phys, venv, *config);
+        for w in witnesses {
+            search.offer_witness(w);
         }
-        .to_string(),
-        guests: venv.guest_count() as u64,
-        links: venv.link_count() as u64,
+        search.run(cache);
+        let outcome = search.into_outcome();
+        let counters = outcome.stats.phase_counters();
+        (outcome, counters)
     });
-    cache.trace.emit(|| TraceEvent::PhaseStart {
-        phase: Phase::Exact,
-    });
-    let phase_start = Instant::now();
-
-    let mut search = Search::new(phys, venv, *config);
-    for w in witnesses {
-        search.offer_witness(w);
-    }
-    search.run(cache);
-    let outcome = search.into_outcome();
-
-    cache.trace.emit(|| TraceEvent::PhaseEnd {
-        phase: Phase::Exact,
-        elapsed_us: elapsed_us(phase_start),
-        counters: outcome.stats.phase_counters(),
-    });
-    cache.trace.emit(|| TraceEvent::MapEnd {
-        ok: outcome.best.is_some(),
-        objective: outcome.best.as_ref().map(|b| b.objective),
-        elapsed_us: elapsed_us(start),
-    });
+    rec.end(&mut cache.trace, outcome.best.as_ref().map(|b| b.objective));
     outcome
 }
 
@@ -890,23 +873,16 @@ mod tests {
 
     #[test]
     fn oracle_emits_a_well_formed_trace_span() {
-        use emumap_trace::{EventSink, Tracer};
-        use std::sync::{Arc, Mutex};
-
-        struct Capture(Arc<Mutex<Vec<TraceEvent>>>);
-        impl EventSink for Capture {
-            fn record(&mut self, event: TraceEvent) {
-                self.0.lock().unwrap().push(event);
-            }
-        }
+        use emumap_trace::{check, SharedSink, TraceEvent, Tracer};
 
         let phys = phys_line(2, &[1000.0, 1000.0]);
         let venv = chain_venv(&[(100.0, 64), (100.0, 64)], 10.0, 60.0);
-        let events = Arc::new(Mutex::new(Vec::new()));
+        let sink = SharedSink::default();
         let mut cache = MapCache::new();
-        cache.trace = Tracer::new(Box::new(Capture(Arc::clone(&events))));
+        cache.trace = Tracer::new(Box::new(sink.clone()));
         let out = solve_exact_with(&phys, &venv, &ExactConfig::default(), &mut cache, &[]);
-        let events = events.lock().unwrap();
+        let events = sink.events();
+        assert_eq!(check(&events), vec![]);
         assert!(matches!(
             events.first(),
             Some(TraceEvent::MapStart { mapper, .. }) if mapper == "EXACT"
@@ -915,16 +891,9 @@ mod tests {
             events.last(),
             Some(TraceEvent::MapEnd { ok: true, .. })
         ));
-        let phase_end = events
+        let (_, _, phase_end) = events
             .iter()
-            .find_map(|e| match e {
-                TraceEvent::PhaseEnd {
-                    phase: Phase::Exact,
-                    counters,
-                    ..
-                } => Some(*counters),
-                _ => None,
-            })
+            .find_map(TraceEvent::phase_end)
             .expect("an Exact PhaseEnd is emitted");
         assert_eq!(phase_end.exact_nodes_expanded, out.stats.nodes_expanded);
         assert_eq!(phase_end.exact_nodes_pruned, out.stats.pruned_total());
@@ -967,21 +936,13 @@ mod tests {
 
     #[test]
     fn waterfill_bound_reports_no_lagrangian_work() {
-        use emumap_trace::{EventSink, Tracer};
-        use std::sync::{Arc, Mutex};
-
-        struct Capture(Arc<Mutex<Vec<TraceEvent>>>);
-        impl EventSink for Capture {
-            fn record(&mut self, event: TraceEvent) {
-                self.0.lock().unwrap().push(event);
-            }
-        }
+        use emumap_trace::{check, SharedSink, TraceEvent, Tracer};
 
         let phys = phys_line(2, &[1000.0, 1000.0]);
         let venv = chain_venv(&[(100.0, 64), (100.0, 64)], 10.0, 60.0);
-        let events = Arc::new(Mutex::new(Vec::new()));
+        let sink = SharedSink::default();
         let mut cache = MapCache::new();
-        cache.trace = Tracer::new(Box::new(Capture(Arc::clone(&events))));
+        cache.trace = Tracer::new(Box::new(sink.clone()));
         let config = ExactConfig {
             bound: BoundKind::Waterfill,
             ..Default::default()
@@ -990,7 +951,8 @@ mod tests {
         assert_eq!(out.stats.subgradient_iters, 0);
         assert_eq!(out.stats.bound_improvements, 0);
         assert_eq!(out.stats.pruned_lagrangian, 0);
-        let events = events.lock().unwrap();
+        let events = sink.events();
+        assert_eq!(check(&events), vec![]);
         assert!(matches!(
             events.first(),
             Some(TraceEvent::MapStart { mapper, .. }) if mapper == "EXACT-WF"

@@ -21,14 +21,14 @@ use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::error::MapError;
 use crate::hosting::links_by_descending_bw;
-use crate::mapper::{MapOutcome, MapStats, Mapper};
+use crate::mapper::{MapOutcome, Mapper};
 use crate::networking::networking_stage;
+use crate::recorder::record_map;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{FeasBitset, GuestId, Mapping, PhysicalTopology, VirtualEnvironment};
-use emumap_trace::{Phase, PhaseCounters, TraceEvent};
+use emumap_trace::{Phase, PhaseCounters};
 use rand::RngCore;
-use std::time::Instant;
 
 /// Which greedy placement rule to apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,90 +115,23 @@ fn run_greedy_with(
     venv: &VirtualEnvironment,
     cache: &mut MapCache,
 ) -> Result<MapOutcome, MapError> {
-    let start = Instant::now();
-    let mut state = PlacementState::new(phys, venv);
-    cache.trace.emit(|| TraceEvent::MapStart {
-        mapper: name.into(),
-        guests: venv.guest_count() as u64,
-        links: venv.link_count() as u64,
-    });
-    let t = Instant::now();
-    cache.trace.emit(|| TraceEvent::PhaseStart {
-        phase: Phase::Hosting,
-    });
-    if let Err(e) = place_greedy(&mut state, rule) {
-        // Close the open phase even on failure: trace consumers rely on
-        // PhaseStart/PhaseEnd always being bracketed.
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Hosting,
-            elapsed_us: crate::hmn::elapsed_us(t),
-            counters: PhaseCounters::default(),
-        });
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: false,
-            objective: None,
-            elapsed_us: crate::hmn::elapsed_us(start),
-        });
-        return Err(e);
-    }
-    cache.trace.emit(|| TraceEvent::PhaseEnd {
-        phase: Phase::Hosting,
-        elapsed_us: crate::hmn::elapsed_us(t),
-        counters: PhaseCounters::default(),
-    });
-    let placement_time = t.elapsed();
-    let links = links_by_descending_bw(venv);
-    let t = Instant::now();
-    cache.trace.emit(|| TraceEvent::PhaseStart {
-        phase: Phase::Networking,
-    });
-    let (routes, net) = match networking_stage(&mut state, &links, astar, cache) {
-        Ok(r) => r,
-        Err(e) => {
-            cache.trace.emit(|| TraceEvent::PhaseEnd {
-                phase: Phase::Networking,
-                elapsed_us: crate::hmn::elapsed_us(t),
-                counters: PhaseCounters::default(),
-            });
-            cache.trace.emit(|| TraceEvent::MapEnd {
-                ok: false,
-                objective: None,
-                elapsed_us: crate::hmn::elapsed_us(start),
-            });
-            return Err(e);
-        }
-    };
-    cache.trace.emit(|| TraceEvent::PhaseEnd {
-        phase: Phase::Networking,
-        elapsed_us: crate::hmn::elapsed_us(t),
-        counters: PhaseCounters {
-            astar_expansions: net.search.expanded as u64,
-            astar_pushed: net.search.pushed as u64,
-            dijkstra_runs: net.dijkstra_runs as u64,
-            cache_hits: net.ar_cache_hits as u64,
-            ..Default::default()
-        },
-    });
-    let stats = MapStats {
-        attempts: 1,
-        routed_links: net.routed_links,
-        intra_host_links: net.intra_host_links,
-        astar_expansions: net.search.expanded,
-        dijkstra_runs: net.dijkstra_runs,
-        ar_cache_hits: net.ar_cache_hits,
-        placement_time,
-        networking_time: t.elapsed(),
-        total_time: start.elapsed(),
-        ..Default::default()
-    };
-    let mapping = Mapping::new(state.into_placement(), routes);
-    let outcome = MapOutcome::new(phys, venv, mapping, stats);
-    cache.trace.emit(|| TraceEvent::MapEnd {
-        ok: true,
-        objective: Some(outcome.objective),
-        elapsed_us: crate::hmn::elapsed_us(start),
-    });
-    Ok(outcome)
+    record_map(name, phys, venv, cache, |rec, cache| {
+        let mut state = PlacementState::new(phys, venv);
+        rec.try_phase(
+            cache,
+            Phase::Hosting,
+            |_| place_greedy(&mut state, rule),
+            |_| PhaseCounters::default(),
+        )?;
+        let links = links_by_descending_bw(venv);
+        let (routes, _) = rec.try_phase(
+            cache,
+            Phase::Networking,
+            |cache| networking_stage(&mut state, &links, astar, cache),
+            |(_, net)| net.counters(),
+        )?;
+        Ok(Mapping::new(state.into_placement(), routes))
+    })
 }
 
 macro_rules! greedy_mapper {

@@ -14,16 +14,16 @@
 use crate::astar_prune::{AStarPruneConfig, PathMetric};
 use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
-use crate::mapper::{MapOutcome, MapStats, Mapper};
-use crate::migration::{migration_stage, migration_stage_exhaustive, MigrationPolicy};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingStats};
+use crate::mapper::{MapOutcome, Mapper};
+use crate::migration::{migration_counters, MigrationPolicy};
 use crate::networking::networking_stage;
+use crate::recorder::record_map;
 use crate::state::PlacementState;
 use emumap_model::{Mapping, PhysicalTopology, VLinkId, VirtualEnvironment};
-use emumap_trace::{Phase, PhaseCounters, TraceEvent};
+use emumap_trace::Phase;
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use std::time::Instant;
 
 /// In which order the Hosting and Networking stages consider virtual links.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -136,148 +136,29 @@ impl Mapper for Hmn {
         rng: &mut dyn RngCore,
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
-        let mut stats = MapStats {
-            attempts: 1,
-            ..Default::default()
-        };
         let links = self.ordered_links(venv, rng);
-        let mut state = PlacementState::new(phys, venv);
-        cache.trace.emit(|| TraceEvent::MapStart {
-            mapper: "HMN".to_string(),
-            guests: venv.guest_count() as u64,
-            links: venv.link_count() as u64,
-        });
-
-        // Stage 1: Hosting.
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Hosting,
-        });
-        let t = Instant::now();
-        let hosting = match hosting_stage(&mut state, &links, self.config.hosting) {
-            Ok(h) => h,
-            Err(e) => {
-                // Close the open phase even on failure: trace consumers
-                // rely on PhaseStart/PhaseEnd always being bracketed.
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Hosting,
-                    elapsed_us: elapsed_us(t),
-                    counters: PhaseCounters::default(),
+        record_map("HMN", phys, venv, cache, |rec, cache| {
+            let mut state = PlacementState::new(phys, venv);
+            rec.try_phase(
+                cache,
+                Phase::Hosting,
+                |_| hosting_stage(&mut state, &links, self.config.hosting),
+                HostingStats::counters,
+            )?;
+            if self.config.migration != MigrationPolicy::Off {
+                rec.phase(cache, Phase::Migration, |_| {
+                    ((), migration_counters(&mut state, self.config.migration))
                 });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: elapsed_us(start),
-                });
-                return Err(e);
             }
-        };
-        stats.placement_time = t.elapsed();
-        stats.colocation_hits = hosting.colocation_hits;
-        stats.first_fit_fallbacks = hosting.first_fit_fallbacks;
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Hosting,
-            elapsed_us: elapsed_us(t),
-            counters: PhaseCounters {
-                colocation_hits: hosting.colocation_hits as u64,
-                first_fit_fallbacks: hosting.first_fit_fallbacks as u64,
-                ..Default::default()
-            },
-        });
-
-        // Stage 2: Migration.
-        if self.config.migration != MigrationPolicy::Off {
-            cache.trace.emit(|| TraceEvent::PhaseStart {
-                phase: Phase::Migration,
-            });
-            let t = Instant::now();
-            let delta_evals_before = state.delta_evaluations();
-            let full_evals_before = state.full_evaluations();
-            let m = match self.config.migration {
-                MigrationPolicy::Paper => migration_stage(&mut state),
-                MigrationPolicy::Exhaustive => migration_stage_exhaustive(&mut state),
-                MigrationPolicy::Off => unreachable!("guarded above"),
-            };
-            let delta_evaluations = state.delta_evaluations() - delta_evals_before;
-            let full_evaluations = state.full_evaluations() - full_evals_before;
-            stats.migrations = m.migrations;
-            stats.migrations_rejected = m.rejected;
-            stats.proposals_evaluated = m.proposals_evaluated;
-            stats.delta_evaluations = delta_evaluations as usize;
-            stats.full_evaluations = full_evaluations as usize;
-            stats.migration_time = t.elapsed();
-            cache.trace.emit(|| TraceEvent::PhaseEnd {
-                phase: Phase::Migration,
-                elapsed_us: elapsed_us(t),
-                counters: PhaseCounters {
-                    moves_accepted: m.migrations as u64,
-                    moves_rejected: m.rejected as u64,
-                    proposals_evaluated: m.proposals_evaluated as u64,
-                    delta_evaluations,
-                    full_evaluations,
-                    ..Default::default()
-                },
-            });
-        }
-
-        // Stage 3: Networking.
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Networking,
-        });
-        let t = Instant::now();
-        let reuses_before = cache.scratch.reuses();
-        let net_result = networking_stage(&mut state, &links, &self.config.astar(), cache);
-        let (routes, net) = match net_result {
-            Ok(ok) => ok,
-            Err(e) => {
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Networking,
-                    elapsed_us: elapsed_us(t),
-                    counters: PhaseCounters::default(),
-                });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: elapsed_us(start),
-                });
-                return Err(e);
-            }
-        };
-        stats.networking_time = t.elapsed();
-        stats.routed_links = net.routed_links;
-        stats.intra_host_links = net.intra_host_links;
-        stats.astar_expansions = net.search.expanded;
-        stats.astar_pushed = net.search.pushed;
-        stats.dijkstra_runs = net.dijkstra_runs;
-        stats.ar_cache_hits = net.ar_cache_hits;
-        stats.scratch_reuses = cache.scratch.reuses() - reuses_before;
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Networking,
-            elapsed_us: elapsed_us(t),
-            counters: PhaseCounters {
-                astar_expansions: net.search.expanded as u64,
-                astar_pushed: net.search.pushed as u64,
-                dijkstra_runs: net.dijkstra_runs as u64,
-                cache_hits: net.ar_cache_hits as u64,
-                ..Default::default()
-            },
-        });
-
-        let mapping = Mapping::new(state.into_placement(), routes);
-        stats.total_time = start.elapsed();
-        let outcome = MapOutcome::new(phys, venv, mapping, stats);
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: true,
-            objective: Some(outcome.objective),
-            elapsed_us: elapsed_us(start),
-        });
-        Ok(outcome)
+            let (routes, _) = rec.try_phase(
+                cache,
+                Phase::Networking,
+                |cache| networking_stage(&mut state, &links, &self.config.astar(), cache),
+                |(_, net)| net.counters(),
+            )?;
+            Ok(Mapping::new(state.into_placement(), routes))
+        })
     }
-}
-
-/// Microseconds elapsed since `t`, saturating into the event's `u64`.
-pub(crate) fn elapsed_us(t: Instant) -> u64 {
-    u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

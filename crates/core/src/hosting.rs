@@ -11,6 +11,7 @@ use crate::error::MapError;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{GuestId, VLinkId, VirtualEnvironment};
+use emumap_trace::PhaseCounters;
 
 /// How the Hosting stage attempts co-location of an unmapped link's
 /// endpoint pair.
@@ -39,6 +40,17 @@ pub struct HostingStats {
     /// or inapplicable (split pairs, anchor fallbacks, self-loops,
     /// isolated leftovers).
     pub first_fit_fallbacks: usize,
+}
+
+impl HostingStats {
+    /// The trace-facing view of these counters.
+    pub fn counters(&self) -> PhaseCounters {
+        PhaseCounters {
+            colocation_hits: self.colocation_hits as u64,
+            first_fit_fallbacks: self.first_fit_fallbacks as u64,
+            ..Default::default()
+        }
+    }
 }
 
 /// Virtual links sorted by descending bandwidth demand (the paper's

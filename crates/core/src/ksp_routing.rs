@@ -14,16 +14,16 @@
 
 use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
-use crate::mapper::{MapOutcome, MapStats, Mapper};
-use crate::migration::migration_stage;
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingStats};
+use crate::mapper::{MapOutcome, Mapper};
+use crate::migration::{migration_counters, MigrationPolicy};
 use crate::networking::NetworkingStats;
+use crate::recorder::record_map;
 use crate::state::PlacementState;
 use emumap_graph::algo::k_shortest_paths;
 use emumap_model::{Mapping, PhysicalTopology, Route, VLinkId, VirtualEnvironment};
-use emumap_trace::{Phase, PhaseCounters, TraceEvent};
+use emumap_trace::{Phase, TraceEvent};
 use rand::RngCore;
-use std::time::Instant;
 
 /// Routes `links` with Yen's K-cheapest-latency paths, committing
 /// bandwidth into `state`. Returns the route table, or the first
@@ -60,7 +60,6 @@ pub fn networking_stage_ksp(
         let hs = state.host_of(vs).expect("assignment complete");
         let hd = state.host_of(vd).expect("assignment complete");
         if hs == hd {
-            stats.intra_host_links += 1;
             trace.emit(|| TraceEvent::LinkIntraHost {
                 link: l.index() as u64,
             });
@@ -109,7 +108,6 @@ pub fn networking_stage_ksp(
         });
         state.residual_mut().commit_route(&path.edges, spec.bw);
         routes[l.index()] = Route::new(path.edges);
-        stats.routed_links += 1;
     }
 
     stats.dijkstra_runs = topo.dijkstra_runs() - runs_before;
@@ -143,115 +141,26 @@ impl Mapper for HmnKsp {
         _rng: &mut dyn RngCore,
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
         let links = links_by_descending_bw(venv);
-        let mut state = PlacementState::new(phys, venv);
-        cache.trace.emit(|| TraceEvent::MapStart {
-            mapper: "HMN-ksp".into(),
-            guests: venv.guest_count() as u64,
-            links: venv.link_count() as u64,
-        });
-
-        let t = Instant::now();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Hosting,
-        });
-        let hosting = match hosting_stage(&mut state, &links, HostingPolicy::Paper) {
-            Ok(h) => h,
-            Err(e) => {
-                // Close the open phase even on failure: trace consumers
-                // rely on PhaseStart/PhaseEnd always being bracketed.
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Hosting,
-                    elapsed_us: crate::hmn::elapsed_us(t),
-                    counters: PhaseCounters::default(),
-                });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: crate::hmn::elapsed_us(start),
-                });
-                return Err(e);
-            }
-        };
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Hosting,
-            elapsed_us: crate::hmn::elapsed_us(t),
-            counters: PhaseCounters {
-                colocation_hits: hosting.colocation_hits as u64,
-                first_fit_fallbacks: hosting.first_fit_fallbacks as u64,
-                ..Default::default()
-            },
-        });
-        let placement_time = t.elapsed();
-        let t = Instant::now();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Migration,
-        });
-        let migration = migration_stage(&mut state);
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Migration,
-            elapsed_us: crate::hmn::elapsed_us(t),
-            counters: PhaseCounters {
-                moves_accepted: migration.migrations as u64,
-                moves_rejected: migration.rejected as u64,
-                ..Default::default()
-            },
-        });
-        let migration_time = t.elapsed();
-        let t = Instant::now();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Networking,
-        });
-        let (routes, net) = match networking_stage_ksp(&mut state, &links, self.k, cache) {
-            Ok(r) => r,
-            Err(e) => {
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Networking,
-                    elapsed_us: crate::hmn::elapsed_us(t),
-                    counters: PhaseCounters::default(),
-                });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: crate::hmn::elapsed_us(start),
-                });
-                return Err(e);
-            }
-        };
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Networking,
-            elapsed_us: crate::hmn::elapsed_us(t),
-            counters: PhaseCounters {
-                dijkstra_runs: net.dijkstra_runs as u64,
-                cache_hits: net.ar_cache_hits as u64,
-                ..Default::default()
-            },
-        });
-        let stats = MapStats {
-            attempts: 1,
-            migrations: migration.migrations,
-            migrations_rejected: migration.rejected,
-            colocation_hits: hosting.colocation_hits,
-            first_fit_fallbacks: hosting.first_fit_fallbacks,
-            routed_links: net.routed_links,
-            intra_host_links: net.intra_host_links,
-            dijkstra_runs: net.dijkstra_runs,
-            ar_cache_hits: net.ar_cache_hits,
-            placement_time,
-            migration_time,
-            networking_time: t.elapsed(),
-            total_time: start.elapsed(),
-            ..Default::default()
-        };
-        let mapping = Mapping::new(state.into_placement(), routes);
-        let outcome = MapOutcome::new(phys, venv, mapping, stats);
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: true,
-            objective: Some(outcome.objective),
-            elapsed_us: crate::hmn::elapsed_us(start),
-        });
-        Ok(outcome)
+        record_map("HMN-ksp", phys, venv, cache, |rec, cache| {
+            let mut state = PlacementState::new(phys, venv);
+            rec.try_phase(
+                cache,
+                Phase::Hosting,
+                |_| hosting_stage(&mut state, &links, HostingPolicy::Paper),
+                HostingStats::counters,
+            )?;
+            rec.phase(cache, Phase::Migration, |_| {
+                ((), migration_counters(&mut state, MigrationPolicy::Paper))
+            });
+            let (routes, _) = rec.try_phase(
+                cache,
+                Phase::Networking,
+                |cache| networking_stage_ksp(&mut state, &links, self.k, cache),
+                |(_, net)| net.counters(),
+            )?;
+            Ok(Mapping::new(state.into_placement(), routes))
+        })
     }
 }
 

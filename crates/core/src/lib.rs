@@ -77,6 +77,7 @@ pub mod networking;
 pub mod parallel;
 mod pool;
 mod random;
+mod recorder;
 mod registry;
 pub mod rounding;
 pub mod serve;

@@ -3,11 +3,14 @@
 use crate::cache::MapCache;
 use crate::error::MapError;
 use emumap_model::{objective::mapping_objective, Mapping, PhysicalTopology, VirtualEnvironment};
+use emumap_trace::{Phase, PhaseCounters};
 use rand::RngCore;
 use std::time::Duration;
 
-/// Per-run statistics. All fields are best-effort: mappers fill in what
-/// applies to them (e.g. the Random baselines have no migration phase).
+/// Per-run statistics. Every counter and phase time is folded from the
+/// run's recorded phase spans by [`MapStats::from_phases`]; mappers fill
+/// in what applies to them (e.g. the Random baselines have no migration
+/// phase).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MapStats {
     /// Complete mapping attempts (1 for HMN; retry count for baselines).
@@ -21,11 +24,9 @@ pub struct MapStats {
     /// Migration moves evaluated but rejected (no objective improvement),
     /// or annealing proposals declined by the Metropolis rule.
     pub migrations_rejected: usize,
-    /// DFS backtrack steps during baseline routing (0 for A\*Prune).
-    pub dfs_backtracks: usize,
-    /// Virtual links routed over the network.
+    /// Virtual links of the mapping routed over the network.
     pub routed_links: usize,
-    /// Virtual links handled intra-host.
+    /// Virtual links of the mapping handled intra-host.
     pub intra_host_links: usize,
     /// A\*Prune partial paths expanded (0 for DFS routing).
     pub astar_expansions: usize,
@@ -35,10 +36,6 @@ pub struct MapStats {
     pub dijkstra_runs: usize,
     /// Table lookups answered by a warm cache instead of a Dijkstra run.
     pub ar_cache_hits: usize,
-    /// Distinct hop-count tables computed for DFS routing bias.
-    pub hop_tables: usize,
-    /// Route searches that ran on warm (reused) scratch buffers.
-    pub scratch_reuses: usize,
     /// Placement proposals whose energy was evaluated (Migration stage
     /// candidate probes plus annealing Metropolis proposals).
     pub proposals_evaluated: usize,
@@ -63,14 +60,54 @@ pub struct MapStats {
     /// Randomized rounding: per-guest capacity repairs applied while
     /// sampling (fallbacks away from the sampled host).
     pub repairs: usize,
-    /// Wall-clock spent in placement (Hosting or random placement).
+    /// Wall-clock spent in placement (Hosting spans).
     pub placement_time: Duration,
-    /// Wall-clock spent in the Migration stage.
+    /// Wall-clock spent in Migration spans.
     pub migration_time: Duration,
-    /// Wall-clock spent routing links.
+    /// Wall-clock spent routing links (Networking spans).
     pub networking_time: Duration,
     /// Total wall-clock for the whole `map` call.
     pub total_time: Duration,
+}
+
+impl MapStats {
+    /// Folds a run's phase spans — `(phase, elapsed, counters)` in
+    /// emission order — into statistics. This is the one place the trace's
+    /// counter names map to these fields (`moves_accepted` → `migrations`,
+    /// `moves_rejected` → `migrations_rejected`, `cache_hits` →
+    /// `ar_cache_hits`). The per-run fields `attempts`, `routed_links`,
+    /// `intra_host_links` and `total_time` are left zero: they describe
+    /// the run and its mapping, not a phase.
+    pub fn from_phases(phases: impl IntoIterator<Item = (Phase, Duration, PhaseCounters)>) -> Self {
+        phases
+            .into_iter()
+            .fold(MapStats::default(), |mut s, (phase, elapsed, c)| {
+                match phase {
+                    Phase::Hosting => s.placement_time += elapsed,
+                    Phase::Migration => s.migration_time += elapsed,
+                    Phase::Networking => s.networking_time += elapsed,
+                    Phase::Exact => {}
+                }
+                let n = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
+                s.colocation_hits += n(c.colocation_hits);
+                s.first_fit_fallbacks += n(c.first_fit_fallbacks);
+                s.migrations += n(c.moves_accepted);
+                s.migrations_rejected += n(c.moves_rejected);
+                s.proposals_evaluated += n(c.proposals_evaluated);
+                s.delta_evaluations += n(c.delta_evaluations);
+                s.full_evaluations += n(c.full_evaluations);
+                s.astar_expansions += n(c.astar_expansions);
+                s.astar_pushed += n(c.astar_pushed);
+                s.dijkstra_runs += n(c.dijkstra_runs);
+                s.ar_cache_hits += n(c.cache_hits);
+                s.replica_exchanges += n(c.replica_exchanges);
+                s.exchange_accepts += n(c.exchange_accepts);
+                s.lp_iterations += n(c.lp_iterations);
+                s.rounding_attempts += n(c.rounding_attempts);
+                s.repairs += n(c.repairs);
+                s
+            })
+    }
 }
 
 /// A successful mapping plus its quality and cost metrics.

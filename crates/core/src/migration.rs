@@ -18,6 +18,7 @@
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::GuestId;
+use emumap_trace::PhaseCounters;
 
 /// Statistics from a Migration run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -54,6 +55,29 @@ pub enum MigrationPolicy {
     Exhaustive,
     /// Skip the stage entirely (ablation).
     Off,
+}
+
+/// Runs `policy`'s refinement as a Migration phase body: the stage's
+/// decisions plus the accumulator work they cost. `Off` does nothing.
+pub(crate) fn migration_counters(
+    state: &mut PlacementState<'_>,
+    policy: MigrationPolicy,
+) -> PhaseCounters {
+    let delta_before = state.delta_evaluations();
+    let full_before = state.full_evaluations();
+    let m = match policy {
+        MigrationPolicy::Paper => migration_stage(state),
+        MigrationPolicy::Exhaustive => migration_stage_exhaustive(state),
+        MigrationPolicy::Off => return PhaseCounters::default(),
+    };
+    PhaseCounters {
+        moves_accepted: m.migrations as u64,
+        moves_rejected: m.rejected as u64,
+        proposals_evaluated: m.proposals_evaluated as u64,
+        delta_evaluations: state.delta_evaluations() - delta_before,
+        full_evaluations: state.full_evaluations() - full_before,
+        ..Default::default()
+    }
 }
 
 /// The most-loaded host: smallest residual CPU, ties by id. Only hosts with

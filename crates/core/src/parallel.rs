@@ -70,10 +70,7 @@ struct PhaseTotalsSink {
 
 impl EventSink for PhaseTotalsSink {
     fn record(&mut self, event: TraceEvent) {
-        if let TraceEvent::PhaseEnd {
-            phase, elapsed_us, ..
-        } = event
-        {
+        if let Some((phase, elapsed_us, _)) = event.phase_end() {
             let mut t = self.totals.lock();
             match phase {
                 Phase::Hosting => t.hosting_us += elapsed_us,

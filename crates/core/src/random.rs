@@ -28,25 +28,16 @@ use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::dfs_routing::naive_dfs_route;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
-use crate::mapper::{MapOutcome, MapStats, Mapper};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingStats};
+use crate::mapper::{MapOutcome, Mapper};
 use crate::networking::networking_stage;
+use crate::recorder::{record_map, Recorder};
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{Mapping, PhysicalTopology, Route, VirtualEnvironment};
 use emumap_trace::{LinkVerdict, Phase, PhaseCounters, TraceEvent};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
-use std::time::Instant;
-
-/// Emits the `MapStart` event shared by all three baselines.
-fn emit_map_start(cache: &mut MapCache, name: &str, venv: &VirtualEnvironment) {
-    cache.trace.emit(|| TraceEvent::MapStart {
-        mapper: name.to_string(),
-        guests: venv.guest_count() as u64,
-        links: venv.link_count() as u64,
-    });
-}
 
 /// Default complete-attempt budget for the retrying baselines (see module
 /// docs for why this is not the paper's literal 100 000).
@@ -70,6 +61,21 @@ fn random_placement(state: &mut PlacementState<'_>, rng: &mut dyn RngCore) -> Re
     Ok(())
 }
 
+/// [`random_placement`] as one attempt's Hosting span.
+fn random_hosting(
+    rec: &mut Recorder,
+    cache: &mut MapCache,
+    state: &mut PlacementState<'_>,
+    rng: &mut dyn RngCore,
+) -> Result<(), MapError> {
+    rec.try_phase(
+        cache,
+        Phase::Hosting,
+        |_| random_placement(state, rng),
+        |_| PhaseCounters::default(),
+    )
+}
+
 /// Routes every link with the naive DFS, committing bandwidth. Links are
 /// processed in a random order (the baseline has no ordering insight).
 /// On failure, all committed routes are released so the state can be
@@ -77,31 +83,32 @@ fn random_placement(state: &mut PlacementState<'_>, rng: &mut dyn RngCore) -> Re
 /// (mirroring the Networking stage's `ar[]` cache), so they survive not
 /// only the routing pass but every retry attempt and every later trial on
 /// the same topology. Dijkstra consumes no randomness, so the caching is
-/// invisible to the RNG stream and the mapped outcomes.
+/// invisible to the RNG stream and the mapped outcomes. A successful pass
+/// also returns its Networking counters: DFS backtracks plus the
+/// hop-table builds and warm hits it cost.
 fn dfs_routing(
     state: &mut PlacementState<'_>,
     rng: &mut dyn RngCore,
     cache: &mut MapCache,
-) -> Result<(Vec<Route>, usize, usize), MapError> {
+) -> Result<(Vec<Route>, PhaseCounters), MapError> {
     let venv = state.venv();
     let phys = state.phys();
     let mut order: Vec<_> = venv.link_ids().collect();
     order.shuffle(rng);
     let mut routes = vec![Route::intra_host(); venv.link_count()];
     let mut committed: Vec<(Vec<emumap_graph::EdgeId>, emumap_model::Kbps)> = Vec::new();
-    let mut routed = 0;
-    let mut intra = 0;
     let MapCache {
         topo, dfs, trace, ..
     } = cache;
     topo.prepare(phys);
+    let (runs_before, hits_before) = (topo.dijkstra_runs(), topo.hits());
+    let backtracks_before = dfs.backtracks();
 
     for l in order {
         let (vs, vd) = venv.link_endpoints(l);
         let hs = state.host_of(vs).expect("complete");
         let hd = state.host_of(vd).expect("complete");
         if hs == hd {
-            intra += 1;
             trace.emit(|| TraceEvent::LinkIntraHost {
                 link: l.index() as u64,
             });
@@ -129,7 +136,6 @@ fn dfs_routing(
                 state.residual_mut().commit_route(&edges, spec.bw);
                 committed.push((edges.clone(), spec.bw));
                 routes[l.index()] = Route::new(edges);
-                routed += 1;
             }
             None => {
                 // A DFS miss is no infeasibility proof (the walk is
@@ -147,7 +153,13 @@ fn dfs_routing(
             }
         }
     }
-    Ok((routes, routed, intra))
+    let counters = PhaseCounters {
+        dfs_backtracks: (dfs.backtracks() - backtracks_before) as u64,
+        dijkstra_runs: (topo.dijkstra_runs() - runs_before) as u64,
+        cache_hits: (topo.hits() - hits_before) as u64,
+        ..Default::default()
+    };
+    Ok((routes, counters))
 }
 
 /// **R** — random placement + DFS routing, whole attempt retried.
@@ -177,55 +189,26 @@ impl Mapper for RandomDfs {
         rng: &mut dyn RngCore,
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
-        let runs_before = cache.topo.dijkstra_runs();
-        let hits_before = cache.topo.hits();
-        let reuses_before = cache.dfs.reuses();
-        let backtracks_before = cache.dfs.backtracks();
-        emit_map_start(cache, "R", venv);
-        let mut state = PlacementState::new(phys, venv);
-        for attempt in 1..=self.max_attempts {
-            state.reset();
-            let t_place = Instant::now();
-            if random_placement(&mut state, rng).is_err() {
-                continue;
-            }
-            let placement_time = t_place.elapsed();
-            let t_route = Instant::now();
-            match dfs_routing(&mut state, rng, cache) {
-                Ok((routes, routed, intra)) => {
-                    let stats = MapStats {
-                        attempts: attempt,
-                        routed_links: routed,
-                        intra_host_links: intra,
-                        dfs_backtracks: cache.dfs.backtracks() - backtracks_before,
-                        hop_tables: cache.topo.dijkstra_runs() - runs_before,
-                        ar_cache_hits: cache.topo.hits() - hits_before,
-                        scratch_reuses: cache.dfs.reuses() - reuses_before,
-                        placement_time,
-                        networking_time: t_route.elapsed(),
-                        total_time: start.elapsed(),
-                        ..Default::default()
-                    };
-                    let mapping = Mapping::new(state.into_placement(), routes);
-                    let outcome = MapOutcome::new(phys, venv, mapping, stats);
-                    cache.trace.emit(|| TraceEvent::MapEnd {
-                        ok: true,
-                        objective: Some(outcome.objective),
-                        elapsed_us: crate::hmn::elapsed_us(start),
-                    });
-                    return Ok(outcome);
+        record_map("R", phys, venv, cache, |rec, cache| {
+            let mut state = PlacementState::new(phys, venv);
+            for attempt in 1..=self.max_attempts {
+                rec.attempts = attempt;
+                state.reset();
+                if random_hosting(rec, cache, &mut state, rng).is_err() {
+                    continue;
                 }
-                Err(_) => continue,
+                if let Ok((routes, _)) = rec.try_phase(
+                    cache,
+                    Phase::Networking,
+                    |cache| dfs_routing(&mut state, rng, cache),
+                    |(_, counters)| *counters,
+                ) {
+                    return Ok(Mapping::new(state.into_placement(), routes));
+                }
             }
-        }
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: false,
-            objective: None,
-            elapsed_us: crate::hmn::elapsed_us(start),
-        });
-        Err(MapError::RetriesExhausted {
-            attempts: self.max_attempts,
+            Err(MapError::RetriesExhausted {
+                attempts: self.max_attempts,
+            })
         })
     }
 }
@@ -260,56 +243,27 @@ impl Mapper for RandomAStar {
         rng: &mut dyn RngCore,
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
-        let runs_before = cache.topo.dijkstra_runs();
-        let hits_before = cache.topo.hits();
-        let reuses_before = cache.scratch.reuses();
-        emit_map_start(cache, "RA", venv);
         let links = links_by_descending_bw(venv);
-        let mut state = PlacementState::new(phys, venv);
-        for attempt in 1..=self.max_attempts {
-            state.reset();
-            let t_place = Instant::now();
-            if random_placement(&mut state, rng).is_err() {
-                continue;
-            }
-            let placement_time = t_place.elapsed();
-            let t_route = Instant::now();
-            match networking_stage(&mut state, &links, &self.astar, cache) {
-                Ok((routes, net)) => {
-                    let stats = MapStats {
-                        attempts: attempt,
-                        routed_links: net.routed_links,
-                        intra_host_links: net.intra_host_links,
-                        astar_expansions: net.search.expanded,
-                        astar_pushed: net.search.pushed,
-                        dijkstra_runs: cache.topo.dijkstra_runs() - runs_before,
-                        ar_cache_hits: cache.topo.hits() - hits_before,
-                        scratch_reuses: cache.scratch.reuses() - reuses_before,
-                        placement_time,
-                        networking_time: t_route.elapsed(),
-                        total_time: start.elapsed(),
-                        ..Default::default()
-                    };
-                    let mapping = Mapping::new(state.into_placement(), routes);
-                    let outcome = MapOutcome::new(phys, venv, mapping, stats);
-                    cache.trace.emit(|| TraceEvent::MapEnd {
-                        ok: true,
-                        objective: Some(outcome.objective),
-                        elapsed_us: crate::hmn::elapsed_us(start),
-                    });
-                    return Ok(outcome);
+        record_map("RA", phys, venv, cache, |rec, cache| {
+            let mut state = PlacementState::new(phys, venv);
+            for attempt in 1..=self.max_attempts {
+                rec.attempts = attempt;
+                state.reset();
+                if random_hosting(rec, cache, &mut state, rng).is_err() {
+                    continue;
                 }
-                Err(_) => continue,
+                if let Ok((routes, _)) = rec.try_phase(
+                    cache,
+                    Phase::Networking,
+                    |cache| networking_stage(&mut state, &links, &self.astar, cache),
+                    |(_, net)| net.counters(),
+                ) {
+                    return Ok(Mapping::new(state.into_placement(), routes));
+                }
             }
-        }
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: false,
-            objective: None,
-            elapsed_us: crate::hmn::elapsed_us(start),
-        });
-        Err(MapError::RetriesExhausted {
-            attempts: self.max_attempts,
+            Err(MapError::RetriesExhausted {
+                attempts: self.max_attempts,
+            })
         })
     }
 }
@@ -341,85 +295,30 @@ impl Mapper for HostingDfs {
         rng: &mut dyn RngCore,
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
-        let runs_before = cache.topo.dijkstra_runs();
-        let hits_before = cache.topo.hits();
-        let reuses_before = cache.dfs.reuses();
-        let backtracks_before = cache.dfs.backtracks();
-        emit_map_start(cache, "HS", venv);
         let links = links_by_descending_bw(venv);
-        let mut state = PlacementState::new(phys, venv);
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Hosting,
-        });
-        let t_place = Instant::now();
-        let hosting = match hosting_stage(&mut state, &links, HostingPolicy::Paper) {
-            Ok(h) => h,
-            Err(e) => {
-                // Close the open phase even on failure: trace consumers
-                // rely on PhaseStart/PhaseEnd always being bracketed.
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Hosting,
-                    elapsed_us: crate::hmn::elapsed_us(t_place),
-                    counters: PhaseCounters::default(),
-                });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: crate::hmn::elapsed_us(start),
-                });
-                return Err(e);
-            }
-        };
-        let placement_time = t_place.elapsed();
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Hosting,
-            elapsed_us: crate::hmn::elapsed_us(t_place),
-            counters: PhaseCounters {
-                colocation_hits: hosting.colocation_hits as u64,
-                first_fit_fallbacks: hosting.first_fit_fallbacks as u64,
-                ..Default::default()
-            },
-        });
-
-        let t_route = Instant::now();
-        for attempt in 1..=self.max_attempts {
-            match dfs_routing(&mut state, rng, cache) {
-                Ok((routes, routed, intra)) => {
-                    let stats = MapStats {
-                        attempts: attempt,
-                        colocation_hits: hosting.colocation_hits,
-                        first_fit_fallbacks: hosting.first_fit_fallbacks,
-                        routed_links: routed,
-                        intra_host_links: intra,
-                        dfs_backtracks: cache.dfs.backtracks() - backtracks_before,
-                        hop_tables: cache.topo.dijkstra_runs() - runs_before,
-                        ar_cache_hits: cache.topo.hits() - hits_before,
-                        scratch_reuses: cache.dfs.reuses() - reuses_before,
-                        placement_time,
-                        networking_time: t_route.elapsed(),
-                        total_time: start.elapsed(),
-                        ..Default::default()
-                    };
-                    let mapping = Mapping::new(state.into_placement(), routes);
-                    let outcome = MapOutcome::new(phys, venv, mapping, stats);
-                    cache.trace.emit(|| TraceEvent::MapEnd {
-                        ok: true,
-                        objective: Some(outcome.objective),
-                        elapsed_us: crate::hmn::elapsed_us(start),
-                    });
-                    return Ok(outcome);
+        record_map("HS", phys, venv, cache, |rec, cache| {
+            let mut state = PlacementState::new(phys, venv);
+            rec.try_phase(
+                cache,
+                Phase::Hosting,
+                |_| hosting_stage(&mut state, &links, HostingPolicy::Paper),
+                HostingStats::counters,
+            )?;
+            for attempt in 1..=self.max_attempts {
+                rec.attempts = attempt;
+                // A failed pass released its commitments.
+                if let Ok((routes, _)) = rec.try_phase(
+                    cache,
+                    Phase::Networking,
+                    |cache| dfs_routing(&mut state, rng, cache),
+                    |(_, counters)| *counters,
+                ) {
+                    return Ok(Mapping::new(state.into_placement(), routes));
                 }
-                Err(_) => continue, // dfs_routing released its commitments
             }
-        }
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: false,
-            objective: None,
-            elapsed_us: crate::hmn::elapsed_us(start),
-        });
-        Err(MapError::RetriesExhausted {
-            attempts: self.max_attempts,
+            Err(MapError::RetriesExhausted {
+                attempts: self.max_attempts,
+            })
         })
     }
 }

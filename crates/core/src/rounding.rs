@@ -42,18 +42,17 @@
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::{ArTables, MapCache, RoundingScratch};
 use crate::error::MapError;
-use crate::hmn::elapsed_us;
 use crate::hosting::links_by_descending_bw;
-use crate::mapper::{MapOutcome, MapStats, Mapper};
-use crate::migration::{migration_stage, migration_stage_exhaustive, MigrationPolicy};
+use crate::mapper::{MapOutcome, Mapper};
+use crate::migration::{migration_counters, MigrationPolicy};
 use crate::networking::networking_stage;
 use crate::random::DEFAULT_MAX_ATTEMPTS;
+use crate::recorder::record_map;
 use crate::state::PlacementState;
 use emumap_graph::algo::dijkstra;
 use emumap_model::{Mapping, PhysicalTopology, VirtualEnvironment};
-use emumap_trace::{Phase, PhaseCounters, TraceEvent};
+use emumap_trace::{Phase, PhaseCounters};
 use rand::{Rng, RngCore};
-use std::time::Instant;
 
 /// Feasibility slack when comparing latency lower bounds against Eq. 8
 /// bounds (mirrors the validator's tolerance).
@@ -401,165 +400,68 @@ impl Mapper for RandomizedRounding {
         rng: &mut dyn RngCore,
         cache: &mut MapCache,
     ) -> Result<MapOutcome, MapError> {
-        let start = Instant::now();
-        let mut stats = MapStats::default();
-        let mut state = PlacementState::new(phys, venv);
-        cache.trace.emit(|| TraceEvent::MapStart {
-            mapper: "RR".to_string(),
-            guests: venv.guest_count() as u64,
-            links: venv.link_count() as u64,
-        });
+        record_map("RR", phys, venv, cache, |rec, cache| {
+            let mut state = PlacementState::new(phys, venv);
 
-        // Stage 1 (Hosting span): fractional solve + seeded rounding.
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Hosting,
-        });
-        let t = Instant::now();
-        cache.topo.prepare(phys);
-        cache.rounding.begin();
-        let hosting_counters = |lp: u64, run: &RoundingRun| PhaseCounters {
-            lp_iterations: lp,
-            rounding_attempts: run.attempts,
-            repairs: run.repairs,
-            ..Default::default()
-        };
-        let close_failed = |cache: &mut MapCache, counters: PhaseCounters, t: Instant| {
-            cache.trace.emit(|| TraceEvent::PhaseEnd {
-                phase: Phase::Hosting,
-                elapsed_us: elapsed_us(t),
-                counters,
-            });
-            cache.trace.emit(|| TraceEvent::MapEnd {
-                ok: false,
-                objective: None,
-                elapsed_us: elapsed_us(start),
-            });
-        };
-        if let Err(e) = init_candidates(phys, venv, &mut cache.rounding) {
-            close_failed(cache, PhaseCounters::default(), t);
-            return Err(e);
-        }
-        let lp = solve_fractional(
-            &self.config,
-            phys,
-            venv,
-            &mut cache.topo,
-            &mut cache.rounding,
-        );
-        let run = round_placement(
-            &self.config,
-            phys,
-            venv,
-            rng,
-            &mut cache.topo,
-            &mut cache.rounding,
-            &mut state,
-        );
-        stats.attempts = run.attempts as usize;
-        stats.lp_iterations = lp as usize;
-        stats.rounding_attempts = run.attempts as usize;
-        stats.repairs = run.repairs as usize;
-        stats.placement_time = t.elapsed();
-        if !run.placed {
-            close_failed(cache, hosting_counters(lp, &run), t);
-            return Err(MapError::RetriesExhausted {
-                attempts: run.attempts as usize,
-            });
-        }
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Hosting,
-            elapsed_us: elapsed_us(t),
-            counters: hosting_counters(lp, &run),
-        });
+            // Stage 1 (Hosting span): fractional solve + seeded rounding.
+            let attempts = rec
+                .try_phase(
+                    cache,
+                    Phase::Hosting,
+                    |cache| {
+                        cache.topo.prepare(phys);
+                        cache.rounding.begin();
+                        init_candidates(phys, venv, &mut cache.rounding)?;
+                        let lp = solve_fractional(
+                            &self.config,
+                            phys,
+                            venv,
+                            &mut cache.topo,
+                            &mut cache.rounding,
+                        );
+                        let run = round_placement(
+                            &self.config,
+                            phys,
+                            venv,
+                            rng,
+                            &mut cache.topo,
+                            &mut cache.rounding,
+                            &mut state,
+                        );
+                        if !run.placed {
+                            return Err(MapError::RetriesExhausted {
+                                attempts: run.attempts as usize,
+                            });
+                        }
+                        Ok(PhaseCounters {
+                            lp_iterations: lp,
+                            rounding_attempts: run.attempts,
+                            repairs: run.repairs,
+                            ..Default::default()
+                        })
+                    },
+                    |counters| *counters,
+                )?
+                .rounding_attempts;
+            rec.attempts = attempts as usize;
 
-        // Stage 2 (Migration span): balance the rounded placement.
-        if self.config.migration != MigrationPolicy::Off {
-            cache.trace.emit(|| TraceEvent::PhaseStart {
-                phase: Phase::Migration,
-            });
-            let t = Instant::now();
-            let delta_evals_before = state.delta_evaluations();
-            let full_evals_before = state.full_evaluations();
-            let m = match self.config.migration {
-                MigrationPolicy::Paper => migration_stage(&mut state),
-                MigrationPolicy::Exhaustive => migration_stage_exhaustive(&mut state),
-                MigrationPolicy::Off => unreachable!("guarded above"),
-            };
-            let delta_evaluations = state.delta_evaluations() - delta_evals_before;
-            let full_evaluations = state.full_evaluations() - full_evals_before;
-            stats.migrations = m.migrations;
-            stats.migrations_rejected = m.rejected;
-            stats.proposals_evaluated = m.proposals_evaluated;
-            stats.delta_evaluations = delta_evaluations as usize;
-            stats.full_evaluations = full_evaluations as usize;
-            stats.migration_time = t.elapsed();
-            cache.trace.emit(|| TraceEvent::PhaseEnd {
-                phase: Phase::Migration,
-                elapsed_us: elapsed_us(t),
-                counters: PhaseCounters {
-                    moves_accepted: m.migrations as u64,
-                    moves_rejected: m.rejected as u64,
-                    proposals_evaluated: m.proposals_evaluated as u64,
-                    delta_evaluations,
-                    full_evaluations,
-                    ..Default::default()
-                },
-            });
-        }
-
-        // Stage 3 (Networking span): A*Prune routes every link.
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Networking,
-        });
-        let t = Instant::now();
-        let links = links_by_descending_bw(venv);
-        let reuses_before = cache.scratch.reuses();
-        let net_result = networking_stage(&mut state, &links, &self.config.astar, cache);
-        let (routes, net) = match net_result {
-            Ok(ok) => ok,
-            Err(e) => {
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Networking,
-                    elapsed_us: elapsed_us(t),
-                    counters: PhaseCounters::default(),
+            // Stage 2 (Migration span): balance the rounded placement.
+            if self.config.migration != MigrationPolicy::Off {
+                rec.phase(cache, Phase::Migration, |_| {
+                    ((), migration_counters(&mut state, self.config.migration))
                 });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: elapsed_us(start),
-                });
-                return Err(e);
             }
-        };
-        stats.networking_time = t.elapsed();
-        stats.routed_links = net.routed_links;
-        stats.intra_host_links = net.intra_host_links;
-        stats.astar_expansions = net.search.expanded;
-        stats.astar_pushed = net.search.pushed;
-        stats.dijkstra_runs = net.dijkstra_runs;
-        stats.ar_cache_hits = net.ar_cache_hits;
-        stats.scratch_reuses = cache.scratch.reuses() - reuses_before;
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Networking,
-            elapsed_us: elapsed_us(t),
-            counters: PhaseCounters {
-                astar_expansions: net.search.expanded as u64,
-                astar_pushed: net.search.pushed as u64,
-                dijkstra_runs: net.dijkstra_runs as u64,
-                cache_hits: net.ar_cache_hits as u64,
-                ..Default::default()
-            },
-        });
 
-        let mapping = Mapping::new(state.into_placement(), routes);
-        stats.total_time = start.elapsed();
-        let outcome = MapOutcome::new(phys, venv, mapping, stats);
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: true,
-            objective: Some(outcome.objective),
-            elapsed_us: elapsed_us(start),
-        });
-        Ok(outcome)
+            // Stage 3 (Networking span): A*Prune routes every link.
+            let links = links_by_descending_bw(venv);
+            let (routes, _) = rec.try_phase(
+                cache,
+                Phase::Networking,
+                |cache| networking_stage(&mut state, &links, &self.config.astar, cache),
+                |(_, net)| net.counters(),
+            )?;
+            Ok(Mapping::new(state.into_placement(), routes))
+        })
     }
 }
 
@@ -669,25 +571,18 @@ mod tests {
 
     #[test]
     fn rr_emits_bracketed_phase_spans_with_rounding_counters() {
-        use emumap_trace::{EventSink, Tracer};
-        use std::sync::{Arc, Mutex};
-
-        struct Capture(Arc<Mutex<Vec<TraceEvent>>>);
-        impl EventSink for Capture {
-            fn record(&mut self, event: TraceEvent) {
-                self.0.lock().unwrap().push(event);
-            }
-        }
+        use emumap_trace::{check, SharedSink, TraceEvent, Tracer};
 
         let phys = paper_like_phys();
         let venv = small_venv(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let captured = Arc::new(Mutex::new(Vec::new()));
+        let sink = SharedSink::default();
         let mut cache = MapCache::new();
-        cache.trace = Tracer::new(Box::new(Capture(Arc::clone(&captured))));
+        cache.trace = Tracer::new(Box::new(sink.clone()));
         RandomizedRounding::new()
             .map_with_cache(&phys, &venv, &mut SmallRng::seed_from_u64(1), &mut cache)
             .unwrap();
-        let events = captured.lock().unwrap();
+        let events = sink.events();
+        assert_eq!(check(&events), vec![]);
         assert!(
             matches!(events.first(), Some(TraceEvent::MapStart { mapper, .. }) if mapper == "RR")
         );
@@ -695,25 +590,10 @@ mod tests {
             events.last(),
             Some(TraceEvent::MapEnd { ok: true, .. })
         ));
-        let hosting_end = events
-            .iter()
-            .find_map(|e| match e {
-                TraceEvent::PhaseEnd {
-                    phase: Phase::Hosting,
-                    counters,
-                    ..
-                } => Some(*counters),
-                _ => None,
-            })
-            .expect("hosting span closes");
-        assert!(hosting_end.lp_iterations >= 1);
-        assert!(hosting_end.rounding_attempts >= 1);
         let phases: Vec<Phase> = events
             .iter()
-            .filter_map(|e| match e {
-                TraceEvent::PhaseStart { phase } => Some(*phase),
-                _ => None,
-            })
+            .filter_map(TraceEvent::phase_end)
+            .map(|(phase, _, _)| phase)
             .collect();
         assert_eq!(
             phases,

@@ -869,17 +869,22 @@ mod tests {
     /// Request spans bracket every request and carry monotone counters.
     #[test]
     fn request_spans_are_emitted_in_order() {
-        use emumap_trace::{JsonlSink, Tracer};
+        use emumap_trace::{check, SharedSink, Tracer};
+        let sink = SharedSink::default();
         let mut cache = MapCache::new();
-        cache.trace = Tracer::new(Box::new(JsonlSink::new(Vec::new())));
+        cache.trace = Tracer::new(Box::new(sink.clone()));
         let mut session = Session::with_cache(phys(), 8, cache);
         let hmn = Hmn::new();
         session.apply("a", venv(3, 100.0), &hmn);
         session.remove("a").unwrap();
         session.status();
-        let sink = session.cache_mut().trace.take_sink().unwrap();
-        drop(sink); // events were recorded; detailed shape is checked by
-                    // the CLI round-trip tests and scripts/check_traces.py
         assert_eq!(session.requests_processed(), 3);
+        let events = sink.events();
+        assert_eq!(check(&events), vec![]);
+        let requests = events
+            .iter()
+            .filter(|e| matches!(e, emumap_trace::TraceEvent::RequestEnd { .. }))
+            .count();
+        assert_eq!(requests, 3);
     }
 }

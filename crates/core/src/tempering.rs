@@ -29,17 +29,17 @@ use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::error::MapError;
 use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
-use crate::mapper::{MapOutcome, MapStats, Mapper};
+use crate::mapper::{MapOutcome, Mapper};
 use crate::migration::migration_stage;
 use crate::networking::networking_stage;
 use crate::parallel::ParallelRunner;
+use crate::recorder::record_map;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{GuestId, Mapping, PhysicalTopology, VirtualEnvironment};
-use emumap_trace::{Phase, PhaseCounters, TraceEvent};
+use emumap_trace::{Phase, PhaseCounters};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::time::Instant;
 
 /// Parallel-tempering configuration. The default ladder (8 replicas x
 /// 50 rounds x 50 proposals) evaluates 20 000 proposals in total — the
@@ -192,290 +192,210 @@ impl Mapper for ParallelTempering {
     ) -> Result<MapOutcome, MapError> {
         let cfg = &self.config;
         assert!(cfg.replicas >= 1, "at least one replica required");
-        let start = Instant::now();
         let links = links_by_descending_bw(venv);
-        cache.trace.emit(|| TraceEvent::MapStart {
-            mapper: "PT".into(),
-            guests: venv.guest_count() as u64,
-            links: venv.link_count() as u64,
-        });
-        // One draw from the caller's RNG keys the entire run: replica
-        // proposal streams and the swap stream all derive from it, so the
-        // mapper remains a pure function of (phys, venv, seed).
-        let master_seed = rng.next_u64();
-        let hosts: Vec<NodeId> = phys.hosts().to_vec();
-        let guest_count = venv.guest_count();
+        record_map("PT", phys, venv, cache, |rec, cache| {
+            // One draw from the caller's RNG keys the entire run: replica
+            // proposal streams and the swap stream all derive from it, so
+            // the mapper remains a pure function of (phys, venv, seed).
+            let master_seed = rng.next_u64();
+            let hosts: Vec<NodeId> = phys.hosts().to_vec();
+            let guest_count = venv.guest_count();
 
-        // --- Seed placement (shared by every replica when hosting-seeded).
-        let t_place = Instant::now();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Hosting,
-        });
-        let mut hosting_counters = PhaseCounters::default();
-        let seed_placement: Option<Vec<NodeId>> = if cfg.seed_with_hosting {
-            let mut state = PlacementState::new(phys, venv);
-            let h = match hosting_stage(&mut state, &links, HostingPolicy::Paper) {
-                Ok(h) => h,
-                Err(e) => {
-                    // Close the open phase even on failure: trace
-                    // consumers rely on bracketed PhaseStart/PhaseEnd.
-                    cache.trace.emit(|| TraceEvent::PhaseEnd {
-                        phase: Phase::Hosting,
-                        elapsed_us: crate::hmn::elapsed_us(t_place),
-                        counters: PhaseCounters::default(),
-                    });
-                    cache.trace.emit(|| TraceEvent::MapEnd {
-                        ok: false,
-                        objective: None,
-                        elapsed_us: crate::hmn::elapsed_us(start),
-                    });
-                    return Err(e);
-                }
-            };
-            hosting_counters.colocation_hits = h.colocation_hits as u64;
-            hosting_counters.first_fit_fallbacks = h.first_fit_fallbacks as u64;
-            migration_stage(&mut state);
-            Some(state.into_placement())
-        } else {
-            None
-        };
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Hosting,
-            elapsed_us: crate::hmn::elapsed_us(t_place),
-            counters: hosting_counters,
-        });
-
-        // --- Build the ladder.
-        let bw_scale = {
-            let total_bw: f64 = venv.link_ids().map(|l| venv.link(l).bw.value()).sum();
-            if total_bw > 0.0 {
-                total_bw / phys.host_count() as f64
-            } else {
-                0.0
-            }
-        };
-        let bw_enabled = cfg.bandwidth_weight != 0.0 && bw_scale != 0.0;
-        let mut replicas: Vec<Replica<'_>> = Vec::with_capacity(cfg.replicas);
-        for k in 0..cfg.replicas {
-            let mut state = PlacementState::new(phys, venv);
-            let mut replica_rng = SmallRng::seed_from_u64(
-                master_seed ^ (k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            match &seed_placement {
-                Some(placement) => {
-                    for (i, &h) in placement.iter().enumerate() {
-                        state
-                            .assign(GuestId::from_index(i), h)
-                            .expect("hosting placement is feasible");
+            // --- Seed placement (shared by every replica when
+            // hosting-seeded).
+            let (seed_placement, _) = rec.try_phase(
+                cache,
+                Phase::Hosting,
+                |_| {
+                    if !cfg.seed_with_hosting {
+                        return Ok((None, PhaseCounters::default()));
                     }
-                }
-                None => {
-                    // Independent random feasible start per replica.
-                    let mut fitting: Vec<NodeId> = Vec::with_capacity(hosts.len());
-                    for g in venv.guest_ids() {
-                        fitting.clear();
-                        fitting.extend(hosts.iter().copied().filter(|&h| state.fits(g, h)));
-                        if fitting.is_empty() {
-                            cache.trace.emit(|| TraceEvent::MapEnd {
-                                ok: false,
-                                objective: None,
-                                elapsed_us: crate::hmn::elapsed_us(start),
-                            });
-                            return Err(MapError::HostingFailed { guest: g });
-                        }
-                        let pick = fitting[replica_rng.gen_range(0..fitting.len())];
-                        state.assign(g, pick).expect("candidate verified");
-                    }
-                }
-            }
-            let bw_inter = if bw_enabled {
-                state.inter_host_bandwidth().value()
-            } else {
-                0.0
-            };
-            let energy = if bw_enabled {
-                state.objective() + cfg.bandwidth_weight * bw_inter / bw_scale
-            } else {
-                state.objective()
-            };
-            // Geometric ladder from cold (rung 0) to hot, anchored on this
-            // replica's own initial energy scale.
-            let t_min = (energy * cfg.min_temperature_factor).max(1e-6);
-            let t_max = (energy * cfg.max_temperature_factor).max(t_min * (1.0 + 1e-9));
-            let frac = if cfg.replicas == 1 {
-                0.0
-            } else {
-                k as f64 / (cfg.replicas - 1) as f64
-            };
-            let temperature = t_min * (t_max / t_min).powf(frac);
-            let best_placement = venv
-                .guest_ids()
-                .map(|g| state.host_of(g).expect("complete"))
-                .collect();
-            replicas.push(Replica {
-                state,
-                rng: replica_rng,
-                temperature,
-                energy,
-                bw_inter,
-                best_energy: energy,
-                best_placement,
-                accepted: 0,
-                rejected: 0,
-                proposals: 0,
-            });
-        }
+                    let mut state = PlacementState::new(phys, venv);
+                    let h = hosting_stage(&mut state, &links, HostingPolicy::Paper)?;
+                    migration_stage(&mut state);
+                    Ok((Some(state.into_placement()), h.counters()))
+                },
+                |(_, counters)| *counters,
+            )?;
 
-        // --- Temper.
-        let t_anneal = Instant::now();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Migration,
-        });
-        let runner = ParallelRunner::new(cfg.threads.min(cfg.replicas.max(1)));
-        let mut swap_rng = SmallRng::seed_from_u64(master_seed.wrapping_add(0xA076_1D64_78BD_642F));
-        let mut replica_exchanges = 0usize;
-        let mut exchange_accepts = 0usize;
-        let delta_evals_before: u64 = replicas.iter().map(|r| r.state.delta_evaluations()).sum();
-        let full_evals_before: u64 = replicas.iter().map(|r| r.state.full_evaluations()).sum();
-        for round in 0..cfg.rounds {
-            replicas = runner.run(replicas, |mut r, _cache| {
-                r.run_round(
-                    &hosts,
-                    cfg.iterations_per_round,
-                    bw_enabled,
-                    cfg.bandwidth_weight,
-                    bw_scale,
+            // --- Build the ladder.
+            let bw_scale = {
+                let total_bw: f64 = venv.link_ids().map(|l| venv.link(l).bw.value()).sum();
+                if total_bw > 0.0 {
+                    total_bw / phys.host_count() as f64
+                } else {
+                    0.0
+                }
+            };
+            let bw_enabled = cfg.bandwidth_weight != 0.0 && bw_scale != 0.0;
+            let mut replicas: Vec<Replica<'_>> = Vec::with_capacity(cfg.replicas);
+            for k in 0..cfg.replicas {
+                let mut state = PlacementState::new(phys, venv);
+                let mut replica_rng = SmallRng::seed_from_u64(
+                    master_seed ^ (k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 );
-                r
-            });
-            // Exchange temperatures between adjacent rungs, alternating
-            // even/odd pairing per round so every neighbor pair is tried.
-            // The swap RNG is consumed strictly sequentially here on the
-            // coordinator — one draw per attempt, accepted or not — so the
-            // decision stream never depends on worker scheduling.
-            let mut k = round % 2;
-            while k + 1 < replicas.len() {
-                replica_exchanges += 1;
-                let u = swap_rng.gen::<f64>();
-                let (ti, tj) = (replicas[k].temperature, replicas[k + 1].temperature);
-                let (ei, ej) = (replicas[k].energy, replicas[k + 1].energy);
-                let log_accept = (1.0 / ti - 1.0 / tj) * (ei - ej);
-                if log_accept >= 0.0 || u < log_accept.exp() {
-                    exchange_accepts += 1;
-                    replicas[k].temperature = tj;
-                    replicas[k + 1].temperature = ti;
+                match &seed_placement {
+                    Some(placement) => {
+                        for (i, &h) in placement.iter().enumerate() {
+                            state
+                                .assign(GuestId::from_index(i), h)
+                                .expect("hosting placement is feasible");
+                        }
+                    }
+                    None => {
+                        // Independent random feasible start per replica.
+                        let mut fitting: Vec<NodeId> = Vec::with_capacity(hosts.len());
+                        for g in venv.guest_ids() {
+                            fitting.clear();
+                            fitting.extend(hosts.iter().copied().filter(|&h| state.fits(g, h)));
+                            if fitting.is_empty() {
+                                return Err(MapError::HostingFailed { guest: g });
+                            }
+                            let pick = fitting[replica_rng.gen_range(0..fitting.len())];
+                            state.assign(g, pick).expect("candidate verified");
+                        }
+                    }
                 }
-                k += 2;
-            }
-        }
-        let delta_evaluations: u64 = replicas
-            .iter()
-            .map(|r| r.state.delta_evaluations())
-            .sum::<u64>()
-            - delta_evals_before;
-        let full_evaluations: u64 = replicas
-            .iter()
-            .map(|r| r.state.full_evaluations())
-            .sum::<u64>()
-            - full_evals_before;
-        let accepted: usize = replicas.iter().map(|r| r.accepted).sum();
-        let rejected: usize = replicas.iter().map(|r| r.rejected).sum();
-        let proposals: usize = replicas.iter().map(|r| r.proposals).sum();
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Migration,
-            elapsed_us: crate::hmn::elapsed_us(t_anneal),
-            counters: PhaseCounters {
-                moves_accepted: accepted as u64,
-                moves_rejected: rejected as u64,
-                proposals_evaluated: proposals as u64,
-                delta_evaluations,
-                full_evaluations,
-                replica_exchanges: replica_exchanges as u64,
-                exchange_accepts: exchange_accepts as u64,
-                ..Default::default()
-            },
-        });
-        let placement_time = t_place.elapsed();
-
-        // --- Route the global best. Ties break toward the coldest-built
-        // (lowest-index) replica for determinism.
-        let best = replicas
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.best_energy.total_cmp(&b.best_energy))
-            .map(|(i, _)| i)
-            .expect("at least one replica");
-        let best_placement = std::mem::take(&mut replicas[best].best_placement);
-        drop(replicas);
-        let mut state = PlacementState::new(phys, venv);
-        for (i, &h) in best_placement.iter().enumerate() {
-            state
-                .assign(GuestId::from_index(i), h)
-                .expect("best placement was feasible when recorded");
-        }
-        debug_assert_eq!(state.assigned_count(), guest_count);
-
-        let t_route = Instant::now();
-        let route_reuses_before = cache.scratch.reuses();
-        cache.trace.emit(|| TraceEvent::PhaseStart {
-            phase: Phase::Networking,
-        });
-        let (routes, net) = match networking_stage(&mut state, &links, &cfg.astar, cache) {
-            Ok(r) => r,
-            Err(e) => {
-                cache.trace.emit(|| TraceEvent::PhaseEnd {
-                    phase: Phase::Networking,
-                    elapsed_us: crate::hmn::elapsed_us(t_route),
-                    counters: PhaseCounters::default(),
+                let bw_inter = if bw_enabled {
+                    state.inter_host_bandwidth().value()
+                } else {
+                    0.0
+                };
+                let energy = if bw_enabled {
+                    state.objective() + cfg.bandwidth_weight * bw_inter / bw_scale
+                } else {
+                    state.objective()
+                };
+                // Geometric ladder from cold (rung 0) to hot, anchored on this
+                // replica's own initial energy scale.
+                let t_min = (energy * cfg.min_temperature_factor).max(1e-6);
+                let t_max = (energy * cfg.max_temperature_factor).max(t_min * (1.0 + 1e-9));
+                let frac = if cfg.replicas == 1 {
+                    0.0
+                } else {
+                    k as f64 / (cfg.replicas - 1) as f64
+                };
+                let temperature = t_min * (t_max / t_min).powf(frac);
+                let best_placement = venv
+                    .guest_ids()
+                    .map(|g| state.host_of(g).expect("complete"))
+                    .collect();
+                replicas.push(Replica {
+                    state,
+                    rng: replica_rng,
+                    temperature,
+                    energy,
+                    bw_inter,
+                    best_energy: energy,
+                    best_placement,
+                    accepted: 0,
+                    rejected: 0,
+                    proposals: 0,
                 });
-                cache.trace.emit(|| TraceEvent::MapEnd {
-                    ok: false,
-                    objective: None,
-                    elapsed_us: crate::hmn::elapsed_us(start),
-                });
-                return Err(e);
             }
-        };
-        cache.trace.emit(|| TraceEvent::PhaseEnd {
-            phase: Phase::Networking,
-            elapsed_us: crate::hmn::elapsed_us(t_route),
-            counters: PhaseCounters {
-                astar_expansions: net.search.expanded as u64,
-                astar_pushed: net.search.pushed as u64,
-                dijkstra_runs: net.dijkstra_runs as u64,
-                cache_hits: net.ar_cache_hits as u64,
-                ..Default::default()
-            },
-        });
-        let stats = MapStats {
-            attempts: 1,
-            migrations: accepted,
-            migrations_rejected: rejected,
-            routed_links: net.routed_links,
-            intra_host_links: net.intra_host_links,
-            astar_expansions: net.search.expanded,
-            dijkstra_runs: net.dijkstra_runs,
-            ar_cache_hits: net.ar_cache_hits,
-            scratch_reuses: cache.scratch.reuses() - route_reuses_before,
-            proposals_evaluated: proposals,
-            delta_evaluations: delta_evaluations as usize,
-            full_evaluations: full_evaluations as usize,
-            replica_exchanges,
-            exchange_accepts,
-            placement_time,
-            networking_time: t_route.elapsed(),
-            total_time: start.elapsed(),
-            ..Default::default()
-        };
-        let mapping = Mapping::new(state.into_placement(), routes);
-        let outcome = MapOutcome::new(phys, venv, mapping, stats);
-        cache.trace.emit(|| TraceEvent::MapEnd {
-            ok: true,
-            objective: Some(outcome.objective),
-            elapsed_us: crate::hmn::elapsed_us(start),
-        });
-        Ok(outcome)
+
+            // --- Temper.
+            let replicas = rec.phase(cache, Phase::Migration, |_| {
+                temper(cfg, replicas, &hosts, master_seed, bw_enabled, bw_scale)
+            });
+
+            // --- Route the global best. Ties break toward the
+            // coldest-built (lowest-index) replica for determinism.
+            let best = replicas
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.best_energy.total_cmp(&b.best_energy))
+                .map(|(i, _)| i)
+                .expect("at least one replica");
+            let mut state = PlacementState::new(phys, venv);
+            for (i, &h) in replicas[best].best_placement.iter().enumerate() {
+                state
+                    .assign(GuestId::from_index(i), h)
+                    .expect("best placement was feasible when recorded");
+            }
+            drop(replicas);
+            debug_assert_eq!(state.assigned_count(), guest_count);
+
+            let (routes, _) = rec.try_phase(
+                cache,
+                Phase::Networking,
+                |cache| networking_stage(&mut state, &links, &cfg.astar, cache),
+                |(_, net)| net.counters(),
+            )?;
+            Ok(Mapping::new(state.into_placement(), routes))
+        })
     }
+}
+
+/// Runs the tempering rounds over the replica ladder with temperature
+/// exchanges between adjacent rungs; returns the replicas and the
+/// Migration span's counters.
+fn temper<'a>(
+    cfg: &TemperingConfig,
+    mut replicas: Vec<Replica<'a>>,
+    hosts: &[NodeId],
+    master_seed: u64,
+    bw_enabled: bool,
+    bw_scale: f64,
+) -> (Vec<Replica<'a>>, PhaseCounters) {
+    let runner = ParallelRunner::new(cfg.threads.min(cfg.replicas.max(1)));
+    let mut swap_rng = SmallRng::seed_from_u64(master_seed.wrapping_add(0xA076_1D64_78BD_642F));
+    let mut replica_exchanges = 0u64;
+    let mut exchange_accepts = 0u64;
+    let delta_evals_before: u64 = replicas.iter().map(|r| r.state.delta_evaluations()).sum();
+    let full_evals_before: u64 = replicas.iter().map(|r| r.state.full_evaluations()).sum();
+    for round in 0..cfg.rounds {
+        replicas = runner.run(replicas, |mut r, _cache| {
+            r.run_round(
+                hosts,
+                cfg.iterations_per_round,
+                bw_enabled,
+                cfg.bandwidth_weight,
+                bw_scale,
+            );
+            r
+        });
+        // Exchange temperatures between adjacent rungs, alternating
+        // even/odd pairing per round so every neighbor pair is tried.
+        // The swap RNG is consumed strictly sequentially here on the
+        // coordinator — one draw per attempt, accepted or not — so the
+        // decision stream never depends on worker scheduling.
+        let mut k = round % 2;
+        while k + 1 < replicas.len() {
+            replica_exchanges += 1;
+            let u = swap_rng.gen::<f64>();
+            let (ti, tj) = (replicas[k].temperature, replicas[k + 1].temperature);
+            let (ei, ej) = (replicas[k].energy, replicas[k + 1].energy);
+            let log_accept = (1.0 / ti - 1.0 / tj) * (ei - ej);
+            if log_accept >= 0.0 || u < log_accept.exp() {
+                exchange_accepts += 1;
+                replicas[k].temperature = tj;
+                replicas[k + 1].temperature = ti;
+            }
+            k += 2;
+        }
+    }
+    let delta_evaluations: u64 = replicas
+        .iter()
+        .map(|r| r.state.delta_evaluations())
+        .sum::<u64>()
+        - delta_evals_before;
+    let full_evaluations: u64 = replicas
+        .iter()
+        .map(|r| r.state.full_evaluations())
+        .sum::<u64>()
+        - full_evals_before;
+    let counters = PhaseCounters {
+        moves_accepted: replicas.iter().map(|r| r.accepted as u64).sum(),
+        moves_rejected: replicas.iter().map(|r| r.rejected as u64).sum(),
+        proposals_evaluated: replicas.iter().map(|r| r.proposals as u64).sum(),
+        delta_evaluations,
+        full_evaluations,
+        replica_exchanges,
+        exchange_accepts,
+        ..Default::default()
+    };
+    (replicas, counters)
 }
 
 #[cfg(test)]

@@ -3,15 +3,21 @@
 //! The core pipeline emits [`TraceEvent`]s into an [`EventSink`] behind a
 //! [`Tracer`]. A disabled tracer is a `None` — [`Tracer::emit`] takes a
 //! closure so that event construction (string formatting, counter
-//! snapshots) is never even evaluated unless a sink is attached. Three
+//! snapshots) is never even evaluated unless a sink is attached. Four
 //! sinks ship in-tree, mirroring how the rest of the workspace vendors
 //! its dependencies:
 //!
 //! - [`NullSink`]: enabled but discards everything — measures the pure
 //!   dispatch overhead in benches.
-//! - [`RingSink`]: bounded in-memory ring buffer — what tests inspect.
+//! - [`RingSink`]: bounded in-memory ring buffer.
+//! - [`SharedSink`]: an unbounded log the caller keeps a handle to — what
+//!   tests inspect.
 //! - [`JsonlSink`]: one JSON object per line via the vendored
 //!   `serde_json`, the `--trace <path>` file format.
+//!
+//! [`check`] holds an event stream to the trace contract (bracketed spans
+//! in pipeline order, per-phase counter invariants, serve bookkeeping);
+//! [`parse_event`] reads one line of a JSONL trace back.
 //!
 //! Events deliberately split *decision* fields (which links routed, how
 //! many co-locations, how many migration moves) from *volatile* fields
@@ -28,11 +34,15 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::sync::{Arc, Mutex};
+
+mod check;
+pub use check::{check, parse_event, Violation};
 
 /// The three stages of the paper's pipeline (§4), reused by every mapper
 /// that reports spans (greedy mappers skip Migration; annealing reports
-/// its Metropolis loop as Migration).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// its Metropolis loop as Migration). Variants order as the pipeline runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Phase {
     /// Guest placement (co-location + first-fit).
     Hosting,
@@ -74,7 +84,7 @@ pub struct PhaseCounters {
     pub astar_expansions: u64,
     /// Networking: A*Prune nodes pushed onto the open list.
     pub astar_pushed: u64,
-    /// Networking: DFS backtrack steps (baseline mappers).
+    /// Networking: DFS backtrack steps (the R and HS baselines).
     pub dfs_backtracks: u64,
     /// Networking: `ar[]` table misses — Dijkstra runs the `MapCache`
     /// could not avoid. Volatile: depends on cache warmth.
@@ -273,6 +283,19 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// The `(phase, elapsed_us, counters)` a `PhaseEnd` closes with;
+    /// `None` for every other event.
+    pub fn phase_end(&self) -> Option<(Phase, u64, PhaseCounters)> {
+        match *self {
+            TraceEvent::PhaseEnd {
+                phase,
+                elapsed_us,
+                counters,
+            } => Some((phase, elapsed_us, counters)),
+            _ => None,
+        }
+    }
+
     /// Copy with every volatile field (wall-clock spans, cache-warmth
     /// counters) zeroed, leaving only the deterministic decision stream.
     /// Two runs with the same inputs and seed must produce identical
@@ -377,6 +400,25 @@ impl EventSink for RingSink {
             self.dropped += 1;
         }
         self.events.push_back(event);
+    }
+}
+
+/// An unbounded log shared with its creator: clone it, attach one clone
+/// to a [`Tracer`], and read the events back through the other — what
+/// tests use, since an attached sink cannot be inspected in place.
+#[derive(Clone, Debug, Default)]
+pub struct SharedSink(Arc<Mutex<Vec<TraceEvent>>>);
+
+impl SharedSink {
+    /// The events recorded so far, oldest first.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.0.lock().expect("sink lock").clone()
+    }
+}
+
+impl EventSink for SharedSink {
+    fn record(&mut self, event: TraceEvent) {
+        self.0.lock().expect("sink lock").push(event);
     }
 }
 
