@@ -3,7 +3,9 @@
 //! DFS router, and topology generation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use emumap_core::{astar_prune, naive_dfs_route, AStarPruneConfig, DfsScratch, RouteScratch};
+use emumap_core::{
+    astar_prune, naive_dfs_route, AStarPruneConfig, ArView, DfsScratch, RouteScratch,
+};
 use emumap_graph::algo::dijkstra;
 use emumap_graph::generators;
 use emumap_model::{
@@ -66,7 +68,7 @@ fn bench_graph_algorithms(c: &mut Criterion) {
                     dst,
                     Kbps(100.0),
                     Millis(60.0),
-                    &ar,
+                    ArView::new(&ar, dst),
                     &AStarPruneConfig::default(),
                     &csr,
                     &mut scratch,
@@ -90,7 +92,7 @@ fn bench_graph_algorithms(c: &mut Criterion) {
                     dst,
                     Kbps(100.0),
                     Millis(1e9),
-                    &hops,
+                    ArView::new(&hops, dst),
                     &mut rng,
                     &mut scratch,
                 )

@@ -11,7 +11,9 @@
 use criterion::{BenchmarkId, Criterion};
 use emumap_bench::report::{write_bench_json, BenchEntry, PhaseBreakdown};
 use emumap_core::parallel::ParallelRunner;
-use emumap_core::{astar_prune, AStarPruneConfig, ArTables, Hmn, MapCache, Mapper, RouteScratch};
+use emumap_core::{
+    astar_prune, AStarPruneConfig, ArTables, ArView, Hmn, MapCache, Mapper, RouteScratch,
+};
 use emumap_model::{Kbps, Millis, ResidualState};
 use emumap_trace::{NullSink, Tracer};
 use emumap_workloads::{instantiate, ClusterSpec, Scenario, WorkloadKind};
@@ -44,7 +46,10 @@ fn bench_routing_scratch(c: &mut Criterion) {
     }
     let ar: Vec<Vec<f64>> = hosts
         .iter()
-        .map(|&h| tables.ar_and_csr(phys, h).0.to_vec())
+        .map(|&h| {
+            let (view, csr) = tables.ar_and_csr(phys, h);
+            (0..csr.node_count()).map(|v| view[v]).collect()
+        })
         .collect();
     let config = AStarPruneConfig::default();
     let demand = Kbps::from_mbps(1.0);
@@ -69,7 +74,7 @@ fn bench_routing_scratch(c: &mut Criterion) {
                         hosts[j],
                         demand,
                         bound,
-                        &ar[j],
+                        ArView::new(&ar[j], hosts[j]),
                         &config,
                         &phys.graph().to_csr(),
                         &mut RouteScratch::new(),
@@ -97,7 +102,7 @@ fn bench_routing_scratch(c: &mut Criterion) {
                         hosts[j],
                         demand,
                         bound,
-                        &ar[j],
+                        ArView::new(&ar[j], hosts[j]),
                         &config,
                         &csr,
                         &mut scratch,

@@ -29,6 +29,7 @@
 //! nodes of its partial path into a per-node array and a neighbour is on
 //! the path iff it carries the current stamp.
 
+use crate::cache::ArView;
 use emumap_graph::{CsrAdjacency, EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
 use std::collections::BinaryHeap;
@@ -234,8 +235,8 @@ impl RouteScratch {
 ///
 /// `ar` must hold, for every node index, a lower bound on the latency from
 /// that node to `destination` (`f64::INFINITY` for unreachable nodes) —
-/// normally the output of [`emumap_graph::algo::dijkstra`] rooted at the
-/// destination. Only consulted when
+/// normally the destination's table from
+/// [`ArTables::ar_and_csr`](crate::ArTables::ar_and_csr). Only consulted when
 /// [`AStarPruneConfig::use_latency_lower_bound`] is set.
 ///
 /// `csr` is the topology's adjacency snapshot and `scratch` the search
@@ -253,7 +254,7 @@ pub fn astar_prune(
     destination: NodeId,
     demand: Kbps,
     latency_bound: Millis,
-    ar: &[f64],
+    ar: ArView<'_>,
     config: &AStarPruneConfig,
     csr: &CsrAdjacency,
     scratch: &mut RouteScratch,
@@ -528,7 +529,7 @@ mod tests {
                 dest,
                 Kbps(5.0),
                 Millis(bound),
-                &ar,
+                ArView::new(&ar, dest),
                 &config,
                 &csr,
                 &mut warm,
@@ -588,7 +589,7 @@ mod tests {
             destination,
             demand,
             latency_bound,
-            ar,
+            ArView::new(ar, destination),
             config,
             &phys.graph().to_csr(),
             &mut RouteScratch::new(),
@@ -664,7 +665,7 @@ mod tests {
                 dest,
                 Kbps(demand),
                 Millis(bound),
-                &ar,
+                ArView::new(&ar, dest),
                 &config,
                 &csr,
                 &mut scratch,
@@ -1032,7 +1033,7 @@ mod tests {
                 dest,
                 Kbps(5.0),
                 Millis(bound),
-                &ar,
+                ArView::new(&ar, dest),
                 &cfg,
                 &csr,
                 &mut warm,

@@ -2,14 +2,14 @@
 //!
 //! §5.2 of the paper observes that "most part of mapping time is spend in
 //! the Networking stage to calculate the shortest path of each host to the
-//! link destination". The per-`networking_stage` `HashMap` cache already
-//! collapses that to one Dijkstra per distinct destination *per trial* —
-//! but a benchmark sweep runs hundreds of trials on the *same* topology,
-//! and the `ar[]` tables depend only on link latencies, never on residual
-//! bandwidth or the virtual environment. [`ArTables`] promotes the cache
-//! to topology lifetime: tables survive across trials and are invalidated
-//! only when the topology's generation (its shape, ids and link latencies)
-//! changes.
+//! link destination". [`ArTables`] keeps those `ar[]` tables for the
+//! topology's lifetime: they depend only on link latencies, never on
+//! residual bandwidth or the virtual environment, so they survive across
+//! trials and are invalidated only when the topology's generation (its
+//! shape, ids and link latencies) changes. It also builds one table per
+//! *attachment point* rather than per destination: a leaf host reads the
+//! table of the switch it hangs off, so the hosts behind one switch share
+//! a single Dijkstra run.
 //!
 //! [`MapCache`] bundles the table cache with the search scratch buffers
 //! ([`RouteScratch`], [`DfsScratch`]) into the one state blob a worker
@@ -21,13 +21,70 @@
 
 use crate::astar_prune::RouteScratch;
 use crate::dfs_routing::DfsScratch;
-use emumap_graph::algo::dijkstra;
-use emumap_graph::{CsrAdjacency, NodeId};
-use emumap_model::{GuestId, PhysicalTopology};
+use emumap_graph::algo::dijkstra_seeded;
+use emumap_graph::{CsrAdjacency, EdgeId, NodeId};
+use emumap_model::{GuestId, LinkSpec, PhysicalTopology};
 use emumap_trace::Tracer;
 use std::collections::HashMap;
+use std::ops::Index;
 
-/// Topology-lifetime cache of per-destination Dijkstra tables plus the CSR
+/// A destination's distance table: `view[v]` is the shortest distance
+/// from node index `v` to the destination, `f64::INFINITY` if
+/// unreachable, and exactly `0.0` at the destination itself.
+///
+/// [`ArTables`] hands these out over a table it shares between the leaves
+/// of one attachment point; such a table holds `2 * cost(e)` at the leaf,
+/// which the view masks.
+#[derive(Clone, Copy, Debug)]
+pub struct ArView<'a> {
+    table: &'a [f64],
+    dest: usize,
+}
+
+impl<'a> ArView<'a> {
+    /// A view of `table` as distances to `dest`; `table` is indexed by
+    /// [`NodeId::index`], e.g. a [`dijkstra`](emumap_graph::algo::dijkstra)
+    /// run rooted at `dest`.
+    pub fn new(table: &'a [f64], dest: NodeId) -> Self {
+        ArView {
+            table,
+            dest: dest.index(),
+        }
+    }
+}
+
+impl Index<usize> for ArView<'_> {
+    type Output = f64;
+
+    #[inline]
+    fn index(&self, v: usize) -> &f64 {
+        if v == self.dest {
+            &0.0
+        } else {
+            &self.table[v]
+        }
+    }
+}
+
+/// Which edge cost a table family sums.
+#[derive(Clone, Copy)]
+enum Family {
+    /// Link latency: the `ar[]` tables.
+    Latency,
+    /// Unit cost: hop counts.
+    Hops,
+}
+
+impl Family {
+    fn cost(self, link: &LinkSpec) -> f64 {
+        match self {
+            Family::Latency => link.lat.value(),
+            Family::Hops => 1.0,
+        }
+    }
+}
+
+/// Topology-lifetime cache of Dijkstra distance tables plus the CSR
 /// adjacency snapshot the searches iterate.
 ///
 /// Two table families are kept:
@@ -41,14 +98,30 @@ use std::collections::HashMap;
 /// keyed by [`PhysicalTopology::generation`] and survive across trials,
 /// mappers, and virtual environments on the same cluster, and across the
 /// residual-capacity copies a serve session derives from it.
+///
+/// Tables are stored per *attachment key*, not per destination. A node
+/// whose only CSR neighbour is another node `s`, over edge `e`, reads the
+/// table rooted at `s` with start distance `cost(e)`: every path out of it
+/// runs through `s`, so that table equals its own bit for bit everywhere
+/// but at the node itself, which [`ArView`] reads as `0.0`. Every other
+/// node reads its own table. On a fat-tree or the paper's switched
+/// cluster this turns one Dijkstra per destination host into one per edge
+/// switch.
 #[derive(Debug, Default)]
 pub struct ArTables {
     /// Generation of the topology the tables were built for (0 = unset,
     /// which no topology has).
     generation: u64,
     csr: CsrAdjacency,
-    ar: HashMap<NodeId, Vec<f64>>,
-    hops: HashMap<NodeId, Vec<f64>>,
+    /// Table slot each node reads as a destination, by node index.
+    slot_of: Vec<u32>,
+    /// Per slot: the root its tables are built from, and the leaf edge
+    /// whose cost seeds the root (`None` for a node's own table).
+    roots: Vec<(NodeId, Option<EdgeId>)>,
+    /// Latency tables by slot; empty until first requested.
+    ar: Vec<Vec<f64>>,
+    /// Hop-count tables by slot; empty until first requested.
+    hops: Vec<Vec<f64>>,
     dijkstra_runs: usize,
     hits: usize,
 }
@@ -59,9 +132,10 @@ impl ArTables {
         ArTables::default()
     }
 
-    /// Binds the cache to `phys`, rebuilding the CSR snapshot and dropping
-    /// all tables if the topology's generation changed since the last
-    /// call. Returns `true` when the cached tables were kept.
+    /// Binds the cache to `phys`, rebuilding the CSR snapshot and the
+    /// attachment slots and dropping all tables if the topology's
+    /// generation changed since the last call. Returns `true` when the
+    /// cached tables were kept.
     pub fn prepare(&mut self, phys: &PhysicalTopology) -> bool {
         // O(1): every trial of a benchmark sweep after the first, and every
         // serve apply on the session's derived topology, keeps the tables.
@@ -70,54 +144,88 @@ impl ArTables {
         }
         self.generation = phys.generation();
         self.csr = phys.graph().to_csr();
-        self.ar.clear();
-        self.hops.clear();
+        self.slot_of.clear();
+        self.roots.clear();
+        // Leaves behind one node share a slot when their edges' latencies
+        // are bit-equal (the hop family's start, 1.0, is then equal too).
+        let mut leaf_slots: HashMap<(NodeId, u64), u32> = HashMap::new();
+        for v in phys.graph().node_ids() {
+            let roots = &mut self.roots;
+            let mut new_slot = |key| {
+                roots.push(key);
+                u32::try_from(roots.len() - 1).expect("node ids fit in u32")
+            };
+            let slot = match *self.csr.neighbors(v) {
+                [nb] if nb.node != v => {
+                    let lat = phys.link(nb.edge).lat.value().to_bits();
+                    *leaf_slots
+                        .entry((nb.node, lat))
+                        .or_insert_with(|| new_slot((nb.node, Some(nb.edge))))
+                }
+                _ => new_slot((v, None)),
+            };
+            self.slot_of.push(slot);
+        }
+        for tables in [&mut self.ar, &mut self.hops] {
+            tables.clear();
+            tables.resize(self.roots.len(), Vec::new());
+        }
         false
     }
 
-    /// The latency `ar[]` table rooted at `dest` together with the CSR
-    /// snapshot, both under one borrow (callers need them simultaneously
-    /// for [`astar_prune`](crate::astar_prune)).
+    /// The latency `ar[]` table of `dest` together with the CSR snapshot,
+    /// both under one borrow (callers need them simultaneously for
+    /// [`astar_prune`](crate::astar_prune)).
     ///
     /// Must be called after [`prepare`](Self::prepare) on the same `phys`.
-    pub fn ar_and_csr(&mut self, phys: &PhysicalTopology, dest: NodeId) -> (&[f64], &CsrAdjacency) {
-        debug_assert_eq!(
-            self.generation,
-            phys.generation(),
-            "call ArTables::prepare first"
-        );
-        if !self.ar.contains_key(&dest) {
-            self.dijkstra_runs += 1;
-            let table = dijkstra(phys.graph(), &self.csr, dest, |_, link| link.lat.value())
-                .into_distances();
-            self.ar.insert(dest, table);
-        } else {
-            self.hits += 1;
-        }
-        (self.ar.get(&dest).expect("just inserted"), &self.csr)
+    pub fn ar_and_csr(
+        &mut self,
+        phys: &PhysicalTopology,
+        dest: NodeId,
+    ) -> (ArView<'_>, &CsrAdjacency) {
+        self.lookup(phys, dest, Family::Latency)
     }
 
-    /// Unit-cost hop-count table rooted at `dest` (the DFS neighbor-order
-    /// bias of the baselines) together with the CSR snapshot the DFS routes
+    /// Unit-cost hop-count table of `dest` (the DFS neighbor-order bias of
+    /// the baselines) together with the CSR snapshot the DFS routes
     /// through. Same caching discipline as [`ar_and_csr`](Self::ar_and_csr).
     pub fn hops_and_csr(
         &mut self,
         phys: &PhysicalTopology,
         dest: NodeId,
-    ) -> (&[f64], &CsrAdjacency) {
+    ) -> (ArView<'_>, &CsrAdjacency) {
+        self.lookup(phys, dest, Family::Hops)
+    }
+
+    fn lookup(
+        &mut self,
+        phys: &PhysicalTopology,
+        dest: NodeId,
+        family: Family,
+    ) -> (ArView<'_>, &CsrAdjacency) {
         debug_assert_eq!(
             self.generation,
             phys.generation(),
             "call ArTables::prepare first"
         );
-        if !self.hops.contains_key(&dest) {
+        let slot = self.slot_of[dest.index()] as usize;
+        let table = match family {
+            Family::Latency => &mut self.ar[slot],
+            Family::Hops => &mut self.hops[slot],
+        };
+        if table.is_empty() {
             self.dijkstra_runs += 1;
-            let table = dijkstra(phys.graph(), &self.csr, dest, |_, _| 1.0).into_distances();
-            self.hops.insert(dest, table);
+            let (root, via) = self.roots[slot];
+            // `0.0 + cost` is exactly the leaf's own first relaxation.
+            let start = via.map_or(0.0, |e| 0.0 + family.cost(phys.link(e)));
+            *table = dijkstra_seeded(phys.graph(), &self.csr, root, start, |_, link| {
+                family.cost(link)
+            })
+            .into_distances();
         } else {
             self.hits += 1;
         }
-        (self.hops.get(&dest).expect("just inserted"), &self.csr)
+        (ArView::new(table, dest), &self.csr)
     }
 
     /// The CSR adjacency snapshot of the prepared topology.
@@ -252,8 +360,10 @@ impl MapCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emumap_graph::generators;
-    use emumap_model::{HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, StorGb, VmmOverhead};
+    use emumap_graph::{generators, Graph};
+    use emumap_model::{
+        HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, PhysNode, StorGb, VmmOverhead,
+    };
 
     fn phys_line(n: usize, lat: f64) -> PhysicalTopology {
         PhysicalTopology::from_shape(
@@ -317,6 +427,35 @@ mod tests {
         let (hops, _) = t.hops_and_csr(&phys, phys.hosts()[4]);
         assert_eq!(hops[phys.hosts()[0].index()], 4.0);
         assert_eq!(hops[phys.hosts()[4].index()], 0.0);
+    }
+
+    #[test]
+    fn leaves_share_their_switch_table_per_link_latency() {
+        // One switch with three 5 ms leaves and one 7 ms leaf.
+        let mut g = Graph::new();
+        let sw = g.add_node(PhysNode::Switch);
+        for lat in [5.0, 5.0, 5.0, 7.0] {
+            let spec = HostSpec::new(Mips(1000.0), MemMb(4096), StorGb(1000.0));
+            let h = g.add_node(PhysNode::Host(spec));
+            g.add_edge(h, sw, LinkSpec::new(Kbps(1000.0), Millis(lat)));
+        }
+        let phys = PhysicalTopology::from_graph(g, VmmOverhead::NONE);
+        let h = phys.hosts();
+        let mut t = ArTables::new();
+        t.prepare(&phys);
+        for &dest in h {
+            let (ar, _) = t.ar_and_csr(&phys, dest);
+            assert_eq!(ar[dest.index()], 0.0);
+        }
+        assert_eq!(t.dijkstra_runs(), 2, "one table per (switch, latency)");
+        assert_eq!(t.hits(), 2);
+        let (ar, _) = t.ar_and_csr(&phys, h[0]);
+        assert_eq!(
+            (ar[h[1].index()], ar[h[3].index()], ar[sw.index()]),
+            (10.0, 12.0, 5.0)
+        );
+        let (hops, _) = t.hops_and_csr(&phys, h[3]);
+        assert_eq!((hops[h[0].index()], hops[h[3].index()]), (2.0, 0.0));
     }
 
     #[test]

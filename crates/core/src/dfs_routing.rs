@@ -30,6 +30,7 @@
 //! is ≈ 0.95, which reproduces the paper's R/HS failure thresholds (see
 //! EXPERIMENTS.md).
 
+use crate::cache::ArView;
 use emumap_graph::{CsrAdjacency, EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
 use rand::seq::SliceRandom;
@@ -114,7 +115,7 @@ pub fn naive_dfs_route(
     destination: NodeId,
     demand: Kbps,
     latency_bound: Millis,
-    hops_to_dest: &[f64],
+    hops_to_dest: ArView<'_>,
     rng: &mut dyn RngCore,
     scratch: &mut DfsScratch,
 ) -> Option<Vec<EdgeId>> {

@@ -7,6 +7,7 @@
 //! concrete failed link or guest, using max-flow cuts and latency
 //! diameters as *proofs* of infeasibility where possible.
 
+use crate::ArTables;
 use emumap_graph::algo::{dijkstra, max_flow};
 use emumap_graph::NodeId;
 use emumap_model::{
@@ -142,13 +143,15 @@ pub fn cluster_diagnostics(
         .iter()
         .map(|&h| phys.effective_proc(h).value())
         .sum();
-    // Latency diameter restricted to host pairs.
-    let csr = phys.graph().to_csr();
+    // Latency diameter restricted to host pairs. The `ar[]` tables share
+    // one Dijkstra run between the leaf hosts of each switch.
+    let mut tables = ArTables::new();
+    tables.prepare(phys);
     let mut diameter = 0.0f64;
     for &h in phys.hosts() {
-        let d = dijkstra(phys.graph(), &csr, h, |_, l| l.lat.value());
+        let (ar, _) = tables.ar_and_csr(phys, h);
         for &g in phys.hosts() {
-            diameter = diameter.max(d.distance(g).unwrap_or(f64::INFINITY));
+            diameter = diameter.max(ar[g.index()]);
         }
     }
     let min_bound = venv

@@ -86,7 +86,7 @@ pub mod tempering;
 
 pub use annealing::{Annealing, AnnealingConfig};
 pub use astar_prune::{astar_prune, AStarPruneConfig, PathMetric, RouteScratch, SearchStats};
-pub use cache::{AnnealScratch, ArTables, MapCache, RoundingScratch};
+pub use cache::{AnnealScratch, ArTables, ArView, MapCache, RoundingScratch};
 pub use consolidation::{drain_stage, ConsolidatingHmn, DrainStats};
 pub use dfs_routing::{naive_dfs_route, DfsScratch, WANDER_PROBABILITY};
 pub use diagnostics::{

@@ -20,8 +20,8 @@ use emumap_trace::{PhaseCounters, TraceEvent};
 pub struct NetworkingStats {
     /// Aggregate A\*Prune search effort.
     pub search: SearchStats,
-    /// Dijkstra lower-bound tables computed (one per distinct destination
-    /// host not already cached).
+    /// Dijkstra lower-bound tables computed (one per attachment point of
+    /// a destination not already cached; see [`ArTables`](crate::ArTables)).
     pub dijkstra_runs: usize,
     /// `ar[]` lookups answered from the cross-trial cache.
     pub ar_cache_hits: usize,
@@ -46,13 +46,15 @@ impl NetworkingStats {
 /// first unroutable link.
 ///
 /// `ar[]` tables (Dijkstra latency-to-destination) are cached per
-/// destination host in `cache`: §5.2 observes that "most part of mapping
-/// time is spend in the Networking stage to calculate the shortest path of
-/// each host to the link destination", and with thousands of links over 40
-/// hosts the cache collapses that cost to at most `hosts` runs — and,
-/// because the tables depend only on topology latencies, a warm cache
-/// carries them across trials on the same cluster, recording those
-/// lookups in [`NetworkingStats::ar_cache_hits`]. One-shot callers pass
+/// attachment point in `cache` (see [`ArTables`](crate::ArTables)): §5.2
+/// observes that "most part of mapping time is spend in the Networking
+/// stage to calculate the shortest path of each host to the link
+/// destination", and the cache collapses that cost to at most one run per
+/// distinct destination, or per switch for leaf hosts (one run for the
+/// paper's whole switched cluster) — and, because the tables depend only
+/// on topology latencies, a warm cache carries them across trials on the
+/// same cluster, recording those lookups in
+/// [`NetworkingStats::ar_cache_hits`]. One-shot callers pass
 /// [`MapCache::new`].
 pub fn networking_stage(
     state: &mut PlacementState<'_>,

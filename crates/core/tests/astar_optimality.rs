@@ -8,7 +8,7 @@
 //! the search effort of a fixed batch of queries, so a change to the
 //! candidate order shows even where it keeps every path feasible.
 
-use emumap_core::{astar_prune, AStarPruneConfig, PathMetric, RouteScratch};
+use emumap_core::{astar_prune, AStarPruneConfig, ArView, PathMetric, RouteScratch};
 use emumap_graph::algo::dijkstra;
 use emumap_graph::generators::random_connected;
 use emumap_graph::{CsrAdjacency, EdgeId, Graph, NodeId};
@@ -176,11 +176,11 @@ proptest! {
             let demand = Kbps(rng.gen_range(1.0..300.0));
             let bound = Millis(rng.gen_range(5.0..60.0));
             let fresh = astar_prune(
-                &phys, &residual, origin, dest, demand, bound, &ar, &config, &csr,
+                &phys, &residual, origin, dest, demand, bound, ArView::new(&ar, dest), &config, &csr,
                 &mut RouteScratch::new(),
             );
             let warm = astar_prune(
-                &phys, &residual, origin, dest, demand, bound, &ar, &config, &csr, &mut dirty,
+                &phys, &residual, origin, dest, demand, bound, ArView::new(&ar, dest), &config, &csr, &mut dirty,
             );
             prop_assert_eq!(fresh, warm);
         }
@@ -203,7 +203,7 @@ proptest! {
         let demand = Kbps(150.0);
         let bound = Millis(45.0);
         if let Some((path, stats)) = astar_prune(
-            &phys, &residual, origin, dest, demand, bound, &ar, &config, &csr,
+            &phys, &residual, origin, dest, demand, bound, ArView::new(&ar, dest), &config, &csr,
             &mut RouteScratch::new(),
         ) {
             let lat: f64 = path.iter().map(|&e| phys.link(e).lat.value()).sum();
@@ -252,7 +252,7 @@ proptest! {
             to,
             Kbps(demand),
             Millis(bound),
-            &ar,
+            ArView::new(&ar, to),
             &AStarPruneConfig::default(),
             &csr,
             &mut RouteScratch::new(),
@@ -317,7 +317,7 @@ fn golden_batch() -> Vec<String> {
                     dest,
                     demand,
                     bound,
-                    &ar,
+                    ArView::new(&ar, dest),
                     &config,
                     &csr,
                     &mut scratch,

@@ -92,6 +92,27 @@ pub fn dijkstra<N, E, F>(
     graph: &Graph<N, E>,
     csr: &CsrAdjacency,
     source: NodeId,
+    cost: F,
+) -> DijkstraResult
+where
+    F: FnMut(EdgeId, &E) -> f64,
+{
+    dijkstra_seeded(graph, csr, source, 0.0, cost)
+}
+
+/// [`dijkstra`] with the source starting at distance `start` instead of 0.
+///
+/// Every other distance is the left-to-right float sum `start + c1 + c2 +
+/// ...` along a shortest path. So if `leaf`'s only edge `e` joins it to
+/// `source`, seeding with `start = 0.0 + cost(e)` reproduces, bit for bit,
+/// the distances of an unseeded run from `leaf` at every node but `leaf`
+/// itself (which reads `2 * cost(e)` here instead of 0). `start` must be
+/// non-negative and finite.
+pub fn dijkstra_seeded<N, E, F>(
+    graph: &Graph<N, E>,
+    csr: &CsrAdjacency,
+    source: NodeId,
+    start: f64,
     mut cost: F,
 ) -> DijkstraResult
 where
@@ -109,8 +130,12 @@ where
     // pattern of the (non-negative) cost, which orders identically.
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
 
-    dist[source.index()] = 0.0;
-    heap.push(Reverse((0u64, source.index() as u32)));
+    debug_assert!(
+        start >= 0.0 && start.is_finite(),
+        "bad start distance {start}"
+    );
+    dist[source.index()] = start;
+    heap.push(Reverse((start.to_bits(), source.index() as u32)));
 
     while let Some(Reverse((dbits, v))) = heap.pop() {
         let d = f64::from_bits(dbits);

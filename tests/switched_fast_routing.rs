@@ -63,10 +63,10 @@ fn switched_mapping_is_sub_second_even_at_50_to_1() {
 }
 
 #[test]
-fn switched_dijkstra_cache_needs_at_most_one_run_per_destination_host() {
-    // The A*Prune ar[] tables are cached per destination; on a 40-host
-    // cluster the Networking stage can never run Dijkstra more than 40
-    // times however many links it routes.
+fn switched_dijkstra_cache_needs_one_run_for_the_whole_cluster() {
+    // The A*Prune ar[] tables are built per attachment point, and all 40
+    // hosts hang off the one switch, so the Networking stage runs
+    // Dijkstra exactly once however many links it routes.
     use emumap::mapping::hosting::links_by_descending_bw;
     use emumap::mapping::networking::networking_stage;
     use emumap::mapping::{
@@ -87,9 +87,47 @@ fn switched_dijkstra_cache_needs_at_most_one_run_per_destination_host() {
     let (routes, stats) =
         networking_stage(&mut st, &links, &Default::default(), &mut MapCache::new())
             .expect("routable");
-    assert!(stats.dijkstra_runs <= inst.phys.host_count());
+    assert_eq!(stats.dijkstra_runs, 1);
     let routed = routes.iter().filter(|r| !r.is_intra_host()).count();
     assert!(routed > stats.dijkstra_runs, "cache actually pays off");
+}
+
+#[test]
+fn fat_tree_map_runs_at_most_one_dijkstra_per_edge_switch() {
+    // fat_tree(8): 128 hosts behind 32 edge switches. Every host is a
+    // leaf, so the ar[] tables of all hosts behind one edge switch are
+    // that switch's table, shifted by one link.
+    let phys = PhysicalTopology::from_shape(
+        &generators::fat_tree(8),
+        std::iter::repeat(HostSpec::new(
+            Mips(8000.0),
+            MemMb::from_gb(8),
+            StorGb(4000.0),
+        )),
+        LinkSpec::new(Kbps::from_gbps(1.0), Millis(5.0)),
+        VmmOverhead::NONE,
+    );
+    let venv = VirtualEnvSpec::low_level(400, 0.01).generate(&mut SmallRng::seed_from_u64(8));
+    let hmn = Hmn::with_config(HmnConfig {
+        prune_dominated: true,
+        ..HmnConfig::default()
+    });
+    let out = hmn
+        .map(&phys, &venv, &mut SmallRng::seed_from_u64(8))
+        .expect("maps");
+    let mut dests: Vec<NodeId> = venv
+        .link_ids()
+        .filter(|&l| !out.mapping.route_of(l).is_intra_host())
+        .map(|l| out.mapping.host_of(venv.link_endpoints(l).1))
+        .collect();
+    dests.sort();
+    dests.dedup();
+    assert!(dests.len() > 32, "only {} destination hosts", dests.len());
+    assert!(
+        out.stats.dijkstra_runs <= 32,
+        "{} runs",
+        out.stats.dijkstra_runs
+    );
 }
 
 #[test]
