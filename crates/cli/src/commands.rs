@@ -416,8 +416,8 @@ fn map_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
         format!("attempts        : {}", outcome.stats.attempts),
         format!("map time        : {:?}", outcome.stats.total_time),
         format!(
-            "search          : {} A* expansions, {} heap pushes",
-            outcome.stats.astar_expansions, outcome.stats.astar_pushed
+            "search          : {} A* expansions, {} heap pushes, {} guide probes",
+            outcome.stats.astar_expansions, outcome.stats.astar_pushed, outcome.stats.guide_probes
         ),
         format!(
             "tables          : {} Dijkstra runs, {} warm-cache hits",

@@ -19,6 +19,54 @@
 //!   intended, as A\*Prune's original definition uses the full
 //!   `g + h`-style estimate.)
 //!
+//! # The bandwidth guide
+//!
+//! With the paper's configuration (bottleneck metric, `ar[]` bound on,
+//! dominance pruning off) most expansions cannot lead to the returned
+//! path: the search explores every lightly loaded region of the graph
+//! before it learns that the destination is only reachable through a
+//! narrower edge. A bandwidth floor plus one additive bound is polynomial
+//! (Wang & Crowcroft, IEEE JSAC 1996), so before searching, [`astar_prune`]
+//! computes the answer's bottleneck `b*` exactly and hands the loop three
+//! tighter values:
+//!
+//! 1. The distinct residuals `>= demand` are the candidate levels; none
+//!    above the widest bottleneck between the endpoints (Kruskal's order
+//!    over a union–find) connects them. For a level `b`, let `lat(b)` be
+//!    the shortest latency from the origin to the destination over the
+//!    edges with residual `>= b` (a Dijkstra rooted at the destination,
+//!    stopped early). Starting at the widest level, which is usually the
+//!    answer, a binary search finds the highest level with
+//!    `lat(b) <= bound`, with no slack.
+//! 2. That level is `b*` only if the next higher one is out of reach even
+//!    with the loop's `1e-9` acceptance slack plus rounding:
+//!    `lat(next) > bound + 2e-9`. Otherwise the guide gives up and the
+//!    search runs unguided. If the endpoints are not connected, or no
+//!    level is feasible and the lowest has `lat > bound + 2e-9`, the
+//!    search returns `None`: no path exists, a proof rather than an
+//!    exhausted budget.
+//! 3. The loop then runs with floor `b*` instead of the demand, the
+//!    level's latency table `T` instead of `ar[]`, and cap
+//!    `T[origin] + 1e-9` instead of `bound + 1e-9`.
+//!
+//! **Why the path is identical.** A child's key is strictly below its
+//! parent's, so the loop pops candidates in key order, and the answer `A`
+//! is the first destination candidate in that order. Its bottleneck is
+//! `b*`: the level's shortest path passes every test, and step 2 rules
+//! out anything wider. So every candidate popped before `A` is at least
+//! `b*` wide. `A` has latency at most `T[origin]` (up to rounding),
+//! because the level's shortest path is a rival with the same
+//! bottleneck, so all of its prefixes pass the guided tests. The guided
+//! tests are at least as strict as the paper's (`b* >= demand`,
+//! `T >= ar`, `T[origin] <= bound`), so the guided search sees a
+//! prefix-closed subset of the same candidates that still holds `A`; the
+//! survivors keep their relative pop and push order, push-order
+//! tie-breaks included, and the first destination pop is `A` again. Only a search that used to hit
+//! `max_expansions` can now succeed. "Up to rounding" needs the rounding
+//! error of a loop-free path's latency sum well below the `1e-9` slack,
+//! so the guide runs only while `node_count * bound * f64::EPSILON` is.
+//! [`SearchStats::guide_probes`] counts the guide's Dijkstra runs.
+//!
 //! Partial paths are stored in an arena (parent-pointer tree) so expanding
 //! a path is O(1) in memory instead of cloning edge vectors. The candidate
 //! heap holds 32-byte entries: the arena index plus a key of three `u64`s
@@ -30,6 +78,7 @@
 //! the path iff it carries the current stamp.
 
 use crate::cache::ArView;
+use emumap_graph::algo::{DijkstraScratch, UnionFind};
 use emumap_graph::{CsrAdjacency, EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
 use std::collections::BinaryHeap;
@@ -71,7 +120,8 @@ pub struct AStarPruneConfig {
     /// the dominated one's were not, so in adversarial topologies a feasible
     /// path can be missed, and tie-breaking among equal-metric paths can
     /// differ from the exhaustive order. Paper-faithful runs leave it off
-    /// (the default); the 10k-host scale bench switches it on.
+    /// (the default); the 10k-host scale bench switches it on. The
+    /// bandwidth guide (module docs) does not run with it.
     pub prune_dominated: bool,
 }
 
@@ -97,6 +147,9 @@ pub struct SearchStats {
     /// Candidates dropped by Pareto dominance pruning (0 unless
     /// [`AStarPruneConfig::prune_dominated`] is set).
     pub dominated: usize,
+    /// Dijkstra runs of the bandwidth guide (module docs); 0 when the
+    /// configuration does not run it.
+    pub guide_probes: usize,
 }
 
 /// One arena slot: a partial path represented as a parent pointer.
@@ -182,8 +235,8 @@ fn unord(k: u64) -> f64 {
     f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
 }
 
-/// Reusable buffers for [`astar_prune`]: the partial-path arena, the
-/// candidate heap, and the per-node on-path stamps.
+/// Reusable buffers for [`astar_prune`]: the search frontier and the
+/// bandwidth guide's Dijkstra buffers.
 ///
 /// One search of a paper-scale instance pushes thousands of arena nodes and
 /// heap candidates; a mapping routes thousands of links, so a fresh
@@ -193,6 +246,21 @@ fn unord(k: u64) -> f64 {
 /// itself allocates nothing but the returned edge sequence.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
+    frontier: Frontier,
+    guide: GuideScratch,
+}
+
+impl RouteScratch {
+    /// Fresh, cold scratch.
+    pub fn new() -> Self {
+        RouteScratch::default()
+    }
+}
+
+/// The loop's buffers: the partial-path arena, the candidate heap, the
+/// per-node on-path stamps and the dominance labels.
+#[derive(Debug, Default)]
+struct Frontier {
     arena: Vec<PathNode>,
     heap: BinaryHeap<Candidate>,
     /// Loop check (Eq. 7): `on_path[v] == stamp` iff node `v` lies on the
@@ -206,12 +274,7 @@ pub struct RouteScratch {
     touched: Vec<u32>,
 }
 
-impl RouteScratch {
-    /// Fresh, cold scratch.
-    pub fn new() -> Self {
-        RouteScratch::default()
-    }
-
+impl Frontier {
     /// Clears the buffers for a new search on a graph of `node_count`
     /// nodes, keeping their capacity.
     fn begin(&mut self, node_count: usize) {
@@ -227,6 +290,121 @@ impl RouteScratch {
     }
 }
 
+/// The bandwidth guide's buffers: the usable edges by residual, the
+/// node sets that find the widest bottleneck, the Dijkstra run of the
+/// current probe, and the latency table `T` of the highest feasible level
+/// probed so far.
+#[derive(Debug, Default)]
+struct GuideScratch {
+    edges: Vec<(f64, EdgeId)>,
+    sets: UnionFind,
+    probe: DijkstraScratch,
+    table: DijkstraScratch,
+}
+
+/// What the guide found out about one search.
+enum Guide {
+    /// `b*`, proven; [`GuideScratch::table`] holds its latency table.
+    Floor(f64),
+    /// `b*` could not be proven: search with the paper's tests.
+    Unguided,
+    /// No path within the bound exists.
+    NoPath,
+}
+
+impl GuideScratch {
+    /// Steps 1 and 2 of the module docs.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        phys: &PhysicalTopology,
+        residual: &ResidualState,
+        origin: NodeId,
+        destination: NodeId,
+        demand: f64,
+        bound: f64,
+        csr: &CsrAdjacency,
+        probes: &mut usize,
+    ) -> Guide {
+        let graph = phys.graph();
+        let GuideScratch {
+            edges,
+            sets,
+            probe,
+            table,
+        } = self;
+        edges.clear();
+        edges.extend(graph.edge_ids().filter_map(|e| {
+            let b = residual.bw(e).value();
+            (b >= demand).then_some((b, e))
+        }));
+        edges.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+
+        // Above the widest bottleneck between the endpoints no path
+        // exists at all, so the levels start there (Kruskal's order).
+        sets.reset(graph.node_count());
+        let Some(widest) = edges.iter().position(|&(_, e)| {
+            let (a, b) = graph.endpoints(e);
+            sets.union(a.index(), b.index());
+            sets.connected(origin.index(), destination.index())
+        }) else {
+            return Guide::NoPath;
+        };
+        // One entry per edge, so a level can repeat; equal levels are
+        // equally feasible, so `lo - 1` below is always a higher level.
+        let levels = &edges[widest..];
+
+        // Levels before `lo` are infeasible and `above` is the latency of
+        // `lo - 1` (none above the widest level); the level at `hi`, if
+        // any, is feasible and its latency table is in `table`. The widest
+        // level comes first: it is usually `b*`.
+        let (mut lo, mut hi) = (0, levels.len());
+        let mut above = f64::INFINITY;
+        let mut mid = 0;
+        while lo < hi {
+            let level = levels[mid].0;
+            *probes += 1;
+            // Once the origin is in bound, settle every node up to
+            // `T[origin] + 1e-9`, the loop's cap; nodes further out keep
+            // values above the cap, which prune exactly as their true
+            // distances would. Stop as soon as the origin is out of bound.
+            let mut limit = bound + 2e-9;
+            probe.run(
+                graph,
+                csr,
+                destination,
+                0.0,
+                |e, link| (residual.bw(e).value() >= level).then(|| link.lat.value()),
+                |v, d| {
+                    if v == origin {
+                        if d > bound {
+                            return true;
+                        }
+                        limit = d + 1e-9;
+                    }
+                    d > limit
+                },
+            );
+            let lat = probe.distances()[origin.index()];
+            if lat <= bound {
+                hi = mid;
+                std::mem::swap(probe, table);
+            } else {
+                lo = mid + 1;
+                above = lat;
+            }
+            mid = (lo + hi) / 2;
+        }
+        if above <= bound + 2e-9 {
+            Guide::Unguided
+        } else if lo == levels.len() {
+            Guide::NoPath
+        } else {
+            Guide::Floor(levels[lo].0)
+        }
+    }
+}
+
 /// Finds a path from `origin` to `destination` with residual bandwidth
 /// `>= demand` on every edge and total latency `<= latency_bound`,
 /// maximizing the configured metric. Returns the edge sequence and search
@@ -238,6 +416,10 @@ impl RouteScratch {
 /// normally the destination's table from
 /// [`ArTables::ar_and_csr`](crate::ArTables::ar_and_csr). Only consulted when
 /// [`AStarPruneConfig::use_latency_lower_bound`] is set.
+///
+/// With the paper's configuration the bandwidth guide of the module docs
+/// runs first: it returns the same path with far fewer expansions, and a
+/// `None` it returns without searching means no feasible path exists.
 ///
 /// `csr` is the topology's adjacency snapshot and `scratch` the search
 /// buffers; hot paths (the Networking stage, the parallel runner) hold
@@ -259,6 +441,42 @@ pub fn astar_prune(
     csr: &CsrAdjacency,
     scratch: &mut RouteScratch,
 ) -> Option<(Vec<EdgeId>, SearchStats)> {
+    // The precision condition of the module docs; it also rules out
+    // infinite and NaN bounds.
+    let guided = config.metric == PathMetric::BottleneckBandwidth
+        && config.use_latency_lower_bound
+        && !config.prune_dominated
+        && csr.node_count() as f64 * latency_bound.value() * f64::EPSILON < 1e-9;
+    route(
+        phys,
+        residual,
+        origin,
+        destination,
+        demand,
+        latency_bound,
+        ar,
+        config,
+        csr,
+        scratch,
+        guided,
+    )
+}
+
+/// [`astar_prune`], with the guide run only if `guided`.
+#[allow(clippy::too_many_arguments)]
+fn route(
+    phys: &PhysicalTopology,
+    residual: &ResidualState,
+    origin: NodeId,
+    destination: NodeId,
+    demand: Kbps,
+    latency_bound: Millis,
+    ar: ArView<'_>,
+    config: &AStarPruneConfig,
+    csr: &CsrAdjacency,
+    scratch: &mut RouteScratch,
+    guided: bool,
+) -> Option<(Vec<EdgeId>, SearchStats)> {
     let mut stats = SearchStats::default();
     if origin == destination {
         return Some((Vec::new(), stats));
@@ -273,120 +491,176 @@ pub fn astar_prune(
         return None;
     }
 
-    scratch.begin(csr.node_count());
-    let RouteScratch {
-        arena,
-        heap,
-        on_path,
-        stamp,
-        labels,
-        touched,
-        ..
-    } = scratch;
-    if config.prune_dominated && labels.len() < csr.node_count() {
-        labels.resize(csr.node_count(), Vec::new());
-    }
-    arena.push(PathNode {
-        parent: ROOT,
-        edge: EdgeId::from_index(0),
-        end: origin,
-    });
-    heap.push(Candidate::new(config.metric, f64::INFINITY, 0.0, 0, 0));
-
-    while let Some(best) = heap.pop() {
-        stats.expanded += 1;
-        if stats.expanded > config.max_expansions {
-            return None;
+    let RouteScratch { frontier, guide } = scratch;
+    let verdict = if guided {
+        guide.run(
+            phys,
+            residual,
+            origin,
+            destination,
+            want,
+            bound,
+            csr,
+            &mut stats.guide_probes,
+        )
+    } else {
+        Guide::Unguided
+    };
+    let (floor, table, cap) = match verdict {
+        Guide::NoPath => return None,
+        Guide::Floor(b) => {
+            let table = ArView::new(guide.table.distances(), destination);
+            (b, table, table[origin.index()] + 1e-9)
         }
-        let (best_bottleneck, best_latency, best_hops) = best.unpack(config.metric);
-        let d = arena[best.arena_index as usize].end;
-        if d == destination {
-            // Reconstruct the edge sequence.
-            let mut edges = Vec::with_capacity(best_hops as usize);
+        Guide::Unguided => (want, ar, bound + 1e-9),
+    };
+    let edges = frontier.search(
+        phys,
+        residual,
+        origin,
+        destination,
+        floor,
+        table,
+        cap,
+        config,
+        csr,
+        &mut stats,
+    )?;
+    Some((edges, stats))
+}
+
+impl Frontier {
+    /// The one A\*Prune loop: edges below `floor` are pruned, and so is a
+    /// partial path whose latency plus `table[h]` (when the lower bound is
+    /// on) exceeds `cap`.
+    #[allow(clippy::too_many_arguments)]
+    fn search(
+        &mut self,
+        phys: &PhysicalTopology,
+        residual: &ResidualState,
+        origin: NodeId,
+        destination: NodeId,
+        floor: f64,
+        table: ArView<'_>,
+        cap: f64,
+        config: &AStarPruneConfig,
+        csr: &CsrAdjacency,
+        stats: &mut SearchStats,
+    ) -> Option<Vec<EdgeId>> {
+        self.begin(csr.node_count());
+        let Frontier {
+            arena,
+            heap,
+            on_path,
+            stamp,
+            labels,
+            touched,
+        } = self;
+        if config.prune_dominated && labels.len() < csr.node_count() {
+            labels.resize(csr.node_count(), Vec::new());
+        }
+        arena.push(PathNode {
+            parent: ROOT,
+            edge: EdgeId::from_index(0),
+            end: origin,
+        });
+        heap.push(Candidate::new(config.metric, f64::INFINITY, 0.0, 0, 0));
+
+        while let Some(best) = heap.pop() {
+            stats.expanded += 1;
+            if stats.expanded > config.max_expansions {
+                return None;
+            }
+            let (best_bottleneck, best_latency, best_hops) = best.unpack(config.metric);
+            let d = arena[best.arena_index as usize].end;
+            if d == destination {
+                // Reconstruct the edge sequence.
+                let mut edges = Vec::with_capacity(best_hops as usize);
+                let mut cur = best.arena_index;
+                while arena[cur as usize].parent != ROOT {
+                    edges.push(arena[cur as usize].edge);
+                    cur = arena[cur as usize].parent;
+                }
+                edges.reverse();
+                return Some(edges);
+            }
+
+            // Stamp the nodes already on this partial path (loop check,
+            // Eq. 7). On wrap-around every old stamp is cleared, so a stale
+            // mark can never equal a live one.
+            if *stamp == u32::MAX {
+                on_path.fill(0);
+                *stamp = 0;
+            }
+            *stamp += 1;
+            let mark = *stamp;
             let mut cur = best.arena_index;
-            while arena[cur as usize].parent != ROOT {
-                edges.push(arena[cur as usize].edge);
-                cur = arena[cur as usize].parent;
+            loop {
+                on_path[arena[cur as usize].end.index()] = mark;
+                let p = arena[cur as usize].parent;
+                if p == ROOT {
+                    break;
+                }
+                cur = p;
             }
-            edges.reverse();
-            return Some((edges, stats));
-        }
 
-        // Stamp the nodes already on this partial path (loop check,
-        // Eq. 7). On wrap-around every old stamp is cleared, so a stale
-        // mark can never equal a live one.
-        if *stamp == u32::MAX {
-            on_path.fill(0);
-            *stamp = 0;
-        }
-        *stamp += 1;
-        let mark = *stamp;
-        let mut cur = best.arena_index;
-        loop {
-            on_path[arena[cur as usize].end.index()] = mark;
-            let p = arena[cur as usize].parent;
-            if p == ROOT {
-                break;
-            }
-            cur = p;
-        }
-
-        for &nb in csr.neighbors(d) {
-            let h = nb.node;
-            if on_path[h.index()] == mark {
-                continue;
-            }
-            // Bandwidth pruning: "links whose available bandwidth are
-            // smaller than the required bandwidth are also pruned."
-            let avail = residual.bw(nb.edge).value();
-            if avail < want {
-                continue;
-            }
-            // Latency pruning with the admissible Dijkstra bound.
-            let step = phys.link(nb.edge).lat.value();
-            let acc = best_latency + step;
-            let optimistic = if config.use_latency_lower_bound {
-                ar[h.index()]
-            } else {
-                0.0
-            };
-            if acc + optimistic > bound + 1e-9 {
-                continue;
-            }
-            let bottleneck = best_bottleneck.min(avail);
-            let hops = best_hops + 1;
-            if config.prune_dominated {
-                let slot = &mut labels[h.index()];
-                if slot
-                    .iter()
-                    .any(|&(b, l, k)| b >= bottleneck && l <= acc && k <= hops)
-                {
-                    stats.dominated += 1;
+            for &nb in csr.neighbors(d) {
+                let h = nb.node;
+                if on_path[h.index()] == mark {
                     continue;
                 }
-                if slot.is_empty() {
-                    touched.push(u32::try_from(h.index()).expect("node fits in u32"));
+                // Bandwidth pruning: "links whose available bandwidth are
+                // smaller than the required bandwidth are also pruned."
+                let avail = residual.bw(nb.edge).value();
+                if avail < floor {
+                    continue;
                 }
-                slot.retain(|&(b, l, k)| !(b <= bottleneck && l >= acc && k >= hops));
-                slot.push((bottleneck, acc, hops));
+                // Latency pruning with the admissible Dijkstra bound.
+                let step = phys.link(nb.edge).lat.value();
+                let acc = best_latency + step;
+                let optimistic = if config.use_latency_lower_bound {
+                    table[h.index()]
+                } else {
+                    0.0
+                };
+                if acc + optimistic > cap {
+                    continue;
+                }
+                let bottleneck = best_bottleneck.min(avail);
+                let hops = best_hops + 1;
+                if config.prune_dominated {
+                    let slot = &mut labels[h.index()];
+                    if slot
+                        .iter()
+                        .any(|&(b, l, k)| b >= bottleneck && l <= acc && k <= hops)
+                    {
+                        stats.dominated += 1;
+                        continue;
+                    }
+                    if slot.is_empty() {
+                        touched.push(u32::try_from(h.index()).expect("node fits in u32"));
+                    }
+                    slot.retain(|&(b, l, k)| !(b <= bottleneck && l >= acc && k >= hops));
+                    slot.push((bottleneck, acc, hops));
+                }
+                let arena_index = u32::try_from(arena.len()).expect("arena fits in u32");
+                arena.push(PathNode {
+                    parent: best.arena_index,
+                    edge: nb.edge,
+                    end: h,
+                });
+                stats.pushed += 1;
+                heap.push(Candidate::new(
+                    config.metric,
+                    bottleneck,
+                    acc,
+                    hops,
+                    arena_index,
+                ));
             }
-            let arena_index = u32::try_from(arena.len()).expect("arena fits in u32");
-            arena.push(PathNode {
-                parent: best.arena_index,
-                edge: nb.edge,
-                end: h,
-            });
-            stats.pushed += 1;
-            heap.push(Candidate::new(
-                config.metric,
-                bottleneck,
-                acc,
-                hops,
-                arena_index,
-            ));
         }
+        None
     }
-    None
 }
 
 #[cfg(test)]
@@ -397,6 +671,9 @@ mod tests {
     use emumap_graph::Graph;
     use emumap_model::{HostSpec, LinkSpec, MemMb, Mips, PhysNode, StorGb, VmmOverhead};
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use std::cmp::Ordering;
 
     /// The candidate key before the integer encoding: four floats compared
@@ -536,11 +813,11 @@ mod tests {
             );
             assert_eq!(fresh, reused);
             if i == 0 {
-                warm.stamp = u32::MAX - 1;
+                warm.frontier.stamp = u32::MAX - 1;
             }
         }
         assert!(
-            warm.stamp < u32::MAX - 1,
+            warm.frontier.stamp < u32::MAX - 1,
             "the searches must cross the wrap-around"
         );
     }
@@ -945,8 +1222,8 @@ mod tests {
     fn dominance_pruning_preserves_widest_bottleneck() {
         // A torus has many equal-latency alternates, the worst case for the
         // exhaustive search. The pruned search must return a path with the
-        // same bottleneck bandwidth and latency while expanding fewer
-        // partial paths.
+        // same bottleneck bandwidth and latency as the exhaustive one, and
+        // actually prune. Guiding the exhaustive search beats both.
         let phys = PhysicalTopology::from_shape(
             &generators::torus2d(6, 6),
             std::iter::repeat(HostSpec::new(Mips(1000.0), MemMb(1024), StorGb(100.0))),
@@ -985,13 +1262,231 @@ mod tests {
                 &pruned_cfg,
             )
             .expect("pruned search finds a path");
+            let (_, unguided_stats) = route(
+                &phys,
+                &residual,
+                origin,
+                dest,
+                Kbps(10.0),
+                Millis(bound),
+                ArView::new(&ar, dest),
+                &exhaustive_cfg,
+                &phys.graph().to_csr(),
+                &mut RouteScratch::new(),
+                false,
+            )
+            .expect("unguided search finds a path");
             assert_eq!(
                 path_cost(&phys, &residual, &full),
                 path_cost(&phys, &residual, &pruned),
             );
-            assert!(pruned_stats.expanded <= full_stats.expanded);
+            assert!(full_stats.expanded <= unguided_stats.expanded);
             assert!(pruned_stats.dominated > 0, "torus must trigger pruning");
             assert_eq!(full_stats.dominated, 0, "exhaustive mode never prunes");
+        }
+    }
+
+    /// A latency that is a multiple of 0.1 ms, so path sums depend on the
+    /// order of addition.
+    fn tenths(rng: &mut SmallRng) -> f64 {
+        f64::from(rng.gen_range(1..=30u32)) * 0.1
+    }
+
+    /// Capacities and demands come from one small pool, so residual levels
+    /// tie often and demands sit exactly on them.
+    const POOL: [f64; 4] = [100.0, 200.0, 300.0, 500.0];
+
+    /// A random connected core with extra and parallel edges and the odd
+    /// self-loop, plus leaves hanging off it.
+    fn random_graph(rng: &mut SmallRng) -> PhysicalTopology {
+        let core = rng.gen_range(2..9);
+        let leaves = rng.gen_range(0..4usize);
+        let mut pairs: Vec<(usize, usize)> = (1..core).map(|v| (rng.gen_range(0..v), v)).collect();
+        for _ in 0..rng.gen_range(0..2 * core) {
+            let pair = (rng.gen_range(0..core), rng.gen_range(0..core));
+            pairs.push(pair);
+            if rng.gen_bool(0.2) {
+                pairs.push(pair); // parallel edge
+            }
+        }
+        pairs.extend((core..core + leaves).map(|leaf| (rng.gen_range(0..core), leaf)));
+        let edges: Vec<_> = pairs
+            .into_iter()
+            .map(|(a, b)| (a, b, POOL[rng.gen_range(0..POOL.len())], tenths(rng)))
+            .collect();
+        phys_from_edges(core + leaves, &edges)
+    }
+
+    /// The 5x8 torus with random latencies and capacities.
+    fn random_torus(rng: &mut SmallRng) -> PhysicalTopology {
+        let shape = generators::torus2d(5, 8);
+        let edges: Vec<_> = shape
+            .edges()
+            .map(|e| {
+                let cap = 4.0 * POOL[rng.gen_range(0..POOL.len())];
+                (e.a.index(), e.b.index(), cap, tenths(rng))
+            })
+            .collect();
+        phys_from_edges(shape.node_count(), &edges)
+    }
+
+    /// A random loop-free walk of up to `max_hops` edges from `origin`:
+    /// its end and its edges.
+    fn walk(
+        phys: &PhysicalTopology,
+        origin: NodeId,
+        max_hops: usize,
+        rng: &mut SmallRng,
+    ) -> (NodeId, Vec<EdgeId>) {
+        let mut at = origin;
+        let mut seen = vec![origin];
+        let mut edges = Vec::new();
+        for _ in 0..rng.gen_range(1..=max_hops) {
+            let next: Vec<_> = phys
+                .graph()
+                .neighbors(at)
+                .filter(|nb| !seen.contains(&nb.node))
+                .collect();
+            if next.is_empty() {
+                break;
+            }
+            let nb = next[rng.gen_range(0..next.len())];
+            edges.push(nb.edge);
+            seen.push(nb.node);
+            at = nb.node;
+        }
+        (at, edges)
+    }
+
+    /// Routes one query guided (through [`astar_prune`]) and unguided and
+    /// checks that both return the same path, with no more expansions
+    /// guided. Returns the path.
+    fn guided_matches_unguided(
+        phys: &PhysicalTopology,
+        residual: &ResidualState,
+        origin: NodeId,
+        destination: NodeId,
+        demand: f64,
+        bound: f64,
+    ) -> Result<Option<Vec<EdgeId>>, TestCaseError> {
+        let ar = ar_for(phys, destination);
+        let csr = phys.graph().to_csr();
+        let config = AStarPruneConfig::default();
+        let args = (Kbps(demand), Millis(bound), ArView::new(&ar, destination));
+        let guided = astar_prune(
+            phys,
+            residual,
+            origin,
+            destination,
+            args.0,
+            args.1,
+            args.2,
+            &config,
+            &csr,
+            &mut RouteScratch::new(),
+        );
+        let unguided = route(
+            phys,
+            residual,
+            origin,
+            destination,
+            args.0,
+            args.1,
+            args.2,
+            &config,
+            &csr,
+            &mut RouteScratch::new(),
+            false,
+        );
+        prop_assert_eq!(
+            guided.as_ref().map(|(path, _)| path),
+            unguided.as_ref().map(|(path, _)| path),
+            "demand {} bound {}",
+            demand,
+            bound
+        );
+        if let (Some((_, g)), Some((_, u))) = (&guided, &unguided) {
+            prop_assert!(g.expanded <= u.expanded, "{g:?} vs {u:?}");
+        }
+        Ok(guided.map(|(path, _)| path))
+    }
+
+    /// A query from `origin` to the end of a random walk. The bound is
+    /// the walk's latency summed from either end, which puts the
+    /// destination exactly at the edge of feasibility up to the rounding
+    /// of the other order, or that plus or minus a few tenths.
+    fn query(phys: &PhysicalTopology, origin: NodeId, rng: &mut SmallRng) -> (NodeId, f64, f64) {
+        let (dest, edges) = walk(phys, origin, 6, rng);
+        let mut lats: Vec<f64> = edges.iter().map(|&e| phys.link(e).lat.value()).collect();
+        if rng.gen_bool(0.5) {
+            lats.reverse();
+        }
+        let sum = lats.iter().fold(0.0, |acc, l| acc + l);
+        let bound = match rng.gen_range(0..4) {
+            0 | 1 => sum,
+            2 => sum + tenths(rng),
+            _ => sum - 0.1,
+        };
+        let demand =
+            POOL[rng.gen_range(0..POOL.len())] - if rng.gen_bool(0.2) { 50.0 } else { 0.0 };
+        (dest, demand, bound)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The guide changes no result on small random multigraphs, whose
+        /// tied levels and exact-sum bounds reach the unguided fallback and
+        /// both no-path proofs.
+        #[test]
+        fn guide_keeps_the_path_on_random_graphs(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let phys = random_graph(&mut rng);
+            let mut residual = ResidualState::new(&phys);
+            let hosts = phys.hosts().to_vec();
+            for _ in 0..rng.gen_range(0..3) {
+                let (_, edges) = walk(&phys, hosts[rng.gen_range(0..hosts.len())], 4, &mut rng);
+                if residual.route_feasible(&edges, Kbps(100.0)) {
+                    residual.commit_route(&edges, Kbps(100.0));
+                }
+            }
+            for _ in 0..4 {
+                let origin = hosts[rng.gen_range(0..hosts.len())];
+                let (dest, demand, bound) = query(&phys, origin, &mut rng);
+                if dest != origin {
+                    guided_matches_unguided(&phys, &residual, origin, dest, demand, bound)?;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The same on 5x8 tori, beyond what path enumeration can check,
+        /// loaded by committing every route found.
+        #[test]
+        fn guide_keeps_the_path_on_loaded_tori(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let phys = random_torus(&mut rng);
+            let mut residual = ResidualState::new(&phys);
+            let hosts = phys.hosts().to_vec();
+            for _ in 0..40 {
+                let origin = hosts[rng.gen_range(0..hosts.len())];
+                let (dest, demand, bound) = if rng.gen_bool(0.5) {
+                    query(&phys, origin, &mut rng)
+                } else {
+                    let dest = hosts[rng.gen_range(0..hosts.len())];
+                    let slack = f64::from(rng.gen_range(0..8u32)) * 0.5;
+                    (dest, 100.0 * f64::from(rng.gen_range(1..8u32)), ar_for(&phys, dest)[origin.index()] + slack)
+                };
+                if dest == origin {
+                    continue;
+                }
+                if let Some(path) = guided_matches_unguided(&phys, &residual, origin, dest, demand, bound)? {
+                    residual.commit_route(&path, Kbps(demand));
+                }
+            }
         }
     }
 

@@ -32,6 +32,9 @@ pub struct MapStats {
     pub astar_expansions: usize,
     /// A\*Prune candidates pushed onto the heap (0 for DFS routing).
     pub astar_pushed: usize,
+    /// Dijkstra runs of A\*Prune's bandwidth guide (0 unless the paper's
+    /// search configuration routed the links).
+    pub guide_probes: usize,
     /// Dijkstra table computations (latency `ar[]` plus hop-count tables).
     pub dijkstra_runs: usize,
     /// Table lookups answered by a warm cache instead of a Dijkstra run.
@@ -98,6 +101,7 @@ impl MapStats {
                 s.full_evaluations += n(c.full_evaluations);
                 s.astar_expansions += n(c.astar_expansions);
                 s.astar_pushed += n(c.astar_pushed);
+                s.guide_probes += n(c.guide_probes);
                 s.dijkstra_runs += n(c.dijkstra_runs);
                 s.ar_cache_hits += n(c.cache_hits);
                 s.replica_exchanges += n(c.replica_exchanges);

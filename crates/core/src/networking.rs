@@ -33,6 +33,7 @@ impl NetworkingStats {
         PhaseCounters {
             astar_expansions: self.search.expanded as u64,
             astar_pushed: self.search.pushed as u64,
+            guide_probes: self.search.guide_probes as u64,
             dijkstra_runs: self.dijkstra_runs as u64,
             cache_hits: self.ar_cache_hits as u64,
             ..Default::default()
@@ -119,6 +120,7 @@ pub fn networking_stage(
         stats.search.expanded += search.expanded;
         stats.search.pushed += search.pushed;
         stats.search.dominated += search.dominated;
+        stats.search.guide_probes += search.guide_probes;
         trace.emit(|| TraceEvent::LinkRouted {
             link: l.index() as u64,
             hops: edges.len() as u64,

@@ -341,14 +341,14 @@ fn golden_batch() -> Vec<String> {
 
 /// The golden values of [`golden_batch`].
 const GOLDEN_EFFORT: &[&str] = &[
-    "torus bottleneck [29, 26, 24, 22, 20] expanded=103 pushed=193",
-    "torus bottleneck [73, 9] expanded=5 pushed=5",
-    "torus bottleneck [4, 2, 67, 51] expanded=36 pushed=84",
-    "torus bottleneck [49, 65, 0] expanded=6 pushed=7",
-    "torus bottleneck [11, 10, 12, 79, 78] expanded=46 pushed=82",
-    "torus bottleneck [58, 56, 54, 55] expanded=38 pushed=63",
-    "torus bottleneck [22, 7, 4, 2, 67, 64] expanded=47 pushed=57",
-    "torus bottleneck [23, 36, 34, 32] expanded=13 pushed=21",
+    "torus bottleneck [29, 26, 24, 22, 20] expanded=29 pushed=37",
+    "torus bottleneck [73, 9] expanded=3 pushed=2",
+    "torus bottleneck [4, 2, 67, 51] expanded=14 pushed=18",
+    "torus bottleneck [49, 65, 0] expanded=4 pushed=3",
+    "torus bottleneck [11, 10, 12, 79, 78] expanded=11 pushed=12",
+    "torus bottleneck [58, 56, 54, 55] expanded=11 pushed=13",
+    "torus bottleneck [22, 7, 4, 2, 67, 64] expanded=40 pushed=50",
+    "torus bottleneck [23, 36, 34, 32] expanded=5 pushed=4",
     "torus bottleneck none",
     "torus bottleneck [43, 40, 38] expanded=4 pushed=3",
     "torus bottleneck [27, 42, 44, 47] expanded=6 pushed=6",
@@ -365,14 +365,14 @@ const GOLDEN_EFFORT: &[&str] = &[
     "torus hops [43, 40, 38] expanded=4 pushed=3",
     "torus hops [27, 42, 44, 47] expanded=6 pushed=6",
     "torus hops none",
-    "switched bottleneck [22, 10] expanded=13 pushed=40",
+    "switched bottleneck [22, 10] expanded=3 pushed=2",
     "switched bottleneck [36, 12] expanded=3 pushed=2",
-    "switched bottleneck [3, 25] expanded=24 pushed=40",
+    "switched bottleneck [3, 25] expanded=3 pushed=2",
     "switched bottleneck [24, 1] expanded=3 pushed=2",
-    "switched bottleneck [13, 32] expanded=27 pushed=40",
-    "switched bottleneck [30, 35] expanded=28 pushed=36",
+    "switched bottleneck [13, 32] expanded=3 pushed=2",
+    "switched bottleneck [30, 35] expanded=3 pushed=2",
     "switched bottleneck none",
-    "switched bottleneck [11, 16] expanded=13 pushed=34",
+    "switched bottleneck [11, 16] expanded=3 pushed=2",
     "switched bottleneck [18, 20] expanded=3 pushed=2",
     "switched bottleneck [29, 19] expanded=3 pushed=2",
     "switched bottleneck [13, 31] expanded=3 pushed=2",

@@ -2,8 +2,11 @@
 //!
 //! The Networking stage of HMN needs one-to-all *latency* distances toward
 //! each virtual-link destination (the admissible lower bound `ar[]` in the
-//! paper's Algorithm 1), so the one entry point computes the full distance
-//! vector; [`DijkstraResult::path_to`] reconstructs one path from it.
+//! paper's Algorithm 1), so [`dijkstra`] computes the full distance vector;
+//! [`DijkstraResult::path_to`] reconstructs one path from it. The loop
+//! itself is [`DijkstraScratch::run`], which also serves searches that
+//! reuse their buffers, skip edges or stop early (Yen's spur searches,
+//! A\*Prune's bandwidth guide).
 
 use crate::{CsrAdjacency, EdgeId, Graph, NodeId};
 use std::cmp::Reverse;
@@ -118,47 +121,114 @@ pub fn dijkstra_seeded<N, E, F>(
 where
     F: FnMut(EdgeId, &E) -> f64,
 {
-    debug_assert_eq!(
-        csr.node_count(),
-        graph.node_count(),
-        "CSR snapshot does not match this graph"
+    let mut scratch = DijkstraScratch::default();
+    scratch.run(
+        graph,
+        csr,
+        source,
+        start,
+        |e, w| Some(cost(e, w)),
+        |_, _| false,
     );
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-    // Max-heap of Reverse(OrderedCost) — f64 is not Ord, so store the bit
-    // pattern of the (non-negative) cost, which orders identically.
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+    let DijkstraScratch { dist, prev, .. } = scratch;
+    DijkstraResult { source, dist, prev }
+}
 
-    debug_assert!(
-        start >= 0.0 && start.is_finite(),
-        "bad start distance {start}"
-    );
-    dist[source.index()] = start;
-    heap.push(Reverse((start.to_bits(), source.index() as u32)));
+/// The buffers of the Dijkstra loop, reusable across runs, and the
+/// distances of the last run.
+///
+/// [`run`](Self::run) is the one Dijkstra loop of the crate; [`dijkstra`]
+/// and [`dijkstra_seeded`] are full runs on fresh buffers. A caller that
+/// runs many searches on one graph keeps a scratch to stop allocating, and
+/// can skip edges or stop early.
+#[derive(Clone, Debug, Default)]
+pub struct DijkstraScratch {
+    dist: Vec<f64>,
+    pub(crate) prev: Vec<Option<(NodeId, EdgeId)>>,
+    // Min-heap of (cost bits, node): a non-negative f64's bit pattern
+    // orders like the value, and f64 itself is not `Ord`.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
 
-    while let Some(Reverse((dbits, v))) = heap.pop() {
-        let d = f64::from_bits(dbits);
-        let v = NodeId::from_index(v as usize);
-        if d > dist[v.index()] {
-            continue; // stale entry
-        }
-        for &nb in csr.neighbors(v) {
-            let w = cost(nb.edge, graph.edge(nb.edge));
-            debug_assert!(
-                w >= 0.0 && w.is_finite(),
-                "dijkstra requires non-negative finite edge costs, got {w}"
-            );
-            let nd = d + w;
-            if nd < dist[nb.node.index()] {
-                dist[nb.node.index()] = nd;
-                prev[nb.node.index()] = Some((v, nb.edge));
-                heap.push(Reverse((nd.to_bits(), nb.node.index() as u32)));
+impl DijkstraScratch {
+    /// Empty buffers.
+    pub fn new() -> Self {
+        DijkstraScratch::default()
+    }
+
+    /// Runs Dijkstra from `source` at start distance `start`, as
+    /// [`dijkstra_seeded`] does, with two additions:
+    ///
+    /// * `cost(edge_id, payload)` returns `None` for an edge the search
+    ///   must not use;
+    /// * `stop(node, distance)` is called once per settled node, before
+    ///   its edges are relaxed; returning `true` ends the run there.
+    ///
+    /// After a run stopped at distance `d`, every node to which a full run
+    /// gives a distance below `d` holds that distance, bit for bit. Every
+    /// other node holds at least `d`, and no less than a full run's value:
+    /// a tentative distance, or `f64::INFINITY`. Costs must be
+    /// non-negative and finite (debug-asserted).
+    pub fn run<N, E>(
+        &mut self,
+        graph: &Graph<N, E>,
+        csr: &CsrAdjacency,
+        source: NodeId,
+        start: f64,
+        mut cost: impl FnMut(EdgeId, &E) -> Option<f64>,
+        mut stop: impl FnMut(NodeId, f64) -> bool,
+    ) {
+        debug_assert_eq!(
+            csr.node_count(),
+            graph.node_count(),
+            "CSR snapshot does not match this graph"
+        );
+        debug_assert!(
+            start >= 0.0 && start.is_finite(),
+            "bad start distance {start}"
+        );
+        let n = graph.node_count();
+        let DijkstraScratch { dist, prev, heap } = self;
+        dist.clear();
+        dist.resize(n, f64::INFINITY);
+        prev.clear();
+        prev.resize(n, None);
+        heap.clear();
+        dist[source.index()] = start;
+        heap.push(Reverse((start.to_bits(), source.index() as u32)));
+
+        while let Some(Reverse((dbits, v))) = heap.pop() {
+            let d = f64::from_bits(dbits);
+            let v = NodeId::from_index(v as usize);
+            if d > dist[v.index()] {
+                continue; // stale entry
+            }
+            if stop(v, d) {
+                return;
+            }
+            for &nb in csr.neighbors(v) {
+                let Some(w) = cost(nb.edge, graph.edge(nb.edge)) else {
+                    continue;
+                };
+                debug_assert!(
+                    w >= 0.0 && w.is_finite(),
+                    "dijkstra requires non-negative finite edge costs, got {w}"
+                );
+                let nd = d + w;
+                if nd < dist[nb.node.index()] {
+                    dist[nb.node.index()] = nd;
+                    prev[nb.node.index()] = Some((v, nb.edge));
+                    heap.push(Reverse((nd.to_bits(), nb.node.index() as u32)));
+                }
             }
         }
     }
 
-    DijkstraResult { source, dist, prev }
+    /// Distances of the last run, indexed by [`NodeId::index`]
+    /// (`f64::INFINITY` where nothing was reached).
+    pub fn distances(&self) -> &[f64] {
+        &self.dist
+    }
 }
 
 #[cfg(test)]

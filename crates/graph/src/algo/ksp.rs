@@ -7,9 +7,8 @@
 //! among the K cheapest-by-latency simple paths for large enough K — and
 //! (b) to power the `KspRouting` extension strategy in `emumap-core`.
 
+use crate::algo::DijkstraScratch;
 use crate::{CsrAdjacency, EdgeId, Graph, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A simple path: total cost plus the node sequence from source to target.
 #[derive(Clone, Debug, PartialEq)]
@@ -25,6 +24,7 @@ pub struct CostedPath {
 /// Dijkstra restricted to a subgraph: `banned_edges` may not be used,
 /// `banned_nodes` may not be visited. Returns the cheapest path as a
 /// [`CostedPath`], or `None`.
+#[allow(clippy::too_many_arguments)]
 fn dijkstra_path_filtered<N, E, F>(
     graph: &Graph<N, E>,
     csr: &CsrAdjacency,
@@ -33,53 +33,37 @@ fn dijkstra_path_filtered<N, E, F>(
     cost: &mut F,
     banned_edges: &[EdgeId],
     banned_nodes: &[NodeId],
+    scratch: &mut DijkstraScratch,
 ) -> Option<CostedPath>
 where
     F: FnMut(EdgeId, &E) -> f64,
 {
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-    let mut blocked = vec![false; n];
-    for &b in banned_nodes {
-        blocked[b.index()] = true;
-    }
-    if blocked[source.index()] || blocked[target.index()] {
+    if banned_nodes.contains(&source) || banned_nodes.contains(&target) {
         return None;
     }
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    dist[source.index()] = 0.0;
-    heap.push(Reverse((0u64, source.index() as u32)));
-    while let Some(Reverse((dbits, v))) = heap.pop() {
-        let d = f64::from_bits(dbits);
-        let v = NodeId::from_index(v as usize);
-        if d > dist[v.index()] {
-            continue;
-        }
-        if v == target {
-            break;
-        }
-        for nb in csr.neighbors(v) {
-            if blocked[nb.node.index()] || banned_edges.contains(&nb.edge) {
-                continue;
-            }
-            let w = cost(nb.edge, graph.edge(nb.edge));
-            let nd = d + w;
-            if nd < dist[nb.node.index()] {
-                dist[nb.node.index()] = nd;
-                prev[nb.node.index()] = Some((v, nb.edge));
-                heap.push(Reverse((nd.to_bits(), nb.node.index() as u32)));
-            }
-        }
-    }
-    if !dist[target.index()].is_finite() {
+    // The search never stands on a banned node, so an edge leads to one
+    // iff either endpoint is banned.
+    let usable = |e: EdgeId| {
+        let (a, b) = graph.endpoints(e);
+        !banned_edges.contains(&e) && !banned_nodes.contains(&a) && !banned_nodes.contains(&b)
+    };
+    scratch.run(
+        graph,
+        csr,
+        source,
+        0.0,
+        |e, w| usable(e).then(|| cost(e, w)),
+        |v, _| v == target,
+    );
+    let dist = scratch.distances()[target.index()];
+    if !dist.is_finite() {
         return None;
     }
     let mut nodes = vec![target];
     let mut edges = Vec::new();
     let mut cur = target;
     while cur != source {
-        let (p, e) = prev[cur.index()].expect("finite distance implies predecessor");
+        let (p, e) = scratch.prev[cur.index()].expect("finite distance implies predecessor");
         nodes.push(p);
         edges.push(e);
         cur = p;
@@ -87,7 +71,7 @@ where
     nodes.reverse();
     edges.reverse();
     Some(CostedPath {
-        cost: dist[target.index()],
+        cost: dist,
         nodes,
         edges,
     })
@@ -112,8 +96,17 @@ where
     if k == 0 {
         return Vec::new();
     }
-    let Some(first) = dijkstra_path_filtered(graph, csr, source, target, &mut cost, &[], &[])
-    else {
+    let mut scratch = DijkstraScratch::new();
+    let Some(first) = dijkstra_path_filtered(
+        graph,
+        csr,
+        source,
+        target,
+        &mut cost,
+        &[],
+        &[],
+        &mut scratch,
+    ) else {
         return Vec::new();
     };
     let mut accepted: Vec<CostedPath> = vec![first];
@@ -149,6 +142,7 @@ where
                 &mut cost,
                 &banned_edges,
                 banned_nodes,
+                &mut scratch,
             ) {
                 let mut nodes = root_nodes.to_vec();
                 nodes.extend_from_slice(&spur.nodes[1..]);

@@ -10,7 +10,7 @@ mod traversal;
 mod union_find;
 
 pub use components::{connected_components, is_connected};
-pub use dijkstra::{dijkstra, dijkstra_seeded, DijkstraResult};
+pub use dijkstra::{dijkstra, dijkstra_seeded, DijkstraResult, DijkstraScratch};
 pub use ksp::{k_shortest_paths, CostedPath};
 pub use maxflow::max_flow;
 pub use metrics::{average_path_cost, diameter, eccentricity};

@@ -1,12 +1,13 @@
 //! Disjoint-set forest (union–find) with path halving and union by size.
 //!
 //! Used by the random-connected-graph generator to add density edges without
-//! re-running a full connectivity check after each insertion, and by
+//! re-running a full connectivity check after each insertion, by A\*Prune's
+//! bandwidth guide to find the widest bottleneck between two nodes, and by
 //! [`connected_components`](super::connected_components)' property tests as
 //! an independent oracle.
 
 /// A disjoint-set forest over `0..len` elements.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
@@ -16,11 +17,18 @@ pub struct UnionFind {
 impl UnionFind {
     /// Creates `len` singleton sets.
     pub fn new(len: usize) -> Self {
-        UnionFind {
-            parent: (0..len as u32).collect(),
-            size: vec![1; len],
-            components: len,
-        }
+        let mut sets = UnionFind::default();
+        sets.reset(len);
+        sets
+    }
+
+    /// Starts over with `len` singleton sets, keeping the buffers.
+    pub fn reset(&mut self, len: usize) {
+        self.parent.clear();
+        self.parent.extend(0..len as u32);
+        self.size.clear();
+        self.size.resize(len, 1);
+        self.components = len;
     }
 
     /// Number of elements.
@@ -102,6 +110,16 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
         assert_eq!(uf.component_count(), 2);
+    }
+
+    #[test]
+    fn reset_starts_over() {
+        let mut uf = UnionFind::new(3);
+        uf.union(0, 1);
+        uf.reset(4);
+        assert_eq!(uf.len(), 4);
+        assert_eq!(uf.component_count(), 4);
+        assert!(!uf.connected(0, 1));
     }
 
     #[test]
