@@ -20,9 +20,9 @@ fn bench_placement_strategies(c: &mut Criterion) {
 
     let mappers: Vec<(&str, Box<dyn Mapper>)> = vec![
         ("hmn", Box::new(Hmn::new())),
-        ("ffd", Box::new(FirstFitDecreasing::default())),
-        ("best_fit", Box::new(BestFit::default())),
-        ("worst_fit", Box::new(WorstFit::default())),
+        ("ffd", Box::new(FirstFitDecreasing)),
+        ("best_fit", Box::new(BestFit)),
+        ("worst_fit", Box::new(WorstFit)),
     ];
 
     // One-shot quality report: objective, hosts used, intra-host links.

@@ -80,7 +80,6 @@ subcommands:
       run the emulated experiment and print its execution time
   exact --phys phys.json --venv venv.json | exact --smoke SEED
       [--seed S] [--max-nodes N] [--bound waterfill|lagrangian]
-      [--root-iters N] [--tree-iters N] [--step F] [--damping F]
       [--trace events.jsonl] [-o mapping.json]
       certify the optimal Eq. 10 objective by a sequential depth-first
       branch-and-bound (small instances only: the search is exponential
@@ -90,9 +89,6 @@ subcommands:
       --bound picks the pruning bound (default lagrangian: priced
       per-guest tables + subgradient ascent, never weaker than
       waterfill; waterfill is cheaper per node);
-      --root-iters/--tree-iters/--step/--damping override the
-      subgradient ascent schedule of the lagrangian bound (a usage
-      error under --bound waterfill);
       --smoke SEED uses a built-in 6-host/8-guest instance instead of
       --phys/--venv (the two cannot be combined)
   batch --phys phys.json --venv venv.json
@@ -173,7 +169,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "exact",
         exact_cmd,
-        "phys venv smoke seed max-nodes bound root-iters tree-iters step damping trace out",
+        "phys venv smoke seed max-nodes bound trace out",
     ),
     ("validate", validate_cmd, "phys venv mapping"),
     (
@@ -480,38 +476,13 @@ fn exact_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
         ),
     };
     let seed: u64 = p.parse_or("seed", 2009).map_err(CliError::Usage)?;
-    let bound = parse_bound_kind(p)?;
-    if bound == BoundKind::Waterfill {
-        if let Some(flag) = ["root-iters", "tree-iters", "step", "damping"]
-            .into_iter()
-            .find(|f| p.optional(f).is_some())
-        {
-            return Err(CliError::Usage(format!(
-                "--{flag} tunes the lagrangian bound and has no effect under --bound waterfill"
-            )));
-        }
-    }
     let defaults = ExactConfig::default();
     let config = ExactConfig {
         max_nodes: p
             .parse_or("max-nodes", defaults.max_nodes)
             .map_err(CliError::Usage)?,
-        bound,
-        lagrangian: emumap_core::LagrangianConfig {
-            root_iters: p
-                .parse_or("root-iters", defaults.lagrangian.root_iters)
-                .map_err(CliError::Usage)?,
-            tree_iters: p
-                .parse_or("tree-iters", defaults.lagrangian.tree_iters)
-                .map_err(CliError::Usage)?,
-            step: p
-                .parse_or("step", defaults.lagrangian.step)
-                .map_err(CliError::Usage)?,
-            tangent_damping: p
-                .parse_or("damping", defaults.lagrangian.tangent_damping)
-                .map_err(CliError::Usage)?,
-        },
-        ..Default::default()
+        bound: parse_bound_kind(p)?,
+        ..defaults
     };
 
     // Run HMN first (untraced) so the gap report has a heuristic to
@@ -1527,42 +1498,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_subgradient_schedule_is_sweepable_from_the_cli() {
-        // Satellite: the ascent schedule is configuration, not constants —
-        // a deliberately weak schedule must still certify (admissibility
-        // is schedule-independent), just with different effort counters.
-        let weak = run_tokens(&[
-            "exact",
-            "--smoke",
-            "2009",
-            "--root-iters",
-            "2",
-            "--tree-iters",
-            "1",
-            "--step",
-            "0.25",
-            "--damping",
-            "0.3",
-        ])
-        .expect("weak schedule");
-        let text = weak.join("\n");
-        assert!(text.contains("OPTIMAL (certified)"), "{text}");
-        let default = run_tokens(&["exact", "--smoke", "2009"]).expect("default schedule");
-        let evals = |lines: &[String]| {
-            lines
-                .iter()
-                .find(|l| l.starts_with("lagrangian"))
-                .expect("lagrangian line")
-                .clone()
-        };
-        assert_ne!(
-            evals(&weak),
-            evals(&default),
-            "schedule change must alter the dual-evaluation count"
-        );
-    }
-
-    #[test]
     fn exact_reads_instance_files_and_writes_the_mapping() {
         let dir = tmpdir();
         let phys = dir.join("phys.json");
@@ -1645,8 +1580,9 @@ mod tests {
         for flag in ["--phys", "--venv"] {
             assert_exact_rejects(&[flag, "missing.json"], flag);
         }
+        // The Lagrangian schedule is tuned through `ExactConfig`, not flags.
         for flag in ["--root-iters", "--tree-iters", "--step", "--damping"] {
-            assert_exact_rejects(&["--bound", "waterfill", flag, "2"], flag);
+            assert_exact_rejects(&[flag, "2"], flag);
         }
     }
 

@@ -265,7 +265,7 @@ impl Mapper for Annealing {
                 cache,
                 Phase::Networking,
                 |cache| networking_stage(&mut state, &links, &cfg.astar, cache),
-                |(_, net)| net.counters(),
+                |(_, counters)| *counters,
             )?;
             Ok(Mapping::new(state.into_placement(), routes))
         })

@@ -114,10 +114,7 @@ fn try_drain(state: &mut PlacementState<'_>, victim: NodeId, occupied: &[NodeId]
 
 /// HMN variant optimizing hosts-used instead of load balance.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ConsolidatingHmn {
-    /// A\*Prune configuration for the Networking stage.
-    pub astar: AStarPruneConfig,
-}
+pub struct ConsolidatingHmn;
 
 impl Mapper for ConsolidatingHmn {
     fn name(&self) -> &str {
@@ -153,8 +150,8 @@ impl Mapper for ConsolidatingHmn {
             let (routes, _) = rec.try_phase(
                 cache,
                 Phase::Networking,
-                |cache| networking_stage(&mut state, &links, &self.astar, cache),
-                |(_, net)| net.counters(),
+                |cache| networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache),
+                |(_, counters)| *counters,
             )?;
             Ok(Mapping::new(state.into_placement(), routes))
         })
@@ -234,9 +231,7 @@ mod tests {
         }
         let mut rng = SmallRng::seed_from_u64(1);
         let plain = Hmn::new().map(&p, &venv, &mut rng).unwrap();
-        let packed = ConsolidatingHmn::default()
-            .map(&p, &venv, &mut rng)
-            .unwrap();
+        let packed = ConsolidatingHmn.map(&p, &venv, &mut rng).unwrap();
         assert!(
             packed.mapping.hosts_used() <= plain.mapping.hosts_used(),
             "consolidation must not use more hosts ({} vs {})",
@@ -256,7 +251,7 @@ mod tests {
         for w in ids.windows(2) {
             venv.add_link(w[0], w[1], VLinkSpec::new(Kbps(500.0), Millis(45.0)));
         }
-        let out = ConsolidatingHmn::default()
+        let out = ConsolidatingHmn
             .map(&p, &venv, &mut SmallRng::seed_from_u64(2))
             .unwrap();
         assert_eq!(validate_mapping(&p, &venv, &out.mapping), Ok(()));

@@ -30,9 +30,12 @@
 //! is ≈ 0.95, which reproduces the paper's R/HS failure thresholds (see
 //! EXPERIMENTS.md).
 
-use crate::cache::ArView;
+use crate::astar_prune::SearchStats;
+use crate::cache::{ArView, MapCache};
+use crate::networking::{LinkRequest, LinkRouter, Routed};
 use emumap_graph::{CsrAdjacency, EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
+use emumap_trace::LinkVerdict;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
@@ -194,6 +197,37 @@ pub fn naive_dfs_route(
         }
     }
     None
+}
+
+/// The baselines' router for [`networking_stage`](crate::networking_stage):
+/// [`naive_dfs_route`] biased by the cache's hop-count tables, drawing
+/// from `rng`. A miss is no infeasibility proof (the walk is heuristic),
+/// and the baselines retry hundreds of times — running the max-flow
+/// diagnosis per miss would swamp the trace — so every miss reports
+/// [`LinkVerdict::PossiblyRoutable`].
+pub struct DfsRouter<'r> {
+    /// The mapper's random stream.
+    pub rng: &'r mut dyn RngCore,
+}
+
+impl LinkRouter for DfsRouter<'_> {
+    fn route(&mut self, cache: &mut MapCache, link: &LinkRequest<'_>) -> Routed {
+        let (hops, csr) = cache.topo.hops_and_csr(link.phys, link.to);
+        naive_dfs_route(
+            link.phys,
+            csr,
+            link.residual,
+            link.from,
+            link.to,
+            link.spec.bw,
+            link.spec.lat,
+            hops,
+            self.rng,
+            &mut cache.dfs,
+        )
+        .map(|edges| (edges, SearchStats::default()))
+        .ok_or(Some(LinkVerdict::PossiblyRoutable))
+    }
 }
 
 #[cfg(test)]

@@ -13,67 +13,24 @@ use emumap_graph::NodeId;
 use emumap_model::{
     Kbps, MemMb, Millis, PhysicalTopology, ResidualState, VLinkSpec, VirtualEnvironment,
 };
+use emumap_trace::LinkVerdict;
 use serde::Serialize;
 
-/// Why a virtual link could not be routed between two hosts.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub enum RouteVerdict {
-    /// A feasible path may exist — the failure was heuristic (retries or a
-    /// better placement could help).
-    PossiblyRoutable,
-    /// Even ignoring bandwidth, no path satisfies the latency bound:
-    /// the *uncongested* shortest-latency path already exceeds it. No
-    /// retry can fix this placement.
-    LatencyInfeasible {
-        /// Best achievable latency between the two hosts (ms).
-        best_possible_ms: f64,
-        /// The link's bound (ms).
-        bound_ms: f64,
-    },
-    /// The residual max-flow between the hosts is below the demand: the
-    /// remaining network physically cannot carry the link, wherever it is
-    /// routed. (Latency ignored — this is a pure capacity cut.)
-    BandwidthInfeasible {
-        /// Residual max-flow between the hosts (kbps).
-        max_flow_kbps: f64,
-        /// The link's demand (kbps).
-        demand_kbps: f64,
-    },
-}
-
-impl From<&RouteVerdict> for emumap_trace::LinkVerdict {
-    fn from(v: &RouteVerdict) -> Self {
-        match *v {
-            RouteVerdict::PossiblyRoutable => emumap_trace::LinkVerdict::PossiblyRoutable,
-            RouteVerdict::LatencyInfeasible {
-                best_possible_ms,
-                bound_ms,
-            } => emumap_trace::LinkVerdict::LatencyInfeasible {
-                best_possible_ms,
-                bound_ms,
-            },
-            RouteVerdict::BandwidthInfeasible {
-                max_flow_kbps,
-                demand_kbps,
-            } => emumap_trace::LinkVerdict::BandwidthInfeasible {
-                max_flow_kbps,
-                demand_kbps,
-            },
-        }
-    }
-}
-
 /// Diagnoses routability of a `spec`-shaped link between `from` and `to`
-/// under the given residual bandwidths.
+/// under the given residual bandwidths: a latency-infeasibility proof
+/// (the *uncongested* shortest-latency path already exceeds the bound,
+/// so no retry can fix this placement), else a bandwidth one (the
+/// residual max-flow between the hosts is below the demand, wherever the
+/// link is routed), else [`LinkVerdict::PossiblyRoutable`].
 pub fn diagnose_route(
     phys: &PhysicalTopology,
     residual: &ResidualState,
     from: NodeId,
     to: NodeId,
     spec: &VLinkSpec,
-) -> RouteVerdict {
+) -> LinkVerdict {
     if from == to {
-        return RouteVerdict::PossiblyRoutable; // intra-host always works
+        return LinkVerdict::PossiblyRoutable; // intra-host always works
     }
     // Latency check on the *uncongested* network (admissible bound).
     let lat = dijkstra(phys.graph(), &phys.graph().to_csr(), to, |_, l| {
@@ -81,7 +38,7 @@ pub fn diagnose_route(
     });
     let best = lat.distance(from).unwrap_or(f64::INFINITY);
     if best > spec.lat.value() + 1e-9 {
-        return RouteVerdict::LatencyInfeasible {
+        return LinkVerdict::LatencyInfeasible {
             best_possible_ms: best,
             bound_ms: spec.lat.value(),
         };
@@ -89,12 +46,12 @@ pub fn diagnose_route(
     // Capacity cut on the residual network.
     let flow = residual_max_flow(phys, residual, from, to);
     if flow + 1e-9 < spec.bw.value() {
-        return RouteVerdict::BandwidthInfeasible {
+        return LinkVerdict::BandwidthInfeasible {
             max_flow_kbps: flow,
             demand_kbps: spec.bw.value(),
         };
     }
-    RouteVerdict::PossiblyRoutable
+    LinkVerdict::PossiblyRoutable
 }
 
 /// Max-flow between two nodes using *residual* bandwidths as capacities.
@@ -201,7 +158,7 @@ mod tests {
         let verdict = diagnose_route(&p, &r, p.hosts()[0], p.hosts()[3], &spec);
         assert_eq!(
             verdict,
-            RouteVerdict::LatencyInfeasible {
+            LinkVerdict::LatencyInfeasible {
                 best_possible_ms: 30.0,
                 bound_ms: 25.0
             }
@@ -224,7 +181,7 @@ mod tests {
         let verdict = diagnose_route(&p, &r, p.hosts()[0], p.hosts()[2], &spec);
         assert_eq!(
             verdict,
-            RouteVerdict::BandwidthInfeasible {
+            LinkVerdict::BandwidthInfeasible {
                 max_flow_kbps: 200.0,
                 demand_kbps: 250.0
             }
@@ -238,12 +195,12 @@ mod tests {
         let spec = VLinkSpec::new(Kbps(500.0), Millis(60.0));
         assert_eq!(
             diagnose_route(&p, &r, p.hosts()[0], p.hosts()[2], &spec),
-            RouteVerdict::PossiblyRoutable
+            LinkVerdict::PossiblyRoutable
         );
         // Intra-host is always fine.
         assert_eq!(
             diagnose_route(&p, &r, p.hosts()[0], p.hosts()[0], &spec),
-            RouteVerdict::PossiblyRoutable
+            LinkVerdict::PossiblyRoutable
         );
     }
 

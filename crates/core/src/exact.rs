@@ -34,7 +34,7 @@
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::hosting::links_by_descending_bw;
-use crate::ksp_routing::networking_stage_ksp;
+use crate::ksp_routing::YenKsp;
 use crate::lagrangian::{lagrangian_bound, tightest_peer_bounds, LagrangianConfig, NodeView};
 use crate::networking::networking_stage;
 use crate::recorder::Recorder;
@@ -75,9 +75,6 @@ pub struct ExactConfig {
     /// Subgradient-ascent knobs of the Lagrangian bound (ignored under
     /// [`BoundKind::Waterfill`]).
     pub lagrangian: LagrangianConfig,
-    /// A\*Prune configuration for leaf routing. The default equals the
-    /// heuristics' default, so the oracle accepts every route HMN would.
-    pub astar: AStarPruneConfig,
     /// `k` for the Yen-KSP fallback router tried when A\*Prune fails at a
     /// leaf (`0` disables the fallback).
     pub ksp_fallback: usize,
@@ -92,7 +89,6 @@ impl Default for ExactConfig {
             max_nodes: 200_000,
             bound: BoundKind::Lagrangian,
             lagrangian: LagrangianConfig::default(),
-            astar: AStarPruneConfig::default(),
             ksp_fallback: 4,
             use_latency_pruning: true,
         }
@@ -587,14 +583,14 @@ impl<'a> Search<'a> {
     /// A\*Prune first and Yen-KSP as a fallback.
     fn route_leaf(&self, cache: &mut MapCache) -> Option<(Mapping, f64)> {
         let links = links_by_descending_bw(self.venv);
-        let astar = self.config.astar;
+        let astar = &AStarPruneConfig::default();
         let routed =
-            self.with_fresh_state(|state| networking_stage(state, &links, &astar, cache).ok())?;
+            self.with_fresh_state(|state| networking_stage(state, &links, astar, cache).ok())?;
         let routed = match routed {
             Some((routes, _)) => Some(routes),
             None if self.config.ksp_fallback > 0 => {
-                let k = self.config.ksp_fallback;
-                self.with_fresh_state(|state| networking_stage_ksp(state, &links, k, cache).ok())?
+                let ksp = YenKsp::new(self.config.ksp_fallback);
+                self.with_fresh_state(|state| networking_stage(state, &links, ksp, cache).ok())?
                     .map(|(routes, _)| routes)
             }
             None => None,
@@ -932,6 +928,34 @@ mod tests {
             wf.stats.nodes_expanded
         );
         assert!(lag.stats.subgradient_iters >= lag.stats.nodes_expanded);
+    }
+
+    #[test]
+    fn a_weak_subgradient_schedule_still_certifies() {
+        // The ascent schedule is configuration, not constants: a
+        // deliberately weak one must still certify the optimum
+        // (admissibility is schedule-independent), with different effort.
+        let (phys, venv) = emumap_workloads::oracle_smoke(2009);
+        let default = solve_cold(&phys, &venv, &ExactConfig::default());
+        let weak = solve_cold(
+            &phys,
+            &venv,
+            &ExactConfig {
+                lagrangian: LagrangianConfig {
+                    root_iters: 2,
+                    tree_iters: 1,
+                    step: 0.25,
+                    tangent_damping: 0.3,
+                },
+                ..Default::default()
+            },
+        );
+        assert_eq!(default.status, ExactStatus::Optimal);
+        assert_eq!(weak.status, ExactStatus::Optimal);
+        let (a, b) = (default.best.unwrap(), weak.best.unwrap());
+        assert!((a.objective - b.objective).abs() <= EPSILON);
+        let effort = |s: &ExactStats| (s.subgradient_iters, s.bound_improvements);
+        assert_ne!(effort(&weak.stats), effort(&default.stats));
     }
 
     #[test]

@@ -110,7 +110,6 @@ fn place_greedy(state: &mut PlacementState<'_>, rule: Rule) -> Result<(), MapErr
 fn run_greedy_with(
     rule: Rule,
     name: &'static str,
-    astar: &AStarPruneConfig,
     phys: &PhysicalTopology,
     venv: &VirtualEnvironment,
     cache: &mut MapCache,
@@ -127,8 +126,8 @@ fn run_greedy_with(
         let (routes, _) = rec.try_phase(
             cache,
             Phase::Networking,
-            |cache| networking_stage(&mut state, &links, astar, cache),
-            |(_, net)| net.counters(),
+            |cache| networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache),
+            |(_, counters)| *counters,
         )?;
         Ok(Mapping::new(state.into_placement(), routes))
     })
@@ -138,10 +137,7 @@ macro_rules! greedy_mapper {
     ($(#[$meta:meta])* $name:ident, $rule:expr, $label:literal) => {
         $(#[$meta])*
         #[derive(Clone, Copy, Debug, Default)]
-        pub struct $name {
-            /// A\*Prune configuration for the routing phase.
-            pub astar: AStarPruneConfig,
-        }
+        pub struct $name;
 
         impl Mapper for $name {
             fn name(&self) -> &str {
@@ -155,7 +151,7 @@ macro_rules! greedy_mapper {
                 _rng: &mut dyn RngCore,
                 cache: &mut MapCache,
             ) -> Result<MapOutcome, MapError> {
-                run_greedy_with($rule, $label, &self.astar, phys, venv, cache)
+                run_greedy_with($rule, $label, phys, venv, cache)
             }
         }
     };
@@ -226,9 +222,9 @@ mod tests {
         let p = phys();
         let v = venv(20);
         let mappers: Vec<Box<dyn Mapper>> = vec![
-            Box::new(FirstFitDecreasing::default()),
-            Box::new(BestFit::default()),
-            Box::new(WorstFit::default()),
+            Box::new(FirstFitDecreasing),
+            Box::new(BestFit),
+            Box::new(WorstFit),
         ];
         for m in mappers {
             let mut rng = SmallRng::seed_from_u64(1);
@@ -249,8 +245,8 @@ mod tests {
         let p = phys();
         let v = venv(20);
         let mut rng = SmallRng::seed_from_u64(1);
-        let ffd = FirstFitDecreasing::default().map(&p, &v, &mut rng).unwrap();
-        let wf = WorstFit::default().map(&p, &v, &mut rng).unwrap();
+        let ffd = FirstFitDecreasing.map(&p, &v, &mut rng).unwrap();
+        let wf = WorstFit.map(&p, &v, &mut rng).unwrap();
         assert!(ffd.mapping.hosts_used() <= wf.mapping.hosts_used());
     }
 
@@ -259,8 +255,8 @@ mod tests {
         let p = phys();
         let v = venv(24);
         let mut rng = SmallRng::seed_from_u64(1);
-        let ffd = FirstFitDecreasing::default().map(&p, &v, &mut rng).unwrap();
-        let wf = WorstFit::default().map(&p, &v, &mut rng).unwrap();
+        let ffd = FirstFitDecreasing.map(&p, &v, &mut rng).unwrap();
+        let wf = WorstFit.map(&p, &v, &mut rng).unwrap();
         assert!(
             wf.objective <= ffd.objective,
             "worst-fit ({}) should balance at least as well as FFD ({})",
@@ -273,10 +269,10 @@ mod tests {
     fn best_fit_is_deterministic() {
         let p = phys();
         let v = venv(15);
-        let a = BestFit::default()
+        let a = BestFit
             .map(&p, &v, &mut SmallRng::seed_from_u64(1))
             .unwrap();
-        let b = BestFit::default()
+        let b = BestFit
             .map(&p, &v, &mut SmallRng::seed_from_u64(999))
             .unwrap();
         assert_eq!(a.mapping, b.mapping);
@@ -293,9 +289,7 @@ mod tests {
         let mut v = VirtualEnvironment::new();
         v.add_guest(GuestSpec::new(Mips(1.0), MemMb(1024), StorGb(1.0)));
         let mut rng = SmallRng::seed_from_u64(1);
-        let err = FirstFitDecreasing::default()
-            .map(&p, &v, &mut rng)
-            .unwrap_err();
+        let err = FirstFitDecreasing.map(&p, &v, &mut rng).unwrap_err();
         assert!(matches!(err, MapError::HostingFailed { .. }));
     }
 }

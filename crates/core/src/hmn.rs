@@ -154,7 +154,7 @@ impl Mapper for Hmn {
                 cache,
                 Phase::Networking,
                 |cache| networking_stage(&mut state, &links, &self.config.astar(), cache),
-                |(_, net)| net.counters(),
+                |(_, counters)| *counters,
             )?;
             Ok(Mapping::new(state.into_placement(), routes))
         })

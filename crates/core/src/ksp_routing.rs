@@ -12,107 +12,70 @@
 //! tests; the strategy is provided for cross-framework comparison and as
 //! another member for the §6 heuristic pool.
 
+use crate::astar_prune::SearchStats;
 use crate::cache::MapCache;
 use crate::error::MapError;
 use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingStats};
 use crate::mapper::{MapOutcome, Mapper};
 use crate::migration::{migration_counters, MigrationPolicy};
-use crate::networking::NetworkingStats;
+use crate::networking::{networking_stage, LinkRequest, LinkRouter, Routed};
 use crate::recorder::record_map;
 use crate::state::PlacementState;
 use emumap_graph::algo::k_shortest_paths;
-use emumap_model::{Mapping, PhysicalTopology, Route, VLinkId, VirtualEnvironment};
-use emumap_trace::{Phase, TraceEvent};
+use emumap_model::{Mapping, PhysicalTopology, VirtualEnvironment};
+use emumap_trace::{LinkVerdict, Phase};
 use rand::RngCore;
 
-/// Routes `links` with Yen's K-cheapest-latency paths, committing
-/// bandwidth into `state`. Returns the route table, or the first
-/// unroutable link.
+/// The Yen K-cheapest-latency-paths router for
+/// [`networking_stage`]: the first of the `k` candidates within the
+/// latency bound whose edges all have the bandwidth wins.
 ///
-/// `cache` contributes its `ar[]` latency tables as an early-exit: the
-/// Dijkstra distance is the minimum latency over *all* paths, so when it
-/// already exceeds the link's bound no candidate from Yen's enumeration
-/// can pass the `p.cost <= bound` filter and the (expensive) enumeration
-/// is skipped. The accept/reject outcome per link is unchanged.
-pub fn networking_stage_ksp(
-    state: &mut PlacementState<'_>,
-    links: &[VLinkId],
+/// The cache's `ar[]` latency tables serve as an early exit: the Dijkstra
+/// distance is the minimum latency over *all* paths, so when it already
+/// exceeds the link's bound no candidate from Yen's enumeration can pass
+/// the `p.cost <= bound` filter and the (expensive) enumeration is
+/// skipped — with that distance as a proof of infeasibility. The
+/// accept/reject outcome per link is unchanged.
+#[derive(Clone, Copy, Debug)]
+pub struct YenKsp {
     k: usize,
-    cache: &mut MapCache,
-) -> Result<(Vec<Route>, NetworkingStats), MapError> {
-    assert!(
-        state.is_complete(),
-        "networking requires a complete assignment"
-    );
-    assert!(k >= 1, "k must be at least 1");
-    let venv = state.venv();
-    let phys = state.phys();
-    let mut routes = vec![Route::intra_host(); venv.link_count()];
-    let mut stats = NetworkingStats::default();
+}
 
-    let MapCache { topo, trace, .. } = cache;
-    topo.prepare(phys);
-    let runs_before = topo.dijkstra_runs();
-    let hits_before = topo.hits();
-
-    for &l in links {
-        let (vs, vd) = venv.link_endpoints(l);
-        let hs = state.host_of(vs).expect("assignment complete");
-        let hd = state.host_of(vd).expect("assignment complete");
-        if hs == hd {
-            trace.emit(|| TraceEvent::LinkIntraHost {
-                link: l.index() as u64,
-            });
-            continue;
-        }
-        let spec = *venv.link(l);
-        let (ar, csr) = topo.ar_and_csr(phys, hd);
-        if ar[hs.index()] > spec.lat.value() + 1e-9 {
-            // The early-exit carries its own proof: the Dijkstra distance
-            // is the best achievable latency over all paths.
-            let best = ar[hs.index()];
-            trace.emit(|| TraceEvent::LinkFailed {
-                link: l.index() as u64,
-                verdict: emumap_trace::LinkVerdict::LatencyInfeasible {
-                    best_possible_ms: best,
-                    bound_ms: spec.lat.value(),
-                },
-            });
-            return Err(MapError::NetworkingFailed { link: l });
-        }
-        // Note: candidate paths are recomputed per link on the *static*
-        // latency metric; feasibility is then checked against the current
-        // residuals, so commitments by earlier links are respected. The
-        // cached CSR snapshot spares Yen's algorithm an O(V + E) adjacency
-        // rebuild per link.
-        let candidates = k_shortest_paths(phys.graph(), csr, hs, hd, k, |_, link| link.lat.value());
-        let chosen = candidates.into_iter().find(|p| {
-            p.cost <= spec.lat.value() + 1e-9 && state.residual().route_feasible(&p.edges, spec.bw)
-        });
-        let Some(path) = chosen else {
-            // Diagnosis runs dijkstra + max-flow; only pay for it when
-            // someone is listening.
-            if trace.is_enabled() {
-                let verdict =
-                    crate::diagnostics::diagnose_route(phys, state.residual(), hs, hd, &spec);
-                trace.emit(|| TraceEvent::LinkFailed {
-                    link: l.index() as u64,
-                    verdict: (&verdict).into(),
-                });
-            }
-            return Err(MapError::NetworkingFailed { link: l });
-        };
-        trace.emit(|| TraceEvent::LinkRouted {
-            link: l.index() as u64,
-            hops: path.edges.len() as u64,
-        });
-        state.residual_mut().commit_route(&path.edges, spec.bw);
-        routes[l.index()] = Route::new(path.edges);
+impl YenKsp {
+    /// A router trying `k` candidate paths per link.
+    ///
+    /// # Panics
+    /// If `k` is 0.
+    pub fn new(k: usize) -> Self {
+        assert!(k >= 1, "k must be at least 1");
+        YenKsp { k }
     }
+}
 
-    stats.dijkstra_runs = topo.dijkstra_runs() - runs_before;
-    stats.ar_cache_hits = topo.hits() - hits_before;
-    Ok((routes, stats))
+impl LinkRouter for YenKsp {
+    fn route(&mut self, cache: &mut MapCache, link: &LinkRequest<'_>) -> Routed {
+        let (ar, csr) = cache.topo.ar_and_csr(link.phys, link.to);
+        let (best, bound) = (ar[link.from.index()], link.spec.lat.value());
+        if best > bound + 1e-9 {
+            return Err(Some(LinkVerdict::LatencyInfeasible {
+                best_possible_ms: best,
+                bound_ms: bound,
+            }));
+        }
+        // Candidates are computed on the *static* latency metric;
+        // feasibility is then checked against the current residuals, so
+        // commitments by earlier links are respected. The cached CSR
+        // snapshot spares Yen's algorithm an O(V + E) adjacency rebuild
+        // per link.
+        let graph = link.phys.graph();
+        k_shortest_paths(graph, csr, link.from, link.to, self.k, |_, l| l.lat.value())
+            .into_iter()
+            .find(|p| {
+                p.cost <= bound + 1e-9 && link.residual.route_feasible(&p.edges, link.spec.bw)
+            })
+            .map(|p| (p.edges, SearchStats::default()))
+            .ok_or(None)
+    }
 }
 
 /// HMN with the Networking stage replaced by K-shortest-paths routing.
@@ -156,8 +119,8 @@ impl Mapper for HmnKsp {
             let (routes, _) = rec.try_phase(
                 cache,
                 Phase::Networking,
-                |cache| networking_stage_ksp(&mut state, &links, self.k, cache),
-                |(_, net)| net.counters(),
+                |cache| networking_stage(&mut state, &links, YenKsp::new(self.k), cache),
+                |(_, counters)| *counters,
             )?;
             Ok(Mapping::new(state.into_placement(), routes))
         })
@@ -277,14 +240,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "k must be at least 1")]
     fn k_zero_is_rejected() {
-        let phys = PhysicalTopology::from_shape(
-            &generators::line(2),
-            std::iter::repeat(HostSpec::new(Mips(1000.0), MemMb(1024), StorGb(100.0))),
-            LinkSpec::new(Kbps(1000.0), Millis(5.0)),
-            VmmOverhead::NONE,
-        );
-        let venv = VirtualEnvironment::new();
-        let mut state = PlacementState::new(&phys, &venv);
-        let _ = networking_stage_ksp(&mut state, &[], 0, &mut MapCache::new());
+        YenKsp::new(0);
     }
 }

@@ -88,10 +88,9 @@ pub use annealing::{Annealing, AnnealingConfig};
 pub use astar_prune::{astar_prune, AStarPruneConfig, PathMetric, RouteScratch, SearchStats};
 pub use cache::{AnnealScratch, ArTables, ArView, MapCache, RoundingScratch};
 pub use consolidation::{drain_stage, ConsolidatingHmn, DrainStats};
-pub use dfs_routing::{naive_dfs_route, DfsScratch, WANDER_PROBABILITY};
-pub use diagnostics::{
-    cluster_diagnostics, diagnose_route, residual_max_flow, ClusterDiagnostics, RouteVerdict,
-};
+pub use dfs_routing::{naive_dfs_route, DfsRouter, DfsScratch, WANDER_PROBABILITY};
+pub use diagnostics::{cluster_diagnostics, diagnose_route, residual_max_flow, ClusterDiagnostics};
+pub use emumap_trace::LinkVerdict;
 pub use error::MapError;
 pub use exact::{
     residual_stddev_lower_bound, solve_exact_with, BoundKind, ExactConfig, ExactOutcome,
@@ -100,14 +99,14 @@ pub use exact::{
 pub use greedy::{BestFit, FirstFitDecreasing, WorstFit};
 pub use hmn::{Hmn, HmnConfig, LinkOrder};
 pub use hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingStats};
-pub use ksp_routing::{networking_stage_ksp, HmnKsp};
+pub use ksp_routing::{HmnKsp, YenKsp};
 pub use lagrangian::{
     lagrangian_bound, lagrangian_bound_for_partial, tightest_peer_bounds, LagrangianBound,
     LagrangianConfig, LagrangianScratch, NodeView,
 };
 pub use mapper::{MapOutcome, MapStats, Mapper};
 pub use migration::{migration_stage, migration_stage_exhaustive, MigrationPolicy, MigrationStats};
-pub use networking::{networking_stage, NetworkingStats};
+pub use networking::{networking_stage, LinkRequest, LinkRouter, Routed};
 pub use parallel::{ParallelRunner, PhaseTotals};
 pub use pool::{HeuristicPool, PoolPolicy};
 pub use random::{HostingDfs, RandomAStar, RandomDfs, DEFAULT_MAX_ATTEMPTS};

@@ -1,68 +1,107 @@
-//! HMN stage 3 — **Networking** (§4.3): route every virtual link over the
-//! physical network with the modified 1-constrained A\*Prune.
+//! The Networking stage (§4.3 for HMN, §5 for the baselines): route
+//! every virtual link over the physical network, one link at a time.
 //!
-//! Links are processed in descending bandwidth order (heaviest demands get
-//! first pick of the capacity); each accepted route immediately commits its
-//! bandwidth so later links see the reduced residuals. Links whose guests
-//! share a host are "handled inside the host" and never routed — §5.2
-//! credits this for the Figure 1 variance.
+//! [`networking_stage`] is the one loop every mapper routes through; only
+//! the per-link path search differs, and the caller passes it as a
+//! [`LinkRouter`]:
+//!
+//! * the paper's modified 1-constrained A\*Prune
+//!   (`&`[`AStarPruneConfig`]) — HMN and every mapper built on its
+//!   Networking stage, and the exact oracle's leaves;
+//! * Yen's K cheapest paths ([`YenKsp`](crate::YenKsp)) — HMN-ksp and
+//!   the oracle's fallback;
+//! * the baselines' naive DFS ([`DfsRouter`](crate::DfsRouter)) — R and
+//!   HS.
+//!
+//! HMN passes its links in descending bandwidth order (heaviest demands
+//! get first pick of the capacity); the baselines shuffle them. Each
+//! accepted route immediately commits its bandwidth so later links see
+//! the reduced residuals. Links whose guests share a host are "handled
+//! inside the host" and never routed — §5.2 credits this for the
+//! Figure 1 variance.
 
 use crate::astar_prune::{astar_prune, AStarPruneConfig, SearchStats};
 use crate::cache::MapCache;
 use crate::diagnostics::diagnose_route;
 use crate::error::MapError;
 use crate::state::PlacementState;
-use emumap_model::{Route, VLinkId};
-use emumap_trace::{PhaseCounters, TraceEvent};
+use emumap_graph::{EdgeId, NodeId};
+use emumap_model::{PhysicalTopology, ResidualState, Route, VLinkId, VLinkSpec};
+use emumap_trace::{LinkVerdict, PhaseCounters, TraceEvent};
 
-/// Statistics from a Networking run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetworkingStats {
-    /// Aggregate A\*Prune search effort.
-    pub search: SearchStats,
-    /// Dijkstra lower-bound tables computed (one per attachment point of
-    /// a destination not already cached; see [`ArTables`](crate::ArTables)).
-    pub dijkstra_runs: usize,
-    /// `ar[]` lookups answered from the cross-trial cache.
-    pub ar_cache_hits: usize,
+/// One inter-host link as the Networking loop hands it to a router.
+#[derive(Clone, Copy, Debug)]
+pub struct LinkRequest<'a> {
+    /// The physical network.
+    pub phys: &'a PhysicalTopology,
+    /// Residual bandwidths after the links routed so far.
+    pub residual: &'a ResidualState,
+    /// Host of the link's source guest.
+    pub from: NodeId,
+    /// Host of the link's destination guest (the `ar[]` table's root).
+    pub to: NodeId,
+    /// The link's bandwidth demand and latency bound.
+    pub spec: VLinkSpec,
 }
 
-impl NetworkingStats {
-    /// The trace-facing view of these counters.
-    pub fn counters(&self) -> PhaseCounters {
-        PhaseCounters {
-            astar_expansions: self.search.expanded as u64,
-            astar_pushed: self.search.pushed as u64,
-            guide_probes: self.search.guide_probes as u64,
-            dijkstra_runs: self.dijkstra_runs as u64,
-            cache_hits: self.ar_cache_hits as u64,
-            ..Default::default()
-        }
+/// A router's answer for one link: the path's edges plus the A\*Prune
+/// effort it cost (zero for other searches), or a failure carrying the
+/// verdict the router can prove — `None` when it has none, in which case
+/// the loop diagnoses the link if a tracer is listening.
+pub type Routed = Result<(Vec<EdgeId>, SearchStats), Option<LinkVerdict>>;
+
+/// The per-link path search [`networking_stage`] runs. A router only
+/// searches: it reads the residuals and may use the cache's tables and
+/// scratch buffers, but commits nothing and emits no events.
+pub trait LinkRouter {
+    /// Searches one path for `link`.
+    fn route(&mut self, cache: &mut MapCache, link: &LinkRequest<'_>) -> Routed;
+}
+
+/// The paper's router: modified A\*Prune over the cached `ar[]` table of
+/// the destination.
+impl LinkRouter for &AStarPruneConfig {
+    fn route(&mut self, cache: &mut MapCache, link: &LinkRequest<'_>) -> Routed {
+        let (ar, csr) = cache.topo.ar_and_csr(link.phys, link.to);
+        astar_prune(
+            link.phys,
+            link.residual,
+            link.from,
+            link.to,
+            link.spec.bw,
+            link.spec.lat,
+            ar,
+            self,
+            csr,
+            &mut cache.scratch,
+        )
+        .ok_or(None)
     }
 }
 
-/// Routes `links` (normally in descending-bandwidth order) over the
-/// physical network, committing bandwidth into `state`'s residuals.
-/// Returns the route table indexed by [`VLinkId::index`] and stats, or the
-/// first unroutable link.
+/// Routes `links` in the given order with `router`, committing bandwidth
+/// into `state`'s residuals. Returns the route table indexed by
+/// [`VLinkId::index`] and the pass's Networking counters, or the first
+/// unroutable link. A failed pass releases the bandwidth it committed, in
+/// commit order, so `state` can be routed again.
 ///
-/// `ar[]` tables (Dijkstra latency-to-destination) are cached per
-/// attachment point in `cache` (see [`ArTables`](crate::ArTables)): §5.2
-/// observes that "most part of mapping time is spend in the Networking
-/// stage to calculate the shortest path of each host to the link
-/// destination", and the cache collapses that cost to at most one run per
-/// distinct destination, or per switch for leaf hosts (one run for the
-/// paper's whole switched cluster) — and, because the tables depend only
-/// on topology latencies, a warm cache carries them across trials on the
-/// same cluster, recording those lookups in
-/// [`NetworkingStats::ar_cache_hits`]. One-shot callers pass
-/// [`MapCache::new`].
+/// The counters are the routers' A\*Prune effort, the DFS backtracks and
+/// the `ar[]`/hop table builds and hits the pass cost. Tables are cached
+/// per attachment point in `cache` (see [`ArTables`](crate::ArTables)):
+/// §5.2 observes that "most part of mapping time is spend in the
+/// Networking stage to calculate the shortest path of each host to the
+/// link destination", and the cache collapses that cost to at most one
+/// run per distinct destination, or per switch for leaf hosts (one run
+/// for the paper's whole switched cluster) — and, because the tables
+/// depend only on topology latencies, a warm cache carries them across
+/// trials on the same cluster, counting those lookups as `cache_hits`.
+/// One-shot callers pass [`MapCache::new`].
 pub fn networking_stage(
     state: &mut PlacementState<'_>,
     links: &[VLinkId],
-    config: &AStarPruneConfig,
+    mut router: impl LinkRouter,
     cache: &mut MapCache,
-) -> Result<(Vec<Route>, NetworkingStats), MapError> {
+) -> Result<(Vec<Route>, PhaseCounters), MapError> {
     assert!(
         state.is_complete(),
         "networking requires a complete assignment"
@@ -70,68 +109,66 @@ pub fn networking_stage(
     let venv = state.venv();
     let phys = state.phys();
     let mut routes = vec![Route::intra_host(); venv.link_count()];
-    let mut stats = NetworkingStats::default();
+    let mut counters = PhaseCounters::default();
+    cache.topo.prepare(phys);
+    let runs_before = cache.topo.dijkstra_runs();
+    let hits_before = cache.topo.hits();
+    let backtracks_before = cache.dfs.backtracks();
 
-    let MapCache {
-        topo,
-        scratch,
-        trace,
-        ..
-    } = cache;
-    topo.prepare(phys);
-    let runs_before = topo.dijkstra_runs();
-    let hits_before = topo.hits();
-
-    for &l in links {
+    for (i, &l) in links.iter().enumerate() {
         let (vs, vd) = venv.link_endpoints(l);
-        let hs = state.host_of(vs).expect("assignment complete");
-        let hd = state.host_of(vd).expect("assignment complete");
-        if hs == hd {
-            trace.emit(|| TraceEvent::LinkIntraHost {
-                link: l.index() as u64,
-            });
+        let from = state.host_of(vs).expect("assignment complete");
+        let to = state.host_of(vd).expect("assignment complete");
+        let link = l.index() as u64;
+        if from == to {
+            cache.trace.emit(|| TraceEvent::LinkIntraHost { link });
             continue; // routes[l] stays intra-host
         }
         let spec = *venv.link(l);
-        let (ar, csr) = topo.ar_and_csr(phys, hd);
-        let Some((edges, search)) = astar_prune(
+        let request = LinkRequest {
             phys,
-            state.residual(),
-            hs,
-            hd,
-            spec.bw,
-            spec.lat,
-            ar,
-            config,
-            csr,
-            scratch,
-        ) else {
-            // The diagnosis (Dijkstra + max-flow) is expensive, so it runs
-            // only when someone is listening.
-            if trace.is_enabled() {
-                let verdict = diagnose_route(phys, state.residual(), hs, hd, &spec);
-                trace.emit(|| TraceEvent::LinkFailed {
-                    link: l.index() as u64,
-                    verdict: (&verdict).into(),
-                });
-            }
-            return Err(MapError::NetworkingFailed { link: l });
+            residual: state.residual(),
+            from,
+            to,
+            spec,
         };
-        stats.search.expanded += search.expanded;
-        stats.search.pushed += search.pushed;
-        stats.search.dominated += search.dominated;
-        stats.search.guide_probes += search.guide_probes;
-        trace.emit(|| TraceEvent::LinkRouted {
-            link: l.index() as u64,
-            hops: edges.len() as u64,
-        });
-        state.residual_mut().commit_route(&edges, spec.bw);
-        routes[l.index()] = Route::new(edges);
+        match router.route(cache, &request) {
+            Ok((edges, search)) => {
+                counters.astar_expansions += search.expanded as u64;
+                counters.astar_pushed += search.pushed as u64;
+                counters.guide_probes += search.guide_probes as u64;
+                cache.trace.emit(|| TraceEvent::LinkRouted {
+                    link,
+                    hops: edges.len() as u64,
+                });
+                state.residual_mut().commit_route(&edges, spec.bw);
+                routes[l.index()] = Route::new(edges);
+            }
+            Err(verdict) => {
+                // The diagnosis (Dijkstra + max-flow) is expensive, so it
+                // runs only when someone is listening.
+                if cache.trace.is_enabled() {
+                    let verdict = verdict
+                        .unwrap_or_else(|| diagnose_route(phys, state.residual(), from, to, &spec));
+                    cache
+                        .trace
+                        .emit(|| TraceEvent::LinkFailed { link, verdict });
+                }
+                for &done in &links[..i] {
+                    let bw = venv.link(done).bw;
+                    state
+                        .residual_mut()
+                        .release_route(routes[done.index()].edges(), bw);
+                }
+                return Err(MapError::NetworkingFailed { link: l });
+            }
+        }
     }
 
-    stats.dijkstra_runs = topo.dijkstra_runs() - runs_before;
-    stats.ar_cache_hits = topo.hits() - hits_before;
-    Ok((routes, stats))
+    counters.dijkstra_runs = (cache.topo.dijkstra_runs() - runs_before) as u64;
+    counters.cache_hits = (cache.topo.hits() - hits_before) as u64;
+    counters.dfs_backtracks = (cache.dfs.backtracks() - backtracks_before) as u64;
+    Ok((routes, counters))
 }
 
 #[cfg(test)]
@@ -145,9 +182,14 @@ mod tests {
     };
 
     /// Routes every link, heaviest first, on a fresh cache.
-    fn route_all(st: &mut PlacementState<'_>) -> Result<(Vec<Route>, NetworkingStats), MapError> {
+    fn route_all(st: &mut PlacementState<'_>) -> Result<(Vec<Route>, PhaseCounters), MapError> {
         let links = links_by_descending_bw(st.venv());
-        networking_stage(st, &links, &Default::default(), &mut MapCache::new())
+        networking_stage(
+            st,
+            &links,
+            &AStarPruneConfig::default(),
+            &mut MapCache::new(),
+        )
     }
 
     fn phys_line(n: usize, bw: f64) -> PhysicalTopology {
@@ -203,6 +245,9 @@ mod tests {
         st.assign(b, phys.hosts()[1]).unwrap();
         let err = route_all(&mut st).unwrap_err();
         assert!(matches!(err, MapError::NetworkingFailed { .. }));
+        // The failed pass handed back the two links it had committed.
+        let edge = phys.graph().edge_ids().next().unwrap();
+        assert_eq!(st.residual().bw(edge), Kbps(250.0));
     }
 
     #[test]
@@ -276,18 +321,21 @@ mod tests {
         let mut st = PlacementState::new(&phys, &venv);
         place(&mut st);
         let (routes_cold, cold) =
-            networking_stage(&mut st, &links, &Default::default(), &mut cache).unwrap();
+            networking_stage(&mut st, &links, &AStarPruneConfig::default(), &mut cache).unwrap();
         assert_eq!(cold.dijkstra_runs, 1);
 
         // Second "trial" on the same topology: the ar[] table survives.
         let mut st = PlacementState::new(&phys, &venv);
         place(&mut st);
         let (routes_warm, warm) =
-            networking_stage(&mut st, &links, &Default::default(), &mut cache).unwrap();
+            networking_stage(&mut st, &links, &AStarPruneConfig::default(), &mut cache).unwrap();
         assert_eq!(warm.dijkstra_runs, 0, "warm cache recomputes nothing");
-        assert_eq!(warm.ar_cache_hits, 3);
+        assert_eq!(warm.cache_hits, 3);
         assert_eq!(routes_cold, routes_warm, "cache must not change routes");
-        assert_eq!(cold.search, warm.search);
+        assert_eq!(
+            (cold.astar_expansions, cold.astar_pushed),
+            (warm.astar_expansions, warm.astar_pushed)
+        );
     }
 
     #[test]
@@ -300,8 +348,13 @@ mod tests {
         let mut st = PlacementState::new(&phys, &venv);
         st.assign(a, phys.hosts()[0]).unwrap();
         st.assign(b, phys.hosts()[3]).unwrap();
-        let err =
-            networking_stage(&mut st, &[l], &Default::default(), &mut MapCache::new()).unwrap_err();
+        let err = networking_stage(
+            &mut st,
+            &[l],
+            &AStarPruneConfig::default(),
+            &mut MapCache::new(),
+        )
+        .unwrap_err();
         assert_eq!(err, MapError::NetworkingFailed { link: l });
     }
 
@@ -313,9 +366,14 @@ mod tests {
         let mut st = PlacementState::new(&phys, &venv);
         st.assign(GuestId::from_index(0), phys.hosts()[0]).unwrap();
         let _ = a;
-        let (routes, stats) =
-            networking_stage(&mut st, &[], &Default::default(), &mut MapCache::new()).unwrap();
+        let (routes, stats) = networking_stage(
+            &mut st,
+            &[],
+            &AStarPruneConfig::default(),
+            &mut MapCache::new(),
+        )
+        .unwrap();
         assert!(routes.is_empty());
-        assert_eq!(stats, NetworkingStats::default());
+        assert_eq!(stats, PhaseCounters::default());
     }
 }

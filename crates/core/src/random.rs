@@ -26,7 +26,7 @@
 
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
-use crate::dfs_routing::naive_dfs_route;
+use crate::dfs_routing::DfsRouter;
 use crate::error::MapError;
 use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingStats};
 use crate::mapper::{MapOutcome, Mapper};
@@ -35,7 +35,7 @@ use crate::recorder::{record_map, Recorder};
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::{Mapping, PhysicalTopology, Route, VirtualEnvironment};
-use emumap_trace::{LinkVerdict, Phase, PhaseCounters, TraceEvent};
+use emumap_trace::{Phase, PhaseCounters};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
@@ -76,90 +76,27 @@ fn random_hosting(
     )
 }
 
-/// Routes every link with the naive DFS, committing bandwidth. Links are
-/// processed in a random order (the baseline has no ordering insight).
-/// On failure, all committed routes are released so the state can be
-/// reused. Hop-distance tables come from the shared [`MapCache`]
-/// (mirroring the Networking stage's `ar[]` cache), so they survive not
-/// only the routing pass but every retry attempt and every later trial on
-/// the same topology. Dijkstra consumes no randomness, so the caching is
-/// invisible to the RNG stream and the mapped outcomes. A successful pass
-/// also returns its Networking counters: DFS backtracks plus the
-/// hop-table builds and warm hits it cost.
-fn dfs_routing(
+/// One DFS routing pass as an attempt's Networking span. Links are
+/// routed in a fresh random order (the baseline has no ordering
+/// insight); a failed pass releases its commitments, so `state` can be
+/// routed again.
+fn dfs_networking(
+    rec: &mut Recorder,
+    cache: &mut MapCache,
     state: &mut PlacementState<'_>,
     rng: &mut dyn RngCore,
-    cache: &mut MapCache,
-) -> Result<(Vec<Route>, PhaseCounters), MapError> {
-    let venv = state.venv();
-    let phys = state.phys();
-    let mut order: Vec<_> = venv.link_ids().collect();
-    order.shuffle(rng);
-    let mut routes = vec![Route::intra_host(); venv.link_count()];
-    let mut committed: Vec<(Vec<emumap_graph::EdgeId>, emumap_model::Kbps)> = Vec::new();
-    let MapCache {
-        topo, dfs, trace, ..
-    } = cache;
-    topo.prepare(phys);
-    let (runs_before, hits_before) = (topo.dijkstra_runs(), topo.hits());
-    let backtracks_before = dfs.backtracks();
-
-    for l in order {
-        let (vs, vd) = venv.link_endpoints(l);
-        let hs = state.host_of(vs).expect("complete");
-        let hd = state.host_of(vd).expect("complete");
-        if hs == hd {
-            trace.emit(|| TraceEvent::LinkIntraHost {
-                link: l.index() as u64,
-            });
-            continue;
-        }
-        let spec = *venv.link(l);
-        let (hops, csr) = topo.hops_and_csr(phys, hd);
-        match naive_dfs_route(
-            phys,
-            csr,
-            state.residual(),
-            hs,
-            hd,
-            spec.bw,
-            spec.lat,
-            hops,
-            rng,
-            dfs,
-        ) {
-            Some(edges) => {
-                trace.emit(|| TraceEvent::LinkRouted {
-                    link: l.index() as u64,
-                    hops: edges.len() as u64,
-                });
-                state.residual_mut().commit_route(&edges, spec.bw);
-                committed.push((edges.clone(), spec.bw));
-                routes[l.index()] = Route::new(edges);
-            }
-            None => {
-                // A DFS miss is no infeasibility proof (the walk is
-                // heuristic), and the baselines retry hundreds of times —
-                // running the max-flow diagnosis per miss would swamp the
-                // trace, so the verdict is always `PossiblyRoutable` here.
-                trace.emit(|| TraceEvent::LinkFailed {
-                    link: l.index() as u64,
-                    verdict: LinkVerdict::PossiblyRoutable,
-                });
-                for (edges, bw) in committed {
-                    state.residual_mut().release_route(&edges, bw);
-                }
-                return Err(MapError::NetworkingFailed { link: l });
-            }
-        }
-    }
-    let counters = PhaseCounters {
-        dfs_backtracks: (dfs.backtracks() - backtracks_before) as u64,
-        dijkstra_runs: (topo.dijkstra_runs() - runs_before) as u64,
-        cache_hits: (topo.hits() - hits_before) as u64,
-        ..Default::default()
-    };
-    Ok((routes, counters))
+) -> Result<Vec<Route>, MapError> {
+    let (routes, _) = rec.try_phase(
+        cache,
+        Phase::Networking,
+        |cache| {
+            let mut order: Vec<_> = state.venv().link_ids().collect();
+            order.shuffle(rng);
+            networking_stage(state, &order, DfsRouter { rng }, cache)
+        },
+        |(_, counters)| *counters,
+    )?;
+    Ok(routes)
 }
 
 /// **R** — random placement + DFS routing, whole attempt retried.
@@ -197,12 +134,7 @@ impl Mapper for RandomDfs {
                 if random_hosting(rec, cache, &mut state, rng).is_err() {
                     continue;
                 }
-                if let Ok((routes, _)) = rec.try_phase(
-                    cache,
-                    Phase::Networking,
-                    |cache| dfs_routing(&mut state, rng, cache),
-                    |(_, counters)| *counters,
-                ) {
+                if let Ok(routes) = dfs_networking(rec, cache, &mut state, rng) {
                     return Ok(Mapping::new(state.into_placement(), routes));
                 }
             }
@@ -218,15 +150,12 @@ impl Mapper for RandomDfs {
 pub struct RandomAStar {
     /// Complete attempts before giving up.
     pub max_attempts: usize,
-    /// A\*Prune configuration (default: the paper's).
-    pub astar: AStarPruneConfig,
 }
 
 impl Default for RandomAStar {
     fn default() -> Self {
         RandomAStar {
             max_attempts: DEFAULT_MAX_ATTEMPTS,
-            astar: AStarPruneConfig::default(),
         }
     }
 }
@@ -255,8 +184,10 @@ impl Mapper for RandomAStar {
                 if let Ok((routes, _)) = rec.try_phase(
                     cache,
                     Phase::Networking,
-                    |cache| networking_stage(&mut state, &links, &self.astar, cache),
-                    |(_, net)| net.counters(),
+                    |cache| {
+                        networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache)
+                    },
+                    |(_, counters)| *counters,
                 ) {
                     return Ok(Mapping::new(state.into_placement(), routes));
                 }
@@ -307,12 +238,7 @@ impl Mapper for HostingDfs {
             for attempt in 1..=self.max_attempts {
                 rec.attempts = attempt;
                 // A failed pass released its commitments.
-                if let Ok((routes, _)) = rec.try_phase(
-                    cache,
-                    Phase::Networking,
-                    |cache| dfs_routing(&mut state, rng, cache),
-                    |(_, counters)| *counters,
-                ) {
+                if let Ok(routes) = dfs_networking(rec, cache, &mut state, rng) {
                     return Ok(Mapping::new(state.into_placement(), routes));
                 }
             }

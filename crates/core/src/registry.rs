@@ -20,7 +20,7 @@ use crate::ksp_routing::HmnKsp;
 use crate::mapper::Mapper;
 use crate::pool::{HeuristicPool, PoolPolicy};
 use crate::random::{HostingDfs, RandomAStar, RandomDfs, DEFAULT_MAX_ATTEMPTS};
-use crate::rounding::RandomizedRounding;
+use crate::rounding::{RandomizedRounding, RoundingConfig};
 use crate::tempering::ParallelTempering;
 
 /// Shared knobs a registry constructor may consume. One struct (instead
@@ -92,7 +92,6 @@ pub static MAPPERS: &[MapperEntry] = &[
         build: |c| {
             Box::new(RandomAStar {
                 max_attempts: c.max_attempts,
-                ..Default::default()
             })
         },
     },
@@ -110,25 +109,25 @@ pub static MAPPERS: &[MapperEntry] = &[
         key: "ffd",
         label: "FFD",
         doc: "first-fit-decreasing bin packing + A*Prune routing",
-        build: |_| Box::new(FirstFitDecreasing::default()),
+        build: |_| Box::new(FirstFitDecreasing),
     },
     MapperEntry {
         key: "bf",
         label: "BF",
         doc: "best-fit bin packing + A*Prune routing",
-        build: |_| Box::new(BestFit::default()),
+        build: |_| Box::new(BestFit),
     },
     MapperEntry {
         key: "wf",
         label: "WF",
         doc: "worst-fit bin packing + A*Prune routing",
-        build: |_| Box::new(WorstFit::default()),
+        build: |_| Box::new(WorstFit),
     },
     MapperEntry {
         key: "consolidate",
         label: "HMN-consolidate",
         doc: "HMN + drain stage minimizing hosts used (future-work objective)",
-        build: |_| Box::new(ConsolidatingHmn::default()),
+        build: |_| Box::new(ConsolidatingHmn),
     },
     MapperEntry {
         key: "ksp",
@@ -152,7 +151,12 @@ pub static MAPPERS: &[MapperEntry] = &[
         key: "rr",
         label: "RR",
         doc: "randomized rounding of a multiplicative-weights fractional LP",
-        build: |_| Box::new(RandomizedRounding::new()),
+        build: |c| {
+            Box::new(RandomizedRounding::with_config(RoundingConfig {
+                max_attempts: c.max_attempts,
+                ..Default::default()
+            }))
+        },
     },
     MapperEntry {
         key: "pool",
@@ -164,7 +168,6 @@ pub static MAPPERS: &[MapperEntry] = &[
                     Box::new(Hmn::new()),
                     Box::new(RandomAStar {
                         max_attempts: c.max_attempts,
-                        ..Default::default()
                     }),
                     Box::new(RandomDfs {
                         max_attempts: c.max_attempts,
@@ -211,6 +214,68 @@ mod tests {
                 "registry label for '{}' drifted from Mapper::name()",
                 entry.key
             );
+        }
+    }
+
+    #[test]
+    fn attempt_based_entries_spend_the_budget_they_were_built_with() {
+        use crate::{MapCache, MapError};
+        use emumap_graph::generators;
+        use emumap_model::{
+            GuestSpec, HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, PhysicalTopology, StorGb,
+            VLinkSpec, VirtualEnvironment, VmmOverhead,
+        };
+        use emumap_trace::{Phase, SharedSink, TraceEvent, Tracer};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+
+        // Two guests too big to share a host, joined by a link whose
+        // latency bound no path meets: every attempt fails.
+        let phys = PhysicalTopology::from_shape(
+            &generators::line(2),
+            std::iter::repeat(HostSpec::new(Mips(1000.0), MemMb(512), StorGb(100.0))),
+            LinkSpec::new(Kbps(1000.0), Millis(5.0)),
+            VmmOverhead::NONE,
+        );
+        let mut venv = VirtualEnvironment::new();
+        let big = GuestSpec::new(Mips(10.0), MemMb(400), StorGb(1.0));
+        let (a, b) = (venv.add_guest(big), venv.add_guest(big));
+        venv.add_link(a, b, VLinkSpec::new(Kbps(10.0), Millis(1.0)));
+
+        for budget in [1, 3] {
+            let config = MapperConfig {
+                max_attempts: budget,
+            };
+            let exhausted = Err(MapError::RetriesExhausted { attempts: budget });
+            for (key, members) in [
+                ("r", vec![("R", budget)]),
+                ("ra", vec![("RA", budget)]),
+                ("hs", vec![("HS", budget)]),
+                ("rr", vec![("RR", 0)]),
+                ("pool", vec![("HMN", 1), ("RA", budget), ("R", budget)]),
+            ] {
+                let sink = SharedSink::default();
+                let mut cache = MapCache::new();
+                cache.trace = Tracer::new(Box::new(sink.clone()));
+                let mapper = build_mapper(key, &config).unwrap();
+                let mut rng = SmallRng::seed_from_u64(1);
+                let result = mapper.map_with_cache(&phys, &venv, &mut rng, &mut cache);
+                assert_eq!(result.map(|_| ()), exhausted, "{key}");
+                // Networking spans per member run: one per attempt.
+                let mut runs: Vec<(String, usize)> = Vec::new();
+                for event in sink.events() {
+                    match event {
+                        TraceEvent::MapStart { mapper, .. } => runs.push((mapper, 0)),
+                        TraceEvent::PhaseEnd {
+                            phase: Phase::Networking,
+                            ..
+                        } => runs.last_mut().unwrap().1 += 1,
+                        _ => {}
+                    }
+                }
+                let members: Vec<_> = members.iter().map(|&(m, n)| (m.to_string(), n)).collect();
+                assert_eq!(runs, members, "{key} with budget {budget}");
+            }
         }
     }
 

@@ -81,8 +81,6 @@ pub struct RoundingConfig {
     pub max_attempts: usize,
     /// Which Migration refinement to run on the rounded placement.
     pub migration: MigrationPolicy,
-    /// A\*Prune configuration for the Networking repair stage.
-    pub astar: AStarPruneConfig,
 }
 
 impl Default for RoundingConfig {
@@ -93,7 +91,6 @@ impl Default for RoundingConfig {
             price_growth: 0.5,
             max_attempts: DEFAULT_MAX_ATTEMPTS,
             migration: MigrationPolicy::Paper,
-            astar: AStarPruneConfig::default(),
         }
     }
 }
@@ -457,8 +454,8 @@ impl Mapper for RandomizedRounding {
             let (routes, _) = rec.try_phase(
                 cache,
                 Phase::Networking,
-                |cache| networking_stage(&mut state, &links, &self.config.astar, cache),
-                |(_, net)| net.counters(),
+                |cache| networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache),
+                |(_, counters)| *counters,
             )?;
             Ok(Mapping::new(state.into_placement(), routes))
         })

@@ -1,0 +1,102 @@
+//! Golden digests of every registered mapper's routing behaviour.
+//!
+//! A run's record is its outcome (attempts, placement and route edges, or
+//! the error), every Networking span's counters and every per-link event
+//! (intra-host skips, routed hop counts, failure verdicts). The runs cover
+//! both paper clusters over one host draw, a light and a bandwidth-heavy
+//! virtual environment, and seeds 1-3, each on a fresh cache so the cache
+//! counters are deterministic too. The light environment makes the DFS
+//! baselines (R, HS) retry on latency misses; the heavy one saturates
+//! physical links, so A\*Prune fails on bandwidth, R and RA exhaust their
+//! retries and HS releases and re-routes contended passes.
+
+use emumap_core::{build_mapper, MapCache, MapperConfig, MAPPERS};
+use emumap_model::{PhysicalTopology, VirtualEnvironment};
+use emumap_trace::{Phase, SharedSink, TraceEvent, Tracer};
+use emumap_workloads::{ClusterSpec, Range, VirtualEnvSpec};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+/// `(registry key, cluster, digest)` in registry order.
+const PINNED: &[(&str, &str, u64)] = &[
+    ("hmn", "torus", 0xe4af85c977da45bd),
+    ("hmn", "switched", 0x96a086caa6dd9462),
+    ("r", "torus", 0x01bf32f6a6942c5b),
+    ("r", "switched", 0x12eb2f5fe7e8edd9),
+    ("ra", "torus", 0xf0d56cdcd34dfa77),
+    ("ra", "switched", 0xaf5b3f7408eaf45d),
+    ("hs", "torus", 0x98b1f2122f2b2277),
+    ("hs", "switched", 0xf6eac5a05e79a8a0),
+    ("ffd", "torus", 0xba3124c8a2b5beb2),
+    ("ffd", "switched", 0x0888bc48ef9c5936),
+    ("bf", "torus", 0xe95bc9b38d363355),
+    ("bf", "switched", 0xaf6b304cdfbbf378),
+    ("wf", "torus", 0xc7af1001ac62dd4e),
+    ("wf", "switched", 0x0329240531696089),
+    ("consolidate", "torus", 0xaa4ee16c21b84f2c),
+    ("consolidate", "switched", 0xf7121d9d0bc138c5),
+    ("ksp", "torus", 0x6e0f15b436e0332f),
+    ("ksp", "switched", 0xe631504b7b4c0a70),
+    ("sa", "torus", 0x3968ae6db01ad4c9),
+    ("sa", "switched", 0xd7bc381d162599f5),
+    ("pt", "torus", 0xe4af85c977da45bd),
+    ("pt", "switched", 0x96a086caa6dd9462),
+    ("rr", "torus", 0x309c055b9e819a12),
+    ("rr", "switched", 0x99a34cebdc6a9719),
+    ("pool", "torus", 0xe4af85c977da45bd),
+    ("pool", "switched", 0x4a4646f633bc9d26),
+];
+
+/// One run of `key`, traced on a fresh cache, as text.
+fn record(key: &str, phys: &PhysicalTopology, venv: &VirtualEnvironment, seed: u64) -> String {
+    let mapper = build_mapper(key, &MapperConfig::default()).expect("registered");
+    let sink = SharedSink::default();
+    let mut cache = MapCache::new();
+    cache.trace = Tracer::new(Box::new(sink.clone()));
+    let result = mapper.map_with_cache(phys, venv, &mut SmallRng::seed_from_u64(seed), &mut cache);
+    let mut out = match result {
+        Ok(o) => format!("{} {:?}", o.stats.attempts, o.mapping),
+        Err(e) => format!("{e:?}"),
+    };
+    for event in sink.events() {
+        match event {
+            TraceEvent::PhaseEnd {
+                phase: Phase::Networking,
+                counters,
+                ..
+            } => out += &format!(" {counters:?}"),
+            TraceEvent::LinkIntraHost { .. }
+            | TraceEvent::LinkRouted { .. }
+            | TraceEvent::LinkFailed { .. } => out += &format!(" {event:?}"),
+            _ => {}
+        }
+    }
+    out
+}
+
+#[test]
+fn every_mapper_routes_exactly_as_pinned() {
+    let (torus, switched) = ClusterSpec::paper().build_both(&mut SmallRng::seed_from_u64(2009));
+    let light = VirtualEnvSpec::high_level(24, 0.1).generate(&mut SmallRng::seed_from_u64(5));
+    let heavy = VirtualEnvSpec {
+        bw_kbps: Range::new(150_000.0, 400_000.0),
+        ..VirtualEnvSpec::high_level(10, 0.3)
+    }
+    .generate(&mut SmallRng::seed_from_u64(6));
+    let mut got = Vec::new();
+    for entry in MAPPERS {
+        for (cluster, phys) in [("torus", &torus), ("switched", &switched)] {
+            // FNV-1a over the records of both environments and all seeds.
+            let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+            for venv in [&light, &heavy] {
+                for seed in 1..=3 {
+                    for b in record(entry.key, phys, venv, seed).bytes() {
+                        digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+            got.push((entry.key, cluster, digest));
+        }
+    }
+    assert_eq!(got, PINNED, "a mapper's routes, attempts or counters moved");
+}

@@ -6,7 +6,8 @@
 //! (one span per daemon request); anything else is a **map stream** (one
 //! mapper run).
 //!
-//! Map stream rules:
+//! A map stream is one or more mapper runs (a `pool` writes one per
+//! member it tries). Map stream rules, per run:
 //!
 //! * it opens with `MapStart` and closes with `MapEnd`;
 //! * `PhaseStart`/`PhaseEnd` pairs are bracketed (no overlap, the end
@@ -90,7 +91,7 @@ pub fn check(events: &[TraceEvent]) -> Vec<Violation> {
     } else if events.iter().any(is_request_event) {
         check_serve_stream(&indexed, &mut out);
     } else {
-        check_map_stream(&indexed, &mut out);
+        check_map_segments(&indexed, &mut out);
     }
     out.0
 }
@@ -122,6 +123,26 @@ fn is_request_event(e: &TraceEvent) -> bool {
 
 /// Mappers that retry whole attempts, restarting the pipeline each time.
 const RETRYING_MAPPERS: &[&str] = &["R", "RA", "HS"];
+
+/// A map stream: consecutive mapper runs (a `pool` writes one per member
+/// it tries), each held to the map rules under its own mapper name. A
+/// run ends at its `MapEnd`, or where the next `MapStart` begins.
+fn check_map_segments(events: &[(usize, &TraceEvent)], out: &mut Violations) {
+    let mut rest = events;
+    while !rest.is_empty() {
+        let len = rest
+            .iter()
+            .enumerate()
+            .find_map(|(k, (_, e))| match e {
+                TraceEvent::MapStart { .. } if k > 0 => Some(k),
+                TraceEvent::MapEnd { .. } => Some(k + 1),
+                _ => None,
+            })
+            .unwrap_or(rest.len());
+        check_map_stream(&rest[..len], out);
+        rest = &rest[len..];
+    }
+}
 
 /// One mapper run: `MapStart` .. `MapEnd` with bracketed, ordered phases.
 fn check_map_stream(events: &[(usize, &TraceEvent)], out: &mut Violations) {
@@ -488,6 +509,20 @@ mod tests {
         }
     }
 
+    #[test]
+    fn each_run_of_a_pool_trace_is_checked_on_its_own() {
+        // HMN fails in Networking, then RA starts over at Hosting and
+        // succeeds: two runs, each in pipeline order.
+        let failed = PhaseCounters::default();
+        let mut pool = run(
+            "HMN",
+            false,
+            &[(Hosting, failed), (Migration, failed), (Networking, failed)],
+        );
+        pool.extend(phases("RA", &[Hosting, Networking]));
+        assert_eq!(check(&pool), vec![]);
+    }
+
     /// One hand-built violating stream per rule, and (part of) the message
     /// the rule reports.
     #[test]
@@ -557,6 +592,20 @@ mod tests {
             (
                 phases("PT", &[Migration]),
                 "PT run attempted no replica exchanges",
+            ),
+            // Each run of a multi-run stream follows its own mapper name,
+            // and one cut short by the next MapStart is unclosed.
+            (
+                [phases("HMN", &[Hosting]), phases("PT", &[Migration])].concat(),
+                "PT run attempted no replica exchanges",
+            ),
+            (
+                [
+                    vec![map_start("HMN"), start(Hosting)],
+                    phases("RA", &[Hosting]),
+                ]
+                .concat(),
+                "close with MapEnd",
             ),
             (
                 run(

@@ -180,8 +180,8 @@ pub struct ServeCounters {
     pub routed_links: u64,
 }
 
-/// Why a link could not be routed — a trace-local mirror of the core
-/// crate's `RouteVerdict` (core depends on this crate, not vice versa).
+/// Why a link could not be routed: a router's own verdict, or the core
+/// crate's `diagnose_route` proofs.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum LinkVerdict {
     /// No infeasibility proof found; the failure may be heuristic (e.g.

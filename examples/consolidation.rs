@@ -31,7 +31,7 @@ fn main() {
     let balanced = Hmn::new()
         .map(&phys, &venv, &mut rng)
         .expect("light workload maps");
-    let packed = ConsolidatingHmn::default()
+    let packed = ConsolidatingHmn
         .map(&phys, &venv, &mut rng)
         .expect("light workload maps");
 

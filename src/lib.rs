@@ -61,10 +61,10 @@ pub mod prelude {
         AdmitReport, Annealing, AnnealingConfig, ApplyOutcome, ArTables, BestFit, BoundKind,
         ClusterDiagnostics, ConsolidatingHmn, ExactConfig, ExactOutcome, ExactSolution, ExactStats,
         ExactStatus, FirstFitDecreasing, HeuristicPool, Hmn, HmnConfig, HmnKsp, HostingDfs,
-        HostingPolicy, LagrangianBound, LagrangianConfig, LagrangianScratch, LinkOrder, MapCache,
-        MapError, MapOutcome, MapStats, Mapper, MapperConfig, MapperEntry, MigrationPolicy,
-        PathMetric, PoolPolicy, RandomAStar, RandomDfs, RandomizedRounding, RemoveReport,
-        RoundingConfig, RouteVerdict, ServeError, Session, Snapshot, StatusReport, TenantRecord,
+        HostingPolicy, LagrangianBound, LagrangianConfig, LagrangianScratch, LinkOrder,
+        LinkVerdict, MapCache, MapError, MapOutcome, MapStats, Mapper, MapperConfig, MapperEntry,
+        MigrationPolicy, PathMetric, PoolPolicy, RandomAStar, RandomDfs, RandomizedRounding,
+        RemoveReport, RoundingConfig, ServeError, Session, Snapshot, StatusReport, TenantRecord,
         WorstFit, MAPPERS,
     };
     pub use emumap_graph::{generators, EdgeId, Graph, NodeId};

@@ -25,10 +25,10 @@ fn all_extension_mappers_validate_on_a_paper_scenario() {
             migration: MigrationPolicy::Exhaustive,
             ..Default::default()
         })),
-        Box::new(FirstFitDecreasing::default()),
-        Box::new(BestFit::default()),
-        Box::new(WorstFit::default()),
-        Box::new(ConsolidatingHmn::default()),
+        Box::new(FirstFitDecreasing),
+        Box::new(BestFit),
+        Box::new(WorstFit),
+        Box::new(ConsolidatingHmn),
     ];
     for mapper in mappers {
         let mut rng = SmallRng::seed_from_u64(inst.mapper_seed);
@@ -112,8 +112,8 @@ fn hmn_beats_every_classical_placement_on_balance() {
         .map(&inst.phys, &inst.venv, &mut rng)
         .expect("maps");
     for mapper in [
-        Box::new(FirstFitDecreasing::default()) as Box<dyn Mapper>,
-        Box::new(BestFit::default()),
+        Box::new(FirstFitDecreasing) as Box<dyn Mapper>,
+        Box::new(BestFit),
     ] {
         let mut rng = SmallRng::seed_from_u64(inst.mapper_seed);
         if let Ok(out) = mapper.map(&inst.phys, &inst.venv, &mut rng) {
@@ -187,6 +187,6 @@ fn diagnostics_prove_infeasibility_where_mappers_fail() {
     );
     assert!(matches!(
         verdict,
-        emumap::mapping::RouteVerdict::LatencyInfeasible { .. }
+        emumap::mapping::LinkVerdict::LatencyInfeasible { .. }
     ));
 }

@@ -26,12 +26,9 @@ fn all_mappers() -> Vec<Box<dyn Mapper>> {
     vec![
         Box::new(Hmn::new()),
         Box::new(RandomDfs { max_attempts: 10 }),
-        Box::new(RandomAStar {
-            max_attempts: 10,
-            ..Default::default()
-        }),
+        Box::new(RandomAStar { max_attempts: 10 }),
         Box::new(HostingDfs { max_attempts: 10 }),
-        Box::new(ConsolidatingHmn::default()),
+        Box::new(ConsolidatingHmn),
     ]
 }
 

@@ -207,7 +207,7 @@ proptest! {
     fn baseline_mappings_always_validate((phys, venv, seed) in arb_instance()) {
         let mappers: Vec<Box<dyn Mapper>> = vec![
             Box::new(RandomDfs { max_attempts: 20 }),
-            Box::new(RandomAStar { max_attempts: 20, ..Default::default() }),
+            Box::new(RandomAStar { max_attempts: 20 }),
             Box::new(HostingDfs { max_attempts: 20 }),
             Box::new(RandomizedRounding::with_config(RoundingConfig {
                 max_attempts: 20,
@@ -243,7 +243,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let plain = Hmn::new().map(&phys, &venv, &mut rng);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let packed = ConsolidatingHmn::default().map(&phys, &venv, &mut rng);
+        let packed = ConsolidatingHmn.map(&phys, &venv, &mut rng);
         if let (Ok(a), Ok(b)) = (plain, packed) {
             prop_assert!(b.mapping.hosts_used() <= a.mapping.hosts_used());
             prop_assert_eq!(validate_mapping(&phys, &venv, &b.mapping), Ok(()));

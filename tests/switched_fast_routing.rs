@@ -89,7 +89,10 @@ fn switched_dijkstra_cache_needs_one_run_for_the_whole_cluster() {
             .expect("routable");
     assert_eq!(stats.dijkstra_runs, 1);
     let routed = routes.iter().filter(|r| !r.is_intra_host()).count();
-    assert!(routed > stats.dijkstra_runs, "cache actually pays off");
+    assert!(
+        routed as u64 > stats.dijkstra_runs,
+        "cache actually pays off"
+    );
 }
 
 #[test]
