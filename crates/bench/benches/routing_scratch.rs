@@ -1,6 +1,6 @@
 //! Micro-benchmark for the allocation-free routing hot paths: the same
-//! A*Prune queries with a CSR view and scratch buffers built fresh per
-//! call vs. one shared CSR and a warm `RouteScratch`, plus the end-to-end
+//! A*Prune queries with scratch buffers built fresh per call vs. one warm
+//! `RouteScratch`, plus the end-to-end
 //! HMN map with a cold vs. warm `MapCache` (cross-trial `ar[]` table
 //! reuse).
 //!
@@ -47,8 +47,8 @@ fn bench_routing_scratch(c: &mut Criterion) {
     let ar: Vec<Vec<f64>> = hosts
         .iter()
         .map(|&h| {
-            let (view, csr) = tables.ar_and_csr(phys, h);
-            (0..csr.node_count()).map(|v| view[v]).collect()
+            let (view, _) = tables.ar_and_csr(phys, h);
+            (0..phys.graph().node_count()).map(|v| view[v]).collect()
         })
         .collect();
     let config = AStarPruneConfig::default();
@@ -76,7 +76,6 @@ fn bench_routing_scratch(c: &mut Criterion) {
                         bound,
                         ArView::new(&ar[j], hosts[j]),
                         &config,
-                        &phys.graph().to_csr(),
                         &mut RouteScratch::new(),
                     );
                     routed += usize::from(found.is_some());
@@ -86,7 +85,6 @@ fn bench_routing_scratch(c: &mut Criterion) {
         },
     );
 
-    let csr = phys.graph().to_csr();
     let mut scratch = RouteScratch::new();
     group.bench_with_input(
         BenchmarkId::from_parameter("astar_reused_scratch"),
@@ -104,7 +102,6 @@ fn bench_routing_scratch(c: &mut Criterion) {
                         bound,
                         ArView::new(&ar[j], hosts[j]),
                         &config,
-                        &csr,
                         &mut scratch,
                     );
                     routed += usize::from(found.is_some());

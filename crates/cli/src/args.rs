@@ -119,7 +119,7 @@ impl Parsed {
         }
     }
 
-    /// `true` iff a boolean flag (see [`BOOLEAN_FLAGS`]) was given.
+    /// `true` iff a boolean flag (one of `BOOLEAN_FLAGS`) was given.
     pub fn flag(&self, key: &str) -> bool {
         debug_assert!(
             BOOLEAN_FLAGS.contains(&key),

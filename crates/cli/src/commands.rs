@@ -1167,6 +1167,25 @@ mod tests {
     }
 
     #[test]
+    fn a_phys_file_listing_a_missing_host_is_an_io_error() {
+        let dir = tmpdir();
+        let (phys_s, venv_s) = &gen_instance(&dir, &["--guests", "4", "--seed", "2"]);
+        let json = std::fs::read_to_string(phys_s).unwrap();
+        assert!(json.contains("\"hosts\": ["), "{json}");
+        std::fs::write(phys_s, json.replace("\"hosts\": [", "\"hosts\": [999,")).unwrap();
+        for tokens in [
+            &["map", "--phys", phys_s, "--venv", venv_s][..],
+            &["serve", "--phys", phys_s][..],
+        ] {
+            let Err(CliError::Io(msg)) = run_tokens(tokens) else {
+                panic!("{tokens:?} must fail to load the topology");
+            };
+            assert!(msg.contains("PhysicalTopology.hosts"), "{msg}");
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn validate_rejects_corrupted_mapping() {
         let dir = tmpdir();
         let mapping = dir.join("mapping.json");

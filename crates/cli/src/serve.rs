@@ -405,25 +405,53 @@ mod tests {
         assert_eq!(lines[4], "{\"bye\":{}}");
     }
 
-    #[test]
-    fn inline_venvs_and_duplicate_rejection() {
-        let mut venv = VirtualEnvironment::new();
+    /// An `apply` of two guests joined by one link, its venv inline, after
+    /// `edit` has rewritten the venv's JSON.
+    fn apply_pair(edit: impl Fn(String) -> String) -> String {
         use emumap_model::{GuestSpec, VLinkSpec};
+        let mut venv = VirtualEnvironment::new();
         let a = venv.add_guest(GuestSpec::new(Mips(50.0), MemMb(128), StorGb(100.0)));
         let b = venv.add_guest(GuestSpec::new(Mips(50.0), MemMb(128), StorGb(100.0)));
         venv.add_link(a, b, VLinkSpec::new(Kbps(500.0), Millis(60.0)));
-        let venv_json = serde_json::to_string(&venv).unwrap();
+        let venv_json = edit(serde_json::to_string(&venv).unwrap());
+        format!("{{\"apply\":{{\"id\":\"t\",\"venv\":{venv_json}}}}}")
+    }
+
+    #[test]
+    fn inline_venvs_and_duplicate_rejection() {
         let mut session = Session::new(phys(), 1);
-        let lines = run_lines(
-            &mut session,
-            &[
-                format!("{{\"apply\":{{\"id\":\"t\",\"venv\":{venv_json}}}}}"),
-                format!("{{\"apply\":{{\"id\":\"t\",\"venv\":{venv_json}}}}}"),
-            ],
-        );
+        let lines = run_lines(&mut session, &[apply_pair(|j| j), apply_pair(|j| j)]);
         assert!(lines[0].starts_with("{\"applied\":"), "{}", lines[0]);
         assert!(lines[1].starts_with("{\"rejected\":"), "{}", lines[1]);
         assert!(lines[1].contains("duplicate"), "{}", lines[1]);
+    }
+
+    #[test]
+    fn inline_venvs_with_inconsistent_graphs_get_error_responses() {
+        let replace = |from: &'static str, to: &'static str| {
+            apply_pair(move |json| {
+                assert!(json.contains(from), "{json}");
+                json.replace(from, to)
+            })
+        };
+        let adjacency = "\"adjacency\":[[[1,0]],[[0,0]]]";
+        let lines = run_lines(
+            &mut Session::new(phys(), 1),
+            &[
+                replace(adjacency, "\"adjacency\":[[[1,0]]]"),
+                replace(adjacency, "\"adjacency\":[[[1,0]],[[9,0]]]"),
+                replace("\"a\":0,\"b\":1", "\"a\":0,\"b\":9"),
+                apply_pair(|j| j),
+            ],
+        );
+        assert_eq!(lines.len(), 4);
+        for (line, field) in lines.iter().zip(["adjacency", "adjacency", "edges[0]"]) {
+            assert!(
+                line.starts_with("{\"error\":") && line.contains(field),
+                "{line}"
+            );
+        }
+        assert!(lines[3].starts_with("{\"applied\":"), "{}", lines[3]);
     }
 
     #[test]

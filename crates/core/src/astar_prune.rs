@@ -79,7 +79,7 @@
 
 use crate::cache::ArView;
 use emumap_graph::algo::{DijkstraScratch, UnionFind};
-use emumap_graph::{CsrAdjacency, EdgeId, NodeId};
+use emumap_graph::{EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
 use std::collections::BinaryHeap;
 
@@ -323,7 +323,6 @@ impl GuideScratch {
         destination: NodeId,
         demand: f64,
         bound: f64,
-        csr: &CsrAdjacency,
         probes: &mut usize,
     ) -> Guide {
         let graph = phys.graph();
@@ -371,7 +370,6 @@ impl GuideScratch {
             let mut limit = bound + 2e-9;
             probe.run(
                 graph,
-                csr,
                 destination,
                 0.0,
                 |e, link| (residual.bw(e).value() >= level).then(|| link.lat.value()),
@@ -421,13 +419,13 @@ impl GuideScratch {
 /// runs first: it returns the same path with far fewer expansions, and a
 /// `None` it returns without searching means no feasible path exists.
 ///
-/// `csr` is the topology's adjacency snapshot and `scratch` the search
-/// buffers; hot paths (the Networking stage, the parallel runner) hold
-/// both in a [`MapCache`](crate::MapCache). Results are identical for any
-/// scratch state: buffers are cleared on entry and on-path marks from
-/// earlier expansions never equal the current stamp, so the search is a pure
-/// function of the other arguments, and it allocates nothing but the
-/// returned edge sequence once the buffers are warm.
+/// `scratch` holds the search buffers; hot paths (the Networking stage,
+/// the parallel runner) keep it in a [`MapCache`](crate::MapCache).
+/// Results are identical for any scratch state: buffers are cleared on
+/// entry and on-path marks from earlier expansions never equal the
+/// current stamp, so the search is a pure function of the other
+/// arguments, and it allocates nothing but the returned edge sequence
+/// once the buffers are warm.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's Algorithm 1 signature
 pub fn astar_prune(
     phys: &PhysicalTopology,
@@ -438,7 +436,6 @@ pub fn astar_prune(
     latency_bound: Millis,
     ar: ArView<'_>,
     config: &AStarPruneConfig,
-    csr: &CsrAdjacency,
     scratch: &mut RouteScratch,
 ) -> Option<(Vec<EdgeId>, SearchStats)> {
     // The precision condition of the module docs; it also rules out
@@ -446,7 +443,7 @@ pub fn astar_prune(
     let guided = config.metric == PathMetric::BottleneckBandwidth
         && config.use_latency_lower_bound
         && !config.prune_dominated
-        && csr.node_count() as f64 * latency_bound.value() * f64::EPSILON < 1e-9;
+        && phys.graph().node_count() as f64 * latency_bound.value() * f64::EPSILON < 1e-9;
     route(
         phys,
         residual,
@@ -456,7 +453,6 @@ pub fn astar_prune(
         latency_bound,
         ar,
         config,
-        csr,
         scratch,
         guided,
     )
@@ -473,7 +469,6 @@ fn route(
     latency_bound: Millis,
     ar: ArView<'_>,
     config: &AStarPruneConfig,
-    csr: &CsrAdjacency,
     scratch: &mut RouteScratch,
     guided: bool,
 ) -> Option<(Vec<EdgeId>, SearchStats)> {
@@ -500,7 +495,6 @@ fn route(
             destination,
             want,
             bound,
-            csr,
             &mut stats.guide_probes,
         )
     } else {
@@ -523,7 +517,6 @@ fn route(
         table,
         cap,
         config,
-        csr,
         &mut stats,
     )?;
     Some((edges, stats))
@@ -544,9 +537,9 @@ impl Frontier {
         table: ArView<'_>,
         cap: f64,
         config: &AStarPruneConfig,
-        csr: &CsrAdjacency,
         stats: &mut SearchStats,
     ) -> Option<Vec<EdgeId>> {
+        let csr = phys.graph().csr();
         self.begin(csr.node_count());
         let Frontier {
             arena,
@@ -777,7 +770,6 @@ mod tests {
         );
         let residual = ResidualState::new(&phys);
         let config = AStarPruneConfig::default();
-        let csr = phys.graph().to_csr();
         let queries = [
             (0usize, 12usize, 50.0),
             (4, 20, 60.0),
@@ -808,7 +800,6 @@ mod tests {
                 Millis(bound),
                 ArView::new(&ar, dest),
                 &config,
-                &csr,
                 &mut warm,
             );
             assert_eq!(fresh, reused);
@@ -841,10 +832,7 @@ mod tests {
     }
 
     fn ar_for(phys: &PhysicalTopology, dest: NodeId) -> Vec<f64> {
-        dijkstra(phys.graph(), &phys.graph().to_csr(), dest, |_, l| {
-            l.lat.value()
-        })
-        .into_distances()
+        dijkstra(phys.graph(), dest, |_, l| l.lat.value()).into_distances()
     }
 
     /// One search on a fresh adjacency snapshot and fresh scratch.
@@ -868,7 +856,6 @@ mod tests {
             latency_bound,
             ArView::new(ar, destination),
             config,
-            &phys.graph().to_csr(),
             &mut RouteScratch::new(),
         )
     }
@@ -913,7 +900,6 @@ mod tests {
             ],
         );
         let residual = ResidualState::new(&phys);
-        let csr = phys.graph().to_csr();
         let mut scratch = RouteScratch::new();
         let config = AStarPruneConfig::default();
         let queries = [
@@ -944,7 +930,6 @@ mod tests {
                 Millis(bound),
                 ArView::new(&ar, dest),
                 &config,
-                &csr,
                 &mut scratch,
             );
             assert_eq!(fresh, reused);
@@ -1271,7 +1256,6 @@ mod tests {
                 Millis(bound),
                 ArView::new(&ar, dest),
                 &exhaustive_cfg,
-                &phys.graph().to_csr(),
                 &mut RouteScratch::new(),
                 false,
             )
@@ -1370,7 +1354,6 @@ mod tests {
         bound: f64,
     ) -> Result<Option<Vec<EdgeId>>, TestCaseError> {
         let ar = ar_for(phys, destination);
-        let csr = phys.graph().to_csr();
         let config = AStarPruneConfig::default();
         let args = (Kbps(demand), Millis(bound), ArView::new(&ar, destination));
         let guided = astar_prune(
@@ -1382,7 +1365,6 @@ mod tests {
             args.1,
             args.2,
             &config,
-            &csr,
             &mut RouteScratch::new(),
         );
         let unguided = route(
@@ -1394,7 +1376,6 @@ mod tests {
             args.1,
             args.2,
             &config,
-            &csr,
             &mut RouteScratch::new(),
             false,
         );
@@ -1505,7 +1486,6 @@ mod tests {
             prune_dominated: true,
             ..Default::default()
         };
-        let csr = phys.graph().to_csr();
         let mut warm = RouteScratch::new();
         for (from, to, bound) in [(0usize, 12usize, 50.0), (4, 20, 60.0), (2, 17, 45.0)] {
             let dest = phys.hosts()[to];
@@ -1530,7 +1510,6 @@ mod tests {
                 Millis(bound),
                 ArView::new(&ar, dest),
                 &cfg,
-                &csr,
                 &mut warm,
             );
             assert_eq!(fresh, reused);

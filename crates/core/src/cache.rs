@@ -9,7 +9,8 @@
 //! shape, ids and link latencies) changes. It also builds one table per
 //! *attachment point* rather than per destination: a leaf host reads the
 //! table of the switch it hangs off, so the hosts behind one switch share
-//! a single Dijkstra run.
+//! a single Dijkstra run. The adjacency every search walks is not cached
+//! here: the physical graph owns it ([`emumap_graph::Graph::csr`]).
 //!
 //! [`MapCache`] bundles the table cache with the search scratch buffers
 //! ([`RouteScratch`], [`DfsScratch`]) into the one state blob a worker
@@ -84,8 +85,7 @@ impl Family {
     }
 }
 
-/// Topology-lifetime cache of Dijkstra distance tables plus the CSR
-/// adjacency snapshot the searches iterate.
+/// Topology-lifetime cache of Dijkstra distance tables.
 ///
 /// Two table families are kept:
 ///
@@ -100,7 +100,7 @@ impl Family {
 /// residual-capacity copies a serve session derives from it.
 ///
 /// Tables are stored per *attachment key*, not per destination. A node
-/// whose only CSR neighbour is another node `s`, over edge `e`, reads the
+/// whose only neighbour is another node `s`, over edge `e`, reads the
 /// table rooted at `s` with start distance `cost(e)`: every path out of it
 /// runs through `s`, so that table equals its own bit for bit everywhere
 /// but at the node itself, which [`ArView`] reads as `0.0`. Every other
@@ -112,7 +112,6 @@ pub struct ArTables {
     /// Generation of the topology the tables were built for (0 = unset,
     /// which no topology has).
     generation: u64,
-    csr: CsrAdjacency,
     /// Table slot each node reads as a destination, by node index.
     slot_of: Vec<u32>,
     /// Per slot: the root its tables are built from, and the leaf edge
@@ -127,15 +126,14 @@ pub struct ArTables {
 }
 
 impl ArTables {
-    /// Empty cache; first [`prepare`](Self::prepare) populates the CSR view.
+    /// Empty cache; the first [`prepare`](Self::prepare) binds it.
     pub fn new() -> Self {
         ArTables::default()
     }
 
-    /// Binds the cache to `phys`, rebuilding the CSR snapshot and the
-    /// attachment slots and dropping all tables if the topology's
-    /// generation changed since the last call. Returns `true` when the
-    /// cached tables were kept.
+    /// Binds the cache to `phys`, rebuilding the attachment slots and
+    /// dropping all tables if the topology's generation changed since the
+    /// last call. Returns `true` when the cached tables were kept.
     pub fn prepare(&mut self, phys: &PhysicalTopology) -> bool {
         // O(1): every trial of a benchmark sweep after the first, and every
         // serve apply on the session's derived topology, keeps the tables.
@@ -143,7 +141,7 @@ impl ArTables {
             return true;
         }
         self.generation = phys.generation();
-        self.csr = phys.graph().to_csr();
+        let csr = phys.graph().csr();
         self.slot_of.clear();
         self.roots.clear();
         // Leaves behind one node share a slot when their edges' latencies
@@ -155,7 +153,7 @@ impl ArTables {
                 roots.push(key);
                 u32::try_from(roots.len() - 1).expect("node ids fit in u32")
             };
-            let slot = match *self.csr.neighbors(v) {
+            let slot = match *csr.neighbors(v) {
                 [nb] if nb.node != v => {
                     let lat = phys.link(nb.edge).lat.value().to_bits();
                     *leaf_slots
@@ -173,36 +171,35 @@ impl ArTables {
         false
     }
 
-    /// The latency `ar[]` table of `dest` together with the CSR snapshot,
-    /// both under one borrow (callers need them simultaneously for
-    /// [`astar_prune`](crate::astar_prune)).
+    /// The latency `ar[]` table of `dest`, with the adjacency of `phys`'s
+    /// graph beside it.
     ///
     /// Must be called after [`prepare`](Self::prepare) on the same `phys`.
-    pub fn ar_and_csr(
+    pub fn ar_and_csr<'p>(
         &mut self,
-        phys: &PhysicalTopology,
+        phys: &'p PhysicalTopology,
         dest: NodeId,
-    ) -> (ArView<'_>, &CsrAdjacency) {
+    ) -> (ArView<'_>, &'p CsrAdjacency) {
         self.lookup(phys, dest, Family::Latency)
     }
 
     /// Unit-cost hop-count table of `dest` (the DFS neighbor-order bias of
-    /// the baselines) together with the CSR snapshot the DFS routes
-    /// through. Same caching discipline as [`ar_and_csr`](Self::ar_and_csr).
-    pub fn hops_and_csr(
+    /// the baselines), with the adjacency of `phys`'s graph beside it.
+    /// Same caching discipline as [`ar_and_csr`](Self::ar_and_csr).
+    pub fn hops_and_csr<'p>(
         &mut self,
-        phys: &PhysicalTopology,
+        phys: &'p PhysicalTopology,
         dest: NodeId,
-    ) -> (ArView<'_>, &CsrAdjacency) {
+    ) -> (ArView<'_>, &'p CsrAdjacency) {
         self.lookup(phys, dest, Family::Hops)
     }
 
-    fn lookup(
+    fn lookup<'p>(
         &mut self,
-        phys: &PhysicalTopology,
+        phys: &'p PhysicalTopology,
         dest: NodeId,
         family: Family,
-    ) -> (ArView<'_>, &CsrAdjacency) {
+    ) -> (ArView<'_>, &'p CsrAdjacency) {
         debug_assert_eq!(
             self.generation,
             phys.generation(),
@@ -218,19 +215,12 @@ impl ArTables {
             let (root, via) = self.roots[slot];
             // `0.0 + cost` is exactly the leaf's own first relaxation.
             let start = via.map_or(0.0, |e| 0.0 + family.cost(phys.link(e)));
-            *table = dijkstra_seeded(phys.graph(), &self.csr, root, start, |_, link| {
-                family.cost(link)
-            })
-            .into_distances();
+            *table = dijkstra_seeded(phys.graph(), root, start, |_, link| family.cost(link))
+                .into_distances();
         } else {
             self.hits += 1;
         }
-        (ArView::new(table, dest), &self.csr)
-    }
-
-    /// The CSR adjacency snapshot of the prepared topology.
-    pub fn csr(&self) -> &CsrAdjacency {
-        &self.csr
+        (ArView::new(table, dest), phys.graph().csr())
     }
 
     /// Total Dijkstra runs since construction (both table families).
@@ -326,12 +316,12 @@ impl RoundingScratch {
 /// Everything a worker reuses across mapper calls: topology tables plus
 /// the A\*Prune and DFS scratch buffers.
 ///
-/// Pass one per thread to [`Mapper::map_with_cache`](crate::Mapper::
-/// map_with_cache); results are identical to a fresh cache's for any
-/// cache history.
+/// Pass one per thread to
+/// [`Mapper::map_with_cache`](crate::Mapper::map_with_cache); results are
+/// identical to a fresh cache's for any cache history.
 #[derive(Debug, Default)]
 pub struct MapCache {
-    /// Cross-trial Dijkstra tables + CSR adjacency.
+    /// Cross-trial Dijkstra tables.
     pub topo: ArTables,
     /// A\*Prune arena/heap/on-path buffers.
     pub scratch: RouteScratch,

@@ -33,7 +33,7 @@
 use crate::astar_prune::SearchStats;
 use crate::cache::{ArView, MapCache};
 use crate::networking::{LinkRequest, LinkRouter, Routed};
-use emumap_graph::{CsrAdjacency, EdgeId, NodeId};
+use emumap_graph::{EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
 use emumap_trace::LinkVerdict;
 use rand::seq::SliceRandom;
@@ -105,14 +105,12 @@ impl DfsScratch {
 /// fails (`None`) with **no** latency backtracking — the baseline's
 /// defining weakness versus A\*Prune.
 ///
-/// `csr` is the physical graph's adjacency snapshot and `hops_to_dest` the
-/// unit-cost distance table rooted at `destination`; both come from
-/// [`ArTables::hops_and_csr`](crate::ArTables::hops_and_csr).
+/// `hops_to_dest` is the unit-cost distance table rooted at `destination`,
+/// from [`ArTables::hops_and_csr`](crate::ArTables::hops_and_csr).
 /// Bit-identical results (and RNG consumption) for any `scratch` history.
 #[allow(clippy::too_many_arguments)] // mirrors the astar_prune signature
 pub fn naive_dfs_route(
     phys: &PhysicalTopology,
-    csr: &CsrAdjacency,
     residual: &ResidualState,
     origin: NodeId,
     destination: NodeId,
@@ -122,11 +120,11 @@ pub fn naive_dfs_route(
     rng: &mut dyn RngCore,
     scratch: &mut DfsScratch,
 ) -> Option<Vec<EdgeId>> {
-    debug_assert_eq!(csr.node_count(), phys.graph().node_count());
     if origin == destination {
         return Some(Vec::new());
     }
     let graph = phys.graph();
+    let csr = graph.csr();
     let want = demand.value();
     scratch.begin(graph.node_count());
 
@@ -212,10 +210,9 @@ pub struct DfsRouter<'r> {
 
 impl LinkRouter for DfsRouter<'_> {
     fn route(&mut self, cache: &mut MapCache, link: &LinkRequest<'_>) -> Routed {
-        let (hops, csr) = cache.topo.hops_and_csr(link.phys, link.to);
+        let (hops, _) = cache.topo.hops_and_csr(link.phys, link.to);
         naive_dfs_route(
             link.phys,
-            csr,
             link.residual,
             link.from,
             link.to,
@@ -285,10 +282,9 @@ mod tests {
         let dst = p.hosts()[to];
         let mut tables = crate::ArTables::new();
         tables.prepare(p);
-        let (hops, csr) = tables.hops_and_csr(p, dst);
+        let (hops, _) = tables.hops_and_csr(p, dst);
         naive_dfs_route(
             p,
-            csr,
             r,
             p.hosts()[from],
             dst,

@@ -33,9 +33,7 @@ pub fn diagnose_route(
         return LinkVerdict::PossiblyRoutable; // intra-host always works
     }
     // Latency check on the *uncongested* network (admissible bound).
-    let lat = dijkstra(phys.graph(), &phys.graph().to_csr(), to, |_, l| {
-        l.lat.value()
-    });
+    let lat = dijkstra(phys.graph(), to, |_, l| l.lat.value());
     let best = lat.distance(from).unwrap_or(f64::INFINITY);
     if best > spec.lat.value() + 1e-9 {
         return LinkVerdict::LatencyInfeasible {

@@ -54,7 +54,7 @@ impl YenKsp {
 
 impl LinkRouter for YenKsp {
     fn route(&mut self, cache: &mut MapCache, link: &LinkRequest<'_>) -> Routed {
-        let (ar, csr) = cache.topo.ar_and_csr(link.phys, link.to);
+        let (ar, _) = cache.topo.ar_and_csr(link.phys, link.to);
         let (best, bound) = (ar[link.from.index()], link.spec.lat.value());
         if best > bound + 1e-9 {
             return Err(Some(LinkVerdict::LatencyInfeasible {
@@ -64,11 +64,9 @@ impl LinkRouter for YenKsp {
         }
         // Candidates are computed on the *static* latency metric;
         // feasibility is then checked against the current residuals, so
-        // commitments by earlier links are respected. The cached CSR
-        // snapshot spares Yen's algorithm an O(V + E) adjacency rebuild
-        // per link.
+        // commitments by earlier links are respected.
         let graph = link.phys.graph();
-        k_shortest_paths(graph, csr, link.from, link.to, self.k, |_, l| l.lat.value())
+        k_shortest_paths(graph, link.from, link.to, self.k, |_, l| l.lat.value())
             .into_iter()
             .find(|p| {
                 p.cost <= bound + 1e-9 && link.residual.route_feasible(&p.edges, link.spec.bw)

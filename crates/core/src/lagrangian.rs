@@ -252,22 +252,18 @@ impl LagrangianScratch {
 /// links between the pair)`. Self-loops are skipped (always intra-host).
 /// Shared by the oracle's latency prune and the bound's table restriction.
 pub fn tightest_peer_bounds(venv: &VirtualEnvironment) -> Vec<Vec<(usize, f64)>> {
-    let mut peers = vec![Vec::new(); venv.guest_count()];
-    for l in venv.link_ids() {
-        let (a, b) = venv.link_endpoints(l);
-        if a == b {
-            continue;
-        }
-        let lat = venv.link(l).lat.value();
-        for (u, v) in [(a, b), (b, a)] {
-            let list: &mut Vec<(usize, f64)> = &mut peers[u.index()];
-            match list.iter_mut().find(|(p, _)| *p == v.index()) {
+    let peers_of = |g: GuestId| {
+        let mut list: Vec<(usize, f64)> = Vec::new();
+        for nb in venv.links_of(g).iter().filter(|nb| nb.node != g) {
+            let lat = venv.link(nb.edge).lat.value();
+            match list.iter_mut().find(|(p, _)| *p == nb.node.index()) {
                 Some(entry) => entry.1 = entry.1.min(lat),
-                None => list.push((v.index(), lat)),
+                None => list.push((nb.node.index(), lat)),
             }
         }
-    }
-    peers
+        list
+    };
+    venv.guest_ids().map(peers_of).collect()
 }
 
 /// Water-filling completion of `residuals` under total `demand`: the

@@ -62,7 +62,7 @@ pub trait LinkRouter {
 /// the destination.
 impl LinkRouter for &AStarPruneConfig {
     fn route(&mut self, cache: &mut MapCache, link: &LinkRequest<'_>) -> Routed {
-        let (ar, csr) = cache.topo.ar_and_csr(link.phys, link.to);
+        let (ar, _) = cache.topo.ar_and_csr(link.phys, link.to);
         astar_prune(
             link.phys,
             link.residual,
@@ -72,7 +72,6 @@ impl LinkRouter for &AStarPruneConfig {
             link.spec.lat,
             ar,
             self,
-            csr,
             &mut cache.scratch,
         )
         .ok_or(None)

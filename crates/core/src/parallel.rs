@@ -127,12 +127,13 @@ impl ParallelRunner {
     /// totals from the pipeline's trace events.
     ///
     /// Each worker's cache gets a phase-folding tracer, so every mapper
-    /// invoked through [`Mapper::map_with_cache`](crate::Mapper::
-    /// map_with_cache) contributes its Hosting/Migration/Networking span
-    /// timings to the returned [`PhaseTotals`]. Trials that replace the
-    /// cache's tracer with their own sink opt out of the aggregation for
-    /// that trial. Results are still deterministic; only the totals'
-    /// timings vary run to run.
+    /// invoked through
+    /// [`Mapper::map_with_cache`](crate::Mapper::map_with_cache)
+    /// contributes its Hosting/Migration/Networking span timings to the
+    /// returned [`PhaseTotals`]. Trials that replace the cache's tracer
+    /// with their own sink opt out of the aggregation for that trial.
+    /// Results are still deterministic; only the totals' timings vary run
+    /// to run.
     pub fn run_tracked<T, R, F>(&self, items: Vec<T>, f: F) -> (Vec<R>, PhaseTotals)
     where
         T: Send,

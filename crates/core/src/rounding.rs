@@ -216,7 +216,7 @@ fn solve_fractional(
                 continue;
             }
             let prices = &rs.edge_prices;
-            let result = dijkstra(graph, topo.csr(), hosts[hi], |e, link| {
+            let result = dijkstra(graph, hosts[hi], |e, link| {
                 link.lat.value().max(LAT_EPSILON) * prices[e.index()]
             });
             dmax = result

@@ -197,9 +197,9 @@ impl<'a> PlacementState<'a> {
     }
 
     /// Hypothetical evaluations answered by the O(1)/O(degree) delta paths
-    /// since construction ([`objective_if_migrated`](Self::
-    /// objective_if_migrated) and [`inter_bandwidth_delta`](Self::
-    /// inter_bandwidth_delta)).
+    /// since construction
+    /// ([`objective_if_migrated`](Self::objective_if_migrated) and
+    /// [`inter_bandwidth_delta`](Self::inter_bandwidth_delta)).
     pub fn delta_evaluations(&self) -> u64 {
         self.delta_evals.get()
     }
@@ -215,9 +215,10 @@ impl<'a> PlacementState<'a> {
     /// guest minimizing this, "in order to minimize utilization of physical
     /// links" (§4.2).
     ///
-    /// Self-loop rule (shared with [`inter_host_bandwidth`](Self::
-    /// inter_host_bandwidth)): a guest's link to itself is never routed and
-    /// counts toward *neither* the co-located nor the inter-host total.
+    /// Self-loop rule (shared with
+    /// [`inter_host_bandwidth`](Self::inter_host_bandwidth)): a guest's link
+    /// to itself is never routed and counts toward *neither* the co-located
+    /// nor the inter-host total.
     pub fn co_located_bandwidth(&self, guest: GuestId) -> Kbps {
         let Some(host) = self.assignment[guest.index()] else {
             return Kbps::ZERO;

@@ -85,12 +85,11 @@ proptest! {
     fn views_equal_a_fresh_dijkstra_from_every_destination(seed in any::<u64>()) {
         let phys = build(seed);
         let graph = phys.graph();
-        let csr = graph.to_csr();
         let mut tables = ArTables::new();
         tables.prepare(&phys);
         for dest in graph.node_ids() {
-            let lat = dijkstra(graph, &csr, dest, |_, l| l.lat.value()).into_distances();
-            let hops = dijkstra(graph, &csr, dest, |_, _| 1.0).into_distances();
+            let lat = dijkstra(graph, dest, |_, l| l.lat.value()).into_distances();
+            let hops = dijkstra(graph, dest, |_, _| 1.0).into_distances();
             let (ar, _) = tables.ar_and_csr(&phys, dest);
             for v in graph.node_ids().filter(|&v| v != dest) {
                 prop_assert_eq!(ar[v.index()].to_bits(), lat[v.index()].to_bits());
@@ -107,10 +106,9 @@ proptest! {
     #[test]
     fn latency_diameter_is_the_per_host_maximum(seed in any::<u64>()) {
         let phys = build(seed);
-        let csr = phys.graph().to_csr();
         let mut expected = 0.0f64;
         for &h in phys.hosts() {
-            let d = dijkstra(phys.graph(), &csr, h, |_, l| l.lat.value());
+            let d = dijkstra(phys.graph(), h, |_, l| l.lat.value());
             for &g in phys.hosts() {
                 expected = expected.max(d.distance(g).unwrap_or(f64::INFINITY));
             }

@@ -11,7 +11,7 @@
 use emumap_core::{astar_prune, AStarPruneConfig, ArView, PathMetric, RouteScratch};
 use emumap_graph::algo::dijkstra;
 use emumap_graph::generators::random_connected;
-use emumap_graph::{CsrAdjacency, EdgeId, Graph, NodeId};
+use emumap_graph::{EdgeId, Graph, NodeId};
 use emumap_model::{
     HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, PhysNode, PhysicalTopology, ResidualState,
     StorGb, VmmOverhead,
@@ -46,8 +46,7 @@ fn enumerate_paths(
             visit(edges, lat, bottleneck);
             return;
         }
-        let neighbors: Vec<_> = phys.graph().neighbors(cur).collect();
-        for nb in neighbors {
+        for &nb in phys.graph().csr().neighbors(cur) {
             if on_path.contains(&nb.node) {
                 continue;
             }
@@ -153,8 +152,8 @@ fn pick_pair(phys: &PhysicalTopology, seed: u64) -> (NodeId, NodeId) {
 }
 
 /// The latency `ar[]` table rooted at `dest`.
-fn ar_table(phys: &PhysicalTopology, csr: &CsrAdjacency, dest: NodeId) -> Vec<f64> {
-    dijkstra(phys.graph(), csr, dest, |_, l| l.lat.value()).into_distances()
+fn ar_table(phys: &PhysicalTopology, dest: NodeId) -> Vec<f64> {
+    dijkstra(phys.graph(), dest, |_, l| l.lat.value()).into_distances()
 }
 
 proptest! {
@@ -165,22 +164,21 @@ proptest! {
     /// result.
     #[test]
     fn astar_prune_warm_scratch_matches_fresh((phys, seed) in arb_cluster()) {
-        let csr = phys.graph().to_csr();
         let residual = ResidualState::new(&phys);
         let config = AStarPruneConfig::default();
         let mut dirty = RouteScratch::new();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xa5a5);
         for trial in 0..3u64 {
             let (origin, dest) = pick_pair(&phys, seed ^ trial);
-            let ar = ar_table(&phys, &csr, dest);
+            let ar = ar_table(&phys, dest);
             let demand = Kbps(rng.gen_range(1.0..300.0));
             let bound = Millis(rng.gen_range(5.0..60.0));
             let fresh = astar_prune(
-                &phys, &residual, origin, dest, demand, bound, ArView::new(&ar, dest), &config, &csr,
+                &phys, &residual, origin, dest, demand, bound, ArView::new(&ar, dest), &config,
                 &mut RouteScratch::new(),
             );
             let warm = astar_prune(
-                &phys, &residual, origin, dest, demand, bound, ArView::new(&ar, dest), &config, &csr, &mut dirty,
+                &phys, &residual, origin, dest, demand, bound, ArView::new(&ar, dest), &config, &mut dirty,
             );
             prop_assert_eq!(fresh, warm);
         }
@@ -192,10 +190,9 @@ proptest! {
     /// latency bound holds.
     #[test]
     fn dominance_pruned_paths_are_feasible((phys, seed) in arb_cluster()) {
-        let csr = phys.graph().to_csr();
         let residual = ResidualState::new(&phys);
         let (origin, dest) = pick_pair(&phys, seed);
-        let ar = ar_table(&phys, &csr, dest);
+        let ar = ar_table(&phys, dest);
         let config = AStarPruneConfig {
             prune_dominated: true,
             ..Default::default()
@@ -203,7 +200,7 @@ proptest! {
         let demand = Kbps(150.0);
         let bound = Millis(45.0);
         if let Some((path, stats)) = astar_prune(
-            &phys, &residual, origin, dest, demand, bound, ArView::new(&ar, dest), &config, &csr,
+            &phys, &residual, origin, dest, demand, bound, ArView::new(&ar, dest), &config,
             &mut RouteScratch::new(),
         ) {
             let lat: f64 = path.iter().map(|&e| phys.link(e).lat.value()).sum();
@@ -242,8 +239,7 @@ proptest! {
             }
         });
 
-        let csr = phys.graph().to_csr();
-        let ar: Vec<f64> = dijkstra(phys.graph(), &csr, to, |_, l| l.lat.value())
+        let ar: Vec<f64> = dijkstra(phys.graph(), to, |_, l| l.lat.value())
             .into_distances();
         let found = astar_prune(
             &phys,
@@ -254,7 +250,6 @@ proptest! {
             Millis(bound),
             ArView::new(&ar, to),
             &AStarPruneConfig::default(),
-            &csr,
             &mut RouteScratch::new(),
         );
 
@@ -291,7 +286,6 @@ fn golden_batch() -> Vec<String> {
     let (torus, switched) = ClusterSpec::paper().build_both(&mut SmallRng::seed_from_u64(2009));
     let mut out = Vec::new();
     for (cluster, phys) in [("torus", &torus), ("switched", &switched)] {
-        let csr = phys.graph().to_csr();
         let mut scratch = RouteScratch::new();
         for (metric_name, metric) in [
             ("bottleneck", PathMetric::BottleneckBandwidth),
@@ -306,7 +300,7 @@ fn golden_batch() -> Vec<String> {
             for _ in 0..12 {
                 let (origin, dest) = pick_pair(phys, rng.gen());
                 let demand = Kbps(f64::from(rng.gen_range(1..=40u32)) * 25_000.0);
-                let ar = ar_table(phys, &csr, dest);
+                let ar = ar_table(phys, dest);
                 // Zero to three hops of slack over the unconstrained
                 // shortest latency.
                 let bound = Millis(ar[origin.index()] + f64::from(rng.gen_range(0..=3u32)) * 5.0);
@@ -319,7 +313,6 @@ fn golden_batch() -> Vec<String> {
                     bound,
                     ArView::new(&ar, dest),
                     &config,
-                    &csr,
                     &mut scratch,
                 );
                 out.push(match found {

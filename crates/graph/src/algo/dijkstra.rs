@@ -6,9 +6,10 @@
 //! [`DijkstraResult::path_to`] reconstructs one path from it. The loop
 //! itself is [`DijkstraScratch::run`], which also serves searches that
 //! reuse their buffers, skip edges or stop early (Yen's spur searches,
-//! A\*Prune's bandwidth guide).
+//! A\*Prune's bandwidth guide). Every run walks the graph's own
+//! adjacency, [`Graph::csr`].
 
-use crate::{CsrAdjacency, EdgeId, Graph, NodeId};
+use crate::{EdgeId, Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -84,23 +85,16 @@ impl DijkstraResult {
 }
 
 /// Runs Dijkstra from `source`, with the cost of each edge given by
-/// `cost(edge_id, payload)`, iterating neighbors through `csr`.
+/// `cost(edge_id, payload)`, iterating neighbors through the graph's
+/// adjacency ([`Graph::csr`]).
 ///
-/// `csr` must be a [`Graph::to_csr`] snapshot of `graph` (debug-asserted on
-/// node count): one-shot callers pass `&graph.to_csr()`, loops build it
-/// once, and the `ar[]` table cache of HMN's Networking stage keeps one
-/// per topology. Costs must be non-negative and finite; this is
-/// debug-asserted. Undirected edges are relaxed in both directions.
-pub fn dijkstra<N, E, F>(
-    graph: &Graph<N, E>,
-    csr: &CsrAdjacency,
-    source: NodeId,
-    cost: F,
-) -> DijkstraResult
+/// Costs must be non-negative and finite; this is debug-asserted.
+/// Undirected edges are relaxed in both directions.
+pub fn dijkstra<N, E, F>(graph: &Graph<N, E>, source: NodeId, cost: F) -> DijkstraResult
 where
     F: FnMut(EdgeId, &E) -> f64,
 {
-    dijkstra_seeded(graph, csr, source, 0.0, cost)
+    dijkstra_seeded(graph, source, 0.0, cost)
 }
 
 /// [`dijkstra`] with the source starting at distance `start` instead of 0.
@@ -113,7 +107,6 @@ where
 /// non-negative and finite.
 pub fn dijkstra_seeded<N, E, F>(
     graph: &Graph<N, E>,
-    csr: &CsrAdjacency,
     source: NodeId,
     start: f64,
     mut cost: F,
@@ -122,14 +115,7 @@ where
     F: FnMut(EdgeId, &E) -> f64,
 {
     let mut scratch = DijkstraScratch::default();
-    scratch.run(
-        graph,
-        csr,
-        source,
-        start,
-        |e, w| Some(cost(e, w)),
-        |_, _| false,
-    );
+    scratch.run(graph, source, start, |e, w| Some(cost(e, w)), |_, _| false);
     let DijkstraScratch { dist, prev, .. } = scratch;
     DijkstraResult { source, dist, prev }
 }
@@ -172,22 +158,17 @@ impl DijkstraScratch {
     pub fn run<N, E>(
         &mut self,
         graph: &Graph<N, E>,
-        csr: &CsrAdjacency,
         source: NodeId,
         start: f64,
         mut cost: impl FnMut(EdgeId, &E) -> Option<f64>,
         mut stop: impl FnMut(NodeId, f64) -> bool,
     ) {
-        debug_assert_eq!(
-            csr.node_count(),
-            graph.node_count(),
-            "CSR snapshot does not match this graph"
-        );
         debug_assert!(
             start >= 0.0 && start.is_finite(),
             "bad start distance {start}"
         );
         let n = graph.node_count();
+        let csr = graph.csr();
         let DijkstraScratch { dist, prev, heap } = self;
         dist.clear();
         dist.resize(n, f64::INFINITY);
@@ -257,7 +238,7 @@ mod tests {
     #[test]
     fn distances_match_hand_computation() {
         let (g, ids) = weighted();
-        let r = dijkstra(&g, &g.to_csr(), ids[0], |_, w| *w);
+        let r = dijkstra(&g, ids[0], |_, w| *w);
         assert_eq!(r.distance(ids[0]), Some(0.0));
         assert_eq!(r.distance(ids[2]), Some(1.0));
         assert_eq!(r.distance(ids[1]), Some(3.0)); // 0-2-1
@@ -268,7 +249,7 @@ mod tests {
     #[test]
     fn path_reconstruction() {
         let (g, ids) = weighted();
-        let r = dijkstra(&g, &g.to_csr(), ids[0], |_, w| *w);
+        let r = dijkstra(&g, ids[0], |_, w| *w);
         let path = r.path_to(ids[3]).unwrap();
         assert_eq!(r.distance(ids[3]), Some(4.0));
         assert_eq!(path, vec![ids[0], ids[2], ids[1], ids[3]]);
@@ -277,7 +258,7 @@ mod tests {
     #[test]
     fn edge_path_lengths_are_consistent() {
         let (g, ids) = weighted();
-        let r = dijkstra(&g, &g.to_csr(), ids[0], |_, w| *w);
+        let r = dijkstra(&g, ids[0], |_, w| *w);
         let edges = r.edge_path_to(ids[4]).unwrap();
         let total: f64 = edges.iter().map(|&e| *g.edge(e)).sum();
         assert_eq!(total, 7.0);
@@ -289,7 +270,7 @@ mod tests {
         let mut g: Graph<(), f64> = Graph::new();
         let a = g.add_node(());
         let b = g.add_node(());
-        let r = dijkstra(&g, &g.to_csr(), a, |_, w| *w);
+        let r = dijkstra(&g, a, |_, w| *w);
         assert_eq!(r.distance(b), None);
         assert!(r.path_to(b).is_none());
         assert!(r.edge_path_to(b).is_none());
@@ -303,7 +284,7 @@ mod tests {
         let c = g.add_node(());
         g.add_edge(a, b, 0.0);
         g.add_edge(b, c, 0.0);
-        let r = dijkstra(&g, &g.to_csr(), a, |_, w| *w);
+        let r = dijkstra(&g, a, |_, w| *w);
         assert_eq!(r.distance(c), Some(0.0));
     }
 
@@ -314,7 +295,7 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, b, 5.0);
         g.add_edge(a, b, 2.0);
-        let r = dijkstra(&g, &g.to_csr(), a, |_, w| *w);
+        let r = dijkstra(&g, a, |_, w| *w);
         assert_eq!(r.distance(b), Some(2.0));
     }
 
@@ -325,7 +306,7 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, a, 0.0);
         g.add_edge(a, b, 3.0);
-        let r = dijkstra(&g, &g.to_csr(), a, |_, w| *w);
+        let r = dijkstra(&g, a, |_, w| *w);
         assert_eq!(r.distance(b), Some(3.0));
     }
 }

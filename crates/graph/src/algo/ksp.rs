@@ -8,7 +8,7 @@
 //! (b) to power the `KspRouting` extension strategy in `emumap-core`.
 
 use crate::algo::DijkstraScratch;
-use crate::{CsrAdjacency, EdgeId, Graph, NodeId};
+use crate::{EdgeId, Graph, NodeId};
 
 /// A simple path: total cost plus the node sequence from source to target.
 #[derive(Clone, Debug, PartialEq)]
@@ -24,10 +24,8 @@ pub struct CostedPath {
 /// Dijkstra restricted to a subgraph: `banned_edges` may not be used,
 /// `banned_nodes` may not be visited. Returns the cheapest path as a
 /// [`CostedPath`], or `None`.
-#[allow(clippy::too_many_arguments)]
 fn dijkstra_path_filtered<N, E, F>(
     graph: &Graph<N, E>,
-    csr: &CsrAdjacency,
     source: NodeId,
     target: NodeId,
     cost: &mut F,
@@ -49,7 +47,6 @@ where
     };
     scratch.run(
         graph,
-        csr,
         source,
         0.0,
         |e, w| usable(e).then(|| cost(e, w)),
@@ -78,12 +75,10 @@ where
 }
 
 /// Returns up to `k` cheapest simple paths from `source` to `target` in
-/// ascending cost order (Yen's algorithm), iterating neighbors through
-/// `csr`, a [`Graph::to_csr`] snapshot of `graph`. Returns fewer than `k`
-/// when the graph has fewer simple paths. Costs must be non-negative.
+/// ascending cost order (Yen's algorithm). Returns fewer than `k` when
+/// the graph has fewer simple paths. Costs must be non-negative.
 pub fn k_shortest_paths<N, E, F>(
     graph: &Graph<N, E>,
-    csr: &CsrAdjacency,
     source: NodeId,
     target: NodeId,
     k: usize,
@@ -92,21 +87,13 @@ pub fn k_shortest_paths<N, E, F>(
 where
     F: FnMut(EdgeId, &E) -> f64,
 {
-    debug_assert_eq!(csr.node_count(), graph.node_count());
     if k == 0 {
         return Vec::new();
     }
     let mut scratch = DijkstraScratch::new();
-    let Some(first) = dijkstra_path_filtered(
-        graph,
-        csr,
-        source,
-        target,
-        &mut cost,
-        &[],
-        &[],
-        &mut scratch,
-    ) else {
+    let Some(first) =
+        dijkstra_path_filtered(graph, source, target, &mut cost, &[], &[], &mut scratch)
+    else {
         return Vec::new();
     };
     let mut accepted: Vec<CostedPath> = vec![first];
@@ -136,7 +123,6 @@ where
 
             if let Some(spur) = dijkstra_path_filtered(
                 graph,
-                csr,
                 spur_node,
                 target,
                 &mut cost,
@@ -203,7 +189,7 @@ mod tests {
     fn yen_reference_example() {
         let (g, ids) = yen_graph();
         let (c, h) = (ids[0], ids[5]);
-        let paths = k_shortest_paths(&g, &g.to_csr(), c, h, 3, |_, w| *w);
+        let paths = k_shortest_paths(&g, c, h, 3, |_, w| *w);
         assert_eq!(paths.len(), 3);
         // Undirected version of Yen's example still has C-E-F-H = 5 as the
         // shortest path.
@@ -215,7 +201,7 @@ mod tests {
     #[test]
     fn paths_are_simple_and_connect_endpoints() {
         let (g, ids) = yen_graph();
-        let paths = k_shortest_paths(&g, &g.to_csr(), ids[0], ids[5], 10, |_, w| *w);
+        let paths = k_shortest_paths(&g, ids[0], ids[5], 10, |_, w| *w);
         assert!(paths.len() >= 3);
         for p in &paths {
             assert_eq!(p.nodes.first(), Some(&ids[0]));
@@ -233,7 +219,7 @@ mod tests {
     #[test]
     fn all_paths_distinct() {
         let (g, ids) = yen_graph();
-        let paths = k_shortest_paths(&g, &g.to_csr(), ids[0], ids[5], 20, |_, w| *w);
+        let paths = k_shortest_paths(&g, ids[0], ids[5], 20, |_, w| *w);
         for i in 0..paths.len() {
             for j in (i + 1)..paths.len() {
                 assert_ne!(paths[i].nodes, paths[j].nodes);
@@ -244,11 +230,11 @@ mod tests {
     #[test]
     fn k_zero_and_unreachable() {
         let (g, ids) = yen_graph();
-        assert!(k_shortest_paths(&g, &g.to_csr(), ids[0], ids[5], 0, |_, w| *w).is_empty());
+        assert!(k_shortest_paths(&g, ids[0], ids[5], 0, |_, w| *w).is_empty());
         let mut g2: Graph<(), f64> = Graph::new();
         let a = g2.add_node(());
         let b = g2.add_node(());
-        assert!(k_shortest_paths(&g2, &g2.to_csr(), a, b, 3, |_, w| *w).is_empty());
+        assert!(k_shortest_paths(&g2, a, b, 3, |_, w| *w).is_empty());
     }
 
     #[test]
@@ -261,7 +247,7 @@ mod tests {
         g.add_edge(a, b, 1.0);
         g.add_edge(b, c, 1.0);
         g.add_edge(a, c, 1.0);
-        let paths = k_shortest_paths(&g, &g.to_csr(), a, c, 10, |_, w| *w);
+        let paths = k_shortest_paths(&g, a, c, 10, |_, w| *w);
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].cost, 1.0);
         assert_eq!(paths[1].cost, 2.0);
@@ -273,7 +259,6 @@ mod tests {
         let g = shape.map_edges(|_, _| 1.0f64);
         let paths = k_shortest_paths(
             &g,
-            &g.to_csr(),
             NodeId::from_index(0),
             NodeId::from_index(2),
             5,

@@ -14,7 +14,7 @@ pub fn eccentricity<N, E, F>(graph: &Graph<N, E>, node: NodeId, cost: F) -> Opti
 where
     F: FnMut(EdgeId, &E) -> f64,
 {
-    farthest(graph, &dijkstra(graph, &graph.to_csr(), node, cost))
+    farthest(graph, &dijkstra(graph, node, cost))
 }
 
 /// The greatest distance in `result`, or `None` if some node of `graph`
@@ -36,10 +36,9 @@ where
     if graph.node_count() == 0 {
         return None;
     }
-    let csr = graph.to_csr();
     let mut max = 0.0f64;
     for v in graph.node_ids() {
-        max = max.max(farthest(graph, &dijkstra(graph, &csr, v, &mut cost))?);
+        max = max.max(farthest(graph, &dijkstra(graph, v, &mut cost))?);
     }
     Some(max)
 }
@@ -54,10 +53,9 @@ where
     if n < 2 {
         return None;
     }
-    let csr = graph.to_csr();
     let mut total = 0.0;
     for v in graph.node_ids() {
-        let result = dijkstra(graph, &csr, v, &mut cost);
+        let result = dijkstra(graph, v, &mut cost);
         for u in graph.node_ids() {
             if u != v {
                 total += result.distance(u)?;

@@ -72,8 +72,7 @@ pub fn dfs_order<N, E>(graph: &Graph<N, E>, source: NodeId) -> Vec<NodeId> {
         order.push(v);
         // Push in reverse so the first-listed neighbor is visited first,
         // matching the recursive formulation.
-        let neighbors: Vec<_> = graph.neighbors(v).collect();
-        for nb in neighbors.into_iter().rev() {
+        for nb in graph.csr().neighbors(v).iter().rev() {
             if !seen[nb.node.index()] {
                 stack.push(nb.node);
             }
@@ -123,7 +122,7 @@ where
 
     while let Some(frame) = frames.last_mut() {
         let v = frame.node;
-        let neighbors: Vec<_> = graph.neighbors(v).collect();
+        let neighbors = graph.csr().neighbors(v);
         let mut advanced = false;
         while frame.next_neighbor < neighbors.len() {
             let nb = neighbors[frame.next_neighbor];

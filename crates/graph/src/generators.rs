@@ -9,11 +9,12 @@
 //!
 //! Random generators take an explicit `&mut impl Rng` for reproducibility.
 
-use crate::algo::{is_connected, UnionFind};
+use crate::algo::is_connected;
 use crate::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// What a topology node is allowed to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -273,14 +274,15 @@ pub fn random_connected<R: Rng + ?Sized>(n: usize, density: f64, rng: &mut R) ->
     // earlier node in the shuffled order.
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
-    let mut uf = UnionFind::new(n);
+    // Pairs already joined (`has_edge` would rebuild the CSR per edge).
+    let mut placed = HashSet::with_capacity(target_edges);
+    let pair = |a: usize, b: usize| (a.min(b), a.max(b));
     for i in 1..n {
         let parent = order[rng.gen_range(0..i)];
         let child = order[i];
         g.add_edge(ids[parent], ids[child], ());
-        uf.union(parent, child);
+        placed.insert(pair(parent, child));
     }
-    debug_assert_eq!(uf.component_count(), 1);
 
     // Densify with rejection sampling. Collision probability stays low at
     // the paper's densities (<= 0.025), so this terminates quickly; a
@@ -293,7 +295,7 @@ pub fn random_connected<R: Rng + ?Sized>(n: usize, density: f64, rng: &mut R) ->
         attempts += 1;
         let a = rng.gen_range(0..n);
         let b = rng.gen_range(0..n);
-        if a == b || g.has_edge(ids[a], ids[b]) {
+        if a == b || !placed.insert(pair(a, b)) {
             continue;
         }
         g.add_edge(ids[a], ids[b], ());
@@ -304,7 +306,7 @@ pub fn random_connected<R: Rng + ?Sized>(n: usize, density: f64, rng: &mut R) ->
         let mut missing: Vec<(usize, usize)> = Vec::new();
         for a in 0..n {
             for b in (a + 1)..n {
-                if !g.has_edge(ids[a], ids[b]) {
+                if !placed.contains(&(a, b)) {
                     missing.push((a, b));
                 }
             }

@@ -1,7 +1,8 @@
 //! The core undirected multigraph.
 
 use crate::{EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::sync::OnceLock;
 
 /// One stored edge: its two endpoints and its payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -50,20 +51,13 @@ impl<'g, E> EdgeRef<'g, E> {
     }
 }
 
-/// A compact, cache-friendly snapshot of a graph's adjacency in CSR
-/// (compressed sparse row) form: every `(neighbor, edge)` pair lives in one
-/// contiguous array, with per-node offsets into it.
-///
-/// [`Graph`]'s native adjacency is a `Vec<Vec<_>>` — one heap allocation
-/// per node, scattered across the heap. Hot search loops (A\*Prune,
-/// Dijkstra) iterate neighbor lists millions of times per mapping, so the
-/// CSR view is built once per topology and handed to them: neighbor
-/// iteration becomes a contiguous slice scan with no pointer chasing.
-///
-/// The snapshot is immutable; edges added to the graph afterwards are not
-/// reflected. Callers that cache a `CsrAdjacency` across calls key it by
-/// the topology's generation (see `emumap-core`'s `ArTables`).
-#[derive(Clone, Debug, Default)]
+/// A graph's adjacency in CSR (compressed sparse row) form: every
+/// `(neighbor, edge)` pair in one contiguous array, with per-node offsets
+/// into it, so the hot search loops (A\*Prune, Dijkstra) scan one slice
+/// per node. A node's entries follow edge-id order; a self-loop appears
+/// once. It is the only adjacency a [`Graph`] has: [`Graph::csr`] builds
+/// it from the edge list and keeps it until the graph's structure changes.
+#[derive(Clone, Debug)]
 pub struct CsrAdjacency {
     /// `offsets[v]..offsets[v + 1]` indexes `neighbors` for node `v`;
     /// length `node_count + 1`.
@@ -73,18 +67,52 @@ pub struct CsrAdjacency {
 }
 
 impl CsrAdjacency {
-    /// Number of nodes the snapshot covers.
+    /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.offsets.len() - 1
     }
 
-    /// Neighbors of `node` as a contiguous slice, in the same order
-    /// [`Graph::neighbors`] yields them.
+    /// Neighbors of `node` as a contiguous slice, in edge-id order.
     #[inline]
     pub fn neighbors(&self, node: NodeId) -> &[NeighborRef] {
         let i = node.index();
         &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Counting sort of `edges` by endpoint: O(V + E).
+    fn build<E>(node_count: usize, edges: &[EdgeSlot<E>]) -> Self {
+        let mut offsets = vec![0u32; node_count + 1];
+        for slot in edges {
+            offsets[slot.a.index() + 1] += 1;
+            if slot.a != slot.b {
+                offsets[slot.b.index() + 1] += 1;
+            }
+        }
+        let mut total = 0u32;
+        for offset in &mut offsets {
+            total = total.checked_add(*offset).expect("adjacency fits in u32");
+            *offset = total;
+        }
+        // `next[v]` is where `v`'s next entry goes.
+        let mut next = offsets.clone();
+        let placeholder = NeighborRef {
+            node: NodeId(0),
+            edge: EdgeId(0),
+        };
+        let mut neighbors = vec![placeholder; total as usize];
+        for (i, slot) in edges.iter().enumerate() {
+            let edge = EdgeId::from_index(i);
+            let mut push = |v: NodeId, node| {
+                neighbors[next[v.index()] as usize] = NeighborRef { node, edge };
+                next[v.index()] += 1;
+            };
+            push(slot.a, slot.b);
+            if slot.a != slot.b {
+                push(slot.b, slot.a);
+            }
+        }
+        CsrAdjacency { offsets, neighbors }
     }
 }
 
@@ -97,12 +125,18 @@ impl CsrAdjacency {
 /// * Removal is not supported: the mapping workloads only ever *build*
 ///   topologies, and append-only storage keeps ids dense so algorithm
 ///   side-tables can be flat `Vec`s.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// * The adjacency ([`Graph::csr`]) is derived state: equality ignores it.
+#[derive(Clone, Debug)]
 pub struct Graph<N, E> {
     nodes: Vec<N>,
     edges: Vec<EdgeSlot<E>>,
-    /// adjacency[v] = list of (neighbor, edge) pairs incident to v.
-    adjacency: Vec<Vec<(NodeId, EdgeId)>>,
+    csr: OnceLock<CsrAdjacency>,
+}
+
+impl<N: PartialEq, E: PartialEq> PartialEq for Graph<N, E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes && self.edges == other.edges
+    }
 }
 
 impl<N, E> Default for Graph<N, E> {
@@ -117,7 +151,7 @@ impl<N, E> Graph<N, E> {
         Graph {
             nodes: Vec::new(),
             edges: Vec::new(),
-            adjacency: Vec::new(),
+            csr: OnceLock::new(),
         }
     }
 
@@ -127,7 +161,7 @@ impl<N, E> Graph<N, E> {
         Graph {
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
-            adjacency: Vec::with_capacity(nodes),
+            csr: OnceLock::new(),
         }
     }
 
@@ -135,7 +169,7 @@ impl<N, E> Graph<N, E> {
     pub fn add_node(&mut self, weight: N) -> NodeId {
         let id = NodeId::from_index(self.nodes.len());
         self.nodes.push(weight);
-        self.adjacency.push(Vec::new());
+        self.csr.take();
         id
     }
 
@@ -154,10 +188,7 @@ impl<N, E> Graph<N, E> {
         );
         let id = EdgeId::from_index(self.edges.len());
         self.edges.push(EdgeSlot { a, b, weight });
-        self.adjacency[a.index()].push((b, id));
-        if a != b {
-            self.adjacency[b.index()].push((a, id));
-        }
+        self.csr.take();
         id
     }
 
@@ -259,29 +290,36 @@ impl<N, E> Graph<N, E> {
         })
     }
 
-    /// Neighbors of `node`: each adjacent node paired with the edge reaching
-    /// it. Parallel edges yield one entry per edge; a self-loop yields a
-    /// single entry pointing back at `node`.
-    pub fn neighbors(&self, node: NodeId) -> impl ExactSizeIterator<Item = NeighborRef> + '_ {
-        self.adjacency[node.index()]
-            .iter()
-            .map(|&(n, e)| NeighborRef { node: n, edge: e })
+    /// The adjacency, built from the edge list (O(V + E)) on the first call
+    /// after a structural change and kept until the next one.
+    #[inline]
+    pub fn csr(&self) -> &CsrAdjacency {
+        self.csr
+            .get_or_init(|| CsrAdjacency::build(self.nodes.len(), &self.edges))
     }
 
-    /// Degree of `node` (number of incident edge endpoints; self-loops count
-    /// once because adjacency stores them once).
+    /// Neighbors of `node`: each adjacent node paired with the edge reaching
+    /// it, in edge-id order. Parallel edges yield one entry per edge; a
+    /// self-loop yields a single entry pointing back at `node`.
+    pub fn neighbors(&self, node: NodeId) -> impl ExactSizeIterator<Item = NeighborRef> + '_ {
+        self.csr().neighbors(node).iter().copied()
+    }
+
+    /// Degree of `node` (number of incident edge endpoints; a self-loop
+    /// counts once because the adjacency lists it once).
     #[inline]
     pub fn degree(&self, node: NodeId) -> usize {
-        self.adjacency[node.index()].len()
+        self.csr().neighbors(node).len()
     }
 
     /// Finds an edge connecting `a` and `b`, if any (first match in `a`'s
     /// adjacency list; O(degree(a))).
     pub fn find_edge(&self, a: NodeId, b: NodeId) -> Option<EdgeId> {
-        self.adjacency[a.index()]
+        self.csr()
+            .neighbors(a)
             .iter()
-            .find(|&&(n, _)| n == b)
-            .map(|&(_, e)| e)
+            .find(|nb| nb.node == b)
+            .map(|nb| nb.edge)
     }
 
     /// `true` if some edge connects `a` and `b`.
@@ -308,22 +346,8 @@ impl<N, E> Graph<N, E> {
                     weight: f(EdgeId::from_index(i), &slot.weight),
                 })
                 .collect(),
-            adjacency: self.adjacency.clone(),
+            csr: self.csr.clone(),
         }
-    }
-
-    /// Builds a [`CsrAdjacency`] snapshot of the current adjacency.
-    /// O(V + E); neighbor order matches [`Graph::neighbors`].
-    pub fn to_csr(&self) -> CsrAdjacency {
-        let total: usize = self.adjacency.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(self.nodes.len() + 1);
-        let mut neighbors = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for adj in &self.adjacency {
-            neighbors.extend(adj.iter().map(|&(n, e)| NeighborRef { node: n, edge: e }));
-            offsets.push(u32::try_from(neighbors.len()).expect("adjacency fits in u32"));
-        }
-        CsrAdjacency { offsets, neighbors }
     }
 
     /// Sum of edge-payload projections; convenience for capacity audits.
@@ -333,6 +357,57 @@ impl<N, E> Graph<N, E> {
     {
         self.edges.iter().map(|slot| f(&slot.weight)).sum()
     }
+}
+
+// The wire format is the one the derive wrote when the adjacency was a
+// stored field: `nodes`, `edges` and `adjacency` (per node, its
+// `[neighbor, edge]` pairs). Loading derives the adjacency from `edges`
+// and rejects a file whose stored lists disagree with it.
+impl<N: Serialize, E: Serialize> Serialize for Graph<N, E> {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("nodes".to_string(), self.nodes.to_value()),
+            ("edges".to_string(), self.edges.to_value()),
+            ("adjacency".to_string(), adjacency_lists(self).to_value()),
+        ])
+    }
+}
+
+impl<N: Deserialize, E: Deserialize> Deserialize for Graph<N, E> {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let pairs = value.expect_object("Graph")?;
+        let graph = Graph {
+            nodes: serde::__field(pairs, "nodes", "Graph")?,
+            edges: serde::__field(pairs, "edges", "Graph")?,
+            csr: OnceLock::new(),
+        };
+        let n = graph.node_count();
+        if let Some(e) = graph.edges().find(|e| e.a.index() >= n || e.b.index() >= n) {
+            let (id, a, b) = (e.id.index(), e.a, e.b);
+            let msg = format!("Graph.edges[{id}]: endpoint out of range ({a} -- {b}, {n} nodes)");
+            return Err(DeError::new(msg));
+        }
+        let stored: Vec<Vec<(NodeId, EdgeId)>> = serde::__field(pairs, "adjacency", "Graph")?;
+        if stored != adjacency_lists(&graph) {
+            return Err(DeError::new(
+                "Graph.adjacency: does not match the adjacency of the edge list",
+            ));
+        }
+        Ok(graph)
+    }
+}
+
+/// The adjacency in its wire form: per node, its `(neighbor, edge)` pairs.
+fn adjacency_lists<N, E>(graph: &Graph<N, E>) -> Vec<Vec<(NodeId, EdgeId)>> {
+    let csr = graph.csr();
+    (graph.node_ids())
+        .map(|v| {
+            csr.neighbors(v)
+                .iter()
+                .map(|nb| (nb.node, nb.edge))
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -454,11 +529,20 @@ mod tests {
     #[test]
     fn csr_matches_native_adjacency() {
         let (g, ids, _) = triangle();
-        let csr = g.to_csr();
+        let csr = g.csr();
         assert_eq!(csr.node_count(), 3);
         for &v in &ids {
-            let native: Vec<_> = g.neighbors(v).collect();
+            // Each node's entries follow edge-id order, read off the edge list.
+            let native: Vec<_> = g
+                .edges()
+                .filter(|e| e.a == v || e.b == v)
+                .map(|e| NeighborRef {
+                    node: e.other(v),
+                    edge: e.id,
+                })
+                .collect();
             assert_eq!(csr.neighbors(v), native.as_slice());
+            assert!(g.neighbors(v).eq(native.iter().copied()));
         }
     }
 
@@ -468,7 +552,7 @@ mod tests {
         let a = g.add_node(());
         let b = g.add_node(()); // isolated
         g.add_edge(a, a, ());
-        let csr = g.to_csr();
+        let csr = g.csr();
         assert_eq!(csr.neighbors(a).len(), 1);
         assert_eq!(csr.neighbors(a)[0].node, a);
         assert!(csr.neighbors(b).is_empty());
@@ -477,15 +561,19 @@ mod tests {
     #[test]
     fn csr_of_empty_graph() {
         let g: Graph<(), ()> = Graph::new();
-        let csr = g.to_csr();
-        assert_eq!(csr.node_count(), 0);
+        assert_eq!(g.csr().node_count(), 0);
     }
 
     #[test]
     fn clone_is_deep() {
         let (g, _, _) = triangle();
+        g.csr();
         let mut g2 = g.clone();
         *g2.edge_mut(EdgeId::from_index(1)) = 99.0;
+        assert!(
+            g2.csr.get().is_some(),
+            "clones and payload edits keep the CSR"
+        );
         assert_eq!(*g.edge(EdgeId::from_index(1)), 2.0);
         assert_eq!(*g2.edge(EdgeId::from_index(1)), 99.0);
     }

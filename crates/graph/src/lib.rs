@@ -30,7 +30,7 @@
 //! g.add_edge(b, c, 2.0);
 //! g.add_edge(a, c, 10.0);
 //!
-//! let dist = algo::dijkstra(&g, &g.to_csr(), a, |_, w| *w);
+//! let dist = algo::dijkstra(&g, a, |_, w| *w);
 //! assert_eq!(dist.distance(c), Some(3.0)); // a -> b -> c beats the direct edge
 //! ```
 

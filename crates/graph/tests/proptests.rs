@@ -6,7 +6,7 @@ use emumap_graph::algo::{
 use emumap_graph::generators::{
     edges_for_density, fat_tree, random_connected, ring, switched_cascade, torus2d, Role,
 };
-use emumap_graph::{Graph, NodeId};
+use emumap_graph::{Graph, NeighborRef, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -45,7 +45,7 @@ proptest! {
     fn dijkstra_distances_satisfy_triangle_inequality((g, _) in arb_connected_graph()) {
         // For every edge (u,v): dist(s,v) <= dist(s,u) + w(u,v).
         let s = NodeId::from_index(0);
-        let r = dijkstra(&g, &g.to_csr(), s, |_, w| *w);
+        let r = dijkstra(&g, s, |_, w| *w);
         for e in g.edges() {
             let du = r.distance(e.a).unwrap();
             let dv = r.distance(e.b).unwrap();
@@ -58,7 +58,7 @@ proptest! {
     fn dijkstra_path_cost_equals_reported_distance((g, _) in arb_connected_graph()) {
         let s = NodeId::from_index(0);
         let t = NodeId::from_index(g.node_count() - 1);
-        let r = dijkstra(&g, &g.to_csr(), s, |_, w| *w);
+        let r = dijkstra(&g, s, |_, w| *w);
         let edges = r.edge_path_to(t).unwrap();
         let total: f64 = edges.iter().map(|&e| *g.edge(e)).sum();
         prop_assert!((total - r.distance(t).unwrap()).abs() < 1e-9);
@@ -69,7 +69,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = random_connected(n, d, &mut rng);
         let s = NodeId::from_index(0);
-        let r = dijkstra(&g, &g.to_csr(), s, |_, _| 1.0);
+        let r = dijkstra(&g, s, |_, _| 1.0);
         for t in g.node_ids() {
             let hops = bfs_path(&g, s, t).unwrap().len() - 1;
             prop_assert_eq!(r.distance(t).unwrap() as usize, hops);
@@ -151,7 +151,7 @@ proptest! {
     fn ring_shortest_path_wraps(n in 3usize..40) {
         let g = ring(n);
         let s = NodeId::from_index(0);
-        let r = dijkstra(&g, &g.to_csr(), s, |_, _| 1.0);
+        let r = dijkstra(&g, s, |_, _| 1.0);
         for k in 0..n {
             let t = NodeId::from_index(k);
             let expect = k.min(n - k) as f64;
@@ -168,7 +168,7 @@ fn fat_tree_hosts_reach_each_other_within_six_hops() {
         .filter(|(_, r)| **r == Role::Host)
         .map(|(id, _)| id)
         .collect();
-    let r = dijkstra(&g, &g.to_csr(), hosts[0], |_, _| 1.0);
+    let r = dijkstra(&g, hosts[0], |_, _| 1.0);
     for &h in &hosts {
         assert!(r.distance(h).unwrap() <= 6.0);
     }
@@ -196,10 +196,10 @@ proptest! {
     fn ksp_is_sorted_simple_and_starts_with_dijkstra((g, _) in arb_small_connected_graph()) {
         let s = NodeId::from_index(0);
         let t = NodeId::from_index(g.node_count() - 1);
-        let paths = emumap_graph::algo::k_shortest_paths(&g, &g.to_csr(), s, t, 4, |_, w| *w);
+        let paths = emumap_graph::algo::k_shortest_paths(&g, s, t, 4, |_, w| *w);
         prop_assert!(!paths.is_empty());
         // First path cost equals the Dijkstra distance.
-        let d = dijkstra(&g, &g.to_csr(), s, |_, w| *w).distance(t).unwrap();
+        let d = dijkstra(&g, s, |_, w| *w).distance(t).unwrap();
         prop_assert!((paths[0].cost - d).abs() < 1e-9);
         // Sorted, simple, endpoint-correct, cost-consistent.
         for w in paths.windows(2) {
@@ -242,11 +242,77 @@ proptest! {
     fn diameter_bounds_every_dijkstra_distance((g, _) in arb_small_connected_graph()) {
         let d = emumap_graph::algo::diameter(&g, |_, w| *w).unwrap();
         let s = NodeId::from_index(0);
-        let r = dijkstra(&g, &g.to_csr(), s, |_, w| *w);
+        let r = dijkstra(&g, s, |_, w| *w);
         for v in g.node_ids() {
             prop_assert!(r.distance(v).unwrap() <= d + 1e-9);
         }
         let avg = emumap_graph::algo::average_path_cost(&g, |_, w| *w).unwrap();
         prop_assert!(avg <= d + 1e-9);
     }
+}
+
+/// Checks that `g.csr()` lists each node's `(neighbor, edge)` pairs in
+/// edge-id order, rebuilt here from the edge list alone (a self-loop
+/// once).
+fn check_adjacency(g: &Graph<(), ()>) -> Result<(), TestCaseError> {
+    let mut lists = vec![Vec::new(); g.node_count()];
+    for e in g.edges() {
+        lists[e.a.index()].push(NeighborRef {
+            node: e.b,
+            edge: e.id,
+        });
+        if e.a != e.b {
+            lists[e.b.index()].push(NeighborRef {
+                node: e.a,
+                edge: e.id,
+            });
+        }
+    }
+    prop_assert_eq!(g.csr().node_count(), g.node_count());
+    for v in g.node_ids() {
+        prop_assert_eq!(g.csr().neighbors(v), lists[v.index()].as_slice());
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn csr_lists_each_node_in_edge_id_order(
+        n in 1usize..12,
+        pairs in prop::collection::vec((0usize..64, 0usize..64), 0..40),
+        extra in (0usize..64, 0usize..64),
+    ) {
+        // Endpoints modulo `n`: parallel edges and self-loops are common.
+        let mut g = Graph::new();
+        let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
+        for &(a, b) in &pairs {
+            g.add_edge(ids[a % n], ids[b % n], ());
+        }
+        check_adjacency(&g)?;
+        // A clone carries the adjacency; changes after a read show up.
+        let copy = g.clone();
+        g.add_edge(ids[extra.0 % n], ids[extra.1 % n], ());
+        check_adjacency(&g)?;
+        g.add_node(());
+        check_adjacency(&g)?;
+        check_adjacency(&copy)?;
+        prop_assert_eq!(copy.edge_count() + 1, g.edge_count());
+    }
+}
+
+/// FNV-1a over `random_connected`'s edge lists for 200 seeds, at sparse
+/// and near-complete densities. Pins the generator's output: the RNG
+/// draws and the edges they place must not change.
+#[test]
+fn random_connected_output_is_pinned_across_200_seeds() {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for seed in 0..200u64 {
+        let (n, d) = [(2, 0.0), (30, 0.05), (60, 0.02), (15, 0.9), (9, 1.0)][seed as usize % 5];
+        let g = random_connected(n, d, &mut SmallRng::seed_from_u64(seed));
+        let ends = g.edges().flat_map(|e| [e.a.index(), e.b.index()]);
+        for x in ends.chain([g.edge_count()]) {
+            h = (h ^ x as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(h, 1_729_167_661_336_392_450);
 }

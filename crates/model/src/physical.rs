@@ -119,7 +119,8 @@ pub struct PhysicalTopology {
 
 // Manual impls rather than derive: `generation` is a process-local cache
 // key that must never hit the wire, and a deserialized topology must get
-// a fresh one. The field set matches the pre-generation wire format.
+// a fresh one. The field set matches the pre-generation wire format;
+// loading derives `hosts` from the node kinds and rejects a differing list.
 impl Serialize for PhysicalTopology {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
@@ -133,12 +134,17 @@ impl Serialize for PhysicalTopology {
 impl Deserialize for PhysicalTopology {
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
         let pairs = value.expect_object("PhysicalTopology")?;
-        Ok(PhysicalTopology {
-            graph: serde::__field(pairs, "graph", "PhysicalTopology")?,
-            hosts: serde::__field(pairs, "hosts", "PhysicalTopology")?,
-            vmm: serde::__field(pairs, "vmm", "PhysicalTopology")?,
-            generation: fresh_generation(),
-        })
+        let stored: Vec<NodeId> = serde::__field(pairs, "hosts", "PhysicalTopology")?;
+        let topo = PhysicalTopology::from_graph(
+            serde::__field(pairs, "graph", "PhysicalTopology")?,
+            serde::__field(pairs, "vmm", "PhysicalTopology")?,
+        );
+        if stored != topo.hosts {
+            return Err(serde::DeError::new(
+                "PhysicalTopology.hosts: does not list the graph's host nodes in id order",
+            ));
+        }
+        Ok(topo)
     }
 }
 
@@ -161,16 +167,13 @@ impl PhysicalTopology {
         I: Iterator<Item = HostSpec>,
     {
         let mut graph = Graph::with_capacity(shape.node_count(), shape.edge_count());
-        let mut hosts = Vec::new();
         for (id, role) in shape.nodes() {
             let node = match role {
-                Role::Host => {
-                    let spec = host_specs
+                Role::Host => PhysNode::Host(
+                    host_specs
                         .next()
-                        .expect("host_specs iterator exhausted before all hosts were decorated");
-                    hosts.push(id);
-                    PhysNode::Host(spec)
-                }
+                        .expect("host_specs iterator exhausted before all hosts were decorated"),
+                ),
                 Role::Switch => PhysNode::Switch,
             };
             let new_id = graph.add_node(node);
@@ -179,12 +182,7 @@ impl PhysicalTopology {
         for e in shape.edges() {
             graph.add_edge(e.a, e.b, link);
         }
-        PhysicalTopology {
-            graph,
-            hosts,
-            vmm,
-            generation: fresh_generation(),
-        }
+        PhysicalTopology::from_graph(graph, vmm)
     }
 
     /// Builds a physical topology directly from a decorated graph.

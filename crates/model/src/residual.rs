@@ -451,8 +451,8 @@ impl ResidualState {
     /// across all four columns (CPU, memory, storage, bandwidth) — the
     /// reconciliation metric. Zero iff the states agree bit-for-bit on
     /// every finite entry; incremental apply/release drift shows up as a
-    /// small positive value bounded by [`drift_tolerance`](Self::
-    /// drift_tolerance).
+    /// small positive value bounded by
+    /// [`drift_tolerance`](Self::drift_tolerance).
     ///
     /// # Panics
     /// Panics if the states cover different topologies (column lengths

@@ -3,9 +3,8 @@
 
 use crate::resources::{Kbps, MemMb, Millis, Mips};
 use crate::StorGb;
-use emumap_graph::{CsrAdjacency, EdgeId, Graph, NeighborRef, NodeId};
-use serde::{DeError, Deserialize, Serialize, Value};
-use std::sync::OnceLock;
+use emumap_graph::{EdgeId, Graph, NeighborRef, NodeId};
+use serde::{Deserialize, Serialize};
 
 /// Resource demands of one guest (virtual machine).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -51,61 +50,37 @@ pub type VLinkId = EdgeId;
 
 /// The virtual environment `v = (V, E_v)`: guests and the virtual links
 /// between them.
-#[derive(Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct VirtualEnvironment {
     graph: Graph<GuestSpec, VLinkSpec>,
-    /// Lazily built CSR snapshot of the guest adjacency, consumed by the
-    /// per-move O(degree) bandwidth deltas of the search loops
-    /// ([`links_of`](Self::links_of)). Invalidated by every mutation;
-    /// deliberately excluded from `Clone`/serde (it is derived state).
-    csr: OnceLock<CsrAdjacency>,
-}
-
-/// Structural equality on the guest/link graph; the lazily built CSR
-/// snapshot is derived state and deliberately not compared.
-impl PartialEq for VirtualEnvironment {
-    fn eq(&self, other: &Self) -> bool {
-        self.graph == other.graph
-    }
 }
 
 impl VirtualEnvironment {
     /// An empty virtual environment.
     pub fn new() -> Self {
-        VirtualEnvironment {
-            graph: Graph::new(),
-            csr: OnceLock::new(),
-        }
+        Self::default()
     }
 
     /// Wraps an already-built guest/link graph.
     pub fn from_graph(graph: Graph<GuestSpec, VLinkSpec>) -> Self {
-        VirtualEnvironment {
-            graph,
-            csr: OnceLock::new(),
-        }
+        VirtualEnvironment { graph }
     }
 
     /// Adds a guest; returns its id.
     pub fn add_guest(&mut self, spec: GuestSpec) -> GuestId {
-        self.csr.take();
         self.graph.add_node(spec)
     }
 
     /// Adds a virtual link between two guests; returns its id.
     pub fn add_link(&mut self, a: GuestId, b: GuestId, spec: VLinkSpec) -> VLinkId {
-        self.csr.take();
         self.graph.add_edge(a, b, spec)
     }
 
     /// The virtual links incident to `guest` as a contiguous slice
-    /// (neighbor + link id), served from a lazily built, cached CSR
-    /// snapshot — the O(degree) adjacency walk of the delta-evaluation
-    /// paths. Self-loops appear once.
+    /// (neighbor + link id) of the graph's adjacency — the O(degree) walk
+    /// of the delta-evaluation paths. Self-loops appear once.
     pub fn links_of(&self, guest: GuestId) -> &[NeighborRef] {
-        self.csr
-            .get_or_init(|| self.graph.to_csr())
-            .neighbors(guest)
+        self.graph.csr().neighbors(guest)
     }
 
     /// The underlying graph.
@@ -167,39 +142,6 @@ impl VirtualEnvironment {
     /// Aggregate memory demand of all guests.
     pub fn total_mem_demand(&self) -> MemMb {
         self.graph.nodes().map(|(_, g)| g.mem).sum()
-    }
-}
-
-impl Default for VirtualEnvironment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clone for VirtualEnvironment {
-    fn clone(&self) -> Self {
-        // The CSR cache is derived state; the clone rebuilds it lazily.
-        VirtualEnvironment::from_graph(self.graph.clone())
-    }
-}
-
-// Manual serde impls (the derive would try to serialize the CSR cache):
-// same wire format the previous `#[derive]` produced — an object with the
-// one "graph" field — so existing files keep round-tripping.
-impl Serialize for VirtualEnvironment {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![("graph".to_string(), self.graph.to_value())])
-    }
-}
-
-impl Deserialize for VirtualEnvironment {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let pairs = value.expect_object("VirtualEnvironment")?;
-        Ok(VirtualEnvironment::from_graph(serde::__field(
-            pairs,
-            "graph",
-            "VirtualEnvironment",
-        )?))
     }
 }
 
@@ -294,7 +236,7 @@ mod tests {
         let a = venv.add_guest(small_guest());
         let b = venv.add_guest(small_guest());
         venv.add_link(a, b, small_link());
-        assert_eq!(venv.links_of(a).len(), 1); // builds the CSR cache
+        assert_eq!(venv.links_of(a).len(), 1); // builds the graph's CSR
         let c = venv.add_guest(small_guest()); // must invalidate it
         venv.add_link(a, c, small_link());
         assert_eq!(venv.links_of(a).len(), 2);
@@ -307,9 +249,14 @@ mod tests {
         let a = venv.add_guest(small_guest());
         let b = venv.add_guest(small_guest());
         venv.add_link(a, b, small_link());
-        let _ = venv.links_of(a); // warm the original's cache
-        let cloned = venv.clone();
+        let _ = venv.links_of(a); // warm the original's CSR
+        let mut cloned = venv.clone();
         assert_eq!(cloned.links_of(a).len(), 1);
         assert_eq!(cloned.guest_count(), venv.guest_count());
+        // The clone's adjacency is its own: a link added to it leaves the
+        // original's untouched.
+        cloned.add_link(a, a, small_link());
+        assert_eq!(cloned.links_of(a).len(), 2);
+        assert_eq!(venv.links_of(a).len(), 1);
     }
 }

@@ -54,6 +54,26 @@ fn virtual_environment_roundtrips() {
 }
 
 #[test]
+fn a_hosts_list_that_differs_from_the_host_nodes_does_not_load() {
+    let mut rng = SmallRng::seed_from_u64(4);
+    let phys = ClusterSpec::paper().build(ClusterSpec::paper_switched(), &mut rng);
+    let json = serde_json::to_string(&phys).unwrap();
+    let hosts: Vec<usize> = phys.hosts().iter().map(|h| h.index()).collect();
+    let switch = phys.graph().node_count() - 1;
+    assert!(!phys.is_host(emumap_graph::NodeId::from_index(switch)));
+    let listed = |ids: &[usize]| format!("\"hosts\":{}", serde_json::to_string(ids).unwrap());
+    for bad in [
+        &[&[999], &hosts[1..]].concat(),
+        &[&hosts[..], &[switch]].concat(),
+        &hosts[1..],
+    ] {
+        let edited = json.replace(&listed(&hosts), &listed(bad));
+        let err = serde_json::from_str::<PhysicalTopology>(&edited).unwrap_err();
+        assert!(err.to_string().contains("PhysicalTopology.hosts"), "{err}");
+    }
+}
+
+#[test]
 fn mapping_roundtrips_including_intra_host_routes() {
     let mut rng = SmallRng::seed_from_u64(3);
     let phys = ClusterSpec::paper().build(ClusterSpec::paper_torus(), &mut rng);

@@ -259,7 +259,7 @@ pub enum TraceEvent {
         elapsed_us: u64,
     },
     /// A serve session began processing one request. Any `MapStart` ..
-    /// `MapEnd` span between this and the matching [`RequestEnd`] belongs
+    /// `MapEnd` span between this and the matching [`RequestEnd`](Self::RequestEnd) belongs
     /// to the embedded mapper run of an `apply`.
     RequestStart {
         /// Monotone per-session request sequence number.
@@ -271,7 +271,7 @@ pub enum TraceEvent {
     },
     /// A serve session finished processing one request.
     RequestEnd {
-        /// Sequence number of the matching [`RequestStart`].
+        /// Sequence number of the matching [`RequestStart`](Self::RequestStart).
         seq: u64,
         /// Whether the request succeeded (`apply` rejections are *not*
         /// errors — an orderly rejection is `ok: true`; see the admit
