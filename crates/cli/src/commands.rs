@@ -296,6 +296,9 @@ fn gen_cluster(p: &Parsed) -> Result<Vec<String>, CliError> {
         }
     };
     let hosts: usize = p.parse_or("hosts", 40).map_err(CliError::Usage)?;
+    if hosts == 0 {
+        return Err(CliError::Usage("--hosts must be at least 1".to_string()));
+    }
     let seed: u64 = p.parse_or("seed", 2009).map_err(CliError::Usage)?;
     let out = p.required("out").map_err(CliError::Usage)?;
 
@@ -330,6 +333,11 @@ fn gen_cluster(p: &Parsed) -> Result<Vec<String>, CliError> {
 fn gen_venv(p: &Parsed) -> Result<Vec<String>, CliError> {
     let guests: usize = p.parse_or("guests", 100).map_err(CliError::Usage)?;
     let density: f64 = p.parse_or("density", 0.02).map_err(CliError::Usage)?;
+    if !(0.0..=1.0).contains(&density) {
+        return Err(CliError::Usage(format!(
+            "--density must be in [0, 1], got {density}"
+        )));
+    }
     let seed: u64 = p.parse_or("seed", 2009).map_err(CliError::Usage)?;
     let out = p.required("out").map_err(CliError::Usage)?;
     let spec = match p.optional("workload").unwrap_or("high") {
@@ -599,18 +607,31 @@ fn validate_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
 }
 
 fn simulate_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
-    let phys: PhysicalTopology = read_json(p.required("phys").map_err(CliError::Usage)?)?;
-    let venv: VirtualEnvironment = read_json(p.required("venv").map_err(CliError::Usage)?)?;
-    let mapping: Mapping = read_json(p.required("mapping").map_err(CliError::Usage)?)?;
-    validate_mapping(&phys, &venv, &mapping).map_err(|violations| {
-        CliError::Invalid(violations.iter().map(|v| v.to_string()).collect())
-    })?;
     let spec = ExperimentSpec {
         rounds: p.parse_or("rounds", 10).map_err(CliError::Usage)?,
         work_factor: p.parse_or("work-factor", 1.0).map_err(CliError::Usage)?,
         msg_kbits: p.parse_or("msg-kbits", 50.0).map_err(CliError::Usage)?,
         ..Default::default()
     };
+    if spec.rounds == 0 {
+        return Err(CliError::Usage("--rounds must be at least 1".to_string()));
+    }
+    for (flag, value) in [
+        ("work-factor", spec.work_factor),
+        ("msg-kbits", spec.msg_kbits),
+    ] {
+        if !(value.is_finite() && value >= 0.0) {
+            return Err(CliError::Usage(format!(
+                "--{flag} must be a finite number >= 0, got {value}"
+            )));
+        }
+    }
+    let phys: PhysicalTopology = read_json(p.required("phys").map_err(CliError::Usage)?)?;
+    let venv: VirtualEnvironment = read_json(p.required("venv").map_err(CliError::Usage)?)?;
+    let mapping: Mapping = read_json(p.required("mapping").map_err(CliError::Usage)?)?;
+    validate_mapping(&phys, &venv, &mapping).map_err(|violations| {
+        CliError::Invalid(violations.iter().map(|v| v.to_string()).collect())
+    })?;
     let result = run_experiment(&phys, &venv, &mapping, &spec);
     Ok(vec![
         format!(
@@ -1140,6 +1161,49 @@ mod tests {
             panic!("serve must reject a flag it does not read");
         };
         assert!(msg.contains("--port"), "{msg}");
+    }
+
+    #[test]
+    fn meaningless_generator_and_simulate_inputs_are_usage_errors() {
+        let dir = tmpdir();
+        let (phys_s, venv_s) = &gen_instance(&dir, &["--guests", "4", "--seed", "2"]);
+        let mapping = dir.join("mapping.json").display().to_string();
+        run_tokens(&["map", "--phys", phys_s, "--venv", venv_s, "-o", &mapping]).expect("map");
+        let out = dir.join("out.json");
+        let out_s = out.to_str().unwrap();
+        let rows: &[(&[&str], &str)] = &[
+            (
+                &["gen-cluster", "--topology", "switched", "--hosts", "0"],
+                "--hosts",
+            ),
+            (
+                &["gen-cluster", "--topology", "torus", "--hosts", "0"],
+                "--hosts",
+            ),
+            (&["gen-venv", "--density", "-0.1"], "--density"),
+            (&["gen-venv", "--density", "1.5"], "--density"),
+            (&["gen-venv", "--density", "NaN"], "--density"),
+            (&["simulate", "--work-factor", "NaN"], "--work-factor"),
+            (&["simulate", "--work-factor", "inf"], "--work-factor"),
+            (&["simulate", "--work-factor", "-1"], "--work-factor"),
+            (&["simulate", "--msg-kbits", "-5"], "--msg-kbits"),
+            (&["simulate", "--msg-kbits", "NaN"], "--msg-kbits"),
+            (&["simulate", "--rounds", "0"], "--rounds"),
+        ];
+        for &(flags, flag) in rows {
+            let io: &[&str] = if flags[0] == "simulate" {
+                &["--phys", phys_s, "--venv", venv_s, "--mapping", &mapping]
+            } else {
+                &["-o", out_s]
+            };
+            let tokens = [flags, io].concat();
+            let Err(CliError::Usage(msg)) = run_tokens(&tokens) else {
+                panic!("{tokens:?} must be a usage error");
+            };
+            assert!(msg.contains(flag), "{tokens:?}: {msg}");
+            assert!(!out.exists(), "{tokens:?} wrote {out_s}");
+        }
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Simulated-annealing placement — a heavier §6-style "different
 //! heuristic" for the scenarios where HMN's greedy pipeline stalls.
 //!
-//! The annealer searches placement space directly: starting from a random
-//! (or hosting-seeded) feasible placement, it proposes single-guest moves
-//! and guest swaps, accepting worse placements with the usual Metropolis
-//! probability under a geometric cooling schedule. The energy combines the
-//! paper's Eq. 10 objective with a soft penalty for *inter-host bandwidth*
-//! (the quantity Hosting's affinity minimizes), so the annealer optimizes
-//! both of HMN's goals at once. Routing is still A\*Prune — placement
-//! search and routing are orthogonal.
+//! The annealer searches placement space directly: starting from HMN's
+//! Hosting+Migration fixpoint, it proposes single-guest moves, accepting
+//! worse placements with the usual Metropolis probability under a
+//! geometric cooling schedule. The energy combines the paper's Eq. 10
+//! objective with a soft penalty for *inter-host bandwidth* (the quantity
+//! Hosting's affinity minimizes), so the annealer optimizes both of HMN's
+//! goals at once. Routing is still A\*Prune — placement search and routing
+//! are orthogonal.
+//!
+//! The proposal and acceptance kernel is `Chain`, which parallel
+//! tempering ([`ParallelTempering`](crate::ParallelTempering)) runs once
+//! per rung of its temperature ladder.
 //!
 //! Determinism: the entire schedule is driven by the caller's seeded RNG.
 
@@ -22,28 +26,25 @@ use crate::networking::networking_stage;
 use crate::recorder::record_map;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
-use emumap_model::{GuestId, Mapping, PhysicalTopology, VirtualEnvironment};
+use emumap_model::{GuestId, Mapping, PhysicalTopology, VLinkId, VirtualEnvironment};
 use emumap_trace::{Phase, PhaseCounters};
 use rand::{Rng, RngCore};
+
+/// Initial temperature as a fraction of the initial energy (adaptive —
+/// instance scales vary over orders of magnitude).
+const INITIAL_TEMPERATURE_FACTOR: f64 = 0.3;
+
+/// Geometric cooling rate per proposal.
+const COOLING: f64 = 0.9995;
 
 /// Annealer configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct AnnealingConfig {
     /// Proposals evaluated in total.
     pub iterations: usize,
-    /// Initial temperature as a fraction of the initial energy (adaptive —
-    /// instance scales vary over orders of magnitude).
-    pub initial_temperature_factor: f64,
-    /// Geometric cooling rate per iteration (e.g. 0.999).
-    pub cooling: f64,
     /// Weight of the inter-host bandwidth term, as a fraction of its
     /// natural scale relative to the objective (0 disables it).
     pub bandwidth_weight: f64,
-    /// Seed the search from HMN's Hosting+Migration fixpoint instead of a
-    /// random placement. Because the annealer tracks the best placement
-    /// visited (including the start), this guarantees the result is never
-    /// worse than HMN's own placement.
-    pub seed_with_hosting: bool,
     /// A\*Prune configuration for the final routing pass.
     pub astar: AStarPruneConfig,
 }
@@ -52,10 +53,7 @@ impl Default for AnnealingConfig {
     fn default() -> Self {
         AnnealingConfig {
             iterations: 20_000,
-            initial_temperature_factor: 0.3,
-            cooling: 0.9995,
             bandwidth_weight: 0.5,
-            seed_with_hosting: true,
             astar: AStarPruneConfig::default(),
         }
     }
@@ -64,129 +62,197 @@ impl Default for AnnealingConfig {
 /// Simulated-annealing mapper.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Annealing {
-    /// Configuration; the default anneals 20k proposals from a
-    /// hosting-seeded start.
+    /// Configuration; the default anneals 20k proposals.
     pub config: AnnealingConfig,
 }
 
-/// The Metropolis loop over a complete placement, ending on the best
-/// placement visited; returns the Migration span's counters.
-fn anneal(
-    cfg: &AnnealingConfig,
+/// Places every guest at HMN's Hosting+Migration fixpoint — the start of
+/// every annealing chain. Because a chain tracks the best placement it
+/// visits, including its start, SA and PT never end worse than HMN's own
+/// placement. Returns the Hosting span's counters.
+pub(crate) fn hmn_start(
     state: &mut PlacementState<'_>,
-    hosts: &[NodeId],
-    best_placement: &mut Vec<NodeId>,
-    displaced: &mut Vec<GuestId>,
-    rng: &mut dyn RngCore,
-) -> PhaseCounters {
-    let venv = state.venv();
-    let phys = state.phys();
-    let guest_count = venv.guest_count();
-    let bw_scale = {
+    links: &[VLinkId],
+) -> Result<PhaseCounters, MapError> {
+    let hosting = hosting_stage(state, links, HostingPolicy::Paper)?;
+    migration_stage(state);
+    Ok(hosting.counters())
+}
+
+/// One Metropolis chain over a complete placement: the running energy,
+/// the best placement visited and the decision counters. SA runs one
+/// chain under a cooling schedule; parallel tempering runs one per rung.
+pub(crate) struct Chain<'a> {
+    state: PlacementState<'a>,
+    /// `(weight, scale)` of the inter-host bandwidth term, if it is on.
+    bandwidth: Option<(f64, f64)>,
+    energy: f64,
+    bw_inter: f64,
+    best_energy: f64,
+    /// Best placement visited, dense by guest index.
+    best: Vec<NodeId>,
+    accepted: u64,
+    rejected: u64,
+    proposals: u64,
+    /// The state's delta and full evaluation counts when the chain began.
+    evaluations_before: (u64, u64),
+}
+
+impl<'a> Chain<'a> {
+    /// A chain starting from the complete placement in `state`. `best` is
+    /// a reusable buffer for the best-placement snapshot.
+    pub(crate) fn new(
+        state: PlacementState<'a>,
+        bandwidth_weight: f64,
+        mut best: Vec<NodeId>,
+    ) -> Self {
+        let venv = state.venv();
         // Natural scale: average per-host CPU capacity per unit of the
         // total virtual bandwidth, folded so both terms are O(objective).
         let total_bw: f64 = venv.link_ids().map(|l| venv.link(l).bw.value()).sum();
-        if total_bw > 0.0 {
-            total_bw / phys.host_count() as f64
+        let scale = if total_bw > 0.0 {
+            total_bw / state.phys().host_count() as f64
         } else {
             0.0
-        }
-    };
-    let bw_enabled = cfg.bandwidth_weight != 0.0 && bw_scale != 0.0;
-    let energy_of = |objective: f64, bw_inter: f64| {
-        if bw_enabled {
-            // Normalize the bandwidth term to the objective's scale so
-            // neither dominates by unit choice.
-            objective + cfg.bandwidth_weight * bw_inter / bw_scale
+        };
+        let bandwidth =
+            (bandwidth_weight != 0.0 && scale != 0.0).then_some((bandwidth_weight, scale));
+        // The inter-host bandwidth is scanned once here and then maintained
+        // as a running value: each proposal contributes an O(degree) delta.
+        let bw_inter = if bandwidth.is_some() {
+            state.inter_host_bandwidth().value()
         } else {
-            objective
-        }
-    };
-    // The inter-host bandwidth is scanned once here and then maintained
-    // as a running value: each proposal contributes an O(degree) delta.
-    let mut bw_inter = if bw_enabled {
-        state.inter_host_bandwidth().value()
-    } else {
-        0.0
-    };
-    let mut current = energy_of(state.objective(), bw_inter);
-    let mut best_energy = current;
-    best_placement.extend(
-        venv.guest_ids()
-            .map(|g| state.host_of(g).expect("complete")),
-    );
-    let mut temperature = (current * cfg.initial_temperature_factor).max(1e-6);
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-    let mut proposals = 0usize;
-    let delta_evals_before = state.delta_evaluations();
-    let full_evals_before = state.full_evaluations();
+            0.0
+        };
+        best.clear();
+        best.extend(
+            venv.guest_ids()
+                .map(|g| state.host_of(g).expect("complete")),
+        );
+        let mut chain = Chain {
+            evaluations_before: (state.delta_evaluations(), state.full_evaluations()),
+            state,
+            bandwidth,
+            energy: 0.0,
+            bw_inter,
+            best_energy: 0.0,
+            best,
+            accepted: 0,
+            rejected: 0,
+            proposals: 0,
+        };
+        chain.energy = chain.energy_of(chain.state.objective(), bw_inter);
+        chain.best_energy = chain.energy;
+        chain
+    }
 
-    if guest_count > 0 && hosts.len() > 1 {
-        for _ in 0..cfg.iterations {
-            // Propose: move one random guest to one random other host.
-            let g = GuestId::from_index(rng.gen_range(0..guest_count));
-            let from = state.host_of(g).expect("complete");
-            let to = hosts[rng.gen_range(0..hosts.len())];
-            if to == from || !state.fits(g, to) {
-                temperature *= cfg.cooling;
-                continue;
-            }
-            // Delta evaluation: O(1) objective + O(degree) bandwidth,
-            // with no state mutation. Accept commits the tracked
-            // values; reject costs nothing.
-            let objective_after = state.objective_if_migrated(g, to);
-            let bw_after = if bw_enabled {
-                bw_inter + state.inter_bandwidth_delta(g, to).value()
-            } else {
-                bw_inter
-            };
-            let proposed = energy_of(objective_after, bw_after);
-            proposals += 1;
-            let delta = proposed - current;
-            let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature.max(1e-12)).exp();
-            if accept {
-                state.migrate(g, to).expect("fit checked");
-                current = proposed;
-                bw_inter = bw_after;
-                accepted += 1;
-                if proposed < best_energy {
-                    best_energy = proposed;
-                    for (i, slot) in best_placement.iter_mut().enumerate() {
-                        *slot = state.host_of(GuestId::from_index(i)).expect("complete");
-                    }
+    fn energy_of(&self, objective: f64, bw_inter: f64) -> f64 {
+        match self.bandwidth {
+            // Normalized to the objective's scale so neither term
+            // dominates by unit choice.
+            Some((weight, scale)) => objective + weight * bw_inter / scale,
+            None => objective,
+        }
+    }
+
+    /// The current energy.
+    pub(crate) fn energy(&self) -> f64 {
+        self.energy
+    }
+
+    /// The lowest energy visited.
+    pub(crate) fn best_energy(&self) -> f64 {
+        self.best_energy
+    }
+
+    /// Proposes moving one random guest to one random host and applies the
+    /// Metropolis test at `temperature`. A proposal that stays put or does
+    /// not fit is skipped uncounted.
+    pub(crate) fn step<R: Rng + ?Sized>(
+        &mut self,
+        hosts: &[NodeId],
+        temperature: f64,
+        rng: &mut R,
+    ) {
+        let guest_count = self.best.len();
+        if guest_count == 0 || hosts.len() < 2 {
+            return;
+        }
+        let g = GuestId::from_index(rng.gen_range(0..guest_count));
+        let from = self.state.host_of(g).expect("complete");
+        let to = hosts[rng.gen_range(0..hosts.len())];
+        if to == from || !self.state.fits(g, to) {
+            return;
+        }
+        // Delta evaluation: O(1) objective + O(degree) bandwidth, with no
+        // state mutation. Accept commits the tracked values; reject costs
+        // nothing.
+        let objective_after = self.state.objective_if_migrated(g, to);
+        let bw_after = if self.bandwidth.is_some() {
+            self.bw_inter + self.state.inter_bandwidth_delta(g, to).value()
+        } else {
+            self.bw_inter
+        };
+        let proposed = self.energy_of(objective_after, bw_after);
+        self.proposals += 1;
+        let delta = proposed - self.energy;
+        if delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature.max(1e-12)).exp() {
+            self.state.migrate(g, to).expect("fit checked");
+            self.energy = proposed;
+            self.bw_inter = bw_after;
+            self.accepted += 1;
+            if proposed < self.best_energy {
+                self.best_energy = proposed;
+                for (i, slot) in self.best.iter_mut().enumerate() {
+                    *slot = self
+                        .state
+                        .host_of(GuestId::from_index(i))
+                        .expect("complete");
                 }
-            } else {
-                rejected += 1;
             }
-            temperature *= cfg.cooling;
+        } else {
+            self.rejected += 1;
         }
     }
 
-    // Restore the best placement visited. One-by-one migration could
-    // transiently violate capacity (a swap needs both slots free at
-    // once), so unassign every displaced guest first, then reassign —
-    // the target state as a whole was feasible when recorded.
-    displaced.extend(
-        (0..guest_count)
-            .map(GuestId::from_index)
-            .filter(|&g| state.host_of(g) != Some(best_placement[g.index()])),
-    );
-    for &g in displaced.iter() {
-        state.unassign(g);
+    /// Moves the state to the best placement visited. One-by-one
+    /// migration could transiently violate capacity (a swap needs both
+    /// slots free at once), so every displaced guest is unassigned first,
+    /// then reassigned — the target state as a whole was feasible when
+    /// recorded.
+    pub(crate) fn restore_best(&mut self, displaced: &mut Vec<GuestId>) {
+        displaced.clear();
+        displaced.extend(
+            (0..self.best.len())
+                .map(GuestId::from_index)
+                .filter(|&g| self.state.host_of(g) != Some(self.best[g.index()])),
+        );
+        for &g in displaced.iter() {
+            self.state.unassign(g);
+        }
+        for &g in displaced.iter() {
+            self.state
+                .assign(g, self.best[g.index()])
+                .expect("best placement was feasible when recorded");
+        }
     }
-    for &g in displaced.iter() {
-        state
-            .assign(g, best_placement[g.index()])
-            .expect("best placement was feasible when recorded");
+
+    /// The chain's Migration counters: its decisions and the evaluations
+    /// its state served since the chain began.
+    pub(crate) fn counters(&self) -> PhaseCounters {
+        PhaseCounters {
+            moves_accepted: self.accepted,
+            moves_rejected: self.rejected,
+            proposals_evaluated: self.proposals,
+            delta_evaluations: self.state.delta_evaluations() - self.evaluations_before.0,
+            full_evaluations: self.state.full_evaluations() - self.evaluations_before.1,
+            ..Default::default()
+        }
     }
-    PhaseCounters {
-        moves_accepted: accepted as u64,
-        moves_rejected: rejected as u64,
-        proposals_evaluated: proposals as u64,
-        delta_evaluations: state.delta_evaluations() - delta_evals_before,
-        full_evaluations: state.full_evaluations() - full_evals_before,
-        ..Default::default()
+
+    /// The state and the best-placement buffer.
+    pub(crate) fn into_parts(self) -> (PlacementState<'a>, Vec<NodeId>) {
+        (self.state, self.best)
     }
 }
 
@@ -206,59 +272,30 @@ impl Mapper for Annealing {
         let links = links_by_descending_bw(venv);
         record_map("SA", phys, venv, cache, |rec, cache| {
             let mut state = PlacementState::new(phys, venv);
-
-            // Borrow the reusable search buffers out of the cache for the
-            // run; they go back before the Networking stage needs the whole
-            // cache.
-            cache.anneal.begin();
-            let mut hosts = std::mem::take(&mut cache.anneal.hosts);
-            let mut best_placement = std::mem::take(&mut cache.anneal.best);
-            let mut displaced = std::mem::take(&mut cache.anneal.displaced);
-            hosts.extend_from_slice(phys.hosts());
-
-            // --- Initial placement.
             rec.try_phase(
                 cache,
                 Phase::Hosting,
-                |_| {
-                    if cfg.seed_with_hosting {
-                        let h = hosting_stage(&mut state, &links, HostingPolicy::Paper)?;
-                        migration_stage(&mut state);
-                        return Ok(h.counters());
-                    }
-                    let mut fitting: Vec<NodeId> = Vec::with_capacity(hosts.len());
-                    for g in venv.guest_ids() {
-                        fitting.clear();
-                        fitting.extend(hosts.iter().copied().filter(|&h| state.fits(g, h)));
-                        if fitting.is_empty() {
-                            return Err(MapError::HostingFailed { guest: g });
-                        }
-                        let pick = fitting[rng.gen_range(0..fitting.len())];
-                        state.assign(g, pick).expect("candidate verified");
-                    }
-                    Ok(PhaseCounters::default())
-                },
+                |_| hmn_start(&mut state, &links),
                 |counters| *counters,
             )?;
 
-            // --- Anneal.
-            rec.phase(cache, Phase::Migration, |_| {
-                let counters = anneal(
-                    cfg,
-                    &mut state,
-                    &hosts,
-                    &mut best_placement,
-                    &mut displaced,
-                    rng,
-                );
-                ((), counters)
+            // --- Anneal, ending on the best placement visited. The
+            // chain's buffers come from the cache and go back to it, so a
+            // warm run allocates nothing here.
+            let chain = rec.phase(cache, Phase::Migration, |cache| {
+                let best = std::mem::take(&mut cache.anneal.best);
+                let mut chain = Chain::new(state, cfg.bandwidth_weight, best);
+                let mut temperature = (chain.energy() * INITIAL_TEMPERATURE_FACTOR).max(1e-6);
+                for _ in 0..cfg.iterations {
+                    chain.step(phys.hosts(), temperature, rng);
+                    temperature *= COOLING;
+                }
+                chain.restore_best(&mut cache.anneal.displaced);
+                let counters = chain.counters();
+                (chain, counters)
             });
-
-            // Return the (possibly grown) buffers to the cache for the next
-            // run.
-            cache.anneal.hosts = hosts;
-            cache.anneal.best = best_placement;
-            cache.anneal.displaced = displaced;
+            let (mut state, best) = chain.into_parts();
+            cache.anneal.best = best;
 
             // --- Route.
             let (routes, _) = rec.try_phase(
@@ -352,34 +389,63 @@ mod tests {
     }
 
     #[test]
-    fn annealing_improves_on_a_random_start() {
+    fn chain_tracks_its_energy_and_improves_on_a_piled_up_start() {
         let p = phys();
         let v = venv(30, 4);
-        let none = Annealing {
-            config: AnnealingConfig {
-                iterations: 0,
-                seed_with_hosting: false,
-                ..Default::default()
-            },
+        let hosts = p.hosts().to_vec();
+        let total_bw: f64 = v.link_ids().map(|l| v.link(l).bw.value()).sum();
+        let scale = total_bw / p.host_count() as f64;
+        for weight in [0.0, 0.5] {
+            // Every guest on the first host that fits: a badly balanced
+            // start with plenty of room to improve.
+            let mut state = PlacementState::new(&p, &v);
+            for g in v.guest_ids() {
+                let h = hosts.iter().copied().find(|&h| state.fits(g, h)).unwrap();
+                state.assign(g, h).unwrap();
+            }
+            let mut chain = Chain::new(state, weight, Vec::new());
+            let start = chain.energy();
+            let mut rng = SmallRng::seed_from_u64(11);
+            for i in 0..6_000 {
+                // Hot, warm and greedy steps interleaved.
+                chain.step(&hosts, start * [0.5, 0.05, 0.0][i % 3], &mut rng);
+            }
+            // The running values against a from-scratch recompute: the
+            // population stddev of the residual CPU column and a full
+            // inter-host bandwidth scan.
+            let residuals = chain.state.residual().host_proc_residuals(&p);
+            let mean = residuals.iter().sum::<f64>() / residuals.len() as f64;
+            let var =
+                residuals.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / residuals.len() as f64;
+            let objective = var.sqrt();
+            let bw_full = chain.state.inter_host_bandwidth().value();
+            let energy_full = if weight == 0.0 {
+                objective
+            } else {
+                assert!(
+                    (chain.bw_inter - bw_full).abs() < 1e-6,
+                    "running bw {} vs full {bw_full}",
+                    chain.bw_inter
+                );
+                objective + weight * bw_full / scale
+            };
+            assert!(
+                (chain.state.objective() - objective).abs() < 1e-6,
+                "weight {weight}: accumulator {} vs full {objective}",
+                chain.state.objective()
+            );
+            assert!(
+                (chain.energy() - energy_full).abs() < 1e-6,
+                "weight {weight}: running energy {} vs full {energy_full}",
+                chain.energy()
+            );
+            assert!(chain.accepted > 0, "weight {weight}: nothing accepted");
+            assert!(
+                chain.best_energy() < start,
+                "weight {weight}: best {} not below the start {start}",
+                chain.best_energy()
+            );
         }
-        .map(&p, &v, &mut SmallRng::seed_from_u64(5))
-        .unwrap();
-        let annealed = Annealing {
-            config: AnnealingConfig {
-                iterations: 8_000,
-                seed_with_hosting: false,
-                bandwidth_weight: 0.0, // pure Eq. 10 for a clean comparison
-                ..Default::default()
-            },
-        }
-        .map(&p, &v, &mut SmallRng::seed_from_u64(5))
-        .unwrap();
-        assert!(
-            annealed.objective <= none.objective,
-            "annealing should not end worse than its random start: {} vs {}",
-            annealed.objective,
-            none.objective
-        );
     }
 
     #[test]

@@ -234,16 +234,13 @@ impl ArTables {
     }
 }
 
-/// Reusable buffers for the annealer's search loop: the host list the
-/// proposal sampler indexes, the best-placement snapshot, and the
-/// displaced-guest list of the final restore. With these owned by the
-/// [`MapCache`], the steady-state annealing loop performs no allocations
-/// at all — proposals are evaluated as accumulator deltas and the only
+/// Reusable buffers for the annealer's search loop: the best-placement
+/// snapshot and the displaced-guest list of the final restore. With these
+/// owned by the [`MapCache`], the steady-state annealing loop performs no
+/// allocations at all — proposals are evaluated as accumulator deltas and the only
 /// vectors involved are these, refilled in place.
 #[derive(Debug, Default)]
 pub struct AnnealScratch {
-    /// Host ids in `phys.hosts()` order (proposal sampling).
-    pub(crate) hosts: Vec<NodeId>,
     /// Best placement visited, dense by guest index.
     pub(crate) best: Vec<NodeId>,
     /// Guests whose final host differs from the best snapshot (restore).
@@ -254,13 +251,6 @@ impl AnnealScratch {
     /// Fresh, cold scratch.
     pub fn new() -> Self {
         AnnealScratch::default()
-    }
-
-    /// Clears the buffers for a new run, keeping their capacity.
-    pub(crate) fn begin(&mut self) {
-        self.hosts.clear();
-        self.best.clear();
-        self.displaced.clear();
     }
 }
 

@@ -25,12 +25,12 @@
 //! coordinator between rounds. Outcomes are therefore bit-identical for 1,
 //! 4 or 64 worker threads, which the determinism suite asserts.
 
+use crate::annealing::{hmn_start, Chain};
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
+use crate::hosting::links_by_descending_bw;
 use crate::mapper::{MapOutcome, Mapper};
-use crate::migration::migration_stage;
 use crate::networking::networking_stage;
 use crate::parallel::ParallelRunner;
 use crate::recorder::record_map;
@@ -60,9 +60,6 @@ pub struct TemperingConfig {
     /// Weight of the inter-host bandwidth energy term (as in
     /// [`AnnealingConfig`](crate::AnnealingConfig)).
     pub bandwidth_weight: f64,
-    /// Seed every replica from HMN's Hosting+Migration fixpoint instead of
-    /// an independent random placement per replica.
-    pub seed_with_hosting: bool,
     /// Worker threads for the replica pool; `0` means one per core.
     pub threads: usize,
     /// A\*Prune configuration for the final routing pass.
@@ -78,7 +75,6 @@ impl Default for TemperingConfig {
             min_temperature_factor: 0.01,
             max_temperature_factor: 0.5,
             bandwidth_weight: 0.5,
-            seed_with_hosting: true,
             threads: 0,
             astar: AStarPruneConfig::default(),
         }
@@ -92,83 +88,15 @@ impl TemperingConfig {
     }
 }
 
-/// One rung of the ladder: a placement chain at a fixed temperature.
+/// One rung of the ladder: an annealing [`Chain`] at a fixed temperature
+/// with its own proposal stream.
 ///
-/// Owns everything its round needs (state, RNG, running energy), so a
-/// round is a pure function of the replica value — the struct moves into
-/// a worker, runs, and moves back.
+/// Owns everything its round needs, so a round is a pure function of the
+/// replica value — the struct moves into a worker, runs, and moves back.
 struct Replica<'a> {
-    state: PlacementState<'a>,
+    chain: Chain<'a>,
     rng: SmallRng,
     temperature: f64,
-    energy: f64,
-    bw_inter: f64,
-    best_energy: f64,
-    best_placement: Vec<NodeId>,
-    accepted: usize,
-    rejected: usize,
-    proposals: usize,
-}
-
-impl Replica<'_> {
-    /// Runs `iterations` single-guest move proposals at this replica's
-    /// current temperature.
-    fn run_round(
-        &mut self,
-        hosts: &[NodeId],
-        iterations: usize,
-        bw_enabled: bool,
-        bw_weight: f64,
-        bw_scale: f64,
-    ) {
-        let guest_count = self.state.venv().guest_count();
-        if guest_count == 0 || hosts.len() < 2 {
-            return;
-        }
-        let energy_of = |objective: f64, bw_inter: f64| {
-            if bw_enabled {
-                objective + bw_weight * bw_inter / bw_scale
-            } else {
-                objective
-            }
-        };
-        for _ in 0..iterations {
-            let g = GuestId::from_index(self.rng.gen_range(0..guest_count));
-            let from = self.state.host_of(g).expect("complete");
-            let to = hosts[self.rng.gen_range(0..hosts.len())];
-            if to == from || !self.state.fits(g, to) {
-                continue;
-            }
-            let objective_after = self.state.objective_if_migrated(g, to);
-            let bw_after = if bw_enabled {
-                self.bw_inter + self.state.inter_bandwidth_delta(g, to).value()
-            } else {
-                self.bw_inter
-            };
-            let proposed = energy_of(objective_after, bw_after);
-            self.proposals += 1;
-            let delta = proposed - self.energy;
-            let accept = delta <= 0.0
-                || self.rng.gen::<f64>() < (-delta / self.temperature.max(1e-12)).exp();
-            if accept {
-                self.state.migrate(g, to).expect("fit checked");
-                self.energy = proposed;
-                self.bw_inter = bw_after;
-                self.accepted += 1;
-                if proposed < self.best_energy {
-                    self.best_energy = proposed;
-                    for (i, slot) in self.best_placement.iter_mut().enumerate() {
-                        *slot = self
-                            .state
-                            .host_of(GuestId::from_index(i))
-                            .expect("complete");
-                    }
-                }
-            } else {
-                self.rejected += 1;
-            }
-        }
-    }
 }
 
 /// Parallel-tempering mapper (`--mapper pt`).
@@ -198,105 +126,52 @@ impl Mapper for ParallelTempering {
             // proposal streams and the swap stream all derive from it, so
             // the mapper remains a pure function of (phys, venv, seed).
             let master_seed = rng.next_u64();
-            let hosts: Vec<NodeId> = phys.hosts().to_vec();
-            let guest_count = venv.guest_count();
 
-            // --- Seed placement (shared by every replica when
-            // hosting-seeded).
+            // --- Seed placement, shared by every replica.
             let (seed_placement, _) = rec.try_phase(
                 cache,
                 Phase::Hosting,
                 |_| {
-                    if !cfg.seed_with_hosting {
-                        return Ok((None, PhaseCounters::default()));
-                    }
                     let mut state = PlacementState::new(phys, venv);
-                    let h = hosting_stage(&mut state, &links, HostingPolicy::Paper)?;
-                    migration_stage(&mut state);
-                    Ok((Some(state.into_placement()), h.counters()))
+                    let counters = hmn_start(&mut state, &links)?;
+                    Ok((state.into_placement(), counters))
                 },
                 |(_, counters)| *counters,
             )?;
 
             // --- Build the ladder.
-            let bw_scale = {
-                let total_bw: f64 = venv.link_ids().map(|l| venv.link(l).bw.value()).sum();
-                if total_bw > 0.0 {
-                    total_bw / phys.host_count() as f64
-                } else {
-                    0.0
-                }
-            };
-            let bw_enabled = cfg.bandwidth_weight != 0.0 && bw_scale != 0.0;
-            let mut replicas: Vec<Replica<'_>> = Vec::with_capacity(cfg.replicas);
-            for k in 0..cfg.replicas {
-                let mut state = PlacementState::new(phys, venv);
-                let mut replica_rng = SmallRng::seed_from_u64(
-                    master_seed ^ (k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                match &seed_placement {
-                    Some(placement) => {
-                        for (i, &h) in placement.iter().enumerate() {
-                            state
-                                .assign(GuestId::from_index(i), h)
-                                .expect("hosting placement is feasible");
-                        }
+            let replicas: Vec<Replica<'_>> = (0..cfg.replicas)
+                .map(|k| {
+                    let mut state = PlacementState::new(phys, venv);
+                    for (i, &h) in seed_placement.iter().enumerate() {
+                        state
+                            .assign(GuestId::from_index(i), h)
+                            .expect("hosting placement is feasible");
                     }
-                    None => {
-                        // Independent random feasible start per replica.
-                        let mut fitting: Vec<NodeId> = Vec::with_capacity(hosts.len());
-                        for g in venv.guest_ids() {
-                            fitting.clear();
-                            fitting.extend(hosts.iter().copied().filter(|&h| state.fits(g, h)));
-                            if fitting.is_empty() {
-                                return Err(MapError::HostingFailed { guest: g });
-                            }
-                            let pick = fitting[replica_rng.gen_range(0..fitting.len())];
-                            state.assign(g, pick).expect("candidate verified");
-                        }
+                    let chain = Chain::new(state, cfg.bandwidth_weight, Vec::new());
+                    // Geometric ladder from cold (rung 0) to hot, anchored
+                    // on the replica's initial energy scale.
+                    let energy = chain.energy();
+                    let t_min = (energy * cfg.min_temperature_factor).max(1e-6);
+                    let t_max = (energy * cfg.max_temperature_factor).max(t_min * (1.0 + 1e-9));
+                    let frac = if cfg.replicas == 1 {
+                        0.0
+                    } else {
+                        k as f64 / (cfg.replicas - 1) as f64
+                    };
+                    Replica {
+                        chain,
+                        rng: SmallRng::seed_from_u64(
+                            master_seed ^ (k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                        ),
+                        temperature: t_min * (t_max / t_min).powf(frac),
                     }
-                }
-                let bw_inter = if bw_enabled {
-                    state.inter_host_bandwidth().value()
-                } else {
-                    0.0
-                };
-                let energy = if bw_enabled {
-                    state.objective() + cfg.bandwidth_weight * bw_inter / bw_scale
-                } else {
-                    state.objective()
-                };
-                // Geometric ladder from cold (rung 0) to hot, anchored on this
-                // replica's own initial energy scale.
-                let t_min = (energy * cfg.min_temperature_factor).max(1e-6);
-                let t_max = (energy * cfg.max_temperature_factor).max(t_min * (1.0 + 1e-9));
-                let frac = if cfg.replicas == 1 {
-                    0.0
-                } else {
-                    k as f64 / (cfg.replicas - 1) as f64
-                };
-                let temperature = t_min * (t_max / t_min).powf(frac);
-                let best_placement = venv
-                    .guest_ids()
-                    .map(|g| state.host_of(g).expect("complete"))
-                    .collect();
-                replicas.push(Replica {
-                    state,
-                    rng: replica_rng,
-                    temperature,
-                    energy,
-                    bw_inter,
-                    best_energy: energy,
-                    best_placement,
-                    accepted: 0,
-                    rejected: 0,
-                    proposals: 0,
-                });
-            }
+                })
+                .collect();
 
             // --- Temper.
-            let replicas = rec.phase(cache, Phase::Migration, |_| {
-                temper(cfg, replicas, &hosts, master_seed, bw_enabled, bw_scale)
+            let mut replicas = rec.phase(cache, Phase::Migration, |_| {
+                temper(cfg, replicas, phys.hosts(), master_seed)
             });
 
             // --- Route the global best. Ties break toward the
@@ -304,17 +179,13 @@ impl Mapper for ParallelTempering {
             let best = replicas
                 .iter()
                 .enumerate()
-                .min_by(|(_, a), (_, b)| a.best_energy.total_cmp(&b.best_energy))
+                .min_by(|(_, a), (_, b)| a.chain.best_energy().total_cmp(&b.chain.best_energy()))
                 .map(|(i, _)| i)
                 .expect("at least one replica");
-            let mut state = PlacementState::new(phys, venv);
-            for (i, &h) in replicas[best].best_placement.iter().enumerate() {
-                state
-                    .assign(GuestId::from_index(i), h)
-                    .expect("best placement was feasible when recorded");
-            }
+            let mut chain = replicas.swap_remove(best).chain;
             drop(replicas);
-            debug_assert_eq!(state.assigned_count(), guest_count);
+            chain.restore_best(&mut Vec::new());
+            let (mut state, _) = chain.into_parts();
 
             let (routes, _) = rec.try_phase(
                 cache,
@@ -335,24 +206,15 @@ fn temper<'a>(
     mut replicas: Vec<Replica<'a>>,
     hosts: &[NodeId],
     master_seed: u64,
-    bw_enabled: bool,
-    bw_scale: f64,
 ) -> (Vec<Replica<'a>>, PhaseCounters) {
     let runner = ParallelRunner::new(cfg.threads.min(cfg.replicas.max(1)));
     let mut swap_rng = SmallRng::seed_from_u64(master_seed.wrapping_add(0xA076_1D64_78BD_642F));
-    let mut replica_exchanges = 0u64;
-    let mut exchange_accepts = 0u64;
-    let delta_evals_before: u64 = replicas.iter().map(|r| r.state.delta_evaluations()).sum();
-    let full_evals_before: u64 = replicas.iter().map(|r| r.state.full_evaluations()).sum();
+    let mut counters = PhaseCounters::default();
     for round in 0..cfg.rounds {
         replicas = runner.run(replicas, |mut r, _cache| {
-            r.run_round(
-                hosts,
-                cfg.iterations_per_round,
-                bw_enabled,
-                cfg.bandwidth_weight,
-                bw_scale,
-            );
+            for _ in 0..cfg.iterations_per_round {
+                r.chain.step(hosts, r.temperature, &mut r.rng);
+            }
             r
         });
         // Exchange temperatures between adjacent rungs, alternating
@@ -362,39 +224,27 @@ fn temper<'a>(
         // decision stream never depends on worker scheduling.
         let mut k = round % 2;
         while k + 1 < replicas.len() {
-            replica_exchanges += 1;
+            counters.replica_exchanges += 1;
             let u = swap_rng.gen::<f64>();
             let (ti, tj) = (replicas[k].temperature, replicas[k + 1].temperature);
-            let (ei, ej) = (replicas[k].energy, replicas[k + 1].energy);
+            let (ei, ej) = (replicas[k].chain.energy(), replicas[k + 1].chain.energy());
             let log_accept = (1.0 / ti - 1.0 / tj) * (ei - ej);
             if log_accept >= 0.0 || u < log_accept.exp() {
-                exchange_accepts += 1;
+                counters.exchange_accepts += 1;
                 replicas[k].temperature = tj;
                 replicas[k + 1].temperature = ti;
             }
             k += 2;
         }
     }
-    let delta_evaluations: u64 = replicas
-        .iter()
-        .map(|r| r.state.delta_evaluations())
-        .sum::<u64>()
-        - delta_evals_before;
-    let full_evaluations: u64 = replicas
-        .iter()
-        .map(|r| r.state.full_evaluations())
-        .sum::<u64>()
-        - full_evals_before;
-    let counters = PhaseCounters {
-        moves_accepted: replicas.iter().map(|r| r.accepted as u64).sum(),
-        moves_rejected: replicas.iter().map(|r| r.rejected as u64).sum(),
-        proposals_evaluated: replicas.iter().map(|r| r.proposals as u64).sum(),
-        delta_evaluations,
-        full_evaluations,
-        replica_exchanges,
-        exchange_accepts,
-        ..Default::default()
-    };
+    for r in &replicas {
+        let c = r.chain.counters();
+        counters.moves_accepted += c.moves_accepted;
+        counters.moves_rejected += c.moves_rejected;
+        counters.proposals_evaluated += c.proposals_evaluated;
+        counters.delta_evaluations += c.delta_evaluations;
+        counters.full_evaluations += c.full_evaluations;
+    }
     (replicas, counters)
 }
 
@@ -524,110 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_energy_matches_full_recompute_after_exchanges() {
-        // The per-replica running energy is maintained via the O(1)
-        // accumulator and O(degree) bandwidth deltas across thousands of
-        // proposals and dozens of temperature exchanges; verify against
-        // a from-scratch recompute of both terms on the final states.
-        let p = phys();
-        let v = venv(30, 4);
-        let cfg = TemperingConfig {
-            replicas: 4,
-            rounds: 20,
-            iterations_per_round: 100,
-            threads: 2,
-            ..Default::default()
-        };
-        // Re-run the ladder by hand (the mapper's internals are private)
-        // with the same machinery the mapper uses.
-        let links = links_by_descending_bw(&v);
-        let mut state = PlacementState::new(&p, &v);
-        hosting_stage(&mut state, &links, HostingPolicy::Paper).unwrap();
-        migration_stage(&mut state);
-        let seed_placement = state.into_placement();
-        let total_bw: f64 = v.link_ids().map(|l| v.link(l).bw.value()).sum();
-        let bw_scale = total_bw / p.host_count() as f64;
-        let mut replicas: Vec<Replica<'_>> = (0..cfg.replicas)
-            .map(|k| {
-                let mut state = PlacementState::new(&p, &v);
-                for (i, &h) in seed_placement.iter().enumerate() {
-                    state.assign(GuestId::from_index(i), h).unwrap();
-                }
-                let bw_inter = state.inter_host_bandwidth().value();
-                let energy = state.objective() + cfg.bandwidth_weight * bw_inter / bw_scale;
-                Replica {
-                    state,
-                    rng: SmallRng::seed_from_u64(99 + k as u64),
-                    temperature: 0.05 * energy.max(1.0) * (k + 1) as f64,
-                    energy,
-                    bw_inter,
-                    best_energy: energy,
-                    best_placement: seed_placement.clone(),
-                    accepted: 0,
-                    rejected: 0,
-                    proposals: 0,
-                }
-            })
-            .collect();
-        let hosts: Vec<NodeId> = p.hosts().to_vec();
-        let mut swap_rng = SmallRng::seed_from_u64(1234);
-        for round in 0..cfg.rounds {
-            for r in replicas.iter_mut() {
-                r.run_round(
-                    &hosts,
-                    cfg.iterations_per_round,
-                    true,
-                    cfg.bandwidth_weight,
-                    bw_scale,
-                );
-            }
-            let mut k = round % 2;
-            while k + 1 < replicas.len() {
-                let u = swap_rng.gen::<f64>();
-                let (ti, tj) = (replicas[k].temperature, replicas[k + 1].temperature);
-                let (ei, ej) = (replicas[k].energy, replicas[k + 1].energy);
-                let log_accept = (1.0 / ti - 1.0 / tj) * (ei - ej);
-                if log_accept >= 0.0 || u < log_accept.exp() {
-                    replicas[k].temperature = tj;
-                    replicas[k + 1].temperature = ti;
-                }
-                k += 2;
-            }
-        }
-        for (k, r) in replicas.iter().enumerate() {
-            assert!(r.accepted > 0, "replica {k} accepted no proposals");
-            // Objective term: accumulator vs population stddev from the
-            // residual columns.
-            let residuals = r.state.residual().host_proc_residuals(&p);
-            let mean = residuals.iter().sum::<f64>() / residuals.len() as f64;
-            let var =
-                residuals.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / residuals.len() as f64;
-            let objective = var.sqrt();
-            // Bandwidth term: full rescan vs the running delta total.
-            let bw_full = r.state.inter_host_bandwidth().value();
-            let energy_full = objective + cfg.bandwidth_weight * bw_full / bw_scale;
-            assert!(
-                (r.state.objective() - objective).abs() < 1e-6,
-                "replica {k}: accumulator {} vs full {}",
-                r.state.objective(),
-                objective
-            );
-            assert!(
-                (r.bw_inter - bw_full).abs() < 1e-6,
-                "replica {k}: running bw {} vs full {}",
-                r.bw_inter,
-                bw_full
-            );
-            assert!(
-                (r.energy - energy_full).abs() < 1e-6,
-                "replica {k}: running energy {} vs full {}",
-                r.energy,
-                energy_full
-            );
-        }
-    }
-
-    #[test]
     fn single_replica_is_fine() {
         let p = phys();
         let v = venv(12, 5);
@@ -654,23 +400,5 @@ mod tests {
             .map(&p, &v, &mut SmallRng::seed_from_u64(1))
             .unwrap();
         assert_eq!(out.mapping.guest_count(), 0);
-    }
-
-    #[test]
-    fn random_start_varies_per_replica_but_is_reproducible() {
-        let p = phys();
-        let v = venv(20, 7);
-        let config = TemperingConfig {
-            seed_with_hosting: false,
-            ..small_config()
-        };
-        let a = ParallelTempering { config }
-            .map(&p, &v, &mut SmallRng::seed_from_u64(9))
-            .unwrap();
-        let b = ParallelTempering { config }
-            .map(&p, &v, &mut SmallRng::seed_from_u64(9))
-            .unwrap();
-        assert_eq!(a.mapping, b.mapping);
-        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
     }
 }

@@ -9,8 +9,13 @@
 //! baselines (R, HS) retry on latency misses; the heavy one saturates
 //! physical links, so A\*Prune fails on bandwidth, R and RA exhaust their
 //! retries and HS releases and re-routes contended passes.
+//!
+//! The placement searches (SA, PT) have a second table over the same runs:
+//! each run's placement and objective bits (or the error) and every span's
+//! deterministic counters, so their proposal, acceptance, evaluation and
+//! exchange counts are pinned too.
 
-use emumap_core::{build_mapper, MapCache, MapperConfig, MAPPERS};
+use emumap_core::{build_mapper, MapCache, MapError, MapOutcome, MapperConfig, MAPPERS};
 use emumap_model::{PhysicalTopology, VirtualEnvironment};
 use emumap_trace::{Phase, SharedSink, TraceEvent, Tracer};
 use emumap_workloads::{ClusterSpec, Range, VirtualEnvSpec};
@@ -47,18 +52,38 @@ const PINNED: &[(&str, &str, u64)] = &[
     ("pool", "switched", 0x4a4646f633bc9d26),
 ];
 
-/// One run of `key`, traced on a fresh cache, as text.
-fn record(key: &str, phys: &PhysicalTopology, venv: &VirtualEnvironment, seed: u64) -> String {
+/// `(registry key, cluster, digest)` of the placement searches' outcomes
+/// and counters.
+const PINNED_SEARCH: &[(&str, &str, u64)] = &[
+    ("sa", "torus", 0x5e6db604b8214f51),
+    ("sa", "switched", 0xfb1ad7c758121f08),
+    ("pt", "torus", 0xdb667b0f6ed3df0b),
+    ("pt", "switched", 0x0804233ca7dca190),
+];
+
+/// One run of `key`, traced on a fresh cache: the outcome and the events.
+fn traced(
+    key: &str,
+    phys: &PhysicalTopology,
+    venv: &VirtualEnvironment,
+    seed: u64,
+) -> (Result<MapOutcome, MapError>, Vec<TraceEvent>) {
     let mapper = build_mapper(key, &MapperConfig::default()).expect("registered");
     let sink = SharedSink::default();
     let mut cache = MapCache::new();
     cache.trace = Tracer::new(Box::new(sink.clone()));
     let result = mapper.map_with_cache(phys, venv, &mut SmallRng::seed_from_u64(seed), &mut cache);
+    (result, sink.events())
+}
+
+/// One run of `key`'s routing behaviour as text.
+fn record(key: &str, phys: &PhysicalTopology, venv: &VirtualEnvironment, seed: u64) -> String {
+    let (result, events) = traced(key, phys, venv, seed);
     let mut out = match result {
         Ok(o) => format!("{} {:?}", o.stats.attempts, o.mapping),
         Err(e) => format!("{e:?}"),
     };
-    for event in sink.events() {
+    for event in events {
         match event {
             TraceEvent::PhaseEnd {
                 phase: Phase::Networking,
@@ -74,8 +99,36 @@ fn record(key: &str, phys: &PhysicalTopology, venv: &VirtualEnvironment, seed: u
     out
 }
 
-#[test]
-fn every_mapper_routes_exactly_as_pinned() {
+/// One run of placement search `key` as text: placement, objective bits
+/// and every span's deterministic counters.
+fn search_record(
+    key: &str,
+    phys: &PhysicalTopology,
+    venv: &VirtualEnvironment,
+    seed: u64,
+) -> String {
+    let (result, events) = traced(key, phys, venv, seed);
+    let mut out = match result {
+        Ok(o) => format!("{:?} {:#x}", o.mapping.placement(), o.objective.to_bits()),
+        Err(e) => format!("{e:?}"),
+    };
+    for event in events {
+        if let TraceEvent::PhaseEnd {
+            phase, counters, ..
+        } = event
+        {
+            out += &format!(" {phase:?} {:?}", counters.redact_volatile());
+        }
+    }
+    out
+}
+
+/// `(key, cluster, digest)` per key and paper cluster: FNV-1a over the
+/// records of both environments and seeds 1-3.
+fn digests<'k>(
+    keys: impl IntoIterator<Item = &'k str>,
+    record: fn(&str, &PhysicalTopology, &VirtualEnvironment, u64) -> String,
+) -> Vec<(&'k str, &'static str, u64)> {
     let (torus, switched) = ClusterSpec::paper().build_both(&mut SmallRng::seed_from_u64(2009));
     let light = VirtualEnvSpec::high_level(24, 0.1).generate(&mut SmallRng::seed_from_u64(5));
     let heavy = VirtualEnvSpec {
@@ -84,19 +137,33 @@ fn every_mapper_routes_exactly_as_pinned() {
     }
     .generate(&mut SmallRng::seed_from_u64(6));
     let mut got = Vec::new();
-    for entry in MAPPERS {
+    for key in keys {
         for (cluster, phys) in [("torus", &torus), ("switched", &switched)] {
-            // FNV-1a over the records of both environments and all seeds.
             let mut digest = 0xcbf2_9ce4_8422_2325_u64;
             for venv in [&light, &heavy] {
                 for seed in 1..=3 {
-                    for b in record(entry.key, phys, venv, seed).bytes() {
+                    for b in record(key, phys, venv, seed).bytes() {
                         digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
                     }
                 }
             }
-            got.push((entry.key, cluster, digest));
+            got.push((key, cluster, digest));
         }
     }
+    got
+}
+
+#[test]
+fn every_mapper_routes_exactly_as_pinned() {
+    let got = digests(MAPPERS.iter().map(|e| e.key), record);
     assert_eq!(got, PINNED, "a mapper's routes, attempts or counters moved");
+}
+
+#[test]
+fn placement_searches_end_exactly_as_pinned() {
+    let got = digests(["sa", "pt"], search_record);
+    assert_eq!(
+        got, PINNED_SEARCH,
+        "SA's or PT's placement, objective or counters moved"
+    );
 }
