@@ -1,7 +1,9 @@
 //! Tiny dependency-free argument parsing: `--key value` flags after a
 //! subcommand, plus positional operands for the subcommands that take
-//! them.
+//! them. Reading a flag removes it, and [`Parsed::finish`] rejects any
+//! flag that no reader took.
 
+use crate::commands::CliError;
 use std::collections::BTreeMap;
 
 /// Parsing failures.
@@ -49,7 +51,8 @@ pub struct Parsed {
 }
 
 impl Parsed {
-    /// Parses tokens (exclusive of the program name).
+    /// Parses tokens (exclusive of the program name), accepting `-o` as
+    /// an alias for `--out`.
     pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Parsed, ArgError> {
         let mut iter = tokens.into_iter();
         let subcommand = iter.next().ok_or(ArgError::MissingSubcommand)?;
@@ -59,6 +62,11 @@ impl Parsed {
         let mut flags = BTreeMap::new();
         let mut operands = Vec::new();
         while let Some(tok) = iter.next() {
+            let tok = if tok == "-o" {
+                "--out".to_string()
+            } else {
+                tok
+            };
             let Some(key) = tok.strip_prefix("--") else {
                 if OPERAND_SUBCOMMANDS.contains(&subcommand.as_str()) {
                     operands.push(tok);
@@ -66,8 +74,6 @@ impl Parsed {
                 }
                 return Err(ArgError::UnexpectedToken(tok));
             };
-            // `-o` style shorthand: we normalize `--o` too; only `-o` is
-            // special-cased below for ergonomics.
             let value = if BOOLEAN_FLAGS.contains(&key) {
                 "true".to_string()
             } else {
@@ -85,57 +91,61 @@ impl Parsed {
         })
     }
 
-    /// Parses tokens, accepting `-o` as an alias for `--out`.
-    pub fn parse_with_aliases<I: IntoIterator<Item = String>>(
-        tokens: I,
-    ) -> Result<Parsed, ArgError> {
-        let normalized: Vec<String> = tokens
-            .into_iter()
-            .map(|t| if t == "-o" { "--out".to_string() } else { t })
-            .collect();
-        Parsed::parse(normalized)
+    /// Required string flag, removed from the unread set.
+    pub fn required(&mut self, key: &str) -> Result<String, CliError> {
+        self.optional(key)
+            .ok_or_else(|| CliError::Usage(format!("missing required flag --{key}")))
     }
 
-    /// Required string flag.
-    pub fn required(&self, key: &str) -> Result<&str, String> {
-        self.flags
-            .get(key)
-            .map(String::as_str)
-            .ok_or_else(|| format!("missing required flag --{key}"))
-    }
-
-    /// Optional string flag.
-    pub fn optional(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(String::as_str)
+    /// Optional string flag, removed from the unread set.
+    pub fn optional(&mut self, key: &str) -> Option<String> {
+        self.flags.remove(key)
     }
 
     /// Optional flag parsed to a type, with a default.
-    pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.flags.get(key) {
+    pub fn parse_or<T: std::str::FromStr>(&mut self, key: &str, default: T) -> Result<T, CliError> {
+        match self.optional(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("flag --{key}: cannot parse '{v}'")),
+                .map_err(|_| CliError::Usage(format!("flag --{key}: cannot parse '{v}'"))),
         }
     }
 
+    /// [`parse_or`](Self::parse_or) for a count, where zero means nothing
+    /// to do and is a usage error.
+    pub fn count<T>(&mut self, key: &str, default: T) -> Result<T, CliError>
+    where
+        T: std::str::FromStr + Default + PartialEq,
+    {
+        let n = self.parse_or(key, default)?;
+        if n == T::default() {
+            return Err(CliError::Usage(format!("--{key} must be at least 1")));
+        }
+        Ok(n)
+    }
+
     /// `true` iff a boolean flag (one of `BOOLEAN_FLAGS`) was given.
-    pub fn flag(&self, key: &str) -> bool {
+    pub fn flag(&mut self, key: &str) -> bool {
         debug_assert!(
             BOOLEAN_FLAGS.contains(&key),
             "--{key} is not registered as a boolean flag"
         );
-        self.flags.contains_key(key)
+        self.optional(key).is_some()
     }
 
-    /// Positional operands, in order (only for subcommands that take them).
-    pub fn operands(&self) -> &[String] {
-        &self.operands
-    }
-
-    /// Every flag key; `run` checks them against the subcommand's table.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.flags.keys().map(String::as_str)
+    /// Ends the reading and returns the positional operands (only
+    /// subcommands that take them have any). Any flag the subcommand did
+    /// not read is a usage error, so none is silently ignored; consuming
+    /// `self` means no flag can be read after this check.
+    pub fn finish(self) -> Result<Vec<String>, CliError> {
+        match self.flags.keys().next() {
+            Some(key) => Err(CliError::Usage(format!(
+                "unknown flag --{key} for '{}'",
+                self.subcommand
+            ))),
+            None => Ok(self.operands),
+        }
     }
 }
 
@@ -144,21 +154,24 @@ mod tests {
     use super::*;
 
     fn parse(tokens: &[&str]) -> Result<Parsed, ArgError> {
-        Parsed::parse_with_aliases(tokens.iter().map(|s| s.to_string()))
+        Parsed::parse(tokens.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn parses_subcommand_and_flags() {
-        let p = parse(&["map", "--phys", "a.json", "--seed", "7"]).unwrap();
+        let mut p = parse(&["map", "--phys", "a.json", "--seed", "7"]).unwrap();
         assert_eq!(p.subcommand, "map");
         assert_eq!(p.required("phys").unwrap(), "a.json");
         assert_eq!(p.parse_or("seed", 0u64).unwrap(), 7);
         assert_eq!(p.parse_or("reps", 5u32).unwrap(), 5);
+        // Reading consumes: a second read sees the default.
+        assert_eq!(p.parse_or("seed", 0u64).unwrap(), 0);
+        p.finish().unwrap();
     }
 
     #[test]
     fn o_alias_maps_to_out() {
-        let p = parse(&["gen-cluster", "-o", "x.json"]).unwrap();
+        let mut p = parse(&["gen-cluster", "-o", "x.json"]).unwrap();
         assert_eq!(p.required("out").unwrap(), "x.json");
     }
 
@@ -182,18 +195,18 @@ mod tests {
     #[test]
     fn trace_check_takes_operands() {
         let p = parse(&["trace-check", "a.jsonl", "dir"]).unwrap();
-        assert_eq!(p.operands(), ["a.jsonl", "dir"]);
+        assert_eq!(p.finish().unwrap(), ["a.jsonl", "dir"]);
     }
 
     #[test]
     fn boolean_flags_take_no_value() {
-        let p = parse(&["batch", "--quiet", "--reps", "3"]).unwrap();
+        let mut p = parse(&["batch", "--quiet", "--reps", "3"]).unwrap();
         assert!(p.flag("quiet"));
         assert_eq!(p.parse_or("reps", 0u32).unwrap(), 3);
-        let p = parse(&["batch", "--reps", "3"]).unwrap();
+        let mut p = parse(&["batch", "--reps", "3"]).unwrap();
         assert!(!p.flag("quiet"));
         // Trailing boolean flag needs no value either.
-        let p = parse(&["batch", "--quiet"]).unwrap();
+        let mut p = parse(&["batch", "--quiet"]).unwrap();
         assert!(p.flag("quiet"));
         // Non-boolean flags keep their strict grammar.
         assert!(matches!(
@@ -204,15 +217,19 @@ mod tests {
 
     #[test]
     fn missing_required_flag_reports_name() {
-        let p = parse(&["map"]).unwrap();
-        let err = p.required("venv").unwrap_err();
+        let mut p = parse(&["map"]).unwrap();
+        let Err(CliError::Usage(err)) = p.required("venv") else {
+            panic!("a missing flag is a usage error");
+        };
         assert!(err.contains("--venv"));
     }
 
     #[test]
     fn bad_numeric_value_reports_flag() {
-        let p = parse(&["map", "--seed", "notanumber"]).unwrap();
-        let err = p.parse_or("seed", 0u64).unwrap_err();
+        let mut p = parse(&["map", "--seed", "notanumber"]).unwrap();
+        let Err(CliError::Usage(err)) = p.parse_or("seed", 0u64) else {
+            panic!("an unparsable value is a usage error");
+        };
         assert!(err.contains("--seed"));
     }
 }

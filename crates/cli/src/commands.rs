@@ -5,7 +5,7 @@ use emumap_bench::crosscheck::{CrossCheck, TrialWitness};
 use emumap_core::parallel::ParallelRunner;
 use emumap_core::{
     cluster_diagnostics, mapper_keys, mapper_usage, solve_exact_with, BoundKind, ExactConfig,
-    ExactStatus, Hmn, MapCache, MapOutcome, Mapper, MapperConfig,
+    ExactStatus, Hmn, MapCache, MapOutcome, Mapper, MapperConfig, DEFAULT_MAX_ATTEMPTS,
 };
 use emumap_model::{validate_mapping, Mapping, PhysicalTopology, VirtualEnvironment};
 use emumap_sim::{run_experiment, ExperimentSpec};
@@ -156,46 +156,74 @@ pub(crate) fn build_mapper(name: &str, attempts: usize) -> Result<Box<dyn Mapper
         .ok_or_else(|| CliError::Usage(format!("unknown mapper '{name}' ({})", mapper_usage())))
 }
 
-/// A subcommand's implementation.
-type Command = fn(&Parsed) -> Result<Vec<String>, CliError>;
+/// The `--seed` every subcommand defaults to.
+pub(crate) const DEFAULT_SEED: u64 = 2009;
 
-/// Every subcommand with the space-separated flags it accepts (`--help`
-/// is accepted by all of them). [`run`] rejects any other flag before
-/// dispatch, so a mistyped flag is never silently ignored.
-const COMMANDS: &[(&str, Command, &str)] = &[
-    ("gen-cluster", gen_cluster, "topology hosts seed out"),
-    ("gen-venv", gen_venv, "workload guests density seed out"),
-    ("map", map_cmd, "phys venv mapper seed attempts out trace"),
-    (
-        "exact",
-        exact_cmd,
-        "phys venv smoke seed max-nodes bound trace out",
-    ),
-    ("validate", validate_cmd, "phys venv mapping"),
-    (
-        "simulate",
-        simulate_cmd,
-        "phys venv mapping rounds work-factor msg-kbits",
-    ),
-    (
-        "batch",
-        batch_cmd,
-        "phys venv mapper reps seed threads attempts out trace-dir exact-check exact-max-nodes \
-         quiet",
-    ),
-    (
-        "serve",
-        crate::serve::serve_cmd,
-        "phys mapper seed attempts socket trace",
-    ),
-    ("inspect", inspect_cmd, "phys venv mapping dot"),
-    ("trace-check", trace_check_cmd, ""),
+/// Validates the Table 1 generator inputs and generates the environment:
+/// `gen-venv` and `serve`'s generator-form `apply` both come through here.
+/// Errors name the offending input after `prefix` (`--` or `apply.`).
+pub(crate) fn generate_venv(
+    prefix: &str,
+    workload: &str,
+    guests: usize,
+    density: f64,
+    seed: u64,
+) -> Result<VirtualEnvironment, String> {
+    if !(0.0..=1.0).contains(&density) {
+        return Err(format!("{prefix}density must be in [0, 1], got {density}"));
+    }
+    let spec = match workload {
+        "high" => VirtualEnvSpec::high_level(guests, density),
+        "low" => VirtualEnvSpec::low_level(guests, density),
+        other => return Err(format!("unknown {prefix}workload '{other}' (high|low)")),
+    };
+    Ok(spec.generate(&mut SmallRng::seed_from_u64(seed)))
+}
+
+/// Runs `body` with a `--trace` JSONL sink (when `path` is given) on
+/// `owner`'s cache, then flushes the sink — also when `body` failed, since
+/// the trace matters most on failures.
+pub(crate) fn traced<S, R>(
+    owner: &mut S,
+    cache: fn(&mut S) -> &mut MapCache,
+    path: Option<&str>,
+    body: impl FnOnce(&mut S) -> R,
+) -> Result<R, CliError> {
+    if let Some(path) = path {
+        let sink = emumap_trace::JsonlSink::create(path)
+            .map_err(|e| CliError::Io(format!("opening trace {path}: {e}")))?;
+        cache(owner).trace = emumap_trace::Tracer::new(Box::new(sink));
+    }
+    let result = body(owner);
+    if let Some(mut sink) = cache(owner).trace.take_sink() {
+        sink.flush()
+            .map_err(|e| CliError::Io(format!("writing trace: {e}")))?;
+    }
+    Ok(result)
+}
+
+/// A subcommand: it reads all its flags, calls [`Parsed::finish`], and only
+/// then touches a file, so it accepts exactly the flags it reads.
+type Command = fn(Parsed) -> Result<Vec<String>, CliError>;
+
+/// Every subcommand.
+const COMMANDS: &[(&str, Command)] = &[
+    ("gen-cluster", gen_cluster),
+    ("gen-venv", gen_venv),
+    ("map", map_cmd),
+    ("exact", exact_cmd),
+    ("validate", validate_cmd),
+    ("simulate", simulate_cmd),
+    ("batch", batch_cmd),
+    ("serve", crate::serve::serve_cmd),
+    ("inspect", inspect_cmd),
+    ("trace-check", trace_check_cmd),
 ];
 
 /// Runs a parsed command line; returns lines to print on success.
-pub fn run(parsed: &Parsed) -> Result<Vec<String>, CliError> {
+pub fn run(mut parsed: Parsed) -> Result<Vec<String>, CliError> {
     let sub = parsed.subcommand.as_str();
-    let Some(&(_, command, accepted)) = COMMANDS.iter().find(|(name, _, _)| *name == sub) else {
+    let Some(&(_, command)) = COMMANDS.iter().find(|(name, _)| *name == sub) else {
         return match sub {
             "help" | "-h" | "--help" => Ok(vec![USAGE.to_string()]),
             other => Err(CliError::Usage(format!("unknown subcommand '{other}'"))),
@@ -204,22 +232,15 @@ pub fn run(parsed: &Parsed) -> Result<Vec<String>, CliError> {
     if parsed.flag("help") {
         return Ok(vec![USAGE.to_string()]);
     }
-    if let Some(unknown) = parsed
-        .keys()
-        .find(|k| !accepted.split_whitespace().any(|f| f == *k))
-    {
-        return Err(CliError::Usage(format!(
-            "unknown flag --{unknown} for '{sub}'"
-        )));
-    }
     command(parsed)
 }
 
 /// `trace-check`: holds each trace file (or every `*.jsonl` in a
 /// directory operand) to [`emumap_trace::check`].
-fn trace_check_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
+fn trace_check_cmd(p: Parsed) -> Result<Vec<String>, CliError> {
+    let operands = p.finish()?;
     let mut files = Vec::new();
-    for operand in p.operands() {
+    for operand in &operands {
         let path = Path::new(operand);
         if !path.is_dir() {
             files.push(path.to_path_buf());
@@ -236,8 +257,7 @@ fn trace_check_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
     }
     if files.is_empty() {
         return Err(CliError::Usage(format!(
-            "trace-check: no trace files under {:?}",
-            p.operands()
+            "trace-check: no trace files under {operands:?}"
         )));
     }
     let mut violations = Vec::new();
@@ -285,8 +305,13 @@ fn check_trace_file(path: &Path) -> Result<Vec<String>, CliError> {
     Ok(violations)
 }
 
-fn gen_cluster(p: &Parsed) -> Result<Vec<String>, CliError> {
-    let topology = match p.optional("topology").unwrap_or("torus") {
+fn gen_cluster(mut p: Parsed) -> Result<Vec<String>, CliError> {
+    let topology: String = p.parse_or("topology", "torus".into())?;
+    let hosts: usize = p.count("hosts", 40)?;
+    let seed: u64 = p.parse_or("seed", DEFAULT_SEED)?;
+    let out = p.required("out")?;
+    p.finish()?;
+    let topology = match topology.as_str() {
         "torus" => ClusterSpec::paper_torus(),
         "switched" => ClusterSpec::paper_switched(),
         other => {
@@ -295,12 +320,6 @@ fn gen_cluster(p: &Parsed) -> Result<Vec<String>, CliError> {
             )))
         }
     };
-    let hosts: usize = p.parse_or("hosts", 40).map_err(CliError::Usage)?;
-    if hosts == 0 {
-        return Err(CliError::Usage("--hosts must be at least 1".to_string()));
-    }
-    let seed: u64 = p.parse_or("seed", 2009).map_err(CliError::Usage)?;
-    let out = p.required("out").map_err(CliError::Usage)?;
 
     let mut spec = ClusterSpec::paper();
     spec.hosts = hosts;
@@ -321,7 +340,7 @@ fn gen_cluster(p: &Parsed) -> Result<Vec<String>, CliError> {
     };
     let mut rng = SmallRng::seed_from_u64(seed);
     let phys = spec.build(topology, &mut rng);
-    write_json(out, &phys)?;
+    write_json(&out, &phys)?;
     Ok(vec![format!(
         "wrote {out}: {} hosts, {} links ({:?})",
         phys.host_count(),
@@ -330,28 +349,15 @@ fn gen_cluster(p: &Parsed) -> Result<Vec<String>, CliError> {
     )])
 }
 
-fn gen_venv(p: &Parsed) -> Result<Vec<String>, CliError> {
-    let guests: usize = p.parse_or("guests", 100).map_err(CliError::Usage)?;
-    let density: f64 = p.parse_or("density", 0.02).map_err(CliError::Usage)?;
-    if !(0.0..=1.0).contains(&density) {
-        return Err(CliError::Usage(format!(
-            "--density must be in [0, 1], got {density}"
-        )));
-    }
-    let seed: u64 = p.parse_or("seed", 2009).map_err(CliError::Usage)?;
-    let out = p.required("out").map_err(CliError::Usage)?;
-    let spec = match p.optional("workload").unwrap_or("high") {
-        "high" => VirtualEnvSpec::high_level(guests, density),
-        "low" => VirtualEnvSpec::low_level(guests, density),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown workload '{other}' (high|low)"
-            )))
-        }
-    };
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let venv = spec.generate(&mut rng);
-    write_json(out, &venv)?;
+fn gen_venv(mut p: Parsed) -> Result<Vec<String>, CliError> {
+    let workload: String = p.parse_or("workload", "high".into())?;
+    let guests: usize = p.parse_or("guests", 100)?;
+    let density: f64 = p.parse_or("density", 0.02)?;
+    let seed: u64 = p.parse_or("seed", DEFAULT_SEED)?;
+    let out = p.required("out")?;
+    p.finish()?;
+    let venv = generate_venv("--", &workload, guests, density, seed).map_err(CliError::Usage)?;
+    write_json(&out, &venv)?;
     Ok(vec![format!(
         "wrote {out}: {} guests, {} virtual links",
         venv.guest_count(),
@@ -359,28 +365,25 @@ fn gen_venv(p: &Parsed) -> Result<Vec<String>, CliError> {
     )])
 }
 
-fn map_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
-    let phys: PhysicalTopology = read_json(p.required("phys").map_err(CliError::Usage)?)?;
-    let venv: VirtualEnvironment = read_json(p.required("venv").map_err(CliError::Usage)?)?;
-    let seed: u64 = p.parse_or("seed", 2009).map_err(CliError::Usage)?;
-    let attempts: usize = p
-        .parse_or("attempts", emumap_core::DEFAULT_MAX_ATTEMPTS)
-        .map_err(CliError::Usage)?;
-    let mapper = build_mapper(p.optional("mapper").unwrap_or("hmn"), attempts)?;
+fn map_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
+    let phys_path = p.required("phys")?;
+    let venv_path = p.required("venv")?;
+    let seed: u64 = p.parse_or("seed", DEFAULT_SEED)?;
+    let attempts = p.count("attempts", DEFAULT_MAX_ATTEMPTS)?;
+    let mapper = build_mapper(p.optional("mapper").as_deref().unwrap_or("hmn"), attempts)?;
+    let out = p.optional("out");
+    let trace = p.optional("trace");
+    p.finish()?;
+    let phys: PhysicalTopology = read_json(&phys_path)?;
+    let venv: VirtualEnvironment = read_json(&venv_path)?;
 
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut cache = MapCache::new();
-    if let Some(path) = p.optional("trace") {
-        let sink = emumap_trace::JsonlSink::create(path)
-            .map_err(|e| CliError::Io(format!("opening trace {path}: {e}")))?;
-        cache.trace = emumap_trace::Tracer::new(Box::new(sink));
-    }
-    let result = mapper.map_with_cache(&phys, &venv, &mut rng, &mut cache);
-    // The trace is most valuable on failures; flush it before bailing.
-    if let Some(mut sink) = cache.trace.take_sink() {
-        sink.flush()
-            .map_err(|e| CliError::Io(format!("writing trace: {e}")))?;
-    }
+    let result = traced(
+        &mut MapCache::new(),
+        |c| c,
+        trace.as_deref(),
+        |cache| mapper.map_with_cache(&phys, &venv, &mut rng, cache),
+    )?;
     let outcome: MapOutcome = result.map_err(|e| {
         let d = cluster_diagnostics(&phys, &venv);
         CliError::Mapping(format!(
@@ -434,18 +437,18 @@ fn map_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
             outcome.stats.full_evaluations
         ),
     ];
-    if let Some(out) = p.optional("out") {
-        write_json(out, &outcome.mapping)?;
+    if let Some(out) = out {
+        write_json(&out, &outcome.mapping)?;
         lines.push(format!("wrote {out}"));
     }
-    if let Some(path) = p.optional("trace") {
+    if let Some(path) = trace {
         lines.push(format!("wrote trace -> {path}"));
     }
     Ok(lines)
 }
 
-fn parse_bound_kind(p: &Parsed) -> Result<BoundKind, CliError> {
-    match p.optional("bound").unwrap_or("lagrangian") {
+fn parse_bound_kind(p: &mut Parsed) -> Result<BoundKind, CliError> {
+    match p.optional("bound").as_deref().unwrap_or("lagrangian") {
         "lagrangian" => Ok(BoundKind::Lagrangian),
         "waterfill" => Ok(BoundKind::Waterfill),
         other => Err(CliError::Usage(format!(
@@ -462,8 +465,12 @@ fn exact_status_str(status: ExactStatus) -> &'static str {
     }
 }
 
-fn exact_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
-    let (phys, venv): (PhysicalTopology, VirtualEnvironment) = match p.optional("smoke") {
+fn exact_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
+    enum Instance {
+        Files(String, String),
+        Smoke(u64),
+    }
+    let instance = match p.optional("smoke") {
         Some(raw) => {
             if let Some(flag) = ["phys", "venv"]
                 .into_iter()
@@ -476,21 +483,23 @@ fn exact_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
             let seed: u64 = raw
                 .parse()
                 .map_err(|_| CliError::Usage(format!("--smoke expects a seed, got '{raw}'")))?;
-            oracle_smoke(seed)
+            Instance::Smoke(seed)
         }
-        None => (
-            read_json(p.required("phys").map_err(CliError::Usage)?)?,
-            read_json(p.required("venv").map_err(CliError::Usage)?)?,
-        ),
+        None => Instance::Files(p.required("phys")?, p.required("venv")?),
     };
-    let seed: u64 = p.parse_or("seed", 2009).map_err(CliError::Usage)?;
+    let seed: u64 = p.parse_or("seed", DEFAULT_SEED)?;
     let defaults = ExactConfig::default();
     let config = ExactConfig {
-        max_nodes: p
-            .parse_or("max-nodes", defaults.max_nodes)
-            .map_err(CliError::Usage)?,
-        bound: parse_bound_kind(p)?,
+        max_nodes: p.parse_or("max-nodes", defaults.max_nodes)?,
+        bound: parse_bound_kind(&mut p)?,
         ..defaults
+    };
+    let out = p.optional("out");
+    let trace = p.optional("trace");
+    p.finish()?;
+    let (phys, venv): (PhysicalTopology, VirtualEnvironment) = match instance {
+        Instance::Files(phys, venv) => (read_json(&phys)?, read_json(&venv)?),
+        Instance::Smoke(seed) => oracle_smoke(seed),
     };
 
     // Run HMN first (untraced) so the gap report has a heuristic to
@@ -501,17 +510,13 @@ fn exact_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
     let hmn = Hmn::new()
         .map_with_cache(&phys, &venv, &mut rng, &mut cache)
         .ok();
-    if let Some(path) = p.optional("trace") {
-        let sink = emumap_trace::JsonlSink::create(path)
-            .map_err(|e| CliError::Io(format!("opening trace {path}: {e}")))?;
-        cache.trace = emumap_trace::Tracer::new(Box::new(sink));
-    }
     let witnesses: Vec<Mapping> = hmn.iter().map(|o| o.mapping.clone()).collect();
-    let outcome = solve_exact_with(&phys, &venv, &config, &mut cache, &witnesses);
-    if let Some(mut sink) = cache.trace.take_sink() {
-        sink.flush()
-            .map_err(|e| CliError::Io(format!("writing trace: {e}")))?;
-    }
+    let outcome = traced(
+        &mut cache,
+        |c| c,
+        trace.as_deref(),
+        |cache| solve_exact_with(&phys, &venv, &config, cache, &witnesses),
+    )?;
 
     let s = &outcome.stats;
     let mut lines = vec![
@@ -574,25 +579,35 @@ fn exact_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
         }
         None => lines.push("HMN objective   : — (HMN failed on this instance)".to_string()),
     }
-    if let Some(out) = p.optional("out") {
+    if let Some(out) = out {
         match &outcome.best {
             Some(best) => {
-                write_json(out, &best.mapping)?;
+                write_json(&out, &best.mapping)?;
                 lines.push(format!("wrote {out}"));
             }
             None => lines.push(format!("no mapping to write to {out}")),
         }
     }
-    if let Some(path) = p.optional("trace") {
+    if let Some(path) = trace {
         lines.push(format!("wrote trace -> {path}"));
     }
     Ok(lines)
 }
 
-fn validate_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
-    let phys: PhysicalTopology = read_json(p.required("phys").map_err(CliError::Usage)?)?;
-    let venv: VirtualEnvironment = read_json(p.required("venv").map_err(CliError::Usage)?)?;
-    let mapping: Mapping = read_json(p.required("mapping").map_err(CliError::Usage)?)?;
+/// Reads the `--phys`, `--venv` and `--mapping` files of `validate` and
+/// `simulate`, after `finish`ing the reader.
+fn read_instance_and_mapping(
+    mut p: Parsed,
+) -> Result<(PhysicalTopology, VirtualEnvironment, Mapping), CliError> {
+    let phys = p.required("phys")?;
+    let venv = p.required("venv")?;
+    let mapping = p.required("mapping")?;
+    p.finish()?;
+    Ok((read_json(&phys)?, read_json(&venv)?, read_json(&mapping)?))
+}
+
+fn validate_cmd(p: Parsed) -> Result<Vec<String>, CliError> {
+    let (phys, venv, mapping) = read_instance_and_mapping(p)?;
     match validate_mapping(&phys, &venv, &mapping) {
         Ok(()) => Ok(vec![format!(
             "VALID: {} guests on {} hosts, {} routed links satisfy Eqs. 1-9",
@@ -606,16 +621,13 @@ fn validate_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
     }
 }
 
-fn simulate_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
+fn simulate_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
     let spec = ExperimentSpec {
-        rounds: p.parse_or("rounds", 10).map_err(CliError::Usage)?,
-        work_factor: p.parse_or("work-factor", 1.0).map_err(CliError::Usage)?,
-        msg_kbits: p.parse_or("msg-kbits", 50.0).map_err(CliError::Usage)?,
+        rounds: p.count("rounds", 10)?,
+        work_factor: p.parse_or("work-factor", 1.0)?,
+        msg_kbits: p.parse_or("msg-kbits", 50.0)?,
         ..Default::default()
     };
-    if spec.rounds == 0 {
-        return Err(CliError::Usage("--rounds must be at least 1".to_string()));
-    }
     for (flag, value) in [
         ("work-factor", spec.work_factor),
         ("msg-kbits", spec.msg_kbits),
@@ -626,9 +638,7 @@ fn simulate_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
             )));
         }
     }
-    let phys: PhysicalTopology = read_json(p.required("phys").map_err(CliError::Usage)?)?;
-    let venv: VirtualEnvironment = read_json(p.required("venv").map_err(CliError::Usage)?)?;
-    let mapping: Mapping = read_json(p.required("mapping").map_err(CliError::Usage)?)?;
+    let (phys, venv, mapping) = read_instance_and_mapping(p)?;
     validate_mapping(&phys, &venv, &mapping).map_err(|violations| {
         CliError::Invalid(violations.iter().map(|v| v.to_string()).collect())
     })?;
@@ -656,33 +666,37 @@ struct TrialRecord {
     networking_time_s: Option<f64>,
 }
 
-fn batch_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
-    let phys: PhysicalTopology = read_json(p.required("phys").map_err(CliError::Usage)?)?;
-    let venv: VirtualEnvironment = read_json(p.required("venv").map_err(CliError::Usage)?)?;
-    let reps: u32 = p.parse_or("reps", 10).map_err(CliError::Usage)?;
-    let seed: u64 = p.parse_or("seed", 2009).map_err(CliError::Usage)?;
-    let threads: usize = p.parse_or("threads", 0).map_err(CliError::Usage)?;
-    let attempts: usize = p
-        .parse_or("attempts", emumap_core::DEFAULT_MAX_ATTEMPTS)
-        .map_err(CliError::Usage)?;
-    let exact_check: usize = p.parse_or("exact-check", 0).map_err(CliError::Usage)?;
-    let exact_max_nodes: u64 = p
-        .parse_or("exact-max-nodes", ExactConfig::default().max_nodes)
-        .map_err(CliError::Usage)?;
-
-    let spec = p.optional("mapper").unwrap_or("hmn");
+fn batch_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
+    let phys_path = p.required("phys")?;
+    let venv_path = p.required("venv")?;
+    let reps: u32 = p.count("reps", 10)?;
+    let seed: u64 = p.parse_or("seed", DEFAULT_SEED)?;
+    let threads: usize = p.parse_or("threads", 0)?;
+    let attempts = p.count("attempts", DEFAULT_MAX_ATTEMPTS)?;
+    let exact_check: usize = p.parse_or("exact-check", 0)?;
+    let exact_max_nodes: u64 = p.parse_or("exact-max-nodes", ExactConfig::default().max_nodes)?;
+    let spec = p.optional("mapper").unwrap_or_else(|| "hmn".to_string());
     let names: Vec<String> = if spec == "all" {
         // Every registered mapper, in registry order.
         mapper_keys().map(|s| s.to_string()).collect()
     } else {
         spec.split(',').map(|s| s.trim().to_string()).collect()
     };
-    // Validate every name up front so the workers can unwrap.
-    for name in &names {
+    // Validate every name up front so the workers can unwrap; a repeat
+    // would split one mapper's report across rows.
+    for (i, name) in names.iter().enumerate() {
         build_mapper(name, attempts)?;
+        if names[..i].contains(name) {
+            return Err(CliError::Usage(format!("--mapper lists '{name}' twice")));
+        }
     }
+    let out = p.optional("out");
     let trace_dir = p.optional("trace-dir");
-    if let Some(dir) = trace_dir {
+    let quiet = p.flag("quiet");
+    p.finish()?;
+    let phys: PhysicalTopology = read_json(&phys_path)?;
+    let venv: VirtualEnvironment = read_json(&venv_path)?;
+    if let Some(dir) = &trace_dir {
         std::fs::create_dir_all(dir).map_err(|e| CliError::Io(format!("creating {dir}: {e}")))?;
     }
 
@@ -704,7 +718,7 @@ fn batch_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
     // report): every ~10% of trials, whichever worker crosses the line.
     // Suppressed by --quiet and whenever stderr is not a tty (CI logs,
     // pipes) so captured output stays clean.
-    let progress = !p.flag("quiet") && std::io::IsTerminal::is_terminal(&std::io::stderr());
+    let progress = !quiet && std::io::IsTerminal::is_terminal(&std::io::stderr());
     let total_trials = work.len();
     let progress_every = (total_trials / 10).max(1);
     let done = std::sync::atomic::AtomicUsize::new(0);
@@ -714,7 +728,7 @@ fn batch_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
         let mapper = build_mapper(&names[mi], attempts).expect("validated above");
         let s = trial_seed(mi, rep);
         let mut rng = SmallRng::seed_from_u64(s);
-        if let Some(dir) = trace_dir {
+        if let Some(dir) = &trace_dir {
             let path = Path::new(dir).join(format!("trace_{}_rep{rep:03}.jsonl", names[mi]));
             // Trace I/O must never fail a trial; an unopenable file just
             // leaves this trial untraced.
@@ -869,8 +883,8 @@ fn batch_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
             ));
         }
     }
-    if let Some(out) = p.optional("out") {
-        write_json(out, &records)?;
+    if let Some(out) = out {
+        write_json(&out, &records)?;
         lines.push(format!("wrote {out}"));
     }
     if let Some(dir) = trace_dir {
@@ -879,8 +893,16 @@ fn batch_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
     Ok(lines)
 }
 
-fn inspect_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
-    let phys: PhysicalTopology = read_json(p.required("phys").map_err(CliError::Usage)?)?;
+fn inspect_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
+    let phys_path = p.required("phys")?;
+    let venv_path = p.optional("venv");
+    let mapping_path = p.optional("mapping");
+    let dot_path = p.optional("dot");
+    p.finish()?;
+    if mapping_path.is_some() && venv_path.is_none() {
+        return Err(CliError::Usage("--mapping requires --venv".to_string()));
+    }
+    let phys: PhysicalTopology = read_json(&phys_path)?;
     let mut lines = Vec::new();
 
     let switches = phys.graph().node_count() - phys.host_count();
@@ -908,8 +930,8 @@ fn inspect_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
         lines.push(format!("network  : latency diameter {d:.1} ms"));
     }
 
-    let venv: Option<VirtualEnvironment> = match p.optional("venv") {
-        Some(path) => Some(read_json(path)?),
+    let venv: Option<VirtualEnvironment> = match venv_path {
+        Some(path) => Some(read_json(&path)?),
         None => None,
     };
     if let Some(venv) = &venv {
@@ -932,11 +954,8 @@ fn inspect_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
         }
     }
 
-    if let Some(path) = p.optional("mapping") {
-        let venv = venv
-            .as_ref()
-            .ok_or_else(|| CliError::Usage("--mapping requires --venv".to_string()))?;
-        let mapping: Mapping = read_json(path)?;
+    if let (Some(path), Some(venv)) = (mapping_path, &venv) {
+        let mapping: Mapping = read_json(&path)?;
         let valid = validate_mapping(&phys, venv, &mapping).is_ok();
         lines.push(format!(
             "mapping  : {} hosts used, {} routed / {} intra-host links, objective {:.1} — {}",
@@ -966,7 +985,7 @@ fn inspect_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
         lines.push(format!("occupancy: [{bars}] (max {max} guests/host)"));
     }
 
-    if let Some(out) = p.optional("dot") {
+    if let Some(out) = dot_path {
         let dot = emumap_graph::to_dot(
             phys.graph(),
             &emumap_graph::DotOptions {
@@ -985,7 +1004,7 @@ fn inspect_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
             },
             |_, link| format!("label=\"{:.0}\"", link.bw.value()),
         );
-        std::fs::write(out, dot).map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
+        std::fs::write(&out, dot).map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
         lines.push(format!("wrote DOT -> {out}"));
     }
 
@@ -998,9 +1017,8 @@ mod tests {
     use crate::args::Parsed;
 
     fn run_tokens(tokens: &[&str]) -> Result<Vec<String>, CliError> {
-        let parsed =
-            Parsed::parse_with_aliases(tokens.iter().map(|s| s.to_string())).expect("parse");
-        run(&parsed)
+        let parsed = Parsed::parse(tokens.iter().map(|s| s.to_string())).expect("parse");
+        run(parsed)
     }
 
     /// Writes a torus cluster (seed 1) and a `gen-venv` environment built
@@ -1136,25 +1154,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flag_is_a_usage_error_naming_it() {
-        let dir = tmpdir();
-        let phys = dir.join("typo.json");
-        let result = run_tokens(&[
-            "gen-cluster",
-            "--topolgy",
-            "ring",
-            "-o",
-            phys.to_str().unwrap(),
-        ]);
-        let Err(CliError::Usage(msg)) = result else {
-            panic!("a mistyped flag must be a usage error");
-        };
-        assert!(msg.contains("--topolgy"), "{msg}");
-        assert!(!phys.exists(), "nothing is written on a usage error");
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
     fn serve_rejects_unknown_flags() {
         let Err(CliError::Usage(msg)) = run_tokens(&["serve", "--phys", "p.json", "--port", "1"])
         else {
@@ -1189,12 +1188,18 @@ mod tests {
             (&["simulate", "--msg-kbits", "-5"], "--msg-kbits"),
             (&["simulate", "--msg-kbits", "NaN"], "--msg-kbits"),
             (&["simulate", "--rounds", "0"], "--rounds"),
+            (&["map", "--attempts", "0"], "--attempts"),
+            (&["batch", "--attempts", "0"], "--attempts"),
+            (&["serve", "--attempts", "0"], "--attempts"),
+            (&["batch", "--reps", "0"], "--reps"),
+            (&["batch", "--mapper", "hmn,hmn"], "--mapper"),
         ];
         for &(flags, flag) in rows {
-            let io: &[&str] = if flags[0] == "simulate" {
-                &["--phys", phys_s, "--venv", venv_s, "--mapping", &mapping]
-            } else {
-                &["-o", out_s]
+            let io: &[&str] = match flags[0] {
+                "simulate" => &["--phys", phys_s, "--venv", venv_s, "--mapping", &mapping],
+                "map" | "batch" => &["--phys", phys_s, "--venv", venv_s, "-o", out_s],
+                "serve" => &["--phys", phys_s],
+                _ => &["-o", out_s],
             };
             let tokens = [flags, io].concat();
             let Err(CliError::Usage(msg)) = run_tokens(&tokens) else {
@@ -1204,6 +1209,37 @@ mod tests {
             assert!(!out.exists(), "{tokens:?} wrote {out_s}");
         }
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Every subcommand, pointed at files that do not exist and given a
+    /// flag it does not read, fails on that flag before it touches a file.
+    #[test]
+    fn unknown_flag_is_a_usage_error_naming_it() {
+        let dir = tmpdir().join("never-created");
+        let path = |name: &str| dir.join(name).display().to_string();
+        let (phys, venv, mapping) = (path("phys.json"), path("venv.json"), path("mapping.json"));
+        let (out, trace, traces) = (path("out.json"), path("trace.jsonl"), path("traces"));
+        let (socket, dot) = (path("serve.sock"), path("cluster.dot"));
+        let instance = ["--phys", &phys, "--venv", &venv];
+        for &(name, _) in COMMANDS {
+            let files: Vec<&str> = match name {
+                "gen-cluster" | "gen-venv" => vec!["-o", &out],
+                "map" | "exact" => [&instance[..], &["-o", &out, "--trace", &trace]].concat(),
+                "validate" | "simulate" => [&instance[..], &["--mapping", &mapping]].concat(),
+                "batch" => [&instance[..], &["-o", &out, "--trace-dir", &traces]].concat(),
+                "serve" => vec!["--phys", &phys, "--socket", &socket, "--trace", &trace],
+                "inspect" => [&instance[..], &["--mapping", &mapping, "--dot", &dot]].concat(),
+                "trace-check" => vec![&trace],
+                other => panic!("no row for subcommand '{other}'"),
+            };
+            let tokens = [&[name][..], &files, &["--bogus", "1"]].concat();
+            match run_tokens(&tokens) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("--bogus"), "{tokens:?}: {msg}"),
+                other => panic!("{tokens:?} must be a usage error, got {other:?}"),
+            }
+            assert!(!dir.exists(), "{tokens:?} created {}", dir.display());
+        }
+        std::fs::remove_dir_all(tmpdir()).ok();
     }
 
     #[test]

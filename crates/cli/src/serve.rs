@@ -32,96 +32,103 @@
 use std::io::{BufRead, Write};
 
 use crate::args::Parsed;
-use crate::commands::{build_mapper, read_json, write_json, CliError};
-use emumap_core::serve::{ApplyOutcome, ServeError, Session, Snapshot};
+use crate::commands::{
+    build_mapper, generate_venv, read_json, traced, write_json, CliError, DEFAULT_SEED,
+};
+use emumap_core::serve::{ApplyOutcome, Session, Snapshot};
 use emumap_core::Mapper;
 use emumap_model::{PhysicalTopology, VirtualEnvironment};
-use emumap_workloads::VirtualEnvSpec;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize, Value};
 
-/// Where an `apply` gets its virtual environment from.
-enum VenvSource {
-    Inline(VirtualEnvironment),
-    Generated {
-        workload: String,
-        guests: usize,
-        density: f64,
-        seed: u64,
-    },
-}
-
-/// One parsed request.
+/// One parsed request: `apply` and `remove` name a tenant id, `save` and
+/// `restore` a snapshot path.
 enum Request {
-    Apply { id: String, venv: VenvSource },
-    Remove { id: String },
+    Apply(String, VirtualEnvironment),
+    Remove(String),
     Status,
-    Save { path: String },
-    Restore { path: String },
+    Save(String),
+    Restore(String),
     Shutdown,
 }
 
-fn field<'v>(body: &'v Value, key: &str, verb: &str) -> Result<&'v Value, String> {
-    body.get(key)
-        .ok_or_else(|| format!("{verb}: missing field \"{key}\""))
+/// A request body whose fields are removed as they are read, so
+/// [`finish`](Body::finish) can name any field no reader took.
+struct Body {
+    verb: String,
+    fields: Vec<(String, Value)>,
 }
 
-fn str_field(body: &Value, key: &str, verb: &str) -> Result<String, String> {
-    match field(body, key, verb)? {
-        Value::Str(s) => Ok(s.clone()),
-        other => Err(format!(
-            "{verb}.{key}: expected string, found {}",
-            other.kind()
-        )),
+impl Body {
+    fn optional<T: Deserialize>(&mut self, key: &str) -> Result<Option<T>, String> {
+        let Some(i) = self.fields.iter().position(|(k, _)| k == key) else {
+            return Ok(None);
+        };
+        let value = self.fields.remove(i).1;
+        T::from_value(&value)
+            .map(Some)
+            .map_err(|e| format!("{}.{key}: {e}", self.verb))
     }
+
+    fn field<T: Deserialize>(&mut self, key: &str) -> Result<T, String> {
+        self.optional(key)?
+            .ok_or_else(|| format!("{}: missing field \"{key}\"", self.verb))
+    }
+
+    fn finish(self) -> Result<(), String> {
+        match self.fields.first() {
+            Some((key, _)) => Err(format!("{}: unexpected field \"{key}\"", self.verb)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// An `apply` carries an inline `venv` or the `gen-venv` generator
+/// fields, never both.
+fn apply_request(mut body: Body) -> Result<Request, String> {
+    let id = body.field("id")?;
+    let venv = match body.optional("venv")? {
+        Some(venv) => {
+            body.finish()?;
+            venv
+        }
+        None => {
+            let workload: String = body.field("workload")?;
+            let guests = body.field("guests")?;
+            let density = body.field("density")?;
+            let seed = body.field("seed")?;
+            body.finish()?;
+            generate_venv("apply.", &workload, guests, density, seed)?
+        }
+    };
+    Ok(Request::Apply(id, venv))
 }
 
 fn parse_request(line: &str) -> Result<Request, String> {
     let value = serde_json::value_from_str(line).map_err(|e| format!("bad request JSON: {e}"))?;
-    let Value::Object(pairs) = &value else {
+    let Value::Object(pairs) = value else {
         return Err(format!("request must be an object, found {}", value.kind()));
     };
-    let [(verb, body)] = pairs.as_slice() else {
-        return Err(format!(
+    let [(verb, body)] = <[_; 1]>::try_from(pairs).map_err(|pairs: Vec<_>| {
+        format!(
             "request must have exactly one verb key, found {}",
             pairs.len()
-        ));
+        )
+    })?;
+    let Value::Object(fields) = body else {
+        return Err(format!("{verb}: expected object, found {}", body.kind()));
     };
-    match verb.as_str() {
-        "apply" => {
-            let id = str_field(body, "id", "apply")?;
-            let venv = if let Some(inline) = body.get("venv") {
-                VenvSource::Inline(
-                    VirtualEnvironment::from_value(inline)
-                        .map_err(|e| format!("apply.venv: {e}"))?,
-                )
-            } else {
-                VenvSource::Generated {
-                    workload: str_field(body, "workload", "apply")?,
-                    guests: usize::from_value(field(body, "guests", "apply")?)
-                        .map_err(|e| format!("apply.guests: {e}"))?,
-                    density: f64::from_value(field(body, "density", "apply")?)
-                        .map_err(|e| format!("apply.density: {e}"))?,
-                    seed: u64::from_value(field(body, "seed", "apply")?)
-                        .map_err(|e| format!("apply.seed: {e}"))?,
-                }
-            };
-            Ok(Request::Apply { id, venv })
-        }
-        "remove" => Ok(Request::Remove {
-            id: str_field(body, "id", "remove")?,
-        }),
-        "status" => Ok(Request::Status),
-        "save" => Ok(Request::Save {
-            path: str_field(body, "path", "save")?,
-        }),
-        "restore" => Ok(Request::Restore {
-            path: str_field(body, "path", "restore")?,
-        }),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(format!("unknown verb \"{other}\"")),
-    }
+    let mut body = Body { verb, fields };
+    let request = match body.verb.as_str() {
+        "apply" => return apply_request(body),
+        "remove" => Request::Remove(body.field("id")?),
+        "status" => Request::Status,
+        "save" => Request::Save(body.field("path")?),
+        "restore" => Request::Restore(body.field("path")?),
+        "shutdown" => Request::Shutdown,
+        other => return Err(format!("unknown verb \"{other}\"")),
+    };
+    body.finish()?;
+    Ok(request)
 }
 
 /// Wraps a payload under a single verb key.
@@ -146,87 +153,48 @@ fn with_id(id: &str, payload: Value) -> Value {
     Value::Object(fields)
 }
 
-fn resolve_venv(source: VenvSource) -> Result<VirtualEnvironment, String> {
-    match source {
-        VenvSource::Inline(venv) => Ok(venv),
-        VenvSource::Generated {
-            workload,
-            guests,
-            density,
-            seed,
-        } => {
-            let spec = match workload.as_str() {
-                "high" => VirtualEnvSpec::high_level(guests, density),
-                "low" => VirtualEnvSpec::low_level(guests, density),
-                other => return Err(format!("unknown workload \"{other}\" (high|low)")),
-            };
-            Ok(spec.generate(&mut SmallRng::seed_from_u64(seed)))
-        }
-    }
+/// The `saved` / `restored` response.
+fn snapshot_response(verb: &str, path: String, tenants: u64) -> String {
+    response(
+        verb,
+        Value::Object(vec![
+            ("path".to_string(), Value::Str(path)),
+            ("tenants".to_string(), Value::U64(tenants)),
+        ]),
+    )
 }
 
 /// Executes one request, returning the response line.
-fn handle(session: &mut Session, mapper: &dyn Mapper, request: Request) -> ResponseAction {
+fn handle(session: &mut Session, mapper: &dyn Mapper, request: Request) -> String {
     match request {
-        Request::Apply { id, venv } => match resolve_venv(venv) {
-            Ok(venv) => match session.apply(&id, venv, mapper) {
-                ApplyOutcome::Admitted(report) => {
-                    ResponseAction::Reply(response("applied", with_id(&id, report.to_value())))
-                }
-                ApplyOutcome::Rejected { reason } => ResponseAction::Reply(response(
-                    "rejected",
-                    Value::Object(vec![
-                        ("id".to_string(), Value::Str(id)),
-                        ("reason".to_string(), Value::Str(reason)),
-                    ]),
-                )),
-            },
-            Err(reason) => ResponseAction::Reply(error_response(reason)),
-        },
-        Request::Remove { id } => match session.remove(&id) {
-            Ok(report) => {
-                ResponseAction::Reply(response("removed", with_id(&id, report.to_value())))
+        Request::Apply(id, venv) => match session.apply(&id, venv, mapper) {
+            ApplyOutcome::Admitted(report) => response("applied", with_id(&id, report.to_value())),
+            ApplyOutcome::Rejected { reason } => {
+                let reason = vec![("reason".to_string(), Value::Str(reason))];
+                response("rejected", with_id(&id, Value::Object(reason)))
             }
-            Err(e) => ResponseAction::Reply(error_response(e.to_string())),
         },
-        Request::Status => ResponseAction::Reply(response("status", session.status().to_value())),
-        Request::Save { path } => {
+        Request::Remove(id) => match session.remove(&id) {
+            Ok(report) => response("removed", with_id(&id, report.to_value())),
+            Err(e) => error_response(e.to_string()),
+        },
+        Request::Status => response("status", session.status().to_value()),
+        Request::Save(path) => {
             let snapshot = session.snapshot();
-            let tenants = snapshot.tenants.len() as u64;
             match write_json(&path, &snapshot) {
-                Ok(()) => ResponseAction::Reply(response(
-                    "saved",
-                    Value::Object(vec![
-                        ("path".to_string(), Value::Str(path)),
-                        ("tenants".to_string(), Value::U64(tenants)),
-                    ]),
-                )),
-                Err(e) => ResponseAction::Reply(error_response(e.to_string())),
+                Ok(()) => snapshot_response("saved", path, snapshot.tenants.len() as u64),
+                Err(e) => error_response(e.to_string()),
             }
         }
-        Request::Restore { path } => match read_json::<Snapshot>(&path) {
+        Request::Restore(path) => match read_json::<Snapshot>(&path) {
             Ok(snapshot) => match session.restore(snapshot) {
-                Ok(tenants) => ResponseAction::Reply(response(
-                    "restored",
-                    Value::Object(vec![
-                        ("path".to_string(), Value::Str(path)),
-                        ("tenants".to_string(), Value::U64(tenants)),
-                    ]),
-                )),
-                Err(e @ ServeError::CorruptSnapshot { .. }) => {
-                    ResponseAction::Reply(error_response(e.to_string()))
-                }
-                Err(e) => ResponseAction::Reply(error_response(e.to_string())),
+                Ok(tenants) => snapshot_response("restored", path, tenants),
+                Err(e) => error_response(e.to_string()),
             },
-            Err(e) => ResponseAction::Reply(error_response(e.to_string())),
+            Err(e) => error_response(e.to_string()),
         },
-        Request::Shutdown => ResponseAction::Shutdown(response("bye", Value::Object(vec![]))),
+        Request::Shutdown => response("bye", Value::Object(vec![])),
     }
-}
-
-enum ResponseAction {
-    Reply(String),
-    Shutdown(String),
 }
 
 /// Serves requests from `input` until EOF or a `shutdown` request.
@@ -242,13 +210,11 @@ pub fn serve_stream(
         if line.trim().is_empty() {
             continue;
         }
-        let action = match parse_request(&line) {
+        let request = parse_request(&line);
+        let shutdown = matches!(request, Ok(Request::Shutdown));
+        let reply = match request {
             Ok(request) => handle(session, mapper, request),
-            Err(reason) => ResponseAction::Reply(error_response(reason)),
-        };
-        let (reply, shutdown) = match action {
-            ResponseAction::Reply(r) => (r, false),
-            ResponseAction::Shutdown(r) => (r, true),
+            Err(reason) => error_response(reason),
         };
         writeln!(out, "{reply}").map_err(|e| CliError::Io(format!("writing response: {e}")))?;
         out.flush()
@@ -262,35 +228,25 @@ pub fn serve_stream(
 
 /// The `serve` subcommand: builds the session and serves stdin/stdout or
 /// a Unix socket until shutdown.
-pub fn serve_cmd(p: &Parsed) -> Result<Vec<String>, CliError> {
-    let phys: PhysicalTopology = read_json(p.required("phys").map_err(CliError::Usage)?)?;
-    let mapper_name = p.optional("mapper").unwrap_or("hmn");
-    let attempts: usize = p
-        .parse_or("attempts", emumap_core::DEFAULT_MAX_ATTEMPTS)
-        .map_err(CliError::Usage)?;
-    let mapper = build_mapper(mapper_name, attempts)?;
-    let seed: u64 = p.parse_or("seed", 2009).map_err(CliError::Usage)?;
+pub fn serve_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
+    let phys_path = p.required("phys")?;
+    let attempts = p.count("attempts", emumap_core::DEFAULT_MAX_ATTEMPTS)?;
+    let mapper = build_mapper(p.optional("mapper").as_deref().unwrap_or("hmn"), attempts)?;
+    let seed: u64 = p.parse_or("seed", DEFAULT_SEED)?;
+    let socket = p.optional("socket");
+    let trace = p.optional("trace");
+    p.finish()?;
+    let phys: PhysicalTopology = read_json(&phys_path)?;
 
-    let mut session = Session::new(phys, seed);
-    if let Some(path) = p.optional("trace") {
-        let sink = emumap_trace::JsonlSink::create(path)
-            .map_err(|e| CliError::Io(format!("creating {path}: {e}")))?;
-        session.cache_mut().trace = emumap_trace::Tracer::new(Box::new(sink));
-    }
-
-    if let Some(socket) = p.optional("socket") {
-        serve_socket(&mut session, mapper.as_ref(), socket)?;
-    } else {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        serve_stream(&mut session, mapper.as_ref(), stdin.lock(), &mut out)?;
-    }
-
-    if let Some(mut sink) = session.cache_mut().trace.take_sink() {
-        sink.flush()
-            .map_err(|e| CliError::Io(format!("flushing trace: {e}")))?;
-    }
+    let (mut session, mapper) = (Session::new(phys, seed), mapper.as_ref());
+    let serve = |session: &mut Session| match &socket {
+        Some(socket) => serve_socket(session, mapper, socket),
+        None => {
+            let (stdin, mut stdout) = (std::io::stdin().lock(), std::io::stdout().lock());
+            serve_stream(session, mapper, stdin, &mut stdout).map(drop)
+        }
+    };
+    traced(&mut session, Session::cache_mut, trace.as_deref(), serve)??;
     let counters = session.counters();
     eprintln!(
         "serve: {} requests ({} admitted, {} rejected, {} removed, {} active at exit)",
@@ -342,6 +298,9 @@ mod tests {
     use super::*;
     use emumap_core::MapCache;
     use emumap_model::{HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, StorGb, VmmOverhead};
+    use emumap_workloads::VirtualEnvSpec;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     fn phys() -> PhysicalTopology {
         PhysicalTopology::from_shape(
@@ -456,22 +415,39 @@ mod tests {
 
     #[test]
     fn malformed_requests_do_not_kill_the_daemon() {
-        let mut session = Session::new(phys(), 1);
-        let lines = run_lines(
-            &mut session,
-            &[
-                "not json at all".to_string(),
-                "{\"fly\":{}}".to_string(),
-                "{\"remove\":{\"id\":\"ghost\"}}".to_string(),
-                "{\"apply\":{\"id\":\"x\",\"workload\":\"mid\",\"guests\":2,\"density\":0.5,\"seed\":1}}".to_string(),
-                "{\"status\":{}}".to_string(),
-            ],
+        let apply_at = |density: &str| {
+            format!("{{\"apply\":{{\"id\":\"d\",\"workload\":\"high\",\"guests\":4,\"density\":{density},\"seed\":1}}}}")
+        };
+        let with_generator = apply_pair(|j| j).replacen(
+            "{\"apply\":{",
+            "{\"apply\":{\"workload\":\"high\",\"guests\":3,\"density\":0.1,\"seed\":1,",
+            1,
         );
-        assert_eq!(lines.len(), 5);
-        for line in &lines[..4] {
-            assert!(line.starts_with("{\"error\":"), "{line}");
+        // Each bad request with the text its error must contain.
+        let bad = [
+            ("not json at all".to_string(), "JSON"),
+            ("{\"fly\":{}}".to_string(), "fly"),
+            ("{\"remove\":{\"id\":\"ghost\"}}".to_string(), "ghost"),
+            ("{\"apply\":{\"id\":\"x\",\"workload\":\"mid\",\"guests\":2,\"density\":0.5,\"seed\":1}}".to_string(), "workload"),
+            (apply_at("1.5"), "density"),
+            (apply_at("-0.1"), "density"),
+            ("{\"remove\":{\"id\":\"t1\",\"force\":true}}".to_string(), "force"),
+            ("{\"status\":{\"verbose\":true}}".to_string(), "verbose"),
+            (with_generator, "workload"),
+        ];
+        let mut requests: Vec<String> = bad.iter().map(|(r, _)| r.clone()).collect();
+        requests.push("{\"status\":{}}".to_string());
+        let lines = run_lines(&mut Session::new(phys(), 1), &requests);
+        assert_eq!(lines.len(), bad.len() + 1);
+        for (line, (request, names)) in lines.iter().zip(&bad) {
+            assert!(
+                line.starts_with("{\"error\":") && line.contains(names),
+                "{request} -> {line}"
+            );
         }
-        assert!(lines[4].starts_with("{\"status\":"), "{}", lines[4]);
+        let status = lines.last().unwrap();
+        assert!(status.starts_with("{\"status\":"), "{status}");
+        assert!(status.contains("\"tenants\":0"), "{status}");
     }
 
     #[test]
@@ -557,7 +533,7 @@ mod tests {
         let tokens = tokens
             .into_iter()
             .chain(["--seed", "1", "--out", &phys_path]);
-        crate::run(&Parsed::parse(tokens.map(str::to_string)).unwrap()).unwrap();
+        crate::run(Parsed::parse(tokens.map(str::to_string)).unwrap()).unwrap();
 
         // The pinned requests save and restore a snapshot at a relative
         // path; keep it inside the scratch directory.

@@ -107,8 +107,8 @@ impl ParallelRunner {
         self.threads
     }
 
-    /// Runs `f` once per item, fanning across the pool, and returns the
-    /// results in the order of `items`.
+    /// Runs `f` once per item, fanning across the pool (never more workers
+    /// than items), and returns the results in the order of `items`.
     ///
     /// `f` receives the worker's private warm [`MapCache`]; it must be a
     /// pure function of the item (modulo the cache, which must not affect
@@ -165,7 +165,7 @@ impl ParallelRunner {
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
         crossbeam::scope(|scope| {
-            for _ in 0..self.threads {
+            for _ in 0..self.threads.min(n) {
                 scope.spawn(|_| {
                     let mut cache = MapCache::new();
                     if let Some(totals) = totals {

@@ -207,7 +207,7 @@ fn temper<'a>(
     hosts: &[NodeId],
     master_seed: u64,
 ) -> (Vec<Replica<'a>>, PhaseCounters) {
-    let runner = ParallelRunner::new(cfg.threads.min(cfg.replicas.max(1)));
+    let runner = ParallelRunner::new(cfg.threads);
     let mut swap_rng = SmallRng::seed_from_u64(master_seed.wrapping_add(0xA076_1D64_78BD_642F));
     let mut counters = PhaseCounters::default();
     for round in 0..cfg.rounds {
