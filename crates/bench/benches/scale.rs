@@ -204,8 +204,9 @@ fn main() {
     // chain; PT spreads it over a 4-rung ladder.
     let budget = if quick { 40_000 } else { 800_000 };
     // Fat-trees have enormous loop-free path multiplicity inside the
-    // latency bound; the exhaustive widest-path search is intractable
-    // there, so the routing pass runs with Pareto dominance pruning on.
+    // latency bound; A*Prune's exhaustive widest-path search is
+    // intractable there, so the routing pass runs the exact per-level
+    // router, which keeps one label per node at each bandwidth level.
     let astar = AStarPruneConfig {
         prune_dominated: true,
         ..Default::default()

@@ -83,13 +83,10 @@ fn main() {
 
     // Fat-trees have enormous equal-cost path multiplicity: with every
     // link at 1 Gbps the bottleneck metric gives A*Prune no guidance and
-    // the unpruned frontier grows exponentially, so Pareto dominance
-    // pruning is required (same as the scale bench). The expansion cap
-    // stays as a safety valve so one unlucky link cannot stall an
-    // admission.
+    // its frontier grows exponentially, so the links route with the exact
+    // per-level router instead (same as the scale bench).
     let mapper = Hmn::with_config(HmnConfig {
         prune_dominated: true,
-        max_expansions: 50_000,
         ..HmnConfig::default()
     });
 

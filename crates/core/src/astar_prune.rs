@@ -22,7 +22,7 @@
 //! # The bandwidth guide
 //!
 //! With the paper's configuration (bottleneck metric, `ar[]` bound on,
-//! dominance pruning off) most expansions cannot lead to the returned
+//! `prune_dominated` off) most expansions cannot lead to the returned
 //! path: the search explores every lightly loaded region of the graph
 //! before it learns that the destination is only reachable through a
 //! narrower edge. A bandwidth floor plus one additive bound is polynomial
@@ -67,6 +67,52 @@
 //! so the guide runs only while `node_count * bound * f64::EPSILON` is.
 //! [`SearchStats::guide_probes`] counts the guide's Dijkstra runs.
 //!
+//! # Exact per-level routing
+//!
+//! A\*Prune keeps every loop-free partial path inside the bound, which on
+//! fabrics with many equal-cost paths (fat-trees) is exponentially many.
+//! With [`AStarPruneConfig::prune_dominated`] and the bottleneck metric,
+//! [`astar_prune`] instead keeps one label per node at each bandwidth
+//! level and returns the same `(bottleneck, latency, hops)` triple:
+//!
+//! 1. *Levels.* No path is wider than `cap`, the smaller over the two
+//!    endpoints of the endpoint's widest incident residual `>= demand`,
+//!    so the router probes `cap` first. If that fails it climbs: it
+//!    probes the demand, then the lowest residual above the bottleneck of
+//!    the path it found, and so on; the first probe that fails leaves the
+//!    last path found, whose bottleneck is the highest feasible level.
+//!    A failed probe at the demand proves that no path exists.
+//! 2. *Probes.* A probe at level `b` is an A\* search from the origin over
+//!    the edges with residual `>= b`. A label is a path's `(latency,
+//!    hops)`, with its bottleneck as the tie-break and a pointer to the
+//!    label it extends; a node keeps the labels no other label of it
+//!    covers. The heuristic is `ar[]`, admissible on any subgraph, and a
+//!    label with `f = latency + ar[h] > bound + 1e-9` is dropped, A\*Prune's
+//!    own test. Labels pop by `(f, est)`, where `est` adds to the hops the
+//!    least hops `ar[h]` allows at the topology's longest link latency;
+//!    among equals the deepest pops first, so on a plateau of equal-cost
+//!    paths the probe walks straight to the destination. Latencies are
+//!    summed from the origin in path order, as A\*Prune sums them, so an
+//!    equal path has equal bits. Leaves other than the destination are
+//!    never entered.
+//! 3. *Answer.* At the highest feasible level every feasible path has
+//!    that bottleneck, and the probe returns the least `(latency, hops)`
+//!    among them: A\*Prune's triple, though ties between equal triples may
+//!    pick another path.
+//!
+//! *Rounding.* When every link latency is a multiple of 2^-16 ms, sums
+//! below 2^37 ms are exact, one label per node suffices and the first
+//! destination label popped is the answer. Otherwise two paths whose
+//! latencies differ by a few ulps can swap order once extended, so a node
+//! also keeps the labels with fewer hops within `slack = 2 (n + 1) cap
+//! eps` of its shortest, and the probe pops on until no open label can
+//! beat the best destination label by more than that.
+//!
+//! A `None` is always a proof that no path exists; there is no budget,
+//! so [`AStarPruneConfig::max_expansions`] does not apply. Popped labels
+//! count as [`SearchStats::expanded`], labels kept as
+//! [`SearchStats::pushed`] and probes as [`SearchStats::guide_probes`].
+//!
 //! Partial paths are stored in an arena (parent-pointer tree) so expanding
 //! a path is O(1) in memory instead of cloning edge vectors. The candidate
 //! heap holds 32-byte entries: the arena index plus a key of three `u64`s
@@ -106,22 +152,23 @@ pub struct AStarPruneConfig {
     /// yes). With `false`, pruning only checks the accumulated latency —
     /// still correct, explores more paths (ablation).
     pub use_latency_lower_bound: bool,
-    /// Hard cap on expanded partial paths; exceeded means "no path found".
-    /// A safety valve against pathological exponential blow-ups in dense
-    /// graphs; the paper's 40-host clusters stay far below it.
+    /// Hard cap on partial paths A\*Prune expands; exceeded means "no path
+    /// found". A safety valve against pathological exponential blow-ups
+    /// in dense graphs; the paper's 40-host clusters stay far below it.
+    /// The exact router of [`prune_dominated`](Self::prune_dominated)
+    /// has no cap.
     pub max_expansions: usize,
-    /// Per-node Pareto dominance pruning (datacenter-scale accelerator):
-    /// drop a candidate reaching a node with `(bottleneck, latency, hops)`
-    /// all no better than a label already recorded there. On
-    /// high-multiplicity fabrics (fat-trees), where the exhaustive search
-    /// enumerates every loop-free path inside the latency bound, this keeps
-    /// the frontier near-linear in the node count. It is a heuristic: the
-    /// dominating label's extensions may be blocked by the loop check where
-    /// the dominated one's were not, so in adversarial topologies a feasible
-    /// path can be missed, and tie-breaking among equal-metric paths can
-    /// differ from the exhaustive order. Paper-faithful runs leave it off
-    /// (the default); the 10k-host scale bench switches it on. The
-    /// bandwidth guide (module docs) does not run with it.
+    /// Exact per-level dominance (module docs, "Exact per-level
+    /// routing"): with the bottleneck metric, route with one label per
+    /// node at each bandwidth level instead of A\*Prune's every partial
+    /// path. It returns the `(bottleneck, latency, hops)` triple A\*Prune
+    /// returns, possibly along another path with that triple, and its
+    /// `None` is a proof that no path exists. On fabrics with many
+    /// equal-cost paths (fat-trees), where A\*Prune enumerates every
+    /// loop-free path inside the latency bound, it keeps the search
+    /// near-linear in the node count. Paper-faithful runs leave it off
+    /// (the default); the fat-tree benches switch it on. With
+    /// [`PathMetric::HopCount`] it has no effect.
     pub prune_dominated: bool,
 }
 
@@ -140,15 +187,14 @@ impl Default for AStarPruneConfig {
 /// benches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Partial paths popped from the candidate set.
+    /// Partial paths popped from the candidate set, or labels the exact
+    /// router settled.
     pub expanded: usize,
-    /// Partial paths pushed into the candidate set.
+    /// Partial paths pushed into the candidate set, or labels the exact
+    /// router pushed.
     pub pushed: usize,
-    /// Candidates dropped by Pareto dominance pruning (0 unless
-    /// [`AStarPruneConfig::prune_dominated`] is set).
-    pub dominated: usize,
-    /// Dijkstra runs of the bandwidth guide (module docs); 0 when the
-    /// configuration does not run it.
+    /// Dijkstra runs of the bandwidth guide, or level probes of the exact
+    /// router (module docs); 0 when the configuration runs neither.
     pub guide_probes: usize,
 }
 
@@ -235,8 +281,8 @@ fn unord(k: u64) -> f64 {
     f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
 }
 
-/// Reusable buffers for [`astar_prune`]: the search frontier and the
-/// bandwidth guide's Dijkstra buffers.
+/// Reusable buffers for [`astar_prune`]: the search frontier, the
+/// bandwidth guide's Dijkstra buffers and the exact router's labels.
 ///
 /// One search of a paper-scale instance pushes thousands of arena nodes and
 /// heap candidates; a mapping routes thousands of links, so a fresh
@@ -248,6 +294,7 @@ fn unord(k: u64) -> f64 {
 pub struct RouteScratch {
     frontier: Frontier,
     guide: GuideScratch,
+    levels: LevelScratch,
 }
 
 impl RouteScratch {
@@ -257,8 +304,8 @@ impl RouteScratch {
     }
 }
 
-/// The loop's buffers: the partial-path arena, the candidate heap, the
-/// per-node on-path stamps and the dominance labels.
+/// The loop's buffers: the partial-path arena, the candidate heap and the
+/// per-node on-path stamps.
 #[derive(Debug, Default)]
 struct Frontier {
     arena: Vec<PathNode>,
@@ -268,10 +315,6 @@ struct Frontier {
     /// so nothing is cleared between expansions or searches.
     on_path: Vec<u32>,
     stamp: u32,
-    /// Per-node Pareto labels `(bottleneck, latency, hops)` for dominance
-    /// pruning; indexed by node, reset lazily via `touched`.
-    labels: Vec<Vec<(f64, f64, u32)>>,
-    touched: Vec<u32>,
 }
 
 impl Frontier {
@@ -283,11 +326,21 @@ impl Frontier {
         if self.on_path.len() < node_count {
             self.on_path.resize(node_count, 0);
         }
-        for &t in &self.touched {
-            self.labels[t as usize].clear();
-        }
-        self.touched.clear();
     }
+}
+
+/// The edges whose residual is at least `demand`, each beside its
+/// residual: the candidate bottleneck levels, one per edge, for the guide
+/// and the exact router alike.
+fn usable_edges<'a>(
+    phys: &'a PhysicalTopology,
+    residual: &'a ResidualState,
+    demand: f64,
+) -> impl Iterator<Item = (f64, EdgeId)> + 'a {
+    phys.graph().edge_ids().filter_map(move |e| {
+        let b = residual.bw(e).value();
+        (b >= demand).then_some((b, e))
+    })
 }
 
 /// The bandwidth guide's buffers: the usable edges by residual, the
@@ -333,10 +386,7 @@ impl GuideScratch {
             table,
         } = self;
         edges.clear();
-        edges.extend(graph.edge_ids().filter_map(|e| {
-            let b = residual.bw(e).value();
-            (b >= demand).then_some((b, e))
-        }));
+        edges.extend(usable_edges(phys, residual, demand));
         edges.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
 
         // Above the widest bottleneck between the endpoints no path
@@ -403,6 +453,344 @@ impl GuideScratch {
     }
 }
 
+/// The exact router's buffers (module docs, "Exact per-level routing"):
+/// the levels still to climb, the current probe's labels and each node's
+/// newest one, the nodes it reached, the open labels, the path of the
+/// highest feasible level probed so far, and the latency facts of the
+/// topology last routed on.
+#[derive(Debug, Default)]
+struct LevelScratch {
+    levels: Vec<f64>,
+    labels: Vec<Label>,
+    newest: Vec<u32>,
+    touched: Vec<u32>,
+    open: BinaryHeap<Open>,
+    path: Vec<EdgeId>,
+    latencies: Latencies,
+}
+
+/// What the exact router needs to know about a topology's latencies,
+/// for the topology with `generation` (0 = none yet, which no topology
+/// has).
+#[derive(Debug, Default)]
+struct Latencies {
+    generation: u64,
+    /// The longest link latency.
+    longest: f64,
+    /// Every latency is a multiple of 2^-16 ms, so sums below 2^37 ms are
+    /// exact.
+    dyadic: bool,
+}
+
+/// No label: the end of a node's label list.
+const NONE: u32 = u32::MAX;
+
+/// A path from the origin in the current probe: its end node, latency
+/// (summed from the origin), bottleneck and hops, the label it extends and
+/// the edge from that label's node.
+#[derive(Clone, Copy, Debug)]
+struct Label {
+    latency: f64,
+    bottleneck: f64,
+    hops: u32,
+    node: u32,
+    via: EdgeId,
+    parent: u32,
+    /// The node's previous label, or [`NONE`].
+    older: u32,
+    /// Cleared once another label of the node makes this one useless.
+    live: bool,
+}
+
+impl Label {
+    /// Whether `self` is at least as good as `other` on every count:
+    /// latency and hops, and the bottleneck as the tie-break.
+    fn covers(&self, other: &Label) -> bool {
+        self.latency <= other.latency
+            && self.hops <= other.hops
+            && (self.latency < other.latency
+                || self.hops < other.hops
+                || self.bottleneck >= other.bottleneck)
+    }
+}
+
+/// An open label. `key` is `[!ord(f), !est << 32 | hops,
+/// ord(bottleneck)]`, where `est` is the label's hops plus a lower bound
+/// on the hops still to go, so the max-heap pops the least `(f, est)`
+/// first and, among equals, the deepest label, then the widest, then the
+/// oldest.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Open {
+    key: [u64; 3],
+    label: std::cmp::Reverse<u32>,
+}
+
+/// What every probe of one search reads.
+#[derive(Clone, Copy)]
+struct Query<'a> {
+    phys: &'a PhysicalTopology,
+    residual: &'a ResidualState,
+    origin: NodeId,
+    destination: NodeId,
+    /// The `ar[]` table, if the lower bound is on.
+    ar: Option<ArView<'a>>,
+    /// `bound + 1e-9`.
+    cap: f64,
+}
+
+impl LevelScratch {
+    /// [`astar_prune`] with the exact router.
+    #[allow(clippy::too_many_arguments)]
+    fn search(
+        &mut self,
+        phys: &PhysicalTopology,
+        residual: &ResidualState,
+        origin: NodeId,
+        destination: NodeId,
+        demand: Kbps,
+        latency_bound: Millis,
+        ar: Option<ArView<'_>>,
+    ) -> Option<(Vec<EdgeId>, SearchStats)> {
+        let mut stats = SearchStats::default();
+        if origin == destination {
+            return Some((Vec::new(), stats));
+        }
+        let cap = latency_bound.value() + 1e-9;
+        // Root admissibility, as A\*Prune tests it.
+        if ar.is_some_and(|ar| ar[origin.index()] > cap) {
+            return None;
+        }
+        let q = Query {
+            phys,
+            residual,
+            origin,
+            destination,
+            ar,
+            cap,
+        };
+        let found = self.route(q, demand.value(), &mut stats);
+        found.then(|| (self.path.clone(), stats))
+    }
+
+    /// Steps 1 and 3 of "Exact per-level routing": whether any level is
+    /// feasible; if so, `self.path` holds the highest one's path.
+    fn route(&mut self, q: Query<'_>, demand: f64, stats: &mut SearchStats) -> bool {
+        let csr = q.phys.graph().csr();
+        if self.latencies.generation != q.phys.generation() {
+            let graph = q.phys.graph();
+            let lats = || graph.edge_ids().map(|e| q.phys.link(e).lat.value());
+            self.latencies = Latencies {
+                generation: q.phys.generation(),
+                longest: lats().fold(0.0, f64::max),
+                dyadic: lats().all(|l| (l * 65536.0).fract() == 0.0),
+            };
+        }
+        let widest = |v: NodeId| {
+            csr.neighbors(v)
+                .iter()
+                .map(|nb| q.residual.bw(nb.edge).value())
+                .filter(|&b| b >= demand)
+                .max_by(f64::total_cmp)
+        };
+        let (Some(a), Some(b)) = (widest(q.origin), widest(q.destination)) else {
+            return false;
+        };
+        let top = a.min(b);
+        if self.probe(q, top, stats) {
+            return true;
+        }
+        // Climb from the demand: a probe's path is as wide as any level up
+        // to its bottleneck, so the next probe is the lowest level above
+        // it, and the first that fails leaves the answer in place.
+        let mut levels = std::mem::take(&mut self.levels);
+        levels.clear();
+        levels.extend(
+            usable_edges(q.phys, q.residual, demand)
+                .map(|(level, _)| level)
+                .filter(|&level| level < top),
+        );
+        let mut found = false;
+        let mut next = Some(demand);
+        while let Some(level) = next {
+            if !self.probe(q, level, stats) {
+                break;
+            }
+            found = true;
+            let b = self
+                .path
+                .iter()
+                .map(|&e| q.residual.bw(e).value())
+                .fold(f64::INFINITY, f64::min);
+            levels.retain(|&l| l > b);
+            next = levels.iter().copied().min_by(f64::total_cmp);
+        }
+        self.levels = levels;
+        found
+    }
+
+    /// Step 2: one A\* probe over the edges with residual `>= level`.
+    /// Returns whether it reached the destination; if so, `self.path`
+    /// holds the path.
+    fn probe(&mut self, q: Query<'_>, level: f64, stats: &mut SearchStats) -> bool {
+        stats.guide_probes += 1;
+        let csr = q.phys.graph().csr();
+        let LevelScratch {
+            labels,
+            newest,
+            touched,
+            open,
+            path,
+            latencies,
+            ..
+        } = self;
+        for &v in touched.iter() {
+            newest[v as usize] = NONE;
+        }
+        touched.clear();
+        labels.clear();
+        open.clear();
+        if newest.len() < csr.node_count() {
+            newest.resize(csr.node_count(), NONE);
+        }
+        // How far rounding can move a path's final latency from what its
+        // latency so far and `f` promise (module docs, "Rounding").
+        let slack = if latencies.dyadic && q.cap < 2f64.powi(37) {
+            0.0
+        } else {
+            2.0 * (csr.node_count() + 1) as f64 * q.cap * f64::EPSILON
+        };
+        // `f` of a path to `v`, and a lower bound on its hops from `v` on:
+        // no hop is longer than the longest link. The factor absorbs the
+        // rounding of `ar[v]`, so the bound never exceeds a real count.
+        let per_hop = (1.0 - 1e-9) / latencies.longest;
+        let estimate = |v: usize, latency: f64| match q.ar {
+            Some(ar) if per_hop.is_finite() => {
+                let rest = ar[v];
+                (latency + rest, (rest * per_hop).ceil() as u32)
+            }
+            Some(ar) => (latency + ar[v], 0),
+            None => (latency, 0),
+        };
+        let index = |v: NodeId| u32::try_from(v.index()).expect("node fits in u32");
+
+        // Adds `label` to its node's list and opens it, unless a label
+        // there covers it or is more than `slack` shorter, or its `f`
+        // exceeds the cap; drops the labels it outdoes.
+        let mut offer = |labels: &mut Vec<Label>, open: &mut BinaryHeap<Open>, mut label: Label| {
+            let v = label.node as usize;
+            let mut shortest = f64::INFINITY;
+            let mut i = newest[v];
+            while i != NONE {
+                let old = &labels[i as usize];
+                if old.live {
+                    if old.covers(&label) {
+                        return false;
+                    }
+                    shortest = shortest.min(old.latency);
+                }
+                i = old.older;
+            }
+            let (f, to_go) = estimate(v, label.latency);
+            if label.latency > shortest + slack || f > q.cap {
+                return false;
+            }
+            let mut i = newest[v];
+            while i != NONE {
+                let old = &mut labels[i as usize];
+                if old.live && (label.covers(old) || old.latency > label.latency + slack) {
+                    old.live = false;
+                }
+                i = old.older;
+            }
+            if newest[v] == NONE {
+                touched.push(label.node);
+            }
+            label.older = newest[v];
+            let at = u32::try_from(labels.len()).expect("labels fit in u32");
+            newest[v] = at;
+            labels.push(label);
+            open.push(Open {
+                key: [
+                    !ord(f),
+                    u64::from(!label.hops.saturating_add(to_go)) << 32 | u64::from(label.hops),
+                    ord(label.bottleneck),
+                ],
+                label: std::cmp::Reverse(at),
+            });
+            true
+        };
+        let root = Label {
+            latency: 0.0,
+            bottleneck: f64::INFINITY,
+            hops: 0,
+            node: index(q.origin),
+            via: EdgeId::from_index(0),
+            parent: NONE,
+            older: NONE,
+            live: true,
+        };
+        offer(labels, open, root);
+
+        // The best path to the destination popped so far. Once a label
+        // pops that neither `f` (up to `slack`) nor `est` lets beat it,
+        // none that follows can either.
+        let mut best: Option<Label> = None;
+        let mut best_at = NONE;
+        while let Some(Open { key, label: at }) = open.pop() {
+            let label = labels[at.0 as usize];
+            if !label.live {
+                continue;
+            }
+            if let Some(b) = &best {
+                let (f, est) = (unord(!key[0]), !(key[1] >> 32) as u32);
+                if f > b.latency + slack || (f >= b.latency + slack && est >= b.hops) {
+                    break;
+                }
+            }
+            stats.expanded += 1;
+            let v = NodeId::from_index(label.node as usize);
+            if v == q.destination {
+                if best.is_none_or(|b| (label.latency, label.hops) < (b.latency, b.hops)) {
+                    best = Some(label);
+                    best_at = at.0;
+                }
+                continue;
+            }
+            for &nb in csr.neighbors(v) {
+                let bw = q.residual.bw(nb.edge).value();
+                // A leaf other than the destination ends no simple path.
+                if bw < level || (csr.neighbors(nb.node).len() == 1 && nb.node != q.destination) {
+                    continue;
+                }
+                let next = Label {
+                    latency: label.latency + q.phys.link(nb.edge).lat.value(),
+                    bottleneck: label.bottleneck.min(bw),
+                    hops: label.hops + 1,
+                    node: index(nb.node),
+                    via: nb.edge,
+                    parent: at.0,
+                    older: NONE,
+                    live: true,
+                };
+                if offer(labels, open, next) {
+                    stats.pushed += 1;
+                }
+            }
+        }
+        if best.is_none() {
+            return false;
+        }
+        path.clear();
+        let mut at = best_at;
+        while labels[at as usize].parent != NONE {
+            path.push(labels[at as usize].via);
+            at = labels[at as usize].parent;
+        }
+        path.reverse();
+        true
+    }
+}
+
 /// Finds a path from `origin` to `destination` with residual bandwidth
 /// `>= demand` on every edge and total latency `<= latency_bound`,
 /// maximizing the configured metric. Returns the edge sequence and search
@@ -418,6 +806,8 @@ impl GuideScratch {
 /// With the paper's configuration the bandwidth guide of the module docs
 /// runs first: it returns the same path with far fewer expansions, and a
 /// `None` it returns without searching means no feasible path exists.
+/// With [`AStarPruneConfig::prune_dominated`] the exact router of the
+/// module docs runs instead, and every `None` means that.
 ///
 /// `scratch` holds the search buffers; hot paths (the Networking stage,
 /// the parallel runner) keep it in a [`MapCache`](crate::MapCache).
@@ -438,11 +828,22 @@ pub fn astar_prune(
     config: &AStarPruneConfig,
     scratch: &mut RouteScratch,
 ) -> Option<(Vec<EdgeId>, SearchStats)> {
+    if config.prune_dominated && config.metric == PathMetric::BottleneckBandwidth {
+        let ar = config.use_latency_lower_bound.then_some(ar);
+        return scratch.levels.search(
+            phys,
+            residual,
+            origin,
+            destination,
+            demand,
+            latency_bound,
+            ar,
+        );
+    }
     // The precision condition of the module docs; it also rules out
     // infinite and NaN bounds.
     let guided = config.metric == PathMetric::BottleneckBandwidth
         && config.use_latency_lower_bound
-        && !config.prune_dominated
         && phys.graph().node_count() as f64 * latency_bound.value() * f64::EPSILON < 1e-9;
     route(
         phys,
@@ -458,7 +859,8 @@ pub fn astar_prune(
     )
 }
 
-/// [`astar_prune`], with the guide run only if `guided`.
+/// [`astar_prune`] without the exact router, with the guide run only if
+/// `guided`.
 #[allow(clippy::too_many_arguments)]
 fn route(
     phys: &PhysicalTopology,
@@ -486,7 +888,9 @@ fn route(
         return None;
     }
 
-    let RouteScratch { frontier, guide } = scratch;
+    let RouteScratch {
+        frontier, guide, ..
+    } = scratch;
     let verdict = if guided {
         guide.run(
             phys,
@@ -546,12 +950,7 @@ impl Frontier {
             heap,
             on_path,
             stamp,
-            labels,
-            touched,
         } = self;
-        if config.prune_dominated && labels.len() < csr.node_count() {
-            labels.resize(csr.node_count(), Vec::new());
-        }
         arena.push(PathNode {
             parent: ROOT,
             edge: EdgeId::from_index(0),
@@ -621,21 +1020,6 @@ impl Frontier {
                 }
                 let bottleneck = best_bottleneck.min(avail);
                 let hops = best_hops + 1;
-                if config.prune_dominated {
-                    let slot = &mut labels[h.index()];
-                    if slot
-                        .iter()
-                        .any(|&(b, l, k)| b >= bottleneck && l <= acc && k <= hops)
-                    {
-                        stats.dominated += 1;
-                        continue;
-                    }
-                    if slot.is_empty() {
-                        touched.push(u32::try_from(h.index()).expect("node fits in u32"));
-                    }
-                    slot.retain(|&(b, l, k)| !(b <= bottleneck && l >= acc && k >= hops));
-                    slot.push((bottleneck, acc, hops));
-                }
                 let arena_index = u32::try_from(arena.len()).expect("arena fits in u32");
                 arena.push(PathNode {
                     parent: best.arena_index,
@@ -1193,87 +1577,16 @@ mod tests {
         assert_eq!(a.map(|(p, _)| p), b.map(|(p, _)| p));
     }
 
-    /// Sum of link latencies and minimum residual bandwidth along a path.
-    fn path_cost(phys: &PhysicalTopology, residual: &ResidualState, path: &[EdgeId]) -> (f64, f64) {
-        let lat = path.iter().map(|&e| phys.link(e).lat.value()).sum();
-        let bw = path
-            .iter()
-            .map(|&e| residual.bw(e).value())
-            .fold(f64::INFINITY, f64::min);
-        (lat, bw)
-    }
-
-    #[test]
-    fn dominance_pruning_preserves_widest_bottleneck() {
-        // A torus has many equal-latency alternates, the worst case for the
-        // exhaustive search. The pruned search must return a path with the
-        // same bottleneck bandwidth and latency as the exhaustive one, and
-        // actually prune. Guiding the exhaustive search beats both.
-        let phys = PhysicalTopology::from_shape(
-            &generators::torus2d(6, 6),
-            std::iter::repeat(HostSpec::new(Mips(1000.0), MemMb(1024), StorGb(100.0))),
-            LinkSpec::new(Kbps(1000.0), Millis(5.0)),
-            VmmOverhead::NONE,
-        );
-        let residual = ResidualState::new(&phys);
-        let pruned_cfg = AStarPruneConfig {
-            prune_dominated: true,
-            ..Default::default()
-        };
-        let exhaustive_cfg = AStarPruneConfig::default();
-        for (from, to, bound) in [(0usize, 21usize, 60.0), (3, 32, 75.0), (7, 28, 90.0)] {
-            let dest = phys.hosts()[to];
-            let ar = ar_for(&phys, dest);
-            let origin = phys.hosts()[from];
-            let (full, full_stats) = search(
-                &phys,
-                &residual,
-                origin,
-                dest,
-                Kbps(10.0),
-                Millis(bound),
-                &ar,
-                &exhaustive_cfg,
-            )
-            .expect("exhaustive search finds a path");
-            let (pruned, pruned_stats) = search(
-                &phys,
-                &residual,
-                origin,
-                dest,
-                Kbps(10.0),
-                Millis(bound),
-                &ar,
-                &pruned_cfg,
-            )
-            .expect("pruned search finds a path");
-            let (_, unguided_stats) = route(
-                &phys,
-                &residual,
-                origin,
-                dest,
-                Kbps(10.0),
-                Millis(bound),
-                ArView::new(&ar, dest),
-                &exhaustive_cfg,
-                &mut RouteScratch::new(),
-                false,
-            )
-            .expect("unguided search finds a path");
-            assert_eq!(
-                path_cost(&phys, &residual, &full),
-                path_cost(&phys, &residual, &pruned),
-            );
-            assert!(full_stats.expanded <= unguided_stats.expanded);
-            assert!(pruned_stats.dominated > 0, "torus must trigger pruning");
-            assert_eq!(full_stats.dominated, 0, "exhaustive mode never prunes");
-        }
-    }
-
     /// A latency that is a multiple of 0.1 ms, so path sums depend on the
     /// order of addition.
     fn tenths(rng: &mut SmallRng) -> f64 {
         f64::from(rng.gen_range(1..=30u32)) * 0.1
+    }
+
+    /// A latency that is a multiple of 0.5 ms, so sums are exact and paths
+    /// of different lengths often tie on latency.
+    fn halves(rng: &mut SmallRng) -> f64 {
+        f64::from(rng.gen_range(1..=4u32)) * 0.5
     }
 
     /// Capacities and demands come from one small pool, so residual levels
@@ -1301,14 +1614,14 @@ mod tests {
         phys_from_edges(core + leaves, &edges)
     }
 
-    /// The 5x8 torus with random latencies and capacities.
-    fn random_torus(rng: &mut SmallRng) -> PhysicalTopology {
+    /// The 5x8 torus with random capacities and latencies drawn by `lat`.
+    fn random_torus(rng: &mut SmallRng, lat: fn(&mut SmallRng) -> f64) -> PhysicalTopology {
         let shape = generators::torus2d(5, 8);
         let edges: Vec<_> = shape
             .edges()
             .map(|e| {
                 let cap = 4.0 * POOL[rng.gen_range(0..POOL.len())];
-                (e.a.index(), e.b.index(), cap, tenths(rng))
+                (e.a.index(), e.b.index(), cap, lat(rng))
             })
             .collect();
         phys_from_edges(shape.node_count(), &edges)
@@ -1449,7 +1762,7 @@ mod tests {
         #[test]
         fn guide_keeps_the_path_on_loaded_tori(seed in any::<u64>()) {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let phys = random_torus(&mut rng);
+            let phys = random_torus(&mut rng, tenths);
             let mut residual = ResidualState::new(&phys);
             let hosts = phys.hosts().to_vec();
             for _ in 0..40 {
@@ -1471,48 +1784,204 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dominance_pruning_scratch_reuse_is_pure() {
-        // The per-node label store must reset between searches: a warm
-        // scratch has to reproduce the fresh-scratch result exactly.
-        let phys = PhysicalTopology::from_shape(
-            &generators::torus2d(5, 5),
-            std::iter::repeat(HostSpec::new(Mips(1000.0), MemMb(1024), StorGb(100.0))),
-            LinkSpec::new(Kbps(1000.0), Millis(5.0)),
-            VmmOverhead::NONE,
-        );
-        let residual = ResidualState::new(&phys);
-        let cfg = AStarPruneConfig {
+    /// A `k`-ary fat-tree whose links draw capacities from [`POOL`] and
+    /// latencies from [`halves`].
+    fn random_fat_tree(k: usize, rng: &mut SmallRng) -> PhysicalTopology {
+        let shape = generators::fat_tree(k);
+        let edges: Vec<_> = shape
+            .edges()
+            .map(|e| {
+                let cap = 2.0 * POOL[rng.gen_range(0..POOL.len())];
+                (e.a.index(), e.b.index(), cap, halves(rng))
+            })
+            .collect();
+        phys_from_edges(shape.node_count(), &edges)
+    }
+
+    /// `(bottleneck, latency bits, hops)` of a path, its latency summed
+    /// from the origin as the searches sum it.
+    fn triple(
+        phys: &PhysicalTopology,
+        residual: &ResidualState,
+        path: &[EdgeId],
+    ) -> (u64, u64, usize) {
+        let lat = path
+            .iter()
+            .fold(0.0, |acc, &e| acc + phys.link(e).lat.value());
+        let bw = path
+            .iter()
+            .map(|&e| residual.bw(e).value())
+            .fold(f64::INFINITY, f64::min);
+        (bw.to_bits(), lat.to_bits(), path.len())
+    }
+
+    /// The default configuration with the exact router selected.
+    fn exact() -> AStarPruneConfig {
+        AStarPruneConfig {
             prune_dominated: true,
             ..Default::default()
-        };
-        let mut warm = RouteScratch::new();
-        for (from, to, bound) in [(0usize, 12usize, 50.0), (4, 20, 60.0), (2, 17, 45.0)] {
-            let dest = phys.hosts()[to];
-            let ar = ar_for(&phys, dest);
-            let origin = phys.hosts()[from];
-            let fresh = search(
-                &phys,
-                &residual,
+        }
+    }
+
+    /// Routes one query with the exact router and with the default
+    /// guided A\*Prune and checks that both find a path or neither does,
+    /// with equal triples. Returns A\*Prune's path.
+    fn exact_matches_astar_prune(
+        phys: &PhysicalTopology,
+        residual: &ResidualState,
+        origin: NodeId,
+        destination: NodeId,
+        demand: f64,
+        bound: f64,
+    ) -> Result<Option<Vec<EdgeId>>, TestCaseError> {
+        let ar = ar_for(phys, destination);
+        let run = |config| {
+            search(
+                phys,
+                residual,
                 origin,
-                dest,
-                Kbps(5.0),
+                destination,
+                Kbps(demand),
                 Millis(bound),
                 &ar,
-                &cfg,
+                config,
+            )
+            .map(|(path, _)| path)
+        };
+        let (exact, astar) = (run(&exact()), run(&AStarPruneConfig::default()));
+        prop_assert_eq!(
+            exact.as_ref().map(|p| triple(phys, residual, p)),
+            astar.as_ref().map(|p| triple(phys, residual, p)),
+            "demand {} bound {}",
+            demand,
+            bound
+        );
+        Ok(astar)
+    }
+
+    /// Routes 40 random queries on `phys`, committing every path found so
+    /// that residuals tie and later queries climb several levels.
+    fn exact_matches_astar_prune_under_load(
+        phys: &PhysicalTopology,
+        rng: &mut SmallRng,
+    ) -> Result<(), TestCaseError> {
+        let mut residual = ResidualState::new(phys);
+        let hosts = phys.hosts().to_vec();
+        for _ in 0..40 {
+            let origin = hosts[rng.gen_range(0..hosts.len())];
+            let (dest, demand, bound) = if rng.gen_bool(0.5) {
+                query(phys, origin, rng)
+            } else {
+                let dest = hosts[rng.gen_range(0..hosts.len())];
+                let slack = f64::from(rng.gen_range(0..8u32)) * 0.5;
+                (
+                    dest,
+                    100.0 * f64::from(rng.gen_range(1..8u32)),
+                    ar_for(phys, dest)[origin.index()] + slack,
+                )
+            };
+            if dest == origin {
+                continue;
+            }
+            if let Some(path) =
+                exact_matches_astar_prune(phys, &residual, origin, dest, demand, bound)?
+            {
+                residual.commit_route(&path, Kbps(demand));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The exact router returns A\*Prune's triple on loaded
+        /// `fat_tree(4)` and `fat_tree(6)`, whose equal-cost paths are
+        /// what it exists for.
+        #[test]
+        fn exact_router_matches_astar_prune_on_fat_trees(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let k = if rng.gen_bool(0.5) { 4 } else { 6 };
+            let phys = random_fat_tree(k, &mut rng);
+            exact_matches_astar_prune_under_load(&phys, &mut rng)?;
+        }
+
+        /// The same on loaded 5x8 tori, half of them with
+        /// tenth-of-a-millisecond latencies, whose sums depend on the order
+        /// of addition.
+        #[test]
+        fn exact_router_matches_astar_prune_on_loaded_tori(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let lat = if rng.gen_bool(0.5) { tenths } else { halves };
+            let phys = random_torus(&mut rng, lat);
+            exact_matches_astar_prune_under_load(&phys, &mut rng)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The same on small random multigraphs, with their self-loops,
+        /// parallel edges and leaves.
+        #[test]
+        fn exact_router_matches_astar_prune_on_random_graphs(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let phys = random_graph(&mut rng);
+            let mut residual = ResidualState::new(&phys);
+            let hosts = phys.hosts().to_vec();
+            for _ in 0..rng.gen_range(0..3) {
+                let (_, edges) = walk(&phys, hosts[rng.gen_range(0..hosts.len())], 4, &mut rng);
+                if residual.route_feasible(&edges, Kbps(100.0)) {
+                    residual.commit_route(&edges, Kbps(100.0));
+                }
+            }
+            for _ in 0..4 {
+                let origin = hosts[rng.gen_range(0..hosts.len())];
+                let (dest, demand, bound) = query(&phys, origin, &mut rng);
+                if dest != origin {
+                    exact_matches_astar_prune(&phys, &residual, origin, dest, demand, bound)?;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_router_scratch_reuse_is_pure() {
+        // One warm scratch serves loaded queries on two topologies in
+        // turn: labels, levels and the cached longest latency must not
+        // leak from one search into the next.
+        let mut rng = SmallRng::seed_from_u64(23);
+        let nets = [random_fat_tree(6, &mut rng), random_torus(&mut rng, tenths)];
+        let mut residuals: Vec<_> = nets.iter().map(ResidualState::new).collect();
+        let mut warm = RouteScratch::new();
+        let mut climbs = 0;
+        for i in 0..60 {
+            let (phys, residual) = (&nets[i % 2], &mut residuals[i % 2]);
+            let hosts = phys.hosts();
+            let (origin, dest) = (
+                hosts[rng.gen_range(0..hosts.len())],
+                hosts[rng.gen_range(0..hosts.len())],
             );
+            let ar = ar_for(phys, dest);
+            let (demand, bound) = (Kbps(100.0), Millis(ar[origin.index()] + 1.0));
+            let fresh = search(phys, residual, origin, dest, demand, bound, &ar, &exact());
             let reused = astar_prune(
-                &phys,
-                &residual,
+                phys,
+                residual,
                 origin,
                 dest,
-                Kbps(5.0),
-                Millis(bound),
+                demand,
+                bound,
                 ArView::new(&ar, dest),
-                &cfg,
+                &exact(),
                 &mut warm,
             );
             assert_eq!(fresh, reused);
+            if let Some((path, stats)) = fresh {
+                climbs += usize::from(stats.guide_probes > 1);
+                residual.commit_route(&path, demand);
+            }
         }
+        assert!(climbs > 0, "some searches must probe more than one level");
     }
 }

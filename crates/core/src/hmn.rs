@@ -53,13 +53,17 @@ pub struct HmnConfig {
     pub path_metric: PathMetric,
     /// Use the Dijkstra latency lower bound when pruning in A\*Prune.
     pub use_latency_lower_bound: bool,
-    /// Safety cap on A\*Prune expansions per link.
+    /// Safety cap on A\*Prune expansions per link; the exact router of
+    /// `prune_dominated` has none.
     pub max_expansions: usize,
-    /// Prune Pareto-dominated partial paths in A\*Prune. Off by default
+    /// Route with exact per-level dominance instead of A\*Prune: one
+    /// label per node at each bandwidth level, the same
+    /// `(bottleneck, latency, hops)` triple, and a failure only when no
+    /// path exists ([`AStarPruneConfig::prune_dominated`]). Off by default
     /// (the paper keeps every partial path); essential on topologies with
-    /// massive equal-cost path multiplicity (fat-trees), where the
-    /// unpruned frontier grows exponentially and exhausts
-    /// `max_expansions` before any complete path pops.
+    /// massive equal-cost path multiplicity (fat-trees), where A\*Prune's
+    /// frontier grows exponentially and exhausts `max_expansions` before
+    /// any complete path pops.
     pub prune_dominated: bool,
 }
 
@@ -248,9 +252,9 @@ mod tests {
 
     #[test]
     fn prune_dominated_keeps_placement_and_validity() {
-        // Dominance pruning only discards partial paths that cannot win;
-        // the placement (fixed before Networking runs) is untouched and
-        // the routed mapping stays valid.
+        // The exact router returns A*Prune's triples; the placement (fixed
+        // before Networking runs) is untouched and the routed mapping
+        // stays valid.
         let phys = paper_like_phys();
         let venv = small_venv(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let baseline = Hmn::new()

@@ -7,7 +7,12 @@
 //!
 //! * the paper's modified 1-constrained A\*Prune
 //!   (`&`[`AStarPruneConfig`]) — HMN and every mapper built on its
-//!   Networking stage, and the exact oracle's leaves;
+//!   Networking stage, and the exact oracle's leaves. With
+//!   [`prune_dominated`](AStarPruneConfig::prune_dominated) set, the same
+//!   router runs the exact per-level search instead (the fat-tree
+//!   setting): A\*Prune's `(bottleneck, latency, hops)` triple with one
+//!   label per node at each bandwidth level, failing only when no path
+//!   exists;
 //! * Yen's K cheapest paths ([`YenKsp`](crate::YenKsp)) — HMN-ksp and
 //!   the oracle's fallback;
 //! * the baselines' naive DFS ([`DfsRouter`](crate::DfsRouter)) — R and

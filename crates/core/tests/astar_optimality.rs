@@ -2,9 +2,10 @@
 //! enumerate every latency-feasible simple path and verify that the
 //! modified 1-constrained A*Prune returns a path whose bottleneck residual
 //! bandwidth is maximal (the paper's widest-path selection rule), subject
-//! to both constraints. On larger random clusters, check that scratch
-//! history never reaches a result and that dominance pruning only returns
-//! feasible paths. On the paper's two 40-host clusters, pin the path and
+//! to both constraints, and that the exact router `prune_dominated`
+//! selects returns the best `(bottleneck, latency, hops)` triple. On
+//! larger random clusters, check that scratch history never reaches a
+//! result. On the paper's two 40-host clusters, pin the path and
 //! the search effort of a fixed batch of queries, so a change to the
 //! candidate order shows even where it keeps every path feasible.
 
@@ -183,34 +184,6 @@ proptest! {
             prop_assert_eq!(fresh, warm);
         }
     }
-
-    /// Dominance pruning is a heuristic (it may tie-break differently),
-    /// but any path it returns must satisfy the same feasibility
-    /// contract as the exhaustive search: demand fits every edge and the
-    /// latency bound holds.
-    #[test]
-    fn dominance_pruned_paths_are_feasible((phys, seed) in arb_cluster()) {
-        let residual = ResidualState::new(&phys);
-        let (origin, dest) = pick_pair(&phys, seed);
-        let ar = ar_table(&phys, dest);
-        let config = AStarPruneConfig {
-            prune_dominated: true,
-            ..Default::default()
-        };
-        let demand = Kbps(150.0);
-        let bound = Millis(45.0);
-        if let Some((path, stats)) = astar_prune(
-            &phys, &residual, origin, dest, demand, bound, ArView::new(&ar, dest), &config,
-            &mut RouteScratch::new(),
-        ) {
-            let lat: f64 = path.iter().map(|&e| phys.link(e).lat.value()).sum();
-            prop_assert!(lat <= bound.value() + 1e-9);
-            for &e in &path {
-                prop_assert!(residual.bw(e).value() >= demand.value());
-            }
-            prop_assert!(stats.expanded > 0);
-        }
-    }
 }
 
 proptest! {
@@ -273,6 +246,63 @@ proptest! {
             (Some(bn), None) => prop_assert!(false, "A*Prune missed a feasible path (bn {bn})"),
             (None, Some(_)) => prop_assert!(false, "A*Prune invented an infeasible path"),
         }
+    }
+
+    /// With `prune_dominated`, the search returns the lexicographic best
+    /// `(bottleneck, latency, hops)` over every feasible simple path, the
+    /// triple the exhaustive A*Prune returns, and `None` exactly when no
+    /// path is feasible.
+    #[test]
+    fn exact_router_returns_the_best_triple(
+        n in 3usize..8,
+        density in 0.2f64..0.8,
+        seed in any::<u64>(),
+        demand_ix in 0usize..10,
+        bound in 3.0f64..25.0,
+    ) {
+        let (phys, residual) = random_phys(n, density, seed);
+        let from = phys.hosts()[0];
+        let to = *phys.hosts().last().unwrap();
+        prop_assume!(from != to);
+        let demand = (demand_ix as f64 + 1.0) * 100.0;
+
+        // Oracle: the best triple among feasible simple paths, as
+        // (bottleneck, latency, hops) bits.
+        let key = |(bn, lat, hops): (f64, f64, usize)| (bn, -lat, -(hops as i64));
+        let mut best: Option<(f64, f64, usize)> = None;
+        enumerate_paths(&phys, &residual, from, to, &mut |edges, lat, bn| {
+            let t = (bn, lat, edges.len());
+            if lat <= bound + 1e-9 && bn >= demand && best.is_none_or(|b| key(t) > key(b)) {
+                best = Some(t);
+            }
+        });
+
+        let ar = ar_table(&phys, to);
+        let config = AStarPruneConfig {
+            prune_dominated: true,
+            ..Default::default()
+        };
+        let found = astar_prune(
+            &phys,
+            &residual,
+            from,
+            to,
+            Kbps(demand),
+            Millis(bound),
+            ArView::new(&ar, to),
+            &config,
+            &mut RouteScratch::new(),
+        )
+        .map(|(edges, _)| {
+            let lat = edges.iter().fold(0.0, |acc, &e| acc + phys.link(e).lat.value());
+            let bn = edges
+                .iter()
+                .map(|&e| residual.bw(e).value())
+                .fold(f64::INFINITY, f64::min);
+            (bn, lat, edges.len())
+        });
+        let bits = |t: Option<(f64, f64, usize)>| t.map(|(bn, lat, hops)| (bn.to_bits(), lat.to_bits(), hops));
+        prop_assert_eq!(bits(found), bits(best));
     }
 }
 
