@@ -7,6 +7,7 @@ use emumap_core::{
     cluster_diagnostics, mapper_keys, mapper_usage, solve_exact_with, BoundKind, ExactConfig,
     ExactStatus, Hmn, MapCache, MapOutcome, Mapper, MapperConfig, DEFAULT_MAX_ATTEMPTS,
 };
+use emumap_graph::generators::edges_for_density;
 use emumap_model::{validate_mapping, Mapping, PhysicalTopology, VirtualEnvironment};
 use emumap_sim::{run_experiment, ExperimentSpec};
 use emumap_workloads::{oracle_smoke, ClusterSpec, ClusterTopology, VirtualEnvSpec};
@@ -159,9 +160,19 @@ pub(crate) fn build_mapper(name: &str, attempts: usize) -> Result<Box<dyn Mapper
 /// The `--seed` every subcommand defaults to.
 pub(crate) const DEFAULT_SEED: u64 = 2009;
 
+/// The most guests [`generate_venv`] generates: 50x the paper's largest
+/// environment (2 000 guests).
+const MAX_GUESTS: usize = 100_000;
+
+/// The most virtual links [`generate_venv`] generates: 50x the paper's
+/// largest environment (19 990 links).
+const MAX_VIRTUAL_LINKS: usize = 1_000_000;
+
 /// Validates the Table 1 generator inputs and generates the environment:
 /// `gen-venv` and `serve`'s generator-form `apply` both come through here.
 /// Errors name the offending input after `prefix` (`--` or `apply.`).
+/// The size limits come before any allocation, so one request line
+/// cannot ask the daemon for more memory than it has.
 pub(crate) fn generate_venv(
     prefix: &str,
     workload: &str,
@@ -171,6 +182,19 @@ pub(crate) fn generate_venv(
 ) -> Result<VirtualEnvironment, String> {
     if !(0.0..=1.0).contains(&density) {
         return Err(format!("{prefix}density must be in [0, 1], got {density}"));
+    }
+    // Guests first: the link count below is quadratic in them.
+    if guests > MAX_GUESTS {
+        return Err(format!(
+            "{prefix}guests must be at most {MAX_GUESTS}, got {guests}"
+        ));
+    }
+    let links = edges_for_density(guests, density);
+    if links > MAX_VIRTUAL_LINKS {
+        return Err(format!(
+            "{prefix}guests {guests} at {prefix}density {density} make {links} virtual links, \
+             more than the limit of {MAX_VIRTUAL_LINKS}"
+        ));
     }
     let spec = match workload {
         "high" => VirtualEnvSpec::high_level(guests, density),

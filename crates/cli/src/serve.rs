@@ -415,9 +415,10 @@ mod tests {
 
     #[test]
     fn malformed_requests_do_not_kill_the_daemon() {
-        let apply_at = |density: &str| {
-            format!("{{\"apply\":{{\"id\":\"d\",\"workload\":\"high\",\"guests\":4,\"density\":{density},\"seed\":1}}}}")
+        let apply_guests_at = |guests: usize, density: &str| {
+            format!("{{\"apply\":{{\"id\":\"d\",\"workload\":\"high\",\"guests\":{guests},\"density\":{density},\"seed\":1}}}}")
         };
+        let apply_at = |density: &str| apply_guests_at(4, density);
         let with_generator = apply_pair(|j| j).replacen(
             "{\"apply\":{",
             "{\"apply\":{\"workload\":\"high\",\"guests\":3,\"density\":0.1,\"seed\":1,",
@@ -434,6 +435,11 @@ mod tests {
             ("{\"remove\":{\"id\":\"t1\",\"force\":true}}".to_string(), "force"),
             ("{\"status\":{\"verbose\":true}}".to_string(), "verbose"),
             (with_generator, "workload"),
+            (
+                "{\"apply\":{\"id\":\"d\",\"workload\":\"high\",\"guests\":18446744073709551615,\"density\":1,\"seed\":1}}".to_string(),
+                "apply.guests must be at most 100000",
+            ),
+            (apply_guests_at(100_000, "1"), "more than the limit of 1000000"),
         ];
         let mut requests: Vec<String> = bad.iter().map(|(r, _)| r.clone()).collect();
         requests.push("{\"status\":{}}".to_string());

@@ -298,12 +298,9 @@ impl Mapper for Annealing {
             cache.anneal.best = best;
 
             // --- Route.
-            let (routes, _) = rec.try_phase(
-                cache,
-                Phase::Networking,
-                |cache| networking_stage(&mut state, &links, &cfg.astar, cache),
-                |(_, counters)| *counters,
-            )?;
+            let routes = rec.phase(cache, Phase::Networking, |cache| {
+                networking_stage(&mut state, &links, &cfg.astar, cache)
+            })?;
             Ok(Mapping::new(state.into_placement(), routes))
         })
     }

@@ -147,12 +147,9 @@ impl Mapper for ConsolidatingHmn {
                 };
                 ((), counters)
             });
-            let (routes, _) = rec.try_phase(
-                cache,
-                Phase::Networking,
-                |cache| networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache),
-                |(_, counters)| *counters,
-            )?;
+            let routes = rec.phase(cache, Phase::Networking, |cache| {
+                networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache)
+            })?;
             Ok(Mapping::new(state.into_placement(), routes))
         })
     }

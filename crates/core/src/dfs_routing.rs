@@ -35,7 +35,6 @@ use crate::cache::{ArView, MapCache};
 use crate::networking::{LinkRequest, LinkRouter, Routed};
 use emumap_graph::{EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
-use emumap_trace::LinkVerdict;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
@@ -199,10 +198,8 @@ pub fn naive_dfs_route(
 
 /// The baselines' router for [`networking_stage`](crate::networking_stage):
 /// [`naive_dfs_route`] biased by the cache's hop-count tables, drawing
-/// from `rng`. A miss is no infeasibility proof (the walk is heuristic),
-/// and the baselines retry hundreds of times — running the max-flow
-/// diagnosis per miss would swamp the trace — so every miss reports
-/// [`LinkVerdict::PossiblyRoutable`].
+/// from `rng`. A miss is no infeasibility proof (the walk is heuristic);
+/// the loop's diagnosis tells a proven failure from a missed path.
 pub struct DfsRouter<'r> {
     /// The mapper's random stream.
     pub rng: &'r mut dyn RngCore,
@@ -223,7 +220,6 @@ impl LinkRouter for DfsRouter<'_> {
             &mut cache.dfs,
         )
         .map(|edges| (edges, SearchStats::default()))
-        .ok_or(Some(LinkVerdict::PossiblyRoutable))
     }
 }
 

@@ -4,11 +4,13 @@
 //! §5.2 closes with "HMN may fail in finding a mapping in scenarios in
 //! which the requirements of the virtual system is too close to the
 //! resource availability"; these helpers quantify "too close" for a
-//! concrete failed link or guest, using max-flow cuts and latency
-//! diameters as *proofs* of infeasibility where possible.
+//! concrete failed link or a whole cluster. A failed link gets an exact
+//! verdict: a bandwidth floor plus one additive latency bound is decided
+//! by one shortest-latency search over the edges that carry the demand
+//! (Wang & Crowcroft 1996, the reduction A\*Prune's guide builds on).
 
 use crate::ArTables;
-use emumap_graph::algo::{dijkstra, max_flow};
+use emumap_graph::algo::DijkstraScratch;
 use emumap_graph::NodeId;
 use emumap_model::{
     Kbps, MemMb, Millis, PhysicalTopology, ResidualState, VLinkSpec, VirtualEnvironment,
@@ -16,12 +18,18 @@ use emumap_model::{
 use emumap_trace::LinkVerdict;
 use serde::Serialize;
 
-/// Diagnoses routability of a `spec`-shaped link between `from` and `to`
-/// under the given residual bandwidths: a latency-infeasibility proof
-/// (the *uncongested* shortest-latency path already exceeds the bound,
-/// so no retry can fix this placement), else a bandwidth one (the
-/// residual max-flow between the hosts is below the demand, wherever the
-/// link is routed), else [`LinkVerdict::PossiblyRoutable`].
+/// Decides whether a `spec`-shaped link between `from` and `to` is
+/// routable on the given residual bandwidths. One Dijkstra from `to`
+/// over the edges with residual `>= spec.bw` finds the shortest latency
+/// `best` of any path that carries the demand:
+///
+/// * no such path: [`LinkVerdict::BandwidthInfeasible`];
+/// * `best > bound + 1e-9` (A\*Prune's acceptance slack):
+///   [`LinkVerdict::LatencyInfeasible`];
+/// * otherwise a feasible path exists: [`LinkVerdict::Routable`].
+///
+/// Both infeasible verdicts are proofs: no router, and no retry on these
+/// residuals, can route the link.
 pub fn diagnose_route(
     phys: &PhysicalTopology,
     residual: &ResidualState,
@@ -29,40 +37,31 @@ pub fn diagnose_route(
     to: NodeId,
     spec: &VLinkSpec,
 ) -> LinkVerdict {
-    if from == to {
-        return LinkVerdict::PossiblyRoutable; // intra-host always works
-    }
-    // Latency check on the *uncongested* network (admissible bound).
-    let lat = dijkstra(phys.graph(), to, |_, l| l.lat.value());
-    let best = lat.distance(from).unwrap_or(f64::INFINITY);
-    if best > spec.lat.value() + 1e-9 {
-        return LinkVerdict::LatencyInfeasible {
+    let (demand, bound) = (spec.bw.value(), spec.lat.value());
+    let mut search = DijkstraScratch::new();
+    search.run(
+        phys.graph(),
+        to,
+        0.0,
+        |e, link| (residual.bw(e).value() >= demand).then(|| link.lat.value()),
+        |v, _| v == from,
+    );
+    let best = search.distances()[from.index()];
+    if best == f64::INFINITY {
+        LinkVerdict::BandwidthInfeasible {
+            demand_kbps: demand,
+        }
+    } else if best > bound + 1e-9 {
+        LinkVerdict::LatencyInfeasible {
             best_possible_ms: best,
-            bound_ms: spec.lat.value(),
-        };
+            bound_ms: bound,
+        }
+    } else {
+        LinkVerdict::Routable {
+            best_possible_ms: best,
+            bound_ms: bound,
+        }
     }
-    // Capacity cut on the residual network.
-    let flow = residual_max_flow(phys, residual, from, to);
-    if flow + 1e-9 < spec.bw.value() {
-        return LinkVerdict::BandwidthInfeasible {
-            max_flow_kbps: flow,
-            demand_kbps: spec.bw.value(),
-        };
-    }
-    LinkVerdict::PossiblyRoutable
-}
-
-/// Max-flow between two nodes using *residual* bandwidths as capacities.
-pub fn residual_max_flow(
-    phys: &PhysicalTopology,
-    residual: &ResidualState,
-    from: NodeId,
-    to: NodeId,
-) -> f64 {
-    // Decorate a shadow graph whose edge payloads are the residual
-    // bandwidths (max_flow reads capacities from payloads).
-    let shadow = phys.graph().map_edges(|id, _| residual.bw(id).value());
-    max_flow(&shadow, from, to, |c| *c)
 }
 
 /// Cluster-level feasibility summary for a virtual environment, printed by
@@ -139,9 +138,9 @@ mod tests {
     use emumap_graph::generators;
     use emumap_model::{GuestSpec, HostSpec, LinkSpec, Mips, StorGb, VmmOverhead};
 
-    fn phys_line(n: usize, bw: f64, lat: f64) -> PhysicalTopology {
+    fn phys(shape: &generators::Topology, bw: f64, lat: f64) -> PhysicalTopology {
         PhysicalTopology::from_shape(
-            &generators::line(n),
+            shape,
             std::iter::repeat(HostSpec::new(Mips(1000.0), MemMb(1024), StorGb(100.0))),
             LinkSpec::new(Kbps(bw), Millis(lat)),
             VmmOverhead::NONE,
@@ -150,7 +149,7 @@ mod tests {
 
     #[test]
     fn latency_infeasibility_is_proven() {
-        let p = phys_line(4, 1000.0, 10.0); // 3 hops = 30 ms end to end
+        let p = phys(&generators::line(4), 1000.0, 10.0); // 3 hops = 30 ms end to end
         let r = ResidualState::new(&p);
         let spec = VLinkSpec::new(Kbps(1.0), Millis(25.0));
         let verdict = diagnose_route(&p, &r, p.hosts()[0], p.hosts()[3], &spec);
@@ -164,57 +163,66 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_infeasibility_uses_the_cut() {
-        // Ring of 4: two disjoint paths of 100 kbps each; a 250 kbps link
-        // cannot be carried even split... (we don't split, but the verdict
-        // uses max-flow = 200 as the generous upper bound).
-        let p = PhysicalTopology::from_shape(
-            &generators::ring(4),
-            std::iter::repeat(HostSpec::new(Mips(1000.0), MemMb(1024), StorGb(100.0))),
-            LinkSpec::new(Kbps(100.0), Millis(5.0)),
-            VmmOverhead::NONE,
-        );
+    fn bandwidth_infeasibility_needs_a_path_at_the_demand() {
+        // Ring of 4: two disjoint 100 kbps paths between opposite
+        // corners carry 200 kbps together, but no single path carries
+        // 150.
+        let p = phys(&generators::ring(4), 100.0, 5.0);
         let r = ResidualState::new(&p);
-        let spec = VLinkSpec::new(Kbps(250.0), Millis(60.0));
+        let spec = VLinkSpec::new(Kbps(150.0), Millis(60.0));
         let verdict = diagnose_route(&p, &r, p.hosts()[0], p.hosts()[2], &spec);
         assert_eq!(
             verdict,
-            LinkVerdict::BandwidthInfeasible {
-                max_flow_kbps: 200.0,
-                demand_kbps: 250.0
+            LinkVerdict::BandwidthInfeasible { demand_kbps: 150.0 }
+        );
+    }
+
+    #[test]
+    fn the_search_sees_bandwidth_and_latency_together() {
+        // Square 0-1-2-3-0 at 5 ms a hop. With 0-1 narrowed below the
+        // demand, the one path left from 0 to 1 runs the long way round,
+        // 15 ms: out of a 10 ms bound, although the uncongested network
+        // has a 5 ms path and the residual network has a wide one.
+        let p = phys(&generators::ring(4), 100.0, 5.0);
+        let mut r = ResidualState::new(&p);
+        let (a, b) = (p.hosts()[0], p.hosts()[1]);
+        let direct = p.graph().find_edge(a, b).expect("ring edge");
+        r.commit_route(&[direct], Kbps(60.0));
+        let spec = VLinkSpec::new(Kbps(50.0), Millis(10.0));
+        assert_eq!(
+            diagnose_route(&p, &r, a, b, &spec),
+            LinkVerdict::LatencyInfeasible {
+                best_possible_ms: 15.0,
+                bound_ms: 10.0
             }
         );
     }
 
     #[test]
-    fn routable_links_are_possibly_routable() {
-        let p = phys_line(3, 1000.0, 5.0);
+    fn routable_links_report_their_best_latency() {
+        let p = phys(&generators::line(3), 1000.0, 5.0);
         let r = ResidualState::new(&p);
         let spec = VLinkSpec::new(Kbps(500.0), Millis(60.0));
         assert_eq!(
             diagnose_route(&p, &r, p.hosts()[0], p.hosts()[2], &spec),
-            LinkVerdict::PossiblyRoutable
+            LinkVerdict::Routable {
+                best_possible_ms: 10.0,
+                bound_ms: 60.0
+            }
         );
         // Intra-host is always fine.
         assert_eq!(
             diagnose_route(&p, &r, p.hosts()[0], p.hosts()[0], &spec),
-            LinkVerdict::PossiblyRoutable
+            LinkVerdict::Routable {
+                best_possible_ms: 0.0,
+                bound_ms: 60.0
+            }
         );
     }
 
     #[test]
-    fn residual_flow_reflects_commitments() {
-        let p = phys_line(2, 100.0, 5.0);
-        let mut r = ResidualState::new(&p);
-        assert_eq!(residual_max_flow(&p, &r, p.hosts()[0], p.hosts()[1]), 100.0);
-        let edges: Vec<_> = p.graph().edge_ids().collect();
-        r.commit_route(&edges, Kbps(60.0));
-        assert_eq!(residual_max_flow(&p, &r, p.hosts()[0], p.hosts()[1]), 40.0);
-    }
-
-    #[test]
     fn cluster_diagnostics_sums_are_correct() {
-        let p = phys_line(3, 100.0, 5.0);
+        let p = phys(&generators::line(3), 100.0, 5.0);
         let mut venv = VirtualEnvironment::new();
         let a = venv.add_guest(GuestSpec::new(Mips(10.0), MemMb(100), StorGb(1.0)));
         let b = venv.add_guest(GuestSpec::new(Mips(20.0), MemMb(200), StorGb(1.0)));

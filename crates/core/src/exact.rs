@@ -584,18 +584,14 @@ impl<'a> Search<'a> {
     fn route_leaf(&self, cache: &mut MapCache) -> Option<(Mapping, f64)> {
         let links = links_by_descending_bw(self.venv);
         let astar = &AStarPruneConfig::default();
-        let routed =
-            self.with_fresh_state(|state| networking_stage(state, &links, astar, cache).ok())?;
-        let routed = match routed {
-            Some((routes, _)) => Some(routes),
-            None if self.config.ksp_fallback > 0 => {
-                let ksp = YenKsp::new(self.config.ksp_fallback);
-                self.with_fresh_state(|state| networking_stage(state, &links, ksp, cache).ok())?
-                    .map(|(routes, _)| routes)
-            }
-            None => None,
-        };
-        let routes = routed?;
+        let mut routes =
+            self.with_fresh_state(|state| networking_stage(state, &links, astar, cache).0.ok())?;
+        if routes.is_none() && self.config.ksp_fallback > 0 {
+            let ksp = YenKsp::new(self.config.ksp_fallback);
+            routes =
+                self.with_fresh_state(|state| networking_stage(state, &links, ksp, cache).0.ok())?;
+        }
+        let routes = routes?;
         let placement: Vec<NodeId> = self
             .slot_of
             .iter()

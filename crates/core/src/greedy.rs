@@ -123,12 +123,9 @@ fn run_greedy_with(
             |_| PhaseCounters::default(),
         )?;
         let links = links_by_descending_bw(venv);
-        let (routes, _) = rec.try_phase(
-            cache,
-            Phase::Networking,
-            |cache| networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache),
-            |(_, counters)| *counters,
-        )?;
+        let routes = rec.phase(cache, Phase::Networking, |cache| {
+            networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache)
+        })?;
         Ok(Mapping::new(state.into_placement(), routes))
     })
 }

@@ -154,12 +154,9 @@ impl Mapper for Hmn {
                     ((), migration_counters(&mut state, self.config.migration))
                 });
             }
-            let (routes, _) = rec.try_phase(
-                cache,
-                Phase::Networking,
-                |cache| networking_stage(&mut state, &links, &self.config.astar(), cache),
-                |(_, counters)| *counters,
-            )?;
+            let routes = rec.phase(cache, Phase::Networking, |cache| {
+                networking_stage(&mut state, &links, &self.config.astar(), cache)
+            })?;
             Ok(Mapping::new(state.into_placement(), routes))
         })
     }

@@ -23,7 +23,7 @@ use crate::recorder::record_map;
 use crate::state::PlacementState;
 use emumap_graph::algo::k_shortest_paths;
 use emumap_model::{Mapping, PhysicalTopology, VirtualEnvironment};
-use emumap_trace::{LinkVerdict, Phase};
+use emumap_trace::Phase;
 use rand::RngCore;
 
 /// The Yen K-cheapest-latency-paths router for
@@ -34,8 +34,8 @@ use rand::RngCore;
 /// distance is the minimum latency over *all* paths, so when it already
 /// exceeds the link's bound no candidate from Yen's enumeration can pass
 /// the `p.cost <= bound` filter and the (expensive) enumeration is
-/// skipped — with that distance as a proof of infeasibility. The
-/// accept/reject outcome per link is unchanged.
+/// skipped. The accept/reject outcome per link is unchanged; why a link
+/// failed is [`networking_stage`]'s to diagnose.
 #[derive(Clone, Copy, Debug)]
 pub struct YenKsp {
     k: usize,
@@ -57,10 +57,7 @@ impl LinkRouter for YenKsp {
         let (ar, _) = cache.topo.ar_and_csr(link.phys, link.to);
         let (best, bound) = (ar[link.from.index()], link.spec.lat.value());
         if best > bound + 1e-9 {
-            return Err(Some(LinkVerdict::LatencyInfeasible {
-                best_possible_ms: best,
-                bound_ms: bound,
-            }));
+            return None;
         }
         // Candidates are computed on the *static* latency metric;
         // feasibility is then checked against the current residuals, so
@@ -72,7 +69,6 @@ impl LinkRouter for YenKsp {
                 p.cost <= bound + 1e-9 && link.residual.route_feasible(&p.edges, link.spec.bw)
             })
             .map(|p| (p.edges, SearchStats::default()))
-            .ok_or(None)
     }
 }
 
@@ -114,12 +110,9 @@ impl Mapper for HmnKsp {
             rec.phase(cache, Phase::Migration, |_| {
                 ((), migration_counters(&mut state, MigrationPolicy::Paper))
             });
-            let (routes, _) = rec.try_phase(
-                cache,
-                Phase::Networking,
-                |cache| networking_stage(&mut state, &links, YenKsp::new(self.k), cache),
-                |(_, counters)| *counters,
-            )?;
+            let routes = rec.phase(cache, Phase::Networking, |cache| {
+                networking_stage(&mut state, &links, YenKsp::new(self.k), cache)
+            })?;
             Ok(Mapping::new(state.into_placement(), routes))
         })
     }

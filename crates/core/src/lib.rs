@@ -89,7 +89,7 @@ pub use astar_prune::{astar_prune, AStarPruneConfig, PathMetric, RouteScratch, S
 pub use cache::{AnnealScratch, ArTables, ArView, MapCache, RoundingScratch};
 pub use consolidation::{drain_stage, ConsolidatingHmn, DrainStats};
 pub use dfs_routing::{naive_dfs_route, DfsRouter, DfsScratch, WANDER_PROBABILITY};
-pub use diagnostics::{cluster_diagnostics, diagnose_route, residual_max_flow, ClusterDiagnostics};
+pub use diagnostics::{cluster_diagnostics, diagnose_route, ClusterDiagnostics};
 pub use emumap_trace::LinkVerdict;
 pub use error::MapError;
 pub use exact::{

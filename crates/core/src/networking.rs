@@ -24,6 +24,12 @@
 //! the reduced residuals. Links whose guests share a host are "handled
 //! inside the host" and never routed — §5.2 credits this for the
 //! Figure 1 variance.
+//!
+//! The paper's heuristics fail hard (§4.3: "if in some moment a path for
+//! a virtual link cannot be found, the heuristic fails"). A router only
+//! answers "path or no path"; when a tracer listens, the loop asks
+//! [`diagnose_route`] why the link failed, and that exact verdict is the
+//! only one a `LinkFailed` event carries.
 
 use crate::astar_prune::{astar_prune, AStarPruneConfig, SearchStats};
 use crate::cache::MapCache;
@@ -32,7 +38,7 @@ use crate::error::MapError;
 use crate::state::PlacementState;
 use emumap_graph::{EdgeId, NodeId};
 use emumap_model::{PhysicalTopology, ResidualState, Route, VLinkId, VLinkSpec};
-use emumap_trace::{LinkVerdict, PhaseCounters, TraceEvent};
+use emumap_trace::{PhaseCounters, TraceEvent};
 
 /// One inter-host link as the Networking loop hands it to a router.
 #[derive(Clone, Copy, Debug)]
@@ -50,10 +56,9 @@ pub struct LinkRequest<'a> {
 }
 
 /// A router's answer for one link: the path's edges plus the A\*Prune
-/// effort it cost (zero for other searches), or a failure carrying the
-/// verdict the router can prove — `None` when it has none, in which case
-/// the loop diagnoses the link if a tracer is listening.
-pub type Routed = Result<(Vec<EdgeId>, SearchStats), Option<LinkVerdict>>;
+/// effort it cost (zero for other searches), or `None` when it found no
+/// path.
+pub type Routed = Option<(Vec<EdgeId>, SearchStats)>;
 
 /// The per-link path search [`networking_stage`] runs. A router only
 /// searches: it reads the residuals and may use the cache's tables and
@@ -79,33 +84,38 @@ impl LinkRouter for &AStarPruneConfig {
             self,
             &mut cache.scratch,
         )
-        .ok_or(None)
     }
 }
 
 /// Routes `links` in the given order with `router`, committing bandwidth
 /// into `state`'s residuals. Returns the route table indexed by
-/// [`VLinkId::index`] and the pass's Networking counters, or the first
-/// unroutable link. A failed pass releases the bandwidth it committed, in
-/// commit order, so `state` can be routed again.
+/// [`VLinkId::index`], or the first unroutable link, together with the
+/// pass's Networking counters. A failed pass releases the bandwidth it
+/// committed, in commit order, so `state` can be routed again.
 ///
 /// The counters are the routers' A\*Prune effort, the DFS backtracks and
-/// the `ar[]`/hop table builds and hits the pass cost. Tables are cached
-/// per attachment point in `cache` (see [`ArTables`](crate::ArTables)):
-/// §5.2 observes that "most part of mapping time is spend in the
-/// Networking stage to calculate the shortest path of each host to the
-/// link destination", and the cache collapses that cost to at most one
-/// run per distinct destination, or per switch for leaf hosts (one run
-/// for the paper's whole switched cluster) — and, because the tables
-/// depend only on topology latencies, a warm cache carries them across
-/// trials on the same cluster, counting those lookups as `cache_hits`.
+/// the `ar[]`/hop table builds and hits the pass cost. A failed pass
+/// counts the same for the links it routed before the failure, and the
+/// table builds, hits and backtracks up to it; the failing search's own
+/// A\*Prune effort is not counted, because a router reports no
+/// [`SearchStats`] on a miss.
+///
+/// Tables are cached per attachment point in `cache` (see
+/// [`ArTables`](crate::ArTables)): §5.2 observes that "most part of
+/// mapping time is spend in the Networking stage to calculate the
+/// shortest path of each host to the link destination", and the cache
+/// collapses that cost to at most one run per distinct destination, or
+/// per switch for leaf hosts (one run for the paper's whole switched
+/// cluster) — and, because the tables depend only on topology latencies,
+/// a warm cache carries them across trials on the same cluster, counting
+/// those lookups as `cache_hits`.
 /// One-shot callers pass [`MapCache::new`].
 pub fn networking_stage(
     state: &mut PlacementState<'_>,
     links: &[VLinkId],
     mut router: impl LinkRouter,
     cache: &mut MapCache,
-) -> Result<(Vec<Route>, PhaseCounters), MapError> {
+) -> (Result<Vec<Route>, MapError>, PhaseCounters) {
     assert!(
         state.is_complete(),
         "networking requires a complete assignment"
@@ -118,6 +128,7 @@ pub fn networking_stage(
     let runs_before = cache.topo.dijkstra_runs();
     let hits_before = cache.topo.hits();
     let backtracks_before = cache.dfs.backtracks();
+    let mut result = Ok(());
 
     for (i, &l) in links.iter().enumerate() {
         let (vs, vd) = venv.link_endpoints(l);
@@ -137,7 +148,7 @@ pub fn networking_stage(
             spec,
         };
         match router.route(cache, &request) {
-            Ok((edges, search)) => {
+            Some((edges, search)) => {
                 counters.astar_expansions += search.expanded as u64;
                 counters.astar_pushed += search.pushed as u64;
                 counters.guide_probes += search.guide_probes as u64;
@@ -148,12 +159,11 @@ pub fn networking_stage(
                 state.residual_mut().commit_route(&edges, spec.bw);
                 routes[l.index()] = Route::new(edges);
             }
-            Err(verdict) => {
-                // The diagnosis (Dijkstra + max-flow) is expensive, so it
-                // runs only when someone is listening.
+            None => {
+                // The diagnosis is a Dijkstra run, so it runs only when
+                // someone is listening.
                 if cache.trace.is_enabled() {
-                    let verdict = verdict
-                        .unwrap_or_else(|| diagnose_route(phys, state.residual(), from, to, &spec));
+                    let verdict = diagnose_route(phys, state.residual(), from, to, &spec);
                     cache
                         .trace
                         .emit(|| TraceEvent::LinkFailed { link, verdict });
@@ -164,7 +174,8 @@ pub fn networking_stage(
                         .residual_mut()
                         .release_route(routes[done.index()].edges(), bw);
                 }
-                return Err(MapError::NetworkingFailed { link: l });
+                result = Err(MapError::NetworkingFailed { link: l });
+                break;
             }
         }
     }
@@ -172,7 +183,7 @@ pub fn networking_stage(
     counters.dijkstra_runs = (cache.topo.dijkstra_runs() - runs_before) as u64;
     counters.cache_hits = (cache.topo.hits() - hits_before) as u64;
     counters.dfs_backtracks = (cache.dfs.backtracks() - backtracks_before) as u64;
-    Ok((routes, counters))
+    (result.map(|()| routes), counters)
 }
 
 #[cfg(test)]
@@ -184,9 +195,10 @@ mod tests {
         validate_mapping, GuestId, GuestSpec, HostSpec, Kbps, LinkSpec, Mapping, MemMb, Millis,
         Mips, PhysicalTopology, StorGb, VLinkSpec, VirtualEnvironment, VmmOverhead,
     };
+    use emumap_trace::{LinkVerdict, SharedSink, Tracer};
 
     /// Routes every link, heaviest first, on a fresh cache.
-    fn route_all(st: &mut PlacementState<'_>) -> Result<(Vec<Route>, PhaseCounters), MapError> {
+    fn route_all(st: &mut PlacementState<'_>) -> (Result<Vec<Route>, MapError>, PhaseCounters) {
         let links = links_by_descending_bw(st.venv());
         networking_stage(
             st,
@@ -222,7 +234,7 @@ mod tests {
         st.assign(a, phys.hosts()[0]).unwrap();
         st.assign(b, phys.hosts()[0]).unwrap();
         st.assign(c, phys.hosts()[2]).unwrap();
-        let (routes, _) = route_all(&mut st).unwrap();
+        let routes = route_all(&mut st).0.unwrap();
         assert!(routes[0].is_intra_host());
         assert_eq!(routes[1].hop_count(), 2);
         // The full mapping validates.
@@ -247,7 +259,7 @@ mod tests {
         let mut st = PlacementState::new(&phys, &venv);
         st.assign(a, phys.hosts()[0]).unwrap();
         st.assign(b, phys.hosts()[1]).unwrap();
-        let err = route_all(&mut st).unwrap_err();
+        let err = route_all(&mut st).0.unwrap_err();
         assert!(matches!(err, MapError::NetworkingFailed { .. }));
         // The failed pass handed back the two links it had committed.
         let edge = phys.graph().edge_ids().next().unwrap();
@@ -275,7 +287,7 @@ mod tests {
         let mut st = PlacementState::new(&phys, &venv);
         st.assign(a, phys.hosts()[0]).unwrap();
         st.assign(b, phys.hosts()[2]).unwrap();
-        let (routes, _) = route_all(&mut st).unwrap();
+        let routes = route_all(&mut st).0.unwrap();
         // Each side of the ring carries one link (80+60 > 100 rules out
         // sharing).
         let h: std::collections::HashSet<_> = routes[heavy.index()].edges().iter().collect();
@@ -298,12 +310,12 @@ mod tests {
         for (i, &gg) in g.iter().enumerate() {
             st.assign(gg, phys.hosts()[i]).unwrap();
         }
-        let (routes, stats) = route_all(&mut st).unwrap();
+        let (routes, stats) = route_all(&mut st);
         // Destination host is the same for all three links (undirected
         // edges: endpoint order from add_link is preserved, so hd is
         // guest 3's host every time).
         assert_eq!(stats.dijkstra_runs, 1);
-        assert!(routes.iter().all(|r| !r.is_intra_host()));
+        assert!(routes.unwrap().iter().all(|r| !r.is_intra_host()));
     }
 
     #[test]
@@ -325,17 +337,21 @@ mod tests {
         let mut st = PlacementState::new(&phys, &venv);
         place(&mut st);
         let (routes_cold, cold) =
-            networking_stage(&mut st, &links, &AStarPruneConfig::default(), &mut cache).unwrap();
+            networking_stage(&mut st, &links, &AStarPruneConfig::default(), &mut cache);
         assert_eq!(cold.dijkstra_runs, 1);
 
         // Second "trial" on the same topology: the ar[] table survives.
         let mut st = PlacementState::new(&phys, &venv);
         place(&mut st);
         let (routes_warm, warm) =
-            networking_stage(&mut st, &links, &AStarPruneConfig::default(), &mut cache).unwrap();
+            networking_stage(&mut st, &links, &AStarPruneConfig::default(), &mut cache);
         assert_eq!(warm.dijkstra_runs, 0, "warm cache recomputes nothing");
         assert_eq!(warm.cache_hits, 3);
-        assert_eq!(routes_cold, routes_warm, "cache must not change routes");
+        assert_eq!(
+            routes_cold.unwrap(),
+            routes_warm.unwrap(),
+            "cache must not change routes"
+        );
         assert_eq!(
             (cold.astar_expansions, cold.astar_pushed),
             (warm.astar_expansions, warm.astar_pushed)
@@ -358,8 +374,62 @@ mod tests {
             &AStarPruneConfig::default(),
             &mut MapCache::new(),
         )
+        .0
         .unwrap_err();
         assert_eq!(err, MapError::NetworkingFailed { link: l });
+    }
+
+    /// Hosts 0-3: a wide, slow path 0-1-3 (1 000 kbps, 10 + 10 ms), a
+    /// narrow, fast one 0-2-3 (50 kbps, 1 + 1 ms) and a direct 0-3 link
+    /// (100 kbps, 5 ms). A 200 kbps link with a 10 ms bound fits only the
+    /// slow path, which is out of bound: neither the uncongested latency
+    /// (2 ms) nor the widest path alone shows it, only both together.
+    #[test]
+    fn a_joint_bandwidth_and_latency_failure_gets_its_exact_verdict() {
+        let spec = HostSpec::new(Mips(1000.0), MemMb(4096), StorGb(1000.0));
+        let mut g = emumap_graph::Graph::new();
+        let h: Vec<_> = (0..4)
+            .map(|_| g.add_node(emumap_model::PhysNode::Host(spec)))
+            .collect();
+        for (a, b, bw, lat) in [
+            (0, 1, 1000.0, 10.0),
+            (1, 3, 1000.0, 10.0),
+            (0, 2, 50.0, 1.0),
+            (2, 3, 50.0, 1.0),
+            (0, 3, 100.0, 5.0),
+        ] {
+            g.add_edge(h[a], h[b], LinkSpec::new(Kbps(bw), Millis(lat)));
+        }
+        let phys = PhysicalTopology::from_graph(g, VmmOverhead::NONE);
+        let mut venv = VirtualEnvironment::new();
+        let a = venv.add_guest(guest());
+        let b = venv.add_guest(guest());
+        let l = venv.add_link(a, b, VLinkSpec::new(Kbps(200.0), Millis(10.0)));
+        let exact = AStarPruneConfig {
+            prune_dominated: true,
+            ..AStarPruneConfig::default()
+        };
+        for config in [AStarPruneConfig::default(), exact] {
+            let mut st = PlacementState::new(&phys, &venv);
+            st.assign(a, h[0]).unwrap();
+            st.assign(b, h[3]).unwrap();
+            let sink = SharedSink::default();
+            let mut cache = MapCache::new();
+            cache.trace = Tracer::new(Box::new(sink.clone()));
+            let (result, counters) = networking_stage(&mut st, &[l], &config, &mut cache);
+            assert_eq!(result, Err(MapError::NetworkingFailed { link: l }));
+            assert_eq!(counters.dijkstra_runs, 1, "the failed pass built ar[]");
+            assert_eq!(
+                sink.events(),
+                vec![TraceEvent::LinkFailed {
+                    link: 0,
+                    verdict: LinkVerdict::LatencyInfeasible {
+                        best_possible_ms: 20.0,
+                        bound_ms: 10.0
+                    }
+                }]
+            );
+        }
     }
 
     #[test]
@@ -375,9 +445,8 @@ mod tests {
             &[],
             &AStarPruneConfig::default(),
             &mut MapCache::new(),
-        )
-        .unwrap();
-        assert!(routes.is_empty());
+        );
+        assert!(routes.unwrap().is_empty());
         assert_eq!(stats, PhaseCounters::default());
     }
 }

@@ -86,17 +86,11 @@ fn dfs_networking(
     state: &mut PlacementState<'_>,
     rng: &mut dyn RngCore,
 ) -> Result<Vec<Route>, MapError> {
-    let (routes, _) = rec.try_phase(
-        cache,
-        Phase::Networking,
-        |cache| {
-            let mut order: Vec<_> = state.venv().link_ids().collect();
-            order.shuffle(rng);
-            networking_stage(state, &order, DfsRouter { rng }, cache)
-        },
-        |(_, counters)| *counters,
-    )?;
-    Ok(routes)
+    rec.phase(cache, Phase::Networking, |cache| {
+        let mut order: Vec<_> = state.venv().link_ids().collect();
+        order.shuffle(rng);
+        networking_stage(state, &order, DfsRouter { rng }, cache)
+    })
 }
 
 /// **R** — random placement + DFS routing, whole attempt retried.
@@ -181,14 +175,9 @@ impl Mapper for RandomAStar {
                 if random_hosting(rec, cache, &mut state, rng).is_err() {
                     continue;
                 }
-                if let Ok((routes, _)) = rec.try_phase(
-                    cache,
-                    Phase::Networking,
-                    |cache| {
-                        networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache)
-                    },
-                    |(_, counters)| *counters,
-                ) {
+                if let Ok(routes) = rec.phase(cache, Phase::Networking, |cache| {
+                    networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache)
+                }) {
                     return Ok(Mapping::new(state.into_placement(), routes));
                 }
             }

@@ -451,12 +451,9 @@ impl Mapper for RandomizedRounding {
 
             // Stage 3 (Networking span): A*Prune routes every link.
             let links = links_by_descending_bw(venv);
-            let (routes, _) = rec.try_phase(
-                cache,
-                Phase::Networking,
-                |cache| networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache),
-                |(_, counters)| *counters,
-            )?;
+            let routes = rec.phase(cache, Phase::Networking, |cache| {
+                networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache)
+            })?;
             Ok(Mapping::new(state.into_placement(), routes))
         })
     }

@@ -187,12 +187,9 @@ impl Mapper for ParallelTempering {
             chain.restore_best(&mut Vec::new());
             let (mut state, _) = chain.into_parts();
 
-            let (routes, _) = rec.try_phase(
-                cache,
-                Phase::Networking,
-                |cache| networking_stage(&mut state, &links, &cfg.astar, cache),
-                |(_, counters)| *counters,
-            )?;
+            let routes = rec.phase(cache, Phase::Networking, |cache| {
+                networking_stage(&mut state, &links, &cfg.astar, cache)
+            })?;
             Ok(Mapping::new(state.into_placement(), routes))
         })
     }

@@ -3,19 +3,22 @@
 //! modified 1-constrained A*Prune returns a path whose bottleneck residual
 //! bandwidth is maximal (the paper's widest-path selection rule), subject
 //! to both constraints, and that the exact router `prune_dominated`
-//! selects returns the best `(bottleneck, latency, hops)` triple. On
+//! selects returns the best `(bottleneck, latency, hops)` triple, and
+//! that `diagnose_route` gives the verdict the enumeration proves. On
 //! larger random clusters, check that scratch history never reaches a
 //! result. On the paper's two 40-host clusters, pin the path and
 //! the search effort of a fixed batch of queries, so a change to the
 //! candidate order shows even where it keeps every path feasible.
 
-use emumap_core::{astar_prune, AStarPruneConfig, ArView, PathMetric, RouteScratch};
+use emumap_core::{
+    astar_prune, diagnose_route, AStarPruneConfig, ArView, LinkVerdict, PathMetric, RouteScratch,
+};
 use emumap_graph::algo::dijkstra;
 use emumap_graph::generators::random_connected;
 use emumap_graph::{EdgeId, Graph, NodeId};
 use emumap_model::{
     HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, PhysNode, PhysicalTopology, ResidualState,
-    StorGb, VmmOverhead,
+    StorGb, VLinkSpec, VmmOverhead,
 };
 use emumap_workloads::ClusterSpec;
 use proptest::prelude::*;
@@ -251,7 +254,9 @@ proptest! {
     /// With `prune_dominated`, the search returns the lexicographic best
     /// `(bottleneck, latency, hops)` over every feasible simple path, the
     /// triple the exhaustive A*Prune returns, and `None` exactly when no
-    /// path is feasible.
+    /// path is feasible. The link's verdict is the enumeration's: no path
+    /// carrying the demand, none in bound (with the least latency of
+    /// those that carry it), or a feasible one.
     #[test]
     fn exact_router_returns_the_best_triple(
         n in 3usize..8,
@@ -270,8 +275,12 @@ proptest! {
         // (bottleneck, latency, hops) bits.
         let key = |(bn, lat, hops): (f64, f64, usize)| (bn, -lat, -(hops as i64));
         let mut best: Option<(f64, f64, usize)> = None;
+        let mut least_latency = f64::INFINITY;
         enumerate_paths(&phys, &residual, from, to, &mut |edges, lat, bn| {
             let t = (bn, lat, edges.len());
+            if bn >= demand {
+                least_latency = least_latency.min(lat);
+            }
             if lat <= bound + 1e-9 && bn >= demand && best.is_none_or(|b| key(t) > key(b)) {
                 best = Some(t);
             }
@@ -303,6 +312,25 @@ proptest! {
         });
         let bits = |t: Option<(f64, f64, usize)>| t.map(|(bn, lat, hops)| (bn.to_bits(), lat.to_bits(), hops));
         prop_assert_eq!(bits(found), bits(best));
+
+        let spec = VLinkSpec::new(Kbps(demand), Millis(bound));
+        match diagnose_route(&phys, &residual, from, to, &spec) {
+            LinkVerdict::BandwidthInfeasible { demand_kbps } => {
+                prop_assert_eq!(least_latency, f64::INFINITY, "a path carries the demand");
+                prop_assert_eq!(demand_kbps, demand);
+            }
+            LinkVerdict::LatencyInfeasible { best_possible_ms, bound_ms } => {
+                prop_assert!(best.is_none(), "a path meets the bound");
+                prop_assert!((best_possible_ms - least_latency).abs() <= 1e-9);
+                prop_assert_eq!(bound_ms, bound);
+            }
+            LinkVerdict::Routable { best_possible_ms, bound_ms } => {
+                prop_assert!(best.is_some(), "no path meets the bound");
+                prop_assert!(found.is_some(), "the router missed a routable link");
+                prop_assert!((best_possible_ms - least_latency).abs() <= 1e-9);
+                prop_assert_eq!(bound_ms, bound);
+            }
+        }
     }
 }
 

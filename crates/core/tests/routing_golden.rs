@@ -25,40 +25,40 @@ use rand::SeedableRng;
 /// `(registry key, cluster, digest)` in registry order.
 const PINNED: &[(&str, &str, u64)] = &[
     ("hmn", "torus", 0xe4af85c977da45bd),
-    ("hmn", "switched", 0x96a086caa6dd9462),
-    ("r", "torus", 0x01bf32f6a6942c5b),
-    ("r", "switched", 0x12eb2f5fe7e8edd9),
+    ("hmn", "switched", 0x0cc2a4b8a8cf1f8e),
+    ("r", "torus", 0xf9cb1ca7b5041707),
+    ("r", "switched", 0x85fa82dbfea5584a),
     ("ra", "torus", 0xf0d56cdcd34dfa77),
-    ("ra", "switched", 0xaf5b3f7408eaf45d),
-    ("hs", "torus", 0x98b1f2122f2b2277),
-    ("hs", "switched", 0xf6eac5a05e79a8a0),
+    ("ra", "switched", 0xf1a0dff82054a0e5),
+    ("hs", "torus", 0x47cf3071dd8a26e4),
+    ("hs", "switched", 0xcd54cdf2dc1cebb5),
     ("ffd", "torus", 0xba3124c8a2b5beb2),
     ("ffd", "switched", 0x0888bc48ef9c5936),
     ("bf", "torus", 0xe95bc9b38d363355),
-    ("bf", "switched", 0xaf6b304cdfbbf378),
+    ("bf", "switched", 0x3a438049ec068cba),
     ("wf", "torus", 0xc7af1001ac62dd4e),
-    ("wf", "switched", 0x0329240531696089),
+    ("wf", "switched", 0x180ccbd33409043a),
     ("consolidate", "torus", 0xaa4ee16c21b84f2c),
     ("consolidate", "switched", 0xf7121d9d0bc138c5),
-    ("ksp", "torus", 0x6e0f15b436e0332f),
-    ("ksp", "switched", 0xe631504b7b4c0a70),
+    ("ksp", "torus", 0xf44a79608b99cdb5),
+    ("ksp", "switched", 0x3809a46e070e8a50),
     ("sa", "torus", 0x3968ae6db01ad4c9),
-    ("sa", "switched", 0xd7bc381d162599f5),
+    ("sa", "switched", 0x4447a177e7162f63),
     ("pt", "torus", 0xe4af85c977da45bd),
-    ("pt", "switched", 0x96a086caa6dd9462),
+    ("pt", "switched", 0x0cc2a4b8a8cf1f8e),
     ("rr", "torus", 0x309c055b9e819a12),
-    ("rr", "switched", 0x99a34cebdc6a9719),
+    ("rr", "switched", 0x2866cd30b07148c7),
     ("pool", "torus", 0xe4af85c977da45bd),
-    ("pool", "switched", 0x4a4646f633bc9d26),
+    ("pool", "switched", 0x26147a11b99ed8ee),
 ];
 
 /// `(registry key, cluster, digest)` of the placement searches' outcomes
 /// and counters.
 const PINNED_SEARCH: &[(&str, &str, u64)] = &[
     ("sa", "torus", 0x5e6db604b8214f51),
-    ("sa", "switched", 0xfb1ad7c758121f08),
+    ("sa", "switched", 0xf27e4e3fe1c78078),
     ("pt", "torus", 0xdb667b0f6ed3df0b),
-    ("pt", "switched", 0x0804233ca7dca190),
+    ("pt", "switched", 0x35c9920ad998dc48),
 ];
 
 /// One run of `key`, traced on a fresh cache: the outcome and the events.

@@ -1,10 +1,9 @@
 //! Graph algorithms: shortest paths, traversals, connectivity, K-shortest
-//! paths, max flow, and whole-graph metrics.
+//! paths, and whole-graph metrics.
 
 mod components;
 mod dijkstra;
 mod ksp;
-mod maxflow;
 mod metrics;
 mod traversal;
 mod union_find;
@@ -12,7 +11,6 @@ mod union_find;
 pub use components::{connected_components, is_connected};
 pub use dijkstra::{dijkstra, dijkstra_seeded, DijkstraResult, DijkstraScratch};
 pub use ksp::{k_shortest_paths, CostedPath};
-pub use maxflow::max_flow;
 pub use metrics::{average_path_cost, diameter, eccentricity};
 pub use traversal::{bfs_order, bfs_path, dfs_order, dfs_path_filtered};
 pub use union_find::UnionFind;

@@ -24,7 +24,11 @@
 //! * an Exact span has `nodes_pruned_lagrangian <= exact_nodes_pruned`; a
 //!   successful `EXACT` (Lagrangian-bound) run priced at least
 //!   `max(1, exact_nodes_expanded)` dual evaluations, and an `EXACT-WF`
-//!   (water-filling) run reports no Lagrangian work at all.
+//!   (water-filling) run reports no Lagrangian work at all;
+//! * a `LinkFailed` verdict's numbers fit its kind: all are finite and
+//!   non-negative, a demand is positive, a `LatencyInfeasible` best
+//!   latency exceeds its bound and a `Routable` one is within the bound
+//!   plus the `1e-9` acceptance slack.
 //!
 //! Serve stream rules:
 //!
@@ -41,7 +45,7 @@
 //! Event shapes (tags, field types, non-negative integers) are enforced
 //! by deserializing into [`TraceEvent`] before these rules run.
 
-use crate::{Phase, PhaseCounters, RequestKind, ServeCounters, TraceEvent};
+use crate::{LinkVerdict, Phase, PhaseCounters, RequestKind, ServeCounters, TraceEvent};
 use serde::Value;
 
 /// One broken rule.
@@ -171,6 +175,9 @@ fn check_map_stream(events: &[(usize, &TraceEvent)], out: &mut Violations) {
             }
             open = Some(*phase);
         }
+        if let TraceEvent::LinkFailed { verdict, .. } = event {
+            check_verdict(i, verdict, out);
+        }
         let Some((phase, _, counters)) = event.phase_end() else {
             continue;
         };
@@ -256,6 +263,32 @@ fn check_phase_counters(
             );
         }
         _ => {}
+    }
+}
+
+/// A `LinkFailed` verdict's numbers fit its kind.
+fn check_verdict(i: usize, verdict: &LinkVerdict, out: &mut Violations) {
+    let (numbers, misfit) = match *verdict {
+        LinkVerdict::BandwidthInfeasible { demand_kbps: d } => ([d, d], d == 0.0),
+        LinkVerdict::LatencyInfeasible {
+            best_possible_ms: best,
+            bound_ms: bound,
+        } => ([best, bound], best <= bound),
+        LinkVerdict::Routable {
+            best_possible_ms: best,
+            bound_ms: bound,
+        } => ([best, bound], best > bound + 1e-9),
+    };
+    if !numbers.iter().all(|x| x.is_finite() && *x >= 0.0) {
+        out.at(
+            i,
+            format!("verdict number negative or not finite: {verdict:?}"),
+        );
+    } else if misfit {
+        out.at(
+            i,
+            format!("verdict numbers do not fit its kind: {verdict:?}"),
+        );
     }
 }
 
@@ -475,6 +508,35 @@ mod tests {
         events
     }
 
+    /// A failed HMN run whose Networking span reports `verdict`.
+    fn failed_link(verdict: LinkVerdict) -> Vec<TraceEvent> {
+        vec![
+            map_start("HMN"),
+            start(Networking),
+            TraceEvent::LinkFailed { link: 0, verdict },
+            end(Networking, PhaseCounters::default()),
+            map_end(false),
+        ]
+    }
+
+    fn late(best_possible_ms: f64, bound_ms: f64) -> Vec<TraceEvent> {
+        failed_link(LinkVerdict::LatencyInfeasible {
+            best_possible_ms,
+            bound_ms,
+        })
+    }
+
+    fn routable(best_possible_ms: f64, bound_ms: f64) -> Vec<TraceEvent> {
+        failed_link(LinkVerdict::Routable {
+            best_possible_ms,
+            bound_ms,
+        })
+    }
+
+    fn narrow(demand_kbps: f64) -> Vec<TraceEvent> {
+        failed_link(LinkVerdict::BandwidthInfeasible { demand_kbps })
+    }
+
     fn counters(set: impl FnOnce(&mut PhaseCounters)) -> PhaseCounters {
         let mut c = PhaseCounters::default();
         set(&mut c);
@@ -504,6 +566,10 @@ mod tests {
             run("EXACT", true, &[(Exact, priced)]),
             phases("EXACT-WF", &[Exact]),
             session(&churn, &phases("HMN", &[Hosting])),
+            narrow(1.0),
+            late(20.0, 10.0),
+            // Within the slack of the bound still counts as routable.
+            routable(10.0 + 1e-10, 10.0),
         ] {
             assert_eq!(check(&events), vec![], "{events:?}");
         }
@@ -653,6 +719,14 @@ mod tests {
                 ),
                 "water-filling run reports Lagrangian work",
             ),
+            // A verdict's numbers fit its kind.
+            (routable(f64::NAN, 10.0), "negative or not finite"),
+            (late(f64::INFINITY, 10.0), "negative or not finite"),
+            (late(20.0, -1.0), "negative or not finite"),
+            (narrow(-5.0), "negative or not finite"),
+            (narrow(0.0), "do not fit its kind: BandwidthInfeasible"),
+            (late(10.0, 10.0), "do not fit its kind: LatencyInfeasible"),
+            (routable(12.0, 10.0), "do not fit its kind: Routable"),
         ];
         for (events, needle) in cases {
             let found = check(&events);

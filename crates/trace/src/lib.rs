@@ -180,26 +180,33 @@ pub struct ServeCounters {
     pub routed_links: u64,
 }
 
-/// Why a link could not be routed: a router's own verdict, or the core
-/// crate's `diagnose_route` proofs.
+/// Why a link could not be routed, decided exactly by the core crate's
+/// `diagnose_route`: one shortest-latency search over the edges whose
+/// residual bandwidth carries the demand (a bandwidth floor plus one
+/// additive bound is polynomial, Wang & Crowcroft 1996).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum LinkVerdict {
-    /// No infeasibility proof found; the failure may be heuristic (e.g.
-    /// an unlucky DFS or a pruned A* search).
-    PossiblyRoutable,
-    /// Even the latency-shortest path exceeds the bound.
+    /// No path of edges with residual `>= demand` joins the hosts.
+    BandwidthInfeasible {
+        /// The link's demand, kbit/s.
+        demand_kbps: f64,
+    },
+    /// The shortest latency over edges with residual `>= demand` exceeds
+    /// the bound by more than A\*Prune's `1e-9` acceptance slack.
     LatencyInfeasible {
-        /// Best achievable latency, milliseconds.
+        /// That shortest latency, milliseconds.
         best_possible_ms: f64,
         /// The link's bound, milliseconds.
         bound_ms: f64,
     },
-    /// Residual max-flow between the endpoints is below the demand.
-    BandwidthInfeasible {
-        /// Residual max-flow, kbit/s.
-        max_flow_kbps: f64,
-        /// The link's demand, kbit/s.
-        demand_kbps: f64,
+    /// A path within the bound exists and the router missed it: a DFS or
+    /// Yen-KSP miss, or A\*Prune stopped by its expansion cap.
+    Routable {
+        /// The shortest latency over edges with residual `>= demand`,
+        /// milliseconds.
+        best_possible_ms: f64,
+        /// The link's bound, milliseconds.
+        bound_ms: f64,
     },
 }
 
@@ -246,7 +253,7 @@ pub enum TraceEvent {
     LinkFailed {
         /// Virtual link index.
         link: u64,
-        /// Infeasibility diagnosis, when one was computed.
+        /// Why: the exact verdict on the residuals the link failed on.
         verdict: LinkVerdict,
     },
     /// The run finished.

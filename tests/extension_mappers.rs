@@ -176,17 +176,31 @@ fn diagnostics_prove_infeasibility_where_mappers_fail() {
         "one guest per host makes some link span >= 2 hops"
     );
 
-    // The worst pair (ends of the line) is provably latency-infeasible.
+    // The worst pair (ends of the line) is provably latency-infeasible;
+    // an adjacent pair is routable.
     let residual = ResidualState::new(&phys);
-    let verdict = emumap::mapping::diagnose_route(
-        &phys,
-        &residual,
-        phys.hosts()[0],
-        phys.hosts()[3],
-        &VLinkSpec::new(Kbps(10.0), Millis(25.0)),
+    let spec = VLinkSpec::new(Kbps(10.0), Millis(25.0));
+    let verdict = |from: usize, to: usize| {
+        diagnose_route(
+            &phys,
+            &residual,
+            phys.hosts()[from],
+            phys.hosts()[to],
+            &spec,
+        )
+    };
+    assert_eq!(
+        verdict(0, 3),
+        LinkVerdict::LatencyInfeasible {
+            best_possible_ms: 60.0,
+            bound_ms: 25.0
+        }
     );
-    assert!(matches!(
-        verdict,
-        emumap::mapping::LinkVerdict::LatencyInfeasible { .. }
-    ));
+    assert_eq!(
+        verdict(2, 3),
+        LinkVerdict::Routable {
+            best_possible_ms: 20.0,
+            bound_ms: 25.0
+        }
+    );
 }
