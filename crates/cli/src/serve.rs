@@ -197,33 +197,50 @@ fn handle(session: &mut Session, mapper: &dyn Mapper, request: Request) -> Strin
     }
 }
 
-/// Serves requests from `input` until EOF or a `shutdown` request.
-/// Returns `true` if the loop ended on `shutdown` (vs. EOF).
+/// What [`serve_stream`] answered.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Served {
+    /// Request lines answered, one response each.
+    pub requests: u64,
+    /// Of those, lines that are not a well-formed request, answered with
+    /// an `error` naming the problem.
+    pub malformed: u64,
+    /// `true` if the stream ended on `shutdown` (vs. EOF).
+    pub shutdown: bool,
+}
+
+/// Serves requests from `input` until EOF or a `shutdown` request,
+/// counting the request lines it answers.
 pub fn serve_stream(
     session: &mut Session,
     mapper: &dyn Mapper,
     input: impl BufRead,
     out: &mut impl Write,
-) -> Result<bool, CliError> {
+) -> Result<Served, CliError> {
+    let mut served = Served::default();
     for line in input.lines() {
         let line = line.map_err(|e| CliError::Io(format!("reading request: {e}")))?;
         if line.trim().is_empty() {
             continue;
         }
         let request = parse_request(&line);
-        let shutdown = matches!(request, Ok(Request::Shutdown));
+        served.requests += 1;
+        served.shutdown = matches!(request, Ok(Request::Shutdown));
         let reply = match request {
             Ok(request) => handle(session, mapper, request),
-            Err(reason) => error_response(reason),
+            Err(reason) => {
+                served.malformed += 1;
+                error_response(reason)
+            }
         };
         writeln!(out, "{reply}").map_err(|e| CliError::Io(format!("writing response: {e}")))?;
         out.flush()
             .map_err(|e| CliError::Io(format!("flushing response: {e}")))?;
-        if shutdown {
-            return Ok(true);
+        if served.shutdown {
+            break;
         }
     }
-    Ok(false)
+    Ok(served)
 }
 
 /// The `serve` subcommand: builds the session and serves stdin/stdout or
@@ -243,14 +260,15 @@ pub fn serve_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
         Some(socket) => serve_socket(session, mapper, socket),
         None => {
             let (stdin, mut stdout) = (std::io::stdin().lock(), std::io::stdout().lock());
-            serve_stream(session, mapper, stdin, &mut stdout).map(drop)
+            serve_stream(session, mapper, stdin, &mut stdout)
         }
     };
-    traced(&mut session, Session::cache_mut, trace.as_deref(), serve)??;
+    let served = traced(&mut session, Session::cache_mut, trace.as_deref(), serve)??;
     let counters = session.counters();
     eprintln!(
-        "serve: {} requests ({} admitted, {} rejected, {} removed, {} active at exit)",
-        session.requests_processed(),
+        "serve: {} requests ({} malformed, {} admitted, {} rejected, {} removed, {} active at exit)",
+        served.requests,
+        served.malformed,
         counters.admitted,
         counters.rejected,
         counters.removed,
@@ -261,15 +279,20 @@ pub fn serve_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
 }
 
 /// Serves connections on a Unix socket, one at a time, until a client
-/// sends `shutdown`.
+/// sends `shutdown`; the tally covers every connection.
 #[cfg(unix)]
-fn serve_socket(session: &mut Session, mapper: &dyn Mapper, path: &str) -> Result<(), CliError> {
+fn serve_socket(
+    session: &mut Session,
+    mapper: &dyn Mapper,
+    path: &str,
+) -> Result<Served, CliError> {
     use std::os::unix::net::UnixListener;
     // A stale socket file from a previous run would fail the bind.
     let _ = std::fs::remove_file(path);
     let listener =
         UnixListener::bind(path).map_err(|e| CliError::Io(format!("binding {path}: {e}")))?;
     eprintln!("serve: listening on {path}");
+    let mut total = Served::default();
     for stream in listener.incoming() {
         let stream = stream.map_err(|e| CliError::Io(format!("accepting on {path}: {e}")))?;
         let reader = std::io::BufReader::new(
@@ -278,16 +301,24 @@ fn serve_socket(session: &mut Session, mapper: &dyn Mapper, path: &str) -> Resul
                 .map_err(|e| CliError::Io(format!("cloning connection: {e}")))?,
         );
         let mut writer = stream;
-        if serve_stream(session, mapper, reader, &mut writer)? {
+        let served = serve_stream(session, mapper, reader, &mut writer)?;
+        total.requests += served.requests;
+        total.malformed += served.malformed;
+        if served.shutdown {
+            total.shutdown = true;
             break;
         }
     }
     let _ = std::fs::remove_file(path);
-    Ok(())
+    Ok(total)
 }
 
 #[cfg(not(unix))]
-fn serve_socket(_session: &mut Session, _mapper: &dyn Mapper, _path: &str) -> Result<(), CliError> {
+fn serve_socket(
+    _session: &mut Session,
+    _mapper: &dyn Mapper,
+    _path: &str,
+) -> Result<Served, CliError> {
     Err(CliError::Usage(
         "--socket requires a Unix platform".to_string(),
     ))
@@ -454,6 +485,36 @@ mod tests {
         let status = lines.last().unwrap();
         assert!(status.starts_with("{\"status\":"), "{status}");
         assert!(status.contains("\"tenants\":0"), "{status}");
+    }
+
+    #[test]
+    fn serve_stream_counts_every_request_line_it_answers() {
+        // Six malformed requests and a status, as CI pipes them into
+        // `emumap serve`; a blank line is not a request.
+        let input = [
+            r#"{"apply":{"id":"a","workload":"high","guests":4,"density":1.5,"seed":1}}"#,
+            r#"{"apply":{"id":"b","workload":"high","guests":4,"density":-0.1,"seed":1}}"#,
+            r#"{"apply":{"id":"c","workload":"high","guests":18446744073709551615,"density":1,"seed":1}}"#,
+            r#"{"remove":{"id":"t1","force":true}}"#,
+            r#"{"fly":{}}"#,
+            "",
+            "not json",
+            r#"{"status":{}}"#,
+        ]
+        .join("\n");
+        let mapper = build_mapper("hmn", 1).unwrap();
+        let mut out = Vec::new();
+        let mut session = Session::new(phys(), 1);
+        let served = serve_stream(&mut session, mapper.as_ref(), input.as_bytes(), &mut out);
+        assert_eq!(
+            served.unwrap(),
+            Served {
+                requests: 7,
+                malformed: 6,
+                shutdown: false
+            }
+        );
+        assert_eq!(String::from_utf8(out).unwrap().lines().count(), 7);
     }
 
     #[test]

@@ -69,14 +69,17 @@ pub struct Annealing {
 /// Places every guest at HMN's Hosting+Migration fixpoint — the start of
 /// every annealing chain. Because a chain tracks the best placement it
 /// visits, including its start, SA and PT never end worse than HMN's own
-/// placement. Returns the Hosting span's counters.
+/// placement. Returns the result with the Hosting span's counters, which
+/// a failed Hosting stage reports too.
 pub(crate) fn hmn_start(
     state: &mut PlacementState<'_>,
     links: &[VLinkId],
-) -> Result<PhaseCounters, MapError> {
-    let hosting = hosting_stage(state, links, HostingPolicy::Paper)?;
-    migration_stage(state);
-    Ok(hosting.counters())
+) -> (Result<(), MapError>, PhaseCounters) {
+    let (hosted, stats) = hosting_stage(state, links, HostingPolicy::Paper);
+    if hosted.is_ok() {
+        migration_stage(state);
+    }
+    (hosted, stats.counters())
 }
 
 /// One Metropolis chain over a complete placement: the running energy,
@@ -272,12 +275,7 @@ impl Mapper for Annealing {
         let links = links_by_descending_bw(venv);
         record_map("SA", phys, venv, cache, |rec, cache| {
             let mut state = PlacementState::new(phys, venv);
-            rec.try_phase(
-                cache,
-                Phase::Hosting,
-                |_| hmn_start(&mut state, &links),
-                |counters| *counters,
-            )?;
+            rec.phase(cache, Phase::Hosting, |_| hmn_start(&mut state, &links))?;
 
             // --- Anneal, ending on the best placement visited. The
             // chain's buffers come from the cache and go back to it, so a

@@ -267,7 +267,7 @@ impl Ord for Candidate {
 /// Maps a float to a `u64` whose unsigned order equals [`f64::total_cmp`]:
 /// floats with a clear sign bit get it set, the others are inverted.
 /// `!ord(x) == ord(-x)`, so `!` negates a key field.
-fn ord(x: f64) -> u64 {
+pub(crate) fn ord(x: f64) -> u64 {
     let bits = x.to_bits();
     if bits >> 63 == 0 {
         bits | 1 << 63

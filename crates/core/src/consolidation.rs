@@ -15,7 +15,7 @@
 use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingStats};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
 use crate::mapper::{MapOutcome, Mapper};
 use crate::networking::networking_stage;
 use crate::recorder::record_map;
@@ -131,12 +131,10 @@ impl Mapper for ConsolidatingHmn {
         let links = links_by_descending_bw(venv);
         record_map("HMN-consolidate", phys, venv, cache, |rec, cache| {
             let mut state = PlacementState::new(phys, venv);
-            rec.try_phase(
-                cache,
-                Phase::Hosting,
-                |_| hosting_stage(&mut state, &links, HostingPolicy::Paper),
-                HostingStats::counters,
-            )?;
+            rec.phase(cache, Phase::Hosting, |_| {
+                let (hosted, stats) = hosting_stage(&mut state, &links, HostingPolicy::Paper);
+                (hosted, stats.counters())
+            })?;
             // The drain pass stands in for Migration: its relocations are
             // the moves it accepted.
             rec.phase(cache, Phase::Migration, |_| {

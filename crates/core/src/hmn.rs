@@ -14,7 +14,7 @@
 use crate::astar_prune::{AStarPruneConfig, PathMetric};
 use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingStats};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
 use crate::mapper::{MapOutcome, Mapper};
 use crate::migration::{migration_counters, MigrationPolicy};
 use crate::networking::networking_stage;
@@ -143,12 +143,10 @@ impl Mapper for Hmn {
         let links = self.ordered_links(venv, rng);
         record_map("HMN", phys, venv, cache, |rec, cache| {
             let mut state = PlacementState::new(phys, venv);
-            rec.try_phase(
-                cache,
-                Phase::Hosting,
-                |_| hosting_stage(&mut state, &links, self.config.hosting),
-                HostingStats::counters,
-            )?;
+            rec.phase(cache, Phase::Hosting, |_| {
+                let (hosted, stats) = hosting_stage(&mut state, &links, self.config.hosting);
+                (hosted, stats.counters())
+            })?;
             if self.config.migration != MigrationPolicy::Off {
                 rec.phase(cache, Phase::Migration, |_| {
                     ((), migration_counters(&mut state, self.config.migration))

@@ -142,15 +142,28 @@ fn first_fit(state: &PlacementState<'_>, hosts: &[NodeId], guest: GuestId) -> Op
 /// Runs the Hosting stage over `links` with the co-location rule of
 /// `policy` ([`HostingPolicy::Paper`] is the paper's). Mutates `state`; on
 /// failure the state is left partially assigned (callers either abort or
-/// reset). Returns co-location/fallback counts.
+/// reset). Returns the result together with the co-location/fallback
+/// counts — on failure too, where they count the decisions made up to the
+/// guest that found no host.
 pub fn hosting_stage(
     state: &mut PlacementState<'_>,
     links: &[VLinkId],
     policy: HostingPolicy,
-) -> Result<HostingStats, MapError> {
+) -> (Result<(), MapError>, HostingStats) {
+    let mut stats = HostingStats::default();
+    let hosted = place_guests(state, links, policy, &mut stats);
+    (hosted, stats)
+}
+
+/// The body of [`hosting_stage`], counting into `stats` as it goes.
+fn place_guests(
+    state: &mut PlacementState<'_>,
+    links: &[VLinkId],
+    policy: HostingPolicy,
+    stats: &mut HostingStats,
+) -> Result<(), MapError> {
     let venv = state.venv();
     let mut hosts = SortedHosts::new(state);
-    let mut stats = HostingStats::default();
 
     for &l in links {
         let (vs, vd) = venv.link_endpoints(l);
@@ -259,7 +272,7 @@ pub fn hosting_stage(
     }
 
     debug_assert!(state.is_complete());
-    Ok(stats)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -274,7 +287,8 @@ mod tests {
     /// The paper's Hosting stage over every link, heaviest first.
     fn host_paper(st: &mut PlacementState<'_>) -> Result<HostingStats, MapError> {
         let links = links_by_descending_bw(st.venv());
-        hosting_stage(st, &links, HostingPolicy::Paper)
+        let (hosted, stats) = hosting_stage(st, &links, HostingPolicy::Paper);
+        hosted.map(|()| stats)
     }
 
     fn phys_uniform(n: usize, mem_mb: u64) -> PhysicalTopology {
@@ -369,8 +383,18 @@ mod tests {
         venv.add_link(g[0], g[1], link(10.0));
         venv.add_link(g[1], g[2], link(5.0));
         let mut st = PlacementState::new(&phys, &venv);
-        let err = host_paper(&mut st).unwrap_err();
-        assert!(matches!(err, MapError::HostingFailed { .. }));
+        let links = links_by_descending_bw(&venv);
+        let (hosted, stats) = hosting_stage(&mut st, &links, HostingPolicy::Paper);
+        assert!(matches!(hosted, Err(MapError::HostingFailed { .. })));
+        // The failed stage still reports its work: the split pair, then
+        // the fallback that found no host for g2.
+        assert_eq!(
+            stats,
+            HostingStats {
+                colocation_hits: 0,
+                first_fit_fallbacks: 3
+            }
+        );
     }
 
     #[test]
@@ -431,7 +455,7 @@ mod tests {
             venv.add_guest(guest(50));
         }
         let mut st = PlacementState::new(&phys, &venv);
-        hosting_stage(&mut st, &[], HostingPolicy::Paper).unwrap();
+        hosting_stage(&mut st, &[], HostingPolicy::Paper).0.unwrap();
         assert!(st.is_complete());
     }
 
@@ -541,6 +565,7 @@ mod policy_tests {
             &links_by_descending_bw(&venv),
             HostingPolicy::Paper,
         )
+        .0
         .unwrap();
         let a = emumap_model::GuestId::from_index(0);
         let b = emumap_model::GuestId::from_index(1);
@@ -560,6 +585,7 @@ mod policy_tests {
             &links_by_descending_bw(&venv),
             HostingPolicy::FirstFitColocation,
         )
+        .0
         .unwrap();
         let a = emumap_model::GuestId::from_index(0);
         let b = emumap_model::GuestId::from_index(1);

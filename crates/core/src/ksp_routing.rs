@@ -15,7 +15,7 @@
 use crate::astar_prune::SearchStats;
 use crate::cache::MapCache;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingStats};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
 use crate::mapper::{MapOutcome, Mapper};
 use crate::migration::{migration_counters, MigrationPolicy};
 use crate::networking::{networking_stage, LinkRequest, LinkRouter, Routed};
@@ -101,12 +101,10 @@ impl Mapper for HmnKsp {
         let links = links_by_descending_bw(venv);
         record_map("HMN-ksp", phys, venv, cache, |rec, cache| {
             let mut state = PlacementState::new(phys, venv);
-            rec.try_phase(
-                cache,
-                Phase::Hosting,
-                |_| hosting_stage(&mut state, &links, HostingPolicy::Paper),
-                HostingStats::counters,
-            )?;
+            rec.phase(cache, Phase::Hosting, |_| {
+                let (hosted, stats) = hosting_stage(&mut state, &links, HostingPolicy::Paper);
+                (hosted, stats.counters())
+            })?;
             rec.phase(cache, Phase::Migration, |_| {
                 ((), migration_counters(&mut state, MigrationPolicy::Paper))
             });

@@ -28,7 +28,7 @@ use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::dfs_routing::DfsRouter;
 use crate::error::MapError;
-use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingStats};
+use crate::hosting::{hosting_stage, links_by_descending_bw, HostingPolicy};
 use crate::mapper::{MapOutcome, Mapper};
 use crate::networking::networking_stage;
 use crate::recorder::{record_map, Recorder};
@@ -218,12 +218,10 @@ impl Mapper for HostingDfs {
         let links = links_by_descending_bw(venv);
         record_map("HS", phys, venv, cache, |rec, cache| {
             let mut state = PlacementState::new(phys, venv);
-            rec.try_phase(
-                cache,
-                Phase::Hosting,
-                |_| hosting_stage(&mut state, &links, HostingPolicy::Paper),
-                HostingStats::counters,
-            )?;
+            rec.phase(cache, Phase::Hosting, |_| {
+                let (hosted, stats) = hosting_stage(&mut state, &links, HostingPolicy::Paper);
+                (hosted, stats.counters())
+            })?;
             for attempt in 1..=self.max_attempts {
                 rec.attempts = attempt;
                 // A failed pass released its commitments.

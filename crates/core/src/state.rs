@@ -196,6 +196,14 @@ impl<'a> PlacementState<'a> {
             .stddev_after([(r_from, r_from + vproc), (r_to, r_to - vproc)])
     }
 
+    /// [`ObjectiveAccumulator::move_tolerance`] of the current residuals:
+    /// moving CPU `c > 0` from residual `r_o` to residual `r_d`, both in
+    /// `[lo, hi]`, cannot pass `objective_if_migrated(..) < objective()`
+    /// once the float margin `(r_o + c) − r_d` exceeds it.
+    pub(crate) fn move_tolerance(&self, lo: f64, hi: f64, c: f64) -> f64 {
+        self.acc.move_tolerance(lo, hi, c)
+    }
+
     /// Hypothetical evaluations answered by the O(1)/O(degree) delta paths
     /// since construction
     /// ([`objective_if_migrated`](Self::objective_if_migrated) and

@@ -128,16 +128,11 @@ impl Mapper for ParallelTempering {
             let master_seed = rng.next_u64();
 
             // --- Seed placement, shared by every replica.
-            let (seed_placement, _) = rec.try_phase(
-                cache,
-                Phase::Hosting,
-                |_| {
-                    let mut state = PlacementState::new(phys, venv);
-                    let counters = hmn_start(&mut state, &links)?;
-                    Ok((state.into_placement(), counters))
-                },
-                |(_, counters)| *counters,
-            )?;
+            let seed_placement = rec.phase(cache, Phase::Hosting, |_| {
+                let mut state = PlacementState::new(phys, venv);
+                let (hosted, counters) = hmn_start(&mut state, &links);
+                (hosted.map(|()| state.into_placement()), counters)
+            })?;
 
             // --- Build the ladder.
             let replicas: Vec<Replica<'_>> = (0..cfg.replicas)

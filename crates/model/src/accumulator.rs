@@ -173,6 +173,73 @@ impl ObjectiveAccumulator {
         self.variance_of(sum, sum_sq).sqrt()
     }
 
+    /// How far past the exact break-even a *move* must be before the float
+    /// probe provably rejects it. A move raises one value `a` by `c > 0`
+    /// and lowers another value `b` by `c` (a guest of CPU `c` leaving
+    /// residual `a` for residual `b`), with `a` and `b` anywhere in
+    /// `[lo, hi]`. Exactly, it leaves `Σ(x − shift)` unchanged and changes
+    /// `Σ(x − shift)²` by `2c·(c + a − b)`, so it lowers the standard
+    /// deviation iff `b − a > c`. In floats: whenever the float margin
+    /// `(a + c) − b` exceeds the returned `tol`,
+    /// `stddev_after([(a, a + c), (b, b − c)]) >= stddev()`, so a strict
+    /// `<` test rejects the move. Migration scans destinations by falling
+    /// `b` (rising margin), so it stops at the first one past `tol`.
+    ///
+    /// `tol = 16·(u·(K² + |Σ²| + (K + |Σ|)²/n) + (n + K + |Σ|)·m)/c`, with
+    /// `u = 2⁻⁵³` the unit roundoff, `m = 2⁻¹⁰⁷⁴` the smallest subnormal,
+    /// `Σ` and `Σ²` the stored sums, `R = max(|lo|, |hi|) + c`,
+    /// `D = max(|lo − shift|, |hi − shift|) + c` and `K = R + D`. `R`
+    /// bounds every value the probe reads or forms, `D` every exact
+    /// deviation, and `K ≥ c`.
+    ///
+    /// # Proof
+    ///
+    /// Each float operation returns its exact result times `1 + δ`,
+    /// `|δ| ≤ u`, plus at most `m/2` when the result is subnormal.
+    /// The `m` terms enter through at most ten products and quotients and
+    /// move the variance difference below by at most
+    /// `(4 + 2(|Σ| + K)/n)·m`, which the last term of `tol` covers. Leaving
+    /// them aside, and dropping `(1 + u)` factors (the coefficients below
+    /// are rounded up by more than that):
+    ///
+    /// 1. Each of the four computed deviations (`a`, `a + c`, `b`, `b − c`
+    ///    minus `shift`, the inner sum rounded first) is within `uK` of
+    ///    exact, so each computed square is within `3uK²` of the exact
+    ///    square and each of the two square differences within `7uK²` of
+    ///    its exact value. Adding them to `Σ²` rounds by `u(2|Σ²| + 3K²)`,
+    ///    and dividing old and new `Σ²` by `n` by `u(2|Σ²| + 2K²)/n`. So
+    ///    `fl(Σ²'/n) − fl(Σ²/n) ≥ 2c·(c + a − b)/n − (20uK² + 4u|Σ²|)/n`.
+    /// 2. The two deviation differences are within `3uK` of `c` and `−c`,
+    ///    so the new `Σ` is within `10uK + 2u|Σ|` of the old and the new
+    ///    mean within `(10uK + 4u|Σ|)/n` of the old. Both means are at most
+    ///    `μ = (|Σ| + K)/n` in size, so the squared means differ by at most
+    ///    `2μ(10uK + 4u|Σ|)/n + 3uμ² ≤ 23u(|Σ| + K)²/n²`.
+    /// 3. The margin `(a + c) − b` is computed within `3uR ≤ 3uK²/c` of
+    ///    exact.
+    ///
+    /// So when the float margin exceeds `tol`, the exact margin exceeds
+    /// `(13uK² + 2u|Σ²| + 12u(|Σ| + K)²/n)/c`, and the variance before
+    /// clamping — `fl(Σ²/n) − fl(mean²)` before its final rounding — is
+    /// at least as large after the move as before. Rounding that
+    /// difference, clamping it at zero and taking the square root are all
+    /// monotone, so the float standard deviation does not fall.
+    ///
+    /// Overflow only makes `tol` infinite, which stops nothing. With
+    /// `c == 0` every term of the probe equals its value before the move,
+    /// so the move never passes a strict `<` and needs no tolerance;
+    /// callers handle it and negative `c` themselves.
+    pub fn move_tolerance(&self, lo: f64, hi: f64, c: f64) -> f64 {
+        debug_assert!(c > 0.0, "a move carries positive CPU");
+        const U: f64 = f64::EPSILON / 2.0;
+        let n = self.n as f64;
+        let r = lo.abs().max(hi.abs()) + c;
+        let d = (lo - self.shift).abs().max((hi - self.shift).abs()) + c;
+        let k = r + d;
+        let mean_term = (k + self.sum.abs()).powi(2) / n;
+        let underflow = (n + k + self.sum.abs()) * f64::from_bits(1);
+        16.0 * (U * (k * k + self.sum_sq.abs() + mean_term) + underflow) / c
+    }
+
     /// `Var = Σd²/n − (Σd/n)²`, clamped against the tiny negative values
     /// float cancellation can produce near zero variance.
     #[inline]
@@ -189,6 +256,9 @@ impl ObjectiveAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "{a} vs {b}");
@@ -293,5 +363,61 @@ mod tests {
         acc.rebuild(&[5.0, 5.0]);
         assert_eq!(acc.len(), 2);
         assert_eq!(acc.stddev(), 0.0);
+    }
+
+    /// The smallest and the largest of `v`.
+    fn bounds(v: &[f64]) -> (f64, f64) {
+        v.iter()
+            .fold((f64::MAX, f64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// A move whose float margin is the smallest one past
+        /// `move_tolerance` never lowers the float stddev, at scales up to
+        /// 1e12 and with the sums drifted far from the shift.
+        #[test]
+        fn a_move_just_past_the_tolerance_never_lowers_the_stddev(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let scale = [1.0, 1e3, 1e6, 1e9, 1e12][rng.gen_range(0..5usize)];
+            let n = rng.gen_range(2..200usize);
+            let mut v: Vec<f64> = (0..n).map(|_| scale * rng.gen_range(0.0..2.0)).collect();
+            let mut acc = ObjectiveAccumulator::new(&v);
+            for _ in 0..rng.gen_range(0..4 * n) {
+                let i = rng.gen_range(0..n);
+                let old = v[i];
+                v[i] -= scale * rng.gen_range(0.0..0.5);
+                acc.apply(old, v[i]);
+            }
+            let c = scale * [1e-9, 1e-3, 0.1, 0.3][rng.gen_range(0..4usize)];
+            let (from, to) = (0, 1 + rng.gen_range(0..n - 1));
+            let top = v[from] + c;
+            // Put the destination on the band edge, re-deriving the
+            // tolerance from the state that holds it.
+            for _ in 0..8 {
+                let (lo, hi) = bounds(&v);
+                let tol = acc.move_tolerance(lo, hi, c);
+                let mut b = top - tol;
+                while top - b <= tol {
+                    b = b.next_down();
+                }
+                while top - b.next_up() > tol {
+                    b = b.next_up();
+                }
+                let old = v[to];
+                v[to] = b;
+                acc.apply(old, b);
+                let (lo, hi) = bounds(&v);
+                if top - b > acc.move_tolerance(lo, hi, c) {
+                    break;
+                }
+            }
+            let (a, b) = (v[from], v[to]);
+            let (lo, hi) = bounds(&v);
+            prop_assume!(top - b > acc.move_tolerance(lo, hi, c));
+            let after = acc.stddev_after([(a, a + c), (b, b - c)]);
+            prop_assert!(after >= acc.stddev(), "{after} < {} (margin {})", acc.stddev(), top - b);
+        }
     }
 }

@@ -83,7 +83,9 @@ fn switched_dijkstra_cache_needs_one_run_for_the_whole_cluster() {
     let inst = instantiate(&cluster, ClusterSpec::paper_switched(), &scenario, 0, 5);
     let links = links_by_descending_bw(&inst.venv);
     let mut st = PlacementState::new(&inst.phys, &inst.venv);
-    hosting_stage(&mut st, &links, HostingPolicy::Paper).expect("hostable");
+    hosting_stage(&mut st, &links, HostingPolicy::Paper)
+        .0
+        .expect("hostable");
     let (routes, stats) =
         networking_stage(&mut st, &links, &Default::default(), &mut MapCache::new());
     let routes = routes.expect("routable");
