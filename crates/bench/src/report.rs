@@ -1,62 +1,8 @@
-//! Table formatting that mirrors the paper's layout, plus machine-readable
-//! benchmark reports.
+//! Table formatting that mirrors the paper's layout.
 
 use crate::runner::{CellResult, Cluster, MapperKind};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
-
-/// Per-phase share of a benchmark's wall-clock, from the pipeline's trace
-/// spans (see [`emumap_core::parallel::PhaseTotals`]).
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct PhaseBreakdown {
-    /// Seconds in the Hosting phase.
-    pub hosting_s: f64,
-    /// Seconds in the Migration phase.
-    pub migration_s: f64,
-    /// Seconds in the Networking phase.
-    pub networking_s: f64,
-}
-
-impl From<emumap_core::parallel::PhaseTotals> for PhaseBreakdown {
-    fn from(t: emumap_core::parallel::PhaseTotals) -> Self {
-        PhaseBreakdown {
-            hosting_s: t.hosting_s(),
-            migration_s: t.migration_s(),
-            networking_s: t.networking_s(),
-        }
-    }
-}
-
-/// One benchmark's summary row in a `BENCH_*.json` report.
-#[derive(Clone, Debug, Serialize)]
-pub struct BenchEntry {
-    /// Benchmark id (`group/case`).
-    pub name: String,
-    /// Mean sample wall-clock in seconds.
-    pub mean_s: f64,
-    /// Fastest sample in seconds.
-    pub min_s: f64,
-    /// Number of samples taken.
-    pub samples: usize,
-    /// Per-phase breakdown of the total, when the benchmark ran with a
-    /// phase-tracking runner (`null` otherwise).
-    pub phases: Option<PhaseBreakdown>,
-}
-
-/// Writes benchmark summaries as pretty JSON, creating parent directories.
-/// Plain data rather than harness types so library users (and CI scripts)
-/// can emit entries without depending on the bench harness.
-pub fn write_bench_json(path: impl AsRef<Path>, entries: &[BenchEntry]) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let json = serde_json::to_string_pretty(entries)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, json)
-}
 
 /// Index results as `[scenario label][cluster][mapper] -> cell`.
 pub fn index_cells(
@@ -189,38 +135,6 @@ mod tests {
         assert!(table.contains("573.9"));
         assert!(table.contains("—"));
         assert!(table.contains("Failures"));
-    }
-
-    #[test]
-    fn bench_json_roundtrips_and_creates_directories() {
-        let dir = std::env::temp_dir().join(format!("emumap-bench-report-{}", std::process::id()));
-        let path = dir.join("nested").join("BENCH_test.json");
-        let entries = vec![
-            BenchEntry {
-                name: "group/case".to_string(),
-                mean_s: 0.5,
-                min_s: 0.25,
-                samples: 10,
-                phases: None,
-            },
-            BenchEntry {
-                name: "group/phased".to_string(),
-                mean_s: 0.5,
-                min_s: 0.25,
-                samples: 10,
-                phases: Some(PhaseBreakdown {
-                    hosting_s: 0.1,
-                    migration_s: 0.2,
-                    networking_s: 0.2,
-                }),
-            },
-        ];
-        write_bench_json(&path, &entries).expect("write");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("group/case"), "{text}");
-        assert!(text.contains("\"samples\": 10"), "{text}");
-        assert!(text.contains("\"hosting_s\""), "{text}");
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! serving; an orderly `apply` rejection is a `{"rejected":{...}}`
 //! response, not an error.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use crate::args::Parsed;
 use crate::commands::{
@@ -209,21 +209,66 @@ pub struct Served {
     pub shutdown: bool,
 }
 
+/// The longest request line `serve` reads, newline excluded. A
+/// 10 000-guest `gen-venv` file is 7.7 MB, so inline venvs fit with room
+/// to spare.
+pub const MAX_REQUEST_BYTES: usize = 64 << 20;
+
+/// One line of request bytes, as [`read_request`] found it.
+enum Line {
+    /// The line is in the buffer, newline stripped.
+    Read,
+    /// The line ran past [`MAX_REQUEST_BYTES`]; the rest of it was skipped.
+    TooLong,
+    /// The input is exhausted.
+    Eof,
+}
+
+/// Reads the next line of `input` into `buf`, holding at most
+/// [`MAX_REQUEST_BYTES`] + 1 bytes of it; a longer line's remainder is
+/// consumed without being buffered.
+fn read_request(input: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Line> {
+    buf.clear();
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
+    if input.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(Line::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_REQUEST_BYTES {
+        input.skip_until(b'\n')?;
+        return Ok(Line::TooLong);
+    }
+    Ok(Line::Read)
+}
+
 /// Serves requests from `input` until EOF or a `shutdown` request,
-/// counting the request lines it answers.
+/// counting the request lines it answers into `served` — on an I/O error
+/// too, which ends the stream. A line that is not UTF-8 or longer than
+/// [`MAX_REQUEST_BYTES`] is answered with an `error` like any other
+/// malformed request.
 pub fn serve_stream(
     session: &mut Session,
     mapper: &dyn Mapper,
-    input: impl BufRead,
+    mut input: impl BufRead,
     out: &mut impl Write,
-) -> Result<Served, CliError> {
-    let mut served = Served::default();
-    for line in input.lines() {
-        let line = line.map_err(|e| CliError::Io(format!("reading request: {e}")))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = parse_request(&line);
+    served: &mut Served,
+) -> Result<(), CliError> {
+    let mut buf = Vec::new();
+    loop {
+        let line = read_request(&mut input, &mut buf)
+            .map_err(|e| CliError::Io(format!("reading request: {e}")))?;
+        let request = match line {
+            Line::Eof => break,
+            Line::TooLong => Err(format!(
+                "request line is longer than {MAX_REQUEST_BYTES} bytes"
+            )),
+            Line::Read => match std::str::from_utf8(&buf) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => parse_request(text),
+                Err(e) => Err(format!("request line is not UTF-8: {e}")),
+            },
+        };
         served.requests += 1;
         served.shutdown = matches!(request, Ok(Request::Shutdown));
         let reply = match request {
@@ -240,7 +285,7 @@ pub fn serve_stream(
             break;
         }
     }
-    Ok(served)
+    Ok(())
 }
 
 /// The `serve` subcommand: builds the session and serves stdin/stdout or
@@ -260,7 +305,8 @@ pub fn serve_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
         Some(socket) => serve_socket(session, mapper, socket),
         None => {
             let (stdin, mut stdout) = (std::io::stdin().lock(), std::io::stdout().lock());
-            serve_stream(session, mapper, stdin, &mut stdout)
+            let mut served = Served::default();
+            serve_stream(session, mapper, stdin, &mut stdout, &mut served).map(|()| served)
         }
     };
     let served = traced(&mut session, Session::cache_mut, trace.as_deref(), serve)??;
@@ -279,7 +325,9 @@ pub fn serve_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
 }
 
 /// Serves connections on a Unix socket, one at a time, until a client
-/// sends `shutdown`; the tally covers every connection.
+/// sends `shutdown`; the tally covers every connection. An I/O error on
+/// one connection — a client that hangs up before reading its response,
+/// say — ends that connection only, with a line on stderr.
 #[cfg(unix)]
 fn serve_socket(
     session: &mut Session,
@@ -295,17 +343,17 @@ fn serve_socket(
     let mut total = Served::default();
     for stream in listener.incoming() {
         let stream = stream.map_err(|e| CliError::Io(format!("accepting on {path}: {e}")))?;
-        let reader = std::io::BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| CliError::Io(format!("cloning connection: {e}")))?,
-        );
-        let mut writer = stream;
-        let served = serve_stream(session, mapper, reader, &mut writer)?;
-        total.requests += served.requests;
-        total.malformed += served.malformed;
-        if served.shutdown {
-            total.shutdown = true;
+        let served = stream
+            .try_clone()
+            .map_err(|e| CliError::Io(format!("cloning connection: {e}")))
+            .and_then(|reader| {
+                let mut writer = stream;
+                let reader = std::io::BufReader::new(reader);
+                serve_stream(session, mapper, reader, &mut writer, &mut total)
+            });
+        if let Err(e) = served {
+            eprintln!("serve: connection closed: {e}");
+        } else if total.shutdown {
             break;
         }
     }
@@ -347,7 +395,15 @@ mod tests {
         let mapper = build_mapper("hmn", 1).unwrap();
         let input = requests.join("\n");
         let mut out = Vec::new();
-        serve_stream(session, mapper.as_ref(), input.as_bytes(), &mut out).unwrap();
+        let mut served = Served::default();
+        serve_stream(
+            session,
+            mapper.as_ref(),
+            input.as_bytes(),
+            &mut out,
+            &mut served,
+        )
+        .unwrap();
         String::from_utf8(out)
             .unwrap()
             .lines()
@@ -489,9 +545,9 @@ mod tests {
 
     #[test]
     fn serve_stream_counts_every_request_line_it_answers() {
-        // Six malformed requests and a status, as CI pipes them into
+        // Seven malformed requests and a status, as CI pipes them into
         // `emumap serve`; a blank line is not a request.
-        let input = [
+        let mut input = [
             r#"{"apply":{"id":"a","workload":"high","guests":4,"density":1.5,"seed":1}}"#,
             r#"{"apply":{"id":"b","workload":"high","guests":4,"density":-0.1,"seed":1}}"#,
             r#"{"apply":{"id":"c","workload":"high","guests":18446744073709551615,"density":1,"seed":1}}"#,
@@ -499,22 +555,95 @@ mod tests {
             r#"{"fly":{}}"#,
             "",
             "not json",
-            r#"{"status":{}}"#,
         ]
-        .join("\n");
+        .join("\n")
+        .into_bytes();
+        input.extend_from_slice(b"\n\xff\xfe\n{\"status\":{}}");
         let mapper = build_mapper("hmn", 1).unwrap();
         let mut out = Vec::new();
         let mut session = Session::new(phys(), 1);
-        let served = serve_stream(&mut session, mapper.as_ref(), input.as_bytes(), &mut out);
+        let mut served = Served::default();
+        serve_stream(
+            &mut session,
+            mapper.as_ref(),
+            &input[..],
+            &mut out,
+            &mut served,
+        )
+        .unwrap();
         assert_eq!(
-            served.unwrap(),
+            served,
             Served {
-                requests: 7,
-                malformed: 6,
+                requests: 8,
+                malformed: 7,
                 shutdown: false
             }
         );
-        assert_eq!(String::from_utf8(out).unwrap().lines().count(), 7);
+        assert_eq!(String::from_utf8(out).unwrap().lines().count(), 8);
+    }
+
+    #[test]
+    fn bad_bytes_and_overlong_lines_get_one_error_each() {
+        let status = &b"{\"status\":{}}\n"[..];
+        let input = status
+            .chain(&b"\xff\xfe\n"[..])
+            .chain(std::io::repeat(b'x').take(MAX_REQUEST_BYTES as u64 + 4096))
+            .chain(&b"\n"[..])
+            .chain(status);
+        let mapper = build_mapper("hmn", 1).unwrap();
+        let mut out = Vec::new();
+        let mut served = Served::default();
+        let mut session = Session::new(phys(), 1);
+        let input = std::io::BufReader::new(input);
+        serve_stream(&mut session, mapper.as_ref(), input, &mut out, &mut served).unwrap();
+        assert_eq!((served.requests, served.malformed), (4, 2));
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 4, "{out}");
+        assert!(lines[0].starts_with("{\"status\":"), "{}", lines[0]);
+        assert!(lines[1].starts_with("{\"error\":") && lines[1].contains("UTF-8"));
+        assert!(lines[2].starts_with("{\"error\":") && lines[2].contains("longer than"));
+        assert!(lines[3].starts_with("{\"status\":"), "{}", lines[3]);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_client_that_hangs_up_does_not_end_the_socket_daemon() {
+        use std::os::unix::net::UnixStream;
+        let path = std::env::temp_dir()
+            .join(format!("emumap_serve_hangup_{}.sock", std::process::id()))
+            .display()
+            .to_string();
+        let mapper = build_mapper("hmn", 1).unwrap();
+        let mut session = Session::new(phys(), 1);
+        let clients = std::thread::spawn({
+            let path = path.clone();
+            move || {
+                let connect = || loop {
+                    match UnixStream::connect(&path) {
+                        Ok(stream) => return stream,
+                        Err(_) => std::thread::sleep(std::time::Duration::from_millis(5)),
+                    }
+                };
+                // Hang up before the response to `apply` is written.
+                let mut client = connect();
+                writeln!(client, "{}", apply_gen("t1", 4, 1)).unwrap();
+                drop(client);
+                let mut client = connect();
+                client
+                    .write_all(b"{\"status\":{}}\n{\"shutdown\":{}}\n")
+                    .unwrap();
+                let mut replies = String::new();
+                client.read_to_string(&mut replies).unwrap();
+                replies
+            }
+        });
+        let total = serve_socket(&mut session, mapper.as_ref(), &path).unwrap();
+        let replies = clients.join().unwrap();
+        assert!(total.shutdown);
+        assert_eq!(total.requests, 3);
+        let status = replies.lines().next().unwrap();
+        assert!(status.contains("\"tenants\":1"), "{status}");
     }
 
     #[test]
@@ -616,7 +745,15 @@ mod tests {
         session.cache_mut().trace = emumap_trace::Tracer::new(Box::new(sink.clone()));
         let mapper = build_mapper("hmn", emumap_core::DEFAULT_MAX_ATTEMPTS).unwrap();
         let mut out = Vec::new();
-        serve_stream(&mut session, mapper.as_ref(), requests.as_bytes(), &mut out).unwrap();
+        let mut served = Served::default();
+        serve_stream(
+            &mut session,
+            mapper.as_ref(),
+            requests.as_bytes(),
+            &mut out,
+            &mut served,
+        )
+        .unwrap();
         let responses = String::from_utf8(out)
             .unwrap()
             .replace(&snapshot, pinned_snapshot);

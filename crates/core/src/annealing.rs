@@ -76,9 +76,9 @@ pub(crate) fn hmn_start(
     links: &[VLinkId],
 ) -> (Result<(), MapError>, PhaseCounters) {
     let (hosted, stats) = hosting_stage(state, links, HostingPolicy::Paper);
-    if hosted.is_ok() {
-        migration_stage(state);
-    }
+    let hosted = hosted.map(|order| {
+        migration_stage(state, order);
+    });
     (hosted, stats.counters())
 }
 

@@ -133,7 +133,7 @@ impl Mapper for ConsolidatingHmn {
             let mut state = PlacementState::new(phys, venv);
             rec.phase(cache, Phase::Hosting, |_| {
                 let (hosted, stats) = hosting_stage(&mut state, &links, HostingPolicy::Paper);
-                (hosted, stats.counters())
+                (hosted.map(drop), stats.counters())
             })?;
             // The drain pass stands in for Migration: its relocations are
             // the moves it accepted.

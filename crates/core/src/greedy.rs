@@ -116,12 +116,9 @@ fn run_greedy_with(
 ) -> Result<MapOutcome, MapError> {
     record_map(name, phys, venv, cache, |rec, cache| {
         let mut state = PlacementState::new(phys, venv);
-        rec.try_phase(
-            cache,
-            Phase::Hosting,
-            |_| place_greedy(&mut state, rule),
-            |_| PhaseCounters::default(),
-        )?;
+        rec.phase(cache, Phase::Hosting, |_| {
+            (place_greedy(&mut state, rule), PhaseCounters::default())
+        })?;
         let links = links_by_descending_bw(venv);
         let routes = rec.phase(cache, Phase::Networking, |cache| {
             networking_stage(&mut state, &links, &AStarPruneConfig::default(), cache)

@@ -143,13 +143,14 @@ impl Mapper for Hmn {
         let links = self.ordered_links(venv, rng);
         record_map("HMN", phys, venv, cache, |rec, cache| {
             let mut state = PlacementState::new(phys, venv);
-            rec.phase(cache, Phase::Hosting, |_| {
+            let order = rec.phase(cache, Phase::Hosting, |_| {
                 let (hosted, stats) = hosting_stage(&mut state, &links, self.config.hosting);
                 (hosted, stats.counters())
             })?;
             if self.config.migration != MigrationPolicy::Off {
                 rec.phase(cache, Phase::Migration, |_| {
-                    ((), migration_counters(&mut state, self.config.migration))
+                    let counters = migration_counters(&mut state, order, self.config.migration);
+                    ((), counters)
                 });
             }
             let routes = rec.phase(cache, Phase::Networking, |cache| {

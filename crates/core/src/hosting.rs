@@ -4,11 +4,17 @@
 //! Virtual links are processed in descending bandwidth order; wherever
 //! possible both endpoints of a high-bandwidth link land on the same host,
 //! so that the heaviest traffic never touches the physical network. The
-//! host list is kept sorted by descending residual CPU, so the fullest CPUs
-//! are preferred early (the balance itself is refined later by Migration).
+//! host list is a [`HostOrder`] by descending residual CPU, so the hosts
+//! with the most free CPU are preferred early (the balance itself is
+//! refined later by Migration).
+//!
+//! There is one host order per map. [`hosting_stage`] builds it once and
+//! re-keys one host per assignment in O(log n) — the paper's re-sort
+//! "considering the new CPU availabilities" without sorting — and returns
+//! it, so Migration starts from it instead of sorting the hosts again.
 
 use crate::error::MapError;
-use crate::state::PlacementState;
+use crate::state::{HostOrder, PlacementState};
 use emumap_graph::NodeId;
 use emumap_model::{GuestId, VLinkId, VirtualEnvironment};
 use emumap_trace::PhaseCounters;
@@ -67,104 +73,43 @@ pub fn links_by_descending_bw(venv: &VirtualEnvironment) -> Vec<VLinkId> {
     links
 }
 
-/// Sorts `hosts` by descending residual CPU (ties by id). The paper re-sorts
-/// after every assignment "considering the new CPU availabilities".
-fn sort_hosts(hosts: &mut [NodeId], state: &PlacementState<'_>) {
-    hosts.sort_by(|&a, &b| {
-        state
-            .residual()
-            .proc(b)
-            .partial_cmp(&state.residual().proc(a))
-            .expect("CPU residuals are finite")
-            .then(a.cmp(&b))
-    });
-}
-
-/// The CPU-sorted host list the Hosting stage scans, maintained
-/// incrementally. The paper re-sorts the whole list after every
-/// assignment; since an assignment only ever *decreases* one host's
-/// residual CPU, that host can only move later in the descending order,
-/// so bubbling it rightward restores exactly the order a full sort would
-/// produce (the id tie-break makes the order unique) in O(displacement)
-/// instead of O(n log n) — the difference between minutes and seconds at
-/// 10k hosts.
-struct SortedHosts {
-    order: Vec<NodeId>,
-    /// Host slot (see [`emumap_model::ResidualState::slot_of`]) → index
-    /// in `order`.
-    pos: Vec<u32>,
-}
-
-impl SortedHosts {
-    fn new(state: &PlacementState<'_>) -> Self {
-        let mut order: Vec<NodeId> = state.phys().hosts().to_vec();
-        sort_hosts(&mut order, state);
-        let mut pos = vec![0u32; order.len()];
-        for (i, &h) in order.iter().enumerate() {
-            pos[state.residual().slot_of(h).expect("hosts have slots")] = i as u32;
-        }
-        SortedHosts { order, pos }
-    }
-
-    fn as_slice(&self) -> &[NodeId] {
-        &self.order
-    }
-
-    /// Restores the invariant after `host`'s residual CPU decreased.
-    fn reposition(&mut self, state: &PlacementState<'_>, host: NodeId) {
-        let r = state.residual();
-        let slot = r.slot_of(host).expect("hosts have slots");
-        let mut i = self.pos[slot] as usize;
-        let hp = r.proc(host).value();
-        while i + 1 < self.order.len() {
-            let next = self.order[i + 1];
-            let np = r.proc(next).value();
-            if hp > np || (hp == np && host < next) {
-                break;
-            }
-            self.order.swap(i, i + 1);
-            self.pos[r.slot_of(next).expect("hosts have slots")] = i as u32;
-            i += 1;
-        }
-        self.pos[slot] = i as u32;
-    }
-}
-
-/// First host in `hosts` (which is kept in descending-residual-CPU order)
-/// that fits `guest`, or `None`. Deliberately *not* bitset-based: this
-/// scan usually stops at the first few hosts, while
+/// First host in `order` that fits `guest`, or `None`. Deliberately *not*
+/// bitset-based: this scan usually stops at the first few hosts, while
 /// [`emumap_model::ResidualState::fill_feasible`] always pays the full
 /// column pass (Greedy, which filters every candidate anyway, uses it).
-fn first_fit(state: &PlacementState<'_>, hosts: &[NodeId], guest: GuestId) -> Option<NodeId> {
-    hosts.iter().copied().find(|&h| state.fits(guest, h))
+fn first_fit(state: &PlacementState<'_>, order: &HostOrder, guest: GuestId) -> Option<NodeId> {
+    order.iter(state).find(|&h| state.fits(guest, h))
 }
 
 /// Runs the Hosting stage over `links` with the co-location rule of
 /// `policy` ([`HostingPolicy::Paper`] is the paper's). Mutates `state`; on
 /// failure the state is left partially assigned (callers either abort or
-/// reset). Returns the result together with the co-location/fallback
-/// counts — on failure too, where they count the decisions made up to the
-/// guest that found no host.
+/// reset). On success returns the [`HostOrder`] of the final residuals,
+/// which Migration takes over. The co-location/fallback counts come back
+/// either way — on failure they count the decisions made up to the guest
+/// that found no host.
 pub fn hosting_stage(
     state: &mut PlacementState<'_>,
     links: &[VLinkId],
     policy: HostingPolicy,
-) -> (Result<(), MapError>, HostingStats) {
+) -> (Result<HostOrder, MapError>, HostingStats) {
     let mut stats = HostingStats::default();
-    let hosted = place_guests(state, links, policy, &mut stats);
-    (hosted, stats)
+    let mut order = HostOrder::new(state);
+    let hosted = place_guests(state, &mut order, links, policy, &mut stats);
+    (hosted.map(|()| order), stats)
 }
 
-/// The body of [`hosting_stage`], counting into `stats` as it goes.
+/// The body of [`hosting_stage`], counting into `stats` as it goes. Every
+/// assignment goes through `order`, which stays the descending-CPU list
+/// the paper re-sorts after each one.
 fn place_guests(
     state: &mut PlacementState<'_>,
+    order: &mut HostOrder,
     links: &[VLinkId],
     policy: HostingPolicy,
     stats: &mut HostingStats,
 ) -> Result<(), MapError> {
     let venv = state.venv();
-    let mut hosts = SortedHosts::new(state);
-
     for &l in links {
         let (vs, vd) = venv.link_endpoints(l);
         match (state.host_of(vs), state.host_of(vd)) {
@@ -177,11 +122,12 @@ fn place_guests(
             (None, None) => {
                 if vs == vd {
                     // Self-loop virtual link: place its single guest.
-                    let h = first_fit(state, hosts.as_slice(), vs)
-                        .ok_or(MapError::HostingFailed { guest: vs })?;
-                    state.assign(vs, h).expect("first_fit verified capacity");
+                    let h =
+                        first_fit(state, order, vs).ok_or(MapError::HostingFailed { guest: vs })?;
+                    order
+                        .assign(state, vs, h)
+                        .expect("first_fit verified capacity");
                     stats.first_fit_fallbacks += 1;
-                    hosts.reposition(state, h);
                     continue;
                 }
                 let fits_both = |state: &PlacementState<'_>, host: NodeId| {
@@ -191,21 +137,22 @@ fn place_guests(
                         && r.stor(host).value() >= gs.stor.value() + gd.stor.value()
                 };
                 let colocate_on = match policy {
-                    HostingPolicy::Paper => {
-                        let top = hosts.as_slice()[0];
-                        fits_both(state, top).then_some(top)
+                    HostingPolicy::Paper => order
+                        .iter(state)
+                        .next()
+                        .filter(|&top| fits_both(state, top)),
+                    HostingPolicy::FirstFitColocation => {
+                        order.iter(state).find(|&h| fits_both(state, h))
                     }
-                    HostingPolicy::FirstFitColocation => hosts
-                        .as_slice()
-                        .iter()
-                        .copied()
-                        .find(|&h| fits_both(state, h)),
                 };
                 if let Some(host) = colocate_on {
-                    state.assign(vs, host).expect("combined fit verified");
-                    state.assign(vd, host).expect("combined fit verified");
+                    order
+                        .assign(state, vs, host)
+                        .expect("combined fit verified");
+                    order
+                        .assign(state, vd, host)
+                        .expect("combined fit verified");
                     stats.colocation_hits += 1;
-                    hosts.reposition(state, host);
                 } else {
                     // "the most CPU-intensive guest is assigned to the
                     // first host in the list able to receive the guest"
@@ -214,15 +161,17 @@ fn place_guests(
                     } else {
                         (vd, vs)
                     };
-                    let h1 = first_fit(state, hosts.as_slice(), g1)
-                        .ok_or(MapError::HostingFailed { guest: g1 })?;
-                    state.assign(g1, h1).expect("first_fit verified capacity");
-                    hosts.reposition(state, h1);
-                    let h2 = first_fit(state, hosts.as_slice(), g2)
-                        .ok_or(MapError::HostingFailed { guest: g2 })?;
-                    state.assign(g2, h2).expect("first_fit verified capacity");
+                    let h1 =
+                        first_fit(state, order, g1).ok_or(MapError::HostingFailed { guest: g1 })?;
+                    order
+                        .assign(state, g1, h1)
+                        .expect("first_fit verified capacity");
+                    let h2 =
+                        first_fit(state, order, g2).ok_or(MapError::HostingFailed { guest: g2 })?;
+                    order
+                        .assign(state, g2, h2)
+                        .expect("first_fit verified capacity");
                     stats.first_fit_fallbacks += 2;
-                    hosts.reposition(state, h2);
                 }
             }
 
@@ -239,11 +188,9 @@ fn place_guests(
                     anchor_host
                 } else {
                     stats.first_fit_fallbacks += 1;
-                    first_fit(state, hosts.as_slice(), free)
-                        .ok_or(MapError::HostingFailed { guest: free })?
+                    first_fit(state, order, free).ok_or(MapError::HostingFailed { guest: free })?
                 };
-                state.assign(free, target).expect("fit verified");
-                hosts.reposition(state, target);
+                order.assign(state, free, target).expect("fit verified");
             }
         }
     }
@@ -264,11 +211,11 @@ fn place_guests(
             .then(a.cmp(&b))
     });
     for g in leftovers {
-        let h =
-            first_fit(state, hosts.as_slice(), g).ok_or(MapError::HostingFailed { guest: g })?;
-        state.assign(g, h).expect("first_fit verified capacity");
+        let h = first_fit(state, order, g).ok_or(MapError::HostingFailed { guest: g })?;
+        order
+            .assign(state, g, h)
+            .expect("first_fit verified capacity");
         stats.first_fit_fallbacks += 1;
-        hosts.reposition(state, h);
     }
 
     debug_assert!(state.is_complete());
@@ -288,7 +235,7 @@ mod tests {
     fn host_paper(st: &mut PlacementState<'_>) -> Result<HostingStats, MapError> {
         let links = links_by_descending_bw(st.venv());
         let (hosted, stats) = hosting_stage(st, &links, HostingPolicy::Paper);
-        hosted.map(|()| stats)
+        hosted.map(|_| stats)
     }
 
     fn phys_uniform(n: usize, mem_mb: u64) -> PhysicalTopology {
@@ -471,34 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_reposition_matches_full_sort() {
-        // Heterogeneous CPUs with deliberate ties so the id tie-break is
-        // exercised; assignments walk hosts in a scattered order.
-        let cpus = [700.0, 900.0, 700.0, 1200.0, 900.0, 500.0, 1200.0];
-        let phys = PhysicalTopology::from_shape(
-            &generators::ring(cpus.len()),
-            cpus.iter()
-                .map(|&c| HostSpec::new(Mips(c), MemMb(4096), StorGb(1000.0))),
-            LinkSpec::new(Kbps(1_000_000.0), Millis(5.0)),
-            VmmOverhead::NONE,
-        );
-        let mut venv = VirtualEnvironment::new();
-        let guests: Vec<_> = (0..20)
-            .map(|i| venv.add_guest(GuestSpec::new(Mips(40.0 + i as f64), MemMb(8), StorGb(0.5))))
-            .collect();
-        let mut st = PlacementState::new(&phys, &venv);
-        let mut inc = SortedHosts::new(&st);
-        for (i, &g) in guests.iter().enumerate() {
-            let h = phys.hosts()[(i * 5) % cpus.len()];
-            st.assign(g, h).unwrap();
-            inc.reposition(&st, h);
-            let mut full: Vec<NodeId> = phys.hosts().to_vec();
-            sort_hosts(&mut full, &st);
-            assert_eq!(inc.as_slice(), full.as_slice(), "after assignment {i}");
-        }
-    }
-
-    #[test]
     fn heterogeneous_hosts_fill_biggest_cpu_first() {
         let shape = generators::line(3);
         let phys = PhysicalTopology::from_shape(
@@ -621,5 +540,249 @@ mod policy_tests {
             emumap_model::validate_mapping(&phys, &venv, &out.mapping),
             Ok(())
         );
+    }
+}
+
+#[cfg(test)]
+mod reference_tests {
+    //! [`hosting_stage`] against the paper's Hosting, which sorts every
+    //! host again after every assignment, and [`HostOrder`] against that
+    //! full sort.
+    use super::*;
+    use emumap_graph::generators;
+    use emumap_model::{
+        GuestSpec, HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, PhysicalTopology, StorGb,
+        VLinkSpec, VmmOverhead,
+    };
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Sorts `hosts` by descending residual CPU (ties by id), as the paper
+    /// does after every assignment "considering the new CPU
+    /// availabilities".
+    fn sort_hosts(hosts: &mut [NodeId], state: &PlacementState<'_>) {
+        hosts.sort_by(|&a, &b| {
+            state
+                .residual()
+                .proc(b)
+                .partial_cmp(&state.residual().proc(a))
+                .expect("CPU residuals are finite")
+                .then(a.cmp(&b))
+        });
+    }
+
+    /// Every host of `state`, fully sorted.
+    fn sorted(state: &PlacementState<'_>) -> Vec<NodeId> {
+        let mut hosts = state.phys().hosts().to_vec();
+        sort_hosts(&mut hosts, state);
+        hosts
+    }
+
+    /// The paper's Hosting over a host list sorted from scratch before
+    /// every scan, counting as [`hosting_stage`] does.
+    fn reference_hosting(
+        state: &mut PlacementState<'_>,
+        links: &[VLinkId],
+        policy: HostingPolicy,
+    ) -> (Result<(), MapError>, HostingStats) {
+        let mut stats = HostingStats::default();
+        let venv = state.venv();
+        let first_fit = |state: &PlacementState<'_>, g: GuestId| {
+            sorted(state)
+                .into_iter()
+                .find(|&h| state.fits(g, h))
+                .ok_or(MapError::HostingFailed { guest: g })
+        };
+        let hosted = (|| {
+            for &l in links {
+                let (vs, vd) = venv.link_endpoints(l);
+                match (state.host_of(vs), state.host_of(vd)) {
+                    (Some(_), Some(_)) => {}
+                    (None, None) if vs == vd => {
+                        let h = first_fit(state, vs)?;
+                        state.assign(vs, h).unwrap();
+                        stats.first_fit_fallbacks += 1;
+                    }
+                    (None, None) => {
+                        let (gs, gd) = (venv.guest(vs), venv.guest(vd));
+                        let fits_both = |h: &NodeId| {
+                            let r = state.residual();
+                            r.mem(*h).value() >= gs.mem.value() + gd.mem.value()
+                                && r.stor(*h).value() >= gs.stor.value() + gd.stor.value()
+                        };
+                        let list = sorted(state);
+                        let colocate_on = match policy {
+                            HostingPolicy::Paper => list.first().copied().filter(fits_both),
+                            HostingPolicy::FirstFitColocation => list.into_iter().find(fits_both),
+                        };
+                        if let Some(h) = colocate_on {
+                            state.assign(vs, h).unwrap();
+                            state.assign(vd, h).unwrap();
+                            stats.colocation_hits += 1;
+                        } else {
+                            let (g1, g2) = if gs.proc.value() >= gd.proc.value() {
+                                (vs, vd)
+                            } else {
+                                (vd, vs)
+                            };
+                            let h1 = first_fit(state, g1)?;
+                            state.assign(g1, h1).unwrap();
+                            let h2 = first_fit(state, g2)?;
+                            state.assign(g2, h2).unwrap();
+                            stats.first_fit_fallbacks += 2;
+                        }
+                    }
+                    (mapped, other) => {
+                        let (anchor, free) = match (mapped, other) {
+                            (Some(h), _) => (h, vd),
+                            (None, h) => (h.unwrap(), vs),
+                        };
+                        let target = if state.fits(free, anchor) {
+                            stats.colocation_hits += 1;
+                            anchor
+                        } else {
+                            stats.first_fit_fallbacks += 1;
+                            first_fit(state, free)?
+                        };
+                        state.assign(free, target).unwrap();
+                    }
+                }
+            }
+            let mut leftovers: Vec<GuestId> = venv
+                .guest_ids()
+                .filter(|&g| state.host_of(g).is_none())
+                .collect();
+            leftovers.sort_by(|&a, &b| {
+                venv.guest(b)
+                    .proc
+                    .partial_cmp(&venv.guest(a).proc)
+                    .unwrap()
+                    .then(a.cmp(&b))
+            });
+            for g in leftovers {
+                let h = first_fit(state, g)?;
+                state.assign(g, h).unwrap();
+                stats.first_fit_fallbacks += 1;
+            }
+            Ok(())
+        })();
+        (hosted, stats)
+    }
+
+    /// 2 to 2 000 hosts whose CPU capacities fall into a few classes
+    /// (ties, `±0.0` and all) or spread at random, with memory-blocked
+    /// hosts, and guests of `±0.0` to large CPU demands.
+    fn random_cluster(
+        rng: &mut SmallRng,
+        max_guests: usize,
+    ) -> (PhysicalTopology, VirtualEnvironment) {
+        let n = match rng.gen_range(0..10) {
+            0..=3 => rng.gen_range(2..9),
+            4..=6 => rng.gen_range(9..65),
+            7..=8 => rng.gen_range(65..401),
+            _ => rng.gen_range(401..2001),
+        };
+        let classes = [1000.0, 2000.0, 1500.0, 3000.0, 0.0, -0.0];
+        let phys = PhysicalTopology::from_shape(
+            &generators::ring(n),
+            (0..n).map(|_| {
+                let cpu = if rng.gen_bool(0.7) {
+                    classes[rng.gen_range(0..classes.len())]
+                } else {
+                    rng.gen_range(500.0..3000.0)
+                };
+                let mem = [10, 256, 4096][rng.gen_range(0..3usize)];
+                HostSpec::new(Mips(cpu), MemMb(mem), StorGb(1000.0))
+            }),
+            LinkSpec::new(Kbps(1000.0), Millis(5.0)),
+            VmmOverhead::NONE,
+        );
+        let mut venv = VirtualEnvironment::new();
+        for _ in 0..rng.gen_range(0..=max_guests) {
+            let proc =
+                [0.0, -0.0, 100.0, 250.0, rng.gen_range(0.0..400.0)][rng.gen_range(0..5usize)];
+            let mem = [64, 200, 512][rng.gen_range(0..3usize)];
+            venv.add_guest(GuestSpec::new(Mips(proc), MemMb(mem), StorGb(1.0)));
+        }
+        (phys, venv)
+    }
+
+    /// A Hosting case: a random cluster plus links among a random subset
+    /// of its guests (self-loops included, the rest isolated), with
+    /// bandwidths in a few tied classes.
+    fn hosting_case(seed: u64) -> (PhysicalTopology, VirtualEnvironment) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (phys, mut venv) = random_cluster(&mut rng, 120);
+        let linked = rng.gen_range(0..=venv.guest_count());
+        for _ in 0..rng.gen_range(0..=2 * linked) {
+            let a = GuestId::from_index(rng.gen_range(0..linked));
+            let b = if rng.gen_bool(0.1) {
+                a
+            } else {
+                GuestId::from_index(rng.gen_range(0..linked))
+            };
+            let bw = [1.0, 10.0, 100.0][rng.gen_range(0..3usize)];
+            venv.add_link(a, b, VLinkSpec::new(Kbps(bw), Millis(60.0)));
+        }
+        (phys, venv)
+    }
+
+    fn check_hosting(seed: u64, policy: HostingPolicy) -> Result<(), TestCaseError> {
+        let (phys, venv) = hosting_case(seed);
+        let links = links_by_descending_bw(&venv);
+        let (mut a, mut b) = (
+            PlacementState::new(&phys, &venv),
+            PlacementState::new(&phys, &venv),
+        );
+        let (hosted, stats) = hosting_stage(&mut a, &links, policy);
+        let (want, want_stats) = reference_hosting(&mut b, &links, policy);
+        prop_assert_eq!(stats, want_stats);
+        for g in venv.guest_ids() {
+            prop_assert_eq!(a.host_of(g), b.host_of(g), "guest {}", g);
+        }
+        match hosted {
+            Ok(order) => {
+                prop_assert_eq!(want, Ok(()));
+                prop_assert_eq!(order.iter(&a).collect::<Vec<_>>(), sorted(&a));
+            }
+            Err(e) => prop_assert_eq!(want, Err(e)),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hosting_stage_matches_the_resorting_reference(seed in any::<u64>(), first_fit_colocation in any::<bool>()) {
+            let policy = if first_fit_colocation {
+                HostingPolicy::FirstFitColocation
+            } else {
+                HostingPolicy::Paper
+            };
+            check_hosting(seed, policy)?;
+        }
+
+        #[test]
+        fn host_order_matches_a_full_sort_after_assigns_and_migrations(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (phys, venv) = random_cluster(&mut rng, 60);
+            let mut st = PlacementState::new(&phys, &venv);
+            let mut order = HostOrder::new(&st);
+            prop_assert_eq!(order.iter(&st).collect::<Vec<_>>(), sorted(&st));
+            let hosts = phys.hosts();
+            for _ in 0..2 * venv.guest_count() {
+                let g = GuestId::from_index(rng.gen_range(0..venv.guest_count()));
+                let h = hosts[rng.gen_range(0..hosts.len())];
+                // Either call may fail on capacity and must then change
+                // neither the state nor the order.
+                let _ = match st.host_of(g) {
+                    None => order.assign(&mut st, g, h),
+                    Some(_) => order.migrate(&mut st, g, h),
+                };
+                prop_assert_eq!(order.iter(&st).collect::<Vec<_>>(), sorted(&st));
+            }
+        }
     }
 }

@@ -101,12 +101,13 @@ impl Mapper for HmnKsp {
         let links = links_by_descending_bw(venv);
         record_map("HMN-ksp", phys, venv, cache, |rec, cache| {
             let mut state = PlacementState::new(phys, venv);
-            rec.phase(cache, Phase::Hosting, |_| {
+            let order = rec.phase(cache, Phase::Hosting, |_| {
                 let (hosted, stats) = hosting_stage(&mut state, &links, HostingPolicy::Paper);
                 (hosted, stats.counters())
             })?;
             rec.phase(cache, Phase::Migration, |_| {
-                ((), migration_counters(&mut state, MigrationPolicy::Paper))
+                let counters = migration_counters(&mut state, order, MigrationPolicy::Paper);
+                ((), counters)
             });
             let routes = rec.phase(cache, Phase::Networking, |cache| {
                 networking_stage(&mut state, &links, YenKsp::new(self.k), cache)

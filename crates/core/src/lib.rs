@@ -107,7 +107,7 @@ pub use lagrangian::{
 pub use mapper::{MapOutcome, MapStats, Mapper};
 pub use migration::{migration_stage, migration_stage_exhaustive, MigrationPolicy, MigrationStats};
 pub use networking::{networking_stage, LinkRequest, LinkRouter, Routed};
-pub use parallel::{ParallelRunner, PhaseTotals};
+pub use parallel::ParallelRunner;
 pub use pool::{HeuristicPool, PoolPolicy};
 pub use random::{HostingDfs, RandomAStar, RandomDfs, DEFAULT_MAX_ATTEMPTS};
 pub use registry::{
@@ -118,5 +118,5 @@ pub use serve::{
     AdmitReport, ApplyOutcome, RemoveReport, ServeError, Session, Snapshot, StatusReport,
     TenantRecord, SNAPSHOT_VERSION,
 };
-pub use state::PlacementState;
+pub use state::{HostOrder, PlacementState};
 pub use tempering::{ParallelTempering, TemperingConfig};

@@ -17,14 +17,17 @@
 //!
 //! # O(log n) per move
 //!
-//! For the length of one call the hosts sit in a `HostIndex`: one ordered
-//! set of every host keyed by (residual CPU descending, id ascending),
-//! which is the destination scan order, and one of the occupied hosts
-//! keyed by (residual ascending, id ascending), whose first entry is the
-//! origin. Residuals enter the keys through an order-preserving `u64` map
-//! (after `-0.0` becomes `+0.0`), so both orders are exactly the
-//! `partial_cmp`-then-id sort. A move changes two residuals and so two
-//! entries per set, in O(log n); nothing is rescanned or re-sorted.
+//! There is one host order per map, and Hosting builds it: the stages
+//! take over the [`HostOrder`] that [`hosting_stage`] returns (other
+//! callers build one with [`HostOrder::new`]). It holds every host keyed by
+//! (residual CPU descending, id ascending), which is the destination scan
+//! order. Next to it a call keeps one set of the occupied hosts keyed by
+//! (residual ascending, id ascending), built from the hosts its guests sit
+//! on, whose first entry is the origin. Residuals enter the keys through an
+//! order-preserving `u64` map (after `-0.0` becomes `+0.0`), so both orders
+//! are exactly the `partial_cmp`-then-id sort. A move changes two
+//! residuals and so two entries per set, in O(log n); nothing is rescanned
+//! or re-sorted.
 //!
 //! The destination scan stops early. Moving a guest of CPU `c` from
 //! residual `r_o` to residual `r_d` leaves the mean residual unchanged and
@@ -41,9 +44,9 @@
 //! empty.
 //!
 //! [`ObjectiveAccumulator::move_tolerance`]: emumap_model::ObjectiveAccumulator::move_tolerance
+//! [`hosting_stage`]: crate::hosting::hosting_stage
 
-use crate::astar_prune::ord;
-use crate::state::PlacementState;
+use crate::state::{key, HostOrder, PlacementState};
 use emumap_graph::NodeId;
 use emumap_model::GuestId;
 use emumap_trace::PhaseCounters;
@@ -90,16 +93,18 @@ pub enum MigrationPolicy {
 }
 
 /// Runs `policy`'s refinement as a Migration phase body: the stage's
-/// decisions plus the accumulator work they cost. `Off` does nothing.
+/// decisions plus the accumulator work they cost. `order` must be the
+/// [`HostOrder`] of `state`. `Off` does nothing.
 pub(crate) fn migration_counters(
     state: &mut PlacementState<'_>,
+    order: HostOrder,
     policy: MigrationPolicy,
 ) -> PhaseCounters {
     let delta_before = state.delta_evaluations();
     let full_before = state.full_evaluations();
     let m = match policy {
-        MigrationPolicy::Paper => migration_stage(state),
-        MigrationPolicy::Exhaustive => migration_stage_exhaustive(state),
+        MigrationPolicy::Paper => migration_stage(state, order),
+        MigrationPolicy::Exhaustive => migration_stage_exhaustive(state, order),
         MigrationPolicy::Off => return PhaseCounters::default(),
     };
     PhaseCounters {
@@ -112,55 +117,37 @@ pub(crate) fn migration_counters(
     }
 }
 
-/// Order-preserving `u64` image of a residual: `key(a) < key(b)` iff
-/// `a < b`. Adding `+0.0` turns `-0.0` into `+0.0`, which
-/// [`f64::total_cmp`] would otherwise order apart.
-fn key(residual: f64) -> u64 {
-    assert!(!residual.is_nan(), "CPU residuals are comparable");
-    ord(residual + 0.0)
-}
-
-/// The hosts of one Migration call in residual-CPU order (module docs).
-/// Entries are `(key, host slot)`; slots run in host-id order, so they
-/// break ties exactly as the id does.
+/// The hosts of one Migration call (module docs): the [`HostOrder`] of
+/// every host it was handed plus the occupied hosts keyed by
+/// (residual ascending, id ascending).
 struct HostIndex {
-    /// Every host, least loaded first: key `!key(residual)`.
-    by_room: BTreeSet<(u64, u32)>,
+    order: HostOrder,
     /// Occupied hosts, most loaded first: key `key(residual)`.
     occupied: BTreeSet<(u64, u32)>,
 }
 
 impl HostIndex {
-    fn new(state: &PlacementState<'_>) -> Self {
+    /// Takes over `order`, which must describe `state`, and indexes the
+    /// hosts that hold a guest.
+    fn new(state: &PlacementState<'_>, order: HostOrder) -> Self {
+        debug_assert!(order.describes(state), "a stale host order");
         let r = state.residual();
-        let keyed = || (0..r.host_nodes().len()).map(|s| (key(r.proc_column()[s]), s as u32));
-        HostIndex {
-            by_room: keyed().map(|(k, s)| (!k, s)).collect(),
-            occupied: keyed()
-                .filter(|&(_, s)| !state.guests_on(r.host_at(s as usize)).is_empty())
-                .collect(),
-        }
+        let occupied = state
+            .venv()
+            .guest_ids()
+            .filter_map(|g| state.host_of(g))
+            .map(|h| {
+                let slot = r.slot_of(h).expect("hosts have slots");
+                (key(r.proc_column()[slot]), slot as u32)
+            })
+            .collect();
+        HostIndex { order, occupied }
     }
 
     /// The most-loaded occupied host, if any host is occupied.
     fn origin(&self, state: &PlacementState<'_>) -> Option<NodeId> {
         let &(_, slot) = self.occupied.first()?;
         Some(state.residual().host_at(slot as usize))
-    }
-
-    /// Every host, from the largest residual CPU down.
-    fn by_room<'s>(&'s self, state: &'s PlacementState<'_>) -> impl Iterator<Item = NodeId> + 's {
-        self.by_room
-            .iter()
-            .map(|&(_, slot)| state.residual().host_at(slot as usize))
-    }
-
-    /// The smallest and the largest residual CPU of any host.
-    fn bounds(&self, state: &PlacementState<'_>) -> (f64, f64) {
-        let proc = |&(_, slot): &(u64, u32)| state.residual().proc_column()[slot as usize];
-        let hi = self.by_room.first().map_or(0.0, proc);
-        let lo = self.by_room.last().map_or(0.0, proc);
-        (lo, hi)
     }
 
     /// Moves `guest` to `dest` (which must fit it), re-keying the two
@@ -172,14 +159,12 @@ impl HostIndex {
         let slots = [origin, dest].map(|h| state.residual().slot_of(h).expect("hosts have slots"));
         for slot in slots {
             let k = key(state.residual().proc_column()[slot]);
-            self.by_room.remove(&(!k, slot as u32));
             self.occupied.remove(&(k, slot as u32));
         }
-        state.migrate(guest, dest).expect("fit checked");
+        self.order.migrate(state, guest, dest).expect("fit checked");
         for slot in slots {
-            let k = key(state.residual().proc_column()[slot]);
-            self.by_room.insert((!k, slot as u32));
             if !state.guests_on(state.residual().host_at(slot)).is_empty() {
+                let k = key(state.residual().proc_column()[slot]);
                 self.occupied.insert((k, slot as u32));
             }
         }
@@ -199,7 +184,7 @@ impl Band {
     fn new(state: &PlacementState<'_>, index: &HostIndex, origin: NodeId, guest: GuestId) -> Self {
         let c = state.venv().guest(guest).proc.value();
         let tol = if c > 0.0 {
-            let (lo, hi) = index.bounds(state);
+            let (lo, hi) = index.order.bounds(state);
             state.move_tolerance(lo, hi, c)
         } else if c == 0.0 {
             f64::NEG_INFINITY // the float objective cannot change
@@ -235,12 +220,14 @@ fn cheapest_guest_to_move(state: &PlacementState<'_>, host: NodeId) -> GuestId {
         .expect("host is occupied")
 }
 
-/// Runs the Migration stage to fixpoint. Always succeeds (migration can
-/// only refine a complete assignment).
+/// Runs the Migration stage to fixpoint from `order`, the [`HostOrder`]
+/// of `state` that [`hosting_stage`](crate::hosting::hosting_stage)
+/// returns. Always succeeds (migration can only refine a complete
+/// assignment).
 ///
 /// # Panics
 /// Panics if the assignment is incomplete — Hosting must run first.
-pub fn migration_stage(state: &mut PlacementState<'_>) -> MigrationStats {
+pub fn migration_stage(state: &mut PlacementState<'_>, order: HostOrder) -> MigrationStats {
     assert!(
         state.is_complete(),
         "migration requires a complete assignment"
@@ -250,7 +237,7 @@ pub fn migration_stage(state: &mut PlacementState<'_>) -> MigrationStats {
         ..Default::default()
     };
 
-    let mut index = HostIndex::new(state);
+    let mut index = HostIndex::new(state, order);
     // An empty index means an empty virtual environment.
     while let Some(origin) = index.origin(state) {
         let current = state.objective();
@@ -259,7 +246,7 @@ pub fn migration_stage(state: &mut PlacementState<'_>) -> MigrationStats {
 
         // Destinations from least loaded (largest residual CPU) downward.
         let mut chosen = None;
-        for dest in index.by_room(state) {
+        for dest in index.order.iter(state) {
             if band.ends_at(state, dest) {
                 break;
             }
@@ -287,8 +274,11 @@ pub fn migration_stage(state: &mut PlacementState<'_>) -> MigrationStats {
 /// Steepest-descent migration ([`MigrationPolicy::Exhaustive`]): per
 /// iteration, the best improving (guest, destination) move among all
 /// guests of the most-loaded host. Terminates because every move strictly
-/// decreases Eq. 10.
-pub fn migration_stage_exhaustive(state: &mut PlacementState<'_>) -> MigrationStats {
+/// decreases Eq. 10. `order` is as for [`migration_stage`].
+pub fn migration_stage_exhaustive(
+    state: &mut PlacementState<'_>,
+    order: HostOrder,
+) -> MigrationStats {
     assert!(
         state.is_complete(),
         "migration requires a complete assignment"
@@ -298,7 +288,7 @@ pub fn migration_stage_exhaustive(state: &mut PlacementState<'_>) -> MigrationSt
         ..Default::default()
     };
 
-    let mut index = HostIndex::new(state);
+    let mut index = HostIndex::new(state, order);
     let (mut guests, mut in_band): (Vec<GuestId>, Vec<NodeId>) = (Vec::new(), Vec::new());
     while let Some(origin) = index.origin(state) {
         let current = state.objective();
@@ -315,7 +305,8 @@ pub fn migration_stage_exhaustive(state: &mut PlacementState<'_>) -> MigrationSt
             in_band.clear();
             in_band.extend(
                 index
-                    .by_room(state)
+                    .order
+                    .iter(state)
                     .take_while(|&h| !band.ends_at(state, h)),
             );
             in_band.sort_unstable();
@@ -353,6 +344,16 @@ pub fn migration_stage_exhaustive(state: &mut PlacementState<'_>) -> MigrationSt
     stats
 }
 
+/// Runs `stage` on `state` from a freshly built [`HostOrder`].
+#[cfg(test)]
+fn run_fresh(
+    stage: fn(&mut PlacementState<'_>, HostOrder) -> MigrationStats,
+    state: &mut PlacementState<'_>,
+) -> MigrationStats {
+    let order = HostOrder::new(state);
+    stage(state, order)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,7 +386,7 @@ mod tests {
         for &g in &guests {
             st.assign(g, p.hosts()[0]).unwrap();
         }
-        let stats = migration_stage(&mut st);
+        let stats = run_fresh(migration_stage, &mut st);
         assert!(stats.objective_after < stats.objective_before);
         assert_eq!(
             stats.objective_after, 0.0,
@@ -412,7 +413,7 @@ mod tests {
         let mut st = PlacementState::new(&p, &venv);
         st.assign(a, p.hosts()[0]).unwrap();
         st.assign(b, p.hosts()[1]).unwrap();
-        let stats = migration_stage(&mut st);
+        let stats = run_fresh(migration_stage, &mut st);
         assert_eq!(stats.migrations, 0);
         assert_eq!(stats.objective_before, stats.objective_after);
         // The one fitting destination (residual 900) lies past the band
@@ -435,7 +436,7 @@ mod tests {
         for &g in &[a, b, c] {
             st.assign(g, p.hosts()[0]).unwrap();
         }
-        migration_stage(&mut st);
+        run_fresh(migration_stage, &mut st);
         // c (zero co-located bandwidth) is the cheapest to move; a and b
         // stay together.
         assert_eq!(st.host_of(c), Some(p.hosts()[1]));
@@ -462,7 +463,7 @@ mod tests {
         let mut st = PlacementState::new(&p, &venv);
         st.assign(a, p.hosts()[0]).unwrap();
         st.assign(b, p.hosts()[0]).unwrap();
-        let stats = migration_stage(&mut st);
+        let stats = run_fresh(migration_stage, &mut st);
         // Balance would improve by moving one guest, but host 1 cannot take
         // any guest: no migration may happen — and an unfitting destination
         // is not an evaluated proposal, so nothing counts as rejected.
@@ -491,7 +492,7 @@ mod tests {
         for &g in &guests {
             st.assign(g, p.hosts()[1]).unwrap();
         }
-        let stats = migration_stage(&mut st);
+        let stats = run_fresh(migration_stage, &mut st);
         // Optimal split: all four guests on the big host gives residuals
         // (2000, 1000), stddev 500; three on big host gives (2250, 750),
         // stddev 750; the fixpoint must improve on 1500.
@@ -507,7 +508,7 @@ mod tests {
         let p = phys(3);
         let venv = VirtualEnvironment::new();
         let mut st = PlacementState::new(&p, &venv);
-        let stats = migration_stage(&mut st);
+        let stats = run_fresh(migration_stage, &mut st);
         assert_eq!(stats.migrations, 0);
     }
 
@@ -518,7 +519,7 @@ mod tests {
         let mut venv = VirtualEnvironment::new();
         venv.add_guest(cpu_guest(10.0));
         let mut st = PlacementState::new(&p, &venv);
-        migration_stage(&mut st);
+        run_fresh(migration_stage, &mut st);
     }
 }
 
@@ -568,9 +569,9 @@ mod exhaustive_tests {
                 st.assign(g, p.hosts()[0]).unwrap();
             }
             if policy_paper {
-                migration_stage(&mut st)
+                run_fresh(migration_stage, &mut st)
             } else {
-                migration_stage_exhaustive(&mut st)
+                run_fresh(migration_stage_exhaustive, &mut st)
             }
         };
         let paper = build(true);
@@ -615,13 +616,13 @@ mod exhaustive_tests {
         let mut st_paper = PlacementState::new(&p, &venv);
         st_paper.assign(small, p.hosts()[0]).unwrap();
         st_paper.assign(big, p.hosts()[0]).unwrap();
-        let paper = migration_stage(&mut st_paper);
+        let paper = run_fresh(migration_stage, &mut st_paper);
         assert_eq!(
             paper.migrations, 0,
             "paper policy stalls on the unmovable candidate"
         );
 
-        let exhaustive = migration_stage_exhaustive(&mut st);
+        let exhaustive = run_fresh(migration_stage_exhaustive, &mut st);
         assert_eq!(
             exhaustive.migrations, 1,
             "exhaustive policy moves the big guest"
@@ -641,7 +642,7 @@ mod exhaustive_tests {
         for (i, &gg) in g.iter().enumerate() {
             st.assign(gg, p.hosts()[i]).unwrap();
         }
-        let stats = migration_stage_exhaustive(&mut st);
+        let stats = run_fresh(migration_stage_exhaustive, &mut st);
         assert_eq!(stats.migrations, 0);
     }
 }
@@ -914,11 +915,11 @@ mod reference_tests {
     /// same decisions, with no more proposals from `new`.
     fn check_same(
         case: &Case,
-        new: fn(&mut PlacementState<'_>) -> MigrationStats,
+        new: fn(&mut PlacementState<'_>, HostOrder) -> MigrationStats,
         old: fn(&mut PlacementState<'_>) -> MigrationStats,
     ) -> Result<(), TestCaseError> {
         let (mut a, mut b) = (case.state(), case.state());
-        let (sa, sb) = (new(&mut a), old(&mut b));
+        let (sa, sb) = (run_fresh(new, &mut a), old(&mut b));
         prop_assert_eq!(a.into_placement(), b.into_placement());
         prop_assert_eq!(sa.objective_after.to_bits(), sb.objective_after.to_bits());
         prop_assert_eq!(sa.migrations, sb.migrations);

@@ -17,71 +17,7 @@
 
 use crate::cache::MapCache;
 use crossbeam::queue::SegQueue;
-use emumap_trace::{EventSink, Phase, TraceEvent, Tracer};
 use parking_lot::Mutex;
-use std::sync::Arc;
-
-/// Wall-clock totals per pipeline phase, summed across every trial of a
-/// [`ParallelRunner::run_tracked`] call. Timings are volatile (they vary
-/// run to run), so these belong in reports, never in determinism checks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseTotals {
-    /// Total microseconds spent in Hosting phase spans.
-    pub hosting_us: u64,
-    /// Total microseconds spent in Migration phase spans.
-    pub migration_us: u64,
-    /// Total microseconds spent in Networking phase spans.
-    pub networking_us: u64,
-    /// Total microseconds spent in Exact (branch-and-bound oracle) spans.
-    pub exact_us: u64,
-    /// Phase spans folded in (0 means the trials emitted no spans — e.g. a
-    /// mapper without phase instrumentation).
-    pub spans: u64,
-}
-
-impl PhaseTotals {
-    /// Hosting total in seconds.
-    pub fn hosting_s(&self) -> f64 {
-        self.hosting_us as f64 / 1e6
-    }
-
-    /// Migration total in seconds.
-    pub fn migration_s(&self) -> f64 {
-        self.migration_us as f64 / 1e6
-    }
-
-    /// Networking total in seconds.
-    pub fn networking_s(&self) -> f64 {
-        self.networking_us as f64 / 1e6
-    }
-
-    /// Exact-oracle total in seconds.
-    pub fn exact_s(&self) -> f64 {
-        self.exact_us as f64 / 1e6
-    }
-}
-
-/// Sink that folds `PhaseEnd` spans into a shared total and drops
-/// everything else. Lock contention is negligible: one short lock per
-/// phase span, three spans per mapped trial.
-struct PhaseTotalsSink {
-    totals: Arc<Mutex<PhaseTotals>>,
-}
-
-impl EventSink for PhaseTotalsSink {
-    fn record(&mut self, event: TraceEvent) {
-        if let Some((phase, elapsed_us, _)) = event.phase_end() {
-            let mut t = self.totals.lock();
-            match phase {
-                Phase::Hosting => t.hosting_us += elapsed_us,
-                Phase::Migration => t.migration_us += elapsed_us,
-                Phase::Networking => t.networking_us += elapsed_us,
-                Phase::Exact => t.exact_us += elapsed_us,
-            }
-            t.spans += 1;
-        }
-    }
-}
 
 /// A fixed-size worker pool executing independent trials in input order.
 #[derive(Clone, Copy, Debug)]
@@ -120,43 +56,6 @@ impl ParallelRunner {
         R: Send,
         F: Fn(T, &mut MapCache) -> R + Sync,
     {
-        self.run_inner(items, f, None)
-    }
-
-    /// [`run`](Self::run), additionally collecting per-phase wall-clock
-    /// totals from the pipeline's trace events.
-    ///
-    /// Each worker's cache gets a phase-folding tracer, so every mapper
-    /// invoked through
-    /// [`Mapper::map_with_cache`](crate::Mapper::map_with_cache)
-    /// contributes its Hosting/Migration/Networking span timings to the
-    /// returned [`PhaseTotals`]. Trials that replace the cache's tracer
-    /// with their own sink opt out of the aggregation for that trial.
-    /// Results are still deterministic; only the totals' timings vary run
-    /// to run.
-    pub fn run_tracked<T, R, F>(&self, items: Vec<T>, f: F) -> (Vec<R>, PhaseTotals)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T, &mut MapCache) -> R + Sync,
-    {
-        let totals = Arc::new(Mutex::new(PhaseTotals::default()));
-        let results = self.run_inner(items, f, Some(&totals));
-        let totals = *totals.lock();
-        (results, totals)
-    }
-
-    fn run_inner<T, R, F>(
-        &self,
-        items: Vec<T>,
-        f: F,
-        totals: Option<&Arc<Mutex<PhaseTotals>>>,
-    ) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T, &mut MapCache) -> R + Sync,
-    {
         let n = items.len();
         let work: SegQueue<(usize, T)> = SegQueue::new();
         for pair in items.into_iter().enumerate() {
@@ -168,11 +67,6 @@ impl ParallelRunner {
             for _ in 0..self.threads.min(n) {
                 scope.spawn(|_| {
                     let mut cache = MapCache::new();
-                    if let Some(totals) = totals {
-                        cache.trace = Tracer::new(Box::new(PhaseTotalsSink {
-                            totals: Arc::clone(totals),
-                        }));
-                    }
                     while let Some((idx, item)) = work.pop() {
                         let r = f(item, &mut cache);
                         *results[idx].lock() = Some(r);
@@ -221,40 +115,6 @@ mod tests {
         let runner = ParallelRunner::new(8);
         let out = runner.run(vec![7], |i, _| i);
         assert_eq!(out, vec![7]);
-    }
-
-    #[test]
-    fn run_tracked_folds_one_span_per_phase_per_trial() {
-        use crate::{Hmn, Mapper};
-        use emumap_workloads::{instantiate, ClusterSpec, Scenario, WorkloadKind};
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-
-        let scenario = Scenario {
-            ratio: 2.5,
-            density: 0.02,
-            workload: WorkloadKind::HighLevel,
-        };
-        let inst = instantiate(
-            &ClusterSpec::paper(),
-            ClusterSpec::paper_torus(),
-            &scenario,
-            0,
-            2009,
-        );
-        let runner = ParallelRunner::new(2);
-        let trials: Vec<u64> = (0..4).collect();
-        let (objectives, totals) = runner.run_tracked(trials, |seed, cache| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            Hmn::new()
-                .map_with_cache(&inst.phys, &inst.venv, &mut rng, cache)
-                .map(|o| o.objective)
-                .ok()
-        });
-        assert!(objectives.iter().all(Option::is_some));
-        // HMN emits exactly one Hosting, Migration and Networking span per
-        // trial; wall-clock magnitudes are volatile and not asserted.
-        assert_eq!(totals.spans, 3 * 4);
     }
 
     #[test]

@@ -68,12 +68,9 @@ fn random_hosting(
     state: &mut PlacementState<'_>,
     rng: &mut dyn RngCore,
 ) -> Result<(), MapError> {
-    rec.try_phase(
-        cache,
-        Phase::Hosting,
-        |_| random_placement(state, rng),
-        |_| PhaseCounters::default(),
-    )
+    rec.phase(cache, Phase::Hosting, |_| {
+        (random_placement(state, rng), PhaseCounters::default())
+    })
 }
 
 /// One DFS routing pass as an attempt's Networking span. Links are
@@ -220,7 +217,7 @@ impl Mapper for HostingDfs {
             let mut state = PlacementState::new(phys, venv);
             rec.phase(cache, Phase::Hosting, |_| {
                 let (hosted, stats) = hosting_stage(&mut state, &links, HostingPolicy::Paper);
-                (hosted, stats.counters())
+                (hosted.map(drop), stats.counters())
             })?;
             for attempt in 1..=self.max_attempts {
                 rec.attempts = attempt;

@@ -60,24 +60,6 @@ impl Recorder {
         out
     }
 
-    /// [`phase`](Self::phase) for a fallible stage: a failed stage closes
-    /// its span with zeroed counters.
-    pub(crate) fn try_phase<T>(
-        &mut self,
-        cache: &mut MapCache,
-        phase: Phase,
-        body: impl FnOnce(&mut MapCache) -> Result<T, MapError>,
-        counters: impl FnOnce(&T) -> PhaseCounters,
-    ) -> Result<T, MapError> {
-        self.phase(cache, phase, |cache| {
-            let result = body(cache);
-            let c = result
-                .as_ref()
-                .map_or_else(|_| PhaseCounters::default(), counters);
-            (result, c)
-        })
-    }
-
     /// Emits `MapEnd`: `ok` exactly when an objective is reported.
     pub(crate) fn end(self, trace: &mut Tracer, objective: Option<f64>) {
         trace.emit(|| TraceEvent::MapEnd {

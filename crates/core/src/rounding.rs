@@ -48,7 +48,7 @@ use crate::migration::{migration_counters, MigrationPolicy};
 use crate::networking::networking_stage;
 use crate::random::DEFAULT_MAX_ATTEMPTS;
 use crate::recorder::record_map;
-use crate::state::PlacementState;
+use crate::state::{HostOrder, PlacementState};
 use emumap_graph::algo::dijkstra;
 use emumap_model::{Mapping, PhysicalTopology, VirtualEnvironment};
 use emumap_trace::{Phase, PhaseCounters};
@@ -401,51 +401,54 @@ impl Mapper for RandomizedRounding {
             let mut state = PlacementState::new(phys, venv);
 
             // Stage 1 (Hosting span): fractional solve + seeded rounding.
-            let attempts = rec
-                .try_phase(
-                    cache,
-                    Phase::Hosting,
-                    |cache| {
-                        cache.topo.prepare(phys);
-                        cache.rounding.begin();
-                        init_candidates(phys, venv, &mut cache.rounding)?;
-                        let lp = solve_fractional(
-                            &self.config,
-                            phys,
-                            venv,
-                            &mut cache.topo,
-                            &mut cache.rounding,
-                        );
-                        let run = round_placement(
-                            &self.config,
-                            phys,
-                            venv,
-                            rng,
-                            &mut cache.topo,
-                            &mut cache.rounding,
-                            &mut state,
-                        );
-                        if !run.placed {
-                            return Err(MapError::RetriesExhausted {
-                                attempts: run.attempts as usize,
-                            });
-                        }
-                        Ok(PhaseCounters {
-                            lp_iterations: lp,
-                            rounding_attempts: run.attempts,
-                            repairs: run.repairs,
-                            ..Default::default()
-                        })
-                    },
-                    |counters| *counters,
-                )?
-                .rounding_attempts;
+            // The span keeps the LP and rounding work when rounding fails.
+            let attempts = rec.phase(cache, Phase::Hosting, |cache| {
+                cache.topo.prepare(phys);
+                cache.rounding.begin();
+                if let Err(e) = init_candidates(phys, venv, &mut cache.rounding) {
+                    return (Err(e), PhaseCounters::default());
+                }
+                let lp = solve_fractional(
+                    &self.config,
+                    phys,
+                    venv,
+                    &mut cache.topo,
+                    &mut cache.rounding,
+                );
+                let run = round_placement(
+                    &self.config,
+                    phys,
+                    venv,
+                    rng,
+                    &mut cache.topo,
+                    &mut cache.rounding,
+                    &mut state,
+                );
+                let counters = PhaseCounters {
+                    lp_iterations: lp,
+                    rounding_attempts: run.attempts,
+                    repairs: run.repairs,
+                    ..Default::default()
+                };
+                let placed = if run.placed {
+                    Ok(run.attempts)
+                } else {
+                    Err(MapError::RetriesExhausted {
+                        attempts: run.attempts as usize,
+                    })
+                };
+                (placed, counters)
+            })?;
             rec.attempts = attempts as usize;
 
             // Stage 2 (Migration span): balance the rounded placement.
             if self.config.migration != MigrationPolicy::Off {
                 rec.phase(cache, Phase::Migration, |_| {
-                    ((), migration_counters(&mut state, self.config.migration))
+                    let order = HostOrder::new(&state);
+                    (
+                        (),
+                        migration_counters(&mut state, order, self.config.migration),
+                    )
                 });
             }
 
@@ -608,10 +611,27 @@ mod tests {
         let a = venv.add_guest(GuestSpec::new(Mips(10.0), MemMb(200), StorGb(1.0)));
         let b = venv.add_guest(GuestSpec::new(Mips(10.0), MemMb(200), StorGb(1.0)));
         venv.add_link(a, b, VLinkSpec::new(Kbps(1.0), Millis(60.0)));
+        let sink = emumap_trace::SharedSink::default();
+        let mut cache = MapCache::new();
+        cache.trace = emumap_trace::Tracer::new(Box::new(sink.clone()));
         let err = RandomizedRounding::new()
-            .map(&phys, &venv, &mut SmallRng::seed_from_u64(1))
+            .map_with_cache(&phys, &venv, &mut SmallRng::seed_from_u64(1), &mut cache)
             .unwrap_err();
         assert!(matches!(err, MapError::RetriesExhausted { .. }));
+        // The failed Hosting span still reports the LP and rounding work.
+        let spans: Vec<_> = sink
+            .events()
+            .iter()
+            .filter_map(emumap_trace::TraceEvent::phase_end)
+            .collect();
+        assert_eq!(spans.len(), 1);
+        let (phase, _, counters) = spans[0];
+        assert_eq!(phase, Phase::Hosting);
+        assert!(counters.lp_iterations > 0, "{counters:?}");
+        assert_eq!(
+            counters.rounding_attempts,
+            RoundingConfig::default().max_attempts as u64
+        );
     }
 
     #[test]

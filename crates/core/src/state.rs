@@ -1,12 +1,14 @@
 //! Mutable placement state shared by the Hosting and Migration stages and
 //! by the random baselines.
 
+use crate::astar_prune::ord;
 use emumap_graph::NodeId;
 use emumap_model::{
     GuestId, Kbps, ObjectiveAccumulator, PhysicalTopology, PlaceError, ResidualState,
     VirtualEnvironment,
 };
 use std::cell::Cell;
+use std::collections::BTreeSet;
 
 /// A partial guest→host assignment with residual bookkeeping.
 ///
@@ -337,6 +339,108 @@ impl<'a> PlacementState<'a> {
         self.residual
             .host_proc_residuals_into(self.phys, &mut self.refresh_scratch);
         self.acc.rebuild(&self.refresh_scratch);
+    }
+}
+
+/// Order-preserving `u64` image of a residual: `key(a) < key(b)` iff
+/// `a < b`. Adding `+0.0` turns `-0.0` into `+0.0`, which
+/// [`f64::total_cmp`] would otherwise order apart.
+pub(crate) fn key(residual: f64) -> u64 {
+    assert!(!residual.is_nan(), "CPU residuals are comparable");
+    ord(residual + 0.0)
+}
+
+/// Every host of a [`PlacementState`] by descending residual CPU, ties by
+/// id: the "CPU-sorted host list" Hosting scans and re-sorts after every
+/// assignment (§4.1), and the order Migration takes destinations in
+/// (§4.2). Hosting builds it once per map and hands it to Migration.
+///
+/// Entries are `(!key(residual CPU), host slot)`, where `key` is an
+/// order-preserving `u64` image of the residual with `-0.0` folded into
+/// `+0.0`. Since slots run in host-id order, iteration meets
+/// hosts exactly as a `partial_cmp`-descending sort with an id tie-break
+/// does. Changes to the state go through [`assign`](Self::assign) and
+/// [`migrate`](Self::migrate), which re-key the hosts they touch in
+/// O(log n); the order then keeps describing the state it was built on.
+pub struct HostOrder {
+    by_room: BTreeSet<(u64, u32)>,
+}
+
+impl HostOrder {
+    /// The order of `state`'s current residuals. O(n log n).
+    pub fn new(state: &PlacementState<'_>) -> Self {
+        let proc = state.residual().proc_column();
+        HostOrder {
+            by_room: (0..proc.len()).map(|s| (!key(proc[s]), s as u32)).collect(),
+        }
+    }
+
+    /// Every host, from the largest residual CPU down.
+    pub fn iter<'s>(&'s self, state: &'s PlacementState<'_>) -> impl Iterator<Item = NodeId> + 's {
+        self.by_room
+            .iter()
+            .map(|&(_, slot)| state.residual().host_at(slot as usize))
+    }
+
+    /// `true` if the order holds every host of `state` at its current
+    /// residual CPU.
+    pub(crate) fn describes(&self, state: &PlacementState<'_>) -> bool {
+        let proc = state.residual().proc_column();
+        self.by_room.len() == proc.len()
+            && self
+                .by_room
+                .iter()
+                .all(|&(k, slot)| k == !key(proc[slot as usize]))
+    }
+
+    /// The smallest and the largest residual CPU of any host.
+    pub(crate) fn bounds(&self, state: &PlacementState<'_>) -> (f64, f64) {
+        let proc = |&(_, slot): &(u64, u32)| state.residual().proc_column()[slot as usize];
+        let hi = self.by_room.first().map_or(0.0, proc);
+        let lo = self.by_room.last().map_or(0.0, proc);
+        (lo, hi)
+    }
+
+    /// [`PlacementState::assign`], re-keying `host`.
+    pub fn assign(
+        &mut self,
+        state: &mut PlacementState<'_>,
+        guest: GuestId,
+        host: NodeId,
+    ) -> Result<(), PlaceError> {
+        self.rekey(state, [host], |state| state.assign(guest, host))
+    }
+
+    /// [`PlacementState::migrate`], re-keying the two hosts it changes.
+    pub fn migrate(
+        &mut self,
+        state: &mut PlacementState<'_>,
+        guest: GuestId,
+        dest: NodeId,
+    ) -> Result<(), PlaceError> {
+        let origin = state.host_of(guest).expect("guest is assigned");
+        self.rekey(state, [origin, dest], |state| state.migrate(guest, dest))
+    }
+
+    /// Runs `change`, which may alter the residual CPU of `hosts` only,
+    /// and moves their entries to their new keys.
+    fn rekey<const N: usize>(
+        &mut self,
+        state: &mut PlacementState<'_>,
+        hosts: [NodeId; N],
+        change: impl FnOnce(&mut PlacementState<'_>) -> Result<(), PlaceError>,
+    ) -> Result<(), PlaceError> {
+        let entry = |state: &PlacementState<'_>, h: NodeId| {
+            let slot = state.residual().slot_of(h).expect("hosts have slots");
+            (!key(state.residual().proc_column()[slot]), slot as u32)
+        };
+        let before = hosts.map(|h| entry(state, h));
+        change(state)?;
+        for (h, old) in hosts.into_iter().zip(before) {
+            self.by_room.remove(&old);
+            self.by_room.insert(entry(state, h));
+        }
+        Ok(())
     }
 }
 
