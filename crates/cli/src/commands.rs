@@ -160,13 +160,13 @@ pub(crate) fn build_mapper(name: &str, attempts: usize) -> Result<Box<dyn Mapper
 /// The `--seed` every subcommand defaults to.
 pub(crate) const DEFAULT_SEED: u64 = 2009;
 
-/// The most guests [`generate_venv`] generates: 50x the paper's largest
-/// environment (2 000 guests).
-const MAX_GUESTS: usize = 100_000;
+/// The most guests [`generate_venv`] generates and `serve` accepts inline:
+/// 50x the paper's largest environment (2 000 guests).
+pub(crate) const MAX_GUESTS: usize = 100_000;
 
-/// The most virtual links [`generate_venv`] generates: 50x the paper's
-/// largest environment (19 990 links).
-const MAX_VIRTUAL_LINKS: usize = 1_000_000;
+/// The most virtual links [`generate_venv`] generates and `serve` accepts
+/// inline: 50x the paper's largest environment (19 990 links).
+pub(crate) const MAX_VIRTUAL_LINKS: usize = 1_000_000;
 
 /// Validates the Table 1 generator inputs and generates the environment:
 /// `gen-venv` and `serve`'s generator-form `apply` both come through here.

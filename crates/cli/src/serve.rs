@@ -33,7 +33,8 @@ use std::io::{BufRead, Read, Write};
 
 use crate::args::Parsed;
 use crate::commands::{
-    build_mapper, generate_venv, read_json, traced, write_json, CliError, DEFAULT_SEED,
+    build_mapper, generate_venv, read_json, traced, write_json, CliError, DEFAULT_SEED, MAX_GUESTS,
+    MAX_VIRTUAL_LINKS,
 };
 use emumap_core::serve::{ApplyOutcome, Session, Snapshot};
 use emumap_core::Mapper;
@@ -86,9 +87,10 @@ impl Body {
 /// fields, never both.
 fn apply_request(mut body: Body) -> Result<Request, String> {
     let id = body.field("id")?;
-    let venv = match body.optional("venv")? {
+    let venv = match body.optional::<VirtualEnvironment>("venv")? {
         Some(venv) => {
             body.finish()?;
+            inline_size(venv.guest_count(), venv.link_count())?;
             venv
         }
         None => {
@@ -101,6 +103,22 @@ fn apply_request(mut body: Body) -> Result<Request, String> {
         }
     };
     Ok(Request::Apply(id, venv))
+}
+
+/// Holds an inline `venv` of `guests` guests and `links` links to the
+/// limits of the generator form.
+fn inline_size(guests: usize, links: usize) -> Result<(), String> {
+    if guests > MAX_GUESTS {
+        return Err(format!(
+            "apply.venv has {guests} guests, more than the limit of {MAX_GUESTS}"
+        ));
+    }
+    if links > MAX_VIRTUAL_LINKS {
+        return Err(format!(
+            "apply.venv has {links} virtual links, more than the limit of {MAX_VIRTUAL_LINKS}"
+        ));
+    }
+    Ok(())
 }
 
 fn parse_request(line: &str) -> Result<Request, String> {
@@ -527,6 +545,10 @@ mod tests {
                 "apply.guests must be at most 100000",
             ),
             (apply_guests_at(100_000, "1"), "more than the limit of 1000000"),
+            (
+                apply_guests_inline(MAX_GUESTS + 1),
+                "apply.venv has 100001 guests, more than the limit of 100000",
+            ),
         ];
         let mut requests: Vec<String> = bad.iter().map(|(r, _)| r.clone()).collect();
         requests.push("{\"status\":{}}".to_string());
@@ -541,6 +563,26 @@ mod tests {
         let status = lines.last().unwrap();
         assert!(status.starts_with("{\"status\":"), "{status}");
         assert!(status.contains("\"tenants\":0"), "{status}");
+    }
+
+    /// An `apply` whose inline venv has `guests` guests and no links.
+    fn apply_guests_inline(guests: usize) -> String {
+        use emumap_model::GuestSpec;
+        let mut venv = VirtualEnvironment::new();
+        for _ in 0..guests {
+            venv.add_guest(GuestSpec::new(Mips(50.0), MemMb(128), StorGb(100.0)));
+        }
+        let venv_json = serde_json::to_string(&venv).unwrap();
+        format!("{{\"apply\":{{\"id\":\"big\",\"venv\":{venv_json}}}}}")
+    }
+
+    #[test]
+    fn inline_venvs_are_held_to_the_generator_limits() {
+        assert_eq!(inline_size(MAX_GUESTS, MAX_VIRTUAL_LINKS), Ok(()));
+        assert_eq!(
+            inline_size(2, MAX_VIRTUAL_LINKS + 1),
+            Err("apply.venv has 1000001 virtual links, more than the limit of 1000000".to_string())
+        );
     }
 
     #[test]

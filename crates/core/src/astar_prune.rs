@@ -30,16 +30,22 @@
 //! computes the answer's bottleneck `b*` exactly and hands the loop three
 //! tighter values:
 //!
-//! 1. The distinct residuals `>= demand` are the candidate levels; none
-//!    above the widest bottleneck between the endpoints (Kruskal's order
-//!    over a union–find) connects them. For a level `b`, let `lat(b)` be
-//!    the shortest latency from the origin to the destination over the
-//!    edges with residual `>= b` (a Dijkstra rooted at the destination,
-//!    stopped early). Starting at the widest level, which is usually the
-//!    answer, a binary search finds the highest level with
+//! 1. The candidate levels are the residuals `>= demand`; none above `W`,
+//!    the widest bottleneck between the endpoints, connects them. One
+//!    max-min search from the destination over the edges with residual
+//!    `>= demand` finds `W`. It stops when the origin pops, or earlier
+//!    once the origin is reached at the endpoints' cap (the smaller of
+//!    the endpoints' widest usable incident edges), which no path
+//!    exceeds. For a level `b`, let `lat(b)` be the shortest latency
+//!    from the origin to the destination over the edges with residual
+//!    `>= b` (a Dijkstra rooted at the destination, stopped early). The
+//!    first probe is at `W`, which is usually the answer. Only if
+//!    `lat(W) > bound` are the distinct levels below `W` sorted, and a
+//!    binary search over them finds the highest level with
 //!    `lat(b) <= bound`, with no slack.
-//! 2. That level is `b*` only if the next higher one is out of reach even
-//!    with the loop's `1e-9` acceptance slack plus rounding:
+//! 2. That level is `b*` only if the next higher one (`W` itself when
+//!    the binary search ends at the first level below it) is out of
+//!    reach even with the loop's `1e-9` acceptance slack plus rounding:
 //!    `lat(next) > bound + 2e-9`. Otherwise the guide gives up and the
 //!    search runs unguided. If the endpoints are not connected, or no
 //!    level is feasible and the lowest has `lat > bound + 2e-9`, the
@@ -61,11 +67,13 @@
 //! `T >= ar`, `T[origin] <= bound`), so the guided search sees a
 //! prefix-closed subset of the same candidates that still holds `A`; the
 //! survivors keep their relative pop and push order, push-order
-//! tie-breaks included, and the first destination pop is `A` again. Only a search that used to hit
-//! `max_expansions` can now succeed. "Up to rounding" needs the rounding
-//! error of a loop-free path's latency sum well below the `1e-9` slack,
-//! so the guide runs only while `node_count * bound * f64::EPSILON` is.
-//! [`SearchStats::guide_probes`] counts the guide's Dijkstra runs.
+//! tie-breaks included, and the first destination pop is `A` again. Only
+//! a search that used to hit `max_expansions` can now succeed. "Up to
+//! rounding" needs the rounding error of a loop-free path's latency sum
+//! well below the `1e-9` slack, so the guide runs only while
+//! `node_count * bound * f64::EPSILON` is.
+//! [`SearchStats::guide_probes`] counts the guide's level probes, not its
+//! max-min search.
 //!
 //! # Exact per-level routing
 //!
@@ -124,8 +132,8 @@
 //! the path iff it carries the current stamp.
 
 use crate::cache::ArView;
-use emumap_graph::algo::{DijkstraScratch, UnionFind};
-use emumap_graph::{EdgeId, NodeId};
+use emumap_graph::algo::DijkstraScratch;
+use emumap_graph::{CsrAdjacency, EdgeId, NodeId};
 use emumap_model::{Kbps, Millis, PhysicalTopology, ResidualState};
 use std::collections::BinaryHeap;
 
@@ -193,8 +201,9 @@ pub struct SearchStats {
     /// Partial paths pushed into the candidate set, or labels the exact
     /// router pushed.
     pub pushed: usize,
-    /// Dijkstra runs of the bandwidth guide, or level probes of the exact
-    /// router (module docs); 0 when the configuration runs neither.
+    /// Level probes (Dijkstra runs) of the bandwidth guide, not counting
+    /// its max-min search, or level probes of the exact router (module
+    /// docs); 0 when the configuration runs neither.
     pub guide_probes: usize,
 }
 
@@ -343,14 +352,36 @@ fn usable_edges<'a>(
     })
 }
 
-/// The bandwidth guide's buffers: the usable edges by residual, the
-/// node sets that find the widest bottleneck, the Dijkstra run of the
-/// current probe, and the latency table `T` of the highest feasible level
-/// probed so far.
+/// The endpoints' cap: the smaller over `origin` and `destination` of the
+/// endpoint's widest incident residual `>= demand`. No path between them
+/// is wider. `None` if either endpoint has no such edge, so no path
+/// exists.
+fn endpoint_cap(
+    csr: &CsrAdjacency,
+    residual: &ResidualState,
+    origin: NodeId,
+    destination: NodeId,
+    demand: f64,
+) -> Option<f64> {
+    let widest = |v: NodeId| {
+        csr.neighbors(v)
+            .iter()
+            .map(|nb| residual.bw(nb.edge).value())
+            .filter(|&b| b >= demand)
+            .max_by(f64::total_cmp)
+    };
+    Some(widest(origin)?.min(widest(destination)?))
+}
+
+/// The bandwidth guide's buffers: each node's widest bottleneck to the
+/// destination (as an [`ord`] key) and the max-heap that finds it, the
+/// levels below the widest one, the Dijkstra run of the current probe, and
+/// the latency table `T` of the highest feasible level probed so far.
 #[derive(Debug, Default)]
 struct GuideScratch {
-    edges: Vec<(f64, EdgeId)>,
-    sets: UnionFind,
+    width: Vec<u64>,
+    heap: BinaryHeap<(u64, u32)>,
+    levels: Vec<u64>,
     probe: DijkstraScratch,
     table: DijkstraScratch,
 }
@@ -378,78 +409,136 @@ impl GuideScratch {
         bound: f64,
         probes: &mut usize,
     ) -> Guide {
-        let graph = phys.graph();
-        let GuideScratch {
-            edges,
-            sets,
-            probe,
-            table,
-        } = self;
-        edges.clear();
-        edges.extend(usable_edges(phys, residual, demand));
-        edges.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
-
-        // Above the widest bottleneck between the endpoints no path
-        // exists at all, so the levels start there (Kruskal's order).
-        sets.reset(graph.node_count());
-        let Some(widest) = edges.iter().position(|&(_, e)| {
-            let (a, b) = graph.endpoints(e);
-            sets.union(a.index(), b.index());
-            sets.connected(origin.index(), destination.index())
-        }) else {
+        let csr = phys.graph().csr();
+        let Some(cap) = endpoint_cap(csr, residual, origin, destination, demand) else {
             return Guide::NoPath;
         };
-        // One entry per edge, so a level can repeat; equal levels are
-        // equally feasible, so `lo - 1` below is always a higher level.
-        let levels = &edges[widest..];
+        let Some(widest) = self.widest(csr, residual, origin, destination, demand, cap) else {
+            return Guide::NoPath;
+        };
+        // The widest level is usually `b*`.
+        let mut above = self.probe(phys, residual, origin, destination, widest, bound, probes);
+        if above <= bound {
+            return Guide::Floor(widest);
+        }
 
+        // The distinct levels below the widest, highest first.
+        self.levels.clear();
+        self.levels.extend(
+            usable_edges(phys, residual, demand)
+                .map(|(level, _)| ord(level))
+                .filter(|&level| level < ord(widest)),
+        );
+        self.levels.sort_unstable_by(|a, b| b.cmp(a));
+        self.levels.dedup();
         // Levels before `lo` are infeasible and `above` is the latency of
-        // `lo - 1` (none above the widest level); the level at `hi`, if
-        // any, is feasible and its latency table is in `table`. The widest
-        // level comes first: it is usually `b*`.
-        let (mut lo, mut hi) = (0, levels.len());
-        let mut above = f64::INFINITY;
-        let mut mid = 0;
+        // `lo - 1` (of the widest level at 0); the level at `hi`, if any,
+        // is feasible and its latency table is in `table`.
+        let (mut lo, mut hi) = (0, self.levels.len());
         while lo < hi {
-            let level = levels[mid].0;
-            *probes += 1;
-            // Once the origin is in bound, settle every node up to
-            // `T[origin] + 1e-9`, the loop's cap; nodes further out keep
-            // values above the cap, which prune exactly as their true
-            // distances would. Stop as soon as the origin is out of bound.
-            let mut limit = bound + 2e-9;
-            probe.run(
-                graph,
-                destination,
-                0.0,
-                |e, link| (residual.bw(e).value() >= level).then(|| link.lat.value()),
-                |v, d| {
-                    if v == origin {
-                        if d > bound {
-                            return true;
-                        }
-                        limit = d + 1e-9;
-                    }
-                    d > limit
-                },
-            );
-            let lat = probe.distances()[origin.index()];
+            let mid = (lo + hi) / 2;
+            let level = unord(self.levels[mid]);
+            let lat = self.probe(phys, residual, origin, destination, level, bound, probes);
             if lat <= bound {
                 hi = mid;
-                std::mem::swap(probe, table);
             } else {
                 lo = mid + 1;
                 above = lat;
             }
-            mid = (lo + hi) / 2;
         }
         if above <= bound + 2e-9 {
             Guide::Unguided
-        } else if lo == levels.len() {
+        } else if lo == self.levels.len() {
             Guide::NoPath
         } else {
-            Guide::Floor(levels[lo].0)
+            Guide::Floor(unord(self.levels[lo]))
         }
+    }
+
+    /// The widest bottleneck between the endpoints over the edges with
+    /// residual `>= demand`, by a max-min search from the destination, or
+    /// `None` if they are not connected. The origin's width is final once
+    /// it pops, or once it reaches `cap`, which no path exceeds.
+    fn widest(
+        &mut self,
+        csr: &CsrAdjacency,
+        residual: &ResidualState,
+        origin: NodeId,
+        destination: NodeId,
+        demand: f64,
+        cap: f64,
+    ) -> Option<f64> {
+        let GuideScratch { width, heap, .. } = self;
+        // 0 is below the key of any residual `>= 0`: not reached.
+        width.clear();
+        width.resize(csr.node_count(), 0);
+        heap.clear();
+        let (from, cap) = (origin.index(), ord(cap));
+        width[destination.index()] = u64::MAX;
+        heap.push((u64::MAX, destination.index() as u32));
+        while let Some((w, v)) = heap.pop() {
+            let v = v as usize;
+            if v == from {
+                return Some(unord(w));
+            }
+            if w < width[v] {
+                continue; // stale entry
+            }
+            for nb in csr.neighbors(NodeId::from_index(v)) {
+                let b = residual.bw(nb.edge).value();
+                let (h, w) = (nb.node.index(), w.min(ord(b)));
+                if b >= demand && w > width[h] {
+                    if h == from && w >= cap {
+                        return Some(unord(w));
+                    }
+                    width[h] = w;
+                    heap.push((w, h as u32));
+                }
+            }
+        }
+        None
+    }
+
+    /// One probe: `lat(level)`, the shortest latency from the origin over
+    /// the edges with residual `>= level`. A feasible level's run becomes
+    /// the table.
+    #[allow(clippy::too_many_arguments)]
+    fn probe(
+        &mut self,
+        phys: &PhysicalTopology,
+        residual: &ResidualState,
+        origin: NodeId,
+        destination: NodeId,
+        level: f64,
+        bound: f64,
+        probes: &mut usize,
+    ) -> f64 {
+        *probes += 1;
+        // Once the origin is in bound, settle every node up to
+        // `T[origin] + 1e-9`, the loop's cap; nodes further out keep values
+        // above the cap, which prune exactly as their true distances
+        // would. Stop as soon as the origin is out of bound.
+        let mut limit = bound + 2e-9;
+        self.probe.run(
+            phys.graph(),
+            destination,
+            0.0,
+            |e, link| (residual.bw(e).value() >= level).then(|| link.lat.value()),
+            |v, d| {
+                if v == origin {
+                    if d > bound {
+                        return true;
+                    }
+                    limit = d + 1e-9;
+                }
+                d > limit
+            },
+        );
+        let lat = self.probe.distances()[origin.index()];
+        if lat <= bound {
+            std::mem::swap(&mut self.probe, &mut self.table);
+        }
+        lat
     }
 }
 
@@ -585,17 +674,9 @@ impl LevelScratch {
                 dyadic: lats().all(|l| (l * 65536.0).fract() == 0.0),
             };
         }
-        let widest = |v: NodeId| {
-            csr.neighbors(v)
-                .iter()
-                .map(|nb| q.residual.bw(nb.edge).value())
-                .filter(|&b| b >= demand)
-                .max_by(f64::total_cmp)
-        };
-        let (Some(a), Some(b)) = (widest(q.origin), widest(q.destination)) else {
+        let Some(top) = endpoint_cap(csr, q.residual, q.origin, q.destination, demand) else {
             return false;
         };
-        let top = a.min(b);
         if self.probe(q, top, stats) {
             return true;
         }
@@ -1655,10 +1736,99 @@ mod tests {
         (at, edges)
     }
 
-    /// Routes one query guided (through [`astar_prune`]) and unguided and
-    /// checks that both return the same path, with no more expansions
-    /// guided. Returns the path.
-    fn guided_matches_unguided(
+    /// The guide before the max-min search, kept as the reference the
+    /// guide must agree with: every usable edge sorted by residual,
+    /// Kruskal's order over a union–find for the widest level, then a
+    /// bisection over one level per edge that starts at the widest.
+    /// Returns the verdict, the probes and the last feasible level's table.
+    fn reference_guide(
+        phys: &PhysicalTopology,
+        residual: &ResidualState,
+        origin: NodeId,
+        destination: NodeId,
+        demand: f64,
+        bound: f64,
+    ) -> (Guide, usize, DijkstraScratch) {
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        let graph = phys.graph();
+        let mut edges: Vec<_> = usable_edges(phys, residual, demand).collect();
+        edges.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+        let mut parent: Vec<usize> = (0..graph.node_count()).collect();
+        let (mut probe, mut table) = (DijkstraScratch::new(), DijkstraScratch::new());
+        let Some(widest) = edges.iter().position(|&(_, e)| {
+            let (a, b) = graph.endpoints(e);
+            let root = find(&mut parent, a.index());
+            parent[root] = find(&mut parent, b.index());
+            find(&mut parent, origin.index()) == find(&mut parent, destination.index())
+        }) else {
+            return (Guide::NoPath, 0, table);
+        };
+        let levels = &edges[widest..];
+        let (mut lo, mut hi, mut mid, mut probes) = (0, levels.len(), 0, 0);
+        let mut above = f64::INFINITY;
+        while lo < hi {
+            let level = levels[mid].0;
+            probes += 1;
+            let mut limit = bound + 2e-9;
+            probe.run(
+                graph,
+                destination,
+                0.0,
+                |e, link| (residual.bw(e).value() >= level).then(|| link.lat.value()),
+                |v, d| {
+                    if v == origin {
+                        if d > bound {
+                            return true;
+                        }
+                        limit = d + 1e-9;
+                    }
+                    d > limit
+                },
+            );
+            let lat = probe.distances()[origin.index()];
+            if lat <= bound {
+                hi = mid;
+                std::mem::swap(&mut probe, &mut table);
+            } else {
+                lo = mid + 1;
+                above = lat;
+            }
+            mid = (lo + hi) / 2;
+        }
+        let verdict = if above <= bound + 2e-9 {
+            Guide::Unguided
+        } else if lo == levels.len() {
+            Guide::NoPath
+        } else {
+            Guide::Floor(levels[lo].0)
+        };
+        (verdict, probes, table)
+    }
+
+    /// A verdict in comparable form, with `Floor`'s level as bits.
+    fn verdict(guide: &Guide) -> (&'static str, u64) {
+        match guide {
+            Guide::Floor(b) => ("floor", b.to_bits()),
+            Guide::Unguided => ("unguided", 0),
+            Guide::NoPath => ("no path", 0),
+        }
+    }
+
+    /// Checks one query and returns its path:
+    /// * the guided search ([`astar_prune`]) returns the unguided search's
+    ///   path, with no more expansions;
+    /// * the guide returns the reference's verdict, level bits and latency
+    ///   table. It probes as often as the reference when no two usable
+    ///   residuals are equal, and otherwise at most once more;
+    /// * the loop, guided by the reference's verdict, returns the guided
+    ///   search's path, expansions and pushes.
+    fn check_guide(
         phys: &PhysicalTopology,
         residual: &ResidualState,
         origin: NodeId,
@@ -1702,7 +1872,170 @@ mod tests {
         if let (Some((_, g)), Some((_, u))) = (&guided, &unguided) {
             prop_assert!(g.expanded <= u.expanded, "{g:?} vs {u:?}");
         }
-        Ok(guided.map(|(path, _)| path))
+
+        let mut guide = GuideScratch::default();
+        let mut probes = 0;
+        let got = guide.run(
+            phys,
+            residual,
+            origin,
+            destination,
+            demand,
+            bound,
+            &mut probes,
+        );
+        let (want, want_probes, table) =
+            reference_guide(phys, residual, origin, destination, demand, bound);
+        prop_assert_eq!(
+            verdict(&got),
+            verdict(&want),
+            "demand {} bound {}",
+            demand,
+            bound
+        );
+        if let Guide::Floor(_) = want {
+            let bits = |t: &DijkstraScratch| t.distances().iter().map(|d| d.to_bits()).collect();
+            let (got, want): (Vec<u64>, Vec<u64>) = (bits(&guide.table), bits(&table));
+            prop_assert_eq!(got, want);
+        }
+        // Both probe the widest level first, then bisect the levels below
+        // it: the guide each distinct level once, the reference one level
+        // per edge. With no two usable residuals equal those are the same
+        // levels. Otherwise the guide bisects `m` levels in at most
+        // floor(log2 m) + 1 probes and the reference `n >= m` in at least
+        // floor(log2(n + 1)), so the guide usually probes less but can
+        // probe once more.
+        let mut levels: Vec<u64> = usable_edges(phys, residual, demand)
+            .map(|(b, _)| b.to_bits())
+            .collect();
+        let edges = levels.len();
+        levels.sort_unstable();
+        levels.dedup();
+        if levels.len() == edges {
+            prop_assert_eq!(probes, want_probes);
+        } else {
+            let bisection = (usize::BITS - levels.len().leading_zeros()) as usize;
+            prop_assert!(
+                probes <= (want_probes + 1).min(1 + bisection),
+                "{} probes, {} by the reference, {} levels",
+                probes,
+                want_probes,
+                levels.len()
+            );
+        }
+
+        // The root test comes before the guide.
+        let loop_args = match want {
+            _ if ar[origin.index()] > bound + 1e-9 => None,
+            Guide::NoPath => None,
+            Guide::Floor(b) => {
+                let table = ArView::new(table.distances(), destination);
+                Some((b, table, table[origin.index()] + 1e-9))
+            }
+            Guide::Unguided => Some((demand, args.2, bound + 1e-9)),
+        };
+        let reference = loop_args.and_then(|(floor, table, cap)| {
+            let mut stats = SearchStats::default();
+            Frontier::default()
+                .search(
+                    phys,
+                    residual,
+                    origin,
+                    destination,
+                    floor,
+                    table,
+                    cap,
+                    &config,
+                    &mut stats,
+                )
+                .map(|path| (path, stats.expanded, stats.pushed))
+        });
+        let guided = guided.map(|(path, s)| (path, s.expanded, s.pushed));
+        prop_assert_eq!(&guided, &reference);
+        Ok(guided.map(|(path, ..)| path))
+    }
+
+    /// Guides one search from node 0 to node 1 of `phys`, checks it with
+    /// [`check_guide`] and returns the verdict, the probes and the path.
+    fn guide_case(
+        phys: &PhysicalTopology,
+        demand: f64,
+        bound: f64,
+    ) -> ((&'static str, u64), usize, Option<Vec<EdgeId>>) {
+        let residual = ResidualState::new(phys);
+        let (origin, dest) = (phys.hosts()[0], phys.hosts()[1]);
+        let mut probes = 0;
+        let got =
+            GuideScratch::default().run(phys, &residual, origin, dest, demand, bound, &mut probes);
+        let path = check_guide(phys, &residual, origin, dest, demand, bound).unwrap();
+        (verdict(&got), probes, path)
+    }
+
+    #[test]
+    fn guide_bisects_each_level_once() {
+        // Levels 500 (the widest, 20 ms), 300 (11 ms), 200 (9 ms) and 100,
+        // the last two on six edges each. After the widest level fails,
+        // the guide probes 200 and 300 of the three levels below it; one
+        // level per edge takes two probes more.
+        let mut edges = vec![
+            (0, 2, 500.0, 10.0),
+            (2, 1, 500.0, 10.0),
+            (0, 3, 300.0, 4.0),
+            (3, 1, 300.0, 7.0),
+        ];
+        edges.extend(
+            [(0, 1, 200.0, 9.0), (2, 3, 100.0, 1.0)]
+                .iter()
+                .flat_map(|&e| [e; 6]),
+        );
+        let phys = phys_from_edges(4, &edges);
+        let (verdict, probes, _) = guide_case(&phys, 50.0, 10.0);
+        assert_eq!((verdict, probes), (("floor", 200f64.to_bits()), 3));
+    }
+
+    #[test]
+    fn guide_proves_disconnected_endpoints_without_a_probe() {
+        // Each endpoint has a usable edge, but only a 50 kbps edge joins
+        // their sides.
+        let phys = phys_from_edges(
+            4,
+            &[(0, 2, 500.0, 1.0), (1, 3, 500.0, 1.0), (2, 3, 50.0, 1.0)],
+        );
+        assert_eq!(guide_case(&phys, 100.0, 10.0), (("no path", 0), 0, None));
+    }
+
+    #[test]
+    fn guide_finds_a_widest_level_below_the_endpoints_cap() {
+        // Both endpoints have a 500 kbps edge, but the wide route narrows
+        // to 200 in the middle, and the origin is first reached over the
+        // direct 100 kbps edge. Its width is final only when it pops.
+        let phys = phys_from_edges(
+            4,
+            &[
+                (0, 2, 500.0, 1.0),
+                (2, 3, 200.0, 1.0),
+                (3, 1, 500.0, 1.0),
+                (0, 1, 100.0, 10.0),
+            ],
+        );
+        let (verdict, probes, path) = guide_case(&phys, 50.0, 12.0);
+        assert_eq!((verdict, probes), (("floor", 200f64.to_bits()), 1));
+        assert_eq!(path.map(|p| p.len()), Some(3));
+    }
+
+    #[test]
+    fn guide_leaves_a_level_inside_the_rounding_band_unguided() {
+        // The 500 kbps route sums to 0.30000000000000004 ms from the
+        // destination: over the 0.3 ms bound, but inside the loop's slack.
+        // The direct 100 kbps edge is in bound, yet the guide cannot prove
+        // 100, and the unguided search returns the wider route.
+        let phys = phys_from_edges(
+            3,
+            &[(0, 2, 500.0, 0.1), (2, 1, 500.0, 0.2), (0, 1, 100.0, 0.25)],
+        );
+        let (verdict, probes, path) = guide_case(&phys, 50.0, 0.3);
+        assert_eq!((verdict, probes), (("unguided", 0), 2));
+        assert_eq!(path.map(|p| p.len()), Some(2));
     }
 
     /// A query from `origin` to the end of a random walk. The bound is
@@ -1726,31 +2059,96 @@ mod tests {
         (dest, demand, bound)
     }
 
+    /// One query's check on a loaded topology, given the origin, the
+    /// destination, the demand and the bound; returns the path to commit.
+    type Check = fn(
+        &PhysicalTopology,
+        &ResidualState,
+        NodeId,
+        NodeId,
+        f64,
+        f64,
+    ) -> Result<Option<Vec<EdgeId>>, TestCaseError>;
+
+    /// Runs `check` on four random queries on a small random multigraph
+    /// that carries a few committed routes.
+    fn check_on_random_graph(seed: u64, check: Check) -> Result<(), TestCaseError> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let phys = random_graph(&mut rng);
+        let mut residual = ResidualState::new(&phys);
+        let hosts = phys.hosts().to_vec();
+        for _ in 0..rng.gen_range(0..3) {
+            let (_, edges) = walk(&phys, hosts[rng.gen_range(0..hosts.len())], 4, &mut rng);
+            if residual.route_feasible(&edges, Kbps(100.0)) {
+                residual.commit_route(&edges, Kbps(100.0));
+            }
+        }
+        for _ in 0..4 {
+            let origin = hosts[rng.gen_range(0..hosts.len())];
+            let (dest, demand, bound) = query(&phys, origin, &mut rng);
+            if dest != origin {
+                check(&phys, &residual, origin, dest, demand, bound)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `check` on 40 random queries on `phys`, committing every path
+    /// found so that residuals tie and later queries climb several levels.
+    fn check_under_load(
+        phys: &PhysicalTopology,
+        rng: &mut SmallRng,
+        check: Check,
+    ) -> Result<(), TestCaseError> {
+        let mut residual = ResidualState::new(phys);
+        let hosts = phys.hosts().to_vec();
+        for _ in 0..40 {
+            let origin = hosts[rng.gen_range(0..hosts.len())];
+            let (dest, demand, bound) = if rng.gen_bool(0.5) {
+                query(phys, origin, rng)
+            } else {
+                let dest = hosts[rng.gen_range(0..hosts.len())];
+                let slack = f64::from(rng.gen_range(0..8u32)) * 0.5;
+                (
+                    dest,
+                    100.0 * f64::from(rng.gen_range(1..8u32)),
+                    ar_for(phys, dest)[origin.index()] + slack,
+                )
+            };
+            if dest == origin {
+                continue;
+            }
+            if let Some(path) = check(phys, &residual, origin, dest, demand, bound)? {
+                residual.commit_route(&path, Kbps(demand));
+            }
+        }
+        Ok(())
+    }
+
+    /// Cascaded switches, stars of up to `ports - 1` nodes chained by
+    /// their hubs, whose links draw capacities from [`POOL`] and latencies
+    /// from [`tenths`].
+    fn random_switched(rng: &mut SmallRng) -> PhysicalTopology {
+        let shape = generators::switched_cascade(rng.gen_range(4..40), rng.gen_range(3..12));
+        let edges: Vec<_> = shape
+            .edges()
+            .map(|e| {
+                let cap = 4.0 * POOL[rng.gen_range(0..POOL.len())];
+                (e.a.index(), e.b.index(), cap, tenths(rng))
+            })
+            .collect();
+        phys_from_edges(shape.node_count(), &edges)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// The guide changes no result on small random multigraphs, whose
         /// tied levels and exact-sum bounds reach the unguided fallback and
-        /// both no-path proofs.
+        /// both no-path proofs, and agrees with the reference guide.
         #[test]
         fn guide_keeps_the_path_on_random_graphs(seed in any::<u64>()) {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let phys = random_graph(&mut rng);
-            let mut residual = ResidualState::new(&phys);
-            let hosts = phys.hosts().to_vec();
-            for _ in 0..rng.gen_range(0..3) {
-                let (_, edges) = walk(&phys, hosts[rng.gen_range(0..hosts.len())], 4, &mut rng);
-                if residual.route_feasible(&edges, Kbps(100.0)) {
-                    residual.commit_route(&edges, Kbps(100.0));
-                }
-            }
-            for _ in 0..4 {
-                let origin = hosts[rng.gen_range(0..hosts.len())];
-                let (dest, demand, bound) = query(&phys, origin, &mut rng);
-                if dest != origin {
-                    guided_matches_unguided(&phys, &residual, origin, dest, demand, bound)?;
-                }
-            }
+            check_on_random_graph(seed, check_guide)?;
         }
     }
 
@@ -1763,24 +2161,17 @@ mod tests {
         fn guide_keeps_the_path_on_loaded_tori(seed in any::<u64>()) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let phys = random_torus(&mut rng, tenths);
-            let mut residual = ResidualState::new(&phys);
-            let hosts = phys.hosts().to_vec();
-            for _ in 0..40 {
-                let origin = hosts[rng.gen_range(0..hosts.len())];
-                let (dest, demand, bound) = if rng.gen_bool(0.5) {
-                    query(&phys, origin, &mut rng)
-                } else {
-                    let dest = hosts[rng.gen_range(0..hosts.len())];
-                    let slack = f64::from(rng.gen_range(0..8u32)) * 0.5;
-                    (dest, 100.0 * f64::from(rng.gen_range(1..8u32)), ar_for(&phys, dest)[origin.index()] + slack)
-                };
-                if dest == origin {
-                    continue;
-                }
-                if let Some(path) = guided_matches_unguided(&phys, &residual, origin, dest, demand, bound)? {
-                    residual.commit_route(&path, Kbps(demand));
-                }
-            }
+            check_under_load(&phys, &mut rng, check_guide)?;
+        }
+
+        /// The same on loaded cascades of stars, the switched cluster's
+        /// shape, where every path is unique and its width is usually the
+        /// endpoints' cap.
+        #[test]
+        fn guide_keeps_the_path_on_loaded_stars(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let phys = random_switched(&mut rng);
+            check_under_load(&phys, &mut rng, check_guide)?;
         }
     }
 
@@ -1859,39 +2250,6 @@ mod tests {
         Ok(astar)
     }
 
-    /// Routes 40 random queries on `phys`, committing every path found so
-    /// that residuals tie and later queries climb several levels.
-    fn exact_matches_astar_prune_under_load(
-        phys: &PhysicalTopology,
-        rng: &mut SmallRng,
-    ) -> Result<(), TestCaseError> {
-        let mut residual = ResidualState::new(phys);
-        let hosts = phys.hosts().to_vec();
-        for _ in 0..40 {
-            let origin = hosts[rng.gen_range(0..hosts.len())];
-            let (dest, demand, bound) = if rng.gen_bool(0.5) {
-                query(phys, origin, rng)
-            } else {
-                let dest = hosts[rng.gen_range(0..hosts.len())];
-                let slack = f64::from(rng.gen_range(0..8u32)) * 0.5;
-                (
-                    dest,
-                    100.0 * f64::from(rng.gen_range(1..8u32)),
-                    ar_for(phys, dest)[origin.index()] + slack,
-                )
-            };
-            if dest == origin {
-                continue;
-            }
-            if let Some(path) =
-                exact_matches_astar_prune(phys, &residual, origin, dest, demand, bound)?
-            {
-                residual.commit_route(&path, Kbps(demand));
-            }
-        }
-        Ok(())
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1903,7 +2261,7 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let k = if rng.gen_bool(0.5) { 4 } else { 6 };
             let phys = random_fat_tree(k, &mut rng);
-            exact_matches_astar_prune_under_load(&phys, &mut rng)?;
+            check_under_load(&phys, &mut rng, exact_matches_astar_prune)?;
         }
 
         /// The same on loaded 5x8 tori, half of them with
@@ -1914,7 +2272,7 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let lat = if rng.gen_bool(0.5) { tenths } else { halves };
             let phys = random_torus(&mut rng, lat);
-            exact_matches_astar_prune_under_load(&phys, &mut rng)?;
+            check_under_load(&phys, &mut rng, exact_matches_astar_prune)?;
         }
     }
 
@@ -1925,23 +2283,7 @@ mod tests {
         /// parallel edges and leaves.
         #[test]
         fn exact_router_matches_astar_prune_on_random_graphs(seed in any::<u64>()) {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let phys = random_graph(&mut rng);
-            let mut residual = ResidualState::new(&phys);
-            let hosts = phys.hosts().to_vec();
-            for _ in 0..rng.gen_range(0..3) {
-                let (_, edges) = walk(&phys, hosts[rng.gen_range(0..hosts.len())], 4, &mut rng);
-                if residual.route_feasible(&edges, Kbps(100.0)) {
-                    residual.commit_route(&edges, Kbps(100.0));
-                }
-            }
-            for _ in 0..4 {
-                let origin = hosts[rng.gen_range(0..hosts.len())];
-                let (dest, demand, bound) = query(&phys, origin, &mut rng);
-                if dest != origin {
-                    exact_matches_astar_prune(&phys, &residual, origin, dest, demand, bound)?;
-                }
-            }
+            check_on_random_graph(seed, exact_matches_astar_prune)?;
         }
     }
 

@@ -32,8 +32,8 @@ pub struct MapStats {
     pub astar_expansions: usize,
     /// A\*Prune candidates pushed onto the heap (0 for DFS routing).
     pub astar_pushed: usize,
-    /// Dijkstra runs of A\*Prune's bandwidth guide (0 unless the paper's
-    /// search configuration routed the links).
+    /// Level probes of A\*Prune's bandwidth guide or of the exact router
+    /// (0 when neither routed the links).
     pub guide_probes: usize,
     /// Dijkstra table computations (latency `ar[]` plus hop-count tables).
     pub dijkstra_runs: usize,

@@ -24,17 +24,17 @@ use rand::SeedableRng;
 
 /// `(registry key, cluster, digest)` in registry order.
 const PINNED: &[(&str, &str, u64)] = &[
-    ("hmn", "torus", 0xe4af85c977da45bd),
+    ("hmn", "torus", 0x4b9d5ae584b5100f),
     ("hmn", "switched", 0x0cc2a4b8a8cf1f8e),
     ("r", "torus", 0xf9cb1ca7b5041707),
     ("r", "switched", 0x85fa82dbfea5584a),
-    ("ra", "torus", 0xf0d56cdcd34dfa77),
+    ("ra", "torus", 0xc9e3020aaa377b36),
     ("ra", "switched", 0xf1a0dff82054a0e5),
     ("hs", "torus", 0x47cf3071dd8a26e4),
     ("hs", "switched", 0xcd54cdf2dc1cebb5),
     ("ffd", "torus", 0xba3124c8a2b5beb2),
     ("ffd", "switched", 0x0888bc48ef9c5936),
-    ("bf", "torus", 0xe95bc9b38d363355),
+    ("bf", "torus", 0x3d6b445de1b6aa71),
     ("bf", "switched", 0x3a438049ec068cba),
     ("wf", "torus", 0xc7af1001ac62dd4e),
     ("wf", "switched", 0x180ccbd33409043a),
@@ -42,22 +42,22 @@ const PINNED: &[(&str, &str, u64)] = &[
     ("consolidate", "switched", 0xf7121d9d0bc138c5),
     ("ksp", "torus", 0xf44a79608b99cdb5),
     ("ksp", "switched", 0x3809a46e070e8a50),
-    ("sa", "torus", 0x3968ae6db01ad4c9),
+    ("sa", "torus", 0xd03937864a0f5edb),
     ("sa", "switched", 0x4447a177e7162f63),
-    ("pt", "torus", 0xe4af85c977da45bd),
+    ("pt", "torus", 0x4b9d5ae584b5100f),
     ("pt", "switched", 0x0cc2a4b8a8cf1f8e),
-    ("rr", "torus", 0x309c055b9e819a12),
+    ("rr", "torus", 0xc722ef107c65feb5),
     ("rr", "switched", 0x2866cd30b07148c7),
-    ("pool", "torus", 0xe4af85c977da45bd),
+    ("pool", "torus", 0x4b9d5ae584b5100f),
     ("pool", "switched", 0x26147a11b99ed8ee),
 ];
 
 /// `(registry key, cluster, digest)` of the placement searches' outcomes
 /// and counters.
 const PINNED_SEARCH: &[(&str, &str, u64)] = &[
-    ("sa", "torus", 0x5e6db604b8214f51),
+    ("sa", "torus", 0x649f5bcbf84e2007),
     ("sa", "switched", 0xf27e4e3fe1c78078),
-    ("pt", "torus", 0xdb667b0f6ed3df0b),
+    ("pt", "torus", 0x509cd7f55c18ec49),
     ("pt", "switched", 0x35c9920ad998dc48),
 ];
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use emumap_graph::algo::{
-    bfs_path, connected_components, dfs_path_filtered, dijkstra, is_connected, UnionFind,
+    bfs_path, connected_components, dfs_path_filtered, dijkstra, is_connected,
 };
 use emumap_graph::generators::{
     edges_for_density, fat_tree, random_connected, ring, switched_cascade, torus2d, Role,
@@ -24,6 +24,24 @@ fn arb_connected_graph() -> impl Strategy<Value = (Graph<Role, f64>, u64)> {
         });
         (g, seed)
     })
+}
+
+/// Each node's set representative after joining the endpoints of every
+/// edge in a union–find forest: the reference for `connected_components`.
+fn union_find_roots(n: usize, edges: &[(usize, usize)]) -> Vec<usize> {
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    let mut parent: Vec<usize> = (0..n).collect();
+    for &(a, b) in edges {
+        let root = find(&mut parent, a);
+        parent[root] = find(&mut parent, b);
+    }
+    (0..n).map(|v| find(&mut parent, v)).collect()
 }
 
 proptest! {
@@ -106,17 +124,16 @@ proptest! {
     ) {
         let mut g: Graph<(), ()> = Graph::new();
         let ids: Vec<_> = (0..n).map(|_| g.add_node(())).collect();
-        let mut uf = UnionFind::new(n);
-        for (a, b) in edges {
-            let (a, b) = (a % n, b % n);
+        let edges: Vec<_> = edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
+        for &(a, b) in &edges {
             g.add_edge(ids[a], ids[b], ());
-            uf.union(a, b);
         }
+        let roots = union_find_roots(n, &edges);
         let (labels, count) = connected_components(&g);
-        prop_assert_eq!(count, uf.component_count());
+        prop_assert_eq!(count, (0..n).filter(|&v| roots[v] == v).count());
         for a in 0..n {
             for b in 0..n {
-                prop_assert_eq!(labels[a] == labels[b], uf.connected(a, b));
+                prop_assert_eq!(labels[a] == labels[b], roots[a] == roots[b]);
             }
         }
     }

@@ -84,7 +84,8 @@ pub struct PhaseCounters {
     pub astar_expansions: u64,
     /// Networking: A*Prune nodes pushed onto the open list.
     pub astar_pushed: u64,
-    /// Networking: Dijkstra runs of A*Prune's bandwidth guide.
+    /// Networking: level probes of A*Prune's bandwidth guide or of the
+    /// exact router.
     /// Deterministic — a pure function of the instance.
     pub guide_probes: u64,
     /// Networking: DFS backtrack steps (the R and HS baselines).
