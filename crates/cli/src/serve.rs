@@ -354,7 +354,7 @@ fn serve_socket(
 ) -> Result<Served, CliError> {
     use std::os::unix::net::UnixListener;
     // A stale socket file from a previous run would fail the bind.
-    let _ = std::fs::remove_file(path);
+    remove_socket_file(path)?;
     let listener =
         UnixListener::bind(path).map_err(|e| CliError::Io(format!("binding {path}: {e}")))?;
     eprintln!("serve: listening on {path}");
@@ -375,8 +375,24 @@ fn serve_socket(
             break;
         }
     }
-    let _ = std::fs::remove_file(path);
+    let _ = remove_socket_file(path);
     Ok(total)
+}
+
+/// Unlinks `path` if it is a socket; any other file there is an error and
+/// stays where it is.
+#[cfg(unix)]
+fn remove_socket_file(path: &str) -> Result<(), CliError> {
+    use std::os::unix::fs::FileTypeExt;
+    match std::fs::symlink_metadata(path) {
+        Ok(meta) if meta.file_type().is_socket() => std::fs::remove_file(path)
+            .map_err(|e| CliError::Io(format!("removing stale socket {path}: {e}"))),
+        Ok(_) => Err(CliError::Io(format!(
+            "--socket {path}: the path exists and is not a socket"
+        ))),
+        // Nothing there, or nothing we may look at: the bind reports it.
+        Err(_) => Ok(()),
+    }
 }
 
 #[cfg(not(unix))]
@@ -686,6 +702,24 @@ mod tests {
         assert_eq!(total.requests, 3);
         let status = replies.lines().next().unwrap();
         assert!(status.contains("\"tenants\":1"), "{status}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn the_socket_daemon_never_deletes_a_file_that_is_not_a_socket() {
+        let path = std::env::temp_dir()
+            .join(format!("emumap_serve_notes_{}.txt", std::process::id()))
+            .display()
+            .to_string();
+        std::fs::write(&path, "notes").unwrap();
+        let mapper = build_mapper("hmn", 1).unwrap();
+        let mut session = Session::new(phys(), 1);
+        match serve_socket(&mut session, mapper.as_ref(), &path) {
+            Err(CliError::Io(e)) => assert!(e.contains(&path) && e.contains("not a socket"), "{e}"),
+            other => panic!("expected an I/O error: {other:?}"),
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "notes");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

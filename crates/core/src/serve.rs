@@ -21,25 +21,27 @@
 //!
 //! ## Canonical residuals
 //!
-//! Floating-point addition does not reassociate, so a purely incremental
-//! apply/release history would drift ulps away from a from-scratch rebuild
-//! and break bit-exact snapshot/restore determinism. After every mutation
-//! the session therefore *resyncs*: it adopts
-//! [`ResidualState::rebuilt`] over the surviving tenants in id order,
-//! making the residual columns a pure function of the surviving tenant
-//! **set** — independent of arrival order, departure order, cache warmth,
-//! and thread count. The incremental release path is still exercised and
-//! debug-asserted against the canonical rebuild within
-//! [`ResidualState::drift_tolerance`]; release builds keep the incremental
-//! state if a rebuild is ever refused (it cannot be, short of a bug — the
-//! tenants were admitted against these very residuals).
+//! Floating-point addition does not reassociate, so residuals kept by
+//! deducting each arrival and refunding each departure would drift ulps
+//! away from a from-scratch rebuild and break bit-exact snapshot/restore
+//! determinism. The session never edits its residuals in place: `apply`,
+//! `remove` and `restore` each hand the new tenant set to one method that
+//! rebuilds the residuals and gauges from it with
+//! [`ResidualState::rebuilt`] in id order, and adopts them only if the
+//! rebuild succeeds. The residual columns are thus a pure function of the
+//! tenant **set** — independent of arrival order, departure order, cache
+//! warmth, and thread count. An `apply` whose rebuild fails is rejected
+//! and leaves the session bit-identical; a `remove` cannot fail its
+//! rebuild (the argument is at [`Session::remove`]), which needs every
+//! CPU, storage and bandwidth demand of a tenant to be finite and
+//! non-negative, so `apply` and `restore` refuse any other.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use emumap_model::{
     validate_mapping, HostSpec, Kbps, Mapping, MemMb, Mips, ObjectiveAccumulator, PhysicalTopology,
-    ResidualState, StorGb, VirtualEnvironment,
+    PlaceError, ResidualState, StorGb, VirtualEnvironment,
 };
 use emumap_trace::{RequestKind, ServeCounters, TraceEvent};
 use rand::rngs::SmallRng;
@@ -157,8 +159,8 @@ pub struct StatusReport {
     pub capacity_bw: f64,
     /// Largest per-entry gap between the live residuals and a
     /// from-scratch rebuild of the surviving tenants — leaked capacity.
-    /// Exactly `0.0` while the session's canonical-resync invariant
-    /// holds.
+    /// The session only ever adopts such a rebuild (see module docs), so
+    /// this reads exactly `0.0`; it is the operator's check of that.
     pub leak: f64,
     /// Eq. 10 objective of the whole cluster: stddev of residual host
     /// CPU across all hosts.
@@ -206,7 +208,7 @@ struct Tenant {
 /// session seed produces bit-identical outcomes (reports, residuals,
 /// snapshots) regardless of prior cache warmth or mapper thread count —
 /// guaranteed by the [`Mapper::map_with_cache`] cache-transparency
-/// contract plus the canonical-resync invariant (see module docs).
+/// contract plus the canonical-residual invariant (see module docs).
 pub struct Session {
     phys: PhysicalTopology,
     residual: ResidualState,
@@ -284,7 +286,6 @@ impl Session {
             ApplyOutcome::Admitted(_) => self.counters.admitted += 1,
             ApplyOutcome::Rejected { .. } => self.counters.rejected += 1,
         }
-        self.refresh_gauges();
         self.end_request(seq, true, started);
         outcome
     }
@@ -301,6 +302,9 @@ impl Session {
                 reason: format!("duplicate tenant id \"{id}\""),
             };
         }
+        if let Some(reason) = demand_error(&venv) {
+            return ApplyOutcome::Rejected { reason };
+        }
         let derived = self.derived_topology();
         let mut rng = SmallRng::seed_from_u64(self.seed ^ seq.wrapping_mul(SEQ_SEED_MIX));
         let outcome = match mapper.map_with_cache(&derived, &venv, &mut rng, &mut self.cache) {
@@ -316,16 +320,6 @@ impl Session {
             Ok(()),
             "mapper returned an invalid embedding"
         );
-        if let Err(e) = self.residual.apply_mapping(&venv, &outcome.mapping) {
-            // Unreachable short of a mapper bug: the embedding was checked
-            // against a topology built from these very residuals. Reject
-            // and restore the canonical state rather than poisoning it.
-            debug_assert!(false, "admitted embedding refused by residuals: {e}");
-            self.resync();
-            return ApplyOutcome::Rejected {
-                reason: format!("residual commit refused: {e}"),
-            };
-        }
         let report = AdmitReport {
             guests: venv.guest_count() as u64,
             links: venv.link_count() as u64,
@@ -334,7 +328,8 @@ impl Session {
             intra_host_links: outcome.mapping.intra_host_link_count() as u64,
             objective: outcome.objective,
         };
-        self.tenants.insert(
+        let mut tenants = std::mem::take(&mut self.tenants);
+        tenants.insert(
             id.to_string(),
             Tenant {
                 venv,
@@ -342,25 +337,40 @@ impl Session {
                 objective: outcome.objective,
             },
         );
-        self.resync();
+        if let Err((mut tenants, e)) = self.adopt(tenants) {
+            // Short of a mapper bug the embedding fits: it was checked
+            // against a topology built from these very residuals.
+            tenants.remove(id);
+            self.tenants = tenants;
+            return ApplyOutcome::Rejected {
+                reason: format!("residual commit refused: {e}"),
+            };
+        }
         ApplyOutcome::Admitted(report)
     }
 
     /// Tears down tenant `id`, releasing its guests' capacity and its
     /// routes' bandwidth.
+    ///
+    /// The survivors always rebuild, because any subset of a tenant set
+    /// that rebuilt also rebuilds:
+    /// - every demand is finite and non-negative (`apply` and `restore`
+    ///   refuse any other), and subtraction rounds to nearest, which is
+    ///   monotone; so without this tenant every partial storage and
+    ///   bandwidth residual of the rebuild is at least as large as before,
+    ///   and each re-check passes where it passed;
+    /// - memory is integer arithmetic, so the same holds exactly.
     pub fn remove(&mut self, id: &str) -> Result<RemoveReport, ServeError> {
         let (seq, started) = self.begin_request(RequestKind::Remove, Some(id));
         let Some(tenant) = self.tenants.remove(id) else {
             self.end_request(seq, false, started);
             return Err(ServeError::UnknownTenant { id: id.to_string() });
         };
-        // Incremental release first — this is the O(tenant) path whose
-        // correctness the resync debug-assert then checks against the
-        // canonical rebuild.
-        self.residual.release_mapping(&tenant.venv, &tenant.mapping);
-        self.resync();
+        let survivors = std::mem::take(&mut self.tenants);
+        self.adopt(survivors)
+            .map_err(|(_, e)| e)
+            .expect("a subset of a tenant set that rebuilt rebuilds");
         self.counters.removed += 1;
-        self.refresh_gauges();
         let report = RemoveReport {
             guests: tenant.venv.guest_count() as u64,
             links: tenant.venv.link_count() as u64,
@@ -444,69 +454,64 @@ impl Session {
     }
 
     /// Replaces the session's tenant set (and counters) from a snapshot.
-    /// Every mapping is re-validated against the base topology and the
-    /// residuals are rebuilt from scratch; a snapshot that fails either
+    /// Its counters must agree with its tenants (`admitted - removed` is
+    /// the tenant count), every demand must be finite and non-negative,
+    /// every mapping is re-validated against the base topology, and the
+    /// residuals are rebuilt from scratch; a snapshot that fails any
     /// check is refused **atomically** — the session keeps its current
     /// state.
     pub fn restore(&mut self, snapshot: Snapshot) -> Result<u64, ServeError> {
         let (seq, started) = self.begin_request(RequestKind::Restore, None);
-        let result = self.restore_inner(snapshot);
+        let result = self
+            .restore_inner(snapshot)
+            .map_err(|detail| ServeError::CorruptSnapshot { detail });
         self.end_request(seq, result.is_ok(), started);
         result
     }
 
-    fn restore_inner(&mut self, snapshot: Snapshot) -> Result<u64, ServeError> {
+    /// [`restore`](Self::restore)'s checks and adoption; `Err` says what
+    /// is wrong with the snapshot.
+    fn restore_inner(&mut self, snapshot: Snapshot) -> Result<u64, String> {
         if snapshot.version != SNAPSHOT_VERSION {
-            return Err(ServeError::CorruptSnapshot {
-                detail: format!(
-                    "unsupported snapshot version {} (expected {SNAPSHOT_VERSION})",
-                    snapshot.version
-                ),
-            });
+            return Err(format!(
+                "unsupported snapshot version {} (expected {SNAPSHOT_VERSION})",
+                snapshot.version
+            ));
         }
-        let mut candidate: BTreeMap<String, Tenant> = BTreeMap::new();
+        let (c, count) = (snapshot.counters, snapshot.tenants.len());
+        if c.admitted.checked_sub(c.removed) != Some(count as u64) {
+            return Err(format!(
+                "counters (admitted {}, removed {}) contradict its {count} tenants",
+                c.admitted, c.removed
+            ));
+        }
+        let mut candidate = BTreeMap::new();
         for record in snapshot.tenants {
-            if let Err(violations) = validate_mapping(&self.phys, &record.venv, &record.mapping) {
-                return Err(ServeError::CorruptSnapshot {
-                    detail: format!(
-                        "tenant \"{}\" fails validation: {}",
-                        record.id,
-                        violations
-                            .first()
-                            .map(|v| v.to_string())
-                            .unwrap_or_else(|| "unknown violation".to_string())
-                    ),
-                });
+            let id = record.id;
+            if let Some(reason) = demand_error(&record.venv) {
+                return Err(format!("tenant \"{id}\": {reason}"));
             }
-            if candidate
-                .insert(
-                    record.id.clone(),
-                    Tenant {
-                        venv: record.venv,
-                        mapping: record.mapping,
-                        objective: record.objective,
-                    },
-                )
-                .is_some()
-            {
-                return Err(ServeError::CorruptSnapshot {
-                    detail: format!("duplicate tenant id \"{}\"", record.id),
-                });
+            if let Err(violations) = validate_mapping(&self.phys, &record.venv, &record.mapping) {
+                return Err(format!(
+                    "tenant \"{id}\" fails validation: {}",
+                    violations[0]
+                ));
+            }
+            let tenant = Tenant {
+                venv: record.venv,
+                mapping: record.mapping,
+                objective: record.objective,
+            };
+            if candidate.insert(id.clone(), tenant).is_some() {
+                return Err(format!("duplicate tenant id \"{id}\""));
             }
         }
-        let residual = ResidualState::rebuilt(
-            &self.phys,
-            candidate.values().map(|t| (&t.venv, &t.mapping)),
-        )
-        .map_err(|e| ServeError::CorruptSnapshot {
-            detail: format!("tenant set overcommits the cluster: {e}"),
-        })?;
-        let restored = candidate.len() as u64;
-        self.tenants = candidate;
-        self.residual = residual;
-        self.counters = snapshot.counters;
-        self.refresh_gauges();
-        Ok(restored)
+        self.adopt(candidate)
+            .map_err(|(_, e)| format!("tenant set overcommits the cluster: {e}"))?;
+        self.counters.admitted = c.admitted;
+        self.counters.rejected = c.rejected;
+        self.counters.removed = c.removed;
+        Ok(count as u64)
     }
 
     /// The base topology with every capacity replaced by its residual
@@ -528,44 +533,28 @@ impl Session {
         )
     }
 
-    /// Adopts the canonical from-scratch residual rebuild (see module
-    /// docs), debug-asserting the incremental state agrees within the
-    /// float drift budget.
-    fn resync(&mut self) {
-        match ResidualState::rebuilt(
-            &self.phys,
-            self.tenants.values().map(|t| (&t.venv, &t.mapping)),
-        ) {
-            Ok(canonical) => {
-                debug_assert!(
-                    self.residual.divergence(&canonical) <= self.residual.drift_tolerance(),
-                    "incremental residuals drifted beyond tolerance: {} > {}",
-                    self.residual.divergence(&canonical),
-                    self.residual.drift_tolerance(),
-                );
-                self.residual = canonical;
-            }
-            Err(e) => {
-                // Unreachable short of a bug: every tenant in the map was
-                // admitted against these residuals. Keep the (correct
-                // within drift) incremental state in release builds.
-                debug_assert!(false, "canonical rebuild refused the tenant set: {e}");
-            }
-        }
-    }
-
-    fn refresh_gauges(&mut self) {
-        self.counters.active_tenants = self.tenants.len() as u64;
-        self.counters.placed_guests = self
-            .tenants
-            .values()
-            .map(|t| t.venv.guest_count() as u64)
-            .sum();
-        self.counters.routed_links = self
-            .tenants
+    /// Makes `tenants` the session's tenant set, with residuals and gauges
+    /// rebuilt from it in id order — the only place any of them changes
+    /// (see module docs). If the rebuild fails, residuals and gauges are
+    /// untouched and `tenants` is handed back with the refusal.
+    fn adopt(
+        &mut self,
+        tenants: BTreeMap<String, Tenant>,
+    ) -> Result<(), (BTreeMap<String, Tenant>, PlaceError)> {
+        let rebuilt =
+            ResidualState::rebuilt(&self.phys, tenants.values().map(|t| (&t.venv, &t.mapping)));
+        self.residual = match rebuilt {
+            Ok(residual) => residual,
+            Err(e) => return Err((tenants, e)),
+        };
+        self.counters.active_tenants = tenants.len() as u64;
+        self.counters.placed_guests = tenants.values().map(|t| t.venv.guest_count() as u64).sum();
+        self.counters.routed_links = tenants
             .values()
             .map(|t| t.mapping.routed_link_count() as u64)
             .sum();
+        self.tenants = tenants;
+        Ok(())
     }
 
     fn begin_request(&mut self, kind: RequestKind, tenant: Option<&str>) -> (u64, Instant) {
@@ -587,6 +576,22 @@ impl Session {
             counters,
         });
     }
+}
+
+/// Why `venv` cannot be a tenant: [`Session::remove`]'s argument needs
+/// every CPU, storage and bandwidth demand to be finite and non-negative.
+fn demand_error(venv: &VirtualEnvironment) -> Option<String> {
+    let bad = |demand: f64| !(demand.is_finite() && demand >= 0.0);
+    let guest = venv.guest_ids().find(|&g| {
+        let spec = venv.guest(g);
+        bad(spec.proc.value()) || bad(spec.stor.value())
+    });
+    let link = venv.link_ids().find(|&l| bad(venv.link(l).bw.value()));
+    let culprit = match guest {
+        Some(g) => format!("guest {g}"),
+        None => format!("virtual link {}", link?),
+    };
+    Some(format!("{culprit} has a negative or non-finite demand"))
 }
 
 impl std::fmt::Debug for Session {
@@ -664,6 +669,13 @@ mod tests {
         assert_eq!(end.residual_mem, end.capacity_mem);
     }
 
+    /// One guest demanding `mem` MB of memory and `stor` GB of storage.
+    fn one_guest(mem: u64, stor: f64) -> VirtualEnvironment {
+        let mut v = VirtualEnvironment::new();
+        v.add_guest(GuestSpec::new(Mips(1.0), MemMb(mem), StorGb(stor)));
+        v
+    }
+
     #[test]
     fn dijkstra_tables_stay_warm_across_applies() {
         // Guests too big to share a host, so every link is routed.
@@ -712,16 +724,27 @@ mod tests {
             other => panic!("expected rejection: {other:?}"),
         }
         // A guest bigger than any host.
-        let mut huge = VirtualEnvironment::new();
-        huge.add_guest(GuestSpec::new(Mips(1.0), MemMb(1 << 40), StorGb(1.0)));
-        match session.apply("huge", huge, &hmn) {
+        match session.apply("huge", one_guest(1 << 40, 1.0), &hmn) {
             ApplyOutcome::Rejected { reason } => {
                 assert!(!reason.is_empty());
             }
             other => panic!("expected rejection: {other:?}"),
         }
+        // Negative or non-finite demands: a negative one would lend
+        // capacity that a later tenant could take.
+        let nan_link = venv(2, 1.0)
+            .graph()
+            .map_edges(|_, l| VLinkSpec::new(Kbps(f64::NAN), l.lat));
+        let nan_link = VirtualEnvironment::from_graph(nan_link);
+        for bad in [one_guest(1, -1.0), one_guest(1, f64::INFINITY), nan_link] {
+            let outcome = format!("{:?}", session.apply("bad", bad, &hmn));
+            assert!(
+                outcome.contains("negative or non-finite demand"),
+                "{outcome}"
+            );
+        }
         assert_eq!(session.residual(), &before, "rejections leave state alone");
-        assert_eq!(session.counters().rejected, 2);
+        assert_eq!(session.counters().rejected, 5);
         assert_eq!(session.counters().admitted, 1);
         assert!(matches!(
             session.remove("nope"),
@@ -811,6 +834,16 @@ mod tests {
         assert_eq!(c1, c2);
     }
 
+    /// Restores `bad` and expects a refusal whose detail mentions `why`.
+    fn refused(session: &mut Session, bad: Snapshot, why: &str) {
+        match session.restore(bad) {
+            Err(ServeError::CorruptSnapshot { detail }) => {
+                assert!(detail.contains(why), "{detail}")
+            }
+            other => panic!("expected a corrupt snapshot: {other:?}"),
+        }
+    }
+
     #[test]
     fn corrupt_snapshots_are_refused_atomically() {
         let hmn = Hmn::new();
@@ -818,51 +851,54 @@ mod tests {
         session.apply("keep", venv(3, 100.0), &hmn);
         let good = session.snapshot();
         let residual_before = session.residual().clone();
+        let counters_before = session.counters();
 
         // Wrong version.
         let mut bad = good.clone();
         bad.version = 999;
-        assert!(matches!(
-            session.restore(bad),
-            Err(ServeError::CorruptSnapshot { .. })
-        ));
+        refused(&mut session, bad, "version");
 
         // Mapping that fails Eq. 1 validation (placement truncated).
         let mut bad = good.clone();
         bad.tenants[0].mapping = Mapping::new(vec![], vec![]);
-        assert!(matches!(
-            session.restore(bad),
-            Err(ServeError::CorruptSnapshot { .. })
-        ));
+        refused(&mut session, bad, "fails validation");
 
-        // Tenant set that overcommits memory: the same tenant twice under
-        // different ids, scaled up to exceed capacity.
+        // Tenant set that overcommits memory: two tenants that each fill
+        // host 0.
         let mut bad = good.clone();
-        let mut dup = bad.tenants[0].clone();
-        dup.id = "dup".to_string();
-        bad.tenants.push(dup);
-        let mut heavy = VirtualEnvironment::new();
-        heavy.add_guest(GuestSpec::new(Mips(1.0), MemMb(2048), StorGb(1.0)));
         let host0 = session.phys().hosts()[0];
-        let heavy_mapping = Mapping::new(vec![host0], vec![]);
         bad.tenants = (0..2)
             .map(|i| TenantRecord {
                 id: format!("heavy{i}"),
-                venv: heavy.clone(),
-                mapping: heavy_mapping.clone(),
+                venv: one_guest(2048, 1.0),
+                mapping: Mapping::new(vec![host0], vec![]),
                 objective: 0.0,
             })
             .collect();
-        assert!(matches!(
-            session.restore(bad),
-            Err(ServeError::CorruptSnapshot { .. })
-        ));
+        bad.counters.admitted = 2;
+        refused(&mut session, bad, "overcommits");
+
+        // Counters that contradict the tenant set: `admitted - removed`
+        // must be the tenant count, and `removed` at most `admitted`.
+        for (admitted, removed) in [(0, 0), (2, 0), (1, 2), (3, 3)] {
+            let mut bad = good.clone();
+            bad.counters.admitted = admitted;
+            bad.counters.removed = removed;
+            refused(&mut session, bad, "contradict");
+        }
+
+        // A negative storage demand would lend capacity to the others.
+        let mut bad = good.clone();
+        bad.tenants[0].venv = one_guest(1, -100.0);
+        bad.tenants[0].mapping = Mapping::new(vec![host0], vec![]);
+        refused(&mut session, bad, "negative");
 
         assert_eq!(
             session.residual(),
             &residual_before,
             "failed restores must not touch state"
         );
+        assert_eq!(session.counters(), counters_before);
         assert_eq!(session.tenant_ids().collect::<Vec<_>>(), vec!["keep"]);
     }
 

@@ -46,14 +46,17 @@ impl Route {
     }
 
     /// Expands the route into the node sequence it traverses, starting at
-    /// `start`. Returns `None` if the edges do not chain (a malformed
-    /// route); validation reports that as `Violation::RouteDiscontinuous`
-    /// (see [`crate::validate`]).
+    /// `start`. Returns `None` if the edges do not chain or name an edge
+    /// `phys` does not have (a malformed route); validation reports that
+    /// as `Violation::RouteDiscontinuous` (see [`crate::validate`]).
     pub fn node_sequence(&self, phys: &PhysicalTopology, start: NodeId) -> Option<Vec<NodeId>> {
         let mut seq = Vec::with_capacity(self.edges.len() + 1);
         seq.push(start);
         let mut cur = start;
         for &e in &self.edges {
+            if e.index() >= phys.graph().edge_count() {
+                return None;
+            }
             let (a, b) = phys.graph().endpoints(e);
             cur = if cur == a {
                 b

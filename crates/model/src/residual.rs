@@ -44,7 +44,7 @@ pub struct ResidualState {
 }
 
 /// Scale-aware tolerance for the f64 hard-constraint re-checks in
-/// [`ResidualState::apply_mapping`]: partial sums of storage/bandwidth
+/// [`ResidualState::rebuilt`]: partial sums of storage/bandwidth
 /// deductions reassociate by ulps when tenants replay in a different
 /// order, so an exact-boundary fit admitted once must not be refused on
 /// rebuild. Memory needs no slack — it is integer arithmetic.
@@ -137,8 +137,8 @@ pub enum PlaceError {
     /// Eq. 3 would be violated.
     InsufficientStorage,
     /// Eq. 9 would be violated on some edge of a committed route
-    /// (reported by the whole-mapping [`ResidualState::apply_mapping`]
-    /// path, never by single-guest placement).
+    /// (reported by the whole-tenant-set [`ResidualState::rebuilt`], never
+    /// by single-guest placement).
     InsufficientBandwidth,
 }
 
@@ -359,21 +359,36 @@ impl ResidualState {
         }
     }
 
-    /// Commits an entire admitted mapping — every guest placement plus
-    /// every routed link — against these residuals, in canonical order
-    /// (guest index order, then link index order).
+    /// From-scratch canonical rebuild: fresh residuals over `phys` with
+    /// every `(venv, mapping)` pair committed in iteration order, each
+    /// guest in index order and then each routed link in index order.
+    /// This is the only way the serve session's residuals change, so they
+    /// are *bitwise* a pure function of its tenant set.
     ///
     /// The hard constraints are re-checked as the deductions happen:
-    /// memory exactly (integer arithmetic is order-independent), storage
-    /// and bandwidth with a scale-aware float slack so a mapping admitted
-    /// against bit-equal residuals can never be spuriously refused when
-    /// replayed in a different tenant order (f64 partial sums reassociate
-    /// by ulps). CPU is never checked (§3.2).
-    ///
-    /// On `Err` the state is **partially applied** — callers that need
-    /// atomicity apply to a scratch clone (as
-    /// [`rebuilt`](Self::rebuilt) does) and discard it on failure.
-    pub fn apply_mapping(
+    /// memory exactly (integer arithmetic), storage and bandwidth with a
+    /// scale-aware float slack, so a tenant admitted against bit-equal
+    /// residuals is never refused when replayed in a different tenant
+    /// order (f64 partial sums reassociate by ulps). CPU is never checked
+    /// (§3.2). If every demand is finite and non-negative, any subset of
+    /// a tenant set that rebuilds also rebuilds: rounding to nearest is
+    /// monotone, so no residual over the subset is smaller than over the
+    /// whole set. Atomic: on `Err` nothing is returned and no existing
+    /// state was touched.
+    pub fn rebuilt<'t, I>(phys: &PhysicalTopology, tenants: I) -> Result<ResidualState, PlaceError>
+    where
+        I: IntoIterator<Item = (&'t VirtualEnvironment, &'t Mapping)>,
+    {
+        let mut state = ResidualState::new(phys);
+        for (venv, mapping) in tenants {
+            state.apply_mapping(venv, mapping)?;
+        }
+        Ok(state)
+    }
+
+    /// Commits one tenant of [`rebuilt`](Self::rebuilt); on `Err` the
+    /// state is partially applied, which `rebuilt` discards.
+    fn apply_mapping(
         &mut self,
         venv: &VirtualEnvironment,
         mapping: &Mapping,
@@ -405,54 +420,11 @@ impl ResidualState {
         Ok(())
     }
 
-    /// Returns an entire mapping's resources — the exact reverse of
-    /// [`apply_mapping`](Self::apply_mapping), in the same canonical
-    /// order. The caller is responsible for only releasing mappings it
-    /// actually applied; the serve layer debug-asserts the result against
-    /// a from-scratch rebuild (see [`divergence`](Self::divergence)).
-    pub fn release_mapping(&mut self, venv: &VirtualEnvironment, mapping: &Mapping) {
-        debug_assert_eq!(venv.guest_count(), mapping.guest_count());
-        for (idx, &host) in mapping.placement().iter().enumerate() {
-            let guest = venv.guest(GuestId::from_index(idx));
-            let s = self
-                .slot_of(host)
-                .expect("release targets a host that received an apply");
-            self.proc[s] += guest.proc.value();
-            self.mem[s] += guest.mem.value();
-            self.stor[s] += guest.stor.value();
-        }
-        for (idx, route) in mapping.routes().iter().enumerate() {
-            let demand = venv.link(VLinkId::from_index(idx)).bw.value();
-            for e in route.edges() {
-                self.bw[e.index()] += demand;
-            }
-        }
-    }
-
-    /// From-scratch canonical rebuild: fresh residuals over `phys` with
-    /// every surviving `(venv, mapping)` pair applied in iteration order.
-    /// This is the reference state the incremental bookkeeping must
-    /// reconcile against — and what the serve session adopts after every
-    /// mutation so its residuals are *bitwise* a pure function of the
-    /// surviving tenant set. Atomic: on `Err` nothing is returned and no
-    /// existing state was touched.
-    pub fn rebuilt<'t, I>(phys: &PhysicalTopology, tenants: I) -> Result<ResidualState, PlaceError>
-    where
-        I: IntoIterator<Item = (&'t VirtualEnvironment, &'t Mapping)>,
-    {
-        let mut state = ResidualState::new(phys);
-        for (venv, mapping) in tenants {
-            state.apply_mapping(venv, mapping)?;
-        }
-        Ok(state)
-    }
-
     /// Largest absolute per-entry difference between two residual states
     /// across all four columns (CPU, memory, storage, bandwidth) — the
-    /// reconciliation metric. Zero iff the states agree bit-for-bit on
-    /// every finite entry; incremental apply/release drift shows up as a
-    /// small positive value bounded by
-    /// [`drift_tolerance`](Self::drift_tolerance).
+    /// reconciliation metric. Zero iff the states agree on every finite
+    /// entry; any leaked or double-counted capacity shows up as a positive
+    /// value.
     ///
     /// # Panics
     /// Panics if the states cover different topologies (column lengths
@@ -474,21 +446,6 @@ impl ResidualState {
             worst = worst.max((a - b).abs());
         }
         worst
-    }
-
-    /// Scale-aware bound on the [`divergence`](Self::divergence) an
-    /// incremental apply/release history may legitimately accumulate
-    /// against a from-scratch rebuild: f64 additions reassociate at the
-    /// ulp scale of the largest column magnitude. Mirrors the objective
-    /// accumulator's `1e-9 * (1 + scale)` drift budget.
-    pub fn drift_tolerance(&self) -> f64 {
-        let scale = self
-            .proc
-            .iter()
-            .chain(&self.stor)
-            .chain(&self.bw)
-            .fold(0.0f64, |m, v| m.max(v.abs()));
-        1e-9 * (1.0 + scale)
     }
 
     /// Residual CPU of every *host* of `phys`, in host order — the
@@ -517,6 +474,9 @@ mod tests {
     use crate::physical::{HostSpec, LinkSpec, VmmOverhead};
     use crate::resources::Millis;
     use emumap_graph::generators;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn phys() -> PhysicalTopology {
         PhysicalTopology::from_shape(
@@ -744,31 +704,19 @@ mod tests {
     }
 
     #[test]
-    fn apply_release_mapping_roundtrips_bitwise() {
-        let p = phys();
-        let fresh = ResidualState::new(&p);
-        let (venv, mapping) = tenant(&p);
-        let mut r = fresh.clone();
-        r.apply_mapping(&venv, &mapping).unwrap();
-        assert_eq!(r.proc(p.hosts()[0]), Mips(900.0));
-        assert_eq!(r.mem(p.hosts()[2]), MemMb(896));
-        for e in p.graph().edge_ids() {
-            assert_eq!(r.bw(e), Kbps(300.0));
-        }
-        r.release_mapping(&venv, &mapping);
-        assert_eq!(r, fresh, "release must undo apply bit-for-bit");
-        assert_eq!(r.divergence(&fresh), 0.0);
-    }
-
-    #[test]
     fn rebuilt_matches_incremental_apply() {
         let p = phys();
         let (venv, mapping) = tenant(&p);
         let mut incremental = ResidualState::new(&p);
-        incremental.apply_mapping(&venv, &mapping).unwrap();
+        for (g, &host) in venv.guest_ids().zip(mapping.placement()) {
+            incremental.place(&p, venv.guest(g), host).unwrap();
+        }
+        for (l, route) in venv.link_ids().zip(mapping.routes()) {
+            incremental.commit_route(route.edges(), venv.link(l).bw);
+        }
         let rebuilt = ResidualState::rebuilt(&p, [(&venv, &mapping)]).unwrap();
         assert_eq!(rebuilt, incremental);
-        assert!(incremental.divergence(&rebuilt) <= incremental.drift_tolerance());
+        assert_eq!(incremental.divergence(&rebuilt), 0.0);
     }
 
     #[test]
@@ -780,46 +728,106 @@ mod tests {
         leaked.place(&p, &g, p.hosts()[1]).unwrap();
         // Memory leak (3) dominates the CPU leak (0.25).
         assert_eq!(base.divergence(&leaked), 3.0);
-        assert!(base.divergence(&leaked) > base.drift_tolerance());
+    }
+
+    /// Two guests of `mem` MB each on host slots `hosts`, the first also
+    /// demanding `stor` GB, joined by one link of `bw` routed over `route`.
+    fn filler(
+        p: &PhysicalTopology,
+        hosts: [usize; 2],
+        (mem, stor, bw): (u64, f64, f64),
+        route: &[EdgeId],
+    ) -> (VirtualEnvironment, Mapping) {
+        use crate::mapping::Route;
+        use crate::virtualenv::VLinkSpec;
+        let mut venv = VirtualEnvironment::new();
+        let a = venv.add_guest(guest(1.0, mem, stor));
+        let b = venv.add_guest(guest(1.0, mem, 0.0));
+        venv.add_link(a, b, VLinkSpec::new(Kbps(bw), Millis(30.0)));
+        let placement = hosts.iter().map(|&h| p.hosts()[h]).collect();
+        let mapping = Mapping::new(placement, vec![Route::new(route.to_vec())]);
+        (venv, mapping)
     }
 
     #[test]
     fn apply_mapping_enforces_memory_and_bandwidth() {
         let p = phys();
         let (venv, mapping) = tenant(&p);
+        let after = |(first, m): (VirtualEnvironment, Mapping)| {
+            ResidualState::rebuilt(&p, [(&first, &m), (&venv, &mapping)])
+        };
         // A tenant that already consumed all of host 0's memory forces the
         // strict integer check to fire.
-        let mut r = ResidualState::new(&p);
-        r.place(&p, &guest(0.0, 1024, 1.0), p.hosts()[0]).unwrap();
-        assert_eq!(
-            r.apply_mapping(&venv, &mapping),
-            Err(PlaceError::InsufficientMemory)
-        );
+        let hog = filler(&p, [0, 0], (512, 0.0, 0.0), &[]);
+        assert_eq!(after(hog), Err(PlaceError::InsufficientMemory));
         // Draining an edge below the link demand trips the Eq. 9 re-check.
-        let mut r = ResidualState::new(&p);
         let edges: Vec<EdgeId> = p.graph().edge_ids().collect();
-        r.commit_route(&edges[..1], Kbps(400.0));
-        assert_eq!(
-            r.apply_mapping(&venv, &mapping),
-            Err(PlaceError::InsufficientBandwidth)
-        );
+        let drain = filler(&p, [0, 1], (0, 0.0, 400.0), &edges[..1]);
+        assert_eq!(after(drain), Err(PlaceError::InsufficientBandwidth));
     }
 
     #[test]
     fn apply_mapping_tolerates_exact_boundary_fits() {
         let p = phys();
-        let (venv, mapping) = tenant(&p);
-        // Consume all bandwidth except exactly the tenant's demand via a
-        // partial-sum order that differs from the rebuild order.
+        // Earlier tenants leave exactly the tenant's demand in real
+        // arithmetic; in f64 the partial sums land 5.7e-14 short of it.
         let edges: Vec<EdgeId> = p.graph().edge_ids().collect();
-        let mut r = ResidualState::new(&p);
-        for _ in 0..3 {
-            r.commit_route(&edges, Kbps(100.0));
-        }
-        r.apply_mapping(&venv, &mapping)
+        let mut tenants: Vec<_> = [100.1, 100.1, 99.8]
+            .map(|bw| filler(&p, [0, 2], (0, 0.0, bw), &edges))
+            .into();
+        tenants.push(tenant(&p));
+        let r = ResidualState::rebuilt(&p, tenants.iter().map(|(v, m)| (v, m)))
             .expect("boundary fit must not be refused by float slack");
         for e in p.graph().edge_ids() {
-            assert!(r.bw(e).value().abs() <= 1e-9);
+            assert!(r.bw(e).value() < 0.0 && r.bw(e).value().abs() <= 1e-9);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// What lets the serve session `expect` a departure's rebuild: a
+        /// set that rebuilds still rebuilds without any one tenant. Each
+        /// of `n` tenants has a guest on host 0 and one on host 1, linked
+        /// over the edge between them. Their storage demands fill host 0
+        /// and their bandwidth demands fill the edge exactly in decimal
+        /// arithmetic (not in f64); then one of each moves down, up or not
+        /// at all by up to 1.5 `float_slack`s.
+        #[test]
+        fn every_subset_of_a_rebuilt_set_rebuilds(n in 1usize..8, seed in any::<u64>()) {
+            let p = phys();
+            let edge = p.graph().edge_ids().next().unwrap();
+            let rng = &mut SmallRng::seed_from_u64(seed);
+            let mut within_slack = true;
+            let mut fill = |tenths: u64| {
+                let mut cuts: Vec<u64> = (1..n).map(|_| rng.gen_range(0..=tenths)).collect();
+                cuts.extend([0, tenths]);
+                cuts.sort_unstable();
+                let mut shares: Vec<f64> =
+                    cuts.windows(2).map(|w| (w[1] - w[0]) as f64 / 10.0).collect();
+                let k = rng.gen_range(-1i32..=1) as f64;
+                within_slack &= k <= 0.0;
+                let d = &mut shares[rng.gen_range(0..n)];
+                let nudge = k * 1e-9 * (1.0 + *d) * rng.gen_range(0.5f64..1.5);
+                *d = (*d + nudge).max(0.0);
+                shares
+            };
+            let (stor, bw) = (fill(1000), fill(5000));
+            let tenants: Vec<_> = (0..n)
+                .map(|t| filler(&p, [0, 1], (1, stor[t], bw[t]), &[edge]))
+                .collect();
+            let without = |skip: usize| {
+                let kept = tenants.iter().enumerate().filter(move |&(t, _)| t != skip);
+                kept.map(|(_, (v, m))| (v, m))
+            };
+            let whole = ResidualState::rebuilt(&p, without(n));
+            prop_assert!(whole.is_ok() || !within_slack, "a fit within the slack was refused");
+            for skip in (0..n).filter(|_| whole.is_ok()) {
+                prop_assert!(
+                    ResidualState::rebuilt(&p, without(skip)).is_ok(),
+                    "the set rebuilt but not without tenant {skip}"
+                );
+            }
         }
     }
 }

@@ -65,7 +65,8 @@ pub enum Violation {
         link: VLinkId,
     },
     /// Eq. 6: consecutive route edges do not share a node, or Eq. 4: the
-    /// route does not start at the source guest's host.
+    /// route does not start at the source guest's host. A route edge the
+    /// topology does not have counts too.
     RouteDiscontinuous {
         /// The offending virtual link.
         link: VLinkId,
@@ -505,6 +506,11 @@ mod tests {
             vec![p.hosts()[0], p.hosts()[3]],
             vec![Route::new(vec![e[0], e[2]])],
         );
+        let errs = validate_mapping(&p, &v, &m).unwrap_err();
+        assert!(matches!(errs[0], Violation::RouteDiscontinuous { .. }));
+        // An edge the topology does not have.
+        let missing = EdgeId::from_index(e.len());
+        let m = Mapping::new(m.placement().to_vec(), vec![Route::new(vec![missing])]);
         let errs = validate_mapping(&p, &v, &m).unwrap_err();
         assert!(matches!(errs[0], Violation::RouteDiscontinuous { .. }));
     }

@@ -171,8 +171,8 @@ pub struct ServeCounters {
     pub rejected: u64,
     /// `remove` requests that tore down a tenant.
     pub removed: u64,
-    /// Tenants currently embedded (`admitted - removed`, adjusted by
-    /// `restore`).
+    /// Tenants currently embedded: `admitted - removed`, which `restore`
+    /// also holds a snapshot to.
     pub active_tenants: u64,
     /// Guests currently placed across all active tenants.
     pub placed_guests: u64,

@@ -30,6 +30,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+mod pinned;
+
 const EPS: f64 = 1e-9;
 
 type Case = (PhysicalTopology, VirtualEnvironment, Vec<Option<usize>>);
@@ -390,24 +392,7 @@ proptest! {
 #[test]
 fn regression_seeds_replay() {
     let pinned = include_str!("../proptest-regressions/bound_dominance.txt");
-    let mut replayed = 0u32;
-    for line in pinned.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        assert_eq!(parts.next(), Some("cc"), "bad regression line: {line}");
-        let name = parts
-            .next()
-            .unwrap_or_else(|| panic!("missing test name in: {line}"));
-        let seed_tok = parts
-            .next()
-            .unwrap_or_else(|| panic!("missing seed in: {line}"));
-        let seed = u64::from_str_radix(seed_tok.trim_start_matches("0x"), 16)
-            .unwrap_or_else(|e| panic!("bad seed {seed_tok}: {e}"));
-
-        let mut rng = SmallRng::seed_from_u64(seed);
+    for (name, mut rng) in pinned::pinned_cases(pinned) {
         match name {
             "lagrangian_dominates_waterfill_and_both_are_admissible" => {
                 let (phys, venv, placement) = arb_case().generate(&mut rng);
@@ -419,7 +404,5 @@ fn regression_seeds_replay() {
             }
             other => panic!("regression file pins unknown test '{other}'"),
         }
-        replayed += 1;
     }
-    assert!(replayed > 0, "regression file pinned no cases");
 }

@@ -7,59 +7,10 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Shared instance builder: a uniform cluster in one of three shapes and
-/// a random virtual environment, all a pure function of the inputs.
-fn build_instance(
-    hosts: usize,
-    topo: usize,
-    guests: usize,
-    density: f64,
-    seed: u64,
-) -> (PhysicalTopology, VirtualEnvironment, u64) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let shape = match topo {
-        0 => generators::ring(hosts),
-        1 => generators::line(hosts),
-        _ => generators::switched_cascade(hosts, 8),
-    };
-    let phys = PhysicalTopology::from_shape(
-        &shape,
-        std::iter::repeat(HostSpec::new(
-            Mips(2000.0),
-            MemMb::from_gb(2),
-            StorGb(2000.0),
-        )),
-        LinkSpec::new(Kbps(10_000.0), Millis(5.0)),
-        VmmOverhead::NONE,
-    );
-    let spec = VirtualEnvSpec {
-        guests,
-        density,
-        mem_mb: Range::new(64.0, 256.0),
-        stor_gb: Range::new(10.0, 50.0),
-        cpu_mips: Range::new(20.0, 100.0),
-        bw_kbps: Range::new(50.0, 500.0),
-        lat_ms: Range::new(20.0, 80.0),
-        distribution: Distribution::Uniform,
-    };
-    let venv = spec.generate(&mut rng);
-    (phys, venv, seed)
-}
+mod instances;
+mod pinned;
 
-/// A random small instance: cluster shape, host resources, guest count,
-/// densityish links.
-fn arb_instance() -> impl Strategy<Value = (PhysicalTopology, VirtualEnvironment, u64)> {
-    (
-        2usize..10,   // hosts
-        0usize..3,    // topology selector
-        1usize..30,   // guests
-        0.0f64..0.4,  // density
-        any::<u64>(), // seed
-    )
-        .prop_map(|(hosts, topo, guests, density, seed)| {
-            build_instance(hosts, topo, guests, density, seed)
-        })
-}
+use instances::{arb_instance, build_instance};
 
 /// Oracle-sized instances: the exact search is exponential in the guest
 /// count, so the differential suite stays at ≤ 8 hosts and ≤ 10 guests.
@@ -328,26 +279,7 @@ proptest! {
 #[test]
 fn regression_seeds_replay() {
     let pinned = include_str!("../proptest-regressions/property_mappings.txt");
-    let mut replayed = 0u32;
-    for line in pinned.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        assert_eq!(parts.next(), Some("cc"), "bad regression line: {line}");
-        let name = parts
-            .next()
-            .unwrap_or_else(|| panic!("missing test name in: {line}"));
-        let seed_tok = parts
-            .next()
-            .unwrap_or_else(|| panic!("missing seed in: {line}"));
-        let seed = u64::from_str_radix(seed_tok.trim_start_matches("0x"), 16)
-            .unwrap_or_else(|e| panic!("bad seed {seed_tok}: {e}"));
-
-        // Regenerate the instance exactly as the named proptest would:
-        // its strategy drawn from an RNG seeded with the pinned seed.
-        let mut rng = SmallRng::seed_from_u64(seed);
+    for (name, mut rng) in pinned::pinned_cases(pinned) {
         match name {
             "heuristics_agree_with_the_exact_oracle" => {
                 let (phys, venv, s) = arb_small_instance().generate(&mut rng);
@@ -366,7 +298,5 @@ fn regression_seeds_replay() {
             }
             other => panic!("regression file pins unknown test '{other}'"),
         }
-        replayed += 1;
     }
-    assert!(replayed > 0, "regression file pinned no cases");
 }

@@ -14,6 +14,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+mod pinned;
+
 /// Uniform-random cluster — same shape family as
 /// `tests/delta_consistency.rs`, a pure function of its inputs.
 fn build_phys(hosts: usize, topo: usize) -> PhysicalTopology {
@@ -168,23 +170,7 @@ proptest! {
 #[test]
 fn regression_seeds_replay() {
     let pinned = include_str!("../proptest-regressions/serve_reconciliation.txt");
-    let mut replayed = 0u32;
-    for line in pinned.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        assert_eq!(parts.next(), Some("cc"), "bad regression line: {line}");
-        let name = parts
-            .next()
-            .unwrap_or_else(|| panic!("missing test name in: {line}"));
-        let seed_tok = parts
-            .next()
-            .unwrap_or_else(|| panic!("missing seed in: {line}"));
-        let seed = u64::from_str_radix(seed_tok.trim_start_matches("0x"), 16)
-            .unwrap_or_else(|e| panic!("bad seed {seed_tok}: {e}"));
-        let mut rng = SmallRng::seed_from_u64(seed);
+    for (name, mut rng) in pinned::pinned_cases(pinned) {
         match name {
             "residuals_always_equal_a_fresh_rebuild" => {
                 let (hosts, topo, s) = arb_instance().generate(&mut rng);
@@ -192,7 +178,5 @@ fn regression_seeds_replay() {
             }
             other => panic!("regression file pins unknown test '{other}'"),
         }
-        replayed += 1;
     }
-    assert!(replayed > 0, "regression file pinned no cases");
 }
