@@ -135,6 +135,16 @@ pub(crate) fn read_json<T: serde::de::DeserializeOwned>(path: &str) -> Result<T,
     serde_json::from_str(&data).map_err(|e| CliError::Io(format!("parsing {path}: {e}")))
 }
 
+/// Reads a `--venv` file, refusing one whose numbers no mapper may take
+/// (see [`VirtualEnvironment::demand_error`]).
+fn read_venv(path: &str) -> Result<VirtualEnvironment, CliError> {
+    let venv: VirtualEnvironment = read_json(path)?;
+    match venv.demand_error() {
+        Some(reason) => Err(CliError::Io(format!("parsing {path}: {reason}"))),
+        None => Ok(venv),
+    }
+}
+
 pub(crate) fn write_json<T: serde::Serialize>(path: &str, value: &T) -> Result<(), CliError> {
     if let Some(parent) = Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
@@ -399,7 +409,7 @@ fn map_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
     let trace = p.optional("trace");
     p.finish()?;
     let phys: PhysicalTopology = read_json(&phys_path)?;
-    let venv: VirtualEnvironment = read_json(&venv_path)?;
+    let venv = read_venv(&venv_path)?;
 
     let mut rng = SmallRng::seed_from_u64(seed);
     let result = traced(
@@ -522,7 +532,7 @@ fn exact_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
     let trace = p.optional("trace");
     p.finish()?;
     let (phys, venv): (PhysicalTopology, VirtualEnvironment) = match instance {
-        Instance::Files(phys, venv) => (read_json(&phys)?, read_json(&venv)?),
+        Instance::Files(phys, venv) => (read_json(&phys)?, read_venv(&venv)?),
         Instance::Smoke(seed) => oracle_smoke(seed),
     };
 
@@ -627,7 +637,7 @@ fn read_instance_and_mapping(
     let venv = p.required("venv")?;
     let mapping = p.required("mapping")?;
     p.finish()?;
-    Ok((read_json(&phys)?, read_json(&venv)?, read_json(&mapping)?))
+    Ok((read_json(&phys)?, read_venv(&venv)?, read_json(&mapping)?))
 }
 
 fn validate_cmd(p: Parsed) -> Result<Vec<String>, CliError> {
@@ -719,7 +729,7 @@ fn batch_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
     let quiet = p.flag("quiet");
     p.finish()?;
     let phys: PhysicalTopology = read_json(&phys_path)?;
-    let venv: VirtualEnvironment = read_json(&venv_path)?;
+    let venv = read_venv(&venv_path)?;
     if let Some(dir) = &trace_dir {
         std::fs::create_dir_all(dir).map_err(|e| CliError::Io(format!("creating {dir}: {e}")))?;
     }
@@ -954,8 +964,8 @@ fn inspect_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
         lines.push(format!("network  : latency diameter {d:.1} ms"));
     }
 
-    let venv: Option<VirtualEnvironment> = match venv_path {
-        Some(path) => Some(read_json(&path)?),
+    let venv = match venv_path {
+        Some(path) => Some(read_venv(&path)?),
         None => None,
     };
     if let Some(venv) = &venv {
@@ -1700,6 +1710,54 @@ mod tests {
         assert!(!text.contains("certified optimum"), "{text}");
     }
 
+    /// Runs `sub` on a 6-host cluster and a two-guest environment whose
+    /// guest 0 demands `proc` MIPS and whose one link has latency bound
+    /// `lat`, which must fail with an error naming `culprit`.
+    fn assert_venv_refused(sub: &str, proc: f64, lat: f64, culprit: &str) {
+        use emumap_model::{GuestSpec, Kbps, MemMb, Millis, Mips, StorGb, VLinkSpec};
+        let dir = tmpdir();
+        let phys = dir.join("phys.json").display().to_string();
+        let venv_path = dir.join("bad-venv.json").display().to_string();
+        let mapping = dir.join("no-mapping.json").display().to_string();
+        run_tokens(&["gen-cluster", "--hosts", "6", "-o", &phys]).expect("gen-cluster");
+        let mut venv = VirtualEnvironment::new();
+        let a = venv.add_guest(GuestSpec::new(Mips(proc), MemMb(64), StorGb(1.0)));
+        let b = venv.add_guest(GuestSpec::new(Mips(50.0), MemMb(64), StorGb(1.0)));
+        venv.add_link(a, b, VLinkSpec::new(Kbps(10.0), Millis(lat)));
+        write_json(&venv_path, &venv).unwrap();
+        let mut tokens = vec![sub, "--phys", &phys, "--venv", &venv_path];
+        if matches!(sub, "validate" | "simulate" | "inspect") {
+            tokens.extend(["--mapping", &mapping]);
+        }
+        let Err(e) = run_tokens(&tokens) else {
+            panic!("{sub} accepted proc {proc}, lat {lat}");
+        };
+        assert!(e.to_string().contains(culprit), "{sub}: {e}");
+    }
+
+    #[test]
+    fn map_refuses_a_nan_cpu_demand() {
+        assert_venv_refused("map", f64::NAN, 50.0, "guest n0");
+    }
+
+    #[test]
+    fn exact_refuses_a_nan_cpu_demand() {
+        assert_venv_refused("exact", f64::NAN, 50.0, "guest n0");
+    }
+
+    #[test]
+    fn every_venv_reader_refuses_unusable_numbers() {
+        for sub in ["map", "batch", "exact", "validate", "simulate", "inspect"] {
+            let guest = "guest n0 has a negative or non-finite demand";
+            assert_venv_refused(sub, f64::NAN, 50.0, guest);
+            assert_venv_refused(sub, -1.0, 50.0, guest);
+            for lat in [-5.0, f64::NAN] {
+                let link = "virtual link e0 has a negative or NaN latency bound";
+                assert_venv_refused(sub, 50.0, lat, link);
+            }
+        }
+    }
+
     /// `exact` with `extra` appended to a `--smoke 2009` run must be a
     /// usage error naming `flag`.
     fn assert_exact_rejects(extra: &[&str], flag: &str) {
@@ -1723,7 +1781,7 @@ mod tests {
         for flag in ["--phys", "--venv"] {
             assert_exact_rejects(&[flag, "missing.json"], flag);
         }
-        // The Lagrangian schedule is tuned through `ExactConfig`, not flags.
+        // The Lagrangian subgradient schedule is fixed, not a flag.
         for flag in ["--root-iters", "--tree-iters", "--step", "--damping"] {
             assert_exact_rejects(&[flag, "2"], flag);
         }

@@ -35,19 +35,25 @@ use crate::astar_prune::AStarPruneConfig;
 use crate::cache::MapCache;
 use crate::hosting::links_by_descending_bw;
 use crate::ksp_routing::YenKsp;
-use crate::lagrangian::{lagrangian_bound, tightest_peer_bounds, LagrangianConfig, NodeView};
+use crate::lagrangian::{lagrangian_bound, tightest_peer_bounds, NodeView};
 use crate::networking::networking_stage;
 use crate::recorder::Recorder;
 use crate::state::PlacementState;
 use emumap_graph::NodeId;
 use emumap_model::objective::mapping_objective;
-use emumap_model::{validate_mapping, GuestId, Mapping, PhysicalTopology, VirtualEnvironment};
+use emumap_model::{
+    validate_mapping, GuestId, Mapping, PhysicalTopology, ResidualState, VirtualEnvironment,
+};
 use emumap_trace::{Phase, PhaseCounters};
 use serde::{Deserialize, Serialize};
 
 /// Tolerance for objective comparisons: two values closer than this are
 /// considered equal, so "optimal" means optimal up to `EPSILON`.
 pub const EPSILON: f64 = 1e-9;
+
+/// `k` for the Yen-KSP fallback router tried when A\*Prune fails at a
+/// leaf.
+const KSP_FALLBACK: usize = 4;
 
 /// Which admissible lower bound the search prunes with.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -72,12 +78,6 @@ pub struct ExactConfig {
     pub max_nodes: u64,
     /// Which lower bound prunes the search.
     pub bound: BoundKind,
-    /// Subgradient-ascent knobs of the Lagrangian bound (ignored under
-    /// [`BoundKind::Waterfill`]).
-    pub lagrangian: LagrangianConfig,
-    /// `k` for the Yen-KSP fallback router tried when A\*Prune fails at a
-    /// leaf (`0` disables the fallback).
-    pub ksp_fallback: usize,
     /// Prune branches whose latency bounds (Eq. 8) are already violated
     /// by the partial placement, using the cached Dijkstra tables.
     pub use_latency_pruning: bool,
@@ -88,8 +88,6 @@ impl Default for ExactConfig {
         ExactConfig {
             max_nodes: 200_000,
             bound: BoundKind::Lagrangian,
-            lagrangian: LagrangianConfig::default(),
-            ksp_fallback: 4,
             use_latency_pruning: true,
         }
     }
@@ -218,11 +216,37 @@ pub fn residual_stddev_lower_bound(residuals: &[f64], demand: f64) -> f64 {
     }
     let total: f64 = residuals.iter().sum();
     let target = total - demand;
-    let mut sorted = residuals.to_vec();
+    let mut sorted = Vec::with_capacity(n);
+    // Unreachable for finite inputs (k = n always admits a level), but
+    // stay safe: zero is always admissible.
+    let Some((k, level)) = waterfill_level(residuals, total, target, &mut sorted) else {
+        return 0.0;
+    };
+    let mean = target / n as f64;
+    let mut var = k as f64 * (level - mean) * (level - mean);
+    for &r in &sorted[k..] {
+        var += (r - mean) * (r - mean);
+    }
+    (var / n as f64).sqrt().max(0.0)
+}
+
+/// The level of the water-filling point `x_i = min(r_i, L)` of
+/// `residuals` (which sum to `total`) whose entries sum to `target`.
+/// Sorts the residuals descending into `sorted` and returns `(k, L)`:
+/// the `k` largest are clamped to `L`, the rest stay untouched. `None`
+/// only when no `k` admits a level, which finite inputs never cause.
+pub(crate) fn waterfill_level(
+    residuals: &[f64],
+    total: f64,
+    target: f64,
+    sorted: &mut Vec<f64>,
+) -> Option<(usize, f64)> {
+    let n = residuals.len();
+    sorted.clear();
+    sorted.extend_from_slice(residuals);
     sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite residuals"));
-    // With the k largest residuals clamped to the level L and the rest
-    // untouched: k·L + Σ_{i≥k} r_i = target. Find the k whose implied L
-    // lies between sorted[k] and sorted[k-1].
+    // k·L + Σ_{i≥k} r_i = target: find the k whose implied L lies between
+    // sorted[k] and sorted[k-1].
     let mut prefix = 0.0;
     for k in 1..=n {
         prefix += sorted[k - 1];
@@ -230,17 +254,10 @@ pub fn residual_stddev_lower_bound(residuals: &[f64], demand: f64) -> f64 {
         let level = (target - suffix) / k as f64;
         let lo = if k < n { sorted[k] } else { f64::NEG_INFINITY };
         if level <= sorted[k - 1] + EPSILON && level >= lo - EPSILON {
-            let mean = target / n as f64;
-            let mut var = k as f64 * (level - mean) * (level - mean);
-            for &r in &sorted[k..] {
-                var += (r - mean) * (r - mean);
-            }
-            return (var / n as f64).sqrt().max(0.0);
+            return Some((k, level));
         }
     }
-    // Unreachable for finite inputs (k = n always admits a level), but
-    // stay safe: zero is always admissible.
-    0.0
+    None
 }
 
 /// Runs the branch-and-bound oracle.
@@ -285,16 +302,14 @@ pub fn solve_exact_with(
 }
 
 /// The sequential depth-first branch-and-bound: per-solve precomputation
-/// (branch order, suffix demands, peer latency bounds) plus the residual
-/// bookkeeping of the current partial assignment and the incumbent.
-/// Residual bookkeeping mirrors `ResidualState` semantics exactly
-/// (integer memory, `>=` storage fits, CPU unconstrained) so a leaf
-/// re-assigned into a fresh [`PlacementState`] cannot diverge.
+/// (branch order, suffix demands, peer latency bounds) plus the residuals
+/// of the current partial assignment and the incumbent. The residuals are
+/// a [`ResidualState`], the same bookkeeping a [`PlacementState`] keeps,
+/// so a leaf re-assigned into a fresh state cannot diverge from them.
 struct Search<'a> {
     phys: &'a PhysicalTopology,
     venv: &'a VirtualEnvironment,
     config: ExactConfig,
-    hosts: Vec<NodeId>,
     /// Branch order: guests by descending (mem, stor, proc) — the most
     /// constrained guests first, so infeasibility surfaces high up.
     order: Vec<GuestId>,
@@ -307,9 +322,8 @@ struct Search<'a> {
     peers: Vec<Vec<(usize, f64)>>,
     /// Guest index → assigned host slot.
     slot_of: Vec<Option<usize>>,
-    r_proc: Vec<f64>,
-    r_mem: Vec<u64>,
-    r_stor: Vec<f64>,
+    /// Residual capacities under the current partial assignment.
+    residual: ResidualState,
     best: f64,
     best_mapping: Option<Mapping>,
     lb_floor: f64,
@@ -319,7 +333,6 @@ struct Search<'a> {
 
 impl<'a> Search<'a> {
     fn new(phys: &'a PhysicalTopology, venv: &'a VirtualEnvironment, config: ExactConfig) -> Self {
-        let hosts: Vec<NodeId> = phys.hosts().to_vec();
         let mut order: Vec<GuestId> = venv.guest_ids().collect();
         order.sort_by(|&a, &b| {
             let ga = venv.guest(a);
@@ -340,32 +353,17 @@ impl<'a> Search<'a> {
             suffix_stor[d] = suffix_stor[d + 1] + g.stor.value();
         }
         let peers = tightest_peer_bounds(venv);
-        let r_proc = hosts
-            .iter()
-            .map(|&h| phys.effective_proc(h).value())
-            .collect();
-        let r_mem = hosts
-            .iter()
-            .map(|&h| phys.effective_mem(h).value())
-            .collect();
-        let r_stor = hosts
-            .iter()
-            .map(|&h| phys.effective_stor(h).value())
-            .collect();
         Search {
             phys,
             venv,
             config,
-            hosts,
             order,
             suffix_demand,
             suffix_mem,
             suffix_stor,
             peers,
             slot_of: vec![None; venv.guest_count()],
-            r_proc,
-            r_mem,
-            r_stor,
+            residual: ResidualState::new(phys),
             best: f64::INFINITY,
             best_mapping: None,
             lb_floor: f64::INFINITY,
@@ -395,7 +393,7 @@ impl<'a> Search<'a> {
             // function of the instance, whatever the cache history.
             cache
                 .lagrangian
-                .prepare(self.phys, &self.hosts, self.venv.guest_count());
+                .prepare(self.phys, &self.residual, self.venv.guest_count());
         }
         self.dfs(0, cache);
     }
@@ -403,6 +401,12 @@ impl<'a> Search<'a> {
     fn dfs(&mut self, depth: usize, cache: &mut MapCache) {
         if self.stats.nodes_expanded >= self.config.max_nodes {
             self.truncated = true;
+            if depth == 0 {
+                // No frame bounded the root, so none floors the whole
+                // tree: the root's water-filling bound does.
+                self.lb_floor =
+                    residual_stddev_lower_bound(self.residual.proc_column(), self.suffix_demand[0]);
+            }
             return;
         }
         self.stats.nodes_expanded += 1;
@@ -442,16 +446,16 @@ impl<'a> Search<'a> {
         // Fit and latency checks stay lazy (per slot, inside the loop) so
         // a truncation mid-loop skips the remaining siblings' checks.
         for slot in self.sorted_slots() {
-            if self.r_mem[slot] < spec.mem.value() || self.r_stor[slot] < spec.stor.value() {
+            if !self.residual.fits(&spec, self.residual.host_at(slot)) {
                 continue;
             }
             if self.config.use_latency_pruning && !self.latency_admits(guest, slot, cache) {
                 self.stats.pruned_latency += 1;
                 continue;
             }
-            self.apply(depth, slot);
+            self.place(depth, slot);
             self.dfs(depth + 1, cache);
-            self.undo(depth, slot);
+            self.remove(depth, slot);
             if self.truncated {
                 // Unexplored siblings' subtrees all bound below by this
                 // frame's entry lb (bounds only tighten down the tree).
@@ -461,24 +465,23 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Assigns `order[depth]` to `slot`, debiting the residuals.
-    fn apply(&mut self, depth: usize, slot: usize) {
+    /// Assigns `order[depth]` to `slot`, which it fits, debiting the
+    /// residuals.
+    fn place(&mut self, depth: usize, slot: usize) {
         let guest = self.order[depth];
-        let spec = self.venv.guest(guest);
+        let host = self.residual.host_at(slot);
         self.slot_of[guest.index()] = Some(slot);
-        self.r_proc[slot] -= spec.proc.value();
-        self.r_mem[slot] -= spec.mem.value();
-        self.r_stor[slot] -= spec.stor.value();
+        self.residual
+            .place(self.phys, self.venv.guest(guest), host)
+            .expect("the branch loop placed a guest that fits");
     }
 
-    /// Inverse of [`apply`](Self::apply).
-    fn undo(&mut self, depth: usize, slot: usize) {
+    /// Inverse of [`place`](Self::place).
+    fn remove(&mut self, depth: usize, slot: usize) {
         let guest = self.order[depth];
-        let spec = self.venv.guest(guest);
         self.slot_of[guest.index()] = None;
-        self.r_proc[slot] += spec.proc.value();
-        self.r_mem[slot] += spec.mem.value();
-        self.r_stor[slot] += spec.stor.value();
+        self.residual
+            .remove(self.venv.guest(guest), self.residual.host_at(slot));
     }
 
     /// The admissible lower bound at the current node. Returns the bound
@@ -487,7 +490,8 @@ impl<'a> Search<'a> {
     /// warm-starts from the previously bounded node's multipliers in
     /// `cache.lagrangian`.
     fn node_bound(&mut self, depth: usize, cache: &mut MapCache) -> (f64, f64) {
-        let lb_wf = residual_stddev_lower_bound(&self.r_proc, self.suffix_demand[depth]);
+        let lb_wf =
+            residual_stddev_lower_bound(self.residual.proc_column(), self.suffix_demand[depth]);
         if self.config.bound != BoundKind::Lagrangian {
             return (lb_wf, lb_wf);
         }
@@ -495,10 +499,7 @@ impl<'a> Search<'a> {
             topo, lagrangian, ..
         } = cache;
         let view = NodeView {
-            hosts: &self.hosts,
-            r_proc: &self.r_proc,
-            r_mem: &self.r_mem,
-            r_stor: &self.r_stor,
+            residual: &self.residual,
             unassigned: &self.order[depth..],
             slot_of: &self.slot_of,
             peers: &self.peers,
@@ -506,14 +507,7 @@ impl<'a> Search<'a> {
             at_root: depth == 0,
             use_latency: self.config.use_latency_pruning,
         };
-        let out = lagrangian_bound(
-            self.phys,
-            self.venv,
-            &view,
-            topo,
-            lagrangian,
-            &self.config.lagrangian,
-        );
+        let out = lagrangian_bound(self.phys, self.venv, &view, topo, lagrangian);
         self.stats.subgradient_iters += out.evaluations;
         // Dominance is structural (the zero-price evaluation reproduces
         // the water-filling point); the max also absorbs float noise.
@@ -528,18 +522,18 @@ impl<'a> Search<'a> {
     /// remaining demand must fit the aggregate residuals, and every
     /// unassigned guest must still fit on *some* host individually.
     fn capacity_feasible(&self, depth: usize) -> bool {
-        let total_mem: u64 = self.r_mem.iter().sum();
-        if total_mem < self.suffix_mem[depth] {
+        let (mem, stor) = (self.residual.mem_column(), self.residual.stor_column());
+        if mem.iter().sum::<u64>() < self.suffix_mem[depth] {
             return false;
         }
-        let total_stor: f64 = self.r_stor.iter().sum();
-        if total_stor < self.suffix_stor[depth] {
+        if stor.iter().sum::<f64>() < self.suffix_stor[depth] {
             return false;
         }
         self.order[depth..].iter().all(|&g| {
             let spec = self.venv.guest(g);
-            (0..self.hosts.len())
-                .any(|s| self.r_mem[s] >= spec.mem.value() && self.r_stor[s] >= spec.stor.value())
+            mem.iter()
+                .zip(stor)
+                .any(|(&m, &s)| m >= spec.mem.value() && s >= spec.stor.value())
         })
     }
 
@@ -547,12 +541,12 @@ impl<'a> Search<'a> {
     /// path must respect each link's bound, so a placement violating it
     /// can never be routed — an exact prune.
     fn latency_admits(&self, guest: GuestId, slot: usize, cache: &mut MapCache) -> bool {
-        let host = self.hosts[slot];
+        let host = self.residual.host_at(slot);
         for &(peer, bound) in &self.peers[guest.index()] {
             let Some(peer_slot) = self.slot_of[peer] else {
                 continue;
             };
-            let peer_host = self.hosts[peer_slot];
+            let peer_host = self.residual.host_at(peer_slot);
             if peer_host == host {
                 continue; // intra-host: no route, no latency
             }
@@ -568,10 +562,11 @@ impl<'a> Search<'a> {
     /// (most-loaded-last spreads load early, so good incumbents arrive
     /// fast), ties broken on slot index for determinism.
     fn sorted_slots(&self) -> Vec<usize> {
-        let mut slots: Vec<usize> = (0..self.hosts.len()).collect();
+        let proc = self.residual.proc_column();
+        let mut slots: Vec<usize> = (0..proc.len()).collect();
         slots.sort_by(|&a, &b| {
-            self.r_proc[b]
-                .partial_cmp(&self.r_proc[a])
+            proc[b]
+                .partial_cmp(&proc[a])
                 .expect("finite residuals")
                 .then(a.cmp(&b))
         });
@@ -586,8 +581,8 @@ impl<'a> Search<'a> {
         let astar = &AStarPruneConfig::default();
         let mut routes =
             self.with_fresh_state(|state| networking_stage(state, &links, astar, cache).0.ok())?;
-        if routes.is_none() && self.config.ksp_fallback > 0 {
-            let ksp = YenKsp::new(self.config.ksp_fallback);
+        if routes.is_none() {
+            let ksp = YenKsp::new(KSP_FALLBACK);
             routes =
                 self.with_fresh_state(|state| networking_stage(state, &links, ksp, cache).0.ok())?;
         }
@@ -595,7 +590,10 @@ impl<'a> Search<'a> {
         let placement: Vec<NodeId> = self
             .slot_of
             .iter()
-            .map(|s| self.hosts[s.expect("leaf placement is complete")])
+            .map(|s| {
+                self.residual
+                    .host_at(s.expect("leaf placement is complete"))
+            })
             .collect();
         let mapping = Mapping::new(placement, routes);
         let objective = mapping_objective(self.phys, self.venv, &mapping);
@@ -609,7 +607,9 @@ impl<'a> Search<'a> {
     fn with_fresh_state<R>(&self, f: impl FnOnce(&mut PlacementState<'_>) -> R) -> Option<R> {
         let mut state = PlacementState::new(self.phys, self.venv);
         for (g, slot) in self.slot_of.iter().enumerate() {
-            let host = self.hosts[slot.expect("leaf placement is complete")];
+            let host = self
+                .residual
+                .host_at(slot.expect("leaf placement is complete"));
             state.assign(GuestId::from_index(g), host).ok()?;
         }
         Some(f(&mut state))
@@ -924,34 +924,6 @@ mod tests {
             wf.stats.nodes_expanded
         );
         assert!(lag.stats.subgradient_iters >= lag.stats.nodes_expanded);
-    }
-
-    #[test]
-    fn a_weak_subgradient_schedule_still_certifies() {
-        // The ascent schedule is configuration, not constants: a
-        // deliberately weak one must still certify the optimum
-        // (admissibility is schedule-independent), with different effort.
-        let (phys, venv) = emumap_workloads::oracle_smoke(2009);
-        let default = solve_cold(&phys, &venv, &ExactConfig::default());
-        let weak = solve_cold(
-            &phys,
-            &venv,
-            &ExactConfig {
-                lagrangian: LagrangianConfig {
-                    root_iters: 2,
-                    tree_iters: 1,
-                    step: 0.25,
-                    tangent_damping: 0.3,
-                },
-                ..Default::default()
-            },
-        );
-        assert_eq!(default.status, ExactStatus::Optimal);
-        assert_eq!(weak.status, ExactStatus::Optimal);
-        let (a, b) = (default.best.unwrap(), weak.best.unwrap());
-        assert!((a.objective - b.objective).abs() <= EPSILON);
-        let effort = |s: &ExactStats| (s.subgradient_iters, s.bound_improvements);
-        assert_ne!(effort(&weak.stats), effort(&default.stats));
     }
 
     #[test]

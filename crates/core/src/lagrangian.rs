@@ -64,43 +64,23 @@
 //! any cache history — the `MapCache` purity invariant.
 
 use crate::cache::ArTables;
-use crate::exact::EPSILON;
-use emumap_graph::NodeId;
-use emumap_model::{GuestId, PhysicalTopology, VirtualEnvironment};
+use crate::exact::{waterfill_level, EPSILON};
+use emumap_model::{GuestId, PhysicalTopology, ResidualState, VirtualEnvironment};
 
-/// Knobs of the subgradient ascent. All defaults are deliberately small:
-/// every dual evaluation is a valid bound on its own, so a handful of
-/// ascent steps per node (more at the root, where the bound is reused by
-/// the whole tree) buys most of the tightening.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LagrangianConfig {
-    /// Subgradient ascent steps at the root node (depth 0).
-    pub root_iters: u32,
-    /// Subgradient ascent steps at every deeper node (warm-started from
-    /// the previously bounded node's multipliers).
-    pub tree_iters: u32,
-    /// Step-size scale `θ` of the Polyak rule
-    /// `t = θ·(UB − dual)/‖subgradient‖²`, applied per price family.
-    pub step: f64,
-    /// Tangent-refresh mixing weight: each ascent iteration re-linearizes
-    /// at `x̂ ← γ·(x̂ + x*)` where `x*` is the relaxed solution's residual
-    /// point. The default `γ = 0.5` is the damped midpoint; any value
-    /// keeps the bound admissible (the tangent inequality holds at every
-    /// `x̂`), so the bench can sweep it without re-tuning correctness
-    /// gates.
-    pub tangent_damping: f64,
-}
+// The subgradient schedule. Every dual evaluation is a valid bound on its
+// own, so a handful of ascent steps per node (more at the root, whose
+// bound the whole tree reuses) buys most of the tightening.
 
-impl Default for LagrangianConfig {
-    fn default() -> Self {
-        LagrangianConfig {
-            root_iters: 24,
-            tree_iters: 4,
-            step: 1.0,
-            tangent_damping: 0.5,
-        }
-    }
-}
+/// Subgradient ascent steps at the search root.
+const ROOT_ITERS: u32 = 24;
+/// Subgradient ascent steps at every deeper node, warm-started from the
+/// previously bounded node's multipliers.
+const TREE_ITERS: u32 = 4;
+/// Tangent-refresh mixing weight `γ`: each ascent iteration
+/// re-linearizes at `x̂ ← γ·(x̂ + x*)`, where `x*` is the relaxed
+/// solution's residual point — the damped midpoint. Any value keeps the
+/// bound admissible (the tangent inequality holds at every `x̂`).
+const TANGENT_DAMPING: f64 = 0.5;
 
 /// Result of one bound computation at a search node.
 #[derive(Clone, Copy, Debug)]
@@ -116,14 +96,9 @@ pub struct LagrangianBound {
 /// A borrowed view of one branch-and-bound node: everything the bound
 /// needs from the search state, with no ownership transferred.
 pub struct NodeView<'a> {
-    /// Host slots in `phys.hosts()` order.
-    pub hosts: &'a [NodeId],
-    /// Residual CPU per host slot.
-    pub r_proc: &'a [f64],
-    /// Residual memory per host slot.
-    pub r_mem: &'a [u64],
-    /// Residual storage per host slot.
-    pub r_stor: &'a [f64],
+    /// Residual capacities under the placed guests; its host slots are
+    /// the slots `slot_of` names.
+    pub residual: &'a ResidualState,
     /// Guests not yet assigned at this node.
     pub unassigned: &'a [GuestId],
     /// Guest index → assigned host slot (placed guests only).
@@ -134,8 +109,7 @@ pub struct NodeView<'a> {
     /// Current incumbent objective (stddev; `INFINITY` when none). Only
     /// steers the ascent step size — any value keeps the bound admissible.
     pub incumbent: f64,
-    /// `true` at the search root (uses `root_iters` instead of
-    /// `tree_iters`).
+    /// `true` at the search root (more ascent steps than deeper nodes).
     pub at_root: bool,
     /// Apply the exact Eq. 8 latency restriction to the per-guest tables.
     pub use_latency: bool,
@@ -158,8 +132,6 @@ pub struct LagrangianScratch {
     /// Static per-solve: total physical bandwidth incident to each host
     /// slot — the capacity of the cut isolating that host.
     cut_static: Vec<f64>,
-    /// Static per-solve: graph node index → host slot (or `usize::MAX`).
-    slot_of_node: Vec<usize>,
     /// Guest index → position in the node's unassigned list (sparse,
     /// reset after each node).
     uidx_of: Vec<usize>,
@@ -209,38 +181,35 @@ impl LagrangianScratch {
         self.reuses
     }
 
-    /// Binds the scratch to one solve: sizes the buffers, computes the
-    /// static cut capacities, and — crucially — **resets the multipliers**
-    /// so the bound is a pure function of the instance, independent of
-    /// cache history (warm-start only happens *within* a solve).
-    pub fn prepare(&mut self, phys: &PhysicalTopology, hosts: &[NodeId], guest_count: usize) {
+    /// Binds the scratch to one solve over the host slots of `residual`:
+    /// sizes the buffers, computes the static cut capacities, and —
+    /// crucially — **resets the multipliers** so the bound is a pure
+    /// function of the instance, independent of cache history (warm-start
+    /// only happens *within* a solve).
+    pub fn prepare(
+        &mut self,
+        phys: &PhysicalTopology,
+        residual: &ResidualState,
+        guest_count: usize,
+    ) {
         if self.warm {
             self.reuses += 1;
         }
         self.warm = true;
-        let n = hosts.len();
+        let n = residual.host_nodes().len();
         self.lambda_mem.clear();
         self.lambda_mem.resize(n, 0.0);
         self.nu_stor.clear();
         self.nu_stor.resize(n, 0.0);
         self.beta_bw.clear();
         self.beta_bw.resize(n, 0.0);
-        self.slot_of_node.clear();
-        self.slot_of_node
-            .resize(phys.graph().node_count(), usize::MAX);
-        for (slot, &h) in hosts.iter().enumerate() {
-            self.slot_of_node[h.index()] = slot;
-        }
         self.cut_static.clear();
         self.cut_static.resize(n, 0.0);
         for e in phys.graph().edge_ids() {
             let (a, b) = phys.graph().endpoints(e);
             let bw = phys.link(e).bw.value();
-            for node in [a, b] {
-                let slot = self.slot_of_node[node.index()];
-                if slot != usize::MAX {
-                    self.cut_static[slot] += bw;
-                }
+            for slot in [a, b].into_iter().filter_map(|node| residual.slot_of(node)) {
+                self.cut_static[slot] += bw;
             }
         }
         self.uidx_of.clear();
@@ -268,28 +237,12 @@ pub fn tightest_peer_bounds(venv: &VirtualEnvironment) -> Vec<Vec<(usize, f64)>>
 
 /// Water-filling completion of `residuals` under total `demand`: the
 /// point `x̂_i = min(r_i, L)` with the level `L` chosen so
-/// `Σ x̂ = Σ r − demand`. Mirrors
-/// [`residual_stddev_lower_bound`](crate::exact::residual_stddev_lower_bound)
-/// but materializes the minimizer instead of only its stddev.
+/// `Σ x̂ = Σ r − demand` — the minimizer whose stddev is
+/// [`residual_stddev_lower_bound`](crate::exact::residual_stddev_lower_bound).
 fn waterfill_point(residuals: &[f64], demand: f64, sorted: &mut Vec<f64>, xhat: &mut Vec<f64>) {
-    let n = residuals.len();
-    sorted.clear();
-    sorted.extend_from_slice(residuals);
-    sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite residuals"));
     let total: f64 = residuals.iter().sum();
     let target = total - demand;
-    let mut level = f64::INFINITY;
-    let mut prefix = 0.0;
-    for k in 1..=n {
-        prefix += sorted[k - 1];
-        let suffix = total - prefix;
-        let l = (target - suffix) / k as f64;
-        let lo = if k < n { sorted[k] } else { f64::NEG_INFINITY };
-        if l <= sorted[k - 1] + EPSILON && l >= lo - EPSILON {
-            level = l;
-            break;
-        }
-    }
+    let level = waterfill_level(residuals, total, target, sorted).map_or(f64::INFINITY, |(_, l)| l);
     xhat.clear();
     xhat.extend(residuals.iter().map(|&r| r.min(level)));
 }
@@ -437,9 +390,15 @@ pub fn lagrangian_bound(
     view: &NodeView<'_>,
     topo: &mut ArTables,
     scratch: &mut LagrangianScratch,
-    config: &LagrangianConfig,
 ) -> LagrangianBound {
-    let n = view.hosts.len();
+    let residual = view.residual;
+    let hosts = residual.host_nodes();
+    let (r_proc, r_mem, r_stor) = (
+        residual.proc_column(),
+        residual.mem_column(),
+        residual.stor_column(),
+    );
+    let n = hosts.len();
     if n == 0 {
         return LagrangianBound {
             bound: 0.0,
@@ -449,13 +408,8 @@ pub fn lagrangian_bound(
     let un = view.unassigned.len();
     if un == 0 {
         // Leaf: the residuals are final and the "bound" is exact.
-        let mean = view.r_proc.iter().sum::<f64>() / n as f64;
-        let var = view
-            .r_proc
-            .iter()
-            .map(|&r| (r - mean) * (r - mean))
-            .sum::<f64>()
-            / n as f64;
+        let mean = r_proc.iter().sum::<f64>() / n as f64;
+        let var = r_proc.iter().map(|&r| (r - mean) * (r - mean)).sum::<f64>() / n as f64;
         return LagrangianBound {
             bound: var.sqrt().max(0.0),
             evaluations: 1,
@@ -469,7 +423,7 @@ pub fn lagrangian_bound(
         .iter()
         .map(|&g| venv.guest(g).proc.value())
         .sum();
-    waterfill_point(view.r_proc, demand, &mut scratch.sorted, &mut scratch.xhat);
+    waterfill_point(r_proc, demand, &mut scratch.sorted, &mut scratch.xhat);
 
     // Demand-density floors: every unassigned guest's CPU is at most
     // `ρ_mem` per MB of memory (resp. `ρ_stor` per GB of storage), so a
@@ -495,25 +449,25 @@ pub fn lagrangian_bound(
     let mut any_floor = false;
     for i in 0..n {
         let cap_mem = if rho_mem.is_finite() {
-            rho_mem * view.r_mem[i] as f64
+            rho_mem * r_mem[i] as f64
         } else {
             f64::INFINITY
         };
         let cap_stor = if rho_stor.is_finite() {
-            rho_stor * view.r_stor[i]
+            rho_stor * r_stor[i]
         } else {
             f64::INFINITY
         };
         let cap = cap_mem.min(cap_stor);
         let floor = if cap.is_finite() {
-            view.r_proc[i] - cap
+            r_proc[i] - cap
         } else {
             f64::NEG_INFINITY
         };
         any_floor |= floor > scratch.xhat[i] + EPSILON;
         scratch.floors.push(floor);
     }
-    if any_floor && !floored_waterfill(view.r_proc, &scratch.floors, demand, &mut scratch.xhat) {
+    if any_floor && !floored_waterfill(r_proc, &scratch.floors, demand, &mut scratch.xhat) {
         // The per-host absorption caps cannot swallow the remaining
         // demand: no completion satisfies the memory/storage constraints.
         return LagrangianBound {
@@ -522,17 +476,16 @@ pub fn lagrangian_bound(
         };
     }
 
-    let mean = (view.r_proc.iter().sum::<f64>() - demand) / n as f64;
+    let mean = (r_proc.iter().sum::<f64>() - demand) / n as f64;
     let mut c0 = -mean * mean;
     let mut tangent_var = 0.0;
-    for i in 0..n {
-        c0 +=
-            (2.0 * scratch.xhat[i] * view.r_proc[i] - scratch.xhat[i] * scratch.xhat[i]) / n as f64;
-        tangent_var += (scratch.xhat[i] - mean) * (scratch.xhat[i] - mean) / n as f64;
+    for (&x, &r) in scratch.xhat.iter().zip(r_proc) {
+        c0 += (2.0 * x * r - x * x) / n as f64;
+        tangent_var += (x - mean) * (x - mean) / n as f64;
     }
 
     scratch.rmem_f.clear();
-    scratch.rmem_f.extend(view.r_mem.iter().map(|&m| m as f64));
+    scratch.rmem_f.extend(r_mem.iter().map(|&m| m as f64));
 
     // Residual cut capacities: static incident bandwidth minus what the
     // already-placed cross-host links consume, and the partial (placed ↔
@@ -598,7 +551,7 @@ pub fn lagrangian_bound(
         scratch.gstor.push(spec.stor.value());
         let row = &mut scratch.cost[k * n..(k + 1) * n];
         for (i, slot) in row.iter_mut().enumerate() {
-            *slot = if view.r_mem[i] < spec.mem.value() || view.r_stor[i] < spec.stor.value() {
+            *slot = if r_mem[i] < spec.mem.value() || r_stor[i] < spec.stor.value() {
                 f64::INFINITY
             } else {
                 -(2.0 / n as f64) * spec.proc.value() * scratch.xhat[i]
@@ -609,10 +562,10 @@ pub fn lagrangian_bound(
                 let Some(peer_slot) = view.slot_of[peer] else {
                     continue;
                 };
-                let peer_host = view.hosts[peer_slot];
+                let peer_host = hosts[peer_slot];
                 let (ar, _) = topo.ar_and_csr(phys, peer_host);
                 for i in 0..n {
-                    if view.hosts[i] != peer_host && ar[view.hosts[i].index()] > bound + EPSILON {
+                    if hosts[i] != peer_host && ar[hosts[i].index()] > bound + EPSILON {
                         row[i] = f64::INFINITY;
                     }
                 }
@@ -659,7 +612,7 @@ pub fn lagrangian_bound(
         &scratch.peer_off,
         &scratch.peer_edges,
         &scratch.rmem_f,
-        view.r_stor,
+        r_stor,
         &scratch.cut_slack,
         &scratch.grad_mem,  // all-zero at this point
         &scratch.grad_stor, // all-zero
@@ -679,11 +632,7 @@ pub fn lagrangian_bound(
     // are still at zero anyway — so the single evaluation above stands.
     if view.incumbent.is_finite() {
         let ub_var = view.incumbent * view.incumbent;
-        let iters = if view.at_root {
-            config.root_iters
-        } else {
-            config.tree_iters
-        };
+        let iters = if view.at_root { ROOT_ITERS } else { TREE_ITERS };
         for _ in 0..iters {
             let value = evaluate_dual(
                 n,
@@ -695,7 +644,7 @@ pub fn lagrangian_bound(
                 &scratch.peer_off,
                 &scratch.peer_edges,
                 &scratch.rmem_f,
-                view.r_stor,
+                r_stor,
                 &scratch.cut_slack,
                 &scratch.lambda_mem,
                 &scratch.nu_stor,
@@ -728,10 +677,14 @@ pub fn lagrangian_bound(
                     }
                 }
             }
-            for i in 0..n {
-                scratch.grad_mem[i] -= scratch.rmem_f[i];
-                scratch.grad_stor[i] -= view.r_stor[i];
-                scratch.grad_bw[i] -= scratch.cut_slack[i];
+            for (grad, cap) in [
+                (&mut scratch.grad_mem, &scratch.rmem_f[..]),
+                (&mut scratch.grad_stor, r_stor),
+                (&mut scratch.grad_bw, &scratch.cut_slack[..]),
+            ] {
+                for (g, &c) in grad.iter_mut().zip(cap) {
+                    *g -= c;
+                }
             }
             // Tangent refresh: `x² ≥ 2x̂x − x̂²` holds for *any* x̂, so
             // re-linearize at the relaxed solution's residual point
@@ -742,15 +695,14 @@ pub fn lagrangian_bound(
             // priced relaxation actually concentrates load, which is what
             // lets the memory/storage/cut prices buy bound.
             scratch.xstar.clear();
-            scratch.xstar.extend_from_slice(view.r_proc);
+            scratch.xstar.extend_from_slice(r_proc);
             for (k, &c) in scratch.choice.iter().enumerate() {
                 scratch.xstar[c] -= scratch.gdem[k];
             }
             c0 = -mean * mean;
-            for i in 0..n {
-                scratch.xhat[i] = config.tangent_damping * (scratch.xhat[i] + scratch.xstar[i]);
-                c0 += (2.0 * scratch.xhat[i] * view.r_proc[i] - scratch.xhat[i] * scratch.xhat[i])
-                    / n as f64;
+            for ((x, &xs), &r) in scratch.xhat.iter_mut().zip(&scratch.xstar).zip(r_proc) {
+                *x = TANGENT_DAMPING * (*x + xs);
+                c0 += (2.0 * *x * r - *x * *x) / n as f64;
             }
             for (k, &d) in scratch.gdem.iter().enumerate() {
                 let row = &mut scratch.cost[k * n..(k + 1) * n];
@@ -760,8 +712,9 @@ pub fn lagrangian_bound(
                     }
                 }
             }
-            // Per-family Polyak steps: the three families mix units (MB,
-            // GB, kbps), so a shared norm would drown the small ones.
+            // Per-family Polyak steps `t = (UB − dual)/‖subgradient‖²`:
+            // the three families mix units (MB, GB, kbps), so a shared
+            // norm would drown the small ones.
             let gap = ub_var - value;
             for (grad, mult) in [
                 (&scratch.grad_mem, &mut scratch.lambda_mem),
@@ -770,7 +723,7 @@ pub fn lagrangian_bound(
             ] {
                 let norm2: f64 = grad.iter().map(|g| g * g).sum();
                 if norm2 > 1e-18 {
-                    let t = config.step * gap / norm2;
+                    let t = gap / norm2;
                     for i in 0..n {
                         mult[i] = (mult[i] + t * grad[i]).max(0.0);
                     }
@@ -790,49 +743,35 @@ pub fn lagrangian_bound(
 /// host slot), with multipliers reset first (no warm-start across calls),
 /// so repeated calls on any shared scratch are bit-identical to fresh
 /// ones.
+///
+/// # Panics
+/// Panics if a placed guest does not fit its host once the guests before
+/// it (in index order) are placed.
 pub fn lagrangian_bound_for_partial(
     phys: &PhysicalTopology,
     venv: &VirtualEnvironment,
     placement: &[Option<usize>],
     incumbent: f64,
-    config: &LagrangianConfig,
     topo: &mut ArTables,
     scratch: &mut LagrangianScratch,
 ) -> LagrangianBound {
     assert_eq!(placement.len(), venv.guest_count(), "one slot per guest");
-    let hosts: Vec<NodeId> = phys.hosts().to_vec();
-    let mut r_proc: Vec<f64> = hosts
-        .iter()
-        .map(|&h| phys.effective_proc(h).value())
-        .collect();
-    let mut r_mem: Vec<u64> = hosts
-        .iter()
-        .map(|&h| phys.effective_mem(h).value())
-        .collect();
-    let mut r_stor: Vec<f64> = hosts
-        .iter()
-        .map(|&h| phys.effective_stor(h).value())
-        .collect();
+    let mut residual = ResidualState::new(phys);
     let mut unassigned = Vec::new();
     for (g, slot) in placement.iter().enumerate() {
-        let spec = venv.guest(GuestId::from_index(g));
-        match slot {
-            Some(s) => {
-                r_proc[*s] -= spec.proc.value();
-                r_mem[*s] -= spec.mem.value();
-                r_stor[*s] -= spec.stor.value();
-            }
-            None => unassigned.push(GuestId::from_index(g)),
+        let guest = GuestId::from_index(g);
+        match *slot {
+            Some(s) => residual
+                .place(phys, venv.guest(guest), residual.host_at(s))
+                .expect("placed guests fit their hosts"),
+            None => unassigned.push(guest),
         }
     }
     let peers = tightest_peer_bounds(venv);
     topo.prepare(phys);
-    scratch.prepare(phys, &hosts, venv.guest_count());
+    scratch.prepare(phys, &residual, venv.guest_count());
     let view = NodeView {
-        hosts: &hosts,
-        r_proc: &r_proc,
-        r_mem: &r_mem,
-        r_stor: &r_stor,
+        residual: &residual,
         unassigned: &unassigned,
         slot_of: placement,
         peers: &peers,
@@ -840,7 +779,7 @@ pub fn lagrangian_bound_for_partial(
         at_root: true,
         use_latency: true,
     };
-    lagrangian_bound(phys, venv, &view, topo, scratch, config)
+    lagrangian_bound(phys, venv, &view, topo, scratch)
 }
 
 #[cfg(test)]
@@ -890,7 +829,6 @@ mod tests {
             &venv,
             &placement,
             f64::INFINITY, // no incumbent: single zero-price evaluation
-            &LagrangianConfig::default(),
             &mut ArTables::new(),
             &mut LagrangianScratch::new(),
         );
@@ -943,7 +881,6 @@ mod tests {
             &venv,
             &placement,
             f64::INFINITY, // no incumbent: floors alone must do the work
-            &LagrangianConfig::default(),
             &mut ArTables::new(),
             &mut LagrangianScratch::new(),
         );
@@ -981,7 +918,6 @@ mod tests {
             &venv,
             &placement,
             f64::INFINITY,
-            &LagrangianConfig::default(),
             &mut ArTables::new(),
             &mut LagrangianScratch::new(),
         );
@@ -1013,7 +949,6 @@ mod tests {
             &venv,
             &placement,
             incumbent,
-            &LagrangianConfig::default(),
             &mut ArTables::new(),
             &mut LagrangianScratch::new(),
         );
@@ -1041,7 +976,6 @@ mod tests {
             &venv,
             &[None],
             f64::INFINITY,
-            &LagrangianConfig::default(),
             &mut ArTables::new(),
             &mut LagrangianScratch::new(),
         );
@@ -1057,7 +991,6 @@ mod tests {
         let venv_a = chain_venv(&[(300.0, 900), (300.0, 900), (300.0, 900)], 10.0, 40.0);
         let phys_b = phys_line(4, &[2000.0, 1500.0, 1000.0, 500.0], 2048);
         let venv_b = chain_venv(&[(400.0, 128), (200.0, 128)], 50.0, 12.0);
-        let config = LagrangianConfig::default();
 
         let mut fresh_topo = ArTables::new();
         let mut fresh = LagrangianScratch::new();
@@ -1066,7 +999,6 @@ mod tests {
             &venv_b,
             &[None, None],
             30.0,
-            &config,
             &mut fresh_topo,
             &mut fresh,
         );
@@ -1078,7 +1010,6 @@ mod tests {
             &venv_a,
             &[Some(0), None, None],
             100.0,
-            &config,
             &mut warm_topo,
             &mut warm,
         );
@@ -1087,7 +1018,6 @@ mod tests {
             &venv_b,
             &[None, None],
             30.0,
-            &config,
             &mut warm_topo,
             &mut warm,
         );

@@ -102,7 +102,7 @@ pub use hosting::{hosting_stage, links_by_descending_bw, HostingPolicy, HostingS
 pub use ksp_routing::{HmnKsp, YenKsp};
 pub use lagrangian::{
     lagrangian_bound, lagrangian_bound_for_partial, tightest_peer_bounds, LagrangianBound,
-    LagrangianConfig, LagrangianScratch, NodeView,
+    LagrangianScratch, NodeView,
 };
 pub use mapper::{MapOutcome, MapStats, Mapper};
 pub use migration::{migration_stage, migration_stage_exhaustive, MigrationPolicy, MigrationStats};

@@ -302,7 +302,8 @@ impl Session {
                 reason: format!("duplicate tenant id \"{id}\""),
             };
         }
-        if let Some(reason) = demand_error(&venv) {
+        // `remove`'s rebuild argument needs finite, non-negative demands.
+        if let Some(reason) = venv.demand_error() {
             return ApplyOutcome::Rejected { reason };
         }
         let derived = self.derived_topology();
@@ -488,7 +489,7 @@ impl Session {
         let mut candidate = BTreeMap::new();
         for record in snapshot.tenants {
             let id = record.id;
-            if let Some(reason) = demand_error(&record.venv) {
+            if let Some(reason) = record.venv.demand_error() {
                 return Err(format!("tenant \"{id}\": {reason}"));
             }
             if let Err(violations) = validate_mapping(&self.phys, &record.venv, &record.mapping) {
@@ -576,22 +577,6 @@ impl Session {
             counters,
         });
     }
-}
-
-/// Why `venv` cannot be a tenant: [`Session::remove`]'s argument needs
-/// every CPU, storage and bandwidth demand to be finite and non-negative.
-fn demand_error(venv: &VirtualEnvironment) -> Option<String> {
-    let bad = |demand: f64| !(demand.is_finite() && demand >= 0.0);
-    let guest = venv.guest_ids().find(|&g| {
-        let spec = venv.guest(g);
-        bad(spec.proc.value()) || bad(spec.stor.value())
-    });
-    let link = venv.link_ids().find(|&l| bad(venv.link(l).bw.value()));
-    let culprit = match guest {
-        Some(g) => format!("guest {g}"),
-        None => format!("virtual link {}", link?),
-    };
-    Some(format!("{culprit} has a negative or non-finite demand"))
 }
 
 impl std::fmt::Debug for Session {
@@ -743,8 +728,20 @@ mod tests {
                 "{outcome}"
             );
         }
+        // A NaN or negative latency bound no route can be held to.
+        for lat in [f64::NAN, -5.0] {
+            let bad = venv(2, 1.0)
+                .graph()
+                .map_edges(|_, l| VLinkSpec::new(l.bw, Millis(lat)));
+            let bad = VirtualEnvironment::from_graph(bad);
+            let outcome = format!("{:?}", session.apply("bad", bad, &hmn));
+            assert!(
+                outcome.contains("negative or NaN latency bound"),
+                "{outcome}"
+            );
+        }
         assert_eq!(session.residual(), &before, "rejections leave state alone");
-        assert_eq!(session.counters().rejected, 5);
+        assert_eq!(session.counters().rejected, 7);
         assert_eq!(session.counters().admitted, 1);
         assert!(matches!(
             session.remove("nope"),

@@ -8,8 +8,8 @@
 //!
 //! * [`Graph`] — an undirected multigraph with typed [`NodeId`] / [`EdgeId`]
 //!   handles and arbitrary node/edge payloads,
-//! * shortest-path and traversal algorithms in [`algo`] (Dijkstra with
-//!   generic edge costs, BFS/DFS, connectivity, Yen's K-shortest paths),
+//! * shortest-path algorithms in [`algo`] (Dijkstra with generic edge
+//!   costs, BFS paths, connectivity, Yen's K-shortest paths, diameter),
 //! * cluster-topology generators in [`generators`] (2-D torus, cascaded
 //!   switches, ring, line, star, tree, fat-tree, random connected graphs).
 //!

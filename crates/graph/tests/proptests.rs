@@ -1,8 +1,6 @@
 //! Property-based tests for the graph substrate.
 
-use emumap_graph::algo::{
-    bfs_path, connected_components, dfs_path_filtered, dijkstra, is_connected,
-};
+use emumap_graph::algo::{bfs_path, connected_components, dijkstra, is_connected};
 use emumap_graph::generators::{
     edges_for_density, fat_tree, random_connected, ring, switched_cascade, torus2d, Role,
 };
@@ -92,29 +90,6 @@ proptest! {
             let hops = bfs_path(&g, s, t).unwrap().len() - 1;
             prop_assert_eq!(r.distance(t).unwrap() as usize, hops);
         }
-    }
-
-    #[test]
-    fn dfs_path_found_whenever_budget_allows((g, _) in arb_small_connected_graph()) {
-        // With an infinite budget on a connected graph, DFS must find a path
-        // between any two nodes. Small graphs only: unbounded backtracking
-        // DFS is worst-case exponential, and dense 60-node draws can spin
-        // for hours (observed in CI).
-        let s = NodeId::from_index(0);
-        let t = NodeId::from_index(g.node_count() - 1);
-        let found = dfs_path_filtered(&g, s, t, f64::INFINITY, |_, w| Some(*w));
-        prop_assert!(found.is_some());
-        // ... and the path is simple and really connects s to t.
-        let (_, edges) = found.unwrap();
-        let mut cur = s;
-        let mut visited = vec![false; g.node_count()];
-        visited[cur.index()] = true;
-        for e in edges {
-            cur = g.edge_ref(e).other(cur);
-            prop_assert!(!visited[cur.index()], "path revisits a node");
-            visited[cur.index()] = true;
-        }
-        prop_assert_eq!(cur, t);
     }
 
     #[test]
@@ -242,8 +217,6 @@ proptest! {
         for v in g.node_ids() {
             prop_assert!(r.distance(v).unwrap() <= d + 1e-9);
         }
-        let avg = emumap_graph::algo::average_path_cost(&g, |_, w| *w).unwrap();
-        prop_assert!(avg <= d + 1e-9);
     }
 }
 

@@ -143,6 +143,37 @@ impl VirtualEnvironment {
     pub fn total_mem_demand(&self) -> MemMb {
         self.graph.nodes().map(|(_, g)| g.mem).sum()
     }
+
+    /// Why no mapper may take this environment, naming the first culprit:
+    /// a guest's CPU or storage demand or a link's bandwidth demand that
+    /// is negative or non-finite (a negative one would lend capacity that
+    /// another guest or tenant could take), or a link's latency bound
+    /// that is NaN or negative. An infinite latency bound means "no
+    /// bound" and is legal. `None` when every number is usable.
+    pub fn demand_error(&self) -> Option<String> {
+        let bad = |demand: f64| !(demand.is_finite() && demand >= 0.0);
+        let guest = self.guest_ids().find(|&g| {
+            let spec = self.guest(g);
+            bad(spec.proc.value()) || bad(spec.stor.value())
+        });
+        if let Some(g) = guest {
+            return Some(format!("guest {g} has a negative or non-finite demand"));
+        }
+        self.link_ids().find_map(|l| {
+            let spec = self.link(l);
+            if bad(spec.bw.value()) {
+                Some(format!(
+                    "virtual link {l} has a negative or non-finite demand"
+                ))
+            } else if spec.lat.value().is_nan() || spec.lat.value() < 0.0 {
+                Some(format!(
+                    "virtual link {l} has a negative or NaN latency bound"
+                ))
+            } else {
+                None
+            }
+        })
+    }
 }
 
 #[cfg(test)]
@@ -190,6 +221,39 @@ mod tests {
         venv.add_guest(GuestSpec::new(Mips(100.0), MemMb(256), StorGb(200.0)));
         assert_eq!(venv.total_proc_demand(), Mips(150.0));
         assert_eq!(venv.total_mem_demand(), MemMb(384));
+    }
+
+    #[test]
+    fn demand_error_names_the_first_unusable_number() {
+        let mut venv = VirtualEnvironment::new();
+        let a = venv.add_guest(small_guest());
+        let b = venv.add_guest(small_guest());
+        venv.add_link(a, b, VLinkSpec::new(Kbps(750.0), Millis(f64::INFINITY)));
+        assert_eq!(venv.demand_error(), None, "an infinite bound is no bound");
+        for (lat, bad) in [
+            (-5.0, true),
+            (f64::NAN, true),
+            (f64::NEG_INFINITY, true),
+            (0.0, false),
+        ] {
+            let mut v = venv.clone();
+            v.add_link(b, a, VLinkSpec::new(Kbps(750.0), Millis(lat)));
+            let reason = v.demand_error();
+            assert_eq!(reason.is_some(), bad, "lat {lat}: {reason:?}");
+            if let Some(reason) = reason {
+                assert!(reason.contains("virtual link e1"), "{reason}");
+                assert!(reason.contains("latency bound"), "{reason}");
+            }
+        }
+        let mut v = venv.clone();
+        v.add_guest(GuestSpec::new(Mips(f64::NAN), MemMb(1), StorGb(1.0)));
+        let reason = v.demand_error().expect("a NaN CPU demand is refused");
+        assert!(reason.contains("guest n2"), "{reason}");
+        v.add_link(a, b, VLinkSpec::new(Kbps(-1.0), Millis(1.0)));
+        assert!(
+            v.demand_error().unwrap().contains("guest n2"),
+            "guests first"
+        );
     }
 
     #[test]

@@ -3,12 +3,10 @@
 //! The core pipeline emits [`TraceEvent`]s into an [`EventSink`] behind a
 //! [`Tracer`]. A disabled tracer is a `None` — [`Tracer::emit`] takes a
 //! closure so that event construction (string formatting, counter
-//! snapshots) is never even evaluated unless a sink is attached. Four
+//! snapshots) is never even evaluated unless a sink is attached. Three
 //! sinks ship in-tree, mirroring how the rest of the workspace vendors
 //! its dependencies:
 //!
-//! - [`NullSink`]: enabled but discards everything — measures the pure
-//!   dispatch overhead in benches.
 //! - [`RingSink`]: bounded in-memory ring buffer.
 //! - [`SharedSink`]: an unbounded log the caller keeps a handle to — what
 //!   tests inspect.
@@ -347,16 +345,6 @@ pub trait EventSink: Send {
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
     }
-}
-
-/// A sink that discards everything. Attaching it keeps the tracer
-/// *enabled* (events are constructed and dispatched), which is exactly
-/// what the overhead benchmark wants to measure.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn record(&mut self, _event: TraceEvent) {}
 }
 
 /// A bounded in-memory ring buffer. When full, the oldest event is

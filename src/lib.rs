@@ -10,7 +10,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`graph`] | `emumap-graph` | graphs, Dijkstra/BFS/DFS, topology generators |
+//! | [`graph`] | `emumap-graph` | graphs, Dijkstra/BFS paths, topology generators |
 //! | [`model`] | `emumap-model` | clusters, virtual environments, mappings, Eqs. 1–10 |
 //! | [`mapping`] | `emumap-core` | HMN, R, RA, HS, pool & consolidation extensions |
 //! | [`sim`] | `emumap-sim` | CloudSim-equivalent DES, experiment runtime model |
@@ -61,11 +61,11 @@ pub mod prelude {
         AdmitReport, Annealing, AnnealingConfig, ApplyOutcome, ArTables, BestFit, BoundKind,
         ClusterDiagnostics, ConsolidatingHmn, ExactConfig, ExactOutcome, ExactSolution, ExactStats,
         ExactStatus, FirstFitDecreasing, HeuristicPool, Hmn, HmnConfig, HmnKsp, HostingDfs,
-        HostingPolicy, LagrangianBound, LagrangianConfig, LagrangianScratch, LinkOrder,
-        LinkVerdict, MapCache, MapError, MapOutcome, MapStats, Mapper, MapperConfig, MapperEntry,
-        MigrationPolicy, PathMetric, PoolPolicy, RandomAStar, RandomDfs, RandomizedRounding,
-        RemoveReport, RoundingConfig, ServeError, Session, Snapshot, StatusReport, TenantRecord,
-        WorstFit, MAPPERS,
+        HostingPolicy, LagrangianBound, LagrangianScratch, LinkOrder, LinkVerdict, MapCache,
+        MapError, MapOutcome, MapStats, Mapper, MapperConfig, MapperEntry, MigrationPolicy,
+        PathMetric, PoolPolicy, RandomAStar, RandomDfs, RandomizedRounding, RemoveReport,
+        RoundingConfig, ServeError, Session, Snapshot, StatusReport, TenantRecord, WorstFit,
+        MAPPERS,
     };
     pub use emumap_graph::{generators, EdgeId, Graph, NodeId};
     pub use emumap_model::{

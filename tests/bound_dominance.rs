@@ -270,14 +270,12 @@ fn dominance_check(
     let mut topo = ArTables::new();
     let optimum = brute_force_optimum(phys, venv, placement, &mut topo);
 
-    let config = LagrangianConfig::default();
     for incumbent in [f64::INFINITY, optimum.unwrap_or(f64::INFINITY)] {
         let out = lagrangian_bound_for_partial(
             phys,
             venv,
             placement,
             incumbent,
-            &config,
             &mut topo,
             &mut LagrangianScratch::new(),
         );
@@ -323,7 +321,6 @@ fn scratch_independence_check(
     venv: &VirtualEnvironment,
     placement: &[Option<usize>],
 ) {
-    let config = LagrangianConfig::default();
     let incumbent = 1_000.0; // finite: forces the ascent to actually run
     let mut topo = ArTables::new();
     let fresh = lagrangian_bound_for_partial(
@@ -331,7 +328,6 @@ fn scratch_independence_check(
         venv,
         placement,
         incumbent,
-        &config,
         &mut topo,
         &mut LagrangianScratch::new(),
     );
@@ -345,20 +341,12 @@ fn scratch_independence_check(
         &other_venv,
         &other_placement,
         incumbent,
-        &config,
         &mut other_topo,
         &mut warmed,
     );
     // …then reuse it: the result must be bit-identical.
-    let reused = lagrangian_bound_for_partial(
-        phys,
-        venv,
-        placement,
-        incumbent,
-        &config,
-        &mut topo,
-        &mut warmed,
-    );
+    let reused =
+        lagrangian_bound_for_partial(phys, venv, placement, incumbent, &mut topo, &mut warmed);
     assert_eq!(
         fresh.bound.to_bits(),
         reused.bound.to_bits(),

@@ -6,9 +6,9 @@
 //!    same exact search: same status, and certified objectives equal up
 //!    to `EPSILON`.
 //! 2. **Truncation is admissible** — a run cut short by a node budget
-//!    reports a `lower_bound` no higher than any feasible mapping the
-//!    full search finds, so a Truncated interval always contains the
-//!    optimum.
+//!    (zero included, where no node is bounded at all) reports a
+//!    `lower_bound` no higher than any feasible mapping the full search
+//!    finds, so a Truncated interval always contains the optimum.
 //!
 //! The vendored proptest shim has no automatic failure persistence;
 //! `regression_seeds_replay` replays the seeds pinned in
@@ -116,7 +116,7 @@ fn truncation_check(phys: &PhysicalTopology, venv: &VirtualEnvironment) {
     for bound in [BoundKind::Lagrangian, BoundKind::Waterfill] {
         let full = solve_at(phys, venv, with_bound(bound));
         let Some(best) = full.best else { continue };
-        for max_nodes in [1, 4, 9] {
+        for max_nodes in [0, 1, 4, 9] {
             let cut = solve_at(
                 phys,
                 venv,
