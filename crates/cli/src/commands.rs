@@ -145,6 +145,16 @@ fn read_venv(path: &str) -> Result<VirtualEnvironment, CliError> {
     }
 }
 
+/// Reads a `--phys` file, refusing one whose numbers no mapper may take
+/// (see [`PhysicalTopology::capacity_error`]).
+pub(crate) fn read_phys(path: &str) -> Result<PhysicalTopology, CliError> {
+    let phys: PhysicalTopology = read_json(path)?;
+    match phys.capacity_error() {
+        Some(reason) => Err(CliError::Io(format!("parsing {path}: {reason}"))),
+        None => Ok(phys),
+    }
+}
+
 pub(crate) fn write_json<T: serde::Serialize>(path: &str, value: &T) -> Result<(), CliError> {
     if let Some(parent) = Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
@@ -408,7 +418,7 @@ fn map_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
     let out = p.optional("out");
     let trace = p.optional("trace");
     p.finish()?;
-    let phys: PhysicalTopology = read_json(&phys_path)?;
+    let phys = read_phys(&phys_path)?;
     let venv = read_venv(&venv_path)?;
 
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -532,7 +542,7 @@ fn exact_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
     let trace = p.optional("trace");
     p.finish()?;
     let (phys, venv): (PhysicalTopology, VirtualEnvironment) = match instance {
-        Instance::Files(phys, venv) => (read_json(&phys)?, read_venv(&venv)?),
+        Instance::Files(phys, venv) => (read_phys(&phys)?, read_venv(&venv)?),
         Instance::Smoke(seed) => oracle_smoke(seed),
     };
 
@@ -637,7 +647,7 @@ fn read_instance_and_mapping(
     let venv = p.required("venv")?;
     let mapping = p.required("mapping")?;
     p.finish()?;
-    Ok((read_json(&phys)?, read_venv(&venv)?, read_json(&mapping)?))
+    Ok((read_phys(&phys)?, read_venv(&venv)?, read_json(&mapping)?))
 }
 
 fn validate_cmd(p: Parsed) -> Result<Vec<String>, CliError> {
@@ -728,7 +738,7 @@ fn batch_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
     let trace_dir = p.optional("trace-dir");
     let quiet = p.flag("quiet");
     p.finish()?;
-    let phys: PhysicalTopology = read_json(&phys_path)?;
+    let phys = read_phys(&phys_path)?;
     let venv = read_venv(&venv_path)?;
     if let Some(dir) = &trace_dir {
         std::fs::create_dir_all(dir).map_err(|e| CliError::Io(format!("creating {dir}: {e}")))?;
@@ -936,7 +946,7 @@ fn inspect_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
     if mapping_path.is_some() && venv_path.is_none() {
         return Err(CliError::Usage("--mapping requires --venv".to_string()));
     }
-    let phys: PhysicalTopology = read_json(&phys_path)?;
+    let phys = read_phys(&phys_path)?;
     let mut lines = Vec::new();
 
     let switches = phys.graph().node_count() - phys.host_count();
@@ -1755,6 +1765,62 @@ mod tests {
                 let link = "virtual link e0 has a negative or NaN latency bound";
                 assert_venv_refused(sub, 50.0, lat, link);
             }
+        }
+    }
+
+    type PhysGraph = emumap_graph::Graph<emumap_model::PhysNode, emumap_model::LinkSpec>;
+
+    /// Runs `sub` on a 6-host torus (`gen-cluster --topology torus --hosts
+    /// 6 --seed 11`) after `spoil` edits its graph, which must fail with an
+    /// error naming `culprit`.
+    fn assert_phys_refused(sub: &str, spoil: impl Fn(&mut PhysGraph), culprit: &str) {
+        let dir = tmpdir();
+        let phys_path = dir.join("bad-phys.json").display().to_string();
+        let venv = dir.join("venv.json").display().to_string();
+        let mapping = dir.join("no-mapping.json").display().to_string();
+        let cluster = ["gen-cluster", "--topology", "torus", "--hosts", "6"];
+        run_tokens(&[&cluster[..], &["--seed", "11", "-o", &phys_path]].concat())
+            .expect("gen-cluster");
+        run_tokens(&["gen-venv", "--guests", "4", "-o", &venv]).expect("gen-venv");
+        let phys: PhysicalTopology = read_json(&phys_path).unwrap();
+        let mut graph = phys.graph().clone();
+        spoil(&mut graph);
+        let bad = PhysicalTopology::from_graph(graph, phys.vmm_overhead());
+        write_json(&phys_path, &bad).unwrap();
+        let mut tokens = vec![sub, "--phys", &phys_path];
+        if sub != "serve" {
+            tokens.extend(["--venv", &venv]);
+        }
+        if matches!(sub, "validate" | "simulate" | "inspect") {
+            tokens.extend(["--mapping", &mapping]);
+        }
+        let Err(e) = run_tokens(&tokens) else {
+            panic!("{sub} accepted a topology that should name {culprit}");
+        };
+        assert!(e.to_string().contains(culprit), "{sub}: {e}");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn every_phys_reader_refuses_unusable_numbers() {
+        use emumap_graph::{EdgeId, NodeId};
+        use emumap_model::{HostSpec, Kbps, MemMb, Millis, Mips, PhysNode, StorGb};
+        let (host, link) = (NodeId::from_index(0), EdgeId::from_index(0));
+        let readers = [
+            "map", "batch", "exact", "validate", "simulate", "inspect", "serve",
+        ];
+        // The bandwidth case comes first: a reader that accepts the
+        // negative latency may never return.
+        for sub in readers {
+            let bandwidth = "link e0 has a negative or non-finite bandwidth";
+            assert_phys_refused(sub, |g| g.edge_mut(link).bw = Kbps(-1_000_000.0), bandwidth);
+            let cpu = |g: &mut PhysGraph| {
+                let spec = HostSpec::new(Mips(f64::NAN), MemMb(4096), StorGb(1000.0));
+                *g.node_mut(host) = PhysNode::Host(spec);
+            };
+            assert_phys_refused(sub, cpu, "host n0 has a negative or non-finite capacity");
+            let latency = "link e0 has a negative or non-finite latency";
+            assert_phys_refused(sub, |g| g.edge_mut(link).lat = Millis(-5.0), latency);
         }
     }
 

@@ -33,12 +33,12 @@ use std::io::{BufRead, Read, Write};
 
 use crate::args::Parsed;
 use crate::commands::{
-    build_mapper, generate_venv, read_json, traced, write_json, CliError, DEFAULT_SEED, MAX_GUESTS,
-    MAX_VIRTUAL_LINKS,
+    build_mapper, generate_venv, read_json, read_phys, traced, write_json, CliError, DEFAULT_SEED,
+    MAX_GUESTS, MAX_VIRTUAL_LINKS,
 };
 use emumap_core::serve::{ApplyOutcome, Session, Snapshot};
 use emumap_core::Mapper;
-use emumap_model::{PhysicalTopology, VirtualEnvironment};
+use emumap_model::VirtualEnvironment;
 use serde::{Deserialize, Serialize, Value};
 
 /// One parsed request: `apply` and `remove` name a tenant id, `save` and
@@ -316,7 +316,7 @@ pub fn serve_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
     let socket = p.optional("socket");
     let trace = p.optional("trace");
     p.finish()?;
-    let phys: PhysicalTopology = read_json(&phys_path)?;
+    let phys = read_phys(&phys_path)?;
 
     let (mut session, mapper) = (Session::new(phys, seed), mapper.as_ref());
     let serve = |session: &mut Session| match &socket {
@@ -410,7 +410,9 @@ fn serve_socket(
 mod tests {
     use super::*;
     use emumap_core::MapCache;
-    use emumap_model::{HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, StorGb, VmmOverhead};
+    use emumap_model::{
+        HostSpec, Kbps, LinkSpec, MemMb, Millis, Mips, PhysicalTopology, StorGb, VmmOverhead,
+    };
     use emumap_workloads::VirtualEnvSpec;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

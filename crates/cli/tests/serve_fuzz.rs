@@ -1,8 +1,9 @@
 //! Fuzzes `emumap serve` at its two trust boundaries, request bytes and
 //! snapshot files. Windows of the pinned soak trace
 //! (`tests/data/serve_soak_requests.jsonl`) go through `serve_stream` one
-//! line at a time, some lines byte-mutated and some replaced by a restore
-//! of a byte-mutated snapshot. After each line nothing has panicked, a
+//! line at a time, some `apply` lines rewritten with the same tenant's venv
+//! inline, some lines byte-mutated and some replaced by a restore of a
+//! byte-mutated snapshot. After each line nothing has panicked, a
 //! non-blank line got exactly one response and a blank one none, the
 //! response is a one-key JSON object, and the residuals are bitwise equal
 //! to a from-scratch rebuild of the tenants. `PROPTEST_CASES` raises the
@@ -14,11 +15,12 @@ use std::sync::OnceLock;
 use emumap_cli::serve::{serve_stream, Served};
 use emumap_core::{build_mapper, MapperConfig, Session, Snapshot, DEFAULT_MAX_ATTEMPTS};
 use emumap_model::{PhysicalTopology, ResidualState};
-use emumap_workloads::ClusterSpec;
+use emumap_workloads::{ClusterSpec, VirtualEnvSpec};
 use proptest::prelude::*;
 use proptest::TestRng;
+use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::Value;
+use serde::{Deserialize, Value};
 
 #[path = "../../../tests/pinned/mod.rs"]
 mod pinned;
@@ -100,6 +102,23 @@ fn feed(session: &mut Session, line: &[u8]) {
     assert_eq!(residual, bits(session.phys(), &rebuilt), "after {request}");
 }
 
+/// A generator-form `apply` line rewritten with the venv it generates
+/// inline, so that it admits the same tenant; `None` for any other line.
+fn inline_form(line: &str) -> Option<String> {
+    let value = serde_json::value_from_str(line).ok()?;
+    let body = value.get("apply")?;
+    let id = String::from_value(body.get("id")?).ok()?;
+    let guests = usize::from_value(body.get("guests")?).ok()?;
+    let density = f64::from_value(body.get("density")?).ok()?;
+    let seed = u64::from_value(body.get("seed")?).ok()?;
+    let spec = match String::from_value(body.get("workload")?).ok()?.as_str() {
+        "high" => VirtualEnvSpec::high_level(guests, density),
+        _ => VirtualEnvSpec::low_level(guests, density),
+    };
+    let venv = serde_json::to_string(&spec.generate(&mut SmallRng::seed_from_u64(seed))).ok()?;
+    Some(format!("{{\"apply\":{{\"id\":\"{id}\",\"venv\":{venv}}}}}"))
+}
+
 /// Applies up to `max` random byte edits (replace, insert or delete),
 /// skipping any that would write a newline unless `newlines`.
 fn mutate(rng: &mut TestRng, bytes: &mut Vec<u8>, max: usize, newlines: bool) {
@@ -121,9 +140,10 @@ fn mutate(rng: &mut TestRng, bytes: &mut Vec<u8>, max: usize, newlines: bool) {
 }
 
 /// From a random checkpoint, replays up to 40 soak lines. A fifth of them
-/// become a restore of a mutated checkpoint; a third of the rest are
-/// mutated themselves. `save` lines stay intact, so files are written only
-/// in the scratch directory.
+/// become a restore of a mutated checkpoint. Of the rest, a third of the
+/// `apply` lines take their inline form, and then a third of the lines are
+/// mutated. `save` lines stay intact, so files are written only in the
+/// scratch directory.
 fn fuzz_case(seed: u64) {
     let ((phys, lines, checkpoints), rng) = (soak(), &mut TestRng::seed_from_u64(seed));
     let dir = scratch(&format!("{seed:x}"));
@@ -141,8 +161,13 @@ fn fuzz_case(seed: u64) {
             mutate(rng, &mut file, 4, true);
             std::fs::write(format!("{dir}/mutated.json"), file).unwrap();
             bytes = format!("{{\"restore\":{{\"path\":\"{dir}/mutated.json\"}}}}").into_bytes();
-        } else if !line.starts_with("{\"save\"") && rng.gen_bool(0.35) {
-            mutate(rng, &mut bytes, 3, false);
+        } else if !line.starts_with("{\"save\"") {
+            if let Some(inline) = inline_form(line).filter(|_| rng.gen_bool(0.35)) {
+                bytes = inline.into_bytes();
+            }
+            if rng.gen_bool(0.35) {
+                mutate(rng, &mut bytes, 3, false);
+            }
         }
         feed(&mut session, &bytes);
     }
@@ -158,6 +183,31 @@ proptest! {
     ) {
         fuzz_case(seed);
     }
+}
+
+/// The soak with every `apply` in its inline form passes each checkpoint
+/// in the same state: the inline form admits the same tenant.
+#[test]
+fn inline_applies_replay_the_soak() {
+    let (phys, lines, checkpoints) = soak();
+    let (dir, mut session) = (scratch("inline"), Session::new(phys.clone(), SEED));
+    let mut inlined = 0;
+    for (n, line) in lines.iter().enumerate() {
+        if n % CHECKPOINT_EVERY == 0 {
+            let want = serde_json::to_string(&checkpoints[n / CHECKPOINT_EVERY]).unwrap();
+            assert_eq!(
+                serde_json::to_string(&session.snapshot()).unwrap(),
+                want,
+                "line {n}"
+            );
+        }
+        let line = inline_form(line)
+            .inspect(|_| inlined += 1)
+            .unwrap_or(line.clone());
+        feed(&mut session, line.replace("soak", &dir).as_bytes());
+    }
+    assert!(inlined > 0, "the soak has generator-form applies");
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// Replays every case pinned in `proptest-regressions/serve_fuzz.txt`.

@@ -86,10 +86,17 @@
 //! 1. *Levels.* No path is wider than `cap`, the smaller over the two
 //!    endpoints of the endpoint's widest incident residual `>= demand`,
 //!    so the router probes `cap` first. If that fails it climbs: it
-//!    probes the demand, then the lowest residual above the bottleneck of
-//!    the path it found, and so on; the first probe that fails leaves the
-//!    last path found, whose bottleneck is the highest feasible level.
-//!    A failed probe at the demand proves that no path exists.
+//!    probes the demand, then `b.next_up()` for the bottleneck `b` of the
+//!    path it found, and so on while the level stays below `cap`; the
+//!    first probe that fails leaves the last path found, whose bottleneck
+//!    is the highest feasible level. A probe reads its level only through
+//!    `residual < level`, so the probe at `b.next_up()` runs on the edges
+//!    wider than `b`, the edge set of the least residual above `b`. When
+//!    no usable residual lies between `b` and `cap`, that edge set is the
+//!    failed cap probe's, and the climb ends with one failing probe more
+//!    than a climb over the sorted residuals would make. Each success
+//!    raises the level strictly, so the climb ends. A failed probe at the
+//!    demand proves that no path exists.
 //! 2. *Probes.* A probe at level `b` is an A\* search from the origin over
 //!    the edges with residual `>= b`. A label is a path's `(latency,
 //!    hops)`, with its bottleneck as the tie-break and a pointer to the
@@ -339,8 +346,7 @@ impl Frontier {
 }
 
 /// The edges whose residual is at least `demand`, each beside its
-/// residual: the candidate bottleneck levels, one per edge, for the guide
-/// and the exact router alike.
+/// residual: the guide's candidate bottleneck levels, one per edge.
 fn usable_edges<'a>(
     phys: &'a PhysicalTopology,
     residual: &'a ResidualState,
@@ -543,13 +549,11 @@ impl GuideScratch {
 }
 
 /// The exact router's buffers (module docs, "Exact per-level routing"):
-/// the levels still to climb, the current probe's labels and each node's
-/// newest one, the nodes it reached, the open labels, the path of the
-/// highest feasible level probed so far, and the latency facts of the
-/// topology last routed on.
+/// the current probe's labels and each node's newest one, the nodes it
+/// reached, the open labels, the path of the highest feasible level
+/// probed so far, and the latency facts of the topology last routed on.
 #[derive(Debug, Default)]
 struct LevelScratch {
-    levels: Vec<f64>,
     labels: Vec<Label>,
     newest: Vec<u32>,
     touched: Vec<u32>,
@@ -628,7 +632,8 @@ struct Query<'a> {
 }
 
 impl LevelScratch {
-    /// [`astar_prune`] with the exact router.
+    /// [`astar_prune`] with the exact router: steps 1 and 3 of "Exact
+    /// per-level routing", probing through [`LevelScratch::probe`].
     #[allow(clippy::too_many_arguments)]
     fn search(
         &mut self,
@@ -657,56 +662,36 @@ impl LevelScratch {
             ar,
             cap,
         };
-        let found = self.route(q, demand.value(), &mut stats);
-        found.then(|| (self.path.clone(), stats))
-    }
-
-    /// Steps 1 and 3 of "Exact per-level routing": whether any level is
-    /// feasible; if so, `self.path` holds the highest one's path.
-    fn route(&mut self, q: Query<'_>, demand: f64, stats: &mut SearchStats) -> bool {
-        let csr = q.phys.graph().csr();
-        if self.latencies.generation != q.phys.generation() {
-            let graph = q.phys.graph();
-            let lats = || graph.edge_ids().map(|e| q.phys.link(e).lat.value());
+        if self.latencies.generation != phys.generation() {
+            let graph = phys.graph();
+            let lats = || graph.edge_ids().map(|e| phys.link(e).lat.value());
             self.latencies = Latencies {
-                generation: q.phys.generation(),
+                generation: phys.generation(),
                 longest: lats().fold(0.0, f64::max),
                 dyadic: lats().all(|l| (l * 65536.0).fract() == 0.0),
             };
         }
-        let Some(top) = endpoint_cap(csr, q.residual, q.origin, q.destination, demand) else {
-            return false;
-        };
-        if self.probe(q, top, stats) {
-            return true;
+        let demand = demand.value();
+        let top = endpoint_cap(phys.graph().csr(), residual, origin, destination, demand)?;
+        if self.probe(q, top, &mut stats) {
+            return Some((self.path.clone(), stats));
         }
-        // Climb from the demand: a probe's path is as wide as any level up
-        // to its bottleneck, so the next probe is the lowest level above
-        // it, and the first that fails leaves the answer in place.
-        let mut levels = std::mem::take(&mut self.levels);
-        levels.clear();
-        levels.extend(
-            usable_edges(q.phys, q.residual, demand)
-                .map(|(level, _)| level)
-                .filter(|&level| level < top),
-        );
+        // Climb from the demand: a probe at `b.next_up()` runs on the edges
+        // wider than the last path's bottleneck `b`, and the first that
+        // fails leaves the answer in place. Each success raises `level`,
+        // and at `top` or above a probe could only repeat the failed one.
+        let mut level = demand;
         let mut found = false;
-        let mut next = Some(demand);
-        while let Some(level) = next {
-            if !self.probe(q, level, stats) {
-                break;
-            }
+        while level < top && self.probe(q, level, &mut stats) {
             found = true;
             let b = self
                 .path
                 .iter()
-                .map(|&e| q.residual.bw(e).value())
+                .map(|&e| residual.bw(e).value())
                 .fold(f64::INFINITY, f64::min);
-            levels.retain(|&l| l > b);
-            next = levels.iter().copied().min_by(f64::total_cmp);
+            level = b.next_up();
         }
-        self.levels = levels;
-        found
+        found.then(|| (self.path.clone(), stats))
     }
 
     /// Step 2: one A\* probe over the edges with residual `>= level`.
@@ -2214,9 +2199,47 @@ mod tests {
         }
     }
 
+    /// The exact router's climb over a sorted level list, kept as the
+    /// reference for the `next_up` climb: after the failed cap probe it
+    /// probes the demand, then the least usable residual below the cap
+    /// above each path's bottleneck. Returns the path and the probe count.
+    fn climb_over_sorted_levels(
+        scratch: &mut LevelScratch,
+        q: Query<'_>,
+        demand: f64,
+    ) -> (Option<Vec<EdgeId>>, usize) {
+        let mut stats = SearchStats::default();
+        let csr = q.phys.graph().csr();
+        let Some(top) = endpoint_cap(csr, q.residual, q.origin, q.destination, demand) else {
+            return (None, 0);
+        };
+        if scratch.probe(q, top, &mut stats) {
+            return (Some(scratch.path.clone()), stats.guide_probes);
+        }
+        let mut levels: Vec<f64> = usable_edges(q.phys, q.residual, demand)
+            .map(|(level, _)| level)
+            .filter(|&level| level < top)
+            .collect();
+        levels.sort_by(f64::total_cmp);
+        levels.dedup();
+        let (mut found, mut next) = (None, Some(demand));
+        while let Some(level) = next {
+            if !scratch.probe(q, level, &mut stats) {
+                break;
+            }
+            let b = f64::from_bits(triple(q.phys, q.residual, &scratch.path).0);
+            let above = levels.partition_point(|&l| l <= b);
+            next = levels.get(above).copied();
+            found = Some(scratch.path.clone());
+        }
+        (found, stats.guide_probes)
+    }
+
     /// Routes one query with the exact router and with the default
     /// guided A\*Prune and checks that both find a path or neither does,
-    /// with equal triples. Returns A\*Prune's path.
+    /// with equal triples, and that the exact router's path is the one
+    /// [`climb_over_sorted_levels`] finds, in at most one more probe.
+    /// Returns A\*Prune's path.
     fn exact_matches_astar_prune(
         phys: &PhysicalTopology,
         residual: &ResidualState,
@@ -2226,27 +2249,55 @@ mod tests {
         bound: f64,
     ) -> Result<Option<Vec<EdgeId>>, TestCaseError> {
         let ar = ar_for(phys, destination);
-        let run = |config| {
-            search(
-                phys,
-                residual,
-                origin,
-                destination,
-                Kbps(demand),
-                Millis(bound),
-                &ar,
-                config,
-            )
-            .map(|(path, _)| path)
-        };
-        let (exact, astar) = (run(&exact()), run(&AStarPruneConfig::default()));
+        let mut scratch = LevelScratch::default();
+        let exact = scratch.search(
+            phys,
+            residual,
+            origin,
+            destination,
+            Kbps(demand),
+            Millis(bound),
+            Some(ArView::new(&ar, destination)),
+        );
+        let astar = search(
+            phys,
+            residual,
+            origin,
+            destination,
+            Kbps(demand),
+            Millis(bound),
+            &ar,
+            &AStarPruneConfig::default(),
+        )
+        .map(|(path, _)| path);
         prop_assert_eq!(
-            exact.as_ref().map(|p| triple(phys, residual, p)),
+            exact.as_ref().map(|(p, _)| triple(phys, residual, p)),
             astar.as_ref().map(|p| triple(phys, residual, p)),
             "demand {} bound {}",
             demand,
             bound
         );
+        let cap = bound + 1e-9;
+        if origin != destination && ar[origin.index()] <= cap {
+            let q = Query {
+                phys,
+                residual,
+                origin,
+                destination,
+                ar: Some(ArView::new(&ar, destination)),
+                cap,
+            };
+            let (reference, probes) = climb_over_sorted_levels(&mut scratch, q, demand);
+            prop_assert_eq!(exact.as_ref().map(|(p, _)| p), reference.as_ref());
+            if let Some((_, stats)) = &exact {
+                prop_assert!(
+                    stats.guide_probes.abs_diff(probes) <= 1,
+                    "{} probes, {} by the reference",
+                    stats.guide_probes,
+                    probes
+                );
+            }
+        }
         Ok(astar)
     }
 
@@ -2290,7 +2341,7 @@ mod tests {
     #[test]
     fn exact_router_scratch_reuse_is_pure() {
         // One warm scratch serves loaded queries on two topologies in
-        // turn: labels, levels and the cached longest latency must not
+        // turn: labels, the path and the cached longest latency must not
         // leak from one search into the next.
         let mut rng = SmallRng::seed_from_u64(23);
         let nets = [random_fat_tree(6, &mut rng), random_torus(&mut rng, tenths)];

@@ -49,11 +49,6 @@ impl HeuristicPool {
             policy,
         }
     }
-
-    /// Member names in order.
-    pub fn member_names(&self) -> Vec<&str> {
-        self.members.iter().map(|m| m.name()).collect()
-    }
 }
 
 impl Mapper for HeuristicPool {

@@ -76,24 +76,6 @@ pub fn complete(n: usize) -> Topology {
     g
 }
 
-/// `rows x cols` grid *without* wraparound.
-pub fn grid2d(rows: usize, cols: usize) -> Topology {
-    let mut g = Graph::with_capacity(rows * cols, 2 * rows * cols);
-    let ids: Vec<_> = (0..rows * cols).map(|_| g.add_node(Role::Host)).collect();
-    let at = |r: usize, c: usize| ids[r * cols + c];
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                g.add_edge(at(r, c), at(r, c + 1), ());
-            }
-            if r + 1 < rows {
-                g.add_edge(at(r, c), at(r + 1, c), ());
-            }
-        }
-    }
-    g
-}
-
 /// `rows x cols` 2-D torus (grid with wraparound), the paper's first
 /// physical topology. Wraparound edges that would duplicate a grid edge
 /// (dimension of size 2) or form a self-loop (dimension of size 1) are
@@ -321,15 +303,6 @@ pub fn random_connected<R: Rng + ?Sized>(n: usize, density: f64, rng: &mut R) ->
     g
 }
 
-/// Host node-ids of a topology (skipping switches), in insertion order.
-pub fn host_ids(topology: &Topology) -> Vec<NodeId> {
-    topology
-        .nodes()
-        .filter(|(_, role)| **role == Role::Host)
-        .map(|(id, _)| id)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,14 +372,6 @@ mod tests {
         // 1x1 and 1x2 stay simple.
         assert_eq!(torus2d(1, 1).edge_count(), 0);
         assert_eq!(torus2d(1, 2).edge_count(), 1);
-    }
-
-    #[test]
-    fn grid_has_no_wraparound() {
-        let g = grid2d(3, 3);
-        assert_eq!(g.edge_count(), 12);
-        let corner_degree = g.degree(NodeId::from_index(0));
-        assert_eq!(corner_degree, 2);
     }
 
     #[test]
@@ -513,15 +478,5 @@ mod tests {
         let g = random_connected(12, 0.98, &mut rng);
         assert_eq!(g.edge_count(), edges_for_density(12, 0.98));
         assert!(is_connected(&g));
-    }
-
-    #[test]
-    fn host_ids_skips_switches() {
-        let g = switched_cascade(5, 8);
-        let hosts = host_ids(&g);
-        assert_eq!(hosts.len(), 5);
-        for h in hosts {
-            assert_eq!(*g.node(h), Role::Host);
-        }
     }
 }

@@ -349,14 +349,6 @@ impl<N, E> Graph<N, E> {
             csr: self.csr.clone(),
         }
     }
-
-    /// Sum of edge-payload projections; convenience for capacity audits.
-    pub fn total_edge_weight<F>(&self, mut f: F) -> f64
-    where
-        F: FnMut(&E) -> f64,
-    {
-        self.edges.iter().map(|slot| f(&slot.weight)).sum()
-    }
 }
 
 // The wire format is the one the derive wrote when the adjacency was a
@@ -509,12 +501,6 @@ mod tests {
         assert_eq!(g2.edge_count(), 3);
         assert_eq!(g2.endpoints(EdgeId::from_index(0)), (a, b));
         assert_eq!(*g2.edge(EdgeId::from_index(2)), 30);
-    }
-
-    #[test]
-    fn total_edge_weight_sums() {
-        let (g, _, _) = triangle();
-        assert_eq!(g.total_edge_weight(|w| *w), 6.0);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   the mappers,
 //! * [`validate::validate_mapping`] — an independent checker for the paper's
 //!   constraints (Eqs. 1–9),
-//! * [`objective`] — the load-balance objective (Eq. 10) and the
-//!   consolidation objective from the paper's future work.
+//! * [`objective`] — the load-balance objective (Eq. 10).
 //!
 //! ```
 //! use emumap_model::{

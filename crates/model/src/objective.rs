@@ -3,8 +3,8 @@
 //! The paper's primary objective (Eq. 10) minimizes the population standard
 //! deviation of residual CPU across hosts — load balance that is robust to
 //! heterogeneous processing power. The future-work section (§6) sketches a
-//! consolidation objective (minimize hosts used); both are provided so the
-//! Migration stage can be parameterized (see `emumap-core`).
+//! consolidation objective (minimize hosts used), which
+//! [`Mapping::hosts_used`] counts.
 
 use crate::mapping::Mapping;
 use crate::physical::PhysicalTopology;
@@ -67,19 +67,12 @@ pub fn mapping_objective(
     population_stddev(&rproc)
 }
 
-/// The §6 consolidation objective: how many hosts the mapping touches.
-/// Lower is better (more hosts left completely free for other testers).
-pub fn hosts_used_objective(mapping: &Mapping) -> usize {
-    mapping.hosts_used()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::physical::{HostSpec, LinkSpec, VmmOverhead};
     use crate::resources::{Kbps, MemMb, Millis, Mips, StorGb};
     use crate::virtualenv::GuestSpec;
-    use crate::Route;
     use emumap_graph::generators;
 
     #[test]
@@ -146,15 +139,5 @@ mod tests {
         let via_residual = load_balance_factor(&phys, &residual);
         let via_mapping = mapping_objective(&phys, &venv, &Mapping::new(vec![h[0], h[1]], vec![]));
         assert!((via_residual - via_mapping).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hosts_used_counts_distinct() {
-        let (phys, _) = tiny_setup();
-        let h = phys.hosts();
-        let m = Mapping::new(vec![h[0], h[0]], vec![Route::intra_host()]);
-        assert_eq!(hosts_used_objective(&m), 1);
-        let m2 = Mapping::new(vec![h[0], h[1]], vec![Route::intra_host()]);
-        assert_eq!(hosts_used_objective(&m2), 2);
     }
 }

@@ -297,6 +297,40 @@ impl PhysicalTopology {
     pub fn generation(&self) -> u64 {
         self.generation
     }
+
+    /// Why no mapper may take this topology, or `None`: the first host
+    /// whose CPU or storage is NaN, infinite or negative, or whose
+    /// effective CPU the VMM overhead leaves negative, else the first link
+    /// whose bandwidth or latency is NaN, infinite or negative. (Memory is
+    /// an integer.) The routers' searches assume finite, non-negative link
+    /// numbers; a negative latency keeps Dijkstra from settling.
+    pub fn capacity_error(&self) -> Option<String> {
+        let bad = |x: f64| !(x.is_finite() && x >= 0.0);
+        let host = self.hosts.iter().find_map(|&h| {
+            let spec = self.host_spec(h);
+            if bad(spec.proc.value()) || bad(spec.stor.value()) {
+                Some(format!("host {h} has a negative or non-finite capacity"))
+            } else if bad(self.effective_proc(h).value()) {
+                Some(format!(
+                    "host {h} has a negative or non-finite effective CPU after the VMM overhead"
+                ))
+            } else {
+                None
+            }
+        });
+        host.or_else(|| {
+            self.graph.edge_ids().find_map(|e| {
+                let link = self.link(e);
+                if bad(link.bw.value()) {
+                    Some(format!("link {e} has a negative or non-finite bandwidth"))
+                } else if bad(link.lat.value()) {
+                    Some(format!("link {e} has a negative or non-finite latency"))
+                } else {
+                    None
+                }
+            })
+        })
+    }
 }
 
 #[cfg(test)]
@@ -405,6 +439,54 @@ mod tests {
         let h = phys.hosts()[0];
         assert_eq!(phys.effective_mem(h), MemMb::ZERO);
         assert_eq!(phys.effective_stor(h), StorGb(0.0));
+    }
+
+    #[test]
+    fn capacity_error_names_the_first_unusable_number() {
+        let phys = PhysicalTopology::from_shape(
+            &generators::ring(3),
+            std::iter::repeat(uniform_spec()),
+            paper_link(),
+            VmmOverhead::NONE,
+        );
+        assert_eq!(phys.capacity_error(), None);
+        let (h, e) = (phys.hosts()[1], EdgeId::from_index(2));
+        for x in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut graph = phys.graph().clone();
+            graph.edge_mut(e).lat = Millis(x);
+            let bad = PhysicalTopology::from_graph(graph.clone(), VmmOverhead::NONE);
+            let reason = bad
+                .capacity_error()
+                .expect("an unusable latency is refused");
+            assert!(
+                reason.contains("link e2") && reason.contains("latency"),
+                "{reason}"
+            );
+            graph.edge_mut(e).bw = Kbps(x);
+            let bad = PhysicalTopology::from_graph(graph.clone(), VmmOverhead::NONE);
+            let reason = bad
+                .capacity_error()
+                .expect("an unusable bandwidth is refused");
+            assert!(
+                reason.contains("link e2") && reason.contains("bandwidth"),
+                "{reason}"
+            );
+            *graph.node_mut(h) = PhysNode::Host(HostSpec::new(Mips(x), MemMb(1), StorGb(1.0)));
+            let bad = PhysicalTopology::from_graph(graph, VmmOverhead::NONE);
+            let reason = bad.capacity_error().expect("an unusable CPU is refused");
+            assert!(reason.contains("host n1"), "hosts first: {reason}");
+        }
+        let vmm = VmmOverhead {
+            proc: Mips(2000.5),
+            ..VmmOverhead::NONE
+        };
+        let reason = PhysicalTopology::from_graph(phys.graph().clone(), vmm)
+            .capacity_error()
+            .expect("a VMM overhead above the CPU is refused");
+        assert!(
+            reason.contains("host n0") && reason.contains("VMM"),
+            "{reason}"
+        );
     }
 
     #[test]

@@ -123,17 +123,6 @@ impl VirtualEnvironment {
         self.graph.edge_ids()
     }
 
-    /// Total bandwidth a guest demands toward a specific set of co-located
-    /// peers is computed in the mapping layer; this helper gives the total
-    /// bandwidth on all links incident to `guest` (used to order migration
-    /// candidates and in tests).
-    pub fn incident_bandwidth(&self, guest: GuestId) -> Kbps {
-        self.graph
-            .neighbors(guest)
-            .map(|nb| self.graph.edge(nb.edge).bw)
-            .sum()
-    }
-
     /// Aggregate CPU demand of all guests; harness sanity checks.
     pub fn total_proc_demand(&self) -> Mips {
         self.graph.nodes().map(|(_, g)| g.proc).sum()
@@ -199,19 +188,6 @@ mod tests {
         assert_eq!(venv.guest(a).mem, MemMb(192));
         assert_eq!(venv.link(l).bw, Kbps(750.0));
         assert_eq!(venv.link_endpoints(l), (a, b));
-    }
-
-    #[test]
-    fn incident_bandwidth_sums_all_links() {
-        let mut venv = VirtualEnvironment::new();
-        let a = venv.add_guest(small_guest());
-        let b = venv.add_guest(small_guest());
-        let c = venv.add_guest(small_guest());
-        venv.add_link(a, b, VLinkSpec::new(Kbps(100.0), Millis(40.0)));
-        venv.add_link(a, c, VLinkSpec::new(Kbps(250.0), Millis(40.0)));
-        venv.add_link(b, c, VLinkSpec::new(Kbps(999.0), Millis(40.0)));
-        assert_eq!(venv.incident_bandwidth(a), Kbps(350.0));
-        assert_eq!(venv.incident_bandwidth(b), Kbps(1099.0));
     }
 
     #[test]

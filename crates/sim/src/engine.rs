@@ -132,12 +132,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedules `payload` `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
-        assert!(delay.0 >= 0.0, "negative delay {}", delay.0);
-        self.schedule(SimTime(self.now + delay.0), payload);
-    }
-
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let ev = self.heap.pop()?;
@@ -145,11 +139,6 @@ impl<E> EventQueue<E> {
         self.now = ev.time;
         self.processed += 1;
         Some((SimTime(ev.time), ev.payload))
-    }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| SimTime(e.time))
     }
 }
 
@@ -185,19 +174,9 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime(5.0), ());
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.peek_time(), Some(SimTime(5.0)));
         q.pop();
         assert_eq!(q.now(), SimTime(5.0));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(2.0), 1);
-        q.pop();
-        q.schedule_in(SimTime(3.0), 2);
-        assert_eq!(q.pop(), Some((SimTime(5.0), 2)));
     }
 
     #[test]

@@ -385,11 +385,6 @@ impl RingSink {
     pub fn dropped(&self) -> usize {
         self.dropped
     }
-
-    /// Consumes the ring, returning retained events oldest first.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events.into()
-    }
 }
 
 impl EventSink for RingSink {
@@ -586,7 +581,7 @@ mod tests {
         }
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.dropped(), 3);
-        let kept: Vec<TraceEvent> = ring.into_events();
+        let kept: Vec<TraceEvent> = ring.events().cloned().collect();
         assert_eq!(
             kept,
             vec![
