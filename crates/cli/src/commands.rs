@@ -467,8 +467,11 @@ fn map_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
         format!("attempts        : {}", outcome.stats.attempts),
         format!("map time        : {:?}", outcome.stats.total_time),
         format!(
-            "search          : {} A* expansions, {} heap pushes, {} guide probes",
-            outcome.stats.astar_expansions, outcome.stats.astar_pushed, outcome.stats.guide_probes
+            "search          : {} A* expansions, {} heap pushes, {} guide probes, {} cut proofs",
+            outcome.stats.astar_expansions,
+            outcome.stats.astar_pushed,
+            outcome.stats.guide_probes,
+            outcome.stats.cut_proofs
         ),
         format!(
             "tables          : {} Dijkstra runs, {} warm-cache hits",

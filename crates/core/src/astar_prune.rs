@@ -93,10 +93,23 @@
 //!    `residual < level`, so the probe at `b.next_up()` runs on the edges
 //!    wider than `b`, the edge set of the least residual above `b`. When
 //!    no usable residual lies between `b` and `cap`, that edge set is the
-//!    failed cap probe's, and the climb ends with one failing probe more
-//!    than a climb over the sorted residuals would make. Each success
-//!    raises the level strictly, so the climb ends. A failed probe at the
-//!    demand proves that no path exists.
+//!    failed cap probe's, and the climb tries one level more than a climb
+//!    over the sorted residuals would. Each success raises the level
+//!    strictly, so the climb ends. A failed probe at the demand proves
+//!    that no path exists.
+//!
+//!    Before each probe a *reachability cut* asks whether the endpoints
+//!    are joined at all over the edges with residual `>= level` and
+//!    through no leaf, the probe's own tests without the latency bound.
+//!    One breadth-first search grows from each endpoint, a node at a time
+//!    in turn, until one reaches a node of the other (joined) or either
+//!    runs dry (apart). Apart proves that the probe fails, so it is
+//!    skipped, and every path and `None` stays as it was. On fat-trees
+//!    most probes that fail are cut: at the cap when an endpoint's
+//!    uplinks carry traffic, and at the level above the widest path's
+//!    bottleneck. The two searches meet within a few nodes when the
+//!    endpoints are joined, where a failing probe explores the whole
+//!    latency ellipse.
 //! 2. *Probes.* A probe at level `b` is an A\* search from the origin over
 //!    the edges with residual `>= b`. A label is a path's `(latency,
 //!    hops)`, with its bottleneck as the tie-break and a pointer to the
@@ -126,7 +139,8 @@
 //! A `None` is always a proof that no path exists; there is no budget,
 //! so [`AStarPruneConfig::max_expansions`] does not apply. Popped labels
 //! count as [`SearchStats::expanded`], labels kept as
-//! [`SearchStats::pushed`] and probes as [`SearchStats::guide_probes`].
+//! [`SearchStats::pushed`], probes run as [`SearchStats::guide_probes`]
+//! and probes the cut skipped as [`SearchStats::cut_proofs`].
 //!
 //! Partial paths are stored in an arena (parent-pointer tree) so expanding
 //! a path is O(1) in memory instead of cloning edge vectors. The candidate
@@ -212,6 +226,10 @@ pub struct SearchStats {
     /// its max-min search, or level probes of the exact router (module
     /// docs); 0 when the configuration runs neither.
     pub guide_probes: usize,
+    /// Level probes of the exact router that its reachability cut proved
+    /// to fail without running them (module docs), not counted in
+    /// `guide_probes`; 0 in every other configuration.
+    pub cut_proofs: usize,
 }
 
 /// One arena slot: a partial path represented as a parent pointer.
@@ -551,7 +569,9 @@ impl GuideScratch {
 /// The exact router's buffers (module docs, "Exact per-level routing"):
 /// the current probe's labels and each node's newest one, the nodes it
 /// reached, the open labels, the path of the highest feasible level
-/// probed so far, and the latency facts of the topology last routed on.
+/// probed so far, the latency facts of the topology last routed on, and
+/// the marks and queues of the reachability cut that runs before each
+/// probe. Once warm, none of them allocates.
 #[derive(Debug, Default)]
 struct LevelScratch {
     labels: Vec<Label>,
@@ -560,6 +580,14 @@ struct LevelScratch {
     open: BinaryHeap<Open>,
     path: Vec<EdgeId>,
     latencies: Latencies,
+    /// The cut's marks: `seen[v]` is `stamp - 1` if the origin's search
+    /// reached `v` and `stamp` if the destination's did. Every cut takes
+    /// two fresh stamps, so nothing is cleared between cuts.
+    seen: Vec<u32>,
+    stamp: u32,
+    /// The cut's two queues, the origin's first; each is read from a
+    /// cursor and cleared when the next cut starts.
+    queues: [Vec<u32>; 2],
 }
 
 /// What the exact router needs to know about a topology's latencies,
@@ -633,7 +661,8 @@ struct Query<'a> {
 
 impl LevelScratch {
     /// [`astar_prune`] with the exact router: steps 1 and 3 of "Exact
-    /// per-level routing", probing through [`LevelScratch::probe`].
+    /// per-level routing", trying each level through
+    /// [`LevelScratch::holds`].
     #[allow(clippy::too_many_arguments)]
     fn search(
         &mut self,
@@ -673,7 +702,7 @@ impl LevelScratch {
         }
         let demand = demand.value();
         let top = endpoint_cap(phys.graph().csr(), residual, origin, destination, demand)?;
-        if self.probe(q, top, &mut stats) {
+        if self.holds(q, top, &mut stats) {
             return Some((self.path.clone(), stats));
         }
         // Climb from the demand: a probe at `b.next_up()` runs on the edges
@@ -682,7 +711,7 @@ impl LevelScratch {
         // and at `top` or above a probe could only repeat the failed one.
         let mut level = demand;
         let mut found = false;
-        while level < top && self.probe(q, level, &mut stats) {
+        while level < top && self.holds(q, level, &mut stats) {
             found = true;
             let b = self
                 .path
@@ -692,6 +721,72 @@ impl LevelScratch {
             level = b.next_up();
         }
         found.then(|| (self.path.clone(), stats))
+    }
+
+    /// The probe at `level`, unless [`LevelScratch::connected`] proves
+    /// that it fails; such a proof counts as [`SearchStats::cut_proofs`].
+    fn holds(&mut self, q: Query<'_>, level: f64, stats: &mut SearchStats) -> bool {
+        if self.connected(q, level) {
+            self.probe(q, level, stats)
+        } else {
+            stats.cut_proofs += 1;
+            false
+        }
+    }
+
+    /// Step 2's cut: whether the origin and the destination are joined
+    /// over the edges with residual `>= level` through no leaf, the
+    /// probe's own edge and leaf tests without its latency test. One
+    /// breadth-first search grows from each endpoint, a node at a time
+    /// in turn; they are joined once one search reaches a node of the
+    /// other, and cut apart once either runs dry. `false` proves that the
+    /// probe at `level` fails.
+    fn connected(&mut self, q: Query<'_>, level: f64) -> bool {
+        let csr = q.phys.graph().csr();
+        let LevelScratch {
+            seen,
+            stamp,
+            queues,
+            ..
+        } = self;
+        if seen.len() < csr.node_count() {
+            seen.resize(csr.node_count(), 0);
+        }
+        if *stamp > u32::MAX - 2 {
+            seen.fill(0);
+            *stamp = 0;
+        }
+        *stamp += 2;
+        let marks = [*stamp - 1, *stamp];
+        for (side, end) in [q.origin, q.destination].into_iter().enumerate() {
+            seen[end.index()] = marks[side];
+            queues[side].clear();
+            queues[side].push(u32::try_from(end.index()).expect("node fits in u32"));
+        }
+        let mut heads = [0; 2];
+        loop {
+            for side in 0..2 {
+                let Some(&v) = queues[side].get(heads[side]) else {
+                    return false;
+                };
+                heads[side] += 1;
+                for &nb in csr.neighbors(NodeId::from_index(v as usize)) {
+                    if q.residual.bw(nb.edge).value() < level {
+                        continue;
+                    }
+                    let w = nb.node.index();
+                    if seen[w] == marks[1 - side] {
+                        return true;
+                    }
+                    // Both endpoints are marked already, so a leaf here
+                    // is a dead end, not worth a push.
+                    if seen[w] != marks[side] && csr.neighbors(nb.node).len() != 1 {
+                        seen[w] = marks[side];
+                        queues[side].push(w as u32);
+                    }
+                }
+            }
+        }
     }
 
     /// Step 2: one A\* probe over the edges with residual `>= level`.
@@ -2238,8 +2333,9 @@ mod tests {
     /// Routes one query with the exact router and with the default
     /// guided A\*Prune and checks that both find a path or neither does,
     /// with equal triples, and that the exact router's path is the one
-    /// [`climb_over_sorted_levels`] finds, in at most one more probe.
-    /// Returns A\*Prune's path.
+    /// [`climb_over_sorted_levels`] finds, trying at most one level more
+    /// and running no more probes unless the cut proved none. Returns
+    /// A\*Prune's path.
     fn exact_matches_astar_prune(
         phys: &PhysicalTopology,
         residual: &ResidualState,
@@ -2290,10 +2386,23 @@ mod tests {
             let (reference, probes) = climb_over_sorted_levels(&mut scratch, q, demand);
             prop_assert_eq!(exact.as_ref().map(|(p, _)| p), reference.as_ref());
             if let Some((_, stats)) = &exact {
+                // The router tries the reference's levels, plus one level
+                // when no usable residual lies between the last bottleneck
+                // and the cap. That level has the cap's edge set, so only a
+                // cap probe the cut could not prove repeats as a probe.
+                let tried = stats.guide_probes + stats.cut_proofs;
                 prop_assert!(
-                    stats.guide_probes.abs_diff(probes) <= 1,
-                    "{} probes, {} by the reference",
+                    (probes..=probes + 1).contains(&tried),
+                    "{} probes and {} cut proofs, {} probes by the reference",
                     stats.guide_probes,
+                    stats.cut_proofs,
+                    probes
+                );
+                prop_assert!(
+                    stats.guide_probes <= probes || stats.cut_proofs == 0,
+                    "{} probes and {} cut proofs, {} probes by the reference",
+                    stats.guide_probes,
+                    stats.cut_proofs,
                     probes
                 );
             }
@@ -2338,6 +2447,167 @@ mod tests {
         }
     }
 
+    /// Routes one query with the exact router, then holds the
+    /// reachability cut to the probe at the demand, at every distinct
+    /// residual and just above each: where the cut finds the endpoints
+    /// apart, the probe under the query's bound fails, and with no latency
+    /// bound the probe succeeds exactly where the cut finds them joined.
+    /// Returns the router's path.
+    fn cut_agrees_with_probe(
+        phys: &PhysicalTopology,
+        residual: &ResidualState,
+        origin: NodeId,
+        destination: NodeId,
+        demand: f64,
+        bound: f64,
+    ) -> Result<Option<Vec<EdgeId>>, TestCaseError> {
+        let ar = ar_for(phys, destination);
+        let ar = Some(ArView::new(&ar, destination));
+        let mut scratch = LevelScratch::default();
+        let found = scratch
+            .search(
+                phys,
+                residual,
+                origin,
+                destination,
+                Kbps(demand),
+                Millis(bound),
+                ar,
+            )
+            .map(|(path, _)| path);
+        let mut levels: Vec<f64> = usable_edges(phys, residual, 0.0)
+            .flat_map(|(level, _)| [level, level.next_up()])
+            .chain([demand])
+            .collect();
+        levels.sort_by(f64::total_cmp);
+        levels.dedup();
+        let bounded = Query {
+            phys,
+            residual,
+            origin,
+            destination,
+            ar,
+            cap: bound + 1e-9,
+        };
+        let unbounded = Query {
+            ar: None,
+            cap: 1e6,
+            ..bounded
+        };
+        let mut stats = SearchStats::default();
+        for level in levels {
+            let joined = scratch.connected(bounded, level);
+            prop_assert!(
+                joined || !scratch.probe(bounded, level, &mut stats),
+                "level {} is cut, yet its probe succeeds",
+                level
+            );
+            prop_assert_eq!(
+                scratch.probe(unbounded, level, &mut stats),
+                joined,
+                "level {} without a latency bound",
+                level
+            );
+        }
+        Ok(found)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The cut is sound, and exact without a latency bound, on loaded
+        /// `fat_tree(4)` and `fat_tree(6)`.
+        #[test]
+        fn reachability_cut_agrees_with_probes_on_fat_trees(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let k = if rng.gen_bool(0.5) { 4 } else { 6 };
+            let phys = random_fat_tree(k, &mut rng);
+            check_under_load(&phys, &mut rng, cut_agrees_with_probe)?;
+        }
+
+        /// The same on loaded 5x8 tori.
+        #[test]
+        fn reachability_cut_agrees_with_probes_on_loaded_tori(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let lat = if rng.gen_bool(0.5) { tenths } else { halves };
+            let phys = random_torus(&mut rng, lat);
+            check_under_load(&phys, &mut rng, cut_agrees_with_probe)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The same on small random multigraphs, whose leaves, self-loops
+        /// and parallel edges the cut must treat as the probe does.
+        #[test]
+        fn reachability_cut_agrees_with_probes_on_random_graphs(seed in any::<u64>()) {
+            check_on_random_graph(seed, cut_agrees_with_probe)?;
+        }
+    }
+
+    #[test]
+    fn cut_proves_the_cap_and_last_probes_fail() {
+        // In `fat_tree(4)`, host 0 hangs off edge switch 16, whose uplinks
+        // to aggregation switches 24 and 25 carry 300 and 500 of their
+        // 1000. Every other link is free, so the endpoints' cap is 1000,
+        // which no path reaches, and the shortest path at the demand runs
+        // over the faster uplink to 24 with bottleneck 700, which no path
+        // exceeds. The cut proves both the cap probe and the probe just
+        // above 700 fail, so one A* probe runs where the reference runs
+        // two, the failed cap probe among them.
+        let shape = generators::fat_tree(4);
+        let uplink = |a: usize, b: usize| (a, b) == (16, 25);
+        let edges: Vec<_> = shape
+            .edges()
+            .map(|e| {
+                let (a, b) = (e.a.index(), e.b.index());
+                (a, b, 1000.0, if uplink(a, b) { 1.0 } else { 0.5 })
+            })
+            .collect();
+        let phys = phys_from_edges(shape.node_count(), &edges);
+        let mut residual = ResidualState::new(&phys);
+        for (agg, load) in [(24, 300.0), (25, 500.0)] {
+            let nb = phys
+                .graph()
+                .neighbors(NodeId::from_index(16))
+                .find(|nb| nb.node.index() == agg)
+                .expect("edge switch 16 reaches its pod's aggregation switches");
+            residual.commit_route(&[nb.edge], Kbps(load));
+        }
+        let (origin, destination) = (NodeId::from_index(0), NodeId::from_index(8));
+        let ar = ar_for(&phys, destination);
+        let ar = Some(ArView::new(&ar, destination));
+        let mut scratch = LevelScratch::default();
+        let (path, stats) = scratch
+            .search(
+                &phys,
+                &residual,
+                origin,
+                destination,
+                Kbps(100.0),
+                Millis(10.0),
+                ar,
+            )
+            .expect("a path at the demand exists");
+        assert_eq!(
+            triple(&phys, &residual, &path),
+            (700f64.to_bits(), 3f64.to_bits(), 6)
+        );
+        assert_eq!((stats.guide_probes, stats.cut_proofs), (1, 2));
+        let q = Query {
+            phys: &phys,
+            residual: &residual,
+            origin,
+            destination,
+            ar,
+            cap: 10.0 + 1e-9,
+        };
+        let (reference, probes) = climb_over_sorted_levels(&mut scratch, q, 100.0);
+        assert_eq!(reference, Some(path));
+        assert_eq!(probes, 2);
+    }
+
     #[test]
     fn exact_router_scratch_reuse_is_pure() {
         // One warm scratch serves loaded queries on two topologies in
@@ -2371,10 +2641,36 @@ mod tests {
             );
             assert_eq!(fresh, reused);
             if let Some((path, stats)) = fresh {
-                climbs += usize::from(stats.guide_probes > 1);
+                climbs += usize::from(stats.guide_probes + stats.cut_proofs > 1);
                 residual.commit_route(&path, demand);
             }
         }
-        assert!(climbs > 0, "some searches must probe more than one level");
+        assert!(climbs > 0, "some searches must try more than one level");
+    }
+
+    #[test]
+    fn cut_stamp_wrap_around_clears_stale_marks() {
+        // On the path 0-1-2-3-4 the first cut leaves the origin's mark on
+        // 0-2 and the destination's on 3-4. The next stamp wraps, so the
+        // same marks come round again; uncleared, they would stop both
+        // searches at once and cut the path apart.
+        let phys = phys_from_edges(5, &[0, 1, 2, 3].map(|a| (a, a + 1, 100.0, 0.5)));
+        let residual = ResidualState::new(&phys);
+        let q = Query {
+            phys: &phys,
+            residual: &residual,
+            origin: NodeId::from_index(0),
+            destination: NodeId::from_index(4),
+            ar: None,
+            cap: 10.0,
+        };
+        let mut scratch = LevelScratch::default();
+        assert!(scratch.connected(q, 100.0));
+        scratch.stamp = u32::MAX - 1;
+        assert!(scratch.connected(q, 100.0));
+        assert_eq!(
+            scratch.stamp, 2,
+            "the second cut must cross the wrap-around"
+        );
     }
 }

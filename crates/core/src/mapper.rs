@@ -35,6 +35,9 @@ pub struct MapStats {
     /// Level probes of A\*Prune's bandwidth guide or of the exact router
     /// (0 when neither routed the links).
     pub guide_probes: usize,
+    /// Level probes of the exact router that its reachability cut proved
+    /// to fail without running them.
+    pub cut_proofs: usize,
     /// Dijkstra table computations (latency `ar[]` plus hop-count tables).
     pub dijkstra_runs: usize,
     /// Table lookups answered by a warm cache instead of a Dijkstra run.
@@ -102,6 +105,7 @@ impl MapStats {
                 s.astar_expansions += n(c.astar_expansions);
                 s.astar_pushed += n(c.astar_pushed);
                 s.guide_probes += n(c.guide_probes);
+                s.cut_proofs += n(c.cut_proofs);
                 s.dijkstra_runs += n(c.dijkstra_runs);
                 s.ar_cache_hits += n(c.cache_hits);
                 s.replica_exchanges += n(c.replica_exchanges);

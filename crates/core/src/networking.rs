@@ -152,6 +152,7 @@ pub fn networking_stage(
                 counters.astar_expansions += search.expanded as u64;
                 counters.astar_pushed += search.pushed as u64;
                 counters.guide_probes += search.guide_probes as u64;
+                counters.cut_proofs += search.cut_proofs as u64;
                 cache.trace.emit(|| TraceEvent::LinkRouted {
                     link,
                     hops: edges.len() as u64,

@@ -24,41 +24,41 @@ use rand::SeedableRng;
 
 /// `(registry key, cluster, digest)` in registry order.
 const PINNED: &[(&str, &str, u64)] = &[
-    ("hmn", "torus", 0x4b9d5ae584b5100f),
-    ("hmn", "switched", 0x0cc2a4b8a8cf1f8e),
-    ("r", "torus", 0xf9cb1ca7b5041707),
-    ("r", "switched", 0x85fa82dbfea5584a),
-    ("ra", "torus", 0xc9e3020aaa377b36),
-    ("ra", "switched", 0xf1a0dff82054a0e5),
-    ("hs", "torus", 0x47cf3071dd8a26e4),
-    ("hs", "switched", 0xcd54cdf2dc1cebb5),
-    ("ffd", "torus", 0xba3124c8a2b5beb2),
-    ("ffd", "switched", 0x0888bc48ef9c5936),
-    ("bf", "torus", 0x3d6b445de1b6aa71),
-    ("bf", "switched", 0x3a438049ec068cba),
-    ("wf", "torus", 0xc7af1001ac62dd4e),
-    ("wf", "switched", 0x180ccbd33409043a),
-    ("consolidate", "torus", 0xaa4ee16c21b84f2c),
-    ("consolidate", "switched", 0xf7121d9d0bc138c5),
-    ("ksp", "torus", 0xf44a79608b99cdb5),
-    ("ksp", "switched", 0x3809a46e070e8a50),
-    ("sa", "torus", 0xd03937864a0f5edb),
-    ("sa", "switched", 0x4447a177e7162f63),
-    ("pt", "torus", 0x4b9d5ae584b5100f),
-    ("pt", "switched", 0x0cc2a4b8a8cf1f8e),
-    ("rr", "torus", 0xc722ef107c65feb5),
-    ("rr", "switched", 0x2866cd30b07148c7),
-    ("pool", "torus", 0x4b9d5ae584b5100f),
-    ("pool", "switched", 0x26147a11b99ed8ee),
+    ("hmn", "torus", 0x98c6a16065afc087),
+    ("hmn", "switched", 0xf2b257fb12a95aca),
+    ("r", "torus", 0x8cb33d21643814f7),
+    ("r", "switched", 0xaac5dd4ad1695d24),
+    ("ra", "torus", 0x8ca51278fc95881e),
+    ("ra", "switched", 0x6e9aa15532fc9b1b),
+    ("hs", "torus", 0x7c8224c2915c5824),
+    ("hs", "switched", 0xba44a90e695bb921),
+    ("ffd", "torus", 0x70a9d9d82ef208a2),
+    ("ffd", "switched", 0xe90de1551efed84c),
+    ("bf", "torus", 0x4e357989f2892e1f),
+    ("bf", "switched", 0x1e0c69690de4c8e6),
+    ("wf", "torus", 0xec8ae53fef273bf4),
+    ("wf", "switched", 0x2b453753e42b282c),
+    ("consolidate", "torus", 0xc3cfe1d0edee1318),
+    ("consolidate", "switched", 0x0b9447b1154c01d7),
+    ("ksp", "torus", 0x2596ec556ab69045),
+    ("ksp", "switched", 0x9d60c612991cc730),
+    ("sa", "torus", 0x61da28ca8fa4d2a1),
+    ("sa", "switched", 0x7e146866c5ecafc3),
+    ("pt", "torus", 0x98c6a16065afc087),
+    ("pt", "switched", 0xf2b257fb12a95aca),
+    ("rr", "torus", 0x35a5419c1e9a909d),
+    ("rr", "switched", 0xe41a27a7bdb74de3),
+    ("pool", "torus", 0x98c6a16065afc087),
+    ("pool", "switched", 0x3a8d91bc4b1decc6),
 ];
 
 /// `(registry key, cluster, digest)` of the placement searches' outcomes
 /// and counters.
 const PINNED_SEARCH: &[(&str, &str, u64)] = &[
-    ("sa", "torus", 0x649f5bcbf84e2007),
-    ("sa", "switched", 0xf27e4e3fe1c78078),
-    ("pt", "torus", 0x509cd7f55c18ec49),
-    ("pt", "switched", 0x35c9920ad998dc48),
+    ("sa", "torus", 0x5a292abf8a9b51dd),
+    ("sa", "switched", 0x8732dbe1f9d0f69a),
+    ("pt", "torus", 0xffc6d7449e43fb2f),
+    ("pt", "switched", 0xf7e0fe5144408374),
 ];
 
 /// One run of `key`, traced on a fresh cache: the outcome and the events.

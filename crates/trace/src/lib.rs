@@ -86,6 +86,10 @@ pub struct PhaseCounters {
     /// exact router.
     /// Deterministic — a pure function of the instance.
     pub guide_probes: u64,
+    /// Networking: level probes of the exact router that its
+    /// reachability cut proved to fail without running them.
+    /// Deterministic — a pure function of the instance.
+    pub cut_proofs: u64,
     /// Networking: DFS backtrack steps (the R and HS baselines).
     pub dfs_backtracks: u64,
     /// Networking: `ar[]` table misses — Dijkstra runs the `MapCache`
