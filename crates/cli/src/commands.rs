@@ -5,7 +5,8 @@ use emumap_bench::crosscheck::{CrossCheck, TrialWitness};
 use emumap_core::parallel::ParallelRunner;
 use emumap_core::{
     cluster_diagnostics, mapper_keys, mapper_usage, solve_exact_with, BoundKind, ExactConfig,
-    ExactStatus, Hmn, MapCache, MapOutcome, Mapper, MapperConfig, DEFAULT_MAX_ATTEMPTS,
+    ExactStatus, Hmn, MapCache, MapOutcome, Mapper, MapperConfig, SymmetryCertificate,
+    DEFAULT_MAX_ATTEMPTS,
 };
 use emumap_graph::generators::edges_for_density;
 use emumap_model::{validate_mapping, Mapping, PhysicalTopology, VirtualEnvironment};
@@ -591,12 +592,25 @@ fn exact_cmd(mut p: Parsed) -> Result<Vec<String>, CliError> {
         lines.push(format!("lower bound     : {:.3}", outcome.lower_bound));
     }
     lines.push(format!(
-        "search          : {} nodes expanded, {} pruned ({} bound, {} capacity, {} latency)",
+        "search          : {} nodes expanded, {} pruned ({} bound, {} capacity, {} latency, {} symmetry)",
         s.nodes_expanded,
-        s.pruned_bound + s.pruned_capacity + s.pruned_latency,
+        s.pruned_total(),
         s.pruned_bound,
         s.pruned_capacity,
-        s.pruned_latency
+        s.pruned_latency,
+        s.pruned_symmetry
+    ));
+    lines.push(format!(
+        "symmetry        : {}",
+        match outcome.symmetry {
+            SymmetryCertificate::Holds => "certified — one branch per class of bit-equal hosts",
+            SymmetryCertificate::BandwidthFails => {
+                "not certified — total virtual bandwidth exceeds the smallest edge capacity"
+            }
+            SymmetryCertificate::LatencyFails => {
+                "not certified — two hosts lie farther apart than the smallest latency bound"
+            }
+        }
     ));
     if config.bound == BoundKind::Lagrangian {
         lines.push(format!(

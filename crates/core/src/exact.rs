@@ -17,6 +17,23 @@
 //!   host. Latency bounds (Eq. 8) prune via the cached Dijkstra `ar[]`
 //!   tables: placing a link's endpoints farther apart than its bound
 //!   allows can never be routed.
+//! * **Symmetry** — at each node the search branches once per class of
+//!   hosts whose residual (proc, mem, stor) triples are bit-equal, and
+//!   skips the rest ([`ExactStats::pruned_symmetry`]). It does so only
+//!   under a [`SymmetryCertificate`] checked once per solve: the virtual
+//!   links' total bandwidth is at most the smallest physical edge
+//!   capacity, and no two hosts lie farther apart (the `ar[]` latency)
+//!   than the smallest virtual latency bound. Then every link of every
+//!   complete placement has a route on a fresh state — a latency-shortest
+//!   path meets every bound, and every edge carries all the demand at
+//!   once — and the latency prune never fires. Eq. 10 and Eqs. 2–3 read
+//!   only the residual columns, so swapping the guests of two hosts with
+//!   equal triples maps each completion of one branch onto a completion
+//!   of the other with the same feasibility and objective: the skipped
+//!   branch holds nothing the first one lacks. Backtracking writes each
+//!   host's saved triple back instead of adding the guest back, so the
+//!   residuals after a subtree are bit-equal to those before it and the
+//!   classes survive the search.
 //! * **Leaf routing** — complete placements are routed with the same
 //!   A\*Prune Networking stage the heuristics use (with a Yen-KSP
 //!   fallback), so oracle feasibility subsumes heuristic feasibility.
@@ -32,7 +49,7 @@
 //! `lower_bound == best`.
 
 use crate::astar_prune::AStarPruneConfig;
-use crate::cache::MapCache;
+use crate::cache::{ArTables, MapCache};
 use crate::hosting::links_by_descending_bw;
 use crate::ksp_routing::YenKsp;
 use crate::lagrangian::{lagrangian_bound, tightest_peer_bounds, NodeView};
@@ -46,6 +63,7 @@ use emumap_model::{
 };
 use emumap_trace::{Phase, PhaseCounters};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Tolerance for objective comparisons: two values closer than this are
 /// considered equal, so "optimal" means optimal up to `EPSILON`.
@@ -120,6 +138,10 @@ pub struct ExactStats {
     pub pruned_capacity: u64,
     /// Branches pruned by the Eq. 8 latency lower bound.
     pub pruned_latency: u64,
+    /// Branches skipped because a host with a bit-equal residual triple
+    /// was already branched on at the same node (only under a holding
+    /// [`SymmetryCertificate`]).
+    pub pruned_symmetry: u64,
     /// Complete placements handed to the Networking stage.
     pub leaf_routings: u64,
     /// Leaf placements the route searches could not route.
@@ -140,7 +162,7 @@ pub struct ExactStats {
 impl ExactStats {
     /// Total subtrees pruned, over every pruning rule.
     pub fn pruned_total(&self) -> u64 {
-        self.pruned_bound + self.pruned_capacity + self.pruned_latency
+        self.pruned_bound + self.pruned_capacity + self.pruned_latency + self.pruned_symmetry
     }
 
     /// The trace-facing view of these counters.
@@ -166,12 +188,57 @@ pub struct ExactSolution {
     pub objective: f64,
 }
 
+/// Whether routing can tell hosts apart, decided once per solve: when it
+/// cannot, hosts with bit-equal residuals are interchangeable and the
+/// search branches once per class of them (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SymmetryCertificate {
+    /// Both parts hold.
+    Holds,
+    /// The virtual links' total bandwidth exceeds the smallest physical
+    /// edge capacity.
+    BandwidthFails,
+    /// Some two hosts lie farther apart (`ar[]` latency) than the
+    /// smallest virtual latency bound. Checked only when the bandwidth
+    /// part holds.
+    LatencyFails,
+}
+
+impl SymmetryCertificate {
+    /// Checks the two parts; `topo` must be prepared for `phys`.
+    fn check(phys: &PhysicalTopology, venv: &VirtualEnvironment, topo: &mut ArTables) -> Self {
+        let demand: f64 = venv.link_ids().map(|l| venv.link(l).bw.value()).sum();
+        let capacity = phys
+            .graph()
+            .edge_ids()
+            .map(|e| phys.link(e).bw.value())
+            .fold(f64::INFINITY, f64::min);
+        if demand > capacity {
+            return SymmetryCertificate::BandwidthFails;
+        }
+        let bound = venv
+            .link_ids()
+            .map(|l| venv.link(l).lat.value())
+            .fold(f64::INFINITY, f64::min);
+        for &dest in phys.hosts() {
+            let (ar, _) = topo.ar_and_csr(phys, dest);
+            if phys.hosts().iter().any(|h| ar[h.index()] > bound) {
+                return SymmetryCertificate::LatencyFails;
+            }
+        }
+        SymmetryCertificate::Holds
+    }
+}
+
 /// The oracle's verdict: a status, the best mapping found (if any), a
 /// certified lower bound, and effort counters.
 #[derive(Clone, Debug)]
 pub struct ExactOutcome {
     /// How the search ended.
     pub status: ExactStatus,
+    /// Whether the search branched once per class of interchangeable
+    /// hosts, or which part of the certificate failed.
+    pub symmetry: SymmetryCertificate,
     /// Best feasible mapping found (the certified optimum when `status`
     /// is [`ExactStatus::Optimal`]).
     pub best: Option<ExactSolution>,
@@ -288,7 +355,7 @@ pub fn solve_exact_with(
     };
     let mut rec = Recorder::start(&mut cache.trace, mapper, venv);
     let outcome = rec.phase(cache, Phase::Exact, |cache| {
-        let mut search = Search::new(phys, venv, *config);
+        let mut search = Search::new(phys, venv, *config, cache);
         for w in witnesses {
             search.offer_witness(w);
         }
@@ -302,7 +369,8 @@ pub fn solve_exact_with(
 }
 
 /// The sequential depth-first branch-and-bound: per-solve precomputation
-/// (branch order, suffix demands, peer latency bounds) plus the residuals
+/// (branch order, suffix demands, peer latency bounds, the symmetry
+/// certificate) plus the residuals
 /// of the current partial assignment and the incumbent. The residuals are
 /// a [`ResidualState`], the same bookkeeping a [`PlacementState`] keeps,
 /// so a leaf re-assigned into a fresh state cannot diverge from them.
@@ -324,6 +392,11 @@ struct Search<'a> {
     slot_of: Vec<Option<usize>>,
     /// Residual capacities under the current partial assignment.
     residual: ResidualState,
+    /// Per depth, that node's host slots in branch order: the slots of
+    /// depth `d` are `slot_order[d * hosts..(d + 1) * hosts]`.
+    slot_order: Vec<usize>,
+    /// When it holds, the branch loop skips hosts with a bit-equal twin.
+    symmetry: SymmetryCertificate,
     best: f64,
     best_mapping: Option<Mapping>,
     lb_floor: f64,
@@ -332,7 +405,12 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    fn new(phys: &'a PhysicalTopology, venv: &'a VirtualEnvironment, config: ExactConfig) -> Self {
+    fn new(
+        phys: &'a PhysicalTopology,
+        venv: &'a VirtualEnvironment,
+        config: ExactConfig,
+        cache: &mut MapCache,
+    ) -> Self {
         let mut order: Vec<GuestId> = venv.guest_ids().collect();
         order.sort_by(|&a, &b| {
             let ga = venv.guest(a);
@@ -353,6 +431,7 @@ impl<'a> Search<'a> {
             suffix_stor[d] = suffix_stor[d + 1] + g.stor.value();
         }
         let peers = tightest_peer_bounds(venv);
+        cache.topo.prepare(phys);
         Search {
             phys,
             venv,
@@ -364,6 +443,8 @@ impl<'a> Search<'a> {
             peers,
             slot_of: vec![None; venv.guest_count()],
             residual: ResidualState::new(phys),
+            slot_order: vec![0; n * phys.host_count()],
+            symmetry: SymmetryCertificate::check(phys, venv, &mut cache.topo),
             best: f64::INFINITY,
             best_mapping: None,
             lb_floor: f64::INFINITY,
@@ -387,7 +468,6 @@ impl<'a> Search<'a> {
     }
 
     fn run(&mut self, cache: &mut MapCache) {
-        cache.topo.prepare(self.phys);
         if self.config.bound == BoundKind::Lagrangian {
             // Also resets the multipliers: the bound must be a pure
             // function of the instance, whatever the cache history.
@@ -443,19 +523,28 @@ impl<'a> Search<'a> {
 
         let guest = self.order[depth];
         let spec = *self.venv.guest(guest);
+        let branches = self.sort_slots(depth);
         // Fit and latency checks stay lazy (per slot, inside the loop) so
         // a truncation mid-loop skips the remaining siblings' checks.
-        for slot in self.sorted_slots() {
+        for i in branches.clone() {
+            let slot = self.slot_order[i];
             if !self.residual.fits(&spec, self.residual.host_at(slot)) {
+                continue;
+            }
+            if self.symmetry == SymmetryCertificate::Holds
+                && self.has_twin_before(branches.start, i)
+            {
+                self.stats.pruned_symmetry += 1;
                 continue;
             }
             if self.config.use_latency_pruning && !self.latency_admits(guest, slot, cache) {
                 self.stats.pruned_latency += 1;
                 continue;
             }
+            let saved = self.triple(slot);
             self.place(depth, slot);
             self.dfs(depth + 1, cache);
-            self.remove(depth, slot);
+            self.remove(depth, slot, saved);
             if self.truncated {
                 // Unexplored siblings' subtrees all bound below by this
                 // frame's entry lb (bounds only tighten down the tree).
@@ -476,12 +565,42 @@ impl<'a> Search<'a> {
             .expect("the branch loop placed a guest that fits");
     }
 
-    /// Inverse of [`place`](Self::place).
-    fn remove(&mut self, depth: usize, slot: usize) {
-        let guest = self.order[depth];
-        self.slot_of[guest.index()] = None;
-        self.residual
-            .remove(self.venv.guest(guest), self.residual.host_at(slot));
+    /// Inverse of [`place`](Self::place), bit for bit: writes back the
+    /// triple `slot` had before it.
+    fn remove(&mut self, depth: usize, slot: usize, saved: (f64, u64, f64)) {
+        self.slot_of[self.order[depth].index()] = None;
+        self.residual.restore_slot(slot, saved);
+    }
+
+    /// The residual (proc, mem, stor) triple of a host slot.
+    fn triple(&self, slot: usize) -> (f64, u64, f64) {
+        let r = &self.residual;
+        (
+            r.proc_column()[slot],
+            r.mem_column()[slot],
+            r.stor_column()[slot],
+        )
+    }
+
+    /// `true` when the slot at branch position `i` has a bit-equal
+    /// residual triple to a slot before it in this node's branch order,
+    /// which was then branched on already (an equal triple fits equally,
+    /// and the latency prune never fires under the certificate). The
+    /// order sorts by residual CPU, so only the run of equal CPU before
+    /// `i` can hold it.
+    fn has_twin_before(&self, start: usize, i: usize) -> bool {
+        let proc = self.residual.proc_column();
+        let bits = |slot: usize| {
+            let (p, m, s) = self.triple(slot);
+            (p.to_bits(), m, s.to_bits())
+        };
+        let slot = self.slot_order[i];
+        let key = bits(slot);
+        self.slot_order[start..i]
+            .iter()
+            .rev()
+            .take_while(|&&prev| proc[prev] == proc[slot])
+            .any(|&prev| bits(prev) == key)
     }
 
     /// The admissible lower bound at the current node. Returns the bound
@@ -558,19 +677,25 @@ impl<'a> Search<'a> {
         true
     }
 
-    /// Host slots in branch order at this node: descending residual CPU
-    /// (most-loaded-last spreads load early, so good incumbents arrive
-    /// fast), ties broken on slot index for determinism.
-    fn sorted_slots(&self) -> Vec<usize> {
+    /// Sorts the host slots into branch order for the node at `depth`, in
+    /// that depth's part of `slot_order`, and returns the part's range:
+    /// descending residual CPU (most-loaded-last spreads load early, so
+    /// good incumbents arrive fast), ties broken on slot index for
+    /// determinism.
+    fn sort_slots(&mut self, depth: usize) -> Range<usize> {
         let proc = self.residual.proc_column();
-        let mut slots: Vec<usize> = (0..proc.len()).collect();
-        slots.sort_by(|&a, &b| {
+        let range = depth * proc.len()..(depth + 1) * proc.len();
+        let slots = &mut self.slot_order[range.clone()];
+        for (slot, entry) in slots.iter_mut().enumerate() {
+            *entry = slot;
+        }
+        slots.sort_unstable_by(|&a, &b| {
             proc[b]
                 .partial_cmp(&proc[a])
                 .expect("finite residuals")
                 .then(a.cmp(&b))
         });
-        slots
+        range
     }
 
     /// Routes a complete placement on a fresh [`PlacementState`] (route
@@ -638,6 +763,7 @@ impl<'a> Search<'a> {
         let (phys, venv) = (self.phys, self.venv);
         ExactOutcome {
             status,
+            symmetry: self.symmetry,
             best: self.best_mapping.map(|mapping| {
                 let objective = mapping_objective(phys, venv, &mapping);
                 ExactSolution { mapping, objective }
@@ -994,5 +1120,92 @@ mod tests {
         let best = out.best.expect("empty mapping is feasible");
         // Residuals untouched: objective = stddev of (1000, 800) = 100.
         assert!((best.objective - 100.0).abs() < 1e-9);
+    }
+
+    /// Six identical 2000-MIPS hosts on a ring of 5 ms links (latency
+    /// diameter 15 ms, smallest capacity 10 000 kbps).
+    fn identical_ring() -> PhysicalTopology {
+        PhysicalTopology::from_shape(
+            &generators::ring(6),
+            std::iter::repeat(HostSpec::new(Mips(2000.0), MemMb(2048), StorGb(1000.0))),
+            LinkSpec::new(Kbps(10_000.0), Millis(5.0)),
+            VmmOverhead::NONE,
+        )
+    }
+
+    const FIVE_GUESTS: [(f64, u64); 5] = [
+        (90.0, 256),
+        (70.0, 200),
+        (50.0, 128),
+        (40.0, 100),
+        (30.0, 64),
+    ];
+
+    #[test]
+    fn symmetry_skips_identical_hosts_when_routing_cannot_tell_them_apart() {
+        let phys = identical_ring();
+        let venv = chain_venv(&FIVE_GUESTS, 500.0, 20.0);
+        let out = solve_cold(&phys, &venv, &ExactConfig::default());
+        assert_eq!(out.symmetry, SymmetryCertificate::Holds);
+        assert!(out.stats.pruned_symmetry > 0, "{:?}", out.stats);
+        assert_eq!(out.status, ExactStatus::Optimal);
+    }
+
+    #[test]
+    fn symmetry_certificate_fails_on_a_latency_bound_below_the_diameter() {
+        let phys = identical_ring();
+        let mut venv = chain_venv(&FIVE_GUESTS, 500.0, 20.0);
+        // One link's 12 ms bound is below the ring's 15 ms diameter.
+        let (a, b) = (GuestId::from_index(0), GuestId::from_index(4));
+        venv.add_link(a, b, VLinkSpec::new(Kbps(10.0), Millis(12.0)));
+        let out = solve_cold(&phys, &venv, &ExactConfig::default());
+        assert_eq!(out.symmetry, SymmetryCertificate::LatencyFails);
+        assert_eq!(out.stats.pruned_symmetry, 0);
+        assert_eq!(out.status, ExactStatus::Optimal);
+    }
+
+    #[test]
+    fn symmetry_certificate_fails_on_bandwidth_above_the_smallest_capacity() {
+        let phys = identical_ring();
+        // Four links of 3000 kbps: 12 000 in total against 10 000 per edge.
+        let venv = chain_venv(&FIVE_GUESTS, 3000.0, 20.0);
+        let out = solve_cold(&phys, &venv, &ExactConfig::default());
+        assert_eq!(out.symmetry, SymmetryCertificate::BandwidthFails);
+        assert_eq!(out.stats.pruned_symmetry, 0);
+        assert_eq!(out.status, ExactStatus::Optimal);
+    }
+
+    #[test]
+    fn backtracking_restores_bit_exact_residuals() {
+        // 3-MIPS hosts under 45–92 MIPS guests: CPU oversubscribes, and
+        // adding a guest back does not undo its subtraction exactly.
+        let phys = PhysicalTopology::from_shape(
+            &generators::ring(3),
+            std::iter::repeat(HostSpec::new(Mips(3.0), MemMb(2048), StorGb(1000.0))),
+            LinkSpec::new(Kbps(10_000.0), Millis(5.0)),
+            VmmOverhead::NONE,
+        );
+        let venv = chain_venv(&[(77.5, 64), (91.2, 64), (45.2, 64)], 10.0, 60.0);
+        let fresh = ResidualState::new(&phys);
+        let (host, a, b) = (
+            phys.hosts()[0],
+            GuestId::from_index(0),
+            GuestId::from_index(1),
+        );
+        let mut drifted = fresh.clone();
+        for g in [a, b] {
+            drifted.place(&phys, venv.guest(g), host).unwrap();
+        }
+        for g in [b, a] {
+            drifted.remove(venv.guest(g), host);
+        }
+        assert_ne!(drifted, fresh, "the instance must make add-back inexact");
+
+        let mut cache = MapCache::new();
+        let mut search = Search::new(&phys, &venv, ExactConfig::default(), &mut cache);
+        search.run(&mut cache);
+        assert!(search.stats.nodes_expanded > 1);
+        assert_eq!(search.residual, fresh);
+        assert_eq!(search.into_outcome().status, ExactStatus::Optimal);
     }
 }

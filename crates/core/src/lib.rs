@@ -94,7 +94,7 @@ pub use emumap_trace::LinkVerdict;
 pub use error::MapError;
 pub use exact::{
     residual_stddev_lower_bound, solve_exact_with, BoundKind, ExactConfig, ExactOutcome,
-    ExactSolution, ExactStats, ExactStatus,
+    ExactSolution, ExactStats, ExactStatus, SymmetryCertificate,
 };
 pub use greedy::{BestFit, FirstFitDecreasing, WorstFit};
 pub use hmn::{Hmn, HmnConfig, LinkOrder};

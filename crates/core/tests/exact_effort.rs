@@ -13,7 +13,7 @@ use rand::SeedableRng;
 fn describe(label: &str, out: &ExactOutcome) -> String {
     let s = &out.stats;
     format!(
-        "{label} {:?} lb={:#x} best={} nodes={} pb={} pc={} pl={} leaves={} rfail={} wit={} sg={} bi={} plag={}",
+        "{label} {:?} lb={:#x} best={} nodes={} pb={} pc={} pl={} ps={} leaves={} rfail={} wit={} sg={} bi={} plag={}",
         out.status,
         out.lower_bound.to_bits(),
         out.best
@@ -23,6 +23,7 @@ fn describe(label: &str, out: &ExactOutcome) -> String {
         s.pruned_bound,
         s.pruned_capacity,
         s.pruned_latency,
+        s.pruned_symmetry,
         s.leaf_routings,
         s.routing_failures,
         s.witnesses_accepted,
@@ -90,54 +91,54 @@ fn exact_search_effort_is_pinned() {
 }
 
 const GOLDEN_EFFORT: &[&str] = &[
-    "seed 0 lag/500 Truncated lb=0x0 best=0x401aecf37faaf3ae nodes=500 pb=407 pc=0 pl=0 leaves=4 rfail=0 wit=0 sg=928 bi=0 plag=0",
-    "seed 0 lag Optimal lb=0x401aecf37faaf3ae best=0x401aecf37faaf3ae nodes=65755 pb=54792 pc=0 pl=0 leaves=4 rfail=0 wit=0 sg=125463 bi=15 plag=0",
-    "seed 0 wf/500 Truncated lb=0x0 best=0x401aecf37faaf3ae nodes=500 pb=407 pc=0 pl=0 leaves=4 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 1 lag/500 Truncated lb=0x0 best=0x40248d0c01383586 nodes=500 pb=409 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=970 bi=7 plag=0",
-    "seed 1 lag Optimal lb=0x40235ab8aa6c1775 best=0x40235ab8aa6c1775 nodes=36403 pb=30333 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=73695 bi=432 plag=0",
-    "seed 1 wf/500 Truncated lb=0x0 best=0x40248d0c01383586 nodes=500 pb=409 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 2 lag/500 Truncated lb=0x0 best=0x402355d5b4a812fe nodes=500 pb=410 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=1118 bi=0 plag=0",
-    "seed 2 lag Optimal lb=0x401e1f300deb59f8 best=0x401e1f300deb59f8 nodes=32089 pb=26738 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=71544 bi=0 plag=0",
-    "seed 2 wf/500 Truncated lb=0x0 best=0x402355d5b4a812fe nodes=500 pb=410 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 3 lag/500 Truncated lb=0x0 best=0x40314d0cce2f4ff0 nodes=500 pb=410 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=1085 bi=0 plag=0",
-    "seed 3 lag Optimal lb=0x40314d0cce2f4ff0 best=0x40314d0cce2f4ff0 nodes=36643 pb=30533 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=82911 bi=28 plag=0",
-    "seed 3 wf/500 Truncated lb=0x0 best=0x40314d0cce2f4ff0 nodes=500 pb=410 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 4 lag/500 Truncated lb=0x0 best=0x4028bf9b5d1db05f nodes=500 pb=411 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=1037 bi=0 plag=0",
-    "seed 4 lag Optimal lb=0x4028bf9b5d1db05f best=0x4028bf9b5d1db05f nodes=48643 pb=40534 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=104295 bi=0 plag=0",
-    "seed 4 wf/500 Truncated lb=0x0 best=0x4028bf9b5d1db05f nodes=500 pb=411 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 5 lag/500 Truncated lb=0x0 best=0x403189a5f18f43d0 nodes=500 pb=406 pc=0 pl=0 leaves=5 rfail=0 wit=0 sg=910 bi=6 plag=0",
-    "seed 5 lag Optimal lb=0x403189a5f18f43d0 best=0x403189a5f18f43d0 nodes=195793 pb=163156 pc=0 pl=0 leaves=5 rfail=0 wit=0 sg=372732 bi=1705 plag=0",
-    "seed 5 wf/500 Truncated lb=0x0 best=0x403189a5f18f43d0 nodes=500 pb=406 pc=0 pl=0 leaves=5 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 6 lag/500 Truncated lb=0x0 best=0x4029c0b78ccc5dc3 nodes=500 pb=409 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=1029 bi=0 plag=0",
-    "seed 6 lag Optimal lb=0x4029c0b78ccc5dc3 best=0x4029c0b78ccc5dc3 nodes=41983 pb=34984 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=87645 bi=0 plag=0",
-    "seed 6 wf/500 Truncated lb=0x0 best=0x4029c0b78ccc5dc3 nodes=500 pb=409 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 7 lag/500 Truncated lb=0x3ec6a09e667f3bcd best=0x401d136422553f00 nodes=500 pb=409 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=1000 bi=5 plag=0",
-    "seed 7 lag Optimal lb=0x401d136422553f00 best=0x401d136422553f00 nodes=46303 pb=38584 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=94125 bi=157 plag=0",
-    "seed 7 wf/500 Truncated lb=0x0 best=0x401d136422553f00 nodes=500 pb=409 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 8 lag/500 Truncated lb=0x0 best=0x4029cd15268e813c nodes=500 pb=412 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=1088 bi=0 plag=0",
-    "seed 8 lag Optimal lb=0x4029cd15268e813c best=0x4029cd15268e813c nodes=16075 pb=13394 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=36021 bi=0 plag=0",
-    "seed 8 wf/500 Truncated lb=0x0 best=0x4029cd15268e813c nodes=500 pb=412 pc=0 pl=0 leaves=2 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 9 lag/500 Truncated lb=0x0 best=0x40309dc19e1a3c04 nodes=500 pb=410 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=1001 bi=11 plag=0",
-    "seed 9 lag Optimal lb=0x40263c485803fa1b best=0x40263c485803fa1b nodes=41743 pb=34782 pc=0 pl=0 leaves=4 rfail=0 wit=0 sg=90777 bi=3547 plag=0",
-    "seed 9 wf/500 Truncated lb=0x0 best=0x40309dc19e1a3c04 nodes=500 pb=410 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 10 lag/500 Truncated lb=0x0 best=0x4021b3ffc634c370 nodes=500 pb=408 pc=0 pl=0 leaves=4 rfail=0 wit=0 sg=932 bi=1 plag=0",
-    "seed 10 lag Optimal lb=0x401e5a1c93ce9d84 best=0x401e5a1c93ce9d84 nodes=71071 pb=59221 pc=0 pl=0 leaves=5 rfail=0 wit=0 sg=138705 bi=12 plag=0",
-    "seed 10 wf/500 Truncated lb=0x0 best=0x4021b3ffc634c370 nodes=500 pb=408 pc=0 pl=0 leaves=4 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 11 lag/500 Truncated lb=0x0 best=0x402203fe5d407e6c nodes=500 pb=406 pc=0 pl=0 leaves=5 rfail=0 wit=0 sg=951 bi=1 plag=0",
-    "seed 11 lag Optimal lb=0x402203fe5d407e6c best=0x402203fe5d407e6c nodes=78727 pb=65601 pc=0 pl=0 leaves=5 rfail=0 wit=0 sg=153561 bi=1 plag=0",
-    "seed 11 wf/500 Truncated lb=0x0 best=0x402203fe5d407e6c nodes=500 pb=406 pc=0 pl=0 leaves=5 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 12 lag/500 Truncated lb=0x3ef7d52f244809e9 best=0x402221ef3b05f384 nodes=500 pb=408 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=1107 bi=2 plag=0",
-    "seed 12 lag Optimal lb=0x402221ef3b05f384 best=0x402221ef3b05f384 nodes=50089 pb=41738 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=112224 bi=7 plag=0",
-    "seed 12 wf/500 Truncated lb=0x0 best=0x402221ef3b05f384 nodes=500 pb=408 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 13 lag/500 Truncated lb=0x0 best=0x40221f68ce12ecc6 nodes=500 pb=409 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=1124 bi=0 plag=0",
-    "seed 13 lag Optimal lb=0x40221f68ce12ecc6 best=0x40221f68ce12ecc6 nodes=41989 pb=34988 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=96294 bi=0 plag=0",
-    "seed 13 wf/500 Truncated lb=0x0 best=0x40221f68ce12ecc6 nodes=500 pb=409 pc=0 pl=0 leaves=3 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 14 lag/500 Truncated lb=0x0 best=0x40210f5404904a01 nodes=500 pb=407 pc=0 pl=0 leaves=5 rfail=0 wit=0 sg=1106 bi=0 plag=0",
-    "seed 14 lag Optimal lb=0x40210f5404904a01 best=0x40210f5404904a01 nodes=62401 pb=51996 pc=0 pl=0 leaves=5 rfail=0 wit=0 sg=142956 bi=0 plag=0",
-    "seed 14 wf/500 Truncated lb=0x0 best=0x40210f5404904a01 nodes=500 pb=407 pc=0 pl=0 leaves=5 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "seed 15 lag/500 Truncated lb=0x3ef7aa10d193c22d best=0x40304d1adc7a967b nodes=500 pb=407 pc=0 pl=0 leaves=4 rfail=0 wit=0 sg=953 bi=1 plag=0",
-    "seed 15 lag Optimal lb=0x4030223d7d0ba127 best=0x4030223d7d0ba127 nodes=58021 pb=48346 pc=0 pl=0 leaves=5 rfail=0 wit=0 sg=115248 bi=1 plag=0",
-    "seed 15 wf/500 Truncated lb=0x0 best=0x40304d1adc7a967b nodes=500 pb=407 pc=0 pl=0 leaves=4 rfail=0 wit=0 sg=0 bi=0 plag=0",
-    "smoke 2009 lag Optimal lb=0x40302c1c10e977f4 best=0x40302c1c10e977f4 nodes=85183 pb=70986 pc=0 pl=0 leaves=0 rfail=0 wit=1 sg=169777 bi=1 plag=0",
-    "smoke 2009 wf Optimal lb=0x40302c1c10e977f4 best=0x40302c1c10e977f4 nodes=85183 pb=70986 pc=0 pl=0 leaves=0 rfail=0 wit=1 sg=0 bi=0 plag=0",
+    "seed 0 lag/500 Optimal lb=0x401aecf37faaf3ae best=0x401aecf37faaf3ae nodes=117 pb=91 pc=0 pl=0 ps=16 leaves=4 rfail=0 wit=0 sg=202 bi=0 plag=0",
+    "seed 0 lag Optimal lb=0x401aecf37faaf3ae best=0x401aecf37faaf3ae nodes=117 pb=91 pc=0 pl=0 ps=16 leaves=4 rfail=0 wit=0 sg=202 bi=0 plag=0",
+    "seed 0 wf/500 Optimal lb=0x401aecf37faaf3ae best=0x401aecf37faaf3ae nodes=117 pb=91 pc=0 pl=0 ps=16 leaves=4 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 1 lag/500 Optimal lb=0x40235ab8aa6c1775 best=0x40235ab8aa6c1775 nodes=70 pb=52 pc=0 pl=0 ps=21 leaves=3 rfail=0 wit=0 sg=129 bi=2 plag=0",
+    "seed 1 lag Optimal lb=0x40235ab8aa6c1775 best=0x40235ab8aa6c1775 nodes=70 pb=52 pc=0 pl=0 ps=21 leaves=3 rfail=0 wit=0 sg=129 bi=2 plag=0",
+    "seed 1 wf/500 Optimal lb=0x40235ab8aa6c1775 best=0x40235ab8aa6c1775 nodes=70 pb=52 pc=0 pl=0 ps=21 leaves=3 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 2 lag/500 Optimal lb=0x401e1f300deb59f8 best=0x401e1f300deb59f8 nodes=70 pb=52 pc=0 pl=0 ps=21 leaves=3 rfail=0 wit=0 sg=135 bi=0 plag=0",
+    "seed 2 lag Optimal lb=0x401e1f300deb59f8 best=0x401e1f300deb59f8 nodes=70 pb=52 pc=0 pl=0 ps=21 leaves=3 rfail=0 wit=0 sg=135 bi=0 plag=0",
+    "seed 2 wf/500 Optimal lb=0x401e1f300deb59f8 best=0x401e1f300deb59f8 nodes=70 pb=52 pc=0 pl=0 ps=21 leaves=3 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 3 lag/500 Optimal lb=0x40314d0cce2f4ff0 best=0x40314d0cce2f4ff0 nodes=91 pb=68 pc=0 pl=0 ps=30 leaves=3 rfail=0 wit=0 sg=186 bi=0 plag=0",
+    "seed 3 lag Optimal lb=0x40314d0cce2f4ff0 best=0x40314d0cce2f4ff0 nodes=91 pb=68 pc=0 pl=0 ps=30 leaves=3 rfail=0 wit=0 sg=186 bi=0 plag=0",
+    "seed 3 wf/500 Optimal lb=0x40314d0cce2f4ff0 best=0x40314d0cce2f4ff0 nodes=91 pb=68 pc=0 pl=0 ps=30 leaves=3 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 4 lag/500 Optimal lb=0x4028bf9b5d1db05f best=0x4028bf9b5d1db05f nodes=99 pb=76 pc=0 pl=0 ps=28 leaves=2 rfail=0 wit=0 sg=205 bi=0 plag=0",
+    "seed 4 lag Optimal lb=0x4028bf9b5d1db05f best=0x4028bf9b5d1db05f nodes=99 pb=76 pc=0 pl=0 ps=28 leaves=2 rfail=0 wit=0 sg=205 bi=0 plag=0",
+    "seed 4 wf/500 Optimal lb=0x4028bf9b5d1db05f best=0x4028bf9b5d1db05f nodes=99 pb=76 pc=0 pl=0 ps=28 leaves=2 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 5 lag/500 Optimal lb=0x403189a5f18f43d0 best=0x403189a5f18f43d0 nodes=388 pb=310 pc=0 pl=0 ps=51 leaves=5 rfail=0 wit=0 sg=759 bi=6 plag=0",
+    "seed 5 lag Optimal lb=0x403189a5f18f43d0 best=0x403189a5f18f43d0 nodes=388 pb=310 pc=0 pl=0 ps=51 leaves=5 rfail=0 wit=0 sg=759 bi=6 plag=0",
+    "seed 5 wf/500 Optimal lb=0x403189a5f18f43d0 best=0x403189a5f18f43d0 nodes=388 pb=310 pc=0 pl=0 ps=51 leaves=5 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 6 lag/500 Optimal lb=0x4029c0b78ccc5dc3 best=0x4029c0b78ccc5dc3 nodes=70 pb=54 pc=0 pl=0 ps=15 leaves=2 rfail=0 wit=0 sg=126 bi=0 plag=0",
+    "seed 6 lag Optimal lb=0x4029c0b78ccc5dc3 best=0x4029c0b78ccc5dc3 nodes=70 pb=54 pc=0 pl=0 ps=15 leaves=2 rfail=0 wit=0 sg=126 bi=0 plag=0",
+    "seed 6 wf/500 Optimal lb=0x4029c0b78ccc5dc3 best=0x4029c0b78ccc5dc3 nodes=70 pb=54 pc=0 pl=0 ps=15 leaves=2 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 7 lag/500 Optimal lb=0x401d136422553f00 best=0x401d136422553f00 nodes=76 pb=59 pc=0 pl=0 ps=15 leaves=2 rfail=0 wit=0 sg=135 bi=4 plag=0",
+    "seed 7 lag Optimal lb=0x401d136422553f00 best=0x401d136422553f00 nodes=76 pb=59 pc=0 pl=0 ps=15 leaves=2 rfail=0 wit=0 sg=135 bi=4 plag=0",
+    "seed 7 wf/500 Optimal lb=0x401d136422553f00 best=0x401d136422553f00 nodes=76 pb=59 pc=0 pl=0 ps=15 leaves=2 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 8 lag/500 Optimal lb=0x4029cd15268e813c best=0x4029cd15268e813c nodes=46 pb=34 pc=0 pl=0 ps=15 leaves=2 rfail=0 wit=0 sg=78 bi=0 plag=0",
+    "seed 8 lag Optimal lb=0x4029cd15268e813c best=0x4029cd15268e813c nodes=46 pb=34 pc=0 pl=0 ps=15 leaves=2 rfail=0 wit=0 sg=78 bi=0 plag=0",
+    "seed 8 wf/500 Optimal lb=0x4029cd15268e813c best=0x4029cd15268e813c nodes=46 pb=34 pc=0 pl=0 ps=15 leaves=2 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 9 lag/500 Optimal lb=0x40263c485803fa1b best=0x40263c485803fa1b nodes=130 pb=101 pc=0 pl=0 ps=21 leaves=4 rfail=0 wit=0 sg=249 bi=4 plag=0",
+    "seed 9 lag Optimal lb=0x40263c485803fa1b best=0x40263c485803fa1b nodes=130 pb=101 pc=0 pl=0 ps=21 leaves=4 rfail=0 wit=0 sg=249 bi=4 plag=0",
+    "seed 9 wf/500 Optimal lb=0x40263c485803fa1b best=0x40263c485803fa1b nodes=130 pb=101 pc=0 pl=0 ps=21 leaves=4 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 10 lag/500 Optimal lb=0x401e5a1c93ce9d84 best=0x401e5a1c93ce9d84 nodes=160 pb=124 pc=0 pl=0 ps=27 leaves=5 rfail=0 wit=0 sg=297 bi=1 plag=0",
+    "seed 10 lag Optimal lb=0x401e5a1c93ce9d84 best=0x401e5a1c93ce9d84 nodes=160 pb=124 pc=0 pl=0 ps=27 leaves=5 rfail=0 wit=0 sg=297 bi=1 plag=0",
+    "seed 10 wf/500 Optimal lb=0x401e5a1c93ce9d84 best=0x401e5a1c93ce9d84 nodes=160 pb=124 pc=0 pl=0 ps=27 leaves=5 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 11 lag/500 Optimal lb=0x402203fe5d407e6c best=0x402203fe5d407e6c nodes=139 pb=108 pc=0 pl=0 ps=18 leaves=5 rfail=0 wit=0 sg=252 bi=1 plag=0",
+    "seed 11 lag Optimal lb=0x402203fe5d407e6c best=0x402203fe5d407e6c nodes=139 pb=108 pc=0 pl=0 ps=18 leaves=5 rfail=0 wit=0 sg=252 bi=1 plag=0",
+    "seed 11 wf/500 Optimal lb=0x402203fe5d407e6c best=0x402203fe5d407e6c nodes=139 pb=108 pc=0 pl=0 ps=18 leaves=5 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 12 lag/500 Optimal lb=0x402221ef3b05f384 best=0x402221ef3b05f384 nodes=102 pb=78 pc=0 pl=0 ps=25 leaves=3 rfail=0 wit=0 sg=211 bi=2 plag=0",
+    "seed 12 lag Optimal lb=0x402221ef3b05f384 best=0x402221ef3b05f384 nodes=102 pb=78 pc=0 pl=0 ps=25 leaves=3 rfail=0 wit=0 sg=211 bi=2 plag=0",
+    "seed 12 wf/500 Optimal lb=0x402221ef3b05f384 best=0x402221ef3b05f384 nodes=102 pb=78 pc=0 pl=0 ps=25 leaves=3 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 13 lag/500 Optimal lb=0x40221f68ce12ecc6 best=0x40221f68ce12ecc6 nodes=80 pb=61 pc=0 pl=0 ps=17 leaves=3 rfail=0 wit=0 sg=158 bi=0 plag=0",
+    "seed 13 lag Optimal lb=0x40221f68ce12ecc6 best=0x40221f68ce12ecc6 nodes=80 pb=61 pc=0 pl=0 ps=17 leaves=3 rfail=0 wit=0 sg=158 bi=0 plag=0",
+    "seed 13 wf/500 Optimal lb=0x40221f68ce12ecc6 best=0x40221f68ce12ecc6 nodes=80 pb=61 pc=0 pl=0 ps=17 leaves=3 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 14 lag/500 Optimal lb=0x40210f5404904a01 best=0x40210f5404904a01 nodes=155 pb=119 pc=0 pl=0 ps=32 leaves=5 rfail=0 wit=0 sg=335 bi=0 plag=0",
+    "seed 14 lag Optimal lb=0x40210f5404904a01 best=0x40210f5404904a01 nodes=155 pb=119 pc=0 pl=0 ps=32 leaves=5 rfail=0 wit=0 sg=335 bi=0 plag=0",
+    "seed 14 wf/500 Optimal lb=0x40210f5404904a01 best=0x40210f5404904a01 nodes=155 pb=119 pc=0 pl=0 ps=32 leaves=5 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "seed 15 lag/500 Optimal lb=0x4030223d7d0ba127 best=0x4030223d7d0ba127 nodes=118 pb=90 pc=0 pl=0 ps=21 leaves=5 rfail=0 wit=0 sg=213 bi=1 plag=0",
+    "seed 15 lag Optimal lb=0x4030223d7d0ba127 best=0x4030223d7d0ba127 nodes=118 pb=90 pc=0 pl=0 ps=21 leaves=5 rfail=0 wit=0 sg=213 bi=1 plag=0",
+    "seed 15 wf/500 Optimal lb=0x4030223d7d0ba127 best=0x4030223d7d0ba127 nodes=118 pb=90 pc=0 pl=0 ps=21 leaves=5 rfail=0 wit=0 sg=0 bi=0 plag=0",
+    "smoke 2009 lag Optimal lb=0x40302c1c10e977f4 best=0x40302c1c10e977f4 nodes=134 pb=109 pc=0 pl=0 ps=17 leaves=0 rfail=0 wit=1 sg=303 bi=1 plag=0",
+    "smoke 2009 wf Optimal lb=0x40302c1c10e977f4 best=0x40302c1c10e977f4 nodes=134 pb=109 pc=0 pl=0 ps=17 leaves=0 rfail=0 wit=1 sg=0 bi=0 plag=0",
 ];

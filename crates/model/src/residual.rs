@@ -330,6 +330,16 @@ impl ResidualState {
         self.stor[s] += guest.stor.value();
     }
 
+    /// Writes back a host slot's (proc, mem, stor) residuals as read from
+    /// the columns before a [`place`](Self::place). Undoing the place this
+    /// way is bit-exact where [`remove`](Self::remove) need not be: in
+    /// floating point, `(r − g) + g` is not always `r`.
+    pub fn restore_slot(&mut self, slot: usize, (proc, mem, stor): (f64, u64, f64)) {
+        self.proc[slot] = proc;
+        self.mem[slot] = mem;
+        self.stor[slot] = stor;
+    }
+
     /// `true` if every edge of `route` has at least `demand` residual
     /// bandwidth (Eq. 9 probe).
     pub fn route_feasible(&self, route: &[EdgeId], demand: Kbps) -> bool {

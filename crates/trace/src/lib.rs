@@ -101,7 +101,7 @@ pub struct PhaseCounters {
     /// Exact: branch-and-bound search nodes expanded. Deterministic —
     /// the search order is a pure function of the instance.
     pub exact_nodes_expanded: u64,
-    /// Exact: subtrees pruned (bound, capacity, or latency).
+    /// Exact: subtrees pruned (bound, capacity, latency, or symmetry).
     pub exact_nodes_pruned: u64,
     /// Migration (parallel tempering): temperature-exchange attempts
     /// between adjacent replicas at round checkpoints. Deterministic —

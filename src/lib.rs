@@ -64,8 +64,8 @@ pub mod prelude {
         HostingPolicy, LagrangianBound, LagrangianScratch, LinkOrder, LinkVerdict, MapCache,
         MapError, MapOutcome, MapStats, Mapper, MapperConfig, MapperEntry, MigrationPolicy,
         PathMetric, PoolPolicy, RandomAStar, RandomDfs, RandomizedRounding, RemoveReport,
-        RoundingConfig, ServeError, Session, Snapshot, StatusReport, TenantRecord, WorstFit,
-        MAPPERS,
+        RoundingConfig, ServeError, Session, Snapshot, StatusReport, SymmetryCertificate,
+        TenantRecord, WorstFit, MAPPERS,
     };
     pub use emumap_graph::{generators, EdgeId, Graph, NodeId};
     pub use emumap_model::{

@@ -9,6 +9,10 @@
 //!    (zero included, where no node is bounded at all) reports a
 //!    `lower_bound` no higher than any feasible mapping the full search
 //!    finds, so a Truncated interval always contains the optimum.
+//! 3. **The symmetry skip loses nothing** — on instances where the
+//!    symmetry certificate holds (hosts drawn from one or two repeated
+//!    specs, so many share residuals), the oracle's verdict and certified
+//!    optimum equal an exhaustive enumeration of every placement.
 //!
 //! The vendored proptest shim has no automatic failure persistence;
 //! `regression_seeds_replay` replays the seeds pinned in
@@ -135,6 +139,143 @@ fn truncation_check(phys: &PhysicalTopology, venv: &VirtualEnvironment) {
     }
 }
 
+/// An instance on which routing cannot tell hosts apart: up to six hosts
+/// drawn from one or two repeated specs (half the time of equal CPU) on a
+/// ring or a star of 5 ms,
+/// 10 000 kbps links (latency diameter at most 15 ms), and up to six
+/// guests whose links carry at most 500 kbps each (at most 15 links, so
+/// 7 500 kbps in total) under bounds of at least 20 ms. Storage comes in
+/// whole GB, so every fit test is exact and the enumeration and the
+/// search agree on which placements fit.
+fn build_symmetric_case(
+    hosts: usize,
+    star: bool,
+    two_specs: bool,
+    guests: usize,
+    seed: u64,
+) -> Case {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let draw_spec = |rng: &mut SmallRng| {
+        HostSpec::new(
+            Mips(rng.gen_range(500.0..3000.0)),
+            MemMb(rng.gen_range(512..=2048)),
+            StorGb(f64::from(rng.gen_range(100u32..=600))),
+        )
+    };
+    let first = draw_spec(&mut rng);
+    // Half the time the specs share their CPU, so hosts of one residual
+    // CPU can still differ in memory and storage.
+    let second = match rng.gen_bool(0.5) {
+        true => HostSpec {
+            proc: first.proc,
+            ..draw_spec(&mut rng)
+        },
+        false => draw_spec(&mut rng),
+    };
+    let specs = [first, second];
+    let host_specs: Vec<HostSpec> = (0..hosts)
+        .map(|_| specs[usize::from(two_specs && rng.gen_bool(0.5))])
+        .collect();
+    let shape = if star {
+        generators::star(hosts)
+    } else {
+        generators::ring(hosts)
+    };
+    let phys = PhysicalTopology::from_shape(
+        &shape,
+        host_specs.into_iter(),
+        LinkSpec::new(Kbps(10_000.0), Millis(5.0)),
+        VmmOverhead::NONE,
+    );
+    let mut venv = VirtualEnvironment::new();
+    let ids: Vec<GuestId> = (0..guests)
+        .map(|_| {
+            venv.add_guest(GuestSpec::new(
+                Mips(rng.gen_range(20.0..400.0)),
+                MemMb(rng.gen_range(64..=768)),
+                StorGb(f64::from(rng.gen_range(10u32..=200))),
+            ))
+        })
+        .collect();
+    for (i, &a) in ids.iter().enumerate() {
+        for &b in &ids[i + 1..] {
+            if rng.gen_bool(0.4) {
+                let spec = VLinkSpec::new(
+                    Kbps(rng.gen_range(50.0..500.0)),
+                    Millis(rng.gen_range(20.0..60.0)),
+                );
+                venv.add_link(a, b, spec);
+            }
+        }
+    }
+    (phys, venv)
+}
+
+fn arb_symmetric_case() -> impl Strategy<Value = Case> {
+    (
+        1usize..=6,    // hosts
+        any::<bool>(), // star instead of ring
+        any::<bool>(), // two host specs instead of one
+        1usize..=6,    // guests
+        any::<u64>(),  // seed
+    )
+        .prop_map(|(hosts, star, two_specs, guests, seed)| {
+            build_symmetric_case(hosts, star, two_specs, guests, seed)
+        })
+}
+
+/// The least Eq. 10 objective over every placement that respects
+/// Eqs. 2–3, scored by `mapping_objective`; `None` when none fits.
+fn enumerated_optimum(phys: &PhysicalTopology, venv: &VirtualEnvironment) -> Option<f64> {
+    let fresh = ResidualState::new(phys);
+    let (hosts, guests) = (phys.hosts(), venv.guest_count());
+    let mut digits = vec![0usize; guests];
+    let mut best: Option<f64> = None;
+    loop {
+        let mut mem = fresh.mem_column().to_vec();
+        let mut stor = fresh.stor_column().to_vec();
+        let fits = digits.iter().enumerate().all(|(g, &h)| {
+            let spec = venv.guest(GuestId::from_index(g));
+            let fit = mem[h] >= spec.mem.value() && stor[h] >= spec.stor.value();
+            mem[h] = mem[h].saturating_sub(spec.mem.value());
+            stor[h] -= spec.stor.value();
+            fit
+        });
+        if fits {
+            let placement = digits.iter().map(|&h| hosts[h]).collect();
+            let objective =
+                objective::mapping_objective(phys, venv, &Mapping::new(placement, Vec::new()));
+            best = Some(best.map_or(objective, |b: f64| b.min(objective)));
+        }
+        // Next placement in odometer order; done after the last.
+        let Some(g) = digits.iter().position(|&h| h + 1 < hosts.len()) else {
+            return best;
+        };
+        digits[g] += 1;
+        digits[..g].iter_mut().for_each(|h| *h = 0);
+    }
+}
+
+fn symmetry_check(phys: &PhysicalTopology, venv: &VirtualEnvironment) {
+    let optimum = enumerated_optimum(phys, venv);
+    for bound in [BoundKind::Lagrangian, BoundKind::Waterfill] {
+        let out = solve_at(phys, venv, with_bound(bound));
+        assert_eq!(out.symmetry, SymmetryCertificate::Holds, "{bound:?}");
+        match optimum {
+            None => assert_eq!(out.status, ExactStatus::Infeasible, "{bound:?}"),
+            Some(optimum) => {
+                assert_eq!(out.status, ExactStatus::Optimal, "{bound:?}");
+                let best = out.best.expect("an Optimal verdict carries its mapping");
+                assert!(
+                    (best.objective - optimum).abs() <= EPS,
+                    "{bound:?}: certified {} but enumeration finds {optimum}",
+                    best.objective
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -146,6 +287,11 @@ proptest! {
     #[test]
     fn truncated_lower_bound_is_admissible((phys, venv) in arb_case()) {
         truncation_check(&phys, &venv);
+    }
+
+    #[test]
+    fn symmetric_search_matches_enumeration((phys, venv) in arb_symmetric_case()) {
+        symmetry_check(&phys, &venv);
     }
 }
 
@@ -164,6 +310,10 @@ fn regression_seeds_replay() {
             "truncated_lower_bound_is_admissible" => {
                 let (phys, venv) = arb_case().generate(&mut rng);
                 truncation_check(&phys, &venv);
+            }
+            "symmetric_search_matches_enumeration" => {
+                let (phys, venv) = arb_symmetric_case().generate(&mut rng);
+                symmetry_check(&phys, &venv);
             }
             other => panic!("regression file pins unknown test '{other}'"),
         }
